@@ -51,7 +51,8 @@ check: vet
 	sh scripts/soak.sh shard
 	sh scripts/soak.sh ingest
 	sh scripts/soak.sh plan
-	sh scripts/soak.sh mmap
+	sh scripts/soak.sh scale
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) accuracy
 	$(MAKE) fuzz-smoke
 
@@ -64,14 +65,21 @@ check: vet
 accuracy:
 	$(GO) run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json
 
-# Short fuzz smoke of the differential fuzz targets (the seed corpus also
-# runs on every plain `go test`).
+# Short fuzz smoke of every fuzz target in the repository (the seed corpus
+# also runs on every plain `go test`); keep in step with scripts/check.sh.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEstimateSelect -fuzztime 2s ./internal/oracle/
 	$(GO) test -run xxx -fuzz FuzzJoinCost -fuzztime 2s ./internal/oracle/
 	$(GO) test -run xxx -fuzz 'FuzzAknnJoin$$' -fuzztime 2s ./internal/aknn/
 	$(GO) test -run xxx -fuzz FuzzAknnBoundsEstimate -fuzztime 2s ./internal/aknn/
 	$(GO) test -run xxx -fuzz FuzzLoadAknnSummary -fuzztime 2s ./internal/aknn/
+	$(GO) test -run xxx -fuzz FuzzLoadStaircase -fuzztime 2s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzLoadCatalogMerge -fuzztime 2s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzLoadVirtualGrid -fuzztime 2s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalBinary -fuzztime 2s ./internal/catalog/
+	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime 2s ./internal/wal/
+	$(GO) test -run xxx -fuzz FuzzLoadBundle -fuzztime 2s ./internal/store/
+	$(GO) test -run xxx -fuzz FuzzLoadMergeSideFile -fuzztime 2s ./internal/store/
 
 # Boot a real knncostd, burst the batch endpoint, SIGTERM it, and assert a
 # clean drain and exit 0 — the end-to-end smoke of the robustness layer.

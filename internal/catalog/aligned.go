@@ -8,8 +8,8 @@ import (
 
 // Aligned encoding: the zero-copy counterpart of MarshalBinary. Where the
 // varint format optimizes for size (the paper's storage metric), the
-// aligned format optimizes for load time — fixed-width records that an
-// mmap'd cache file can serve in place, without decoding or heap copies.
+// aligned format optimizes for load time — fixed-width records that the
+// bytes of a cache file serve in place, without decoding entry by entry.
 //
 // Layout: a little-endian uint64 entry count, then count records of three
 // little-endian uint64 words (StartK, EndK, Cost). Every piece is a
@@ -51,10 +51,9 @@ func (c *Catalog) AppendAligned(buf []byte) []byte {
 // BorrowAligned replaces c's entries with ones read from an aligned
 // encoding at the start of data, returning the number of bytes consumed.
 // When the host layout permits (see canBorrowAligned) and data[8:] is
-// 8-byte aligned, the entries are borrowed — they alias data, typically an
-// mmap'd cache file, and stay valid only as long as the mapping does; the
-// caller owns that lifetime (the store pins the mapping on the snapshot
-// that serves the catalog). A borrowed catalog is read-only: Append and
+// 8-byte aligned, the entries are borrowed — they alias data (the store
+// passes a heap copy of a cache file's section, which the borrow keeps
+// reachable). A borrowed catalog is read-only: Append and
 // Reset on it are undefined. Truncated or over-long counts are rejected
 // before anything is sized by them.
 func (c *Catalog) BorrowAligned(data []byte) (int, error) {

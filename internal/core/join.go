@@ -91,7 +91,6 @@ type CatalogMerge struct {
 	merged *catalog.Catalog
 	scale  float64
 	maxK   int
-	pin    any // keeps a borrowed mapping alive; see Pin
 }
 
 // BuildCatalogMerge precomputes the merged catalog for the pair
@@ -172,7 +171,6 @@ type VirtualGrid struct {
 	bounds   geom.Rect
 	nx, ny   int
 	maxK     int
-	pin      any // keeps a borrowed mapping alive; see Pin
 }
 
 // BuildVirtualGrid precomputes the per-cell catalogs for an inner relation.

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
@@ -18,14 +18,15 @@ import (
 // format (KNCS/KNCM/KNVG) optimizes for size; the mapped format optimizes
 // for load time — every field is a fixed-width little-endian uint64 and
 // every catalog is stored in the aligned encoding of
-// catalog.AppendAligned, so a loader handed the mmap'd file bytes borrows
-// the catalogs in place instead of decoding them onto the heap. All
-// sections are multiples of 8 bytes, keeping each catalog 8-byte aligned
-// relative to the (page-aligned) mapping.
+// catalog.AppendAligned, so a loader handed 8-byte-aligned bytes borrows
+// the catalogs in place instead of decoding them one by one. All sections
+// are multiples of 8 bytes, keeping each catalog 8-byte aligned relative
+// to the start of the input.
 //
-// Lifetime: artifacts loaded by the *Mapped loaders alias the input bytes.
-// The caller owns the mapping's lifetime and must keep it alive as long as
-// the artifact serves estimates; see internal/mmapfile.
+// Lifetime: artifacts loaded by the *Mapped loaders alias the input bytes,
+// and the borrow is an ordinary Go reference: the store hands the loaders
+// heap allocations, so the garbage collector keeps the bytes alive exactly
+// as long as an artifact uses them.
 
 const (
 	mappedMagicStaircase   = "KNCSMAP\x01"
@@ -33,51 +34,14 @@ const (
 	mappedMagicVirtualGrid = "KNVGMAP\x01"
 )
 
-// Pin attaches ref (typically the *mmapfile.File whose bytes the artifact's
-// catalogs borrow) to the artifact. Borrowed slices do not keep a mapping
-// reachable by themselves, so the loader pins the mapping on the artifact:
-// as long as the artifact is reachable the mapping cannot be unmapped by
-// its finalizer. Pin is for loaders; it is not safe concurrently with use.
-func (s *Staircase) Pin(ref any) { s.pin = ref }
+// mappedWriter appends fixed-width sections to a byte slice.
+type mappedWriter []byte
 
-// Pin attaches ref to the merge; see (*Staircase).Pin.
-func (c *CatalogMerge) Pin(ref any) { c.pin = ref }
+func (m *mappedWriter) u64(v uint64)               { *m = binary.LittleEndian.AppendUint64(*m, v) }
+func (m *mappedWriter) catalog(c *catalog.Catalog) { *m = c.AppendAligned(*m) }
 
-// Pin attaches ref to the grid; see (*Staircase).Pin.
-func (v *VirtualGrid) Pin(ref any) { v.pin = ref }
-
-// mappedWriter accumulates fixed-width sections and flushes them through
-// one buffered writer.
-type mappedWriter struct {
-	w   io.Writer
-	buf []byte
-	n   int64
-	err error
-}
-
-func (m *mappedWriter) u64(v uint64) {
-	m.buf = binary.LittleEndian.AppendUint64(m.buf, v)
-}
-
-func (m *mappedWriter) catalog(c *catalog.Catalog) {
-	m.buf = c.AppendAligned(m.buf)
-	if len(m.buf) >= 1<<16 {
-		m.flush()
-	}
-}
-
-func (m *mappedWriter) flush() {
-	if m.err != nil || len(m.buf) == 0 {
-		return
-	}
-	n, err := m.w.Write(m.buf)
-	m.n += int64(n)
-	m.buf = m.buf[:0]
-	m.err = err
-}
-
-// mappedReader parses fixed-width sections from the raw (typically
-// mmap'd) file bytes without copying them.
+// mappedReader parses fixed-width sections from the raw bytes without
+// copying them.
 type mappedReader struct {
 	data []byte
 	off  int
@@ -132,11 +96,10 @@ func (m *mappedReader) done() error {
 	return nil
 }
 
-// WriteMapped serializes the staircase in the mapped format. The
+// AppendMapped appends the staircase in the mapped format to buf. The
 // companion LoadStaircaseMapped must be given the same data index.
-func (s *Staircase) WriteMapped(w io.Writer) (int64, error) {
-	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<16)}
-	m.buf = append(m.buf, mappedMagicStaircase...)
+func (s *Staircase) AppendMapped(buf []byte) []byte {
+	m := mappedWriter(append(buf, mappedMagicStaircase...))
 	m.u64(uint64(s.mode))
 	m.u64(uint64(s.maxK))
 	m.u64(uint64(s.aux.NumBlocks()))
@@ -152,14 +115,12 @@ func (s *Staircase) WriteMapped(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	m.flush()
-	return m.n, m.err
+	return m
 }
 
 // LoadStaircaseMapped reconstructs a staircase from the raw bytes of a
-// WriteMapped file against the same data index, borrowing the catalogs in
-// place. raw must stay alive (unmapped last) as long as the staircase
-// serves estimates. Validation mirrors LoadStaircase: mode, MaxK and the
+// AppendMapped encoding against the same data index, borrowing the catalogs in
+// place. Validation mirrors LoadStaircase: mode, MaxK and the
 // block/point fingerprints are checked before anything is sized by them.
 func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
 	m := &mappedReader{data: raw}
@@ -227,20 +188,18 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 	return s, nil
 }
 
-// WriteMapped serializes the merged pair catalog in the mapped format.
-func (c *CatalogMerge) WriteMapped(w io.Writer) (int64, error) {
-	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<12)}
-	m.buf = append(m.buf, mappedMagicCatalogMrg...)
+// AppendMapped appends the merged pair catalog in the mapped format to buf.
+func (c *CatalogMerge) AppendMapped(buf []byte) []byte {
+	buf = slices.Grow(buf, len(mappedMagicCatalogMrg)+16+c.merged.AlignedSize()) // the store appends thousands to nil
+	m := mappedWriter(append(buf, mappedMagicCatalogMrg...))
 	m.u64(uint64(c.maxK))
 	m.u64(math.Float64bits(c.scale))
 	m.catalog(c.merged)
-	m.flush()
-	return m.n, m.err
+	return m
 }
 
 // LoadCatalogMergeMapped reconstructs a CatalogMerge from the raw bytes
-// of a WriteMapped file, borrowing the catalog in place. raw must stay
-// alive as long as the estimator serves estimates.
+// of an AppendMapped encoding, borrowing the catalog in place.
 func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
 	m := &mappedReader{data: raw}
 	m.magic(mappedMagicCatalogMrg)
@@ -259,10 +218,9 @@ func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
 	return &CatalogMerge{merged: merged, scale: scale, maxK: maxK}, nil
 }
 
-// WriteMapped serializes the virtual grid in the mapped format.
-func (v *VirtualGrid) WriteMapped(w io.Writer) (int64, error) {
-	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<16)}
-	m.buf = append(m.buf, mappedMagicVirtualGrid...)
+// AppendMapped appends the virtual grid in the mapped format to buf.
+func (v *VirtualGrid) AppendMapped(buf []byte) []byte {
+	m := mappedWriter(append(buf, mappedMagicVirtualGrid...))
 	m.u64(uint64(v.nx))
 	m.u64(uint64(v.ny))
 	m.u64(uint64(v.maxK))
@@ -273,13 +231,11 @@ func (v *VirtualGrid) WriteMapped(w io.Writer) (int64, error) {
 	for _, c := range v.catalogs {
 		m.catalog(c)
 	}
-	m.flush()
-	return m.n, m.err
+	return m
 }
 
 // LoadVirtualGridMapped reconstructs a VirtualGrid from the raw bytes of
-// a WriteMapped file, borrowing the per-cell catalogs in place. raw must
-// stay alive as long as the estimator serves estimates.
+// an AppendMapped encoding, borrowing the per-cell catalogs in place.
 func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
 	m := &mappedReader{data: raw}
 	m.magic(mappedMagicVirtualGrid)

@@ -22,15 +22,12 @@ func TestStaircaseMappedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		n, err := orig.WriteMapped(&buf)
-		if err != nil {
-			t.Fatalf("%v WriteMapped: %v", mode, err)
+		prefix := []byte("12345678") // appending must leave what was there
+		raw := orig.AppendMapped(prefix)
+		if !bytes.HasPrefix(raw, prefix) {
+			t.Fatalf("%v: AppendMapped clobbered the buffer it appended to", mode)
 		}
-		if n != int64(buf.Len()) {
-			t.Errorf("%v: WriteMapped reported %d bytes, wrote %d", mode, n, buf.Len())
-		}
-		loaded, err := LoadStaircaseMapped(data, buf.Bytes(), StaircaseOptions{})
+		loaded, err := LoadStaircaseMapped(data, raw[len(prefix):], StaircaseOptions{})
 		if err != nil {
 			t.Fatalf("%v LoadStaircaseMapped: %v", mode, err)
 		}
@@ -67,11 +64,8 @@ func TestCatalogMergeMappedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteMapped(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCatalogMergeMapped(buf.Bytes())
+	raw := orig.AppendMapped(nil)
+	loaded, err := LoadCatalogMergeMapped(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +90,8 @@ func TestVirtualGridMappedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteMapped(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadVirtualGridMapped(buf.Bytes())
+	raw := orig.AppendMapped(nil)
+	loaded, err := LoadVirtualGridMapped(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,31 +129,20 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb, vb, cb bytes.Buffer
-	if _, err := stair.WriteMapped(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vg.WriteMapped(&vb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cm.WriteMapped(&cb); err != nil {
-		t.Fatal(err)
-	}
-
 	loaders := []struct {
 		name string
 		full []byte
 		load func([]byte) error
 	}{
-		{"staircase", sb.Bytes(), func(raw []byte) error {
+		{"staircase", stair.AppendMapped(nil), func(raw []byte) error {
 			_, err := LoadStaircaseMapped(data, raw, StaircaseOptions{})
 			return err
 		}},
-		{"virtual-grid", vb.Bytes(), func(raw []byte) error {
+		{"virtual-grid", vg.AppendMapped(nil), func(raw []byte) error {
 			_, err := LoadVirtualGridMapped(raw)
 			return err
 		}},
-		{"catalog-merge", cb.Bytes(), func(raw []byte) error {
+		{"catalog-merge", cm.AppendMapped(nil), func(raw []byte) error {
 			_, err := LoadCatalogMergeMapped(raw)
 			return err
 		}},

@@ -149,8 +149,7 @@ type Artifact interface {
 	// Resolution returns the canonical resolution the artifact was built at.
 	Resolution() Resolution
 	// SizeBytes returns the artifact's byte footprint: the serialized
-	// catalog bytes it retains (borrowed mmap bytes count too — they
-	// occupy address space and page cache even when not heap-resident).
+	// catalog bytes it retains, built or borrowed from a cache read.
 	SizeBytes() int
 }
 

@@ -94,7 +94,6 @@ type Staircase struct {
 	mode     StaircaseMode
 	maxK     int
 	fallback SelectEstimator
-	pin      any // keeps a borrowed mapping alive; see Pin
 }
 
 // stairScratch is the per-goroutine working set of the staircase builder:

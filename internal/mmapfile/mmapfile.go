@@ -1,17 +1,18 @@
-// Package mmapfile memory-maps files read-only, so the store's disk-cache
-// loaders can serve artifact bytes straight from the page cache — shared,
-// evictable, and never copied onto the Go heap. On platforms without mmap
-// support it degrades transparently to a plain heap read, so callers need
-// no build tags of their own.
+// Package mmapfile memory-maps files read-only; on platforms without mmap
+// support it degrades transparently to a plain heap read.
+//
+// Nothing in this module may import it. The store mapped its cache
+// artifacts through it until cache format 5 (DESIGN.md §15) replaced the
+// file-per-artifact layout with heap-read bundles; the package survives,
+// code unchanged, only because the frozen benchmark (benchmark/layers.go,
+// the mmapfile.open_us probe) compiles against Open, Len and Close. The
+// next change to the benchmark should delete that probe and this package
+// together.
 //
 // Lifetime: the mapping stays valid as long as the *File is reachable.
 // Close unmaps eagerly; a File that is simply dropped is unmapped by a
-// finalizer when the garbage collector proves it unreachable. Callers that
-// hand out sub-slices of Data (borrowed catalogs) must keep the File
-// reachable alongside them — slices into a mapping do not, by themselves,
-// keep it alive. The store does this by pinning the File on the snapshot
-// that serves the borrowed artifacts and never calling Close on a mapping
-// that escaped into a snapshot.
+// finalizer when the garbage collector proves it unreachable. Slices into
+// a mapping do not, by themselves, keep it alive.
 package mmapfile
 
 import "sync/atomic"

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -144,6 +145,15 @@ func TestRouterMutationFanout(t *testing.T) {
 
 	pts := datagen.OSMLike(200, 7)
 	registerThrough(t, front.URL, map[string][]geom.Point{"live": pts})
+	// The router's status speaks for one replica; the assertions below read
+	// both owners' stores directly.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, ts := range []*testShard{s1, s2} {
+		if err := ts.st.WaitReady(ctx, "live"); err != nil {
+			t.Fatalf("%s: %v", ts.id, err)
+		}
+	}
 
 	mutate := func(method string, points [][2]float64, wantStatus int) service.RelationInfo {
 		t.Helper()

@@ -1,0 +1,461 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"knncost/internal/aknn"
+	"knncost/internal/core"
+	"knncost/internal/geom"
+	"knncost/internal/index"
+	"knncost/internal/quadtree"
+)
+
+// testBundle encodes a small real relation build and returns the file bytes
+// with the index the staircase must be loaded against.
+func testBundle(t testing.TB) ([]byte, *index.Tree) {
+	t.Helper()
+	pts := gridPoints(300, 71)
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
+	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vg, err := core.BuildVirtualGrid(tree.CountTree(), 3, 3, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := manifest{NumPoints: len(pts), NumBlocks: tree.NumBlocks(), MaxK: 24, Corners: -1, GridSize: 3}
+	data, err := encodeBundle(m, pts, stair, vg, aknn.BuildSummary(tree.CountTree()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, tree
+}
+
+// testSideFile encodes three peers' worth of real merges, one of them
+// one-directional.
+func testSideFile(t testing.TB) ([]byte, mergeRecs) {
+	t.Helper()
+	recs := mergeRecs{}
+	for i := 0; i < 3; i++ {
+		a := quadtree.Build(gridPoints(200+40*i, int64(80+i)), quadtree.Options{Capacity: 16}).Index().CountTree()
+		b := quadtree.Build(gridPoints(150, int64(90+i)), quadtree.Options{Capacity: 16}).Index().CountTree()
+		var pair [2][]byte
+		for d, ends := range [][2]*index.Tree{{a, b}, {b, a}} {
+			m, err := core.BuildCatalogMerge(ends[0], ends[1], 10, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pair[d] = m.AppendMapped(nil)
+		}
+		if i == 2 {
+			pair[1] = nil
+		}
+		k, ok := peerOf(fmt.Sprintf("%064x", 0xabc0+i))
+		if !ok {
+			t.Fatal("peerOf rejected a well-formed fingerprint")
+		}
+		recs[k] = pair
+	}
+	return encodeSideFile(recs), recs
+}
+
+// loadAll drives a decoded bundle through the loader that needs the index,
+// as the build worker does.
+func loadAll(bd *bundle, tree *index.Tree) error {
+	_, err := core.LoadStaircaseMapped(tree, bd.stair, core.StaircaseOptions{})
+	return err
+}
+
+func TestBundleRoundTrip(t *testing.T) {
+	data, tree := testBundle(t)
+	bd, err := decodeBundle(data)
+	if err != nil {
+		t.Fatalf("valid bundle rejected: %v", err)
+	}
+	if !samePoints(bd.pts, gridPoints(300, 71)) {
+		t.Fatal("points did not survive the round trip")
+	}
+	if bd.man.Corners != -1 || bd.man.NumBlocks != tree.NumBlocks() {
+		t.Fatalf("manifest did not survive the round trip: %+v", bd.man)
+	}
+	if err := loadAll(bd, tree); err != nil {
+		t.Fatalf("staircase section: %v", err)
+	}
+	if &bd.stair[:1][0] == &data[:1][0] || cap(bd.stair) != len(bd.stair) {
+		t.Fatal("decoded bundle retains the file read")
+	}
+}
+
+// TestCacheFilesRejectCorruptInput: every truncation and every single-bit
+// flip of a bundle or a side-file is a miss — never a panic, never a
+// silently different artifact. This is what lets the store treat its cache
+// directory as untrusted.
+func TestCacheFilesRejectCorruptInput(t *testing.T) {
+	bundleData, _ := testBundle(t)
+	sideData, _ := testSideFile(t)
+	files := []struct {
+		name string
+		full []byte
+		miss func([]byte) bool
+	}{
+		{"bundle", bundleData, func(b []byte) bool { _, err := decodeBundle(b); return err != nil }},
+		{"side-file", sideData, func(b []byte) bool { return decodeSideFile(b) == nil }},
+	}
+	for _, f := range files {
+		if f.miss(f.full) {
+			t.Fatalf("%s: valid file rejected", f.name)
+		}
+		for cut := 0; cut < len(f.full); cut++ {
+			if !f.miss(f.full[:cut]) {
+				t.Fatalf("%s: truncation to %d/%d bytes loaded", f.name, cut, len(f.full))
+			}
+		}
+		if !f.miss(append(bytes.Clone(f.full), 0, 0, 0, 0, 0, 0, 0, 0)) {
+			t.Fatalf("%s: trailing garbage loaded", f.name)
+		}
+		flipped := bytes.Clone(f.full)
+		for bit := 0; bit < 8*len(flipped); bit++ {
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if !f.miss(flipped) {
+				t.Fatalf("%s: flip of bit %d loaded", f.name, bit)
+			}
+			flipped[bit/8] ^= 1 << (bit % 8)
+		}
+		// A hostile file carries a valid checksum: every header and table
+		// byte overwritten and re-sealed may load or miss, never panic.
+		for i := 0; i < min(len(flipped)-4, 512); i++ {
+			for _, v := range []byte{0x00, 0x7f, 0xff} {
+				sealed := bytes.Clone(f.full)
+				sealed[i] = v
+				f.miss(reseal(sealed))
+			}
+		}
+	}
+}
+
+// reseal overwrites data's last four bytes with the checksum of the rest,
+// so that corrupt content reaches the parsing behind the checksum.
+func reseal(data []byte) []byte {
+	if n := len(data) - 4; n >= 0 {
+		binary.LittleEndian.PutUint32(data[n:], crc32.Checksum(data[:n], crcTable))
+	}
+	return data
+}
+
+func TestSideFileRoundTrip(t *testing.T) {
+	data, want := testSideFile(t)
+	got := decodeSideFile(data)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("side-file round trip: got %d peers, want %d", len(got), len(want))
+	}
+	if !bytes.Equal(encodeSideFile(got), data) {
+		t.Fatal("side-file encoding is not deterministic")
+	}
+	for k, pair := range got {
+		for d, payload := range pair {
+			if payload == nil {
+				continue
+			}
+			if _, err := core.LoadCatalogMergeMapped(payload); err != nil {
+				t.Fatalf("peer %x direction %d: %v", k, d, err)
+			}
+		}
+	}
+}
+
+func FuzzLoadBundle(f *testing.F) {
+	data, tree := testBundle(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte(bundleMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(bytes.Clone(data))} {
+			if bd, err := decodeBundle(in); err == nil {
+				loadAll(bd, tree) // may reject; must not panic
+			}
+		}
+	})
+}
+
+func FuzzLoadMergeSideFile(f *testing.F) {
+	data, _ := testSideFile(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte(sideMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(bytes.Clone(data))} {
+			for _, pair := range decodeSideFile(in) {
+				for _, payload := range pair {
+					core.LoadCatalogMergeMapped(payload) // may reject; must not panic
+				}
+			}
+		}
+	})
+}
+
+// cacheFiles lists the cache directory: path → size and modification time.
+func cacheFiles(t *testing.T, dir string) map[string][2]int64 {
+	t.Helper()
+	out := map[string][2]int64{}
+	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && info.Mode().IsRegular() {
+			out[p] = [2]int64{info.Size(), info.ModTime().UnixNano()}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// joinEstimates probes every ordered pair of a View through its merge.
+func joinEstimates(t *testing.T, v *View) map[[2]string]float64 {
+	t.Helper()
+	out := map[[2]string]float64{}
+	for _, outer := range v.Names() {
+		for _, inner := range v.Names() {
+			if outer == inner {
+				continue
+			}
+			m := v.Merge(outer, inner)
+			if m == nil {
+				t.Fatalf("no merge for %s⋉%s", outer, inner)
+			}
+			est, err := m.EstimateJoin(9)
+			if err != nil {
+				t.Fatalf("EstimateJoin %s⋉%s: %v", outer, inner, err)
+			}
+			out[[2]string{outer, inner}] = est
+		}
+	}
+	return out
+}
+
+// TestWarmRestartWritesNothing: a restart that restores every relation from
+// its bundle and every pair from a side-file leaves the directory — files,
+// registry, write-ahead log — exactly as it found it.
+func TestWarmRestartWritesNothing(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	cold := newTestStore(t, opt)
+	for i, n := range []int{500, 700, 600} {
+		if _, err := cold.Register(fmt.Sprintf("w%d", i), gridPoints(n, int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, cold)
+	want := joinEstimates(t, cold.View())
+	closeStore(t, cold)
+	before := cacheFiles(t, opt.CacheDir)
+
+	warm := newTestStore(t, opt)
+	waitReady(t, warm)
+	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*3+6 {
+		t.Fatalf("warm restart: %d built, %d cache hits, want 0 and 15", b, h)
+	}
+	if got := joinEstimates(t, warm.View()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("join estimates changed across the restart: %v vs %v", got, want)
+	}
+	closeStore(t, warm)
+	if after := cacheFiles(t, opt.CacheDir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("warm restart changed the cache directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestTwoScopesShareOneDirectory: two stores on one cache directory that
+// register the same relations in opposite orders converge on one bundle per
+// fingerprint, each restarts with zero builds, and their estimates are
+// bit-identical — the shard-handoff shape (DESIGN §11).
+func TestTwoScopesShareOneDirectory(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"p", "q", "r"}
+	open := func(scope string) *Store {
+		opt := testOptions(t)
+		opt.CacheDir, opt.RegistryScope, opt.CompactInterval = dir, scope, -1
+		return newTestStore(t, opt)
+	}
+	register := func(s *Store, order []int) {
+		for _, i := range order {
+			if _, err := s.Register(names[i], gridPoints(400+100*i, int64(60+i))); err != nil {
+				t.Fatal(err)
+			}
+			waitReady(t, s, names[i])
+		}
+	}
+	a, b := open("a"), open("b")
+	register(a, []int{0, 1, 2})
+	register(b, []int{2, 1, 0})
+	want := joinEstimates(t, a.View())
+	if got := joinEstimates(t, b.View()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scopes disagree: %v vs %v", got, want)
+	}
+	if b.CacheHits() < 9 {
+		t.Fatalf("scope b loaded %d artifacts from scope a's bundles, want at least 9", b.CacheHits())
+	}
+	closeStore(t, a)
+	closeStore(t, b)
+	bundles, err := filepath.Glob(filepath.Join(dir, "cat", "*.knc"))
+	if err != nil || len(bundles) != len(names) {
+		t.Fatalf("cat/ holds %d bundles for %d fingerprints (%v)", len(bundles), len(names), err)
+	}
+	for _, scope := range []string{"a", "b"} {
+		s := open(scope)
+		waitReady(t, s)
+		if n := s.CatalogBuilds(); n != 0 {
+			t.Errorf("scope %s restarted with %d builds, want 0", scope, n)
+		}
+		if got := joinEstimates(t, s.View()); !reflect.DeepEqual(got, want) {
+			t.Errorf("scope %s estimates changed across the restart", scope)
+		}
+		closeStore(t, s)
+	}
+}
+
+// TestLostSideFileRebuildsAndRewrites: merges are derivable, so deleting a
+// side-file costs exactly its pairs' rebuilds on the next start, which
+// writes them back; the start after that builds nothing.
+func TestLostSideFileRebuildsAndRewrites(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	first := newTestStore(t, opt)
+	for i, name := range []string{"x", "y", "z"} {
+		if _, err := first.Register(name, gridPoints(500+50*i, int64(30+i))); err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, first, name) // z publishes last: its side-file holds 4 merges
+	}
+	want := joinEstimates(t, first.View())
+	lost := first.cache.sidePath(first.View().Relation("z").Fingerprint)
+	closeStore(t, first)
+	if err := os.Remove(lost); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestStore(t, opt)
+	waitReady(t, second)
+	if b, h := second.CatalogBuilds(), second.CacheHits(); b != 4 || h != 9+2 {
+		t.Fatalf("after losing z's side-file: %d built, %d hits, want 4 and 11", b, h)
+	}
+	if got := joinEstimates(t, second.View()); !reflect.DeepEqual(got, want) {
+		t.Fatal("rebuilt merges are not bit-identical")
+	}
+	closeStore(t, second)
+
+	third := newTestStore(t, opt)
+	waitReady(t, third)
+	if b := third.CatalogBuilds(); b != 0 {
+		t.Fatalf("start after the rebuild constructed %d catalogs: the merges were not written back", b)
+	}
+	if got := joinEstimates(t, third.View()); !reflect.DeepEqual(got, want) {
+		t.Fatal("written-back merges are not bit-identical")
+	}
+}
+
+// TestFailedBundleWriteKeepsDurableBase: a compaction whose bundle cannot be
+// written still serves, but must not become the durable base — no
+// checkpoint, no registry entry, the log stays pinned — so a restart
+// recovers the previous base plus every acknowledged mutation.
+func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	opt.CompactThreshold = 1 << 20
+	opt.WALSegmentBytes = 512 // mutations span segments, so a wrong trim would lose them
+	s := newTestStore(t, opt)
+	base := gridPoints(300, 21)
+	if _, err := s.Register("live", base); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "live")
+	baseFP := s.View().Relation("live").Fingerprint
+
+	// Make cat/ unwritable in a way root cannot bypass: a regular file.
+	cat, hidden := filepath.Join(opt.CacheDir, "cat"), filepath.Join(opt.CacheDir, "cat.hidden")
+	if err := os.Rename(cat, hidden); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cat, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := base
+	for i := 0; i < 6; i++ {
+		add := gridPoints(20, int64(100+i))
+		if _, err := s.Append("live", add); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want[:len(want):len(want)], add...)
+	}
+	settle(t, s, "live")
+	if got := s.View().Relation("live"); !samePoints(got.Points, want) {
+		t.Fatalf("uncached compaction serves %d points, want %d", len(got.Points), len(want))
+	}
+	if reg := s.cache.registry(); len(reg) != 1 || reg[0].Fingerprint != baseFP {
+		t.Fatalf("registry adopted a fingerprint without a bundle: %+v", reg)
+	}
+	closeStore(t, s)
+	if err := os.Remove(cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(hidden, cat); err != nil {
+		t.Fatal(err)
+	}
+
+	again := newTestStore(t, opt)
+	waitReady(t, again, "live")
+	settle(t, again, "live")
+	got, err := again.LogicalPoints("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePoints(got, want) {
+		t.Fatalf("restart recovered %d points, want %d: acknowledged mutations lost", len(got), len(want))
+	}
+	assertBitExact(t, again.View().Relation("live"), fromScratch(t, want))
+}
+
+// TestStatusRepublishSharesTheView: a republish in which no snapshot
+// changed (a queued/building transition, a delta-depth update) shares the
+// previous View's relation and merge maps instead of rebuilding n·(n−1)
+// pairs.
+func TestStatusRepublishSharesTheView(t *testing.T) {
+	opt := testOptions(t)
+	opt.CompactInterval = -1
+	opt.CompactThreshold = 1 << 20
+	s := newTestStore(t, opt)
+	for _, name := range []string{"s1", "s2", "s3"} {
+		if _, err := s.Register(name, gridPoints(400, 9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, s)
+	v1 := s.View()
+	builds := s.CatalogBuilds()
+	if _, err := s.Append("s2", []geom.Point{{X: 1, Y: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.republishLocked()
+	s.mu.Unlock()
+	v2 := s.View()
+	if v1 == v2 || v2.List()[1].DeltaOps != 1 {
+		t.Fatalf("append did not republish the listing: %+v", v2.List())
+	}
+	if reflect.ValueOf(v1.merges).Pointer() != reflect.ValueOf(v2.merges).Pointer() ||
+		reflect.ValueOf(v1.relations).Pointer() != reflect.ValueOf(v2.relations).Pointer() {
+		t.Fatal("a status-only republish copied the View's maps")
+	}
+	if s.CatalogBuilds() != builds {
+		t.Fatal("a status-only republish built catalogs")
+	}
+}

@@ -1,80 +1,82 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"knncost/internal/aknn"
 	"knncost/internal/core"
-	"knncost/internal/engine"
 	"knncost/internal/geom"
-	"knncost/internal/index"
-	"knncost/internal/mmapfile"
 )
 
 // The disk cache gives the store warm restarts: catalogs are persisted in
 // the internal/core binary formats, content-addressed by a fingerprint of
 // the point data and the build options, so a restarted process loads in
 // milliseconds what a cold one computes in seconds. Layout under the cache
-// directory:
+// directory — two files per fingerprint, so O(relations) files in all:
 //
-//	registry.json                        name → fingerprint + resolution of live relations
-//	cat/<fp>/manifest.json               versioned build-parameter manifest
-//	cat/<fp>/points.bin                  the relation's points (rebuilds the index)
-//	cat/<fp>/staircase-{cc,c,cq}.bin     core.Staircase (KNCSMAP mapped format;
-//	                                     one file, named by the resolution's mode)
-//	cat/<fp>/virtual-grid.bin            core.VirtualGrid (KNVGMAP mapped format)
-//	cat/<fp>/aknn-bounds.bin             aknn.Summary (KNAB format)
-//	merge/<fpOuter>-<fpInner>-catalog-merge.bin  core.CatalogMerge (KNCMMAP mapped format)
+//	registry[-scope].json  name → fingerprint + resolution of live relations
+//	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
+//	                       table (kind, offset, length), the 8-byte-aligned
+//	                       sections KNPT (points, rebuilds the index), KNCSMAP
+//	                       (core.Staircase), KNVGMAP (core.VirtualGrid), KNAB
+//	                       (aknn.Summary), and a trailing CRC32C of all of it
+//	cat/<fp>.knm           merge side-file: every Catalog-Merge (KNCMMAP) the
+//	                       publish that introduced <fp> had to build, both
+//	                       directions per peer; see encodeSideFile
 //
-// Per-relation artifact files are named after the engine technique that
-// produced them (see internal/engine), so adding a cached technique is a
-// new file, never a layout change. The staircase and grid artifacts use the
-// aligned mapped encodings: the loaders mmap the file and borrow the
-// catalogs zero-copy, pinning the mapping on the artifact. Techniques a
-// resolution does not precompute have no file and build lazily in the
-// snapshot's engine relation.
-//
-// Everything is written atomically (temp file + rename) and every load
-// failure is treated as a cache miss, never an error: the worst corrupt
-// cache can do is force a rebuild.
+// A bundle is written once, off the store lock, and is immutable: one that
+// exists is complete. A pair's merges live in the side-file of whichever of
+// its two relations was published later, so a lookup consults both
+// relations' records; merges are derivable, so a lost or corrupt side-file
+// is rebuilt and last-writer-wins between stores sharing a directory is
+// harmless. Both files are read whole into a scratch buffer from which only
+// the bytes the loaders borrow are copied, into exact-size allocations the
+// garbage collector owns. Everything is written atomically (temp file +
+// rename) and every load failure is a cache miss, never an error: the worst
+// a corrupt cache can do is force a rebuild. Dead generations are not
+// swept; a restart opens only the fingerprints the registry names.
 
-// cacheFormat is the manifest/registry format version; bump on any change
-// to the layout or to what a fingerprint covers. Format 2 renamed the
-// artifact files to technique names (staircase.bin → staircase-cc.bin,
-// vgrid.bin → virtual-grid.bin) and keyed merge files by technique.
-// Format 3 added the aknn-bounds summary artifact. Format 4 switched the
-// staircase, virtual-grid and merge artifacts to the aligned mapped
-// encodings (core.WriteMapped) served zero-copy from an mmap'd file, made
-// every fingerprint per-relation-resolution, and named the staircase file
-// after the mode the resolution selects. The version is part of every
-// fingerprint, so entries of older formats all miss and rebuild complete —
-// a format bump costs one rebuild, never an error.
-const cacheFormat = 4
+// cacheFormat is the bundle/side-file/registry format version; bump on any
+// change to the layout or to what a fingerprint covers. Format 5 replaced
+// format 4's one file and one mmap per artifact, O(relations²) of them. The
+// version is part of every fingerprint and of both magics, so entries of
+// older formats all miss: a format bump costs one rebuild, never an error.
+const cacheFormat = 5
+
+const (
+	bundleMagic = "KNCBNDL\x05"
+	sideMagic   = "KNCMRGS\x05"
+	// bundleHeader is the magic, the eight manifest fields and the
+	// four-entry section table, all little-endian uint64 words.
+	bundleHeader = 8 + 8*8 + 4*3*8
+)
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // manifest records the parameters a cached relation was built with. A
 // manifest that does not match the relation's resolution is a miss (the
 // fingerprint covers the same fields, so in practice mismatch means a
 // hand-edited cache).
 type manifest struct {
-	Format       int `json:"format"`
-	NumPoints    int `json:"num_points"`
-	NumBlocks    int `json:"num_blocks"`
-	MaxK         int `json:"max_k"`
-	Corners      int `json:"corners"`
-	SampleSize   int `json:"sample_size"`
-	GridSize     int `json:"grid_size"`
-	AknnCapacity int `json:"aknn_capacity"`
-	Capacity     int `json:"capacity"`
+	NumPoints, NumBlocks, MaxK, Corners, SampleSize, GridSize, AknnCapacity, Capacity int
+}
+
+// fields lists the manifest's fields in their on-disk order.
+func (m *manifest) fields() [8]*int {
+	return [8]*int{&m.NumPoints, &m.NumBlocks, &m.MaxK, &m.Corners, &m.SampleSize, &m.GridSize, &m.AknnCapacity, &m.Capacity}
 }
 
 // registryEntry names one live relation, its cached fingerprint, and its
@@ -94,38 +96,40 @@ type registryFile struct {
 	Relations []registryEntry `json:"relations"`
 }
 
-// diskCache serializes registry writes internally; catalog files are
-// content-addressed and idempotent, so concurrent workers writing the same
-// fingerprint converge on identical bytes.
+// diskCache keeps the registry in memory and writes it through; the other
+// files are content-addressed, so concurrent writers of one fingerprint
+// converge on equivalent files.
 type diskCache struct {
 	dir          string
 	registryName string
-	mu           sync.Mutex // guards registry read-modify-write
+	// hook, when set, fires with the kind of file ("bundle", "merges",
+	// "registry") just before each rename — the crash-injection points.
+	hook    func(op string)
+	mu      sync.Mutex      // guards entries and the registry file
+	entries []registryEntry // the registry file's relations, sorted by name
 }
 
 // openDiskCache opens (creating if needed) the cache at dir. scope selects
 // the registry file: several stores can share one content-addressed cache —
 // that sharing is what turns a shard handoff into a warm restore — but each
 // must restore only its own relations, so each scope gets its own registry.
+// A missing, corrupt or other-format registry is an empty one.
 func openDiskCache(dir, scope string) (*diskCache, error) {
-	for _, sub := range []string{"cat", "merge"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "cat"), 0o755); err != nil {
+		return nil, err
 	}
-	name := "registry.json"
-	if scope != "" {
-		for _, r := range scope {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-				r == '_', r == '-', r == '.':
-			default:
-				return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
-			}
-		}
-		name = "registry-" + scope + ".json"
+	c := &diskCache{dir: dir, registryName: "registry.json"}
+	if r, bad := unsafeRune(scope); bad {
+		return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
+	} else if scope != "" {
+		c.registryName = "registry-" + scope + ".json"
 	}
-	return &diskCache{dir: dir, registryName: name}, nil
+	var r registryFile
+	if data, err := os.ReadFile(c.registryPath()); err == nil && json.Unmarshal(data, &r) == nil && r.Format == cacheFormat {
+		slices.SortFunc(r.Relations, func(a, b registryEntry) int { return strings.Compare(a.Name, b.Name) })
+		c.entries = r.Relations
+	}
+	return c, nil
 }
 
 // fingerprint hashes the point data together with every build parameter
@@ -140,7 +144,7 @@ func (s *Store) fingerprint(pts []geom.Point, res core.Resolution) string {
 	n := binary.PutVarint(hdr[:], int64(cacheFormat))
 	for _, v := range []int{
 		res.MaxK, res.Corners, res.GridSize, res.AknnCapacity,
-		s.opt.SampleSize, s.opt.IndexCapacity, len(pts),
+		s.opt.SampleSize, s.opt.IndexCapacity,
 	} {
 		n += binary.PutVarint(hdr[n:], int64(v))
 	}
@@ -149,17 +153,7 @@ func (s *Store) fingerprint(pts []geom.Point, res core.Resolution) string {
 		binary.LittleEndian.PutUint64(hdr[:8], math.Float64bits(f))
 		h.Write(hdr[:8])
 	}
-	// Hash points in 4 KiB batches; one Write per point would dominate.
-	buf := make([]byte, 0, 4096)
-	for _, p := range pts {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
-		if len(buf) >= 4096-16 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
+	h.Write(appendPoints(make([]byte, 0, 16+16*len(pts)), pts)) // count included
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -170,203 +164,253 @@ func shortFP(fp string) string {
 	return fp
 }
 
-func (c *diskCache) catDir(fp string) string { return filepath.Join(c.dir, "cat", fp) }
+func (c *diskCache) bundlePath(fp string) string { return filepath.Join(c.dir, "cat", fp+".knc") }
+func (c *diskCache) sidePath(fp string) string   { return filepath.Join(c.dir, "cat", fp+".knm") }
 
-// artifactPath is the per-technique artifact file of one cached relation.
-func (c *diskCache) artifactPath(fp, technique string) string {
-	return filepath.Join(c.catDir(fp), technique+".bin")
-}
-
-func (c *diskCache) mergePath(fpOuter, fpInner string) string {
-	return filepath.Join(c.dir, "merge", fpOuter+"-"+fpInner+"-"+engine.TechCatalogMerge+".bin")
-}
-
-// writeAtomic writes data to path via a temp file + rename, so readers
-// never observe a partial file and a crash never corrupts an entry.
-func writeAtomic(path string, write func(f *os.File) error) error {
+// writeFile writes data to path via a temp file + rename, so readers never
+// observe a partial file and a crash never corrupts an entry.
+func (c *diskCache) writeFile(op, path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
+	if c.hook != nil {
+		c.hook(op)
+	}
 	return os.Rename(tmp.Name(), path)
 }
 
-// --- relation artifacts ----------------------------------------------------
+// --- bundle ------------------------------------------------------------------
 
-func (c *diskCache) loadManifest(fp string) (manifest, bool) {
-	data, err := os.ReadFile(filepath.Join(c.catDir(fp), "manifest.json"))
-	if err != nil {
-		return manifest{}, false
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return manifest{}, false
-	}
-	return m, true
+// bundle is one decoded cat/<fp>.knc together with its side-file's records.
+type bundle struct {
+	fp  string
+	man manifest
+	pts []geom.Point
+	// stair is the KNCSMAP section, which needs the rebuilt data index to
+	// load. It shares one exact-size allocation with the bytes vgrid
+	// borrows; nothing else of the file read is retained.
+	stair  []byte
+	vgrid  *core.VirtualGrid
+	aknn   *aknn.Summary
+	merges mergeRecs
 }
 
-// staircaseFile returns the staircase artifact file stem for the mode the
-// resolution selects. The quadrant mode has no registered technique name;
-// its stem follows the same convention.
-func staircaseFile(res core.Resolution) string {
-	switch res.StaircaseMode() {
-	case core.ModeCenterOnly:
-		return engine.TechStaircaseC
-	case core.ModeCenterQuadrant:
-		return "staircase-cq"
-	default:
-		return engine.TechStaircaseCC
+// encodeBundle serializes one relation build: header, then the four
+// sections in table order, each starting on an 8-byte boundary.
+func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary) ([]byte, error) {
+	var knab bytes.Buffer
+	if _, err := sum.WriteTo(&knab); err != nil {
+		return nil, err
 	}
+	out := make([]byte, bundleHeader, bundleHeader+24*len(pts)+stair.SizeBytes()+vg.SizeBytes())
+	copy(out, bundleMagic)
+	var words []uint64
+	for _, f := range m.fields() {
+		words = append(words, uint64(*f))
+	}
+	for kind, section := range []func([]byte) []byte{
+		func(b []byte) []byte { return appendPoints(b, pts) },
+		stair.AppendMapped,
+		vg.AppendMapped,
+		func(b []byte) []byte { return append(b, knab.Bytes()...) },
+	} {
+		out = append(out, make([]byte, -len(out)&7)...)
+		off := len(out)
+		out = section(out)
+		words = append(words, uint64(kind), uint64(off), uint64(len(out)-off))
+	}
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(out[8+8*i:], w)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable)), nil
 }
 
-// loadRelation loads the staircase, virtual grid, and aknn summary for fp
-// against the given (freshly rebuilt) data index. The staircase and grid
-// files are mmap'd and their catalogs borrowed in place — the mapping is
-// pinned on the artifact, so it stays valid as long as the artifact is
-// reachable and is unmapped by its finalizer afterwards. The aknn summary
-// is tiny and heap-decodes as before.
-func (c *diskCache) loadRelation(fp string, tree *index.Tree, opt core.StaircaseOptions, res core.Resolution) (*core.Staircase, *core.VirtualGrid, *aknn.Summary, error) {
-	sm, err := mmapfile.Open(c.artifactPath(fp, staircaseFile(res)))
-	if err != nil {
-		return nil, nil, nil, err
+// decodeBundle parses the bytes of a bundle file. data is scratch: nothing
+// returned aliases it.
+func decodeBundle(data []byte) (*bundle, error) {
+	if len(data) < bundleHeader+4 || string(data[:8]) != bundleMagic {
+		return nil, errors.New("bundle: truncated or bad magic")
 	}
-	stair, err := core.LoadStaircaseMapped(tree, sm.Data(), opt)
-	if err != nil {
-		sm.Close()
-		return nil, nil, nil, fmt.Errorf("staircase: %w", err)
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, errors.New("bundle: checksum mismatch")
 	}
-	stair.Pin(sm)
-	vm, err := mmapfile.Open(c.artifactPath(fp, engine.TechVirtualGrid))
-	if err != nil {
-		return nil, nil, nil, err
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(body[8+8*i:]) }
+	bd := &bundle{}
+	for i, f := range bd.man.fields() {
+		*f = int(word(i))
 	}
-	vg, err := core.LoadVirtualGridMapped(vm.Data())
-	if err != nil {
-		vm.Close()
-		return nil, nil, nil, fmt.Errorf("virtual grid: %w", err)
+	var sec [4][]byte
+	end := uint64(bundleHeader)
+	for i := range sec {
+		kind, off, n := word(8+3*i), word(9+3*i), word(10+3*i)
+		if kind != uint64(i) || off != (end+7)&^7 || off > uint64(len(body)) || n > uint64(len(body))-off {
+			return nil, fmt.Errorf("bundle: section %d does not tile the file", i)
+		}
+		sec[i], end = body[off:off+n], off+n
 	}
-	vg.Pin(vm)
-	af, err := os.Open(c.artifactPath(fp, engine.TechAknnBounds))
-	if err != nil {
-		return nil, nil, nil, err
+	if end != uint64(len(body)) {
+		return nil, errors.New("bundle: trailing bytes")
 	}
-	defer af.Close()
-	sum, err := aknn.LoadSummary(af)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("aknn summary: %w", err)
+	var err error
+	if bd.pts, err = decodePoints(sec[0]); err != nil {
+		return nil, err
 	}
-	return stair, vg, sum, nil
+	art := append(append(make([]byte, 0, len(sec[1])+len(sec[2])), sec[1]...), sec[2]...)
+	bd.stair = art[:len(sec[1]):len(sec[1])]
+	if bd.vgrid, err = core.LoadVirtualGridMapped(art[len(sec[1]):]); err != nil {
+		return nil, fmt.Errorf("virtual grid: %w", err)
+	}
+	if bd.aknn, err = aknn.LoadSummary(bytes.NewReader(sec[3])); err != nil {
+		return nil, fmt.Errorf("aknn summary: %w", err)
+	}
+	return bd, nil
 }
 
-// storeRelation persists every artifact of one relation build. The manifest
-// is written last: its presence marks the entry complete.
-func (c *diskCache) storeRelation(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary, res core.Resolution) error {
-	dir := c.catDir(fp)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := writeAtomic(filepath.Join(dir, "points.bin"), func(f *os.File) error {
-		return writePoints(f, pts)
-	}); err != nil {
-		return fmt.Errorf("points: %w", err)
-	}
-	if err := writeAtomic(c.artifactPath(fp, staircaseFile(res)), func(f *os.File) error {
-		_, err := stair.WriteMapped(f)
-		return err
-	}); err != nil {
-		return fmt.Errorf("staircase: %w", err)
-	}
-	if err := writeAtomic(c.artifactPath(fp, engine.TechVirtualGrid), func(f *os.File) error {
-		_, err := vg.WriteMapped(f)
-		return err
-	}); err != nil {
-		return fmt.Errorf("virtual grid: %w", err)
-	}
-	if err := writeAtomic(c.artifactPath(fp, engine.TechAknnBounds), func(f *os.File) error {
-		_, err := sum.WriteTo(f)
-		return err
-	}); err != nil {
-		return fmt.Errorf("aknn summary: %w", err)
-	}
-	if err := writeAtomic(filepath.Join(dir, "manifest.json"), func(f *os.File) error {
-		return json.NewEncoder(f).Encode(m)
-	}); err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	return nil
-}
-
-func (c *diskCache) loadMerge(fpOuter, fpInner string) (*core.CatalogMerge, error) {
-	mf, err := mmapfile.Open(c.mergePath(fpOuter, fpInner))
+// loadBundle reads the bundle of fp and, when there is one, its side-file.
+func (c *diskCache) loadBundle(fp string) (*bundle, error) {
+	data, err := os.ReadFile(c.bundlePath(fp))
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.LoadCatalogMergeMapped(mf.Data())
+	bd, err := decodeBundle(data)
 	if err != nil {
-		mf.Close()
 		return nil, err
 	}
-	m.Pin(mf)
-	return m, nil
+	bd.fp = fp
+	if side, err := os.ReadFile(c.sidePath(fp)); err == nil {
+		bd.merges = decodeSideFile(side)
+	}
+	return bd, nil
 }
 
-func (c *diskCache) storeMerge(fpOuter, fpInner string, m *core.CatalogMerge) error {
-	return writeAtomic(c.mergePath(fpOuter, fpInner), func(f *os.File) error {
-		_, err := m.WriteMapped(f)
+func (c *diskCache) storeBundle(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary) error {
+	data, err := encodeBundle(m, pts, stair, vg, sum)
+	if err != nil {
 		return err
-	})
+	}
+	return c.writeFile("bundle", c.bundlePath(fp), data)
 }
 
-// --- points file -----------------------------------------------------------
+// --- merge side-file ---------------------------------------------------------
+
+// peerKey names the other relation of a pair inside a side-file: the first
+// 16 bytes of its fingerprint. (The full 32 would add a third to the bytes
+// of a typical 64-byte merge; 128 bits of SHA-256 do not collide.)
+type peerKey [16]byte
+
+// mergeRecs are the records of one fingerprint F's side-file: per peer P,
+// the KNCMMAP payloads of F⋉P and P⋉F (nil where absent), each in an
+// allocation of its own, so a merge borrowing one does not retain the file.
+type mergeRecs map[peerKey][2][]byte
+
+func peerOf(fp string) (k peerKey, ok bool) {
+	if len(fp) != 2*sha256.Size {
+		return k, false
+	}
+	_, err := hex.Decode(k[:], []byte(fp[:2*len(k)]))
+	return k, err == nil
+}
+
+// encodeSideFile lays the records out as magic+format, a record count, a
+// table of {peer[16], len(F⋉P) u32, len(P⋉F) u32} sorted by peer, the
+// payloads in table order (each a multiple of 8 bytes, so all stay
+// aligned), and a trailing CRC32C of everything before it.
+func encodeSideFile(recs mergeRecs) []byte {
+	peers := make([]peerKey, 0, len(recs))
+	for k := range recs {
+		peers = append(peers, k)
+	}
+	slices.SortFunc(peers, func(a, b peerKey) int { return bytes.Compare(a[:], b[:]) })
+	out := binary.LittleEndian.AppendUint64([]byte(sideMagic), uint64(len(peers)))
+	for _, k := range peers {
+		out = append(out, k[:]...)
+		for _, payload := range recs[k] {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		}
+	}
+	for _, k := range peers {
+		for _, payload := range recs[k] {
+			out = append(out, payload...)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// decodeSideFile parses a side-file; anything but a well-formed file is nil
+// (every record a miss). data is scratch: the payloads are copied out.
+func decodeSideFile(data []byte) mergeRecs {
+	if len(data) < 20 || string(data[:8]) != sideMagic {
+		return nil
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil
+	}
+	n := binary.LittleEndian.Uint64(body[8:])
+	if n > uint64(len(body)-16)/24 {
+		return nil
+	}
+	table, payloads := body[16:16+24*n], body[16+24*n:]
+	recs := make(mergeRecs, n)
+	for ; len(table) > 0; table = table[24:] {
+		var pair [2][]byte
+		for d := range pair {
+			ln := uint64(binary.LittleEndian.Uint32(table[16+4*d:]))
+			if ln > uint64(len(payloads)) {
+				return nil
+			}
+			if ln > 0 {
+				pair[d] = bytes.Clone(payloads[:ln])
+			}
+			payloads = payloads[ln:]
+		}
+		recs[peerKey(table[:16])] = pair
+	}
+	if len(payloads) != 0 {
+		return nil
+	}
+	return recs
+}
+
+// --- points section ----------------------------------------------------------
 
 const pointsMagic = "KNPT\x01"
 
-// maxCachedPoints bounds what loadPoints will allocate for a hostile or
+// maxCachedPoints bounds what decodePoints will allocate for a hostile or
 // corrupt count field (64 MiB of points).
 const maxCachedPoints = 4 << 20
 
-func writePoints(f *os.File, pts []geom.Point) error {
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, pointsMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(pts)))
+func appendPoints(buf []byte, pts []geom.Point) []byte {
+	buf = binary.AppendUvarint(append(buf, pointsMagic...), uint64(len(pts)))
 	for _, p := range pts {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
-		if len(buf) >= 1<<16-16 {
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
 	}
-	_, err := f.Write(buf)
-	return err
+	return buf
 }
 
-func (c *diskCache) loadPoints(fp string) ([]geom.Point, error) {
-	data, err := os.ReadFile(filepath.Join(c.catDir(fp), "points.bin"))
-	if err != nil {
-		return nil, err
-	}
+func decodePoints(data []byte) ([]geom.Point, error) {
 	if len(data) < len(pointsMagic) || string(data[:len(pointsMagic)]) != pointsMagic {
-		return nil, errors.New("points file: bad magic")
+		return nil, errors.New("points section: bad magic")
 	}
 	data = data[len(pointsMagic):]
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, errors.New("points file: truncated count")
+		return nil, errors.New("points section: truncated count")
 	}
 	data = data[sz:]
 	if n > maxCachedPoints || uint64(len(data)) != 16*n {
-		return nil, fmt.Errorf("points file: %d points does not match %d payload bytes", n, len(data))
+		return nil, fmt.Errorf("points section: %d points does not match %d payload bytes", n, len(data))
 	}
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -376,73 +420,56 @@ func (c *diskCache) loadPoints(fp string) ([]geom.Point, error) {
 	return pts, nil
 }
 
-// --- registry --------------------------------------------------------------
+// --- registry ----------------------------------------------------------------
 
 func (c *diskCache) registryPath() string { return filepath.Join(c.dir, c.registryName) }
 
-// registry returns the recorded live relations, sorted by name. A missing
-// or corrupt registry is an empty one.
+// registry returns the recorded live relations, sorted by name.
 func (c *diskCache) registry() []registryEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.readRegistryLocked()
-}
-
-func (c *diskCache) readRegistryLocked() []registryEntry {
-	data, err := os.ReadFile(c.registryPath())
-	if err != nil {
-		return nil
-	}
-	var r registryFile
-	if err := json.Unmarshal(data, &r); err != nil || r.Format != cacheFormat {
-		return nil
-	}
-	sort.Slice(r.Relations, func(i, j int) bool { return r.Relations[i].Name < r.Relations[j].Name })
-	return r.Relations
+	return slices.Clone(c.entries)
 }
 
 // remember records name → (fp, effective resolution, declared resolution)
 // in the registry, replacing any previous entry for name.
 func (c *diskCache) remember(name, fp string, res, declared core.Resolution) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	entries := c.readRegistryLocked()
-	out := entries[:0]
-	for _, e := range entries {
-		if e.Name != name {
-			out = append(out, e)
-		}
-	}
-	out = append(out, registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon(), Declared: declared.Canon()})
-	return c.writeRegistryLocked(out)
+	return c.updateRegistry(name, &registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon(), Declared: declared.Canon()})
 }
 
 // forget removes name from the registry. Cached artifacts stay: the cache
 // is content-addressed and re-registering the same data warm-loads.
-func (c *diskCache) forget(name string) error {
+func (c *diskCache) forget(name string) error { return c.updateRegistry(name, nil) }
+
+// updateRegistry replaces name's entry with put (removes it when put is
+// nil) and writes the file through, unless nothing would change — a warm
+// restart re-remembers what it restored and writes nothing. The in-memory
+// copy changes only once the write has succeeded, so memory and disk never
+// disagree.
+func (c *diskCache) updateRegistry(name string, put *registryEntry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries := c.readRegistryLocked()
-	out := entries[:0]
-	changed := false
-	for _, e := range entries {
-		if e.Name == name {
-			changed = true
-			continue
-		}
-		out = append(out, e)
-	}
-	if !changed {
+	i, found := slices.BinarySearchFunc(c.entries, name, func(e registryEntry, n string) int { return strings.Compare(e.Name, n) })
+	next := slices.Clone(c.entries)
+	switch {
+	case put == nil && !found, put != nil && found && c.entries[i] == *put:
 		return nil
+	case put == nil:
+		next = slices.Delete(next, i, i+1)
+	case found:
+		next[i] = *put
+	default:
+		next = slices.Insert(next, i, *put)
 	}
-	return c.writeRegistryLocked(out)
-}
-
-func (c *diskCache) writeRegistryLocked(entries []registryEntry) error {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return writeAtomic(c.registryPath(), func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(registryFile{Format: cacheFormat, Relations: entries})
-	})
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(registryFile{Format: cacheFormat, Relations: next}); err != nil {
+		return err
+	}
+	if err := c.writeFile("registry", c.registryPath(), buf.Bytes()); err != nil {
+		return err
+	}
+	c.entries = next
+	return nil
 }

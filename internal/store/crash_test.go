@@ -1,15 +1,19 @@
 package store
 
 // Crash-injection harness for the streaming-ingest path. The store's
-// crashHook fires at every durability-critical WAL operation (frame
-// half-written, frame complete, fsync, rotate, trim). At each firing the
-// harness copies the whole cache directory — WAL, artifact store, registry —
-// exactly as it exists at that instant. Each copy is then recovered into a
-// fresh store, which must come up serving SOME mutation prefix of the
-// applied history, bit-for-bit equal to a from-scratch build of that
-// prefix. File copies over-approximate what survives a real crash (they
-// read through the page cache), but the torn-write case is covered by the
-// mid-frame hook and lost-fsync reordering by FuzzReplayWAL.
+// crashHook fires at every durability-critical operation: in the WAL (frame
+// half-written, frame complete, fsync, rotate, trim) and in the disk cache
+// (a bundle, a merge side-file or the registry written but not yet renamed
+// into place). At each firing the harness copies the whole cache directory
+// — WAL, artifact store, registry — exactly as it exists at that instant,
+// and notes whether the store's View lists the relation as ready. Each copy
+// is then recovered into a fresh store, which must come up serving SOME
+// mutation prefix of the applied history, bit-for-bit equal to a
+// from-scratch build of that prefix — and must come up serving every
+// relation a reader had been told was ready. File copies over-approximate
+// what survives a real crash (they read through the page cache), but the
+// torn-write case is covered by the mid-frame hook and lost-fsync
+// reordering by FuzzReplayWAL.
 
 import (
 	"context"
@@ -28,8 +32,9 @@ import (
 )
 
 type crashCapture struct {
-	dir string
-	op  string
+	dir   string
+	op    string
+	ready []string // relations the View listed as ready at the capture
 }
 
 // copyTree snapshots src into dst, skipping in-flight temp files and
@@ -68,6 +73,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 
 	var capMu sync.Mutex
 	var caps []crashCapture
+	var live atomic.Pointer[Store]
 	hook := func(op string) {
 		capMu.Lock()
 		defer capMu.Unlock()
@@ -76,7 +82,15 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 			t.Errorf("capture at %s: %v", op, err)
 			return
 		}
-		caps = append(caps, crashCapture{dir: dst, op: op})
+		c := crashCapture{dir: dst, op: op}
+		if st := live.Load(); st != nil {
+			for _, rs := range st.View().List() { // lock-free: the hook may run under s.mu
+				if rs.State == StateReady.String() {
+					c.ready = append(c.ready, rs.Name)
+				}
+			}
+		}
+		caps = append(caps, c)
 	}
 
 	opt := testOptions(t)
@@ -88,11 +102,17 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := gridPoints(150, 3)
-	if _, err := s.Register("live", base); err != nil {
-		t.Fatal(err)
+	live.Store(s)
+	// A static peer, so that every publish of "live" also builds pair
+	// merges and writes a side-file.
+	peerPts, base := gridPoints(120, 4), gridPoints(150, 3)
+	for i, pts := range [][]geom.Point{peerPts, base} {
+		name := []string{"peer", "live"}[i]
+		if _, err := s.Register(name, pts); err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, s, name)
 	}
-	waitReady(t, s, "live")
 
 	type op struct {
 		kind wal.Kind
@@ -134,13 +154,22 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		t.Fatalf("only %d captures for %d mutations; hook not firing", len(captured), len(ops))
 	}
 
-	// Recover a bounded sample of captures (each recovery compacts and may
-	// rebuild catalogs; checking all of them would dominate the suite).
+	// Recover every capture taken at a cache write and a bounded sample of
+	// the WAL ones (each recovery compacts and may rebuild catalogs;
+	// checking all of them would dominate the suite).
 	stride := (len(captured) + 24) / 25
 	refs := map[string]*Snapshot{} // from-scratch builds, keyed by fingerprint
-	checked := 0
-	for i := 0; i < len(captured); i += stride {
-		cap := captured[i]
+	var peerRef *Snapshot
+	checked, cacheOps := 0, map[string]int{}
+	for i, cap := range captured {
+		switch cap.op {
+		case "bundle", "merges", "registry":
+			cacheOps[cap.op]++
+		default:
+			if i%stride != 0 {
+				continue
+			}
+		}
 		ropt := testOptions(t)
 		ropt.CacheDir = cap.dir
 		ropt.CompactThreshold = 30
@@ -149,9 +178,22 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("capture %d (%s): recovery refused to open: %v", i, cap.op, err)
 		}
+		// Coming up without a relation is a valid (if maximally
+		// conservative) recovery of a crash before its first publish reached
+		// the registry — but not once a reader was told it was ready.
+		for _, name := range cap.ready {
+			if _, known := s2.Status(name); !known {
+				t.Fatalf("capture %d (%s): the View listed %q ready, the restart lost it", i, cap.op, name)
+			}
+		}
+		if _, known := s2.Status("peer"); known {
+			waitReady(t, s2, "peer")
+			if peerRef == nil {
+				peerRef = fromScratch(t, peerPts)
+			}
+			assertBitExact(t, s2.View().Relation("peer"), peerRef)
+		}
 		if _, known := s2.Status("live"); !known {
-			// Crash before the first publish reached the registry: coming up
-			// empty is a valid (if maximally conservative) recovery.
 			closeStore(t, s2)
 			continue
 		}
@@ -186,7 +228,10 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no capture recovered to a serving state; harness is vacuous")
 	}
-	t.Logf("captures=%d recovered=%d distinct states=%d", len(captured), checked, len(refs))
+	if cacheOps["bundle"] == 0 || cacheOps["merges"] == 0 || cacheOps["registry"] == 0 {
+		t.Fatalf("no capture at a bundle, side-file or registry write (%v); cache hook not firing", cacheOps)
+	}
+	t.Logf("captures=%d (cache writes %v) recovered=%d distinct states=%d", len(captured), cacheOps, checked, len(refs))
 }
 
 // TestCrashDuringDropNeverResurrects pins the drop protocol: the drop

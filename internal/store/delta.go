@@ -10,7 +10,8 @@ package store
 //
 // Recovery protocol. Publication of a points-built snapshot is ordered:
 //
-//	artifacts to disk cache → WAL checkpoint (fsynced) → registry remember
+//	bundle and merge side-file to disk cache → WAL checkpoint (fsynced) →
+//	registry remember → View swap (the relation is listed ready)
 //
 // A checkpoint record carries (relation, covered LSN, fingerprint) and is
 // only *effective* on replay when its fingerprint matches what the registry
@@ -259,61 +260,11 @@ func (s *Store) Flush(name string) error {
 }
 
 // WaitSettled blocks until every named relation is ready with an empty
-// delta overlay, scheduling compactions as needed, or until any build fails
-// or ctx expires. With no names it settles every relation known at call
-// time.
+// delta overlay, scheduling compactions as needed, or until any build fails,
+// the store closes or ctx expires. With no names it settles every relation
+// known at call time.
 func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
-	if len(names) == 0 {
-		s.mu.Lock()
-		for name := range s.entries {
-			names = append(names, name)
-		}
-		s.mu.Unlock()
-	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		done := true
-		var failed error
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		for _, name := range names {
-			e := s.entries[name]
-			if e == nil {
-				failed = fmt.Errorf("store: relation %q is not registered", name)
-				break
-			}
-			switch e.state {
-			case StateReady:
-				if len(e.pending) > 0 {
-					s.compactLocked(e)
-					done = false
-				}
-			case StateFailed:
-				failed = fmt.Errorf("store: building %q: %s", name, e.err)
-			default:
-				done = false
-			}
-			if failed != nil {
-				break
-			}
-		}
-		s.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		if done {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
+	return s.waitFor(ctx, names, true)
 }
 
 // compactLocked schedules a rebuild of e that folds its pending deltas into
@@ -322,23 +273,31 @@ func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
 // publish step logs. No-op while a build is already in flight (runJob
 // re-triggers compaction when it lands) or before the first snapshot.
 func (s *Store) compactLocked(e *entry) {
-	if e.snap == nil || e.snap.Points == nil || len(e.pending) == 0 {
-		return
+	if len(e.pending) > 0 && s.rebuildLocked(e) {
+		s.republishLocked()
 	}
-	if e.state == StateQueued || e.state == StateBuilding {
-		return
+}
+
+// rebuildLocked stages e's published points, with every pending delta
+// folded in, as its wanted generation; it reports whether a build was
+// scheduled. The caller republishes.
+func (s *Store) rebuildLocked(e *entry) bool {
+	if e.snap == nil || e.snap.Points == nil || e.state == StateQueued || e.state == StateBuilding {
+		return false
 	}
 	merged := applyMutations(e.snap.Points, e.pending)
 	if len(merged) == 0 {
-		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", e.name)
-		return
+		s.opt.logger().Printf("store: folding the deltas of %q would delete every point; they stay pending", e.name)
+		return false
 	}
 	if err := s.enqueueLocked(e, merged, nil); err != nil {
-		return // queue saturated; the interval compactor retries
+		return false // queue saturated; the interval compactor or the next tuner pass retries
 	}
-	e.isCompact = true
-	e.ckptLSN = e.pending[len(e.pending)-1].lsn
-	s.republishLocked()
+	if len(e.pending) > 0 {
+		e.isCompact = true
+		e.ckptLSN = e.pending[len(e.pending)-1].lsn
+	}
+	return true
 }
 
 // compactor is the background staleness bound: every CompactInterval it
@@ -374,18 +333,19 @@ func (s *Store) compactor() {
 // build publishing mid-replay could checkpoint-clear deltas it never saw.
 func (s *Store) recoverLocked(records []wal.Record) {
 	for _, reg := range s.cache.registry() {
-		pts, err := s.cache.loadPoints(reg.Fingerprint)
+		bd, err := s.cache.loadBundle(reg.Fingerprint)
 		if err != nil {
 			s.opt.logger().Printf("store: cache registry %q: %v (skipping)", reg.Name, err)
 			continue
 		}
 		e := &entry{name: reg.Name, hits: &atomic.Int64{}}
-		if err := s.enqueueLocked(e, pts, nil); err != nil {
+		if err := s.enqueueLocked(e, bd.pts, nil); err != nil {
 			s.opt.logger().Printf("store: re-registering cached %q: %v", reg.Name, err)
 			continue
 		}
+		e.pendingBundle = bd
 		e.fromPoints = true
-		e.restoredFP = reg.Fingerprint
+		e.durableFP = reg.Fingerprint
 		// Restore the resolution pair so the rebuild recomputes the exact
 		// registered fingerprint (a warm load) and the tuner resumes from
 		// the persisted rung. The step count is re-derived by walking the
@@ -422,7 +382,7 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			// checkpoint is written before the registry, so a mismatch
 			// means the fold never became the durable base — the covered
 			// mutations must re-apply onto the older restored base.
-			if rec.Fingerprint == e.restoredFP {
+			if rec.Fingerprint == e.durableFP {
 				e.pending = filterCovered(e.pending, rec.Covered)
 				e.ckptLSN = rec.Covered
 				e.durableCovered = rec.Covered

@@ -3,6 +3,8 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"knncost/internal/core"
@@ -153,49 +155,40 @@ func TestStoreSelectGuardsKBelowOne(t *testing.T) {
 	}
 }
 
-// TestCacheFilesKeyedByTechnique pins the format-2 cache layout: relation
-// artifacts are stored under their engine technique names and merge files
-// carry the technique suffix, so adding a cached technique is a new file,
-// never a layout change.
-func TestCacheFilesKeyedByTechnique(t *testing.T) {
+// TestCacheLayoutTwoFilesPerFingerprint pins the format-5 cache layout: one
+// bundle per fingerprint, one merge side-file for the relation published
+// second (it built the pair's merges), the registry, the WAL — and nothing
+// else: no per-artifact directories, no merge/ directory.
+func TestCacheLayoutTwoFilesPerFingerprint(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
 	s := newTestStore(t, opt)
 	if _, err := s.Register("alpha", gridPoints(1200, 25)); err != nil {
 		t.Fatal(err)
 	}
+	waitReady(t, s, "alpha")
 	if _, err := s.Register("beta", gridPoints(800, 26)); err != nil {
 		t.Fatal(err)
 	}
-	waitReady(t, s, "alpha", "beta")
+	waitReady(t, s, "beta")
 	v := s.View()
-
-	for _, name := range v.Names() {
-		fp := v.Relation(name).Fingerprint
-		if fp == "" {
-			t.Fatalf("%s: no fingerprint", name)
-		}
-		dir := filepath.Join(opt.CacheDir, "cat", fp)
-		for _, want := range []string{
-			engine.TechStaircaseCC + ".bin",
-			engine.TechVirtualGrid + ".bin",
-			"points.bin",
-			"manifest.json",
-		} {
-			if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-				t.Errorf("%s: missing cache artifact %s: %v", name, want, err)
-			}
-		}
-		for _, stale := range []string{"staircase.bin", "vgrid.bin"} {
-			if _, err := os.Stat(filepath.Join(dir, stale)); err == nil {
-				t.Errorf("%s: pre-format-2 artifact name %s still written", name, stale)
-			}
-		}
-	}
-
 	fpA, fpB := v.Relation("alpha").Fingerprint, v.Relation("beta").Fingerprint
-	mergeFile := filepath.Join(opt.CacheDir, "merge", fpA+"-"+fpB+"-"+engine.TechCatalogMerge+".bin")
-	if _, err := os.Stat(mergeFile); err != nil {
-		t.Errorf("missing technique-keyed merge file: %v", err)
+	if fpA == "" || fpB == "" {
+		t.Fatal("point-registered relations have no fingerprint")
+	}
+	got, err := filepath.Glob(filepath.Join(opt.CacheDir, "cat", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fpA + ".knc", fpB + ".knc", fpB + ".knm"}
+	sort.Strings(want)
+	for i := range got {
+		got[i] = filepath.Base(got[i])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("cat/ holds %v, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(opt.CacheDir, "merge")); err == nil {
+		t.Error("pre-format-5 merge/ directory still created")
 	}
 }

@@ -27,17 +27,20 @@
 //     ready | failed) observable per relation and in listings.
 //   - With a cache directory configured, built catalogs are persisted in the
 //     internal/core binary formats keyed by a fingerprint of the point data
-//     and build options, next to a small versioned manifest and the points
-//     themselves. A restarted store re-registers the cached relations and
-//     loads their catalogs instead of rebuilding — warm restarts cost
-//     index-rebuild milliseconds, not catalog-build seconds.
+//     and build options: one bundle file per fingerprint (build parameters,
+//     points, per-relation catalogs) and one side-file of pair merges. A
+//     restarted store re-registers the cached relations and loads their
+//     catalogs instead of rebuilding — warm restarts cost index-rebuild
+//     milliseconds, not catalog-build seconds.
 package store
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
+	"maps"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -154,9 +157,9 @@ type Options struct {
 	// Logger receives cache warnings and build logs. Nil means the standard
 	// logger.
 	Logger *log.Logger
-	// crashHook, when set, is passed to the WAL as its OpHook: the
-	// crash-injection tests snapshot the cache directory at every
-	// durability-critical operation.
+	// crashHook, when set, is the WAL's OpHook and fires before the disk
+	// cache renames a bundle, side-file or registry into place: the
+	// crash-injection tests snapshot the cache directory at each firing.
 	crashHook func(op string)
 }
 
@@ -268,6 +271,9 @@ type Snapshot struct {
 	// hits is the estimate-traffic counter shared with the relation's
 	// store entry across republishes; Touch increments it.
 	hits *atomic.Int64
+	// merges are the records of this fingerprint's merge side-file as read
+	// with the bundle (nil when built fresh); mergeFor consults them.
+	merges mergeRecs
 }
 
 // Touch records one estimate served from this snapshot. The count is the
@@ -371,6 +377,9 @@ type entry struct {
 	// pendingPts / pendingTree is the source of the wanted generation.
 	pendingPts  []geom.Point
 	pendingTree *index.Tree
+	// pendingBundle is the bundle recovery read pendingPts from, so that
+	// the build need not read the file again.
+	pendingBundle *bundle
 	// snap is the currently published snapshot, nil before first publish.
 	snap *Snapshot
 	// cancel aborts the in-flight build when superseded or dropped.
@@ -406,14 +415,15 @@ type entry struct {
 	// isCompact marks the wanted generation as a delta compaction (for
 	// the compaction counter; compactions also re-trigger on leftovers).
 	isCompact bool
-	// restoredFP is the registry fingerprint this entry was warm-restored
-	// from; WAL checkpoints are effective on replay only if they match.
-	restoredFP string
+	// durableFP is the fingerprint the registry holds for this relation
+	// (restored from it, or adopted by the last successful publish); WAL
+	// checkpoints are effective on replay only if they match.
+	durableFP string
 	// replayDropped is set while replay scans a KindDrop record; if no
 	// later effective checkpoint revives the name, the drop is finished.
 	replayDropped bool
-	// durableCovered / rememberFailed track how much of the log the
-	// registry has absorbed, pinning WAL trim when a registry write fails.
+	// durableCovered / rememberFailed track how much of the log durableFP
+	// has absorbed, pinning WAL trim when a registry write fails.
 	durableCovered uint64
 	rememberFailed bool
 }
@@ -497,6 +507,7 @@ func New(opt Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: opening cache: %w", err)
 		}
+		c.hook = opt.crashHook
 		s.cache = c
 		walDir := "wal"
 		if opt.RegistryScope != "" {
@@ -588,15 +599,24 @@ func validateName(name string) error {
 	if name == "" || len(name) > 64 {
 		return fmt.Errorf("store: relation name must be 1-64 characters, got %d", len(name))
 	}
-	for _, r := range name {
+	if r, bad := unsafeRune(name); bad {
+		return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
+	}
+	return nil
+}
+
+// unsafeRune finds the first rune of s outside the alphabet of relation
+// names and registry scopes, both of which become parts of file names.
+func unsafeRune(s string) (rune, bool) {
+	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '_', r == '-', r == '.':
 		default:
-			return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
+			return r, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // Register schedules a (re)build of name from the given points and returns
@@ -769,6 +789,12 @@ func (s *Store) Status(name string) (RelationStatus, bool) {
 // (the first failure is returned as an error), or ctx expires. With no
 // names it waits for every relation known at call time.
 func (s *Store) WaitReady(ctx context.Context, names ...string) error {
+	return s.waitFor(ctx, names, false)
+}
+
+// waitFor polls until every named relation is ready — and, with settled,
+// has an empty delta overlay, scheduling the compactions that empties it.
+func (s *Store) waitFor(ctx context.Context, names []string, settled bool) error {
 	if len(names) == 0 {
 		s.mu.Lock()
 		for name := range s.entries {
@@ -780,31 +806,29 @@ func (s *Store) WaitReady(ctx context.Context, names ...string) error {
 	defer tick.Stop()
 	for {
 		done := true
-		s.mu.Lock()
 		var failed error
+		s.mu.Lock()
+		if settled && s.closed {
+			failed = ErrClosed
+		}
 		for _, name := range names {
 			e := s.entries[name]
-			if e == nil {
+			switch {
+			case failed != nil:
+			case e == nil:
 				failed = fmt.Errorf("store: relation %q is not registered", name)
-				break
-			}
-			switch e.state {
-			case StateReady:
-			case StateFailed:
+			case e.state == StateFailed:
 				failed = fmt.Errorf("store: building %q: %s", name, e.err)
-			default:
+			case e.state != StateReady:
 				done = false
-			}
-			if failed != nil {
-				break
+			case settled && len(e.pending) > 0:
+				s.compactLocked(e)
+				done = false
 			}
 		}
 		s.mu.Unlock()
-		if failed != nil {
+		if failed != nil || done {
 			return failed
-		}
-		if done {
-			return nil
 		}
 		select {
 		case <-ctx.Done():
@@ -878,7 +902,8 @@ func (s *Store) runJob(name string) {
 		return
 	}
 	gen := e.gen
-	pts, tree := e.pendingPts, e.pendingTree
+	pts, tree, restored := e.pendingPts, e.pendingTree, e.pendingBundle
+	e.pendingBundle = nil
 	res := e.res
 	ctx, cancel := context.WithCancel(s.ctx)
 	e.cancel = cancel
@@ -886,7 +911,7 @@ func (s *Store) runJob(name string) {
 	s.republishLocked()
 	s.mu.Unlock()
 
-	built, err := s.buildCatalogs(ctx, name, pts, tree, res)
+	built, err := s.buildCatalogs(ctx, name, pts, tree, res, restored)
 	cancel()
 
 	s.mu.Lock()
@@ -926,13 +951,15 @@ type builtRelation struct {
 	pts       []geom.Point    // registration-order source points; nil for index builds
 	fp        string          // empty when not cacheable
 	res       core.Resolution // the resolution the artifacts were built at
-	fromCache bool
+	merges    mergeRecs       // fp's side-file records, when cache-loaded
+	unsaved   bool            // the bundle write failed: serve, but see persistLocked
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
-// at the given resolution. It runs without any store lock; ctx aborts it
-// between stages.
-func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, tree *index.Tree, res core.Resolution) (*builtRelation, error) {
+// at the given resolution; restored, when it carries the same fingerprint,
+// stands in for the bundle on disk. It runs without any store lock; ctx
+// aborts it between stages.
+func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, tree *index.Tree, res core.Resolution, restored *bundle) (*builtRelation, error) {
 	res = res.Canon()
 	b := &builtRelation{tree: tree, res: res}
 	if tree == nil {
@@ -956,11 +983,8 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	b.count = b.tree.CountTree()
 	b.density = core.NewDensityBased(b.count)
 
-	if b.fp != "" && s.cache != nil {
-		if s.loadCachedCatalogs(b) {
-			b.fromCache = true
-			return b, nil
-		}
+	if b.fp != "" && s.cache != nil && s.loadCachedCatalogs(b, restored) {
+		return b, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -990,34 +1014,43 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		return nil, err
 	}
 	if b.fp != "" && s.cache != nil {
-		if err := s.cache.storeRelation(b.fp, s.manifestFor(b, pts), pts, stair, vg, b.aknn, res); err != nil {
-			s.opt.logger().Printf("store: caching %q: %v (continuing uncached)", name, err)
+		if err := s.cache.storeBundle(b.fp, s.manifestFor(b), pts, stair, vg, b.aknn); err != nil {
+			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", name, err)
+			b.unsaved = true
 		}
 	}
 	return b, nil
 }
 
-// loadCachedCatalogs tries to satisfy a build from the disk cache. Any
-// mismatch or corruption is a miss, never an error: the caller rebuilds.
-func (s *Store) loadCachedCatalogs(b *builtRelation) bool {
-	m, ok := s.cache.loadManifest(b.fp)
-	if !ok || !s.manifestMatches(m, b) {
+// loadCachedCatalogs tries to satisfy a build from the bundle recovery
+// already read, else from the disk cache. Any mismatch or corruption is a
+// miss, never an error: the caller rebuilds.
+func (s *Store) loadCachedCatalogs(b *builtRelation, bd *bundle) bool {
+	if bd == nil || bd.fp != b.fp {
+		var err error
+		if bd, err = s.cache.loadBundle(b.fp); err != nil {
+			if !errors.Is(err, fs.ErrNotExist) {
+				s.opt.logger().Printf("store: cache load %s: %v (rebuilding)", shortFP(b.fp), err)
+			}
+			return false
+		}
+	}
+	if bd.man != s.manifestFor(b) {
 		return false
 	}
-	stair, vg, sum, err := s.cache.loadRelation(b.fp, b.tree, core.StaircaseOptions{Fallback: b.density}, b.res)
+	stair, err := core.LoadStaircaseMapped(b.tree, bd.stair, core.StaircaseOptions{Fallback: b.density})
 	if err != nil {
-		s.opt.logger().Printf("store: cache load %s: %v (rebuilding)", shortFP(b.fp), err)
+		s.opt.logger().Printf("store: cache load %s: staircase: %v (rebuilding)", shortFP(b.fp), err)
 		return false
 	}
-	b.staircase, b.vgrid, b.aknn = stair, vg, sum
+	b.staircase, b.vgrid, b.aknn, b.merges = stair, bd.vgrid, bd.aknn, bd.merges
 	s.cacheHits.Add(3) // staircase + virtual grid + aknn summary
 	return true
 }
 
-func (s *Store) manifestFor(b *builtRelation, pts []geom.Point) manifest {
+func (s *Store) manifestFor(b *builtRelation) manifest {
 	return manifest{
-		Format:       cacheFormat,
-		NumPoints:    len(pts),
+		NumPoints:    b.tree.NumPoints(),
 		NumBlocks:    b.tree.NumBlocks(),
 		MaxK:         b.res.MaxK,
 		Corners:      b.res.Corners,
@@ -1028,23 +1061,12 @@ func (s *Store) manifestFor(b *builtRelation, pts []geom.Point) manifest {
 	}
 }
 
-func (s *Store) manifestMatches(m manifest, b *builtRelation) bool {
-	return m.Format == cacheFormat &&
-		m.NumPoints == b.tree.NumPoints() &&
-		m.NumBlocks == b.tree.NumBlocks() &&
-		m.MaxK == b.res.MaxK &&
-		m.Corners == b.res.Corners &&
-		m.SampleSize == s.opt.SampleSize &&
-		m.GridSize == b.res.GridSize &&
-		m.AknnCapacity == b.res.AknnCapacity &&
-		m.Capacity == s.opt.IndexCapacity
-}
-
 // publishLocked turns a finished build into the next published version:
 // the relation's snapshot, the Catalog-Merge estimators pairing it with
-// every other published relation, and a fresh View. It runs under s.mu —
-// publication is serialized, which is what guarantees every View carries a
-// merge for every ordered pair of its relations. Readers never block on it.
+// every other published relation, their durable form, and a fresh View. It
+// runs under s.mu — publication is serialized, which is what guarantees
+// every View carries a merge for every ordered pair of its relations.
+// Readers never block on it.
 func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	version := uint64(1)
 	if e.snap != nil {
@@ -1061,9 +1083,6 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	eng.Seed(engine.StaircaseTechnique(b.staircase.Mode()), b.staircase)
 	eng.Seed(engine.TechVirtualGrid, b.vgrid)
 	eng.Seed(engine.TechAknnBounds, b.aknn)
-	if e.hits == nil {
-		e.hits = &atomic.Int64{}
-	}
 	stairBytes, vgBytes, aknnBytes := b.staircase.SizeBytes(), b.vgrid.SizeBytes(), b.aknn.SizeBytes()
 	snap := &Snapshot{
 		Name:           e.name,
@@ -1083,6 +1102,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 		AknnBytes:      aknnBytes,
 		ArtifactBytes:  stairBytes + vgBytes + aknnBytes,
 		hits:           e.hits,
+		merges:         b.merges,
 	}
 	e.snap = snap
 	e.state = StateReady
@@ -1094,20 +1114,50 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	// Deltas this build folded in are acknowledged by the snapshot now;
 	// anything logged after the fold stays pending for the next round.
 	e.pending = filterCovered(e.pending, covered)
-	s.republishLocked()
+	// The next View is swapped in last, after the registry write: a reader
+	// is told a relation is ready only once a restart would restore it.
+	v, built := s.buildViewLocked()
+	if s.cache != nil && b.fp != "" {
+		s.persistLocked(e, b, covered, built)
+	}
+	s.view.Store(v)
 	s.notifyPublishLocked(e.name)
 	if wasCompact {
 		s.compactions.Add(1)
 	}
-	if s.cache == nil || b.fp == "" {
+}
+
+// persistLocked makes e's new snapshot the durable base. Order: the bundle
+// is on disk (buildCatalogs wrote it), so write the merges this publish
+// built, checkpoint the fold in the WAL, fsync it, and only then let the
+// registry adopt the new fingerprint. Replay treats a checkpoint whose
+// fingerprint the registry never adopted as ineffective, so a crash
+// anywhere in this sequence recovers a consistent base + delta state.
+func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built mergeRecs) {
+	if len(built) > 0 {
+		// The side-file keeps the records read with the bundle; they win.
+		for k, old := range b.merges {
+			rec := built[k]
+			for dir, payload := range old {
+				if payload != nil {
+					rec[dir] = payload
+				}
+			}
+			built[k] = rec
+		}
+		if err := s.cache.writeFile("merges", s.cache.sidePath(b.fp), encodeSideFile(built)); err != nil {
+			s.opt.logger().Printf("store: caching merges of %q: %v (continuing uncached)", e.name, err)
+		}
+	}
+	if b.unsaved {
+		// No bundle, no restore: keep the previous fingerprint registered
+		// and the log pinned, as for a failed registry write.
+		e.rememberFailed = true
 		return
 	}
-	// Durability order: artifacts are on disk (buildCatalogs wrote them),
-	// so checkpoint the fold in the WAL, fsync it, and only then let the
-	// registry adopt the new fingerprint. Replay treats a checkpoint whose
-	// fingerprint the registry never adopted as ineffective, so a crash
-	// anywhere in this sequence recovers a consistent base + delta state.
-	if s.wal != nil {
+	// A warm restart republishes the base its log already checkpoints; it
+	// appends nothing (and remember, below, finds nothing to write).
+	if s.wal != nil && (b.fp != e.durableFP || covered != e.durableCovered) {
 		_, err := s.wal.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: e.name, Covered: covered, Fingerprint: b.fp})
 		if err == nil {
 			err = s.wal.Sync()
@@ -1126,89 +1176,114 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 		e.rememberFailed = true
 	} else {
 		e.rememberFailed = false
-		e.durableCovered = covered
+		e.durableFP, e.durableCovered = b.fp, covered
 	}
 	s.trimWALLocked()
 }
 
-// republishLocked rebuilds and atomically swaps in the View from the
-// current entries. Merges for pairs whose snapshots are unchanged are
-// carried over from the previous View; missing pairs (a newly published or
-// republished relation) are built or cache-loaded here, under the lock, so
-// that concurrent publishes cannot each miss the other's relation.
+// republishLocked swaps in a View of the current entries; for every change
+// but a new snapshot, which publishLocked alone makes (and persists first).
 func (s *Store) republishLocked() {
+	v, _ := s.buildViewLocked()
+	s.view.Store(v)
+}
+
+// buildViewLocked assembles the next View from the current entries. A View
+// is immutable, so what did not change is shared with the current one: all
+// but the listing when no snapshot changed (a status or delta-depth
+// update); otherwise the merge map is copied and only the changed
+// relation's pairs are dropped and re-resolved — from side-file records or
+// by building, here, under the lock, so that concurrent publishes cannot
+// each miss the other's relation. The merges built are returned as records
+// for the changed relation's side-file (none without a cache).
+func (s *Store) buildViewLocked() (*View, mergeRecs) {
 	old := s.view.Load()
-	v := &View{
-		relations: make(map[string]*Snapshot, len(s.entries)),
-		merges:    make(map[[2]string]*core.CatalogMerge, len(old.merges)),
-		names:     make([]string, 0, len(s.entries)),
-		statuses:  make([]RelationStatus, 0, len(s.entries)),
-	}
+	v := &View{relations: old.relations, merges: old.merges, names: old.names,
+		statuses: make([]RelationStatus, 0, len(s.entries))}
+	var changed []string
 	for name, e := range s.entries {
 		v.statuses = append(v.statuses, e.statusLocked())
+		if e.snap != old.relations[name] {
+			changed = append(changed, name)
+		}
+	}
+	sort.Slice(v.statuses, func(i, j int) bool { return v.statuses[i].Name < v.statuses[j].Name })
+	for _, name := range old.names {
+		if s.entries[name] == nil {
+			changed = append(changed, name) // dropped
+		}
+	}
+	if len(changed) == 0 {
+		return v, nil
+	}
+	v.relations = make(map[string]*Snapshot, len(s.entries))
+	v.names = make([]string, 0, len(s.entries))
+	for name, e := range s.entries {
 		if e.snap != nil {
 			v.relations[name] = e.snap
 			v.names = append(v.names, name)
 		}
 	}
 	sort.Strings(v.names)
-	sort.Slice(v.statuses, func(i, j int) bool { return v.statuses[i].Name < v.statuses[j].Name })
-	for _, outer := range v.names {
-		for _, inner := range v.names {
-			if outer == inner {
-				continue
-			}
-			pair := [2]string{outer, inner}
-			// Reuse the previous merge only if both endpoints are the very
-			// same snapshots it was built for.
-			if old.relations[outer] == v.relations[outer] && old.relations[inner] == v.relations[inner] {
-				if m := old.merges[pair]; m != nil {
-					v.merges[pair] = m
+	v.merges = maps.Clone(old.merges)
+	built := mergeRecs{}
+	for _, name := range changed {
+		for _, other := range old.names {
+			delete(v.merges, [2]string{name, other})
+			delete(v.merges, [2]string{other, name})
+		}
+		if v.relations[name] == nil {
+			continue
+		}
+		for _, other := range v.names {
+			for dir, pair := range [2][2]string{{name, other}, {other, name}} {
+				if other == name || v.merges[pair] != nil {
+					continue // itself, or both changed and the other went first
+				}
+				outer, inner := v.relations[pair[0]], v.relations[pair[1]]
+				m, fresh, err := s.mergeFor(outer, inner)
+				if err != nil {
+					// A merge failure must not unpublish the relations; the
+					// pair is simply absent and the join endpoint reports it.
+					s.opt.logger().Printf("store: catalog-merge %s⋉%s: %v", pair[0], pair[1], err)
 					continue
 				}
+				v.merges[pair] = m
+				// Seed the merge into the outer relation's engine so join
+				// technique resolution by name returns the store's object.
+				outer.Engine.SeedPair(engine.TechCatalogMerge, inner.Engine, m)
+				if k, ok := peerOf(v.relations[other].Fingerprint); ok && fresh && s.cache != nil {
+					rec := built[k]
+					rec[dir] = m.AppendMapped(nil)
+					built[k] = rec
+				}
 			}
-			m, err := s.mergeFor(v.relations[outer], v.relations[inner])
-			if err != nil {
-				// A merge failure must not unpublish the relations; the
-				// pair is simply absent and the join endpoint reports it.
-				s.opt.logger().Printf("store: catalog-merge %s⋉%s: %v", outer, inner, err)
-				continue
-			}
-			v.merges[pair] = m
 		}
 	}
-	// Seed every pair merge into the outer relation's engine so join
-	// technique resolution by name returns the store's merge object.
-	// SeedPair is first-value-wins, so re-seeding a carried-over pair on a
-	// later republish is a no-op.
-	for pair, m := range v.merges {
-		v.relations[pair[0]].Engine.SeedPair(engine.TechCatalogMerge, v.relations[pair[1]].Engine, m)
-	}
-	s.view.Store(v)
+	return v, built
 }
 
-// mergeFor builds or cache-loads the Catalog-Merge for one ordered pair.
-func (s *Store) mergeFor(outer, inner *Snapshot) (*core.CatalogMerge, error) {
-	cacheable := s.cache != nil && outer.Fingerprint != "" && inner.Fingerprint != ""
-	if cacheable {
-		if m, err := s.cache.loadMerge(outer.Fingerprint, inner.Fingerprint); err == nil {
-			s.cacheHits.Add(1)
-			return m, nil
+// mergeFor loads the Catalog-Merge for one ordered pair from the side-file
+// records of either relation, or builds it; fresh reports a build.
+func (s *Store) mergeFor(outer, inner *Snapshot) (m *core.CatalogMerge, fresh bool, err error) {
+	ko, okOuter := peerOf(outer.Fingerprint)
+	ki, okInner := peerOf(inner.Fingerprint)
+	if okOuter && okInner {
+		for _, raw := range [2][]byte{outer.merges[ki][0], inner.merges[ko][1]} {
+			if m, err := core.LoadCatalogMergeMapped(raw); err == nil {
+				s.cacheHits.Add(1)
+				return m, false, nil
+			}
 		}
 	}
 	// The merge's catalog depth follows the outer relation's effective
 	// resolution, matching the engine's CatalogMerge accessor.
-	m, err := core.BuildCatalogMerge(outer.Count, inner.Count, s.opt.SampleSize, outer.Resolution.MaxK)
+	m, err = core.BuildCatalogMerge(outer.Count, inner.Count, s.opt.SampleSize, outer.Resolution.MaxK)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.catalogBuilds.Add(1)
-	if cacheable {
-		if err := s.cache.storeMerge(outer.Fingerprint, inner.Fingerprint, m); err != nil {
-			s.opt.logger().Printf("store: caching merge: %v (continuing uncached)", err)
-		}
-	}
-	return m, nil
+	return m, true, nil
 }
 
 // statusLocked snapshots the externally visible state of e.

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/quadtree"
 )
@@ -476,8 +475,11 @@ func TestWarmRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheFallsBackToRebuild: a hostile or truncated cache must never
-// surface an error — it is a miss, and the store rebuilds.
+// TestCorruptCacheFallsBackToRebuild: a hostile or damaged cache must never
+// surface an error or a wrong catalog. A bundle carries the points and the
+// artifacts under one checksum, so a damaged one is a miss as a whole: the
+// restart skips the relation, a re-registration rebuilds instead of serving
+// it, and the rewritten bundle warm-loads again.
 func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOptions(t)
@@ -493,30 +495,39 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	if fp == "" {
 		t.Fatal("point-registered relation has no fingerprint")
 	}
-	{
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		first.Close(ctx)
-		cancel()
-	}
+	closeStore(t, first)
 
-	// Truncate the staircase artifact to half its size.
-	c := &diskCache{dir: dir}
-	path := c.artifactPath(fp, engine.TechStaircaseCC)
+	// Flip one bit inside the bundle's staircase section.
+	path := (&diskCache{dir: dir}).bundlePath(fp)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading cached staircase: %v", err)
+		t.Fatalf("reading cached bundle: %v", err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatalf("truncating cached staircase: %v", err)
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("corrupting cached bundle: %v", err)
 	}
 
 	warm := newTestStore(t, opt)
+	if _, known := warm.Status("c"); known {
+		t.Fatal("store restored a relation from a bundle that fails its checksum")
+	}
+	if _, err := warm.Register("c", pts); err != nil {
+		t.Fatal(err)
+	}
 	waitReady(t, warm, "c")
 	if warm.CatalogBuilds() == 0 {
-		t.Fatal("store served a truncated cache entry instead of rebuilding")
+		t.Fatal("store served a corrupt cache entry instead of rebuilding")
 	}
 	if _, err := warm.View().Relation("c").Staircase.EstimateSelect(geom.Point{X: 50, Y: 50}, 10); err != nil {
 		t.Fatalf("estimate after corrupt-cache rebuild: %v", err)
+	}
+	closeStore(t, warm)
+
+	again := newTestStore(t, opt)
+	waitReady(t, again, "c")
+	if n := again.CatalogBuilds(); n != 0 {
+		t.Fatalf("restart after the rebuild constructed %d catalogs: the bundle was not rewritten", n)
 	}
 }
 

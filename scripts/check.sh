@@ -33,18 +33,32 @@ sh scripts/soak.sh ingest
 # with the invalidation visible in the expvars.
 sh scripts/soak.sh plan
 
-# Mmap catalog-cache smoke: warm-load a 2000-relation fleet through the
-# zero-copy read path and require bit-identical estimates with zero builds.
-sh scripts/soak.sh mmap
+# Catalog-cache scale smoke: warm-load a 2000-relation fleet from its
+# bundles and require bit-identical estimates, zero builds and RSS growth
+# bounded by the bytes loaded.
+sh scripts/soak.sh scale
+
+# The benchmark is its own module, compiled against internal packages and
+# frozen between benchmark PRs: a change to an API it uses must fail here,
+# not in the next perf run.
+(cd benchmark && go vet ./... && go test ./...)
 
 # Estimator-accuracy gate: exact invariants must hold and q-error quantiles
 # must stay within 10% of the checked-in golden baseline.
 go run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json
 
 # Fuzz smoke: the seed corpus runs on plain `go test`; this additionally
-# explores new inputs for a couple of seconds per target.
+# explores new inputs for a couple of seconds per target — every target in
+# the repository (keep in step with fuzz-smoke in the Makefile).
 go test -run xxx -fuzz FuzzEstimateSelect -fuzztime 2s ./internal/oracle/
 go test -run xxx -fuzz FuzzJoinCost -fuzztime 2s ./internal/oracle/
 go test -run xxx -fuzz 'FuzzAknnJoin$' -fuzztime 2s ./internal/aknn/
 go test -run xxx -fuzz FuzzAknnBoundsEstimate -fuzztime 2s ./internal/aknn/
 go test -run xxx -fuzz FuzzLoadAknnSummary -fuzztime 2s ./internal/aknn/
+go test -run xxx -fuzz FuzzLoadStaircase -fuzztime 2s ./internal/core/
+go test -run xxx -fuzz FuzzLoadCatalogMerge -fuzztime 2s ./internal/core/
+go test -run xxx -fuzz FuzzLoadVirtualGrid -fuzztime 2s ./internal/core/
+go test -run xxx -fuzz FuzzUnmarshalBinary -fuzztime 2s ./internal/catalog/
+go test -run xxx -fuzz FuzzReplayWAL -fuzztime 2s ./internal/wal/
+go test -run xxx -fuzz FuzzLoadBundle -fuzztime 2s ./internal/store/
+go test -run xxx -fuzz FuzzLoadMergeSideFile -fuzztime 2s ./internal/store/

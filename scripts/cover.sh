@@ -6,7 +6,7 @@
 # scatter-gather routing tier), internal/wal (the crash-safety foundation
 # of streaming ingest), internal/optimizer (the multi-predicate plan
 # enumerator and its invalidation-correct plan cache), and internal/store
-# (the relation store, its mmap catalog cache, and the space-budget
+# (the relation store, its disk catalog cache, and the space-budget
 # auto-tuner).
 set -eu
 

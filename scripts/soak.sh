@@ -28,14 +28,14 @@
 # re-plan to miss — with the purge visible in the
 # knncost_plan_cache_invalidations expvar.
 #
-# A sixth phase smokes the zero-copy mmap catalog cache at fleet scale:
-# KNNCOST_MMAP_RELATIONS relations (default 2000; the recorded DESIGN.md
-# numbers use 100000) are built, persisted, and warm-loaded through the
-# mmap read path, asserting bit-identical estimates with zero rebuild work
-# and reporting restart wall time plus RSS/heap growth.
+# A sixth phase smokes the catalog cache at fleet scale:
+# KNNCOST_SCALE_RELATIONS relations (default 2000; the recorded DESIGN.md
+# numbers use 100000) are built, persisted as bundles, and warm-loaded,
+# asserting bit-identical estimates with zero rebuild work and RSS growth
+# bounded by the bytes loaded, and reporting restart wall time.
 #
-# Usage: soak.sh [all|shard|ingest|plan|mmap]  — `shard` runs only the third
-# phase, `ingest` only the fourth, `plan` only the fifth and `mmap` only the
+# Usage: soak.sh [all|shard|ingest|plan|scale]  — `shard` runs only the third
+# phase, `ingest` only the fourth, `plan` only the fifth and `scale` only the
 # sixth (the smoke tier of scripts/check.sh uses these).
 set -eu
 
@@ -43,8 +43,8 @@ cd "$(dirname "$0")/.."
 
 PHASE="${1:-all}"
 case "$PHASE" in
-  all|shard|ingest|plan|mmap) ;;
-  *) echo "soak: unknown phase $PHASE (want all, shard, ingest, plan, or mmap)"; exit 2 ;;
+  all|shard|ingest|plan|scale) ;;
+  *) echo "soak: unknown phase $PHASE (want all, shard, ingest, plan, or scale)"; exit 2 ;;
 esac
 
 # Soak must leave the repository untouched — every file it writes goes to
@@ -535,27 +535,25 @@ echo "soak: plan tier OK"
 
 fi # PHASE = all|plan
 
-if [ "$PHASE" = all ] || [ "$PHASE" = mmap ]; then
+if [ "$PHASE" = all ] || [ "$PHASE" = scale ]; then
 
-# --- mmap catalog-cache scale smoke ------------------------------------------
+# --- catalog-cache scale smoke -------------------------------------------------
 
 # The scale measurement lives in a Go test (it needs in-process RSS/heap
 # probes); the soak phase drives it at fleet scale and requires the verbose
-# log to show the warm-load numbers. 100k relations need ~200k VMA slots —
-# past the default vm.max_map_count the loaders degrade to heap copies, so
-# the smoke default stays under the kernel limit.
-MMAP_N="${KNNCOST_MMAP_RELATIONS:-2000}"
-MMAP_OUT="$TMPDIR/knncostd-soak-$$.mmap"
-if KNNCOST_MMAP_RELATIONS="$MMAP_N" go test -run TestMmapCatalogScale -v -timeout 1800s \
-    ./internal/store/ >"$MMAP_OUT" 2>&1; then
-  grep -E "relations=|rss:" "$MMAP_OUT" | sed 's/^ *[^ ]* /soak: mmap /'
+# log to show the warm-load numbers.
+SCALE_N="${KNNCOST_SCALE_RELATIONS:-2000}"
+SCALE_OUT="$TMPDIR/knncostd-soak-$$.scale"
+if KNNCOST_SCALE_RELATIONS="$SCALE_N" go test -run TestCatalogScale -v -timeout 1800s \
+    ./internal/store/ >"$SCALE_OUT" 2>&1; then
+  grep -E "relations=|rss:" "$SCALE_OUT" | sed 's/^ *[^ ]* /soak: scale /'
 else
-  echo "soak: mmap scale test failed:"; cat "$MMAP_OUT"; rm -f "$MMAP_OUT"; exit 1
+  echo "soak: catalog scale test failed:"; cat "$SCALE_OUT"; rm -f "$SCALE_OUT"; exit 1
 fi
-rm -f "$MMAP_OUT"
-echo "soak: mmap tier OK ($MMAP_N relations)"
+rm -f "$SCALE_OUT"
+echo "soak: scale tier OK ($SCALE_N relations)"
 
-fi # PHASE = all|mmap
+fi # PHASE = all|scale
 
 # --- clean-tree check --------------------------------------------------------
 
