@@ -31,7 +31,7 @@ func testBundle(t testing.TB) ([]byte, *index.Tree) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := manifest{NumPoints: len(pts), NumBlocks: tree.NumBlocks(), MaxK: 24, Corners: -1, GridSize: 3}
+	m := manifest{NumPoints: int64(len(pts)), NumBlocks: int64(tree.NumBlocks()), MaxK: 24, Corners: -1, GridSize: 3}
 	data, err := encodeBundle(m, pts, stair, vg, aknn.BuildSummary(tree.CountTree()))
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !samePoints(bd.pts, gridPoints(300, 71)) {
 		t.Fatal("points did not survive the round trip")
 	}
-	if bd.man.Corners != -1 || bd.man.NumBlocks != tree.NumBlocks() {
+	if bd.man.Corners != -1 || bd.man.NumBlocks != int64(tree.NumBlocks()) {
 		t.Fatalf("manifest did not survive the round trip: %+v", bd.man)
 	}
 	if err := loadAll(bd, tree); err != nil {
@@ -141,6 +141,36 @@ func TestCacheFilesRejectCorruptInput(t *testing.T) {
 	}
 }
 
+// TestSalvagePointsIgnoresDamageElsewhere: the points of a bundle survive
+// every truncation and every single-bit flip that leaves the magic and the
+// points section alone — the section table and the manifest included — and
+// damage inside them yields an error or different points (which the caller's
+// fingerprint check rejects), never a panic.
+func TestSalvagePointsIgnoresDamageElsewhere(t *testing.T) {
+	full, _ := testBundle(t)
+	want := gridPoints(300, 71)
+	end := bundleHeader + len(appendPoints(nil, want))
+	for cut := 0; cut < len(full); cut++ {
+		pts, err := salvagePoints(full[:cut])
+		if intact := cut >= end; intact != (err == nil && samePoints(pts, want)) {
+			t.Fatalf("truncation to %d/%d bytes (points end at %d): salvaged %d points, err %v", cut, len(full), end, len(pts), err)
+		}
+	}
+	flipped := bytes.Clone(full)
+	for bit := 0; bit < 8*len(flipped); bit++ {
+		flipped[bit/8] ^= 1 << (bit % 8)
+		pts, err := salvagePoints(flipped)
+		if at := bit / 8; at < 8 || (at >= bundleHeader && at < end) {
+			if err == nil && samePoints(pts, want) {
+				t.Fatalf("flip of bit %d went unnoticed", bit)
+			}
+		} else if err != nil || !samePoints(pts, want) {
+			t.Fatalf("flip of bit %d, outside the points, lost them: %v", bit, err)
+		}
+		flipped[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
 // reseal overwrites data's last four bytes with the checksum of the rest,
 // so that corrupt content reaches the parsing behind the checksum.
 func reseal(data []byte) []byte {
@@ -181,6 +211,7 @@ func FuzzLoadBundle(f *testing.F) {
 			if bd, err := decodeBundle(in); err == nil {
 				loadAll(bd, tree) // may reject; must not panic
 			}
+			salvagePoints(in)
 		}
 	})
 }
@@ -299,8 +330,10 @@ func TestTwoScopesShareOneDirectory(t *testing.T) {
 	if got := joinEstimates(t, b.View()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scopes disagree: %v vs %v", got, want)
 	}
-	if b.CacheHits() < 9 {
-		t.Fatalf("scope b loaded %d artifacts from scope a's bundles, want at least 9", b.CacheHits())
+	// The shard-handoff shape: everything b registers, scope a has cached,
+	// and r's side-file serves q and p although b registers them after r.
+	if built, hits := b.CatalogBuilds(), b.CacheHits(); built != 0 || hits != 9+6 {
+		t.Fatalf("scope b built %d catalogs and loaded %d from scope a's files, want 0 and 15", built, hits)
 	}
 	closeStore(t, a)
 	closeStore(t, b)
@@ -359,6 +392,50 @@ func TestLostSideFileRebuildsAndRewrites(t *testing.T) {
 	}
 	if got := joinEstimates(t, third.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("written-back merges are not bit-identical")
+	}
+}
+
+// TestRestartDropsDeadPeersRecords: a side-file names the generations its
+// relation was published next to. A restart keeps in memory only the records
+// of peers its registry names, and a side-file rewrite keeps on disk the
+// records of peers this store has never seen — another store's, which would
+// otherwise rebuild them on its every restart.
+func TestRestartDropsDeadPeersRecords(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	first := newTestStore(t, opt)
+	for i, name := range []string{"hot", "cold"} {
+		if _, err := first.Register(name, gridPoints(400+50*i, int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, first, name) // cold's side-file names hot's first generation
+	}
+	if _, err := first.Append("hot", gridPoints(10, 42)); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, first, "hot") // hot's second generation: its side-file names cold
+	coldFP := first.View().Relation("cold").Fingerprint
+	closeStore(t, first)
+
+	second := newTestStore(t, opt)
+	waitReady(t, second)
+	if n := second.CatalogBuilds(); n != 0 {
+		t.Fatalf("restart built %d catalogs, want 0", n)
+	}
+	if recs := second.View().Relation("cold").merges; len(recs) != 0 {
+		t.Fatalf("cold's snapshot keeps %d records of dead generations reachable", len(recs))
+	}
+	if recs := second.View().Relation("hot").merges; len(recs) != 1 {
+		t.Fatalf("hot's snapshot holds %d records, want the one for cold", len(recs))
+	}
+	stranger, _ := peerOf(fmt.Sprintf("%064x", 0xfeed))
+	if err := second.cache.storeMerges(coldFP, mergeRecs{stranger: {{1, 2, 3, 4, 5, 6, 7, 8}}}); err != nil {
+		t.Fatal(err)
+	}
+	side, err := os.ReadFile(second.cache.sidePath(coldFP))
+	if recs := decodeSideFile(side); err != nil || len(recs) != 2 || recs[stranger][0] == nil {
+		t.Fatalf("rewritten side-file holds %d records (%v), want the stranger's and the one it held", len(recs), err)
 	}
 }
 

@@ -59,9 +59,11 @@ const cacheFormat = 5
 const (
 	bundleMagic = "KNCBNDL\x05"
 	sideMagic   = "KNCMRGS\x05"
-	// bundleHeader is the magic, the eight manifest fields and the
-	// four-entry section table, all little-endian uint64 words.
-	bundleHeader = 8 + 8*8 + 4*3*8
+	// A bundle's header is the magic, the eight manifest fields (bundleTable
+	// bytes so far) and the four-entry section table, all little-endian
+	// uint64 words.
+	bundleTable  = 8 + 8*8
+	bundleHeader = bundleTable + 4*3*8
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -69,14 +71,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // manifest records the parameters a cached relation was built with. A
 // manifest that does not match the relation's resolution is a miss (the
 // fingerprint covers the same fields, so in practice mismatch means a
-// hand-edited cache).
+// hand-edited cache). The bundle header stores the fields in this order, as
+// little-endian words.
 type manifest struct {
-	NumPoints, NumBlocks, MaxK, Corners, SampleSize, GridSize, AknnCapacity, Capacity int
-}
-
-// fields lists the manifest's fields in their on-disk order.
-func (m *manifest) fields() [8]*int {
-	return [8]*int{&m.NumPoints, &m.NumBlocks, &m.MaxK, &m.Corners, &m.SampleSize, &m.GridSize, &m.AknnCapacity, &m.Capacity}
+	NumPoints    int64
+	NumBlocks    int64
+	MaxK         int64
+	Corners      int64
+	SampleSize   int64
+	GridSize     int64
+	AknnCapacity int64
+	Capacity     int64
 }
 
 // registryEntry names one live relation, its cached fingerprint, and its
@@ -119,9 +124,15 @@ func openDiskCache(dir, scope string) (*diskCache, error) {
 		return nil, err
 	}
 	c := &diskCache{dir: dir, registryName: "registry.json"}
-	if r, bad := unsafeRune(scope); bad {
-		return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
-	} else if scope != "" {
+	if scope != "" {
+		for _, r := range scope {
+			switch {
+			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+				r == '_', r == '-', r == '.':
+			default:
+				return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
+			}
+		}
 		c.registryName = "registry-" + scope + ".json"
 	}
 	var r registryFile
@@ -213,10 +224,9 @@ func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.
 	}
 	out := make([]byte, bundleHeader, bundleHeader+24*len(pts)+stair.SizeBytes()+vg.SizeBytes())
 	copy(out, bundleMagic)
-	var words []uint64
-	for _, f := range m.fields() {
-		words = append(words, uint64(*f))
-	}
+	var man bytes.Buffer
+	binary.Write(&man, binary.LittleEndian, m) // fixed-size struct into a Buffer: cannot fail
+	copy(out[8:bundleTable], man.Bytes())
 	for kind, section := range []func([]byte) []byte{
 		func(b []byte) []byte { return appendPoints(b, pts) },
 		stair.AppendMapped,
@@ -226,10 +236,9 @@ func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.
 		out = append(out, make([]byte, -len(out)&7)...)
 		off := len(out)
 		out = section(out)
-		words = append(words, uint64(kind), uint64(off), uint64(len(out)-off))
-	}
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(out[8+8*i:], w)
+		for i, w := range [3]int{kind, off, len(out) - off} {
+			binary.LittleEndian.PutUint64(out[bundleTable+24*kind+8*i:], uint64(w))
+		}
 	}
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable)), nil
 }
@@ -244,15 +253,15 @@ func decodeBundle(data []byte) (*bundle, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, errors.New("bundle: checksum mismatch")
 	}
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(body[8+8*i:]) }
 	bd := &bundle{}
-	for i, f := range bd.man.fields() {
-		*f = int(word(i))
+	if err := binary.Read(bytes.NewReader(body[8:bundleTable]), binary.LittleEndian, &bd.man); err != nil {
+		return nil, err
 	}
 	var sec [4][]byte
 	end := uint64(bundleHeader)
 	for i := range sec {
-		kind, off, n := word(8+3*i), word(9+3*i), word(10+3*i)
+		entry := body[bundleTable+24*i:]
+		kind, off, n := binary.LittleEndian.Uint64(entry), binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
 		if kind != uint64(i) || off != (end+7)&^7 || off > uint64(len(body)) || n > uint64(len(body))-off {
 			return nil, fmt.Errorf("bundle: section %d does not tile the file", i)
 		}
@@ -276,6 +285,25 @@ func decodeBundle(data []byte) (*bundle, error) {
 	return bd, nil
 }
 
+// salvagePoints decodes the points section of a bundle that fails
+// decodeBundle. Everything else in a bundle derives from the points, so
+// damage elsewhere must not lose them. The section comes first, right after
+// the fixed-size header, and states its own length, so neither the section
+// table nor the tail of the file need be intact. The checksum that failed
+// was the points' only guard here: the caller must recompute the
+// fingerprint, whose SHA-256 covers every point, before trusting the result.
+func salvagePoints(data []byte) ([]geom.Point, error) {
+	if len(data) < bundleHeader+len(pointsMagic) || string(data[:8]) != bundleMagic {
+		return nil, errors.New("bundle: truncated or bad magic")
+	}
+	sec := data[bundleHeader:]
+	n, sz := binary.Uvarint(sec[len(pointsMagic):])
+	if end := uint64(len(pointsMagic)+sz) + 16*n; sz > 0 && n <= maxCachedPoints && end <= uint64(len(sec)) {
+		sec = sec[:end]
+	}
+	return decodePoints(sec) // checks the magic, the count and the exact length
+}
+
 // loadBundle reads the bundle of fp and, when there is one, its side-file.
 func (c *diskCache) loadBundle(fp string) (*bundle, error) {
 	data, err := os.ReadFile(c.bundlePath(fp))
@@ -291,6 +319,15 @@ func (c *diskCache) loadBundle(fp string) (*bundle, error) {
 		bd.merges = decodeSideFile(side)
 	}
 	return bd, nil
+}
+
+// salvage reads what salvagePoints recovers from the bundle of fp.
+func (c *diskCache) salvage(fp string) ([]geom.Point, error) {
+	data, err := os.ReadFile(c.bundlePath(fp))
+	if err != nil {
+		return nil, err
+	}
+	return salvagePoints(data)
 }
 
 func (c *diskCache) storeBundle(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary) error {
@@ -380,6 +417,24 @@ func decodeSideFile(data []byte) mergeRecs {
 		return nil
 	}
 	return recs
+}
+
+// storeMerges writes the side-file of fp as the union of built and the
+// records it holds now, which win: another store on this directory may have
+// put records there for peers this one has never seen, and dropping them
+// would have the two stores rebuild each other's merges on every restart.
+func (c *diskCache) storeMerges(fp string, built mergeRecs) error {
+	side, _ := os.ReadFile(c.sidePath(fp))
+	for k, old := range decodeSideFile(side) {
+		rec := built[k]
+		for dir, payload := range old {
+			if payload != nil {
+				rec[dir] = payload
+			}
+		}
+		built[k] = rec
+	}
+	return c.writeFile("merges", c.sidePath(fp), encodeSideFile(built))
 }
 
 // --- points section ----------------------------------------------------------

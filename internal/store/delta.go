@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync/atomic"
 	"time"
@@ -260,11 +261,61 @@ func (s *Store) Flush(name string) error {
 }
 
 // WaitSettled blocks until every named relation is ready with an empty
-// delta overlay, scheduling compactions as needed, or until any build fails,
-// the store closes or ctx expires. With no names it settles every relation
-// known at call time.
+// delta overlay, scheduling compactions as needed, or until any build fails
+// or ctx expires. With no names it settles every relation known at call
+// time.
 func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
-	return s.waitFor(ctx, names, true)
+	if len(names) == 0 {
+		s.mu.Lock()
+		for name := range s.entries {
+			names = append(names, name)
+		}
+		s.mu.Unlock()
+	}
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		done := true
+		var failed error
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
+		for _, name := range names {
+			e := s.entries[name]
+			if e == nil {
+				failed = fmt.Errorf("store: relation %q is not registered", name)
+				break
+			}
+			switch e.state {
+			case StateReady:
+				if len(e.pending) > 0 {
+					s.compactLocked(e)
+					done = false
+				}
+			case StateFailed:
+				failed = fmt.Errorf("store: building %q: %s", name, e.err)
+			default:
+				done = false
+			}
+			if failed != nil {
+				break
+			}
+		}
+		s.mu.Unlock()
+		if failed != nil {
+			return failed
+		}
+		if done {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
 }
 
 // compactLocked schedules a rebuild of e that folds its pending deltas into
@@ -273,31 +324,23 @@ func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
 // publish step logs. No-op while a build is already in flight (runJob
 // re-triggers compaction when it lands) or before the first snapshot.
 func (s *Store) compactLocked(e *entry) {
-	if len(e.pending) > 0 && s.rebuildLocked(e) {
-		s.republishLocked()
+	if e.snap == nil || e.snap.Points == nil || len(e.pending) == 0 {
+		return
 	}
-}
-
-// rebuildLocked stages e's published points, with every pending delta
-// folded in, as its wanted generation; it reports whether a build was
-// scheduled. The caller republishes.
-func (s *Store) rebuildLocked(e *entry) bool {
-	if e.snap == nil || e.snap.Points == nil || e.state == StateQueued || e.state == StateBuilding {
-		return false
+	if e.state == StateQueued || e.state == StateBuilding {
+		return
 	}
 	merged := applyMutations(e.snap.Points, e.pending)
 	if len(merged) == 0 {
-		s.opt.logger().Printf("store: folding the deltas of %q would delete every point; they stay pending", e.name)
-		return false
+		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", e.name)
+		return
 	}
 	if err := s.enqueueLocked(e, merged, nil); err != nil {
-		return false // queue saturated; the interval compactor or the next tuner pass retries
+		return // queue saturated; the interval compactor retries
 	}
-	if len(e.pending) > 0 {
-		e.isCompact = true
-		e.ckptLSN = e.pending[len(e.pending)-1].lsn
-	}
-	return true
+	e.isCompact = true
+	e.ckptLSN = e.pending[len(e.pending)-1].lsn
+	s.republishLocked()
 }
 
 // compactor is the background staleness bound: every CompactInterval it
@@ -335,8 +378,17 @@ func (s *Store) recoverLocked(records []wal.Record) {
 	for _, reg := range s.cache.registry() {
 		bd, err := s.cache.loadBundle(reg.Fingerprint)
 		if err != nil {
-			s.opt.logger().Printf("store: cache registry %q: %v (skipping)", reg.Name, err)
-			continue
+			// The artifacts are derivable, the points (and the logged
+			// mutations that apply to them) are not: a damaged bundle whose
+			// points still hash to the registered fingerprint restores the
+			// relation, and its build rewrites the bundle.
+			pts, perr := s.cache.salvage(reg.Fingerprint)
+			if perr != nil || s.fingerprint(pts, s.opt.resolveResolution(reg.Resolution)) != reg.Fingerprint {
+				s.opt.logger().Printf("store: cache registry %q: %v (points not recoverable, skipping)", reg.Name, err)
+				continue
+			}
+			s.opt.logger().Printf("store: cache registry %q: %v (points intact, rebuilding the rest)", reg.Name, err)
+			bd = &bundle{pts: pts} // no fingerprint: the build will not take it for the file
 		}
 		e := &entry{name: reg.Name, hits: &atomic.Int64{}}
 		if err := s.enqueueLocked(e, bd.pts, nil); err != nil {
@@ -408,6 +460,18 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", name, err)
 		}
 		s.opt.logger().Printf("store: replay finished drop of %q", name)
+	}
+	// The registry names every relation this start will publish, so a
+	// side-file record for any other peer — a dead generation, or another
+	// store's relation — can serve no pair here: let go of it.
+	live := map[peerKey]bool{}
+	for _, e := range s.entries {
+		if k, ok := peerOf(e.durableFP); ok {
+			live[k] = true
+		}
+	}
+	for _, e := range s.entries {
+		maps.DeleteFunc(e.pendingBundle.merges, func(k peerKey, _ [2][]byte) bool { return !live[k] })
 	}
 	s.republishLocked()
 }

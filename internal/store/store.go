@@ -272,7 +272,10 @@ type Snapshot struct {
 	// store entry across republishes; Touch increments it.
 	hits *atomic.Int64
 	// merges are the records of this fingerprint's merge side-file as read
-	// with the bundle (nil when built fresh); mergeFor consults them.
+	// with the bundle (nil when built fresh); mergeFor consults them. A
+	// restart keeps only those of peers its registry names (recoverLocked);
+	// a registration in a running store keeps them all, for the peers a
+	// shard handoff registers next.
 	merges mergeRecs
 }
 
@@ -599,24 +602,15 @@ func validateName(name string) error {
 	if name == "" || len(name) > 64 {
 		return fmt.Errorf("store: relation name must be 1-64 characters, got %d", len(name))
 	}
-	if r, bad := unsafeRune(name); bad {
-		return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
-	}
-	return nil
-}
-
-// unsafeRune finds the first rune of s outside the alphabet of relation
-// names and registry scopes, both of which become parts of file names.
-func unsafeRune(s string) (rune, bool) {
-	for _, r := range s {
+	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '_', r == '-', r == '.':
 		default:
-			return r, true
+			return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
 		}
 	}
-	return 0, false
+	return nil
 }
 
 // Register schedules a (re)build of name from the given points and returns
@@ -789,12 +783,6 @@ func (s *Store) Status(name string) (RelationStatus, bool) {
 // (the first failure is returned as an error), or ctx expires. With no
 // names it waits for every relation known at call time.
 func (s *Store) WaitReady(ctx context.Context, names ...string) error {
-	return s.waitFor(ctx, names, false)
-}
-
-// waitFor polls until every named relation is ready — and, with settled,
-// has an empty delta overlay, scheduling the compactions that empties it.
-func (s *Store) waitFor(ctx context.Context, names []string, settled bool) error {
 	if len(names) == 0 {
 		s.mu.Lock()
 		for name := range s.entries {
@@ -806,29 +794,31 @@ func (s *Store) waitFor(ctx context.Context, names []string, settled bool) error
 	defer tick.Stop()
 	for {
 		done := true
-		var failed error
 		s.mu.Lock()
-		if settled && s.closed {
-			failed = ErrClosed
-		}
+		var failed error
 		for _, name := range names {
 			e := s.entries[name]
-			switch {
-			case failed != nil:
-			case e == nil:
+			if e == nil {
 				failed = fmt.Errorf("store: relation %q is not registered", name)
-			case e.state == StateFailed:
+				break
+			}
+			switch e.state {
+			case StateReady:
+			case StateFailed:
 				failed = fmt.Errorf("store: building %q: %s", name, e.err)
-			case e.state != StateReady:
+			default:
 				done = false
-			case settled && len(e.pending) > 0:
-				s.compactLocked(e)
-				done = false
+			}
+			if failed != nil {
+				break
 			}
 		}
 		s.mu.Unlock()
-		if failed != nil || done {
+		if failed != nil {
 			return failed
+		}
+		if done {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
@@ -1050,14 +1040,14 @@ func (s *Store) loadCachedCatalogs(b *builtRelation, bd *bundle) bool {
 
 func (s *Store) manifestFor(b *builtRelation) manifest {
 	return manifest{
-		NumPoints:    b.tree.NumPoints(),
-		NumBlocks:    b.tree.NumBlocks(),
-		MaxK:         b.res.MaxK,
-		Corners:      b.res.Corners,
-		SampleSize:   s.opt.SampleSize,
-		GridSize:     b.res.GridSize,
-		AknnCapacity: b.res.AknnCapacity,
-		Capacity:     s.opt.IndexCapacity,
+		NumPoints:    int64(b.tree.NumPoints()),
+		NumBlocks:    int64(b.tree.NumBlocks()),
+		MaxK:         int64(b.res.MaxK),
+		Corners:      int64(b.res.Corners),
+		SampleSize:   int64(s.opt.SampleSize),
+		GridSize:     int64(b.res.GridSize),
+		AknnCapacity: int64(b.res.AknnCapacity),
+		Capacity:     int64(s.opt.IndexCapacity),
 	}
 }
 
@@ -1135,17 +1125,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 // anywhere in this sequence recovers a consistent base + delta state.
 func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built mergeRecs) {
 	if len(built) > 0 {
-		// The side-file keeps the records read with the bundle; they win.
-		for k, old := range b.merges {
-			rec := built[k]
-			for dir, payload := range old {
-				if payload != nil {
-					rec[dir] = payload
-				}
-			}
-			built[k] = rec
-		}
-		if err := s.cache.writeFile("merges", s.cache.sidePath(b.fp), encodeSideFile(built)); err != nil {
+		if err := s.cache.storeMerges(b.fp, built); err != nil {
 			s.opt.logger().Printf("store: caching merges of %q: %v (continuing uncached)", e.name, err)
 		}
 	}
@@ -1194,8 +1174,10 @@ func (s *Store) republishLocked() {
 // update); otherwise the merge map is copied and only the changed
 // relation's pairs are dropped and re-resolved — from side-file records or
 // by building, here, under the lock, so that concurrent publishes cannot
-// each miss the other's relation. The merges built are returned as records
-// for the changed relation's side-file (none without a cache).
+// each miss the other's relation. A pair whose build fails stays absent
+// until either of its relations publishes again; nothing else retries it.
+// The merges built are returned as records for the changed relation's
+// side-file (none without a cache).
 func (s *Store) buildViewLocked() (*View, mergeRecs) {
 	old := s.view.Load()
 	v := &View{relations: old.relations, merges: old.merges, names: old.names,

@@ -6,6 +6,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -476,10 +477,10 @@ func TestWarmRestart(t *testing.T) {
 }
 
 // TestCorruptCacheFallsBackToRebuild: a hostile or damaged cache must never
-// surface an error or a wrong catalog. A bundle carries the points and the
-// artifacts under one checksum, so a damaged one is a miss as a whole: the
-// restart skips the relation, a re-registration rebuilds instead of serving
-// it, and the rewritten bundle warm-loads again.
+// surface an error or a wrong catalog — it is a miss, and the store
+// rebuilds. Damage to a bundle's derivable sections must not lose the
+// relation either: the points are salvaged, authenticated against the
+// registered fingerprint, and the rewritten bundle warm-loads again.
 func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOptions(t)
@@ -495,6 +496,12 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	if fp == "" {
 		t.Fatal("point-registered relation has no fingerprint")
 	}
+	// An acknowledged mutation that only the log holds: it applies to the
+	// bundle's points, so losing those would lose it too.
+	extra := []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}
+	if _, err := first.Append("c", extra); err != nil {
+		t.Fatal(err)
+	}
 	closeStore(t, first)
 
 	// Flip one bit inside the bundle's staircase section.
@@ -509,15 +516,18 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	}
 
 	warm := newTestStore(t, opt)
-	if _, known := warm.Status("c"); known {
-		t.Fatal("store restored a relation from a bundle that fails its checksum")
-	}
-	if _, err := warm.Register("c", pts); err != nil {
-		t.Fatal(err)
-	}
 	waitReady(t, warm, "c")
 	if warm.CatalogBuilds() == 0 {
 		t.Fatal("store served a corrupt cache entry instead of rebuilding")
+	}
+	if _, err := (&diskCache{dir: dir}).loadBundle(fp); err != nil {
+		t.Fatalf("the rebuild did not rewrite the damaged bundle: %v", err)
+	}
+	if err := warm.WaitSettled(context.Background(), "c"); err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.View().Relation("c").Points; !samePoints(got, append(slices.Clone(pts), extra...)) {
+		t.Fatalf("relation restored from a damaged bundle has %d points, want the %d registered and the %d appended", len(got), len(pts), len(extra))
 	}
 	if _, err := warm.View().Relation("c").Staircase.EstimateSelect(geom.Point{X: 50, Y: 50}, 10); err != nil {
 		t.Fatalf("estimate after corrupt-cache rebuild: %v", err)
@@ -528,6 +538,21 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	waitReady(t, again, "c")
 	if n := again.CatalogBuilds(); n != 0 {
 		t.Fatalf("restart after the rebuild constructed %d catalogs: the bundle was not rewritten", n)
+	}
+	closeStore(t, again)
+
+	// Damage to the points themselves is the one loss the cache cannot make
+	// good: the salvaged points no longer hash to the registered
+	// fingerprint, so the relation is skipped rather than served wrong.
+	path = (&diskCache{dir: dir}).bundlePath(again.View().Relation("c").Fingerprint)
+	data, _ = os.ReadFile(path)
+	data[bundleHeader+1000] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lost := newTestStore(t, opt)
+	if _, known := lost.Status("c"); known {
+		t.Fatal("store restored a relation whose points fail the fingerprint")
 	}
 }
 

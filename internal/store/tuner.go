@@ -168,11 +168,25 @@ func (s *Store) rebalance() {
 // exactly like compactLocked. Caller holds s.mu. Reports whether the
 // rebuild was scheduled.
 func (s *Store) retuneLocked(e *entry, steps int, res core.Resolution) bool {
-	if !s.rebuildLocked(e) {
+	if e.snap == nil || e.snap.Points == nil {
 		return false
+	}
+	if e.state == StateQueued || e.state == StateBuilding {
+		return false
+	}
+	merged := applyMutations(e.snap.Points, e.pending)
+	if len(merged) == 0 {
+		return false
+	}
+	if err := s.enqueueLocked(e, merged, nil); err != nil {
+		return false // queue saturated; the next pass retries
 	}
 	e.res = res
 	e.tunerSteps = steps
+	if len(e.pending) > 0 {
+		e.isCompact = true
+		e.ckptLSN = e.pending[len(e.pending)-1].lsn
+	}
 	s.republishLocked()
 	return true
 }
