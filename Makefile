@@ -22,18 +22,10 @@ lint:
 cover:
 	sh scripts/cover.sh
 
-# Race-test the packages with concurrent hot paths: the staircase build
-# fan-out, the batch estimation workers, the engine's once-per-artifact
-# builds, the WAL's group-commit fsync batching, the relation store's build
-# pool, delta overlays, and hot-swap publication, the HTTP batch endpoint,
-# the robustness middleware, the fault-injection harness, the daemon's
-# signal-driven drain, the oracle differential suite (which runs batches
-# against live hot-swaps), the shard tier's scatter-gather, hedging,
-# breaker, and mirror-on-demand machinery, the optimizer's single-flight
-# plan cache under concurrent misses and invalidations, and the bounds-only
-# AkNN join (whose summaries are shared across snapshot readers).
+# Race-test the packages with concurrent hot paths; scripts/check.sh owns
+# the package list.
 race:
-	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/aknn/... ./internal/wal/... ./internal/store/... ./internal/optimizer/... ./internal/service/... ./internal/faultinject/... ./internal/oracle/... ./internal/shard/... ./cmd/knncostd/...
+	sh scripts/check.sh race
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress to building their fixture per op, without the full measurement
@@ -41,20 +33,10 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The gate run by scripts/check.sh and documented in README.md.
-check: vet
-	$(MAKE) lint
-	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/aknn/... ./internal/wal/... ./internal/store/... ./internal/optimizer/... ./internal/service/... ./internal/faultinject/... ./internal/oracle/... ./internal/shard/... ./cmd/knncostd/...
-	$(GO) test -run xxx -bench 'BenchmarkEstimateSelectHot|BenchmarkStaircaseBuildAlloc|BenchmarkFig13SelectPreprocessCC' -benchtime 1x .
-	$(MAKE) cover
-	sh scripts/soak.sh shard
-	sh scripts/soak.sh ingest
-	sh scripts/soak.sh plan
-	sh scripts/soak.sh scale
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(MAKE) accuracy
-	$(MAKE) fuzz-smoke
+# The repository gate, documented in README.md; scripts/check.sh is its one
+# definition.
+check:
+	sh scripts/check.sh
 
 # Estimator-accuracy regression gate: audit every estimation technique
 # against the brute-force oracle, print the per-technique pass/fail table,
@@ -66,20 +48,9 @@ accuracy:
 	$(GO) run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json
 
 # Short fuzz smoke of every fuzz target in the repository (the seed corpus
-# also runs on every plain `go test`); keep in step with scripts/check.sh.
+# also runs on every plain `go test`); scripts/check.sh owns the target list.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzEstimateSelect -fuzztime 2s ./internal/oracle/
-	$(GO) test -run xxx -fuzz FuzzJoinCost -fuzztime 2s ./internal/oracle/
-	$(GO) test -run xxx -fuzz 'FuzzAknnJoin$$' -fuzztime 2s ./internal/aknn/
-	$(GO) test -run xxx -fuzz FuzzAknnBoundsEstimate -fuzztime 2s ./internal/aknn/
-	$(GO) test -run xxx -fuzz FuzzLoadAknnSummary -fuzztime 2s ./internal/aknn/
-	$(GO) test -run xxx -fuzz FuzzLoadStaircase -fuzztime 2s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzLoadCatalogMerge -fuzztime 2s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzLoadVirtualGrid -fuzztime 2s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzUnmarshalBinary -fuzztime 2s ./internal/catalog/
-	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime 2s ./internal/wal/
-	$(GO) test -run xxx -fuzz FuzzLoadBundle -fuzztime 2s ./internal/store/
-	$(GO) test -run xxx -fuzz FuzzLoadMergeSideFile -fuzztime 2s ./internal/store/
+	sh scripts/check.sh fuzz
 
 # Boot a real knncostd, burst the batch endpoint, SIGTERM it, and assert a
 # clean drain and exit 0 — the end-to-end smoke of the robustness layer.
@@ -90,16 +61,15 @@ soak:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Machine-readable hot-path numbers plus the routed multi-shard topology
-# sweep: writes BENCH_<date>.json to results/.
+# Machine-readable hot-path numbers: writes BENCH_<date>.json to results/.
 perf:
-	$(GO) run ./cmd/knnbench -perf -shards 1,2,4 -out results
+	$(GO) run ./cmd/knnbench -perf -out results
 
 # Perf-trajectory gate: re-measure every hot path and fail when any op in
 # the newest committed BENCH_<date>.json regresses by more than 20% ns/op.
 # The fresh numbers go to a temp dir so the committed trajectory only ever
 # advances via a deliberate `make perf`.
 bench-diff:
-	$(GO) run ./cmd/knnbench -perf -shards 1,2,4 \
+	$(GO) run ./cmd/knnbench -perf \
 		-out "$$(mktemp -d)" \
 		-against "$$(ls results/BENCH_*.json | sort | tail -n1)"

@@ -16,7 +16,7 @@
 //	                                      # refresh the golden baseline
 //	knnbench -accuracy -techniques staircase-cc,virtual-grid
 //	                                      # audit only the named techniques
-//	                                      # (registry names or aliases; not
+//	                                      # (registry names; not
 //	                                      # combinable with -baseline)
 //
 // Each figure prints an aligned table (and, with -out, a CSV per table;
@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"knncost/internal/harness"
@@ -48,14 +47,13 @@ func main() {
 		sample   = flag.Int("sample", 0, "fixed sample size for join catalogs (0 = default)")
 		gridSize = flag.Int("grid", 0, "fixed virtual-grid dimension (0 = default)")
 		perf     = flag.Bool("perf", false, "run hot-path microbenchmarks and write BENCH_<date>.json (op, ns/op, allocs/op, bytes/op)")
-		shards   = flag.String("shards", "", "with -perf: also measure routed batch throughput at these comma-separated shard counts (e.g. 1,2,4)")
 		against  = flag.String("against", "", "with -perf: gate this run against a committed BENCH_<date>.json (exit 1 beyond -perf-tol)")
 		perfTol  = flag.Float64("perf-tol", 1.20, "multiplicative ns/op tolerance vs -against")
 		accuracy = flag.Bool("accuracy", false, "audit estimator accuracy against the brute-force oracle and write ACCURACY_<date>.json")
 		baseline = flag.String("baseline", "", "golden AccuracyReport to gate against (with -accuracy)")
 		tol      = flag.Float64("tol", 1.10, "multiplicative q-error tolerance vs the baseline (with -accuracy)")
 		update   = flag.Bool("update-baseline", false, "rewrite -baseline with this run's report instead of gating")
-		techs    = flag.String("techniques", "", "comma-separated technique names or aliases restricting -accuracy (default all; incompatible with -baseline)")
+		techs    = flag.String("techniques", "", "comma-separated technique names restricting -accuracy (default all; incompatible with -baseline)")
 	)
 	flag.Parse()
 
@@ -68,7 +66,7 @@ func main() {
 	}
 
 	if *perf {
-		if err := runPerf(*seed, *outDir, *shards, *against, *perfTol); err != nil {
+		if err := runPerf(*seed, *outDir, *against, *perfTol); err != nil {
 			fmt.Fprintln(os.Stderr, "knnbench:", err)
 			os.Exit(1)
 		}
@@ -113,25 +111,13 @@ func main() {
 	}
 }
 
-// runPerf measures the hot-path microbenchmarks (plus, with -shards, the
-// routed multi-shard batch throughput), writes BENCH_<date>.json, and — with
-// -against — gates the fresh numbers against a committed BENCH file so a
-// perf regression fails loudly instead of landing silently.
-func runPerf(seed int64, outDir, shardList, against string, tol float64) error {
+// runPerf measures the hot-path microbenchmarks, writes BENCH_<date>.json,
+// and — with -against — gates the fresh numbers against a committed BENCH
+// file so a perf regression fails loudly instead of landing silently.
+func runPerf(seed int64, outDir, against string, tol float64) error {
 	results, err := harness.RunPerf(seed)
 	if err != nil {
 		return err
-	}
-	if shardList != "" {
-		counts, err := parseShardCounts(shardList)
-		if err != nil {
-			return err
-		}
-		shardResults, err := harness.RunShardPerf(seed, counts)
-		if err != nil {
-			return err
-		}
-		results = append(results, shardResults...)
 	}
 	for _, r := range results {
 		fmt.Printf("%-36s %14.1f ns/op %8d allocs/op %12d B/op\n",
@@ -158,25 +144,6 @@ func runPerf(seed int64, outDir, shardList, against string, tol float64) error {
 	}
 	fmt.Printf("perf gate: PASS vs %s (tol %.2f)\n", against, tol)
 	return nil
-}
-
-func parseShardCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("-shards given but empty")
-	}
-	return counts, nil
 }
 
 // splitTechniques parses the -techniques flag value into trimmed, non-empty

@@ -146,6 +146,23 @@ func TestIngestSurvivesRestartAndConverges(t *testing.T) {
 			t.Fatalf("probe %s: feed %v != scratch %v (recovery not bit-exact)", probe, a["blocks"], b["blocks"])
 		}
 	}
+
+	// The plan cache's counters reach /debug/vars: a cached plan over feed
+	// is purged by feed's next compaction publish.
+	plan := `{"selects":[{"relation":"feed","x":10,"y":4,"k":3},{"relation":"scratch","x":10,"y":4,"k":5}]}`
+	if code, body := sendJSON(t, http.MethodPost, base+"/plan", plan); code != http.StatusOK {
+		t.Fatalf("plan: %d %v", code, body)
+	}
+	if code, body := sendJSON(t, http.MethodPost, base+"/relations/feed/points",
+		`{"points":[[1.5,1.5],[2.5,1.5],[3.5,1.5],[4.5,1.5],[5.5,1.5]]}`); code != http.StatusOK {
+		t.Fatalf("append after plan: %d %v", code, body)
+	}
+	for deadline := time.Now().Add(30 * time.Second); expvarInt(t, base, "knncost_plan_cache_invalidations") < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("knncost_plan_cache_invalidations stayed 0 after a compaction publish under a cached plan")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	stopDaemon(t, exit)
 }
 

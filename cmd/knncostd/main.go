@@ -91,68 +91,67 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-// storeVars bridges the current store's counters into expvar. Tests run
-// several daemons in one process, so the expvar names are published once and
-// read through an atomic pointer to whichever store is current.
+// varBridge publishes one component's counters to expvar. Tests run
+// several daemons in one process, so the names are published once and read
+// through an atomic pointer to whichever instance is current.
+type varBridge[T any] struct {
+	once sync.Once
+	cur  atomic.Pointer[T]
+}
+
 var (
-	varsOnce  sync.Once
-	varsStore atomic.Pointer[store.Store]
+	storeVars   varBridge[store.Store]
+	plannerVars varBridge[optimizer.Planner]
+	routerVars  varBridge[shard.Router]
 )
 
-func publishStoreVars(st *store.Store) {
-	varsStore.Store(st)
-	varsOnce.Do(func() {
-		counter := func(read func(*store.Store) int64) expvar.Func {
-			return func() any {
-				if s := varsStore.Load(); s != nil {
-					return read(s)
-				}
-				return int64(0)
-			}
+// publishCounters makes inst the instance b's expvars read, publishing the
+// names of table on first use.
+func publishCounters[T any](b *varBridge[T], inst *T, table map[string]func(*T) any) {
+	b.cur.Store(inst)
+	b.once.Do(func() {
+		for name, read := range table {
+			expvar.Publish(name, expvar.Func(func() any { return read(b.cur.Load()) }))
 		}
-		expvar.Publish("knncost_catalog_builds", counter((*store.Store).CatalogBuilds))
-		expvar.Publish("knncost_cache_hits", counter((*store.Store).CacheHits))
-		expvar.Publish("knncost_relations", counter(func(s *store.Store) int64 {
-			return int64(s.View().NumRelations())
-		}))
-		expvar.Publish("knncost_wal_appends", counter((*store.Store).WALAppends))
-		expvar.Publish("knncost_wal_fsyncs", counter((*store.Store).WALFsyncs))
-		expvar.Publish("knncost_wal_replayed", counter((*store.Store).WALReplayed))
-		expvar.Publish("knncost_wal_truncated_tails", counter((*store.Store).WALTruncatedTails))
-		expvar.Publish("knncost_compactions", counter((*store.Store).Compactions))
-		expvar.Publish("knncost_tuner_passes", counter((*store.Store).TunerPasses))
-		expvar.Publish("knncost_tuner_shrinks", counter((*store.Store).TunerShrinks))
-		expvar.Publish("knncost_tuner_grows", counter((*store.Store).TunerGrows))
-		expvar.Publish("knncost_tuner_reverts", counter((*store.Store).TunerReverts))
-		expvar.Publish("knncost_tuner_blocked", counter((*store.Store).TunerBlocked))
-		expvar.Publish("knncost_tuner_total_bytes", counter((*store.Store).ArtifactBytes))
-		expvar.Publish("knncost_tuner_budget_bytes", counter((*store.Store).TunerBudgetBytes))
 	})
 }
 
-// plannerVars bridges the service's plan-cache counters into expvar, with
-// the same once-plus-atomic-pointer shape as storeVars.
-var (
-	plannerVarsOnce sync.Once
-	varsPlanner     atomic.Pointer[optimizer.Planner]
-)
+// count adapts a counter method to a publishCounters table entry.
+func count[T any](read func(*T) int64) func(*T) any {
+	return func(inst *T) any { return read(inst) }
+}
 
-func publishPlannerVars(p *optimizer.Planner) {
-	varsPlanner.Store(p)
-	plannerVarsOnce.Do(func() {
-		counter := func(read func(*optimizer.Planner) int64) expvar.Func {
-			return func() any {
-				if p := varsPlanner.Load(); p != nil {
-					return read(p)
-				}
-				return int64(0)
-			}
-		}
-		expvar.Publish("knncost_plan_cache_hits", counter((*optimizer.Planner).Hits))
-		expvar.Publish("knncost_plan_cache_misses", counter((*optimizer.Planner).Misses))
-		expvar.Publish("knncost_plan_cache_evictions", counter((*optimizer.Planner).Evictions))
-		expvar.Publish("knncost_plan_cache_invalidations", counter((*optimizer.Planner).Invalidations))
-	})
+var storeCounters = map[string]func(*store.Store) any{
+	"knncost_catalog_builds":      count((*store.Store).CatalogBuilds),
+	"knncost_cache_hits":          count((*store.Store).CacheHits),
+	"knncost_relations":           func(s *store.Store) any { return int64(s.View().NumRelations()) },
+	"knncost_wal_appends":         count((*store.Store).WALAppends),
+	"knncost_wal_fsyncs":          count((*store.Store).WALFsyncs),
+	"knncost_wal_replayed":        count((*store.Store).WALReplayed),
+	"knncost_wal_truncated_tails": count((*store.Store).WALTruncatedTails),
+	"knncost_compactions":         count((*store.Store).Compactions),
+	"knncost_tuner_passes":        count((*store.Store).TunerPasses),
+	"knncost_tuner_shrinks":       count((*store.Store).TunerShrinks),
+	"knncost_tuner_grows":         count((*store.Store).TunerGrows),
+	"knncost_tuner_reverts":       count((*store.Store).TunerReverts),
+	"knncost_tuner_blocked":       count((*store.Store).TunerBlocked),
+	"knncost_tuner_total_bytes":   count((*store.Store).ArtifactBytes),
+	"knncost_tuner_budget_bytes":  count((*store.Store).TunerBudgetBytes),
+}
+
+var plannerCounters = map[string]func(*optimizer.Planner) any{
+	"knncost_plan_cache_hits":          count((*optimizer.Planner).Hits),
+	"knncost_plan_cache_misses":        count((*optimizer.Planner).Misses),
+	"knncost_plan_cache_evictions":     count((*optimizer.Planner).Evictions),
+	"knncost_plan_cache_invalidations": count((*optimizer.Planner).Invalidations),
+}
+
+var routerCounters = map[string]func(*shard.Router) any{
+	"knnrouter_hedges":             count((*shard.Router).Hedges),
+	"knnrouter_hedge_wins":         count((*shard.Router).HedgeWins),
+	"knnrouter_rebalance_restores": count((*shard.Router).WarmRestores),
+	"knnrouter_breaker_trips":      count((*shard.Router).BreakerTrips),
+	"knnrouter_requests":           func(r *shard.Router) any { return r.RequestsByShard() },
 }
 
 // run is main with injectable args and stdout, so tests (and the soak
@@ -231,18 +230,22 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
+	cfg := serveConfig{
+		estimateDeadline: *estimateDeadline, costDeadline: *costDeadline,
+		adminDeadline: *adminDeadline, maxInFlight: *maxInFlight,
+		queueLen: *queueLen, retryAfter: *retryAfter, drain: *drain,
+		readTimeout: *readTimeout, writeTimeout: *writeTimeout,
+		idleTimeout: *idleTimeout, accessLog: *accessLog,
+	}
 	if *routerMode {
-		return runRouter(routerConfig{
-			addr: *addr, peers: *peers, replicas: *replicas,
-			hedgeAfter: *hedgeAfter, hedgePercentile: *hedgePercentile,
-			attemptTimeout: *attemptTimeout, breakerFailures: *breakerFailures,
-			breakerBackoff:   *breakerBackoff,
-			estimateDeadline: *estimateDeadline, costDeadline: *costDeadline,
-			adminDeadline: *adminDeadline, maxInFlight: *maxInFlight,
-			queueLen: *queueLen, retryAfter: *retryAfter, drain: *drain,
-			readTimeout: *readTimeout, writeTimeout: *writeTimeout,
-			idleTimeout: *idleTimeout, accessLog: *accessLog,
-		}, stdout)
+		return runRouter(*addr, *peers, shard.Options{
+			Replicas:        *replicas,
+			HedgeAfter:      *hedgeAfter,
+			HedgePercentile: *hedgePercentile,
+			AttemptTimeout:  *attemptTimeout,
+			BreakerFailures: *breakerFailures,
+			BreakerBackoff:  *breakerBackoff,
+		}, cfg, stdout)
 	}
 	if *peers != "" {
 		log.Printf("knncostd: -peers requires -router")
@@ -288,15 +291,7 @@ func run(args []string, stdout io.Writer) int {
 		ln.Close()
 		return 1
 	}
-	publishStoreVars(st)
-	closeStore := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := st.Close(ctx); err != nil {
-			log.Printf("knncostd: store drain: %v", err)
-		}
-	}
-
+	publishCounters(&storeVars, st, storeCounters)
 	srv := service.NewWithStore(st, service.Options{
 		MaxK:             *maxK,
 		SampleSize:       *sample,
@@ -304,15 +299,65 @@ func run(args []string, stdout io.Writer) int {
 		DataDir:          *dataDir,
 		PlanCacheEntries: *planCache,
 	})
-	publishPlannerVars(srv.Planner())
-	wrapped, _ := middleware.Wrap(srv, middleware.Config{
-		EstimateDeadline: *estimateDeadline,
-		CostDeadline:     *costDeadline,
-		AdminDeadline:    *adminDeadline,
-		MaxInFlight:      *maxInFlight,
-		QueueLen:         *queueLen,
-		RetryAfter:       *retryAfter,
-		AccessLog:        *accessLog,
+	publishCounters(&plannerVars, srv.Planner(), plannerCounters)
+
+	// Register the boot schema; the ready gate flips once it is built. The
+	// data is deterministic in (name, n, seed), so across restarts the
+	// fingerprints match and a warm cache satisfies every build. Cached
+	// relations registered at runtime were restored by store.New already.
+	warm := func(ctx context.Context) error {
+		start := time.Now()
+		for i, spec := range specs {
+			pts := datagen.OSMLike(spec.n, *seed+int64(i))
+			if _, err := st.Register(spec.name, pts); err != nil {
+				return fmt.Errorf("registering %s: %w", spec.name, err)
+			}
+		}
+		if err := st.WaitReady(ctx); err != nil {
+			return err
+		}
+		log.Printf("catalogs ready in %v (%d built, %d cache hits)",
+			time.Since(start).Round(time.Millisecond), st.CatalogBuilds(), st.CacheHits())
+		log.Printf("ready: serving %d relations", st.View().NumRelations())
+		return nil
+	}
+	// The store's build pool drains with the same grace as the requests.
+	closeStore := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		defer cancel()
+		if err := st.Close(ctx); err != nil {
+			log.Printf("knncostd: store drain: %v", err)
+		}
+	}
+	return serve(ln, srv, cfg, warm, closeStore)
+}
+
+// serveConfig is the flag subset both modes share: the middleware's
+// deadlines and admission limits, the http.Server timeouts and the drain
+// grace.
+type serveConfig struct {
+	estimateDeadline, costDeadline, adminDeadline time.Duration
+	maxInFlight, queueLen                         int
+	retryAfter, drain                             time.Duration
+	readTimeout, writeTimeout, idleTimeout        time.Duration
+	accessLog                                     bool
+}
+
+// serve runs one daemon lifecycle on the bound listener: handler behind the
+// middleware stack, the probes and /debug/vars beside it, warm in the
+// background — the ready gate flips when it returns nil, the daemon exits 1
+// when it fails, and its context ends when shutdown begins — then a
+// signal-triggered graceful drain. closer runs on every path, after the
+// listener has stopped. It returns the process exit code.
+func serve(ln net.Listener, handler http.Handler, cfg serveConfig, warm func(context.Context) error, closer func()) int {
+	wrapped, _ := middleware.Wrap(handler, middleware.Config{
+		EstimateDeadline: cfg.estimateDeadline,
+		CostDeadline:     cfg.costDeadline,
+		AdminDeadline:    cfg.adminDeadline,
+		MaxInFlight:      cfg.maxInFlight,
+		QueueLen:         cfg.queueLen,
+		RetryAfter:       cfg.retryAfter,
+		AccessLog:        cfg.accessLog,
 	})
 
 	var gate middleware.Ready
@@ -328,35 +373,23 @@ func run(args []string, stdout io.Writer) int {
 	httpSrv := &http.Server{
 		Handler:           rootMux,
 		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadTimeout:       cfg.readTimeout,
+		WriteTimeout:      cfg.writeTimeout,
+		IdleTimeout:       cfg.idleTimeout,
 	}
 
-	// Register the boot schema and flip the ready gate once it is built.
-	// The data is deterministic in (name, n, seed), so across restarts the
-	// fingerprints match and a warm cache satisfies every build. Cached
-	// relations registered at runtime were restored by store.New already.
-	buildFailed := make(chan struct{})
+	warmCtx, stopWarm := context.WithCancel(context.Background())
+	defer stopWarm()
+	warmFailed := make(chan struct{})
 	go func() {
-		start := time.Now()
-		for i, spec := range specs {
-			pts := datagen.OSMLike(spec.n, *seed+int64(i))
-			if _, err := st.Register(spec.name, pts); err != nil {
-				log.Printf("knncostd: registering %s: %v", spec.name, err)
-				close(buildFailed)
-				return
-			}
-		}
-		if err := st.WaitReady(context.Background()); err != nil {
+		switch err := warm(warmCtx); {
+		case warmCtx.Err() != nil: // shutting down: neither ready nor failed
+		case err != nil:
 			log.Printf("knncostd: %v", err)
-			close(buildFailed)
-			return
+			close(warmFailed)
+		default:
+			gate.SetReady()
 		}
-		log.Printf("catalogs ready in %v (%d built, %d cache hits)",
-			time.Since(start).Round(time.Millisecond), st.CatalogBuilds(), st.CacheHits())
-		gate.SetReady()
-		log.Printf("ready: serving %d relations", st.View().NumRelations())
 	}()
 
 	serveErr := make(chan error, 1)
@@ -366,38 +399,39 @@ func run(args []string, stdout io.Writer) int {
 	defer stop()
 
 	select {
-	case <-buildFailed:
+	case <-warmFailed:
 		httpSrv.Close()
-		closeStore()
+		closer()
 		return 1
 	case err := <-serveErr:
 		// Serve only returns before shutdown on a fatal listener error.
 		log.Printf("knncostd: serve: %v", err)
-		closeStore()
+		closer()
 		return 1
 	case <-sigCtx.Done():
 	}
 
 	// Graceful drain: stop advertising readiness, then give in-flight
-	// requests the grace period, then drain the store's build pool the
-	// same way. ErrServerClosed is the expected outcome of a clean
-	// shutdown, not a failure.
-	log.Printf("signal received, draining (timeout %v)", *drain)
+	// requests the grace period, then let closer drain what is behind the
+	// handler. ErrServerClosed is the expected outcome of a clean shutdown,
+	// not a failure.
+	log.Printf("signal received, draining (timeout %v)", cfg.drain)
+	stopWarm()
 	gate.SetDraining()
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("knncostd: drain timeout exceeded: %v", err)
 		httpSrv.Close()
-		closeStore()
+		closer()
 		return 1
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("knncostd: serve: %v", err)
-		closeStore()
+		closer()
 		return 1
 	}
-	closeStore()
+	closer()
 	log.Printf("drained cleanly")
 	return 0
 }
@@ -432,56 +466,6 @@ func parseRelations(s string) ([]relationSpec, error) {
 
 // --- router mode -------------------------------------------------------------
 
-// routerConfig is the flag subset the router mode uses.
-type routerConfig struct {
-	addr            string
-	peers           string
-	replicas        int
-	hedgeAfter      time.Duration
-	hedgePercentile float64
-	attemptTimeout  time.Duration
-	breakerFailures int
-	breakerBackoff  time.Duration
-
-	estimateDeadline, costDeadline, adminDeadline time.Duration
-	maxInFlight, queueLen                         int
-	retryAfter, drain                             time.Duration
-	readTimeout, writeTimeout, idleTimeout        time.Duration
-	accessLog                                     bool
-}
-
-// routerVars bridges the current router's counters into expvar, published
-// once and read through an atomic pointer (same pattern as the store vars:
-// tests run several daemons per process).
-var (
-	routerVarsOnce sync.Once
-	varsRouter     atomic.Pointer[shard.Router]
-)
-
-func publishRouterVars(rt *shard.Router) {
-	varsRouter.Store(rt)
-	routerVarsOnce.Do(func() {
-		counter := func(read func(*shard.Router) int64) expvar.Func {
-			return func() any {
-				if r := varsRouter.Load(); r != nil {
-					return read(r)
-				}
-				return int64(0)
-			}
-		}
-		expvar.Publish("knnrouter_hedges", counter((*shard.Router).Hedges))
-		expvar.Publish("knnrouter_hedge_wins", counter((*shard.Router).HedgeWins))
-		expvar.Publish("knnrouter_rebalance_restores", counter((*shard.Router).WarmRestores))
-		expvar.Publish("knnrouter_breaker_trips", counter((*shard.Router).BreakerTrips))
-		expvar.Publish("knnrouter_requests", expvar.Func(func() any {
-			if r := varsRouter.Load(); r != nil {
-				return r.RequestsByShard()
-			}
-			return map[string]int64{}
-		}))
-	})
-}
-
 // parsePeers parses the -peers flag: comma-separated id=url, or bare URLs
 // whose host:port becomes the shard ID.
 func parsePeers(s string) ([]shard.Shard, error) {
@@ -513,74 +497,36 @@ func parsePeers(s string) ([]shard.Shard, error) {
 // once every peer has answered /healthz, so orchestrators sequence shard
 // boot before router traffic the same way they sequence catalog builds on a
 // single node.
-func runRouter(cfg routerConfig, stdout io.Writer) int {
-	shards, err := parsePeers(cfg.peers)
+func runRouter(addr, peers string, opt shard.Options, cfg serveConfig, stdout io.Writer) int {
+	shards, err := parsePeers(peers)
 	if err != nil {
 		log.Printf("knncostd: %v", err)
 		return 2
 	}
 
-	ln, err := net.Listen("tcp", cfg.addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Printf("knncostd: listen: %v", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "knncostd router listening on %s\n", ln.Addr())
 
-	rt, err := shard.New(shards, shard.Options{
-		Replicas:        cfg.replicas,
-		HedgeAfter:      cfg.hedgeAfter,
-		HedgePercentile: cfg.hedgePercentile,
-		AttemptTimeout:  cfg.attemptTimeout,
-		BreakerFailures: cfg.breakerFailures,
-		BreakerBackoff:  cfg.breakerBackoff,
-	})
+	rt, err := shard.New(shards, opt)
 	if err != nil {
 		log.Printf("knncostd: %v", err)
 		ln.Close()
 		return 1
 	}
-	publishRouterVars(rt)
+	publishCounters(&routerVars, rt, routerCounters)
 
-	wrapped, _ := middleware.Wrap(rt, middleware.Config{
-		EstimateDeadline: cfg.estimateDeadline,
-		CostDeadline:     cfg.costDeadline,
-		AdminDeadline:    cfg.adminDeadline,
-		MaxInFlight:      cfg.maxInFlight,
-		QueueLen:         cfg.queueLen,
-		RetryAfter:       cfg.retryAfter,
-		AccessLog:        cfg.accessLog,
-	})
-
-	var gate middleware.Ready
-	rootMux := http.NewServeMux()
-	rootMux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
-	rootMux.Handle("GET /readyz", gate.Handler())
-	rootMux.Handle("GET /debug/vars", expvar.Handler())
-	rootMux.Handle("/", wrapped)
-
-	httpSrv := &http.Server{
-		Handler:           rootMux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       cfg.readTimeout,
-		WriteTimeout:      cfg.writeTimeout,
-		IdleTimeout:       cfg.idleTimeout,
-	}
-
-	probeCtx, stopProbe := context.WithCancel(context.Background())
-	defer stopProbe()
-	go func() {
+	warm := func(ctx context.Context) error {
 		start := time.Now()
 		for _, s := range shards {
 			probeURL := strings.TrimSuffix(s.BaseURL, "/") + "/healthz"
 			for {
-				req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, probeURL, nil)
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, probeURL, nil)
 				if err != nil {
-					log.Printf("knncostd: probing %s: %v", s.ID, err)
-					return
+					return fmt.Errorf("probing %s: %w", s.ID, err)
 				}
 				if resp, err := http.DefaultClient.Do(req); err == nil {
 					resp.Body.Close()
@@ -589,43 +535,15 @@ func runRouter(cfg routerConfig, stdout io.Writer) int {
 					}
 				}
 				select {
-				case <-probeCtx.Done():
-					return
+				case <-ctx.Done():
+					return ctx.Err()
 				case <-time.After(100 * time.Millisecond):
 				}
 			}
 		}
 		log.Printf("all %d shards healthy in %v", len(shards), time.Since(start).Round(time.Millisecond))
-		gate.SetReady()
-		log.Printf("ready: routing across %d shards (replicas %d)", len(shards), cfg.replicas)
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	select {
-	case err := <-serveErr:
-		log.Printf("knncostd: serve: %v", err)
-		return 1
-	case <-sigCtx.Done():
+		log.Printf("ready: routing across %d shards (replicas %d)", len(shards), opt.Replicas)
+		return nil
 	}
-
-	log.Printf("signal received, draining (timeout %v)", cfg.drain)
-	gate.SetDraining()
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("knncostd: drain timeout exceeded: %v", err)
-		httpSrv.Close()
-		return 1
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("knncostd: serve: %v", err)
-		return 1
-	}
-	log.Printf("drained cleanly")
-	return 0
+	return serve(ln, rt, cfg, warm, func() {})
 }

@@ -88,7 +88,7 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		"/estimate/select?rel=runtime&x=50&y=10&k=9",
 		"/estimate/join?outer=hotels&inner=restaurants&k=12",
 		"/estimate/join?outer=runtime&inner=hotels&k=7",
-		"/estimate/join?outer=restaurants&inner=runtime&k=3&method=virtualgrid",
+		"/estimate/join?outer=restaurants&inner=runtime&k=3&technique=virtual-grid",
 	}
 	cold := make(map[string]float64, len(probes))
 	for _, p := range probes {

@@ -28,10 +28,10 @@
 // (k=-k) plus a kNN-Join outer⋉inner (k=-k2). -selectivity models an extra
 // non-spatial filter on the driving predicate.
 //
-// -technique names one registered estimation technique (canonical name or
-// alias; "list" prints the registry) and estimates with it alone, using the
-// default catalog options; without it, select mode compares the default
-// staircase against the density baseline and join mode compares the three
+// -technique names one registered estimation technique ("list" prints the
+// registry) and estimates with it alone, using the default catalog
+// options; without it, select mode compares the default staircase
+// against the density baseline and join mode compares the three
 // locality-join techniques plus the bounds-only aknn-bounds estimator
 // against its own AkNN ground truth, honouring -maxk.
 package main
@@ -65,7 +65,7 @@ func main() {
 		maxK      = flag.Int("maxk", 1000, "largest catalog-maintained k")
 		batch     = flag.String("batch", "", `file of "x y [k]" lines ("-" = stdin): batch select estimates`)
 		parallel  = flag.Int("parallel", 0, "batch worker count (0 = GOMAXPROCS)")
-		technique = flag.String("technique", "", `registered technique name or alias ("list" prints the registry)`)
+		technique = flag.String("technique", "", `registered technique name ("list" prints the registry)`)
 
 		k2          = flag.Int("k2", 10, "second predicate's k (plan mode)")
 		selectivity = flag.Float64("selectivity", 0, "non-spatial filter selectivity in (0,1]; 0 = none (plan mode)")
@@ -95,25 +95,17 @@ func main() {
 }
 
 // listTechniques prints the technique registry, the single source every
-// consumer of this repository resolves names from. Names and alias lists
-// arrive sorted from the registry, so the output is deterministic.
+// consumer of this repository resolves names from. Names arrive sorted
+// from the registry, so the output is deterministic.
 func listTechniques(w io.Writer) {
 	fmt.Fprintln(w, "k-NN-Select techniques:")
 	for _, ti := range knncost.SelectTechniques() {
-		printTechnique(w, ti)
+		fmt.Fprintf(w, "  %-14s %s\n", ti.Name, ti.Summary)
 	}
 	fmt.Fprintln(w, "\nk-NN-Join techniques:")
 	for _, ti := range knncost.JoinTechniques() {
-		printTechnique(w, ti)
+		fmt.Fprintf(w, "  %-14s %s\n", ti.Name, ti.Summary)
 	}
-}
-
-func printTechnique(w io.Writer, ti knncost.TechniqueInfo) {
-	aliases := ""
-	if len(ti.Aliases) > 0 {
-		aliases = fmt.Sprintf(" (aliases: %s)", strings.Join(ti.Aliases, ", "))
-	}
-	fmt.Fprintf(w, "  %-14s %s%s\n", ti.Name, ti.Summary, aliases)
 }
 
 // readQueries parses one query per line: "x y" or "x y k". Blank lines and

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -10,9 +8,9 @@ import (
 )
 
 // TestListTechniquesDeterministic pins `knnquery -technique list` output:
-// canonical names sorted within each section, every alias list sorted, and
-// two renders byte-identical — the listing must not depend on registration
-// or map-iteration order.
+// every registered name present, no alias column, and two renders
+// byte-identical — the listing must not depend on registration or
+// map-iteration order.
 func TestListTechniquesDeterministic(t *testing.T) {
 	var a, b strings.Builder
 	listTechniques(&a)
@@ -26,17 +24,8 @@ func TestListTechniquesDeterministic(t *testing.T) {
 		if !strings.Contains(out, ti.Name) {
 			t.Errorf("listing is missing technique %s", ti.Name)
 		}
-		if !sort.StringsAreSorted(ti.Aliases) {
-			t.Errorf("aliases of %s not sorted: %v", ti.Name, ti.Aliases)
-		}
 	}
-
-	// The printed alias lists match the sorted registry order exactly.
-	aliasRe := regexp.MustCompile(`\(aliases: ([^)]+)\)`)
-	for _, m := range aliasRe.FindAllStringSubmatch(out, -1) {
-		printed := strings.Split(m[1], ", ")
-		if !sort.StringsAreSorted(printed) {
-			t.Errorf("printed alias list not sorted: %v", printed)
-		}
+	if strings.Contains(out, "aliases") {
+		t.Errorf("listing still prints aliases:\n%s", out)
 	}
 }

@@ -2,6 +2,7 @@ package knncost_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -61,6 +62,19 @@ func TestFacadePersistenceRoundTrips(t *testing.T) {
 	}
 	if e1 != e2 {
 		t.Fatalf("catalog-merge round trip diverged: %g vs %g", e1, e2)
+	}
+	// A saved catalog whose entries break their invariants is an error,
+	// never an estimator: second entry EndK := 0, Cost := -1 (the words
+	// after magic, MaxK, scale, entry count and the first 24-byte entry).
+	buf.Reset()
+	if _, err := cm.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	binary.LittleEndian.PutUint64(bad[32+24+8:], 0)
+	binary.LittleEndian.PutUint64(bad[32+24+16:], math.MaxUint64)
+	if _, err := knncost.LoadCatalogMergeEstimator(bytes.NewReader(bad)); err == nil {
+		t.Fatal("catalog-merge file with a corrupt entry loaded without error")
 	}
 
 	vg, err := knncost.NewVirtualGridEstimator(other, 6, 6, 150)

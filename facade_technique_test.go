@@ -62,14 +62,18 @@ func TestFacadeTechniqueResolution(t *testing.T) {
 		t.Error("unknown join technique accepted")
 	}
 
-	// Aliases resolve to the same cached artifact as the canonical name.
+	// Any casing resolves to the same cached artifact as the registered
+	// name; the pre-registry spelling is unknown.
 	canon, err := ix.SelectEstimatorFor("staircase-cc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	aliased, err := ix.SelectEstimatorFor("staircase")
-	if err != nil || aliased != canon {
-		t.Errorf("alias resolved to a different estimator (%v)", err)
+	upper, err := ix.SelectEstimatorFor("Staircase-CC")
+	if err != nil || upper != canon {
+		t.Errorf("Staircase-CC resolved to a different estimator (%v)", err)
+	}
+	if _, err := ix.SelectEstimatorFor("staircase"); err == nil {
+		t.Error("legacy spelling \"staircase\" accepted")
 	}
 }
 

@@ -3,13 +3,15 @@ package catalog
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"unsafe"
 )
 
-// Aligned encoding: the zero-copy counterpart of MarshalBinary. Where the
-// varint format optimizes for size (the paper's storage metric), the
-// aligned format optimizes for load time — fixed-width records that the
-// bytes of a cache file serve in place, without decoding entry by entry.
+// Aligned encoding: the persisted form of a catalog. It optimizes for load
+// time — fixed-width records that the bytes of a cache file serve in place,
+// without decoding entry by entry. (MarshalBinary's varint encoding is the
+// paper's storage metric, not a persistence format.)
 //
 // Layout: a little-endian uint64 entry count, then count records of three
 // little-endian uint64 words (StartK, EndK, Cost). Every piece is a
@@ -55,8 +57,12 @@ func (c *Catalog) AppendAligned(buf []byte) []byte {
 // passes a heap copy of a cache file's section, which the borrow keeps
 // reachable). A borrowed catalog is read-only: Append and
 // Reset on it are undefined. Truncated or over-long counts are rejected
-// before anything is sized by them.
+// before anything is sized by them, and every entry must hold Append's
+// invariants — contiguous from k=1, no inverted interval — with ends and
+// costs within int32 (the bounds UnmarshalBinary enforces), because
+// Lookup's binary search trusts them. On error c is left empty.
 func (c *Catalog) BorrowAligned(data []byte) (int, error) {
+	c.entries = nil
 	if len(data) < 8 {
 		return 0, errors.New("catalog: truncated aligned header")
 	}
@@ -66,10 +72,12 @@ func (c *Catalog) BorrowAligned(data []byte) (int, error) {
 	}
 	size := 8 + int(n)*alignedEntrySize
 	if n == 0 {
-		c.entries = nil
 		return size, nil
 	}
 	body := data[8:size]
+	if err := checkAligned(body); err != nil {
+		return 0, err
+	}
 	if canBorrowAligned && uintptr(unsafe.Pointer(&body[0]))%8 == 0 {
 		c.entries = unsafe.Slice((*Entry)(unsafe.Pointer(&body[0])), int(n))
 		return size, nil
@@ -85,4 +93,28 @@ func (c *Catalog) BorrowAligned(data []byte) (int, error) {
 	}
 	c.entries = entries
 	return size, nil
+}
+
+// checkAligned validates the records of an aligned encoding in their
+// encoded form, so the same pass serves the borrow and the decode branch
+// and no out-of-range word is ever narrowed to an int.
+func checkAligned(body []byte) error {
+	prevEnd := uint64(0)
+	for off := 0; off < len(body); off += alignedEntrySize {
+		start := binary.LittleEndian.Uint64(body[off:])
+		end := binary.LittleEndian.Uint64(body[off+8:])
+		cost := binary.LittleEndian.Uint64(body[off+16:])
+		switch {
+		case start != prevEnd+1:
+			return fmt.Errorf("catalog: aligned entry %d starts at k=%d, want %d", off/alignedEntrySize, start, prevEnd+1)
+		case end < start:
+			return fmt.Errorf("catalog: aligned entry %d has inverted interval [%d,%d]", off/alignedEntrySize, start, end)
+		case end > math.MaxInt32:
+			return errors.New("catalog: aligned interval end overflows")
+		case cost > math.MaxInt32:
+			return errors.New("catalog: aligned cost overflows")
+		}
+		prevEnd = end
+	}
+	return nil
 }

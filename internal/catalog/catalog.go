@@ -196,7 +196,9 @@ func MergeMax(cats []*Catalog) (*Catalog, error) {
 // marshal format: uvarint entry count, then per entry uvarint(EndK delta
 // from previous EndK) and uvarint(Cost). StartK values are implied by
 // contiguity, so each entry costs only a few bytes — this is the storage the
-// experiments of §5 account for.
+// experiments of §5 account for. It is a metric, not a persistence format
+// (artifacts persist in the aligned encoding of aligned.go); UnmarshalBinary
+// exists to prove the metric counts a lossless encoding.
 const marshalHeader = byte(0x01) // format version
 
 // MarshalBinary encodes the catalog compactly.

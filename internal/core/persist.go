@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
@@ -16,17 +16,32 @@ import (
 )
 
 // Catalog persistence: a query optimizer builds its statistics once and
-// keeps them across restarts. Staircase, CatalogMerge and VirtualGrid
-// estimators serialize to a small versioned binary format; loading a
-// Staircase requires the same data index (its catalogs attach to that
-// index's blocks, and the file records a fingerprint to catch mismatches),
-// while CatalogMerge and VirtualGrid load standalone.
+// keeps them across restarts. Staircase, CatalogMerge and VirtualGrid each
+// have one persisted encoding, written by AppendMapped (WriteTo writes the
+// same bytes to a stream) and parsed by the Load*Mapped functions (the
+// io.Reader loaders read everything and call them): an 8-byte magic, then
+// fixed-width little-endian uint64 header fields, then every catalog in
+// the aligned encoding of catalog.AppendAligned. All sections are
+// multiples of 8 bytes, so each catalog stays 8-byte aligned relative to
+// the start of the input and a loader handed 8-byte-aligned bytes borrows
+// the catalogs in place instead of decoding them one by one. The store's
+// bundles and merge side-files embed these bytes unchanged.
+//
+// Loading a Staircase requires the same data index (its catalogs attach to
+// that index's blocks, and the header records a fingerprint to catch
+// mismatches); CatalogMerge and VirtualGrid load standalone. Every header
+// field is validated before anything is sized by it, every catalog entry by
+// catalog.BorrowAligned, and trailing bytes are an error.
+//
+// Lifetime: loaded artifacts alias the input bytes, and the borrow is an
+// ordinary Go reference: loaders are handed heap allocations, so the
+// garbage collector keeps the bytes alive exactly as long as an artifact
+// uses them.
 
 const (
-	persistVersion   = 1
-	magicStaircase   = "KNCS"
-	magicCatalogMrg  = "KNCM"
-	magicVirtualGrid = "KNVG"
+	mappedMagicStaircase   = "KNCSMAP\x01"
+	mappedMagicCatalogMrg  = "KNCMMAP\x01"
+	mappedMagicVirtualGrid = "KNVGMAP\x01"
 
 	// maxSaneK bounds the MaxK a loader accepts. Catalog-maintained k values
 	// are "a practically large constant" (the paper uses 10,000); 2^32 is far
@@ -34,179 +49,124 @@ const (
 	maxSaneK = 1 << 32
 )
 
-type binWriter struct {
-	w   *bufio.Writer
-	err error
+// mappedWriter appends fixed-width sections to a byte slice.
+type mappedWriter []byte
+
+func (m *mappedWriter) u64(v uint64)               { *m = binary.LittleEndian.AppendUint64(*m, v) }
+func (m *mappedWriter) catalog(c *catalog.Catalog) { *m = c.AppendAligned(*m) }
+
+// mappedReader parses fixed-width sections from the raw bytes without
+// copying them.
+type mappedReader struct {
+	data []byte
+	off  int
+	err  error
 }
 
-func (b *binWriter) u64(v uint64) {
-	if b.err != nil {
+func (m *mappedReader) magic(want string) {
+	if m.err != nil {
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, b.err = b.w.Write(buf[:n])
-}
-
-func (b *binWriter) f64(v float64) { b.u64(math.Float64bits(v)) }
-
-func (b *binWriter) bytes(p []byte) {
-	b.u64(uint64(len(p)))
-	if b.err != nil {
+	if len(m.data) < len(want) || string(m.data[:len(want)]) != want {
+		m.err = fmt.Errorf("core: bad magic, want %q", want)
 		return
 	}
-	_, b.err = b.w.Write(p)
+	m.off = len(want)
 }
 
-func (b *binWriter) catalog(c *catalog.Catalog) {
-	if b.err != nil {
-		return
-	}
-	data, err := c.MarshalBinary()
-	if err != nil {
-		b.err = err
-		return
-	}
-	b.bytes(data)
-}
-
-type binReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (b *binReader) u64() uint64 {
-	if b.err != nil {
+func (m *mappedReader) u64() uint64 {
+	if m.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(b.r)
-	if err != nil {
-		b.err = err
+	if m.off+8 > len(m.data) {
+		m.err = errors.New("core: truncated header")
+		return 0
 	}
+	v := binary.LittleEndian.Uint64(m.data[m.off:])
+	m.off += 8
 	return v
 }
 
-func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
-
-func (b *binReader) bytes() []byte {
-	n := b.u64()
-	if b.err != nil {
-		return nil
-	}
-	if n > 1<<30 {
-		b.err = errors.New("core: unreasonable field length")
-		return nil
-	}
-	// A hostile length field must not translate into a huge up-front
-	// allocation: small fields are read exactly, large ones are read in
-	// bounded chunks so a truncated stream fails after at most one chunk
-	// of over-allocation instead of n bytes.
-	const chunk = 64 << 10
-	sz := int(n)
-	if sz <= chunk {
-		p := make([]byte, sz)
-		if _, err := io.ReadFull(b.r, p); err != nil {
-			b.err = err
-			return nil
-		}
-		return p
-	}
-	p := make([]byte, 0, chunk)
-	buf := make([]byte, chunk)
-	for read := 0; read < sz; {
-		step := sz - read
-		if step > chunk {
-			step = chunk
-		}
-		if _, err := io.ReadFull(b.r, buf[:step]); err != nil {
-			b.err = err
-			return nil
-		}
-		p = append(p, buf[:step]...)
-		read += step
-	}
-	return p
-}
-
-func (b *binReader) catalog() *catalog.Catalog {
-	data := b.bytes()
-	if b.err != nil {
+func (m *mappedReader) catalog() *catalog.Catalog {
+	if m.err != nil {
 		return nil
 	}
 	c := &catalog.Catalog{}
-	if err := c.UnmarshalBinary(data); err != nil {
-		b.err = err
+	n, err := c.BorrowAligned(m.data[m.off:])
+	if err != nil {
+		m.err = err
 		return nil
 	}
+	m.off += n
 	return c
 }
 
-func writeHeader(b *binWriter, magic string) {
-	if b.err == nil {
-		_, b.err = b.w.WriteString(magic)
+func (m *mappedReader) done() error {
+	if m.err != nil {
+		return m.err
 	}
-	b.u64(persistVersion)
+	if m.off != len(m.data) {
+		return fmt.Errorf("core: %d trailing bytes", len(m.data)-m.off)
+	}
+	return nil
 }
 
-func readHeader(b *binReader, magic string) {
-	if b.err != nil {
-		return
-	}
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(b.r, got); err != nil {
-		b.err = err
-		return
-	}
-	if string(got) != magic {
-		b.err = fmt.Errorf("core: bad magic %q, want %q", got, magic)
-		return
-	}
-	if v := b.u64(); b.err == nil && v != persistVersion {
-		b.err = fmt.Errorf("core: unsupported format version %d", v)
-	}
+// writeTo writes a complete encoding to w for the io.WriterTo contract.
+func writeTo(w io.Writer, enc []byte) (int64, error) {
+	n, err := w.Write(enc)
+	return int64(n), err
 }
 
-// WriteTo serializes the staircase catalogs. The companion LoadStaircase
-// must be given the same data index.
-func (s *Staircase) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	b := &binWriter{w: bufio.NewWriter(cw)}
-	writeHeader(b, magicStaircase)
-	b.u64(uint64(s.mode))
-	b.u64(uint64(s.maxK))
-	b.u64(uint64(s.aux.NumBlocks()))
-	b.u64(uint64(s.aux.NumPoints())) // fingerprint
+// AppendMapped appends the staircase's persisted encoding to buf. The
+// companion LoadStaircaseMapped must be given the same data index.
+func (s *Staircase) AppendMapped(buf []byte) []byte {
+	m := mappedWriter(append(buf, mappedMagicStaircase...))
+	m.u64(uint64(s.mode))
+	m.u64(uint64(s.maxK))
+	m.u64(uint64(s.aux.NumBlocks()))
+	m.u64(uint64(s.aux.NumPoints()))
 	for i := range s.center {
-		b.catalog(s.center[i])
+		m.catalog(s.center[i])
 		switch s.mode {
 		case ModeCenterCorners:
-			b.catalog(s.corners[i])
+			m.catalog(s.corners[i])
 		case ModeCenterQuadrant:
 			for _, c := range s.quads[i] {
-				b.catalog(c)
+				m.catalog(c)
 			}
 		}
 	}
-	if b.err == nil {
-		b.err = b.w.Flush()
-	}
-	return cw.n, b.err
+	return m
 }
 
-// LoadStaircase reconstructs a staircase estimator from r against the same
-// data index it was built on. opt supplies only AuxCapacity (to rebuild
-// the auxiliary index for a non-partitioning data index) and Fallback;
-// mode and MaxK come from the file. The file's block-count and point-count
-// fingerprints must match the index, otherwise an error is returned.
+// WriteTo writes the AppendMapped encoding to w.
+func (s *Staircase) WriteTo(w io.Writer) (int64, error) { return writeTo(w, s.AppendMapped(nil)) }
+
+// LoadStaircase reads all of r and loads it with LoadStaircaseMapped.
 func LoadStaircase(data *index.Tree, r io.Reader, opt StaircaseOptions) (*Staircase, error) {
-	b := &binReader{r: bufio.NewReader(r)}
-	readHeader(b, magicStaircase)
-	mode := StaircaseMode(b.u64())
-	maxK := int(b.u64())
-	numBlocks := int(b.u64())
-	numPoints := int(b.u64())
-	if b.err != nil {
-		return nil, b.err
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading staircase: %w", err)
+	}
+	return LoadStaircaseMapped(data, raw, opt)
+}
+
+// LoadStaircaseMapped reconstructs a staircase from the raw bytes of an
+// AppendMapped encoding against the same data index it was built on,
+// borrowing the catalogs in place. opt supplies only AuxCapacity (to
+// rebuild the auxiliary index for a non-partitioning data index) and
+// Fallback; mode and MaxK come from the header. The header's block-count
+// and point-count fingerprints must match the index, otherwise an error is
+// returned.
+func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
+	m := &mappedReader{data: raw}
+	m.magic(mappedMagicStaircase)
+	mode := StaircaseMode(m.u64())
+	maxK := int(m.u64())
+	numBlocks := int(m.u64())
+	numPoints := int(m.u64())
+	if m.err != nil {
+		return nil, m.err
 	}
 	// Validate the header fields before they size anything: an unknown mode
 	// would leave the corners/quads slices nil and panic at estimation time,
@@ -248,92 +208,113 @@ func LoadStaircase(data *index.Tree, r io.Reader, opt StaircaseOptions) (*Stairc
 		s.quads = make([][4]*catalog.Catalog, numBlocks)
 	}
 	for i := 0; i < numBlocks; i++ {
-		s.center[i] = b.catalog()
+		s.center[i] = m.catalog()
 		switch mode {
 		case ModeCenterCorners:
-			s.corners[i] = b.catalog()
+			s.corners[i] = m.catalog()
 		case ModeCenterQuadrant:
 			for j := 0; j < 4; j++ {
-				s.quads[i][j] = b.catalog()
+				s.quads[i][j] = m.catalog()
 			}
 		}
-		if b.err != nil {
-			return nil, b.err
+		if m.err != nil {
+			return nil, m.err
 		}
+	}
+	if err := m.done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// WriteTo serializes the merged catalog and its scale factor.
-func (c *CatalogMerge) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	b := &binWriter{w: bufio.NewWriter(cw)}
-	writeHeader(b, magicCatalogMrg)
-	b.u64(uint64(c.maxK))
-	b.f64(c.scale)
-	b.catalog(c.merged)
-	if b.err == nil {
-		b.err = b.w.Flush()
-	}
-	return cw.n, b.err
+// AppendMapped appends the persisted encoding of the merged pair catalog
+// and its scale factor to buf.
+func (c *CatalogMerge) AppendMapped(buf []byte) []byte {
+	buf = slices.Grow(buf, len(mappedMagicCatalogMrg)+16+c.merged.AlignedSize()) // the store appends thousands to nil
+	m := mappedWriter(append(buf, mappedMagicCatalogMrg...))
+	m.u64(uint64(c.maxK))
+	m.u64(math.Float64bits(c.scale))
+	m.catalog(c.merged)
+	return m
 }
 
-// LoadCatalogMerge reconstructs a CatalogMerge estimator from r. It is
-// fully standalone: no index is needed at estimation time.
+// WriteTo writes the AppendMapped encoding to w.
+func (c *CatalogMerge) WriteTo(w io.Writer) (int64, error) { return writeTo(w, c.AppendMapped(nil)) }
+
+// LoadCatalogMerge reads all of r and loads it with LoadCatalogMergeMapped.
 func LoadCatalogMerge(r io.Reader) (*CatalogMerge, error) {
-	b := &binReader{r: bufio.NewReader(r)}
-	readHeader(b, magicCatalogMrg)
-	maxK := int(b.u64())
-	scale := b.f64()
-	if b.err == nil && (maxK < 1 || maxK > maxSaneK) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading catalog-merge: %w", err)
+	}
+	return LoadCatalogMergeMapped(raw)
+}
+
+// LoadCatalogMergeMapped reconstructs a CatalogMerge from the raw bytes
+// of an AppendMapped encoding, borrowing the catalog in place. It is fully
+// standalone: no index is needed at estimation time.
+func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
+	m := &mappedReader{data: raw}
+	m.magic(mappedMagicCatalogMrg)
+	maxK := int(m.u64())
+	scale := math.Float64frombits(m.u64())
+	if m.err == nil && (maxK < 1 || maxK > maxSaneK) {
 		return nil, fmt.Errorf("core: unreasonable catalog-merge MaxK %d", maxK)
 	}
-	if b.err == nil && (math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0) {
+	if m.err == nil && (math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0) {
 		return nil, fmt.Errorf("core: invalid catalog-merge scale %v", scale)
 	}
-	merged := b.catalog()
-	if b.err != nil {
-		return nil, b.err
+	merged := m.catalog()
+	if err := m.done(); err != nil {
+		return nil, err
 	}
 	return &CatalogMerge{merged: merged, scale: scale, maxK: maxK}, nil
 }
 
-// WriteTo serializes the virtual grid: bounds, dimensions and per-cell
-// catalogs.
-func (v *VirtualGrid) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	b := &binWriter{w: bufio.NewWriter(cw)}
-	writeHeader(b, magicVirtualGrid)
-	b.u64(uint64(v.nx))
-	b.u64(uint64(v.ny))
-	b.u64(uint64(v.maxK))
-	b.f64(v.bounds.Min.X)
-	b.f64(v.bounds.Min.Y)
-	b.f64(v.bounds.Max.X)
-	b.f64(v.bounds.Max.Y)
+// AppendMapped appends the virtual grid's persisted encoding — bounds,
+// dimensions and per-cell catalogs — to buf.
+func (v *VirtualGrid) AppendMapped(buf []byte) []byte {
+	m := mappedWriter(append(buf, mappedMagicVirtualGrid...))
+	m.u64(uint64(v.nx))
+	m.u64(uint64(v.ny))
+	m.u64(uint64(v.maxK))
+	m.u64(math.Float64bits(v.bounds.Min.X))
+	m.u64(math.Float64bits(v.bounds.Min.Y))
+	m.u64(math.Float64bits(v.bounds.Max.X))
+	m.u64(math.Float64bits(v.bounds.Max.Y))
 	for _, c := range v.catalogs {
-		b.catalog(c)
+		m.catalog(c)
 	}
-	if b.err == nil {
-		b.err = b.w.Flush()
-	}
-	return cw.n, b.err
+	return m
 }
 
-// LoadVirtualGrid reconstructs a VirtualGrid estimator from r. It is fully
-// standalone: estimation needs only the outer relation.
+// WriteTo writes the AppendMapped encoding to w.
+func (v *VirtualGrid) WriteTo(w io.Writer) (int64, error) { return writeTo(w, v.AppendMapped(nil)) }
+
+// LoadVirtualGrid reads all of r and loads it with LoadVirtualGridMapped.
 func LoadVirtualGrid(r io.Reader) (*VirtualGrid, error) {
-	b := &binReader{r: bufio.NewReader(r)}
-	readHeader(b, magicVirtualGrid)
-	nx := int(b.u64())
-	ny := int(b.u64())
-	maxK := int(b.u64())
-	bounds := geom.Rect{
-		Min: geom.Point{X: b.f64(), Y: b.f64()},
-		Max: geom.Point{X: b.f64(), Y: b.f64()},
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading virtual-grid: %w", err)
 	}
-	if b.err != nil {
-		return nil, b.err
+	return LoadVirtualGridMapped(raw)
+}
+
+// LoadVirtualGridMapped reconstructs a VirtualGrid from the raw bytes of
+// an AppendMapped encoding, borrowing the per-cell catalogs in place. It
+// is fully standalone: estimation needs only the outer relation.
+func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
+	m := &mappedReader{data: raw}
+	m.magic(mappedMagicVirtualGrid)
+	nx := int(m.u64())
+	ny := int(m.u64())
+	maxK := int(m.u64())
+	bounds := geom.Rect{
+		Min: geom.Point{X: math.Float64frombits(m.u64()), Y: math.Float64frombits(m.u64())},
+		Max: geom.Point{X: math.Float64frombits(m.u64()), Y: math.Float64frombits(m.u64())},
+	}
+	if m.err != nil {
+		return nil, m.err
 	}
 	if nx < 1 || ny < 1 || nx > 1<<20 || ny > 1<<20 || nx*ny > 1<<20 {
 		return nil, fmt.Errorf("core: unreasonable grid %dx%d", nx, ny)
@@ -353,22 +334,13 @@ func LoadVirtualGrid(r io.Reader) (*VirtualGrid, error) {
 		maxK:     maxK,
 	}
 	for i := range v.catalogs {
-		v.catalogs[i] = b.catalog()
-		if b.err != nil {
-			return nil, b.err
+		v.catalogs[i] = m.catalog()
+		if m.err != nil {
+			return nil, m.err
 		}
 	}
+	if err := m.done(); err != nil {
+		return nil, err
+	}
 	return v, nil
-}
-
-// countingWriter tracks bytes written for the io.WriterTo contract.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

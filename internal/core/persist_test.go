@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,11 @@ import (
 	"knncost/internal/rtree"
 )
 
+// TestStaircaseRoundTrip: the persisted encoding must be
+// estimate-for-estimate identical to the builder, in every mode, and the
+// loaded artifact's Resolution must reflect the persisted MaxK and mode —
+// that round trip is what lets a warm restart rebuild resolution-keyed
+// artifact caches without consulting the registry.
 func TestStaircaseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	bounds := geom.NewRect(0, 0, 100, 100)
@@ -26,12 +33,22 @@ func TestStaircaseRoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Errorf("%v: WriteTo reported %d bytes, wrote %d", mode, n, buf.Len())
 		}
+		prefix := []byte("12345678") // appending must leave what was there
+		if raw := orig.AppendMapped(prefix); !bytes.Equal(raw, append(prefix, buf.Bytes()...)) {
+			t.Fatalf("%v: AppendMapped(prefix) is not prefix + the bytes WriteTo wrote", mode)
+		}
 		loaded, err := LoadStaircase(data, &buf, StaircaseOptions{})
 		if err != nil {
 			t.Fatalf("%v LoadStaircase: %v", mode, err)
 		}
 		if loaded.Mode() != mode || loaded.MaxK() != 150 {
 			t.Fatalf("%v: loaded mode/maxK = %v/%d", mode, loaded.Mode(), loaded.MaxK())
+		}
+		if got, want := loaded.Resolution(), orig.Resolution(); got != want {
+			t.Fatalf("%v: resolution round trip: got %+v, want %+v", mode, got, want)
+		}
+		if loaded.SizeBytes() != orig.SizeBytes() {
+			t.Fatalf("%v: SizeBytes round trip: got %d, want %d", mode, loaded.SizeBytes(), orig.SizeBytes())
 		}
 		for i := 0; i < 300; i++ {
 			q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
@@ -123,21 +140,15 @@ func TestCatalogMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 200; k += 11 {
-		a, err := orig.EstimateJoin(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.EstimateJoin(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("k=%d: %g vs %g", k, a, b)
+	for k := 1; k <= 201; k++ { // 201: beyond MaxK both must refuse
+		a, errA := orig.EstimateJoin(k)
+		b, errB := loaded.EstimateJoin(k)
+		if (errA == nil) != (errB == nil) || a != b {
+			t.Fatalf("k=%d: estimates diverge: %g,%v vs %g,%v", k, a, errA, b, errB)
 		}
 	}
-	if loaded.MaxK() != 200 {
-		t.Errorf("MaxK = %d", loaded.MaxK())
+	if loaded.MaxK() != 200 || loaded.Resolution().MaxK != orig.Resolution().MaxK {
+		t.Errorf("MaxK = %d, resolution %+v, want %+v", loaded.MaxK(), loaded.Resolution(), orig.Resolution())
 	}
 }
 
@@ -161,17 +172,15 @@ func TestVirtualGridRoundTrip(t *testing.T) {
 	if nx, ny := loaded.GridSize(); nx != 7 || ny != 5 {
 		t.Fatalf("grid size %dx%d", nx, ny)
 	}
-	for k := 1; k <= 150; k += 13 {
-		a, err := orig.EstimateJoin(outer, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.EstimateJoin(outer, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("k=%d: %g vs %g", k, a, b)
+	if got, want := loaded.Resolution(), orig.Resolution(); got != want {
+		t.Fatalf("resolution round trip: got %+v, want %+v", got, want)
+	}
+	bo, bl := orig.Bind(outer), loaded.Bind(outer)
+	for k := 1; k <= 151; k++ { // 151: beyond MaxK both must refuse
+		a, errA := bo.EstimateJoin(k)
+		b, errB := bl.EstimateJoin(k)
+		if (errA == nil) != (errB == nil) || a != b {
+			t.Fatalf("k=%d: estimates diverge: %g,%v vs %g,%v", k, a, errA, b, errB)
 		}
 	}
 }
@@ -180,10 +189,13 @@ func TestLoadCorruptData(t *testing.T) {
 	if _, err := LoadCatalogMerge(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := LoadCatalogMerge(bytes.NewReader([]byte("XXXX\x01"))); err == nil {
+	if _, err := LoadCatalogMerge(bytes.NewReader([]byte("XXXXXXX\x01"))); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := LoadVirtualGrid(bytes.NewReader([]byte("KNVG\x02"))); err == nil {
+	if _, err := LoadCatalogMerge(bytes.NewReader([]byte("KNCM\x01"))); err == nil {
+		t.Error("the deleted stream format should fail")
+	}
+	if _, err := LoadVirtualGrid(bytes.NewReader([]byte("KNVGMAP\x02"))); err == nil {
 		t.Error("bad version should fail")
 	}
 	// Truncated staircase payload.
@@ -201,5 +213,114 @@ func TestLoadCorruptData(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := LoadStaircase(data, bytes.NewReader(trunc), StaircaseOptions{}); err == nil {
 		t.Error("truncated staircase file should fail")
+	}
+}
+
+// TestMappedLoadersRejectCorruptInput: every truncation of a valid
+// encoding, trailing garbage, a corrupt magic or version, every header word
+// and every word of every catalog entry overwritten with an out-of-range or
+// order-breaking value must produce an error — never a panic and never a
+// silently wrong artifact — whether the catalogs are borrowed in place or
+// decoded from misaligned bytes. This is the property the store's
+// rebuild-on-miss fallback relies on.
+func TestMappedLoadersRejectCorruptInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	bounds := geom.NewRect(0, 0, 50, 50)
+	data := buildIx(clusteredPoints(rng, 600, bounds), bounds, 32)
+	stair, err := BuildStaircase(data, StaircaseOptions{MaxK: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vg, err := BuildVirtualGrid(data.CountTree(), 3, 3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := BuildCatalogMerge(data.CountTree(), data.CountTree(), 10, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	loaders := []struct {
+		name        string
+		full        []byte
+		headerWords int // fixed-width fields between the magic and the first catalog
+		load        func([]byte) error
+	}{
+		{"staircase", stair.AppendMapped(nil), 4, func(raw []byte) error {
+			_, err := LoadStaircaseMapped(data, raw, StaircaseOptions{})
+			return err
+		}},
+		{"virtual-grid", vg.AppendMapped(nil), 7, func(raw []byte) error {
+			_, err := LoadVirtualGridMapped(raw)
+			return err
+		}},
+		{"catalog-merge", cm.AppendMapped(nil), 2, func(raw []byte) error {
+			_, err := LoadCatalogMergeMapped(raw)
+			return err
+		}},
+	}
+	for _, l := range loaders {
+		// reject fails the test unless raw is refused both 8-byte aligned
+		// (catalogs borrowed) and one byte off (catalogs decoded).
+		reject := func(raw []byte, what string, args ...any) {
+			t.Helper()
+			shifted := append(make([]byte, 1, 1+len(raw)), raw...)[1:]
+			if l.load(raw) == nil || l.load(shifted) == nil {
+				t.Fatalf("%s: %s loaded without error", l.name, fmt.Sprintf(what, args...))
+			}
+		}
+		// poke returns a copy of the valid encoding with one word replaced.
+		poke := func(off int, v uint64) []byte {
+			mut := append([]byte(nil), l.full...)
+			binary.LittleEndian.PutUint64(mut[off:], v)
+			return mut
+		}
+		if err := l.load(l.full); err != nil {
+			t.Fatalf("%s: valid file rejected: %v", l.name, err)
+		}
+		for cut := 0; cut < len(l.full); cut += 1 + len(l.full)/97 {
+			reject(l.full[:cut], "truncation to %d/%d bytes", cut, len(l.full))
+		}
+		reject(append(append([]byte{}, l.full...), 0, 0, 0, 0, 0, 0, 0, 0), "trailing garbage")
+		flipped := append([]byte{}, l.full...)
+		flipped[3] ^= 0xFF
+		reject(flipped, "corrupt magic")
+		flipped = append([]byte{}, l.full...)
+		flipped[7] = 2
+		reject(flipped, "unknown format version")
+
+		const neg1 = ^uint64(0) // -1 as a count, k or cost; NaN as a float
+		off := 8
+		for i := 0; i < l.headerWords; i++ {
+			reject(poke(off, neg1), "header word %d = -1", i)
+			off += 8
+		}
+		entries := 0
+		for off < len(l.full) {
+			count := int(binary.LittleEndian.Uint64(l.full[off:]))
+			reject(poke(off, neg1), "entry count at %d = -1", off)
+			reject(poke(off, uint64(count)+1), "entry count at %d = %d+1", off, count)
+			off += 8
+			for e := 0; e < count; e, off = e+1, off+24 {
+				startK := binary.LittleEndian.Uint64(l.full[off:])
+				endK := binary.LittleEndian.Uint64(l.full[off+8:])
+				for _, v := range []uint64{0, neg1, startK + 1, startK - 1} {
+					reject(poke(off, v), "entry at %d: StartK %d -> %d", off, startK, int64(v))
+				}
+				for _, v := range []uint64{0, neg1, 1 << 31} {
+					reject(poke(off+8, v), "entry at %d: EndK %d -> %d", off, endK, int64(v))
+				}
+				if e < count-1 { // the last entry's end is the catalog's MaxK: any in-range value is a valid catalog
+					reject(poke(off+8, endK+1), "entry at %d: EndK %d -> %d without the next StartK", off, endK, endK+1)
+				}
+				for _, v := range []uint64{neg1, 1 << 31} {
+					reject(poke(off+16, v), "entry at %d: Cost -> %d", off, int64(v))
+				}
+				entries++
+			}
+		}
+		if off != len(l.full) || entries == 0 {
+			t.Fatalf("%s: walked %d entries to offset %d of %d", l.name, entries, off, len(l.full))
+		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // TestAknnBoundsRegistration: the aknn-bounds technique resolves by
-// canonical name and aliases, builds its artifact once, and estimates
+// name in any case, builds its artifact once, and estimates
 // bit-identically to direct construction from the same trees.
 func TestAknnBoundsRegistration(t *testing.T) {
 	outer := NewRelation("o", testTree(t, 2000, 1), BuildOptions{SampleSize: 7})
 	inner := NewRelation("i", testTree(t, 1500, 2), BuildOptions{SampleSize: 7})
 
-	for _, name := range []string{TechAknnBounds, "aknnbounds", "aknn", " AKNN-Bounds "} {
+	for _, name := range []string{TechAknnBounds, " AKNN-Bounds "} {
 		jt, err := LookupJoin(name)
 		if err != nil {
 			t.Fatalf("LookupJoin(%q): %v", name, err)

@@ -2,10 +2,7 @@ package engine
 
 import "knncost/internal/core"
 
-// Canonical names of the built-in techniques. The aliases registered
-// below preserve the pre-registry wire names of the HTTP service
-// ("staircase", "catalogmerge", "virtualgrid", "blocksample") so existing
-// clients keep working.
+// Names of the built-in techniques.
 const (
 	// TechStaircaseCC is the staircase estimator with Center+Corners
 	// interpolation (§3, Equations 1–2) — the paper's headline technique.
@@ -36,7 +33,6 @@ const (
 func init() {
 	RegisterSelect(SelectTechnique{
 		Name:         TechStaircaseCC,
-		Aliases:      []string{"staircase", "staircase-center-corners"},
 		Summary:      "staircase catalogs with Center+Corners interpolation (§3)",
 		Preprocessed: true,
 		Estimator: func(r *Relation) (core.SelectEstimator, error) {
@@ -45,7 +41,6 @@ func init() {
 	})
 	RegisterSelect(SelectTechnique{
 		Name:         TechStaircaseC,
-		Aliases:      []string{"staircase-center-only"},
 		Summary:      "staircase catalogs with Center-Only interpolation (§3)",
 		Preprocessed: true,
 		Estimator: func(r *Relation) (core.SelectEstimator, error) {
@@ -62,7 +57,6 @@ func init() {
 
 	RegisterJoin(JoinTechnique{
 		Name:    TechBlockSample,
-		Aliases: []string{"blocksample"},
 		Summary: "query-time localities for a sample of outer blocks (§4.1)",
 		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
 			return outer.BlockSample(inner), nil
@@ -70,7 +64,6 @@ func init() {
 	})
 	RegisterJoin(JoinTechnique{
 		Name:         TechCatalogMerge,
-		Aliases:      []string{"catalogmerge"},
 		Summary:      "plane-sweep-merged locality catalog per relation pair (§4.2)",
 		Preprocessed: true,
 		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
@@ -79,7 +72,6 @@ func init() {
 	})
 	RegisterJoin(JoinTechnique{
 		Name:         TechAknnBounds,
-		Aliases:      []string{"aknnbounds", "aknn"},
 		Summary:      "bounds-only pruning cost of the exact AkNN join, in points (Winecki)",
 		Preprocessed: true,
 		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
@@ -88,7 +80,6 @@ func init() {
 	})
 	RegisterJoin(JoinTechnique{
 		Name:         TechVirtualGrid,
-		Aliases:      []string{"virtualgrid"},
 		Summary:      "per-grid-cell locality catalogs over the inner relation (§4.3)",
 		Preprocessed: true,
 		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {

@@ -5,27 +5,11 @@ package engine
 func unregisterSelectForTest(name string) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	t := reg.selects[name]
-	if t == nil {
-		return
-	}
-	delete(reg.selects, name)
-	delete(reg.selectAlias, canonKey(name))
-	for _, a := range t.Aliases {
-		delete(reg.selectAlias, canonKey(a))
-	}
+	delete(reg.selects, canonKey(name))
 }
 
 func unregisterJoinForTest(name string) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	t := reg.joins[name]
-	if t == nil {
-		return
-	}
-	delete(reg.joins, name)
-	delete(reg.joinAlias, canonKey(name))
-	for _, a := range t.Aliases {
-		delete(reg.joinAlias, canonKey(a))
-	}
+	delete(reg.joins, canonKey(name))
 }

@@ -13,9 +13,6 @@ import (
 type SelectTechnique struct {
 	// Name is the canonical registry name, e.g. "staircase-cc".
 	Name string
-	// Aliases also resolve to this technique (the pre-registry wire names
-	// of the HTTP service among them).
-	Aliases []string
 	// Summary is a one-line description for listings.
 	Summary string
 	// Preprocessed reports whether the technique builds a preprocessing
@@ -29,7 +26,6 @@ type SelectTechnique struct {
 // JoinTechnique is one named k-NN-Join estimation technique.
 type JoinTechnique struct {
 	Name         string
-	Aliases      []string
 	Summary      string
 	Preprocessed bool
 	// Estimator resolves the technique for the ordered pair
@@ -41,22 +37,18 @@ type JoinTechnique struct {
 // init (the built-ins below); the lock also admits test registrations and
 // future plugin-style extensions.
 type registry struct {
-	mu          sync.RWMutex
-	selects     map[string]*SelectTechnique // canonical name → technique
-	joins       map[string]*JoinTechnique
-	selectAlias map[string]string // every accepted name → canonical
-	joinAlias   map[string]string
+	mu      sync.RWMutex
+	selects map[string]*SelectTechnique // canonKey(Name) → technique
+	joins   map[string]*JoinTechnique
 }
 
 var reg = &registry{
-	selects:     map[string]*SelectTechnique{},
-	joins:       map[string]*JoinTechnique{},
-	selectAlias: map[string]string{},
-	joinAlias:   map[string]string{},
+	selects: map[string]*SelectTechnique{},
+	joins:   map[string]*JoinTechnique{},
 }
 
 // RegisterSelect adds a select technique to the registry. It panics on an
-// empty name, a nil estimator, or any name/alias collision — duplicate
+// empty name, a nil estimator, or a name collision — duplicate
 // registration is a programming error, caught at init time, never a
 // runtime condition to handle.
 func RegisterSelect(t SelectTechnique) {
@@ -65,19 +57,11 @@ func RegisterSelect(t SelectTechnique) {
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	for _, n := range append([]string{t.Name}, t.Aliases...) {
-		n = canonKey(n)
-		if prev, dup := reg.selectAlias[n]; dup {
-			panic(fmt.Sprintf("engine: select technique name %q already registered (by %q)", n, prev))
-		}
+	key := canonKey(t.Name)
+	if _, dup := reg.selects[key]; dup {
+		panic(fmt.Sprintf("engine: select technique name %q already registered", key))
 	}
-	cp := t
-	cp.Aliases = append([]string(nil), t.Aliases...)
-	reg.selects[t.Name] = &cp
-	reg.selectAlias[canonKey(t.Name)] = t.Name
-	for _, a := range t.Aliases {
-		reg.selectAlias[canonKey(a)] = t.Name
-	}
+	reg.selects[key] = &t
 }
 
 // RegisterJoin adds a join technique to the registry; same contract as
@@ -88,19 +72,11 @@ func RegisterJoin(t JoinTechnique) {
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	for _, n := range append([]string{t.Name}, t.Aliases...) {
-		n = canonKey(n)
-		if prev, dup := reg.joinAlias[n]; dup {
-			panic(fmt.Sprintf("engine: join technique name %q already registered (by %q)", n, prev))
-		}
+	key := canonKey(t.Name)
+	if _, dup := reg.joins[key]; dup {
+		panic(fmt.Sprintf("engine: join technique name %q already registered", key))
 	}
-	cp := t
-	cp.Aliases = append([]string(nil), t.Aliases...)
-	reg.joins[t.Name] = &cp
-	reg.joinAlias[canonKey(t.Name)] = t.Name
-	for _, a := range t.Aliases {
-		reg.joinAlias[canonKey(a)] = t.Name
-	}
+	reg.joins[key] = &t
 }
 
 // canonKey normalizes a lookup name: case-insensitive, surrounding
@@ -109,52 +85,58 @@ func canonKey(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// LookupSelect resolves a select technique by canonical name or alias.
-// The error on an unknown name lists every registered canonical name.
+// LookupSelect resolves a select technique by name. The error on an
+// unknown name lists every registered name.
 func LookupSelect(name string) (SelectTechnique, error) {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	canon, ok := reg.selectAlias[canonKey(name)]
+	t, ok := reg.selects[canonKey(name)]
 	if !ok {
 		return SelectTechnique{}, fmt.Errorf("engine: unknown select technique %q (registered: %s)",
 			name, strings.Join(selectNamesLocked(), ", "))
 	}
-	return copySelectLocked(canon), nil
+	return *t, nil
 }
 
-// LookupJoin resolves a join technique by canonical name or alias.
+// LookupJoin resolves a join technique by name.
 func LookupJoin(name string) (JoinTechnique, error) {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	canon, ok := reg.joinAlias[canonKey(name)]
+	t, ok := reg.joins[canonKey(name)]
 	if !ok {
 		return JoinTechnique{}, fmt.Errorf("engine: unknown join technique %q (registered: %s)",
 			name, strings.Join(joinNamesLocked(), ", "))
 	}
-	return copyJoinLocked(canon), nil
+	return *t, nil
 }
 
-// CanonSelectName resolves a select technique name or alias to its
-// canonical registered name without copying the technique. Unlike
-// LookupSelect it performs no heap allocations for an already-lowercase
-// name, which is what lets a plan-cache lookup canonicalize its technique
-// set on the zero-allocation hit path.
+// CanonSelectName resolves a select technique name, in any case, to its
+// registered spelling without copying the technique. Unlike LookupSelect
+// it performs no heap allocations for an already-lowercase name, which is
+// what lets a plan-cache lookup canonicalize its technique set on the
+// zero-allocation hit path.
 func CanonSelectName(name string) (string, bool) {
 	reg.mu.RLock()
-	canon, ok := reg.selectAlias[canonKey(name)]
+	t, ok := reg.selects[canonKey(name)]
 	reg.mu.RUnlock()
-	return canon, ok
+	if !ok {
+		return "", false
+	}
+	return t.Name, true
 }
 
 // CanonJoinName is CanonSelectName for join techniques.
 func CanonJoinName(name string) (string, bool) {
 	reg.mu.RLock()
-	canon, ok := reg.joinAlias[canonKey(name)]
+	t, ok := reg.joins[canonKey(name)]
 	reg.mu.RUnlock()
-	return canon, ok
+	if !ok {
+		return "", false
+	}
+	return t.Name, true
 }
 
-// SelectNames returns the sorted canonical names of the registered select
+// SelectNames returns the sorted names of the registered select
 // techniques.
 func SelectNames() []string {
 	reg.mu.RLock()
@@ -162,8 +144,7 @@ func SelectNames() []string {
 	return selectNamesLocked()
 }
 
-// JoinNames returns the sorted canonical names of the registered join
-// techniques.
+// JoinNames returns the sorted names of the registered join techniques.
 func JoinNames() []string {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
@@ -171,52 +152,34 @@ func JoinNames() []string {
 }
 
 // SelectTechniques returns the registered select techniques sorted by
-// canonical name.
+// name.
 func SelectTechniques() []SelectTechnique {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
 	out := make([]SelectTechnique, 0, len(reg.selects))
-	for _, name := range selectNamesLocked() {
-		out = append(out, copySelectLocked(name))
+	for _, t := range reg.selects {
+		out = append(out, *t)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// JoinTechniques returns the registered join techniques sorted by
-// canonical name.
+// JoinTechniques returns the registered join techniques sorted by name.
 func JoinTechniques() []JoinTechnique {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
 	out := make([]JoinTechnique, 0, len(reg.joins))
-	for _, name := range joinNamesLocked() {
-		out = append(out, copyJoinLocked(name))
+	for _, t := range reg.joins {
+		out = append(out, *t)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// copySelectLocked returns a defensive copy of the named technique with its
-// alias list sorted, so every listing surface (HTTP, CLI, error bodies)
-// prints aliases in a deterministic order regardless of registration order,
-// and no caller can mutate the registry's own slice through the copy.
-func copySelectLocked(canon string) SelectTechnique {
-	cp := *reg.selects[canon]
-	cp.Aliases = append([]string(nil), cp.Aliases...)
-	sort.Strings(cp.Aliases)
-	return cp
-}
-
-// copyJoinLocked is copySelectLocked for join techniques.
-func copyJoinLocked(canon string) JoinTechnique {
-	cp := *reg.joins[canon]
-	cp.Aliases = append([]string(nil), cp.Aliases...)
-	sort.Strings(cp.Aliases)
-	return cp
 }
 
 func selectNamesLocked() []string {
 	names := make([]string, 0, len(reg.selects))
-	for name := range reg.selects {
-		names = append(names, name)
+	for _, t := range reg.selects {
+		names = append(names, t.Name)
 	}
 	sort.Strings(names)
 	return names
@@ -224,8 +187,8 @@ func selectNamesLocked() []string {
 
 func joinNamesLocked() []string {
 	names := make([]string, 0, len(reg.joins))
-	for name := range reg.joins {
-		names = append(names, name)
+	for _, t := range reg.joins {
+		names = append(names, t.Name)
 	}
 	sort.Strings(names)
 	return names

@@ -26,16 +26,16 @@ func TestBuiltinNames(t *testing.T) {
 	}
 }
 
-func TestLookupAliases(t *testing.T) {
+// TestLookupNormalizesNames: lookups ignore case and surrounding
+// whitespace; the pre-registry spellings are not registered, so they are
+// unknown names like any other.
+func TestLookupNormalizesNames(t *testing.T) {
 	selectCases := map[string]string{
-		"staircase-cc":             TechStaircaseCC,
-		"staircase":                TechStaircaseCC, // legacy service wire name
-		"staircase-center-corners": TechStaircaseCC,
-		"staircase-c":              TechStaircaseC,
-		"staircase-center-only":    TechStaircaseC,
-		"density":                  TechDensity,
-		"  Density ":               TechDensity, // normalized
-		"STAIRCASE-CC":             TechStaircaseCC,
+		"staircase-cc": TechStaircaseCC,
+		"staircase-c":  TechStaircaseC,
+		"density":      TechDensity,
+		"  Density ":   TechDensity, // normalized
+		"STAIRCASE-CC": TechStaircaseCC,
 	}
 	for in, want := range selectCases {
 		got, err := LookupSelect(in)
@@ -49,11 +49,9 @@ func TestLookupAliases(t *testing.T) {
 	}
 	joinCases := map[string]string{
 		"block-sample":  TechBlockSample,
-		"blocksample":   TechBlockSample,
 		"catalog-merge": TechCatalogMerge,
-		"catalogmerge":  TechCatalogMerge,
-		"virtual-grid":  TechVirtualGrid,
-		"virtualgrid":   TechVirtualGrid,
+		"Virtual-Grid":  TechVirtualGrid,
+		"aknn-bounds":   TechAknnBounds,
 	}
 	for in, want := range joinCases {
 		got, err := LookupJoin(in)
@@ -63,6 +61,22 @@ func TestLookupAliases(t *testing.T) {
 		}
 		if got.Name != want {
 			t.Errorf("LookupJoin(%q).Name = %q, want %q", in, got.Name, want)
+		}
+	}
+	for _, old := range []string{"staircase", "staircase-center-corners", "staircase-center-only"} {
+		if _, err := LookupSelect(old); err == nil {
+			t.Errorf("LookupSelect(%q) resolved; the legacy spelling must be unknown", old)
+		}
+		if _, ok := CanonSelectName(old); ok {
+			t.Errorf("CanonSelectName(%q) resolved; the legacy spelling must be unknown", old)
+		}
+	}
+	for _, old := range []string{"blocksample", "catalogmerge", "virtualgrid", "aknnbounds", "aknn"} {
+		if _, err := LookupJoin(old); err == nil {
+			t.Errorf("LookupJoin(%q) resolved; the legacy spelling must be unknown", old)
+		}
+		if _, ok := CanonJoinName(old); ok {
+			t.Errorf("CanonJoinName(%q) resolved; the legacy spelling must be unknown", old)
 		}
 	}
 }
@@ -112,11 +126,8 @@ func TestRegisterContract(t *testing.T) {
 	mustPanic(t, "duplicate select name", func() {
 		RegisterSelect(SelectTechnique{Name: TechStaircaseCC, Estimator: noopSelect})
 	})
-	mustPanic(t, "alias colliding with select name", func() {
-		RegisterSelect(SelectTechnique{Name: "fresh-select", Aliases: []string{"density"}, Estimator: noopSelect})
-	})
-	mustPanic(t, "name colliding with select alias", func() {
-		RegisterSelect(SelectTechnique{Name: "staircase", Estimator: noopSelect})
+	mustPanic(t, "select name differing only in case", func() {
+		RegisterSelect(SelectTechnique{Name: " Density", Estimator: noopSelect})
 	})
 	mustPanic(t, "empty select name", func() {
 		RegisterSelect(SelectTechnique{Estimator: noopSelect})
@@ -140,12 +151,15 @@ func TestRegisterContract(t *testing.T) {
 		t.Error("failed registration leaked name fresh-join into the registry")
 	}
 
-	// A valid registration resolves by name and alias; registering the same
-	// name again panics.
-	RegisterSelect(SelectTechnique{Name: "test-select", Aliases: []string{"test-alias"}, Estimator: noopSelect})
+	// A valid registration resolves by name, in its registered spelling;
+	// registering the same name again panics.
+	RegisterSelect(SelectTechnique{Name: "Test-Select", Estimator: noopSelect})
 	defer unregisterSelectForTest("test-select")
-	if tech, err := LookupSelect("test-alias"); err != nil || tech.Name != "test-select" {
-		t.Errorf("LookupSelect(test-alias) = %v, %v; want test-select", tech.Name, err)
+	if tech, err := LookupSelect("test-select"); err != nil || tech.Name != "Test-Select" {
+		t.Errorf("LookupSelect(test-select) = %v, %v; want Test-Select", tech.Name, err)
+	}
+	if name, ok := CanonSelectName("TEST-SELECT"); !ok || name != "Test-Select" {
+		t.Errorf("CanonSelectName(TEST-SELECT) = %q, %v; want Test-Select", name, ok)
 	}
 	mustPanic(t, "re-registering test-select", func() {
 		RegisterSelect(SelectTechnique{Name: "test-select", Estimator: noopSelect})
@@ -162,49 +176,25 @@ func TestRegisterContract(t *testing.T) {
 }
 
 // TestListingOrderDeterministic pins the ordering contract of every listing
-// surface: canonical names sorted, alias lists sorted (registration order
-// must not leak into wire or CLI output), and the returned alias slices
-// are defensive copies a caller cannot mutate the registry through.
+// surface: names sorted, registration order not leaking into wire or CLI
+// output.
 func TestListingOrderDeterministic(t *testing.T) {
 	noopSelect := func(*Relation) (core.SelectEstimator, error) { return nil, nil }
-	RegisterSelect(SelectTechnique{
-		Name:      "zz-order-probe",
-		Aliases:   []string{"zz-c", "zz-a", "zz-b"}, // deliberately unsorted
-		Estimator: noopSelect,
-	})
-	defer unregisterSelectForTest("zz-order-probe")
+	RegisterSelect(SelectTechnique{Name: "aa-order-probe", Estimator: noopSelect}) // registered last, sorts first
+	defer unregisterSelectForTest("aa-order-probe")
 
-	assertSorted := func(what string, names []string) {
-		t.Helper()
-		if !sort.StringsAreSorted(names) {
-			t.Errorf("%s not sorted: %v", what, names)
-		}
-	}
+	var listed []string
 	for _, tech := range SelectTechniques() {
-		assertSorted("SelectTechniques().Aliases of "+tech.Name, tech.Aliases)
+		listed = append(listed, tech.Name)
 	}
+	if !sort.StringsAreSorted(listed) || !reflect.DeepEqual(listed, SelectNames()) {
+		t.Errorf("SelectTechniques() lists %v, SelectNames() %v; want both sorted and equal", listed, SelectNames())
+	}
+	listed = nil
 	for _, tech := range JoinTechniques() {
-		assertSorted("JoinTechniques().Aliases of "+tech.Name, tech.Aliases)
+		listed = append(listed, tech.Name)
 	}
-	assertSorted("SelectNames()", SelectNames())
-	assertSorted("JoinNames()", JoinNames())
-
-	probe, err := LookupSelect("zz-order-probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"zz-a", "zz-b", "zz-c"}
-	if !reflect.DeepEqual(probe.Aliases, want) {
-		t.Fatalf("LookupSelect aliases = %v, want sorted %v", probe.Aliases, want)
-	}
-
-	// Mutating a returned copy must not bleed into later listings.
-	probe.Aliases[0] = "mutated"
-	again, err := LookupSelect("zz-order-probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Aliases, want) {
-		t.Fatalf("registry aliases mutated through a returned copy: %v", again.Aliases)
+	if !sort.StringsAreSorted(listed) || !reflect.DeepEqual(listed, JoinNames()) {
+		t.Errorf("JoinTechniques() lists %v, JoinNames() %v; want both sorted and equal", listed, JoinNames())
 	}
 }

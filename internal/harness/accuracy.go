@@ -34,7 +34,7 @@ type AccuracyConfig struct {
 	SampleSize int // join-estimator sample size
 	GridSize   int // virtual-grid dimension (GridSize x GridSize)
 	// Techniques restricts the audit to the named techniques — engine
-	// registry names or aliases, resolved by ResolveAccuracyTechniques.
+	// registry names, resolved by ResolveAccuracyTechniques.
 	// Empty means all. A restricted report must not be gated against a
 	// full baseline (missing rows fail CompareAccuracy by design).
 	Techniques []string
@@ -238,7 +238,7 @@ var accuracyRows = map[string][]string{
 }
 
 // ResolveAccuracyTechniques resolves technique names through the engine
-// registry (canonical names or aliases, case-insensitive) and returns the
+// registry (case-insensitive) and returns the
 // set of accuracy-report rows they cover — the one place the harness and
 // its CLIs translate user-facing technique names. Empty input means "no
 // filter" and returns nil.

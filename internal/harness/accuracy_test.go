@@ -131,7 +131,7 @@ func TestResolveAccuracyTechniques(t *testing.T) {
 	if err != nil || got != nil {
 		t.Fatalf("nil filter: got %v, %v", got, err)
 	}
-	got, err = ResolveAccuracyTechniques([]string{"Staircase", "catalogmerge"})
+	got, err = ResolveAccuracyTechniques([]string{"Staircase-CC", "catalog-merge"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,11 @@ func TestResolveAccuracyTechniques(t *testing.T) {
 			t.Errorf("row %s missing from %v", row, got)
 		}
 	}
-	if _, err := ResolveAccuracyTechniques([]string{"nope"}); err == nil ||
-		!strings.Contains(err.Error(), `unknown technique "nope"`) {
-		t.Fatalf("unknown name: err = %v", err)
+	for _, name := range []string{"nope", "catalogmerge"} {
+		if _, err := ResolveAccuracyTechniques([]string{name}); err == nil ||
+			!strings.Contains(err.Error(), "unknown technique \""+name+"\"") {
+			t.Fatalf("unknown name %s: err = %v", name, err)
+		}
 	}
 }
 

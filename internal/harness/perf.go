@@ -229,3 +229,40 @@ func WritePerfJSON(dir string, results []PerfResult) (string, error) {
 	}
 	return path, nil
 }
+
+// LoadPerfJSON reads a BENCH_<date>.json file written by WritePerfJSON.
+func LoadPerfJSON(path string) ([]PerfResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var results []PerfResult
+	if err := json.Unmarshal(data, &results); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return results, nil
+}
+
+// ComparePerf gates cur against base: every baseline op must still be
+// measured, and none may be slower than base*tol (tol 1.20 = a 20% ns/op
+// regression budget; micro-benchmark noise sits well under that). Ops new
+// in cur pass freely — the trajectory only ratchets what it has seen.
+func ComparePerf(cur, base []PerfResult, tol float64) []string {
+	byOp := make(map[string]PerfResult, len(cur))
+	for _, r := range cur {
+		byOp[r.Op] = r
+	}
+	var failures []string
+	for _, b := range base {
+		c, ok := byOp[b.Op]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: measured in baseline but not in this run", b.Op))
+			continue
+		}
+		if limit := b.NsPerOp * tol; c.NsPerOp > limit {
+			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op exceeds %.1f (baseline %.1f x tol %.2f)",
+				b.Op, c.NsPerOp, limit, b.NsPerOp, tol))
+		}
+	}
+	return failures
+}

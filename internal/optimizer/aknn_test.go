@@ -59,16 +59,20 @@ func TestPlanWithAknnBoundsJoin(t *testing.T) {
 		t.Fatal("no alternative carries an aknn-bounds join term")
 	}
 
-	qAlias := q
-	qAlias.Join = &JoinPredicate{Outer: "hotels", Inner: "cafes", K: 3, Technique: "aknn"}
-	dAlias, err := PlanOnce(v, qAlias)
+	qUpper := q
+	qUpper.Join = &JoinPredicate{Outer: "hotels", Inner: "cafes", K: 3, Technique: "AKNN-Bounds"}
+	dUpper, err := PlanOnce(v, qUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dAlias.Chosen.EstimatedCost != d.Chosen.EstimatedCost ||
-		dAlias.Chosen.Description != d.Chosen.Description {
-		t.Fatalf("alias decision (%v, %q) != canonical (%v, %q)",
-			dAlias.Chosen.EstimatedCost, dAlias.Chosen.Description,
+	if dUpper.Chosen.EstimatedCost != d.Chosen.EstimatedCost ||
+		dUpper.Chosen.Description != d.Chosen.Description {
+		t.Fatalf("upper-case decision (%v, %q) != canonical (%v, %q)",
+			dUpper.Chosen.EstimatedCost, dUpper.Chosen.Description,
 			d.Chosen.EstimatedCost, d.Chosen.Description)
+	}
+	qUpper.Join.Technique = "aknn"
+	if _, err := PlanOnce(v, qUpper); err == nil {
+		t.Fatal("dropped alias \"aknn\" planned")
 	}
 }

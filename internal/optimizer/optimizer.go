@@ -42,7 +42,7 @@ type SelectPredicate struct {
 	// K is the number of neighbors wanted.
 	K int
 	// Technique names the registered select technique pricing this
-	// predicate (canonical name or alias). Empty means staircase-cc.
+	// predicate. Empty means staircase-cc.
 	Technique string
 }
 
@@ -53,8 +53,8 @@ type JoinPredicate struct {
 	Inner string
 	// K is the per-outer-point neighbor count.
 	K int
-	// Technique names the registered join technique (canonical name or
-	// alias). Empty means catalog-merge.
+	// Technique names the registered join technique. Empty means
+	// catalog-merge.
 	Technique string
 }
 

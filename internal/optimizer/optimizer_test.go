@@ -465,9 +465,10 @@ func TestParameterizedReuse(t *testing.T) {
 	}
 }
 
-// TestTechniqueAliasesShareFingerprint: aliases canonicalize before
-// fingerprinting, so "staircase" and "staircase-cc" are one cache entry.
-func TestTechniqueAliasesShareFingerprint(t *testing.T) {
+// TestTechniqueSpellingsShareFingerprint: names canonicalize before
+// fingerprinting, so "Staircase-CC" and "staircase-cc" are one cache entry;
+// the pre-registry spelling "staircase" is an unknown technique.
+func TestTechniqueSpellingsShareFingerprint(t *testing.T) {
 	st := newTestStore(t)
 	p := NewPlanner(0)
 	v := st.View()
@@ -476,12 +477,16 @@ func TestTechniqueAliasesShareFingerprint(t *testing.T) {
 	if _, err := p.Plan(v, q); err != nil {
 		t.Fatal(err)
 	}
-	q.Selects[0].Technique = "staircase"
+	q.Selects[0].Technique = "Staircase-CC"
 	d, err := p.Plan(v, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Cached {
-		t.Fatal("alias spelling missed the cache")
+		t.Fatal("upper-case spelling missed the cache")
+	}
+	q.Selects[0].Technique = "staircase"
+	if _, err := p.Plan(v, q); err == nil {
+		t.Fatal("legacy spelling \"staircase\" planned")
 	}
 }

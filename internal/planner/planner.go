@@ -67,9 +67,9 @@ func NewRelation(name string, tree *index.Tree, est core.SelectEstimator) *Relat
 }
 
 // NewRelationTechnique wraps an index as a relation whose select estimator
-// is resolved from the engine's technique registry by name (canonical or
-// alias); the technique's preprocessing artifact is built here. opt tunes
-// the artifact builds; the zero value means the repository defaults.
+// is resolved from the engine's technique registry by name; the
+// technique's preprocessing artifact is built here. opt tunes the artifact
+// builds; the zero value means the repository defaults.
 func NewRelationTechnique(name string, tree *index.Tree, technique string, opt engine.BuildOptions) (*Relation, error) {
 	eng := engine.NewRelation(name, tree, opt)
 	tech, err := engine.LookupSelect(technique)
@@ -302,8 +302,7 @@ type BatchOptions struct {
 	// shared-join cost. Zero means 200.
 	SampleSize int
 	// JoinTechnique names the registered join technique estimating the
-	// shared-join strategy (canonical name or alias). Empty means
-	// "catalog-merge".
+	// shared-join strategy. Empty means "catalog-merge".
 	JoinTechnique string
 }
 

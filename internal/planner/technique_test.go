@@ -30,17 +30,20 @@ func TestNewRelationTechnique(t *testing.T) {
 		}
 	}
 
-	// Aliases resolve to their canonical technique.
-	rel, err := NewRelationTechnique("places", tree, "staircase", engine.BuildOptions{MaxK: 100})
+	// Any casing resolves to the registered name; the pre-registry
+	// spelling is as unknown as any other.
+	rel, err := NewRelationTechnique("places", tree, "Staircase-CC", engine.BuildOptions{MaxK: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Technique != engine.TechStaircaseCC {
-		t.Errorf("alias resolved to %q, want %q", rel.Technique, engine.TechStaircaseCC)
+		t.Errorf("Staircase-CC resolved to %q, want %q", rel.Technique, engine.TechStaircaseCC)
 	}
 
-	if _, err := NewRelationTechnique("places", tree, "nope", engine.BuildOptions{}); err == nil {
-		t.Error("unknown technique accepted")
+	for _, name := range []string{"nope", "staircase"} {
+		if _, err := NewRelationTechnique("places", tree, name, engine.BuildOptions{}); err == nil {
+			t.Errorf("unknown technique %q accepted", name)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
+	"strings"
 	"testing"
 
 	"knncost/internal/aknn"
@@ -20,7 +20,7 @@ import (
 )
 
 // TestAknnBoundsListedOnTechniques: GET /techniques advertises the
-// technique with its aliases, sorted.
+// technique.
 func TestAknnBoundsListedOnTechniques(t *testing.T) {
 	srv := testServer(t)
 	var out TechniquesResponse
@@ -34,17 +34,6 @@ func TestAknnBoundsListedOnTechniques(t *testing.T) {
 		if ti.Summary == "" {
 			t.Error("aknn-bounds has no summary")
 		}
-		wantAliases := []string{"aknn", "aknnbounds"}
-		if len(ti.Aliases) != len(wantAliases) {
-			t.Fatalf("aliases = %v, want %v", ti.Aliases, wantAliases)
-		}
-		sorted := append([]string(nil), ti.Aliases...)
-		sort.Strings(sorted)
-		for i, a := range sorted {
-			if a != wantAliases[i] {
-				t.Fatalf("aliases = %v, want %v", ti.Aliases, wantAliases)
-			}
-		}
 		return
 	}
 	t.Fatalf("aknn-bounds missing from GET /techniques join list")
@@ -52,8 +41,9 @@ func TestAknnBoundsListedOnTechniques(t *testing.T) {
 
 // TestAknnBoundsEstimateOverHTTP: ?technique=aknn-bounds answers are
 // bit-exact against an estimator built directly from the same trees with
-// the server's configured sample size, on both pair orders, and the alias
-// resolves to the identical numbers.
+// the server's configured sample size, on both pair orders; the name is
+// matched case-insensitively and echoed as the client spelled it, and the
+// dropped alias "aknn" is a 400 that lists the registered names.
 func TestAknnBoundsEstimateOverHTTP(t *testing.T) {
 	srv := testServer(t)
 	// Rebuild the fixture relations exactly as testServer does: the
@@ -90,18 +80,21 @@ func TestAknnBoundsEstimateOverHTTP(t *testing.T) {
 				t.Fatalf("%s⋉%s k=%d: served %v via %q, direct estimator %v",
 					p.outer, p.inner, k, out.Blocks, out.Method, want)
 			}
-			// The alias answers the same number and echoes the client's
-			// spelling.
-			var viaAlias EstimateResponse
-			url = fmt.Sprintf("%s/estimate/join?outer=%s&inner=%s&k=%d&technique=aknn",
+			var upper EstimateResponse
+			url = fmt.Sprintf("%s/estimate/join?outer=%s&inner=%s&k=%d&technique=AKNN-Bounds",
 				srv.URL, p.outer, p.inner, k)
-			if code := getJSON(t, url, &viaAlias); code != http.StatusOK {
-				t.Fatalf("alias k=%d: status %d", k, code)
+			if code := getJSON(t, url, &upper); code != http.StatusOK {
+				t.Fatalf("mixed case k=%d: status %d", k, code)
 			}
-			if viaAlias.Blocks != want || viaAlias.Method != "aknn" {
-				t.Fatalf("alias k=%d: %v via %q, want %v", k, viaAlias.Blocks, viaAlias.Method, want)
+			if upper.Blocks != want || upper.Method != "AKNN-Bounds" {
+				t.Fatalf("mixed case k=%d: %v via %q, want %v", k, upper.Blocks, upper.Method, want)
 			}
 		}
+	}
+	var bad errorResponse
+	url := srv.URL + "/estimate/join?outer=hotels&inner=restaurants&k=5&technique=aknn"
+	if code := getJSON(t, url, &bad); code != http.StatusBadRequest || !strings.Contains(bad.Error, engine.TechAknnBounds) {
+		t.Fatalf("dropped alias: status %d, error %q; want 400 listing the registered names", code, bad.Error)
 	}
 }
 
@@ -121,7 +114,7 @@ func TestAknnBoundsServiceEdgeCases(t *testing.T) {
 		{"duplicates outer", "/estimate/join?outer=dups&inner=tiny&k=3&technique=aknn-bounds", 200},
 		{"duplicates inner", "/estimate/join?outer=tiny&inner=dups&k=5&technique=aknn-bounds", 200},
 		{"self join rejected", "/estimate/join?outer=tiny&inner=tiny&k=2&technique=aknn-bounds", 400},
-		{"alias", "/estimate/join?outer=tiny&inner=dups&k=3&technique=aknnbounds", 200},
+		{"dropped alias", "/estimate/join?outer=tiny&inner=dups&k=3&technique=aknnbounds", 400},
 		{"unknown outer", "/estimate/join?outer=nope&inner=dups&k=3&technique=aknn-bounds", 400},
 	}
 	for _, tc := range cases {

@@ -40,11 +40,11 @@ func TestEstimateSelectBatchMatchesSingles(t *testing.T) {
 			K: 1 + rng.Intn(199),
 		}
 	}
-	for _, method := range []string{"staircase", "density"} {
+	for _, method := range []string{"staircase-cc", "density"} {
 		for _, parallelism := range []int{0, 1, 4} {
 			var out BatchSelectResponse
 			code := postJSON(t, srv.URL+"/estimate/select/batch", BatchSelectRequest{
-				Relation: "restaurants", Method: method,
+				Relation: "restaurants", Technique: method,
 				Parallelism: parallelism, Queries: queries,
 			}, &out)
 			if code != http.StatusOK {
@@ -56,7 +56,7 @@ func TestEstimateSelectBatchMatchesSingles(t *testing.T) {
 			}
 			for i, q := range queries {
 				var single EstimateResponse
-				url := fmt.Sprintf("%s/estimate/select?rel=restaurants&x=%v&y=%v&k=%d&method=%s",
+				url := fmt.Sprintf("%s/estimate/select?rel=restaurants&x=%v&y=%v&k=%d&technique=%s",
 					srv.URL, q.X, q.Y, q.K, method)
 				if code := getJSON(t, url, &single); code != http.StatusOK {
 					t.Fatalf("single %d: status %d", i, code)
@@ -119,7 +119,7 @@ func TestEstimateSelectBatchBadRequests(t *testing.T) {
 	for name, body := range map[string]any{
 		"unknown relation": BatchSelectRequest{Relation: "nope",
 			Queries: []BatchSelectQuery{{X: 1, Y: 1, K: 5}}},
-		"unknown method": BatchSelectRequest{Relation: "hotels", Method: "magic",
+		"unknown technique": BatchSelectRequest{Relation: "hotels", Technique: "magic",
 			Queries: []BatchSelectQuery{{X: 1, Y: 1, K: 5}}},
 	} {
 		var out errorResponse

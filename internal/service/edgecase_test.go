@@ -55,7 +55,7 @@ func TestEdgeCaseRequests(t *testing.T) {
 		{"select k=0", "/estimate/select?rel=tiny&x=1&y=1&k=0", 400},
 		{"select negative k", "/estimate/select?rel=tiny&x=1&y=1&k=-3", 400},
 		{"select k over N and MaxK", "/estimate/select?rel=tiny&x=1&y=1&k=100", 200},
-		{"select density k over N", "/estimate/select?rel=tiny&x=1&y=1&k=100&method=density", 200},
+		{"select density k over N", "/estimate/select?rel=tiny&x=1&y=1&k=100&technique=density", 200},
 		{"select outside MBR", "/estimate/select?rel=tiny&x=9999&y=-9999&k=3", 200},
 		{"select on duplicates", "/estimate/select?rel=dups&x=4&y=4&k=5", 200},
 		{"select duplicates k over N", "/estimate/select?rel=dups&x=4&y=4&k=100", 200},

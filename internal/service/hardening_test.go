@@ -135,7 +135,7 @@ func TestJoinErrorPaths(t *testing.T) {
 		{"estimate bad k", "/estimate/join?outer=hotels&inner=restaurants&k=zero", "\"k\""},
 		{"estimate k<1", "/estimate/join?outer=hotels&inner=restaurants&k=0", "k must be >= 1"},
 		{"estimate negative k", "/estimate/join?outer=hotels&inner=restaurants&k=-3", "k must be >= 1"},
-		{"estimate unknown method", "/estimate/join?outer=hotels&inner=restaurants&k=5&method=magic", "unknown join method"},
+		{"estimate unknown method", "/estimate/join?outer=hotels&inner=restaurants&k=5&technique=magic", "unknown join method"},
 		{"cost unknown outer", "/cost/join?outer=nope&inner=restaurants&k=5", "unknown relation"},
 		{"cost unknown inner", "/cost/join?outer=hotels&inner=nope&k=5", "unknown relation"},
 		{"cost outer==inner", "/cost/join?outer=hotels&inner=hotels&k=5", "must differ"},

@@ -243,10 +243,10 @@ func inlinePoints2(n int, seed int64) []geom.Point {
 	return out
 }
 
-// TestPlanCacheInvalidationOverHTTP drives the full loop the soak script
-// smokes: plan (cold), plan (cached), mutate the relation, wait for the
-// compaction publish, re-plan — which must miss — and check the planner's
-// invalidation counter moved.
+// TestPlanCacheInvalidationOverHTTP drives the full loop: plan (cold),
+// plan (cached), mutate the relation, wait for the compaction publish,
+// re-plan — which must miss — and check the planner's invalidation counter
+// moved (cmd/knncostd's ingest test checks the counter reaches its expvar).
 func TestPlanCacheInvalidationOverHTTP(t *testing.T) {
 	st, err := store.New(store.Options{MaxK: 100, SampleSize: 40, GridSize: 4, IndexCapacity: 64})
 	if err != nil {
@@ -275,6 +275,9 @@ func TestPlanCacheInvalidationOverHTTP(t *testing.T) {
 	var first PlanResponse
 	if code, _ := adminPost(t, hsrv.URL+"/plan", twoSelectPlan(8, 4), &first); code != http.StatusOK {
 		t.Fatalf("plan status %d", code)
+	}
+	if first.Cached {
+		t.Fatal("first plan reported cached")
 	}
 	var second PlanResponse
 	adminPost(t, hsrv.URL+"/plan", twoSelectPlan(8, 4), &second)

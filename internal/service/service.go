@@ -23,11 +23,9 @@
 //	/cost/select?rel=R&x=&y=&k=       actual cost (executes distance browsing)
 //	/cost/join?outer=R&inner=S&k=     actual cost (computes localities)
 //
-// Techniques are resolved by name from the internal/engine registry;
-// "technique" accepts every registered name or alias (the pre-registry
-// wire names "staircase", "density", "catalogmerge", "virtualgrid" and
-// "blocksample" are aliases) and the legacy "method" parameter remains a
-// synonym. An unknown name is 400 and lists what is registered.
+// Techniques are resolved by name, case-insensitively, from the
+// internal/engine registry. An unknown name is 400 and lists what is
+// registered.
 //
 // Write endpoints:
 //
@@ -410,10 +408,9 @@ func (s *Server) handleRelationPoints(w http.ResponseWriter, r *http.Request) {
 // TechniqueInfo describes one registered estimation technique in the
 // GET /techniques listing.
 type TechniqueInfo struct {
-	Name         string   `json:"name"`
-	Aliases      []string `json:"aliases,omitempty"`
-	Summary      string   `json:"summary"`
-	Preprocessed bool     `json:"preprocessed"`
+	Name         string `json:"name"`
+	Summary      string `json:"summary"`
+	Preprocessed bool   `json:"preprocessed"`
 }
 
 // TechniquesResponse is the reply to GET /techniques: every select and join
@@ -427,12 +424,12 @@ func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
 	var resp TechniquesResponse
 	for _, t := range engine.SelectTechniques() {
 		resp.Select = append(resp.Select, TechniqueInfo{
-			Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed,
+			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
 		})
 	}
 	for _, t := range engine.JoinTechniques() {
 		resp.Join = append(resp.Join, TechniqueInfo{
-			Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed,
+			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -630,7 +627,7 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	est, method, ok := s.selectEstimator(w, rel, techniqueParam(r))
+	est, method, ok := s.selectEstimator(w, rel, r.URL.Query().Get("technique"))
 	if !ok {
 		return
 	}
@@ -645,15 +642,6 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 		Relation: rel.Name, K: k, Method: method,
 		Blocks: blocks, TookNs: time.Since(start).Nanoseconds(),
 	})
-}
-
-// techniqueParam extracts the technique name of a request: "technique" is
-// the parameter, "method" the pre-registry synonym kept for old clients.
-func techniqueParam(r *http.Request) string {
-	if t := r.URL.Query().Get("technique"); t != "" {
-		return t
-	}
-	return r.URL.Query().Get("method")
 }
 
 // selectEstimator resolves a select technique name for rel through the
@@ -689,9 +677,6 @@ type BatchSelectRequest struct {
 	// Technique names a registered select technique (see GET /techniques).
 	// Empty means staircase-cc.
 	Technique string `json:"technique,omitempty"`
-	// Method is the pre-registry synonym of Technique; Technique wins when
-	// both are set.
-	Method string `json:"method,omitempty"`
 	// Parallelism is the server-side worker count; 0 means GOMAXPROCS,
 	// 1 forces a serial loop. The results are identical either way.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -770,11 +755,7 @@ func (s *Server) handleEstimateSelectBatch(w http.ResponseWriter, r *http.Reques
 	if !ok {
 		return
 	}
-	technique := req.Technique
-	if technique == "" {
-		technique = req.Method
-	}
-	est, method, ok := s.selectEstimator(w, rel, technique)
+	est, method, ok := s.selectEstimator(w, rel, req.Technique)
 	if !ok {
 		return
 	}
@@ -837,7 +818,7 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	method := techniqueParam(r)
+	method := r.URL.Query().Get("technique")
 	if method == "" {
 		method = engine.TechCatalogMerge
 	}

@@ -80,9 +80,9 @@ func TestRelations(t *testing.T) {
 
 func TestEstimateSelect(t *testing.T) {
 	srv := testServer(t)
-	for _, method := range []string{"staircase", "density"} {
+	for _, method := range []string{"staircase-cc", "density"} {
 		var out EstimateResponse
-		url := fmt.Sprintf("%s/estimate/select?rel=restaurants&x=10&y=45&k=20&method=%s", srv.URL, method)
+		url := fmt.Sprintf("%s/estimate/select?rel=restaurants&x=10&y=45&k=20&technique=%s", srv.URL, method)
 		if code := getJSON(t, url, &out); code != http.StatusOK {
 			t.Fatalf("%s: status %d", method, code)
 		}
@@ -109,9 +109,9 @@ func TestEstimateJoin(t *testing.T) {
 	if actual.Blocks < 1 {
 		t.Fatalf("actual join cost %g", actual.Blocks)
 	}
-	for _, method := range []string{"catalogmerge", "virtualgrid", "blocksample"} {
+	for _, method := range []string{"catalog-merge", "virtual-grid", "block-sample"} {
 		var out EstimateResponse
-		url := fmt.Sprintf("%s/estimate/join?outer=hotels&inner=restaurants&k=15&method=%s", srv.URL, method)
+		url := fmt.Sprintf("%s/estimate/join?outer=hotels&inner=restaurants&k=15&technique=%s", srv.URL, method)
 		if code := getJSON(t, url, &out); code != http.StatusOK {
 			t.Fatalf("%s: status %d", method, code)
 		}
@@ -133,11 +133,11 @@ func TestBadRequests(t *testing.T) {
 		"/estimate/select?rel=nope&x=1&y=1&k=5",
 		"/estimate/select?rel=hotels&x=abc&y=1&k=5",
 		"/estimate/select?rel=hotels&x=1&y=1&k=0",
-		"/estimate/select?rel=hotels&x=1&y=1&k=5&method=magic",
+		"/estimate/select?rel=hotels&x=1&y=1&k=5&technique=magic",
 		"/estimate/join?outer=hotels&inner=hotels&k=5",
 		"/estimate/join?outer=hotels&inner=nope&k=5",
 		"/estimate/join?outer=hotels&inner=restaurants&k=-2",
-		"/estimate/join?outer=hotels&inner=restaurants&k=5&method=magic",
+		"/estimate/join?outer=hotels&inner=restaurants&k=5&technique=magic",
 		"/cost/select?rel=hotels&x=1&y=1&k=zero",
 	}
 	for _, path := range cases {

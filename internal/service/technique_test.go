@@ -11,8 +11,7 @@ import (
 )
 
 // TestTechniquesEndpoint pins the GET /techniques listing against the
-// engine registry: every registered technique appears, in canonical order,
-// with its aliases.
+// engine registry: every registered technique appears, in canonical order.
 func TestTechniquesEndpoint(t *testing.T) {
 	srv := testServer(t)
 	var out TechniquesResponse
@@ -39,8 +38,9 @@ func TestTechniquesEndpoint(t *testing.T) {
 }
 
 // TestEstimateSelectTechniqueParam drives every registered select technique
-// (canonical names and aliases alike) through ?technique= and checks the
-// legacy alias answers agree exactly with their canonical names.
+// through ?technique=, in registered and in upper case, and checks that the
+// dropped legacy spellings get the 400 that lists the registered names and
+// that the dropped ?method= parameter selects nothing.
 func TestEstimateSelectTechniqueParam(t *testing.T) {
 	srv := testServer(t)
 	canonical := map[string]float64{}
@@ -55,43 +55,47 @@ func TestEstimateSelectTechniqueParam(t *testing.T) {
 		}
 		canonical[name] = out.Blocks
 	}
-	for alias, name := range map[string]string{
-		"staircase":             engine.TechStaircaseCC,
-		"STAIRCASE-CC":          engine.TechStaircaseCC,
-		"staircase-center-only": engine.TechStaircaseC,
-	} {
+	for name, blocks := range canonical {
 		var out EstimateResponse
-		url := fmt.Sprintf("%s/estimate/select?rel=hotels&x=10&y=45&k=20&technique=%s", srv.URL, alias)
+		upper := strings.ToUpper(name)
+		url := fmt.Sprintf("%s/estimate/select?rel=hotels&x=10&y=45&k=20&technique=%s", srv.URL, upper)
 		if code := getJSON(t, url, &out); code != http.StatusOK {
-			t.Fatalf("alias %s: status %d", alias, code)
+			t.Fatalf("%s: status %d", upper, code)
 		}
-		if out.Blocks != canonical[name] {
-			t.Errorf("alias %s: %v blocks, canonical %s gives %v", alias, out.Blocks, name, canonical[name])
+		if out.Blocks != blocks {
+			t.Errorf("%s: %v blocks, %s gives %v", upper, out.Blocks, name, blocks)
 		}
-		if out.Method != alias {
-			t.Errorf("alias %s: echoed method %q, want the client's string", alias, out.Method)
+		if out.Method != upper {
+			t.Errorf("%s: echoed method %q, want the client's string", upper, out.Method)
 		}
 	}
 
-	// technique wins over the legacy method parameter.
+	// ?method= is not a parameter: alone it leaves the default technique,
+	// beside technique= it changes nothing.
 	var viaTech, viaMethod EstimateResponse
-	getJSON(t, srv.URL+"/estimate/select?rel=hotels&x=10&y=45&k=20&technique=density&method=staircase", &viaTech)
+	getJSON(t, srv.URL+"/estimate/select?rel=hotels&x=10&y=45&k=20&technique=density&method=staircase-c", &viaTech)
 	getJSON(t, srv.URL+"/estimate/select?rel=hotels&x=10&y=45&k=20&method=density", &viaMethod)
-	if viaTech.Blocks != viaMethod.Blocks || viaTech.Method != "density" {
-		t.Errorf("technique did not take precedence over method: %+v vs %+v", viaTech, viaMethod)
+	if viaTech.Blocks != canonical[engine.TechDensity] || viaTech.Method != engine.TechDensity {
+		t.Errorf("?method= beside technique=density changed the answer: %+v", viaTech)
+	}
+	if viaMethod.Blocks != canonical[engine.TechStaircaseCC] || viaMethod.Method != engine.TechStaircaseCC {
+		t.Errorf("?method=density alone did not fall to the default technique: %+v", viaMethod)
 	}
 
-	// Unknown names are 400 and the message lists what is registered.
-	var errOut struct {
-		Error string `json:"error"`
-	}
-	code := getJSON(t, srv.URL+"/estimate/select?rel=hotels&x=10&y=45&k=20&technique=magic", &errOut)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown technique: status %d", code)
-	}
-	if !strings.Contains(errOut.Error, "unknown select method") ||
-		!strings.Contains(errOut.Error, engine.TechStaircaseC) {
-		t.Errorf("unknown technique error %q does not list registered names", errOut.Error)
+	// Unknown names — the dropped legacy spellings among them — are 400 and
+	// the message lists what is registered.
+	for _, name := range []string{"magic", "staircase", "staircase-center-corners", "staircase-center-only"} {
+		var errOut struct {
+			Error string `json:"error"`
+		}
+		code := getJSON(t, srv.URL+"/estimate/select?rel=hotels&x=10&y=45&k=20&technique="+name, &errOut)
+		if code != http.StatusBadRequest {
+			t.Fatalf("technique %s: status %d, want 400", name, code)
+		}
+		if !strings.Contains(errOut.Error, "unknown select method") ||
+			!strings.Contains(errOut.Error, engine.TechStaircaseC) {
+			t.Errorf("technique %s: error %q does not list registered names", name, errOut.Error)
+		}
 	}
 }
 
@@ -153,22 +157,25 @@ func TestBatchSelectTechniqueField(t *testing.T) {
 		}
 	}
 
-	// Technique wins over Method; an unknown technique fails the whole batch.
+	// "method" is not a request field: it selects nothing. An unknown
+	// technique — a dropped legacy spelling included — fails the whole batch.
 	var out BatchSelectResponse
-	code := postJSON(t, srv.URL+"/estimate/select/batch", BatchSelectRequest{
-		Relation: "restaurants", Technique: "density", Method: "staircase", Queries: queries,
+	code := postJSON(t, srv.URL+"/estimate/select/batch", map[string]any{
+		"relation": "restaurants", "method": "density", "queries": queries,
 	}, &out)
-	if code != http.StatusOK || out.Method != "density" {
-		t.Errorf("technique precedence in batch: status %d, method %q", code, out.Method)
+	if code != http.StatusOK || out.Method != engine.TechStaircaseCC {
+		t.Errorf("batch with only a method field: status %d, method %q, want the default technique", code, out.Method)
 	}
-	var errOut struct {
-		Error string `json:"error"`
-	}
-	code = postJSON(t, srv.URL+"/estimate/select/batch", BatchSelectRequest{
-		Relation: "restaurants", Technique: "magic", Queries: queries,
-	}, &errOut)
-	if code != http.StatusBadRequest {
-		t.Errorf("unknown batch technique: status %d", code)
+	for _, name := range []string{"magic", "staircase"} {
+		var errOut struct {
+			Error string `json:"error"`
+		}
+		code = postJSON(t, srv.URL+"/estimate/select/batch", BatchSelectRequest{
+			Relation: "restaurants", Technique: name, Queries: queries,
+		}, &errOut)
+		if code != http.StatusBadRequest || !strings.Contains(errOut.Error, engine.TechStaircaseCC) {
+			t.Errorf("batch technique %s: status %d, error %q; want 400 listing the registered names", name, code, errOut.Error)
+		}
 	}
 }
 
@@ -190,8 +197,7 @@ func TestSelectRejectsNegativeK(t *testing.T) {
 }
 
 // TestTechniqueListingsSorted pins deterministic ordering on the wire:
-// GET /techniques lists canonical names and per-technique aliases in sorted
-// order, and the ?technique= 400 body enumerates the registered names
+// GET /techniques lists names in sorted order, and the ?technique= 400 body enumerates the registered names
 // sorted — registration order must never leak into any listing surface.
 func TestTechniqueListingsSorted(t *testing.T) {
 	srv := testServer(t)
@@ -208,11 +214,9 @@ func TestTechniqueListingsSorted(t *testing.T) {
 	var selNames, joinNames []string
 	for _, ti := range out.Select {
 		selNames = append(selNames, ti.Name)
-		checkSorted("aliases of select technique "+ti.Name, ti.Aliases)
 	}
 	for _, ti := range out.Join {
 		joinNames = append(joinNames, ti.Name)
-		checkSorted("aliases of join technique "+ti.Name, ti.Aliases)
 	}
 	checkSorted("select technique names", selNames)
 	checkSorted("join technique names", joinNames)

@@ -691,12 +691,12 @@ func (rt *Router) handleTechniques(w http.ResponseWriter, _ *http.Request) {
 	var resp service.TechniquesResponse
 	for _, t := range engine.SelectTechniques() {
 		resp.Select = append(resp.Select, service.TechniqueInfo{
-			Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed,
+			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
 		})
 	}
 	for _, t := range engine.JoinTechniques() {
 		resp.Join = append(resp.Join, service.TechniqueInfo{
-			Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed,
+			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -395,6 +395,56 @@ func TestLostSideFileRebuildsAndRewrites(t *testing.T) {
 	}
 }
 
+// TestCorruptMergeEntryRebuilds: a side-file record whose checksum holds
+// but whose catalog entries break their invariants (here the second entry's
+// EndK := 0 and Cost := -1) is a miss for that one merge — rebuilt
+// bit-identical — never an estimate read from it.
+func TestCorruptMergeEntryRebuilds(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	first := newTestStore(t, opt)
+	for i, name := range []string{"x", "y"} {
+		if _, err := first.Register(name, gridPoints(500+50*i, int64(30+i))); err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, first, name) // y publishes last: its side-file holds both merges
+	}
+	want := joinEstimates(t, first.View())
+	side := first.cache.sidePath(first.View().Relation("y").Fingerprint)
+	closeStore(t, first)
+
+	data, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decodeSideFile(data)
+	if len(recs) != 1 {
+		t.Fatalf("y's side-file holds %d peers, want 1", len(recs))
+	}
+	for k, pair := range recs {
+		// magic, MaxK, scale, entry count, then (StartK, EndK, Cost) records.
+		if n := binary.LittleEndian.Uint64(pair[0][24:]); n < 2 {
+			t.Fatalf("merge has %d entries, the corruption needs 2", n)
+		}
+		binary.LittleEndian.PutUint64(pair[0][32+24+8:], 0)
+		binary.LittleEndian.PutUint64(pair[0][32+24+16:], ^uint64(0))
+		recs[k] = pair
+	}
+	if err := os.WriteFile(side, encodeSideFile(recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestStore(t, opt)
+	waitReady(t, second)
+	if b := second.CatalogBuilds(); b != 1 {
+		t.Fatalf("restart over one corrupt merge built %d catalogs, want 1", b)
+	}
+	if got := joinEstimates(t, second.View()); !reflect.DeepEqual(got, want) {
+		t.Fatal("estimates changed: a corrupt merge was served or rebuilt differently")
+	}
+}
+
 // TestRestartDropsDeadPeersRecords: a side-file names the generations its
 // relation was published next to. A restart keeps in memory only the records
 // of peers its registry names, and a side-file rewrite keeps on disk the

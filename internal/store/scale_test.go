@@ -28,8 +28,8 @@ import (
 // and fails this from a few thousand relations up). It logs the numbers
 // DESIGN.md records: warm-load wall time, RSS and heap growth.
 //
-// KNNCOST_SCALE_RELATIONS overrides the relation count; scripts/soak.sh
-// scale drives it at 2000, DESIGN.md §15 records 100k.
+// KNNCOST_SCALE_RELATIONS overrides the relation count; scripts/check.sh
+// drives it at 2000, DESIGN.md §15 records 100k.
 func TestCatalogScale(t *testing.T) {
 	n := 500
 	if testing.Short() {

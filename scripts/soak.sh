@@ -22,29 +22,16 @@
 # estimates bit-identical to a from-scratch registration of its logical
 # point dump.
 #
-# A fifth phase smokes the plan cache end to end: price a two-predicate
-# plan twice (the second must report cached:true), stream a mutation into
-# one of its relations, wait for the compaction publish, and require the
-# re-plan to miss — with the purge visible in the
-# knncost_plan_cache_invalidations expvar.
-#
-# A sixth phase smokes the catalog cache at fleet scale:
-# KNNCOST_SCALE_RELATIONS relations (default 2000; the recorded DESIGN.md
-# numbers use 100000) are built, persisted as bundles, and warm-loaded,
-# asserting bit-identical estimates with zero rebuild work and RSS growth
-# bounded by the bytes loaded, and reporting restart wall time.
-#
-# Usage: soak.sh [all|shard|ingest|plan|scale]  — `shard` runs only the third
-# phase, `ingest` only the fourth, `plan` only the fifth and `scale` only the
-# sixth (the smoke tier of scripts/check.sh uses these).
+# Usage: soak.sh [all|shard|ingest]  — `shard` runs only the third phase and
+# `ingest` only the fourth (the smoke tier of scripts/check.sh uses these).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 PHASE="${1:-all}"
 case "$PHASE" in
-  all|shard|ingest|plan|scale) ;;
-  *) echo "soak: unknown phase $PHASE (want all, shard, ingest, plan, or scale)"; exit 2 ;;
+  all|shard|ingest) ;;
+  *) echo "soak: unknown phase $PHASE (want all, shard or ingest)"; exit 2 ;;
 esac
 
 # Soak must leave the repository untouched — every file it writes goes to
@@ -467,93 +454,6 @@ kill -TERM "$IPID"; wait "$IPID" || { echo "soak: recovery daemon exited dirty";
 echo "soak: ingest tier OK"
 
 fi # PHASE = all|ingest
-
-if [ "$PHASE" = all ] || [ "$PHASE" = plan ]; then
-
-# --- plan-cache smoke --------------------------------------------------------
-
-# Fast compaction so the mutation's publish (and the cache purge it fires)
-# lands within the polling window.
-: >"$OUT.p"
-"$BIN" -addr 127.0.0.1:0 \
-  -relations hotels:3000,restaurants:5000 \
-  -capacity 128 -maxk 100 -sample 50 -grid 6 \
-  -compact-threshold 1 -compact-interval 50ms \
-  -drain-timeout "${DRAIN}s" -access-log=false \
-  >"$OUT.p" 2>"$LOG.p" &
-PPID_=$!
-PADDR=
-for i in $(seq 1 100); do
-  PADDR=$(sed -n 's/^knncostd listening on //p' "$OUT.p" | head -n1)
-  [ -n "$PADDR" ] && break
-  sleep 0.1
-done
-[ -n "$PADDR" ] || { echo "soak: plan daemon never printed its address"; cat "$LOG.p"; exit 1; }
-PBASE="http://$PADDR"
-for i in $(seq 1 300); do
-  if curl -fsS "$PBASE/readyz" >/dev/null 2>&1; then PREADY=1; break; fi
-  sleep 0.1
-done
-[ -n "${PREADY:-}" ] || { echo "soak: plan daemon never became ready"; cat "$LOG.p"; exit 1; }
-echo "soak: plan daemon pid=$PPID_ addr=$PADDR"
-
-PLAN_BODY='{"selects":[{"relation":"hotels","x":10,"y":45,"k":8},{"relation":"restaurants","x":10,"y":45,"k":20}],"filter_selectivity":0.5}'
-plan_cached() {
-  curl -fsS -X POST -H 'Content-Type: application/json' -d "$PLAN_BODY" \
-    "$PBASE/plan" | sed -n 's/.*"cached":\(true\|false\).*/\1/p'
-}
-plan_invalidations() {
-  curl -fsS "$PBASE/debug/vars" | sed -n 's/.*"knncost_plan_cache_invalidations": *\([0-9][0-9]*\).*/\1/p'
-}
-
-COLD=$(plan_cached)
-[ "$COLD" = "false" ] || { echo "soak: first plan reported cached=$COLD, want false"; exit 1; }
-WARM=$(plan_cached)
-[ "$WARM" = "true" ] || { echo "soak: second plan reported cached=$WARM, want true"; exit 1; }
-echo "soak: plan cached on second request"
-
-# Mutate hotels; the compaction publish must purge every plan that
-# references it.
-curl -fsS -X POST -H 'Content-Type: application/json' \
-  -d '{"points":[[1,1],[2,5],[3,2]]}' \
-  "$PBASE/relations/hotels/points" >/dev/null \
-  || { echo "soak: plan-phase mutation failed"; exit 1; }
-INVAL=
-for i in $(seq 1 300); do
-  INVAL=$(plan_invalidations)
-  [ "${INVAL:-0}" -ge 1 ] && break
-  sleep 0.1
-done
-[ "${INVAL:-0}" -ge 1 ] || { echo "soak: no plan-cache invalidation after mutation (expvar=${INVAL:-unset})"; exit 1; }
-
-REPLAN=$(plan_cached)
-[ "$REPLAN" = "false" ] || { echo "soak: plan after mutation reported cached=$REPLAN, want false (stale cache)"; exit 1; }
-echo "soak: plan cache OK (invalidations=$INVAL, re-plan missed)"
-
-kill -TERM "$PPID_"; wait "$PPID_" || { echo "soak: plan daemon exited dirty"; cat "$LOG.p"; exit 1; }
-echo "soak: plan tier OK"
-
-fi # PHASE = all|plan
-
-if [ "$PHASE" = all ] || [ "$PHASE" = scale ]; then
-
-# --- catalog-cache scale smoke -------------------------------------------------
-
-# The scale measurement lives in a Go test (it needs in-process RSS/heap
-# probes); the soak phase drives it at fleet scale and requires the verbose
-# log to show the warm-load numbers.
-SCALE_N="${KNNCOST_SCALE_RELATIONS:-2000}"
-SCALE_OUT="$TMPDIR/knncostd-soak-$$.scale"
-if KNNCOST_SCALE_RELATIONS="$SCALE_N" go test -run TestCatalogScale -v -timeout 1800s \
-    ./internal/store/ >"$SCALE_OUT" 2>&1; then
-  grep -E "relations=|rss:" "$SCALE_OUT" | sed 's/^ *[^ ]* /soak: scale /'
-else
-  echo "soak: catalog scale test failed:"; cat "$SCALE_OUT"; rm -f "$SCALE_OUT"; exit 1
-fi
-rm -f "$SCALE_OUT"
-echo "soak: scale tier OK ($SCALE_N relations)"
-
-fi # PHASE = all|scale
 
 # --- clean-tree check --------------------------------------------------------
 

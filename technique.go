@@ -16,8 +16,6 @@ import (
 type TechniqueInfo struct {
 	// Name is the canonical registry name, e.g. "staircase-cc".
 	Name string
-	// Aliases also resolve to this technique.
-	Aliases []string
 	// Summary is a one-line description.
 	Summary string
 	// Preprocessed reports whether the technique builds a preprocessing
@@ -31,7 +29,7 @@ func SelectTechniques() []TechniqueInfo {
 	ts := engine.SelectTechniques()
 	out := make([]TechniqueInfo, len(ts))
 	for i, t := range ts {
-		out[i] = TechniqueInfo{Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed}
+		out[i] = TechniqueInfo{Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed}
 	}
 	return out
 }
@@ -42,7 +40,7 @@ func JoinTechniques() []TechniqueInfo {
 	ts := engine.JoinTechniques()
 	out := make([]TechniqueInfo, len(ts))
 	for i, t := range ts {
-		out[i] = TechniqueInfo{Name: t.Name, Aliases: t.Aliases, Summary: t.Summary, Preprocessed: t.Preprocessed}
+		out[i] = TechniqueInfo{Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed}
 	}
 	return out
 }
@@ -57,8 +55,8 @@ func (ix *Index) engine() *engine.Relation {
 	return ix.eng
 }
 
-// SelectEstimatorFor resolves a registered select technique by name (or
-// alias) against this index, building — and caching, once per Index — any
+// SelectEstimatorFor resolves a registered select technique by name
+// against this index, building — and caching, once per Index — any
 // preprocessing artifact the technique needs. Unknown names are an error
 // listing what is registered.
 func (ix *Index) SelectEstimatorFor(technique string) (SelectEstimator, error) {
