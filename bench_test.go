@@ -261,9 +261,11 @@ func BenchmarkEstimateSelectHot(b *testing.B) {
 	}
 }
 
-// BenchmarkStaircaseBuildAlloc tracks the allocation cost of building the
-// center+corners staircase; the pooled browser/scratch-catalog path keeps
-// allocs/op to retained catalog data only.
+// BenchmarkStaircaseBuildAlloc tracks the time and allocation cost of
+// building the center+corners staircase: one counting Procedure 1 per block
+// center and per distinct corner, in pooled scratch, so allocs/op is the
+// retained output (catalogs, point-location grid, Count-Index) plus the
+// corner max-merge's temporaries.
 func BenchmarkStaircaseBuildAlloc(b *testing.B) {
 	pts := knncost.GenerateOSMLike(20_000, 4)
 	ix := knncost.BuildQuadtreeIndex(pts, knncost.IndexOptions{Capacity: 256})

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"knncost/internal/datagen"
 	"knncost/internal/geom"
+	"knncost/internal/quadtree"
 )
 
 // The single-pass density estimator must reproduce the literal two-scan
@@ -53,5 +55,29 @@ func TestDensitySinglePassMatchesTwoPass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Steady-state DensityBased.EstimateSelect must not allocate: its scratch is
+// pooled, and index.Scan holds the query point by value, not boxed in a
+// geom.Origin.
+func TestDensityEstimateSelectZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tree := quadtree.Build(datagen.OSMLike(5_000, 1), quadtree.Options{
+		Capacity: 64, Bounds: datagen.WorldBounds,
+	}).Index()
+	d := NewDensityBased(tree.CountTree())
+	q := geom.Point{X: 12.5, Y: 41.9}
+	if _, err := d.EstimateSelect(q, 300); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := d.EstimateSelect(q, 300); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("DensityBased.EstimateSelect allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"knncost/internal/geom"
-	"knncost/internal/index"
 )
 
 // Parallel catalog building must produce exactly the same estimator as a
@@ -43,14 +42,14 @@ func TestStaircaseParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-func TestForEachBlockPropagatesError(t *testing.T) {
+func TestForEachIndexedPropagatesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	bounds := geom.NewRect(0, 0, 10, 10)
 	data := buildIx(randPoints(rng, 500, bounds), bounds, 16)
 	wantErr := errSentinel("boom")
 	for _, par := range []int{1, 4} {
-		err := forEachBlock(data.Blocks(), par, func(b *index.Block) error {
-			if b.ID == 3 {
+		err := forEachIndexed(data.NumBlocks(), par, func(i int) error {
+			if i == 3 {
 				return wantErr
 			}
 			return nil

@@ -1,24 +1,26 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
 	"knncost/internal/index"
-	"knncost/internal/knn"
 )
 
-// browserPool recycles distance-browsing state across Procedure 1 runs: the
-// blocks-queue and tuples-queue a browser grows while simulating one anchor
-// are reused for the next anchor instead of being reallocated. Staircase
-// builds run Procedure 1 five times per block across many goroutines, so the
-// pool is what makes preprocessing allocation-light.
-//
-// Pooling invariant: a Browser taken from the pool is used by exactly one
-// goroutine and returned before the building function exits — it must never
-// escape into a returned value or another goroutine.
-var browserPool = sync.Pool{New: func() any { return new(knn.Browser) }}
+// procedure1Scratch is the working set of one Procedure 1 run: the MINDIST
+// scan, the distances of the points read but not yet returned, and the
+// catalog under construction. It is pooled, so a run allocates only the
+// exact-size catalog it returns. A pooled scratch must not escape the
+// goroutine that took it.
+type procedure1Scratch struct {
+	scan    index.Scan
+	pending []float64
+	cat     catalog.Catalog
+}
+
+var procedure1Pool = sync.Pool{New: func() any { return new(procedure1Scratch) }}
 
 // BuildSelectCatalog runs Procedure 1 of the paper: it simulates distance
 // browsing from q over the data index and records, for every k in
@@ -26,58 +28,71 @@ var browserPool = sync.Pool{New: func() any { return new(knn.Browser) }}
 // returned. Runs of equal cost collapse into intervals — the staircase of
 // Figure 4.
 //
+// The simulation counts instead of sorting. Distance browsing returns a
+// read point as soon as its distance does not exceed the lower bound on
+// every unread block (index.Scan.PeekDist), and otherwise reads the next
+// block in MINDIST order. How many neighbors come out between two block
+// reads is therefore the number of pending distances <= that bound: the
+// order among them, and the points themselves, never matter to the cost.
+// TestSelectCatalogMatchesBrowserReplay pins the result, entry for entry,
+// to a knn.Browser run.
+//
 // When the index holds fewer than maxK points, the remaining k range is
 // assigned the cost of scanning the whole index (distance browsing will
 // have consumed every block by then).
 func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catalog {
-	browser := browserPool.Get().(*knn.Browser)
-	defer browserPool.Put(browser)
 	cat := &catalog.Catalog{}
-	buildSelectCatalogInto(cat, browser, data, q, maxK)
-	return cat
-}
-
-// buildSelectCatalogInto is Procedure 1 with caller-owned state: the result
-// is written into cat (reset first, capacity retained) and the traversal
-// reuses browser's queues. It is the per-anchor step of the staircase
-// builder, which re-seeds one pooled browser for all five anchors of a
-// block.
-func buildSelectCatalogInto(cat *catalog.Catalog, browser *knn.Browser, data *index.Tree, q geom.Point, maxK int) {
-	cat.Reset()
 	if maxK < 1 {
-		return
+		return cat
 	}
-	browser.Reset(data, q)
-	startK := 1
-	currentCost := -1
-	k := 0
-	for k < maxK {
-		_, ok := browser.Next()
-		if !ok {
+	s := procedure1Pool.Get().(*procedure1Scratch)
+	defer procedure1Pool.Put(s)
+	s.scan.Reset(data, q)
+	s.cat.Reset()
+	pending := s.pending[:0]
+	emitted, cost := 0, 0
+	for emitted < maxK {
+		lb, more := s.scan.PeekDist()
+		if !more {
+			lb = math.Inf(1) // nothing left to read: every pending point comes out
+		}
+		// Return the pending points no farther than any unread block can be.
+		kept := 0
+		for _, d := range pending {
+			if d > lb {
+				pending[kept] = d
+				kept++
+			}
+		}
+		if c := len(pending) - kept; c > 0 {
+			mustAppend(&s.cat, emitted+1, min(emitted+c, maxK), cost)
+			emitted += c
+		}
+		pending = pending[:kept]
+		if !more || emitted >= maxK {
 			break
 		}
-		k++
-		cost := browser.Stats().BlocksScanned
-		if currentCost == -1 {
-			currentCost = cost
-			continue
+		// The next block in MINDIST order, however far it turns out to be.
+		blk, _, ok := s.scan.Next()
+		if !ok {
+			// PeekDist promised a block; Next must deliver.
+			panic("core: MINDIST scan peek/next mismatch")
 		}
-		if cost != currentCost {
-			// appendInterval cannot fail: intervals are contiguous
-			// by construction.
-			mustAppend(cat, startK, k-1, currentCost)
-			startK = k
-			currentCost = cost
+		cost++
+		for _, p := range blk.Points {
+			pending = append(pending, q.Dist(p))
 		}
 	}
-	if currentCost != -1 {
-		mustAppend(cat, startK, k, currentCost)
-		startK = k + 1
-	}
-	if startK <= maxK {
+	if emitted < maxK {
 		// Fewer than maxK points: every block has been scanned.
-		mustAppend(cat, startK, maxK, data.NumBlocks())
+		mustAppend(&s.cat, emitted+1, maxK, data.NumBlocks())
 	}
+	s.pending = pending[:0]
+	cat.Reserve(s.cat.Len())
+	for _, e := range s.cat.Entries() {
+		mustAppend(cat, e.StartK, e.EndK, e.Cost)
+	}
+	return cat
 }
 
 // mustAppend appends an interval that is contiguous by construction; a

@@ -9,9 +9,8 @@ import (
 )
 
 // localityScans bundles the two interleaved MINDIST scans of Procedure 2 so
-// both heaps can be pooled and re-seeded together. The same pooling
-// invariant as browserPool applies: a pooled pair must not escape the
-// goroutine that took it.
+// both heaps can be pooled and re-seeded together. A pooled pair must not
+// escape the goroutine that took it.
 type localityScans struct {
 	count, max index.Scan
 }

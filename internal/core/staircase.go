@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
 	"knncost/internal/index"
-	"knncost/internal/knn"
 	"knncost/internal/ptloc"
 	"knncost/internal/quadtree"
 )
@@ -96,25 +96,15 @@ type Staircase struct {
 	fallback SelectEstimator
 }
 
-// stairScratch is the per-goroutine working set of the staircase builder:
-// one re-seedable browser plus four scratch catalogs for the corner
-// temporaries that are discarded after the max-merge. Pooling it means a
-// build allocates only what it retains (the per-block center/corner
-// catalogs), not per-anchor traversal state. A pooled scratch must not
-// escape the goroutine that took it.
-type stairScratch struct {
-	browser knn.Browser
-	corner  [4]catalog.Catalog
-	cats    [4]*catalog.Catalog
-}
-
-var stairScratchPool = sync.Pool{New: func() any { return new(stairScratch) }}
-
 // BuildStaircase precomputes the staircase catalogs for the given data
 // index. When the data index is space-partitioning (quadtree, grid) the
 // catalogs attach to its own blocks; otherwise (R-tree) a quadtree auxiliary
 // index is built over the same points, as §3.3 prescribes, so that every
 // query point falls inside some block.
+//
+// Procedure 1 runs once per anchor, not five times per block: neighbouring
+// blocks of a partitioning index share their corner points, and the catalog
+// of a point does not depend on which block asked for it.
 func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) {
 	if data.NumBlocks() == 0 {
 		return nil, errors.New("core: cannot build staircase over empty index")
@@ -139,56 +129,74 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	if s.fallback == nil {
 		s.fallback = NewDensityBased(data.CountTree())
 	}
-	s.center = make([]*catalog.Catalog, aux.NumBlocks())
+	blocks := aux.Blocks()
+	anchors, cornerOf := staircaseAnchors(blocks, opt.Mode)
+	cats := make([]*catalog.Catalog, len(anchors))
+	_ = forEachIndexed(len(anchors), opt.Parallelism, func(i int) error {
+		cats[i] = BuildSelectCatalog(data, anchors[i], opt.MaxK)
+		return nil
+	})
+	// A copy, not a sub-slice: cats also holds the corner catalogs, which
+	// ModeCenterCorners must not retain past the max-merge.
+	s.center = slices.Clone(cats[:len(blocks)])
 	switch opt.Mode {
 	case ModeCenterCorners:
-		s.corners = make([]*catalog.Catalog, aux.NumBlocks())
-	case ModeCenterQuadrant:
-		s.quads = make([][4]*catalog.Catalog, aux.NumBlocks())
-	}
-	buildBlock := func(b *index.Block) error {
-		// One pooled scratch serves all five anchors of the block: the
-		// browser is re-seeded per anchor and the four corner catalogs are
-		// built into reusable scratch space, since only their max-merge is
-		// retained.
-		scratch := stairScratchPool.Get().(*stairScratch)
-		defer stairScratchPool.Put(scratch)
-		center := &catalog.Catalog{}
-		buildSelectCatalogInto(center, &scratch.browser, data, b.Bounds.Center(), opt.MaxK)
-		s.center[b.ID] = center
-		switch opt.Mode {
-		case ModeCenterCorners:
-			for i, c := range b.Bounds.Corners() {
-				buildSelectCatalogInto(&scratch.corner[i], &scratch.browser, data, c, opt.MaxK)
-				scratch.cats[i] = &scratch.corner[i]
+		s.corners = make([]*catalog.Catalog, len(blocks))
+		err := forEachIndexed(len(blocks), opt.Parallelism, func(b int) error {
+			var four [4]*catalog.Catalog
+			for i, a := range cornerOf[b] {
+				four[i] = cats[a]
 			}
-			merged, err := catalog.MergeMax(scratch.cats[:])
+			merged, err := catalog.MergeMax(four[:])
 			if err != nil {
-				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b.ID, err)
+				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b, err)
 			}
-			s.corners[b.ID] = merged
-		case ModeCenterQuadrant:
-			for i, c := range b.Bounds.Corners() {
-				quad := &catalog.Catalog{}
-				buildSelectCatalogInto(quad, &scratch.browser, data, c, opt.MaxK)
-				s.quads[b.ID][i] = quad
+			s.corners[b] = merged
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	case ModeCenterQuadrant:
+		s.quads = make([][4]*catalog.Catalog, len(blocks))
+		for b := range blocks {
+			for i, a := range cornerOf[b] {
+				s.quads[b][i] = cats[a]
 			}
 		}
-		return nil
-	}
-	if err := forEachBlock(aux.Blocks(), opt.Parallelism, buildBlock); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
 
-// forEachBlock runs fn over blocks with the given parallelism (0 means
-// GOMAXPROCS). Each block writes only its own catalog slots, so no
-// synchronization beyond the WaitGroup is needed; the first error wins.
-func forEachBlock(blocks []*index.Block, parallelism int, fn func(*index.Block) error) error {
-	return forEachIndexed(len(blocks), parallelism, func(i int) error {
-		return fn(blocks[i])
-	})
+// staircaseAnchors lists the points Procedure 1 runs from: the center of
+// every block (anchors[i] for block i — a block's ID is its position), then,
+// unless the mode is ModeCenterOnly, every distinct corner once. cornerOf[b]
+// holds block b's corners, in Rect.Corners() order, as indexes into anchors.
+// Corners are shared by exact coordinate equality: a quadtree or grid cell's
+// corner is computed from the same split values as its neighbours', and two
+// anchors that compare equal build the same catalog.
+func staircaseAnchors(blocks []*index.Block, mode StaircaseMode) (anchors []geom.Point, cornerOf [][4]int) {
+	anchors = make([]geom.Point, len(blocks), 3*len(blocks))
+	for i, b := range blocks {
+		anchors[i] = b.Bounds.Center()
+	}
+	if mode == ModeCenterOnly {
+		return anchors, nil
+	}
+	cornerOf = make([][4]int, len(blocks))
+	seen := make(map[geom.Point]int, 2*len(blocks))
+	for b, blk := range blocks {
+		for i, c := range blk.Bounds.Corners() {
+			a, ok := seen[c]
+			if !ok {
+				a = len(anchors)
+				seen[c] = a
+				anchors = append(anchors, c)
+			}
+			cornerOf[b][i] = a
+		}
+	}
+	return anchors, cornerOf
 }
 
 // forEachIndexed runs fn(0..n-1) with the given parallelism (0 or negative

@@ -251,8 +251,12 @@ func (t *Tree) Validate() error {
 // distance browsing, the density-based estimator, locality computation, and
 // Procedures 1 and 2.
 type Scan struct {
-	from  geom.Origin
-	queue pqueue.Queue[*Node]
+	// The origin is held by value, in whichever of its two forms was given:
+	// a geom.Origin field would box it, one allocation per scan.
+	point    geom.Point
+	rect     geom.Rect
+	fromRect bool
+	queue    pqueue.Queue[*Node]
 }
 
 // ScanMinDist starts a MINDIST scan of t from the given origin.
@@ -262,17 +266,35 @@ func (t *Tree) ScanMinDist(from geom.Origin) *Scan {
 	return s
 }
 
-// Reset re-seeds s as a fresh MINDIST scan of t from the given origin,
-// retaining the queue capacity of previous scans. It is the reuse primitive
-// behind the zero-allocation catalog builders: one Scan (or knn.Browser)
-// can serve many anchors without re-allocating its heap each time. The zero
+// Reset re-seeds s as a fresh MINDIST scan of t from the given origin (a
+// geom.Point or a geom.Rect), retaining the queue capacity of previous
+// scans. It is the reuse primitive behind the zero-allocation catalog
+// builders: one Scan (or knn.Browser) can serve many anchors without
+// re-allocating its heap each time, and from does not escape. The zero
 // value of Scan is valid input.
 func (s *Scan) Reset(t *Tree, from geom.Origin) {
-	s.from = from
+	switch o := from.(type) {
+	case geom.Point:
+		s.point, s.fromRect = o, false
+	case geom.Rect:
+		s.rect, s.fromRect = o, true
+	default:
+		// The message must not format from: that alone would make every
+		// caller's origin escape again.
+		panic("index: scan origin must be a geom.Point or a geom.Rect")
+	}
 	s.queue.Reset()
 	if t.root != nil {
-		s.queue.Push(t.root, from.MinDistTo(t.root.Bounds))
+		s.queue.Push(t.root, s.minDistTo(t.root.Bounds))
 	}
+}
+
+// minDistTo is the origin's Origin.MinDistTo, dispatched on its form.
+func (s *Scan) minDistTo(r geom.Rect) float64 {
+	if s.fromRect {
+		return geom.MinDistRect(s.rect, r)
+	}
+	return geom.MinDist(s.point, r)
 }
 
 // Next returns the unvisited block with the smallest MINDIST from the
@@ -289,7 +311,7 @@ func (s *Scan) Next() (*Block, float64, bool) {
 			return n.Block, prio, true
 		}
 		for _, c := range n.Children {
-			s.queue.Push(c, s.from.MinDistTo(c.Bounds))
+			s.queue.Push(c, s.minDistTo(c.Bounds))
 		}
 	}
 }

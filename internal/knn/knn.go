@@ -50,10 +50,12 @@ type Stats struct {
 // optimal in blocks scanned and usable when k is not known in advance (the
 // "k-closest restaurants that provide seafood" scenario of §2).
 // A Browser is re-seedable: Reset starts a fresh traversal while keeping the
-// capacity of both queues, so one Browser can serve many anchors with no
-// steady-state allocation (the catalog builders of internal/core pool
-// Browsers this way). A Browser is not safe for concurrent use; a pooled
-// Browser must not escape the goroutine that took it from the pool.
+// capacity of both queues, so one Browser can serve many queries with no
+// steady-state allocation. A Browser is not safe for concurrent use.
+//
+// The Browser is the ground-truth operator. Procedure 1 of internal/core
+// needs only its block counts and gets them without the tuples-queue; it is
+// pinned to this implementation by a differential test.
 type Browser struct {
 	q      geom.Point
 	scan   index.Scan

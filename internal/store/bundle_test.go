@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -403,6 +404,7 @@ func TestCorruptMergeEntryRebuilds(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
 	opt.CompactInterval = -1
+	opt.Workers = 1 // restarts publish x, then y: the rebuilt merge lands in y's side-file
 	first := newTestStore(t, opt)
 	for i, name := range []string{"x", "y"} {
 		if _, err := first.Register(name, gridPoints(500+50*i, int64(30+i))); err != nil {
@@ -442,6 +444,25 @@ func TestCorruptMergeEntryRebuilds(t *testing.T) {
 	}
 	if got := joinEstimates(t, second.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("estimates changed: a corrupt merge was served or rebuilt differently")
+	}
+	closeStore(t, second)
+
+	// The rebuilt merge replaced the record it was rebuilt for: the
+	// side-file is healed and the next restart finds nothing to build.
+	healed, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(healed, data) {
+		t.Fatal("side-file after the rebuild is not the one first written")
+	}
+	third := newTestStore(t, opt)
+	waitReady(t, third)
+	if b := third.CatalogBuilds(); b != 0 {
+		t.Fatalf("restart over the healed side-file built %d catalogs, want 0", b)
+	}
+	if got := joinEstimates(t, third.View()); !reflect.DeepEqual(got, want) {
+		t.Fatal("estimates changed across the healed restart")
 	}
 }
 
@@ -584,5 +605,30 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 	}
 	if s.CatalogBuilds() != builds {
 		t.Fatal("a status-only republish built catalogs")
+	}
+}
+
+// TestBundleBytesPinned: a relation's bundle is content-addressed, so how
+// its artifacts are built must never show in it. The digest was recorded
+// from the build that heap-sorted five anchors per block (commit 96bd4f1);
+// a staircase, virtual grid or AkNN summary that differs in one bit — or a
+// layout change without a cacheFormat bump — changes it.
+func TestBundleBytesPinned(t *testing.T) {
+	const want = "bf5bfdec52590e1889c3a2a6cea910578856715eaedcf1f9d63b2d601d2f9c69"
+	opt := testOptions(t)
+	opt.MaxK, opt.IndexCapacity = 200, 48
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	if _, err := s.Register("pinned", gridPoints(3000, 16)); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "pinned")
+	data, err := os.ReadFile(s.cache.bundlePath(s.View().Relation("pinned").Fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("bundle of the pinned relation hashes to %s, want %s (%d bytes)", got, want, len(data))
 	}
 }

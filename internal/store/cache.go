@@ -420,15 +420,19 @@ func decodeSideFile(data []byte) mergeRecs {
 }
 
 // storeMerges writes the side-file of fp as the union of built and the
-// records it holds now, which win: another store on this directory may have
-// put records there for peers this one has never seen, and dropping them
-// would have the two stores rebuild each other's merges on every restart.
+// records it holds now: another store on this directory may have put records
+// there for peers this one has never seen, and dropping them would have the
+// two stores rebuild each other's merges on every restart. Where both have a
+// payload for the same peer and direction, built wins: mergeFor builds only
+// what the records did not yield, so the stored payload is one it rejected
+// (intact by CRC, invalid as a catalog), and keeping it would have every
+// restart rebuild that merge again.
 func (c *diskCache) storeMerges(fp string, built mergeRecs) error {
 	side, _ := os.ReadFile(c.sidePath(fp))
 	for k, old := range decodeSideFile(side) {
 		rec := built[k]
 		for dir, payload := range old {
-			if payload != nil {
+			if rec[dir] == nil {
 				rec[dir] = payload
 			}
 		}

@@ -32,6 +32,7 @@ internal/oracle:FuzzJoinCost
 internal/aknn:FuzzAknnJoin
 internal/aknn:FuzzAknnBoundsEstimate
 internal/aknn:FuzzLoadAknnSummary
+internal/core:FuzzSelectCatalog
 internal/core:FuzzLoadStaircase
 internal/core:FuzzLoadCatalogMerge
 internal/core:FuzzLoadVirtualGrid
