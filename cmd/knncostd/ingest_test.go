@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -163,7 +164,25 @@ func TestIngestSurvivesRestartAndConverges(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Every compaction since the restart left a generation behind, and the
+	// store swept it: once the daemon has drained, cat/ holds one bundle for
+	// each of the four live relations (the boot schema's two, feed, scratch),
+	// at most one merge side-file each, and nothing else.
+	if got := expvarInt(t, base, "knncost_cache_swept_files"); got < 1 {
+		t.Fatalf("knncost_cache_swept_files = %d after %d compactions, want >= 1", got, expvarInt(t, base, "knncost_compactions"))
+	}
 	stopDaemon(t, exit)
+	ents, err := os.ReadDir(filepath.Join(cacheDir, "cat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byExt := map[string]int{}
+	for _, ent := range ents {
+		byExt[filepath.Ext(ent.Name())]++
+	}
+	if byExt[".knc"] != 4 || byExt[".knm"] > 4 || len(ents) != byExt[".knc"]+byExt[".knm"] {
+		t.Fatalf("cat/ holds %d files (%v) for 4 live relations, want their 4 bundles and side-files only", len(ents), byExt)
+	}
 }
 
 // startRouterDaemon boots a run() in router mode and returns its base URL.

@@ -124,6 +124,8 @@ func count[T any](read func(*T) int64) func(*T) any {
 var storeCounters = map[string]func(*store.Store) any{
 	"knncost_catalog_builds":      count((*store.Store).CatalogBuilds),
 	"knncost_cache_hits":          count((*store.Store).CacheHits),
+	"knncost_cache_swept_files":   count((*store.Store).CacheSweptFiles),
+	"knncost_cache_swept_bytes":   count((*store.Store).CacheSweptBytes),
 	"knncost_relations":           func(s *store.Store) any { return int64(s.View().NumRelations()) },
 	"knncost_wal_appends":         count((*store.Store).WALAppends),
 	"knncost_wal_fsyncs":          count((*store.Store).WALFsyncs),

@@ -274,7 +274,8 @@ func joinEstimates(t *testing.T, v *View) map[[2]string]float64 {
 
 // TestWarmRestartWritesNothing: a restart that restores every relation from
 // its bundle and every pair from a side-file leaves the directory — files,
-// registry, write-ahead log — exactly as it found it.
+// registry, write-ahead log, lock — exactly as it found it: it writes
+// nothing and, with nothing dead, its start-up sweep unlinks nothing.
 func TestWarmRestartWritesNothing(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -297,6 +298,9 @@ func TestWarmRestartWritesNothing(t *testing.T) {
 	}
 	if got := joinEstimates(t, warm.View()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("join estimates changed across the restart: %v vs %v", got, want)
+	}
+	if n := warm.CacheSweptFiles(); n != 0 {
+		t.Fatalf("warm restart swept %d files", n)
 	}
 	closeStore(t, warm)
 	if after := cacheFiles(t, opt.CacheDir); !reflect.DeepEqual(after, before) {

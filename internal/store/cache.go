@@ -9,12 +9,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"knncost/internal/aknn"
 	"knncost/internal/core"
@@ -28,6 +31,7 @@ import (
 // directory — two files per fingerprint, so O(relations) files in all:
 //
 //	registry[-scope].json  name → fingerprint + resolution of live relations
+//	lock                   empty; its flock orders publishes against sweeps
 //	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
 //	                       table (kind, offset, length), the 8-byte-aligned
 //	                       sections KNPT (points, rebuilds the index), KNCSMAP
@@ -46,8 +50,13 @@ import (
 // the bytes the loaders borrow are copied, into exact-size allocations the
 // garbage collector owns. Everything is written atomically (temp file +
 // rename) and every load failure is a cache miss, never an error: the worst
-// a corrupt cache can do is force a rebuild. Dead generations are not
-// swept; a restart opens only the fingerprints the registry names.
+// a corrupt cache can do is force a rebuild.
+//
+// A generation no registry in the directory names any more is dead, and is
+// swept: see sweep for the rule and DESIGN §15 for why it needs no grace
+// period. Sweeping makes "a bundle that exists" a statement about one
+// instant, so the publisher checks it again at the one moment it matters
+// (Store.persistLocked), under the lock that keeps sweepers out.
 
 // cacheFormat is the bundle/side-file/registry format version; bump on any
 // change to the layout or to what a fingerprint covers. Format 5 replaced
@@ -107,23 +116,35 @@ type registryFile struct {
 type diskCache struct {
 	dir          string
 	registryName string
+	// tmpPrefix starts the name of every temp file this scope creates; the
+	// rest is the digits os.CreateTemp picks.
+	tmpPrefix string
+	logger    *log.Logger
 	// hook, when set, fires with the kind of file ("bundle", "merges",
-	// "registry") just before each rename — the crash-injection points.
+	// "registry") just before each rename, and with "sweep" just before each
+	// unlink — the crash-injection points.
 	hook    func(op string)
-	mu      sync.Mutex      // guards entries and the registry file
+	mu      sync.Mutex      // guards the fields below and the registry file
 	entries []registryEntry // the registry file's relations, sorted by name
+	dead    []string        // fingerprints whose sweep found the lock busy
+	skipped int             // sweeps skipped or vetoed, for the log's rate limit
+
+	sweptFiles, sweptBytes atomic.Int64
 }
 
 // openDiskCache opens (creating if needed) the cache at dir. scope selects
 // the registry file: several stores can share one content-addressed cache —
 // that sharing is what turns a shard handoff into a warm restore — but each
 // must restore only its own relations, so each scope gets its own registry.
-// A missing, corrupt or other-format registry is an empty one.
-func openDiskCache(dir, scope string) (*diskCache, error) {
+// A missing registry is an empty one. One that does not parse as this format
+// is an empty one too, but it is moved aside as <name>.bad rather than left
+// for the first remember to overwrite: the bundles it named are all that is
+// left of its relations, and sweep spares everything while a .bad is there.
+func openDiskCache(dir, scope string, logger *log.Logger) (*diskCache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cat"), 0o755); err != nil {
 		return nil, err
 	}
-	c := &diskCache{dir: dir, registryName: "registry.json"}
+	c := &diskCache{dir: dir, registryName: "registry.json", tmpPrefix: ".tmp-" + scope + "-", logger: logger}
 	if scope != "" {
 		for _, r := range scope {
 			switch {
@@ -135,11 +156,31 @@ func openDiskCache(dir, scope string) (*diskCache, error) {
 		}
 		c.registryName = "registry-" + scope + ".json"
 	}
-	var r registryFile
-	if data, err := os.ReadFile(c.registryPath()); err == nil && json.Unmarshal(data, &r) == nil && r.Format == cacheFormat {
-		slices.SortFunc(r.Relations, func(a, b registryEntry) int { return strings.Compare(a.Name, b.Name) })
-		c.entries = r.Relations
+	data, err := os.ReadFile(c.registryPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return c, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	var r registryFile
+	if json.Unmarshal(data, &r) != nil || r.Format != cacheFormat {
+		bad := c.registryPath() + ".bad"
+		for i := 1; ; i++ {
+			if _, err := os.Lstat(bad); err != nil {
+				break
+			}
+			bad = fmt.Sprintf("%s.%d.bad", c.registryPath(), i)
+		}
+		if err := os.Rename(c.registryPath(), bad); err != nil {
+			return nil, err
+		}
+		logger.Printf("store: cache registry %s is not a format-%d registry: moved aside as %s, and nothing in %s is swept until that file is removed",
+			c.registryName, cacheFormat, filepath.Base(bad), dir)
+		return c, nil
+	}
+	slices.SortFunc(r.Relations, func(a, b registryEntry) int { return strings.Compare(a.Name, b.Name) })
+	c.entries = r.Relations
 	return c, nil
 }
 
@@ -179,9 +220,10 @@ func (c *diskCache) bundlePath(fp string) string { return filepath.Join(c.dir, "
 func (c *diskCache) sidePath(fp string) string   { return filepath.Join(c.dir, "cat", fp+".knm") }
 
 // writeFile writes data to path via a temp file + rename, so readers never
-// observe a partial file and a crash never corrupts an entry.
+// observe a partial file and a crash never corrupts an entry. A kill before
+// the rename leaves the temp file behind; sweepAll collects it.
 func (c *diskCache) writeFile(op, path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), c.tmpPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -491,28 +533,31 @@ func (c *diskCache) registry() []registryEntry {
 }
 
 // remember records name → (fp, effective resolution, declared resolution)
-// in the registry, replacing any previous entry for name.
-func (c *diskCache) remember(name, fp string, res, declared core.Resolution) error {
+// in the registry, replacing any previous entry for name; replaced is the
+// fingerprint that entry held, when it held a different one.
+func (c *diskCache) remember(name, fp string, res, declared core.Resolution) (replaced string, err error) {
 	return c.updateRegistry(name, &registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon(), Declared: declared.Canon()})
 }
 
-// forget removes name from the registry. Cached artifacts stay: the cache
-// is content-addressed and re-registering the same data warm-loads.
-func (c *diskCache) forget(name string) error { return c.updateRegistry(name, nil) }
+// forget removes name from the registry and returns the fingerprint it held,
+// which the caller sweeps: a later registration of the same data rebuilds.
+func (c *diskCache) forget(name string) (forgotten string, err error) {
+	return c.updateRegistry(name, nil)
+}
 
 // updateRegistry replaces name's entry with put (removes it when put is
 // nil) and writes the file through, unless nothing would change — a warm
 // restart re-remembers what it restored and writes nothing. The in-memory
 // copy changes only once the write has succeeded, so memory and disk never
-// disagree.
-func (c *diskCache) updateRegistry(name string, put *registryEntry) error {
+// disagree. It returns the fingerprint name no longer maps to, if any.
+func (c *diskCache) updateRegistry(name string, put *registryEntry) (replaced string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, found := slices.BinarySearchFunc(c.entries, name, func(e registryEntry, n string) int { return strings.Compare(e.Name, n) })
 	next := slices.Clone(c.entries)
 	switch {
 	case put == nil && !found, put != nil && found && c.entries[i] == *put:
-		return nil
+		return "", nil
 	case put == nil:
 		next = slices.Delete(next, i, i+1)
 	case found:
@@ -524,11 +569,177 @@ func (c *diskCache) updateRegistry(name string, put *registryEntry) error {
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(registryFile{Format: cacheFormat, Relations: next}); err != nil {
-		return err
+		return "", err
 	}
 	if err := c.writeFile("registry", c.registryPath(), buf.Bytes()); err != nil {
-		return err
+		return "", err
+	}
+	if found && (put == nil || put.Fingerprint != c.entries[i].Fingerprint) {
+		replaced = c.entries[i].Fingerprint
 	}
 	c.entries = next
-	return nil
+	return replaced, nil
+}
+
+// --- sweep -------------------------------------------------------------------
+
+// errLockBusy is lockFile's error for an exclusive lock someone else holds.
+var errLockBusy = errors.New("the cache directory's lock is held")
+
+// lock takes the directory's advisory lock. A publish holds it shared from
+// the moment it has seen its bundle on disk until its registry names the
+// bundle's fingerprint; a sweep holds it exclusive. So whenever a sweep
+// runs, every bundle that anyone has decided to rely on is named by a
+// registry the sweep can read — which is the whole safety argument, and it
+// involves no clock. A publish that cannot have the lock goes ahead without
+// it: only a platform or file system without flock refuses a shared lock,
+// and there no sweep gets the exclusive one either.
+func (c *diskCache) lock(exclusive bool) (release func(), err error) {
+	return lockFile(filepath.Join(c.dir, "lock"), exclusive)
+}
+
+// hasBundle reports whether the bundle of fp is on disk right now.
+func (c *diskCache) hasBundle(fp string) bool {
+	_, err := os.Stat(c.bundlePath(fp))
+	return err == nil
+}
+
+// sweep unlinks the bundle and side-file of each given fingerprint ("" is
+// none), and of those an earlier sweep left queued, unless a registry in the
+// directory names it. It is called with the fingerprints that just stopped
+// being this store's: the one a remember replaced, the one a forget removed,
+// the one a discarded build wrote. A sweep that finds the lock busy leaves
+// its candidates queued for the next; one that is vetoed, or has no lock to
+// take, lets them go — sweepAll at the next start finds the files.
+func (c *diskCache) sweep(fps ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, fp := range fps {
+		if fp != "" {
+			c.dead = append(c.dead, fp)
+		}
+	}
+	if len(c.dead) == 0 {
+		return
+	}
+	named, release, err := c.sweepableLocked()
+	defer release()
+	if errors.Is(err, errLockBusy) {
+		return
+	}
+	if err == nil {
+		for _, fp := range c.dead {
+			if !named[fp] {
+				c.unlink(c.bundlePath(fp))
+				c.unlink(c.sidePath(fp))
+			}
+		}
+	}
+	c.dead = c.dead[:0]
+}
+
+// sweepAll is the start-up pass: it removes the temp files this scope's
+// earlier incarnations were killed holding — a second live process on one
+// scope is unsupported, so those need neither lock nor age rule — and sweeps
+// every bundle and side-file in cat/ that no registry names, which is what a
+// kill between a bundle's write and its registration leaves behind.
+func (c *diskCache) sweepAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	named, release, err := c.sweepableLocked()
+	defer release()
+	cat := filepath.Join(c.dir, "cat")
+	for _, dir := range []string{c.dir, cat} {
+		ents, _ := os.ReadDir(dir) // unreadable: nothing is removed
+		for _, ent := range ents {
+			name := ent.Name()
+			ext := filepath.Ext(name)
+			switch {
+			case c.ownTemp(name):
+				os.Remove(filepath.Join(dir, name))
+			case dir == cat && err == nil && (ext == ".knc" || ext == ".knm") && !named[strings.TrimSuffix(name, ext)]:
+				c.unlink(filepath.Join(dir, name))
+			}
+		}
+	}
+}
+
+// ownTemp reports whether name is a temp file of this scope: the prefix and
+// then only os.CreateTemp's digits, so that scope "a" leaves scope "a-1"'s
+// files alone.
+func (c *diskCache) ownTemp(name string) bool {
+	rest, ok := strings.CutPrefix(name, c.tmpPrefix)
+	return ok && rest != "" && strings.Trim(rest, "0123456789") == ""
+}
+
+// sweepableLocked takes the lock exclusive and returns every fingerprint a
+// registry in the directory names: this scope's from memory, the others'
+// from their files, whatever their format. Any error means nothing may be
+// unlinked: the lock is busy or cannot be had, a registry does not parse, or
+// one was moved aside as .bad and an operator has yet to look at it. It logs
+// the first such refusal and every hundredth. release is never nil.
+func (c *diskCache) sweepableLocked() (named map[string]bool, release func(), err error) {
+	release, err = c.lock(true)
+	if err == nil {
+		named, err = c.namedLocked()
+	}
+	if err != nil {
+		if c.skipped++; c.skipped%100 == 1 {
+			c.logger.Printf("store: not sweeping %s (refusal %d): %v", c.dir, c.skipped, err)
+		}
+	}
+	return named, release, err
+}
+
+// namedLocked reads those fingerprints; the caller holds the lock exclusive,
+// so no registry is about to name a bundle it has only just looked at.
+func (c *diskCache) namedLocked() (map[string]bool, error) {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	named := make(map[string]bool, len(c.entries))
+	for _, e := range c.entries {
+		named[e.Fingerprint] = true
+	}
+	for _, ent := range ents {
+		name := ent.Name()
+		switch {
+		case !strings.HasPrefix(name, "registry") || name == c.registryName:
+		case strings.HasSuffix(name, ".bad"):
+			return nil, fmt.Errorf("%s has not been removed", name)
+		case strings.HasSuffix(name, ".json"):
+			var r struct {
+				Relations []struct {
+					Fingerprint string `json:"fingerprint"`
+				} `json:"relations"`
+			}
+			data, err := os.ReadFile(filepath.Join(c.dir, name))
+			if err == nil {
+				err = json.Unmarshal(data, &r)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			for _, rel := range r.Relations {
+				named[rel.Fingerprint] = true
+			}
+		}
+	}
+	return named, nil
+}
+
+// unlink removes one dead file, if it is there, and counts it.
+func (c *diskCache) unlink(path string) {
+	info, err := os.Lstat(path)
+	if err != nil || !info.Mode().IsRegular() {
+		return
+	}
+	if c.hook != nil {
+		c.hook("sweep")
+	}
+	if os.Remove(path) == nil {
+		c.sweptFiles.Add(1)
+		c.sweptBytes.Add(info.Size())
+	}
 }

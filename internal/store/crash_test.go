@@ -4,7 +4,9 @@ package store
 // crashHook fires at every durability-critical operation: in the WAL (frame
 // half-written, frame complete, fsync, rotate, trim) and in the disk cache
 // (a bundle, a merge side-file or the registry written but not yet renamed
-// into place). At each firing the harness copies the whole cache directory
+// into place; a build finished and not yet published; a dead generation's
+// file about to be unlinked). At each firing the harness copies the whole
+// cache directory
 // — WAL, artifact store, registry — exactly as it exists at that instant,
 // and notes whether the store's View lists the relation as ready. Each copy
 // is then recovered into a fresh store, which must come up serving SOME
@@ -163,7 +165,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	checked, cacheOps := 0, map[string]int{}
 	for i, cap := range captured {
 		switch cap.op {
-		case "bundle", "merges", "registry":
+		case "bundle", "merges", "registry", "sweep":
 			cacheOps[cap.op]++
 		default:
 			if i%stride != 0 {
@@ -228,8 +230,8 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no capture recovered to a serving state; harness is vacuous")
 	}
-	if cacheOps["bundle"] == 0 || cacheOps["merges"] == 0 || cacheOps["registry"] == 0 {
-		t.Fatalf("no capture at a bundle, side-file or registry write (%v); cache hook not firing", cacheOps)
+	if cacheOps["bundle"] == 0 || cacheOps["merges"] == 0 || cacheOps["registry"] == 0 || cacheOps["sweep"] == 0 {
+		t.Fatalf("no capture at a bundle, side-file or registry write or at a sweep's unlink (%v); cache hook not firing", cacheOps)
 	}
 	t.Logf("captures=%d (cache writes %v) recovered=%d distinct states=%d", len(captured), cacheOps, checked, len(refs))
 }

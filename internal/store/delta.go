@@ -11,7 +11,8 @@ package store
 // Recovery protocol. Publication of a points-built snapshot is ordered:
 //
 //	bundle and merge side-file to disk cache → WAL checkpoint (fsynced) →
-//	registry remember → View swap (the relation is listed ready)
+//	registry remember → View swap (the relation is listed ready) → sweep of
+//	the generation the registry no longer names
 //
 // A checkpoint record carries (relation, covered LSN, fingerprint) and is
 // only *effective* on replay when its fingerprint matches what the registry
@@ -456,7 +457,7 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			continue
 		}
 		delete(s.entries, name)
-		if err := s.cache.forget(name); err != nil {
+		if _, err := s.cache.forget(name); err != nil {
 			s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", name, err)
 		}
 		s.opt.logger().Printf("store: replay finished drop of %q", name)
@@ -473,6 +474,11 @@ func (s *Store) recoverLocked(records []wal.Record) {
 	for _, e := range s.entries {
 		maps.DeleteFunc(e.pendingBundle.merges, func(k peerKey, _ [2][]byte) bool { return !live[k] })
 	}
+	// No worker can publish before this returns, so what the registry names
+	// now is all this store relies on: everything else in cat/ that no peer
+	// names either is dead — the generations a kill kept from being swept,
+	// the bundle a kill kept from being registered.
+	s.cache.sweepAll()
 	s.republishLocked()
 }
 

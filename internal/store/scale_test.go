@@ -1,7 +1,10 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -43,7 +46,7 @@ func TestCatalogScale(t *testing.T) {
 		n = v
 	}
 	dir := t.TempDir()
-	cache, err := openDiskCache(dir, "")
+	cache, err := openDiskCache(dir, "", log.New(io.Discard, "", 0))
 	if err != nil {
 		t.Fatalf("openDiskCache: %v", err)
 	}
@@ -105,9 +108,29 @@ func TestCatalogScale(t *testing.T) {
 	debug.FreeOSMemory()
 	rss0, heap0 := vmRSS(), heapAlloc()
 
-	cache2, err := openDiskCache(dir, "")
+	// The registry a daemon would have written, in one write. The start-up
+	// sweep lists all of cat/ against it on the restart path, so its time is
+	// reported, and with every bundle named it must remove nothing.
+	reg := registryFile{Format: cacheFormat}
+	for i, fp := range fps {
+		reg.Relations = append(reg.Relations, registryEntry{Name: fmt.Sprintf("r%d", i), Fingerprint: fp, Resolution: res, Declared: res})
+	}
+	regData, err := json.Marshal(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache.registryPath(), regData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache2, err := openDiskCache(dir, "", log.New(io.Discard, "", 0))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
+	}
+	sweepStart := time.Now()
+	cache2.sweepAll()
+	sweepTook := time.Since(sweepStart)
+	if swept := cache2.sweptFiles.Load(); swept != 0 || len(cache2.registry()) != n {
+		t.Fatalf("start-up sweep over %d registered bundles removed %d files (registry restored %d)", n, swept, len(cache2.registry()))
 	}
 	keep := make([]loaded, n) // a daemon keeps every relation resident
 	warmStart := time.Now()
@@ -134,8 +157,8 @@ func TestCatalogScale(t *testing.T) {
 	rss1, heap1 := vmRSS(), heapAlloc()
 	runtime.KeepAlive(keep)
 
-	t.Logf("relations=%d artifact_bytes=%.1fMB build=%v warm_load=%v (%.1fµs/relation)",
-		n, float64(artifactBytes)/(1<<20), buildTook.Round(time.Millisecond),
+	t.Logf("relations=%d artifact_bytes=%.1fMB build=%v startup_sweep=%v warm_load=%v (%.1fµs/relation)",
+		n, float64(artifactBytes)/(1<<20), buildTook.Round(time.Millisecond), sweepTook.Round(10*time.Microsecond),
 		warmTook.Round(time.Millisecond), float64(warmTook.Microseconds())/float64(n))
 	t.Logf("rss: built=%.1fMB warm=%.1fMB (growth rss=%+.1fMB heap=%+.1fMB; loaded artifacts %.1fMB + points %.1fMB)",
 		float64(rssBuilt)/(1<<20), float64(rss1)/(1<<20),

@@ -31,7 +31,9 @@
 //     points, per-relation catalogs) and one side-file of pair merges. A
 //     restarted store re-registers the cached relations and loads their
 //     catalogs instead of rebuilding — warm restarts cost index-rebuild
-//     milliseconds, not catalog-build seconds.
+//     milliseconds, not catalog-build seconds. The files of a generation
+//     that no registry in the directory names any more are swept, so the
+//     directory holds live data only, however many compactions ran.
 package store
 
 import (
@@ -158,7 +160,8 @@ type Options struct {
 	// logger.
 	Logger *log.Logger
 	// crashHook, when set, is the WAL's OpHook and fires before the disk
-	// cache renames a bundle, side-file or registry into place: the
+	// cache renames a bundle, side-file or registry into place or unlinks a
+	// swept file, and ("built") between each build and its publish: the
 	// crash-injection tests snapshot the cache directory at each firing.
 	crashHook func(op string)
 }
@@ -506,7 +509,7 @@ func New(opt Options) (*Store, error) {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	var replay wal.Replay
 	if opt.CacheDir != "" {
-		c, err := openDiskCache(opt.CacheDir, opt.RegistryScope)
+		c, err := openDiskCache(opt.CacheDir, opt.RegistryScope, opt.logger())
 		if err != nil {
 			return nil, fmt.Errorf("store: opening cache: %w", err)
 		}
@@ -596,6 +599,25 @@ func (s *Store) CatalogBuilds() int64 { return s.catalogBuilds.Load() }
 
 // CacheHits returns the number of catalogs loaded from the disk cache.
 func (s *Store) CacheHits() int64 { return s.cacheHits.Load() }
+
+// CacheSweptFiles returns the number of dead cache files — bundles and merge
+// side-files of generations no registry names any more — this store has
+// unlinked (0 without a cache directory).
+func (s *Store) CacheSweptFiles() int64 {
+	if s.cache == nil {
+		return 0
+	}
+	return s.cache.sweptFiles.Load()
+}
+
+// CacheSweptBytes returns the summed size of the files CacheSweptFiles
+// counts.
+func (s *Store) CacheSweptBytes() int64 {
+	if s.cache == nil {
+		return 0
+	}
+	return s.cache.sweptBytes.Load()
+}
 
 // validateName rejects names that would be unusable in URLs or cache paths.
 func validateName(name string) error {
@@ -731,11 +753,12 @@ func (s *Store) lastLSNLocked() uint64 {
 }
 
 // Drop removes a relation: pending and running builds are cancelled, the
-// published snapshot (if any) leaves the next View, and the cache registry
-// forgets the name (cached artifacts stay on disk — the cache is
-// content-addressed and a re-registration of the same data warm-loads).
-// In-flight estimates holding an older View keep working on the snapshot
-// they resolved. It reports whether the relation existed.
+// published snapshot (if any) leaves the next View, the cache registry
+// forgets the name and the relation's cached artifacts are swept, unless
+// another relation or another store on the directory still names them (a
+// re-registration of the same data rebuilds). In-flight estimates holding an
+// older View keep working on the snapshot they resolved. It reports whether
+// the relation existed.
 func (s *Store) Drop(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -760,9 +783,11 @@ func (s *Store) Drop(name string) bool {
 	s.republishLocked()
 	s.notifyPublishLocked(name)
 	if s.cache != nil {
-		if err := s.cache.forget(name); err != nil {
+		forgotten, err := s.cache.forget(name)
+		if err != nil {
 			s.opt.logger().Printf("store: updating cache registry after dropping %q: %v", name, err)
 		}
+		s.cache.sweep(forgotten)
 	}
 	s.trimWALLocked()
 	return true
@@ -903,12 +928,20 @@ func (s *Store) runJob(name string) {
 
 	built, err := s.buildCatalogs(ctx, name, pts, tree, res, restored)
 	cancel()
+	if s.opt.crashHook != nil {
+		s.opt.crashHook("built") // the bundle is on disk and nothing names it yet
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.entries[name]
 	if cur == nil || cur.gen != gen {
-		return // dropped or superseded while building; discard
+		// Dropped or superseded while building: discard, and with the build
+		// the bundle it wrote, which nothing will register.
+		if built != nil && s.cache != nil {
+			s.cache.sweep(built.fp)
+		}
+		return
 	}
 	cur.cancel = nil
 	if err != nil {
@@ -942,7 +975,6 @@ type builtRelation struct {
 	fp        string          // empty when not cacheable
 	res       core.Resolution // the resolution the artifacts were built at
 	merges    mergeRecs       // fp's side-file records, when cache-loaded
-	unsaved   bool            // the bundle write failed: serve, but see persistLocked
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
@@ -1004,9 +1036,8 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		return nil, err
 	}
 	if b.fp != "" && s.cache != nil {
-		if err := s.cache.storeBundle(b.fp, s.manifestFor(b), pts, stair, vg, b.aknn); err != nil {
-			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", name, err)
-			b.unsaved = true
+		if err := s.storeBundle(b); err != nil {
+			s.opt.logger().Printf("store: caching %q: %v (the publish tries once more)", name, err)
 		}
 	}
 	return b, nil
@@ -1036,6 +1067,12 @@ func (s *Store) loadCachedCatalogs(b *builtRelation, bd *bundle) bool {
 	b.staircase, b.vgrid, b.aknn, b.merges = stair, bd.vgrid, bd.aknn, bd.merges
 	s.cacheHits.Add(3) // staircase + virtual grid + aknn summary
 	return true
+}
+
+// storeBundle writes b's bundle: points and artifacts, built or cache-loaded,
+// encode to the same bytes.
+func (s *Store) storeBundle(b *builtRelation) error {
+	return s.cache.storeBundle(b.fp, s.manifestFor(b), b.pts, b.staircase, b.vgrid, b.aknn)
 }
 
 func (s *Store) manifestFor(b *builtRelation) manifest {
@@ -1107,33 +1144,51 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	// The next View is swapped in last, after the registry write: a reader
 	// is told a relation is ready only once a restart would restore it.
 	v, built := s.buildViewLocked()
+	var replaced string
 	if s.cache != nil && b.fp != "" {
-		s.persistLocked(e, b, covered, built)
+		replaced = s.persistLocked(e, b, covered, built)
 	}
 	s.view.Store(v)
 	s.notifyPublishLocked(e.name)
+	if replaced != "" {
+		s.cache.sweep(replaced)
+	}
 	if wasCompact {
 		s.compactions.Add(1)
 	}
 }
 
-// persistLocked makes e's new snapshot the durable base. Order: the bundle
-// is on disk (buildCatalogs wrote it), so write the merges this publish
-// built, checkpoint the fold in the WAL, fsync it, and only then let the
-// registry adopt the new fingerprint. Replay treats a checkpoint whose
-// fingerprint the registry never adopted as ineffective, so a crash
-// anywhere in this sequence recovers a consistent base + delta state.
-func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built mergeRecs) {
+// persistLocked makes e's new snapshot the durable base. Order: make sure
+// the bundle is on disk, write the merges this publish built, checkpoint the
+// fold in the WAL, fsync it, and only then let the registry adopt the new
+// fingerprint. Replay treats a checkpoint whose fingerprint the registry
+// never adopted as ineffective, so a crash anywhere in this sequence
+// recovers a consistent base + delta state. All of it runs under the cache
+// directory's lock, shared: no store on the directory can sweep between the
+// moment the bundle is seen on disk and the moment the registry names it. It
+// returns the fingerprint the registry held for e before, now a dead
+// generation for the caller to sweep once the lock is released.
+func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built mergeRecs) (replaced string) {
+	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
+	defer release()
+	// buildCatalogs wrote the bundle, or loaded it, some time ago and
+	// without the lock. Since then a sweep may have taken it: a peer's, for
+	// which it was a dead generation not yet named here, or this store's
+	// own, when a relation returns to a fingerprint it has just left. The
+	// build still holds everything the file held.
+	if !s.cache.hasBundle(b.fp) {
+		if err := s.storeBundle(b); err != nil {
+			// No bundle, no restore: keep the previous fingerprint registered
+			// and the log pinned, as for a failed registry write.
+			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
+			e.rememberFailed = true
+			return ""
+		}
+	}
 	if len(built) > 0 {
 		if err := s.cache.storeMerges(b.fp, built); err != nil {
 			s.opt.logger().Printf("store: caching merges of %q: %v (continuing uncached)", e.name, err)
 		}
-	}
-	if b.unsaved {
-		// No bundle, no restore: keep the previous fingerprint registered
-		// and the log pinned, as for a failed registry write.
-		e.rememberFailed = true
-		return
 	}
 	// A warm restart republishes the base its log already checkpoints; it
 	// appends nothing (and remember, below, finds nothing to write).
@@ -1148,10 +1203,11 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built 
 			// covered deltas on replay.
 			s.opt.logger().Printf("store: checkpointing %q: %v (registry not updated)", e.name, err)
 			e.rememberFailed = true
-			return
+			return ""
 		}
 	}
-	if err := s.cache.remember(e.name, b.fp, b.res, e.declaredRes); err != nil {
+	replaced, err := s.cache.remember(e.name, b.fp, b.res, e.declaredRes)
+	if err != nil {
 		s.opt.logger().Printf("store: updating cache registry for %q: %v", e.name, err)
 		e.rememberFailed = true
 	} else {
@@ -1159,6 +1215,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built 
 		e.durableFP, e.durableCovered = b.fp, covered
 	}
 	s.trimWALLocked()
+	return replaced
 }
 
 // republishLocked swaps in a View of the current entries; for every change

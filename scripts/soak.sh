@@ -451,7 +451,16 @@ done
 echo "soak: crash recovery OK (replayed=$REPLAYED, compactions=$COMPACTIONS, estimates identical)"
 
 kill -TERM "$IPID"; wait "$IPID" || { echo "soak: recovery daemon exited dirty"; cat "$LOG.i"; exit 1; }
-echo "soak: ingest tier OK"
+
+# The daemon has drained, so every sweep has run: the start-up pass collected
+# whatever temp file the kill -9 left, and of all the generations the
+# compactions went through, cat/ keeps a bundle and at most a merge side-file
+# for each of the two live relations.
+LEFT=$(find "$ICACHE" -name '.tmp-*')
+[ -z "$LEFT" ] || { echo "soak: temp files left in the cache directory: $LEFT"; exit 1; }
+CATFILES=$(ls "$ICACHE/cat" | wc -l)
+[ "$CATFILES" -le 4 ] || { echo "soak: cat/ holds $CATFILES files for 2 live relations; dead generations were not swept"; ls -l "$ICACHE/cat"; exit 1; }
+echo "soak: ingest tier OK (cat/ holds $CATFILES files)"
 
 fi # PHASE = all|ingest
 
