@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -248,4 +249,75 @@ func TestRouterIngestWiring(t *testing.T) {
 			t.Fatalf("%s daemon did not exit within 30s of SIGTERM", name)
 		}
 	}
+}
+
+// TestHeapUnderIngestIsFlat: what the daemon keeps in memory is what it
+// serves, not what it has served. Every fold replaces one relation's
+// generation; between folds the schema is queried the way clients do (a
+// select, a join through each pair merge, a plan). The live heap after fold
+// 80 must be that after fold 20, give or take — when each published
+// generation stayed reachable from the next, sixty folds added sixty
+// generations to it.
+func TestHeapUnderIngestIsFlat(t *testing.T) {
+	base, exit := startDaemon(t,
+		"-relations", "hotels:6000,restaurants:6000",
+		"-cache-dir", t.TempDir(), "-compact-threshold", "1", "-compact-interval=-1s")
+	waitReady(t, base)
+	names := []string{"hotels", "restaurants"}
+	points := map[string]int{"hotels": 6000, "restaurants": 6000}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first one's sweep frees what it found dead
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var at20 uint64
+	for fold := 1; fold <= 80; fold++ {
+		name := names[fold%2]
+		code, body := sendJSON(t, http.MethodPost, base+"/relations/"+name+"/points",
+			fmt.Sprintf(`{"points":[[%d.5,%d.25]]}`, fold%50, 10+fold%30))
+		if code != http.StatusOK {
+			t.Fatalf("fold %d: append: %d %v", fold, code, body)
+		}
+		points[name]++
+		for deadline := time.Now().Add(30 * time.Second); ; {
+			_, st := getStatus(t, base+"/relations/"+name+"/status")
+			np, _ := st["num_points"].(float64)
+			ops, _ := st["delta_ops"].(float64)
+			if int(np) == points[name] && ops == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("fold %d never published: %v", fold, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, path := range []string{
+			"/estimate/select?rel=" + name + "&x=10&y=45&k=7",
+			"/estimate/join?outer=hotels&inner=restaurants&k=5",
+			"/estimate/join?outer=restaurants&inner=hotels&k=5",
+		} {
+			if code, body := getStatus(t, base+path); code != http.StatusOK {
+				t.Fatalf("fold %d: %s: %d %v", fold, path, code, body)
+			}
+		}
+		plan := `{"selects":[{"relation":"hotels","x":10,"y":45,"k":3}],"join":{"outer":"hotels","inner":"restaurants","k":4}}`
+		if code, body := sendJSON(t, http.MethodPost, base+"/plan", plan); code != http.StatusOK {
+			t.Fatalf("fold %d: plan: %d %v", fold, code, body)
+		}
+		if fold == 20 {
+			at20 = liveHeap()
+		}
+	}
+	at80 := liveHeap()
+	t.Logf("live heap %d KB after fold 20, %d KB after fold 80", at20>>10, at80>>10)
+	if grown := float64(at80) - float64(at20); grown > 0.25*float64(at20) {
+		t.Errorf("live heap grew from %d KB (fold 20) to %d KB (fold 80): %.0f KB a fold stay reachable",
+			at20>>10, at80>>10, grown/60/1024)
+	}
+	if got := expvarInt(t, base, "knncost_compactions"); got != 80 {
+		t.Errorf("knncost_compactions = %d, want 80", got)
+	}
+	stopDaemon(t, exit)
 }

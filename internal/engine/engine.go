@@ -223,33 +223,24 @@ func (r *Relation) buildOnce(key artifactKey, build func() (any, error)) (any, e
 // it was actually built at. Seeding after the artifact was already built
 // or seeded is a no-op; the first value wins, matching the immutability
 // of published store snapshots.
+//
+// Only per-relation artifacts can be seeded. A pair artifact's slot holds
+// the inner relation for as long as the outer one lives, which suits a
+// caller that keeps both (the facade, the planner: CatalogMerge builds and
+// caches it) and not one that replaces them: the store keeps the merges of
+// its relations in its View, outside any engine.
 func (r *Relation) Seed(technique string, v any) {
-	r.seed(r.seedKey(technique, nil, v), v)
-}
-
-// SeedPair is Seed for a pair artifact, e.g. a *core.CatalogMerge built
-// for (r ⋉ inner).
-func (r *Relation) SeedPair(technique string, inner *Relation, v any) {
-	r.seed(r.seedKey(technique, inner, v), v)
-}
-
-// seedKey mirrors the key each accessor uses: the density artifact is
-// resolution-free, every other artifact keys on the (projected)
-// resolution it reports.
-func (r *Relation) seedKey(technique string, inner *Relation, v any) artifactKey {
-	key := artifactKey{technique: technique, inner: inner}
-	if technique == TechDensity {
-		return key
+	// The key mirrors the one each accessor uses: the density artifact is
+	// resolution-free, every other artifact keys on the (projected)
+	// resolution it reports.
+	key := artifactKey{technique: technique}
+	if technique != TechDensity {
+		if a, ok := v.(core.Artifact); ok {
+			key.res = a.Resolution()
+		} else {
+			key.res = r.res
+		}
 	}
-	if a, ok := v.(core.Artifact); ok {
-		key.res = a.Resolution()
-	} else {
-		key.res = r.res
-	}
-	return key
-}
-
-func (r *Relation) seed(key artifactKey, v any) {
 	a := r.slot(key)
 	a.once.Do(func() { a.val = v })
 }

@@ -79,7 +79,6 @@ func TestArtifactsBuildOnce(t *testing.T) {
 func TestSeedWins(t *testing.T) {
 	tree := testTree(t, 2000, 4)
 	rel := NewRelation("r", tree, BuildOptions{MaxK: 100})
-	inner := NewRelation("s", testTree(t, 1500, 5), BuildOptions{MaxK: 100})
 
 	den := core.NewDensityBased(tree.CountTree())
 	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 100, Fallback: den})
@@ -101,19 +100,6 @@ func TestSeedWins(t *testing.T) {
 	}
 	if est.(*core.Staircase) != stair {
 		t.Error("SelectEstimator bypassed the seeded artifact")
-	}
-
-	cm, err := core.BuildCatalogMerge(rel.Count(), inner.Count(), 200, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.SeedPair(TechCatalogMerge, inner, cm)
-	gotCM, err := rel.CatalogMerge(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotCM != cm {
-		t.Error("seeded catalog-merge was rebuilt")
 	}
 
 	// Seeding after the artifact exists is a no-op: the first value wins.

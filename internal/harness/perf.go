@@ -79,6 +79,11 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 	cat := stair.CenterCatalog(queries[1].Point)
 
 	cases := []perfCase{
+		{"quadtree_build_20k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				quadtree.Build(pts, quadtree.Options{Capacity: 256, Bounds: datagen.WorldBounds})
+			}
+		}},
 		{"staircase_build_center_corners", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.BuildStaircase(tree, core.StaircaseOptions{

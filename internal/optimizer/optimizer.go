@@ -285,7 +285,7 @@ func priceJoin(v *store.View, j *JoinPredicate) (CostTerm, error) {
 	if err != nil {
 		return CostTerm{}, fmt.Errorf("optimizer: %w", err)
 	}
-	est, err := tech.Estimator(outer.Engine, inner.Engine)
+	est, err := v.JoinEstimator(tech, outer, inner)
 	if err != nil {
 		return CostTerm{}, fmt.Errorf("optimizer: %s %s⋉%s unavailable: %w", tech.Name, j.Outer, j.Inner, err)
 	}

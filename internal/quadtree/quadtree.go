@@ -81,24 +81,44 @@ func Build(pts []geom.Point, opt Options) *Tree {
 	t := &Tree{opt: opt, size: len(pts)}
 	owned := make([]geom.Point, len(pts))
 	copy(owned, pts)
-	t.root = build(opt.Bounds, owned, 0, opt)
+	t.root = build(opt.Bounds, owned, make([]geom.Point, len(pts)), 0, opt)
 	return t
 }
 
-func build(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *node {
+// build decomposes bounds over pts in place: a stable counting partition
+// groups each node's points by quadrant (through scratch, which is as long
+// as pts), so the children are consecutive windows of the one array and the
+// points of a leaf keep their input order. A leaf's window is clipped to
+// its length: Insert's append then copies the leaf out instead of writing
+// into the next leaf's points.
+func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) *node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
-		return &node{bounds: bounds, points: pts}
+		if len(pts) == 0 {
+			pts = nil
+		}
+		return &node{bounds: bounds, points: pts[:len(pts):len(pts)]}
 	}
 	center := bounds.Center()
-	var parts [4][]geom.Point
+	var count [4]int
+	for _, p := range pts {
+		count[quadIndex(center, p)]++
+	}
+	var next [4]int // where quadrant q's next point goes; its window's end once all are placed
+	for q := 1; q < 4; q++ {
+		next[q] = next[q-1] + count[q-1]
+	}
 	for _, p := range pts {
 		q := quadIndex(center, p)
-		parts[q] = append(parts[q], p)
+		scratch[next[q]] = p
+		next[q]++
 	}
+	copy(pts, scratch)
 	quads := bounds.Quadrants()
 	children := new([4]*node)
+	lo := 0
 	for i := range children {
-		children[i] = build(quads[i], parts[i], depth+1, opt)
+		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], depth+1, opt)
+		lo = next[i]
 	}
 	return &node{bounds: bounds, children: children}
 }
@@ -140,7 +160,7 @@ func (t *Tree) Insert(p geom.Point) error {
 func (t *Tree) split(n *node, depth int) {
 	pts := n.points
 	n.points = nil
-	sub := build(n.bounds, pts, depth, t.opt)
+	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), depth, t.opt)
 	// build may return a leaf only when it cannot split further, which
 	// cannot happen here because len(pts) > capacity and depth < MaxDepth.
 	n.children = sub.children

@@ -828,10 +828,10 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 			method, strings.Join(engine.JoinNames(), ", "))
 		return
 	}
-	// Both engine relations come from the one View loaded above, so a
-	// catalog-merge resolves to the pair merge published with this exact
-	// schema — never a mix of versions.
-	est, err := jt.Estimator(outer.Engine, inner.Engine)
+	// Both snapshots come from the one View loaded above, and so does a
+	// catalog-merge: the pair merge published with this exact schema, never
+	// a mix of versions, and never one built on the request path.
+	est, err := v.JoinEstimator(jt, outer, inner)
 	if err != nil {
 		// Both snapshots are published, so a pair artifact exists unless its
 		// construction failed; retrying cannot help until a rebuild.

@@ -636,3 +636,28 @@ func TestBundleBytesPinned(t *testing.T) {
 		t.Fatalf("bundle of the pinned relation hashes to %s, want %s (%d bytes)", got, want, len(data))
 	}
 }
+
+// TestFingerprintPinned: a fingerprint names the files of a generation, so
+// how it is computed must never show in it. The digest was recorded at
+// commit a2ee1fa, which fed the hash one buffer holding every point; the
+// lengths put a point just before, on and just after the edge of the buffer
+// the hash is fed through now.
+func TestFingerprintPinned(t *testing.T) {
+	opt := testOptions(t)
+	opt.MaxK, opt.IndexCapacity = 200, 48
+	s := newTestStore(t, opt)
+	res := s.opt.resolveResolution(core.Resolution{})
+	const want = "8af5b779f7dd89514f7386b70ec9eca5a48d85d67a7417a4c48bcc1edd3c7d44"
+	if got := s.fingerprint(gridPoints(3000, 16), res); got != want {
+		t.Errorf("fingerprint of the pinned relation is %s, want %s", got, want)
+	}
+	for _, n := range []int{0, 1, 254, 255, 256, 257, 511, 3000} {
+		pts := gridPoints(n, 16)
+		h, mark := sha256.New(), sha256.New()
+		hashPoints(h, pts)
+		mark.Write(appendPoints(nil, pts))
+		if got, want := h.Sum(nil), mark.Sum(nil); !bytes.Equal(got, want) {
+			t.Errorf("%d points: hashPoints fed the hash other bytes than appendPoints encodes", n)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io/fs"
 	"log"
@@ -205,7 +206,7 @@ func (s *Store) fingerprint(pts []geom.Point, res core.Resolution) string {
 		binary.LittleEndian.PutUint64(hdr[:8], math.Float64bits(f))
 		h.Write(hdr[:8])
 	}
-	h.Write(appendPoints(make([]byte, 0, 16+16*len(pts)), pts)) // count included
+	hashPoints(h, pts) // count included
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -493,11 +494,29 @@ const maxCachedPoints = 4 << 20
 
 func appendPoints(buf []byte, pts []geom.Point) []byte {
 	buf = binary.AppendUvarint(append(buf, pointsMagic...), uint64(len(pts)))
+	return appendCoords(buf, pts)
+}
+
+func appendCoords(buf []byte, pts []geom.Point) []byte {
 	for _, p := range pts {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 	}
 	return buf
+}
+
+// hashPoints writes to h the bytes appendPoints encodes, a fixed buffer at a
+// time: a fingerprint is taken per build, and the encoding of 20,000 points
+// is 320 KB that nothing reads but the hash.
+func hashPoints(h hash.Hash, pts []geom.Point) {
+	var chunk [4096]byte
+	buf := binary.AppendUvarint(append(chunk[:0], pointsMagic...), uint64(len(pts)))
+	for len(pts) > 0 {
+		n := min(len(pts), (len(chunk)-len(buf))/16)
+		h.Write(appendCoords(buf, pts[:n]))
+		buf, pts = chunk[:0], pts[n:]
+	}
+	h.Write(buf) // the header, when there is no point to carry it
 }
 
 func decodePoints(data []byte) ([]geom.Point, error) {

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -62,19 +63,92 @@ func TestSnapshotEngineServesSeededArtifacts(t *testing.T) {
 		}
 	}
 
-	// Pair merges: the engine must hand back the View's merge object for
-	// every ordered pair.
+	// Pair merges belong to the View: resolving catalog-merge for two of its
+	// snapshots hands back the View's object, and asks neither engine.
+	cm, err := engine.LookupJoin(engine.TechCatalogMerge)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, outer := range v.Names() {
 		for _, inner := range v.Names() {
 			if outer == inner {
 				continue
 			}
-			m, err := v.Relation(outer).Engine.CatalogMerge(v.Relation(inner).Engine)
+			est, err := v.JoinEstimator(cm, v.Relation(outer), v.Relation(inner))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m != v.Merge(outer, inner) {
-				t.Errorf("%s⋉%s: engine catalog-merge is a rebuild, want the View's object", outer, inner)
+			if est.(*core.CatalogMerge) != v.Merge(outer, inner) {
+				t.Errorf("%s⋉%s: catalog-merge is a rebuild, want the View's object", outer, inner)
+			}
+		}
+	}
+}
+
+// enginePairSlots counts the pair artifacts r's engine cache holds. The
+// engine exports no such count (its own test exports are invisible here),
+// so this reads the unexported map; a renamed field panics rather than
+// passing.
+func enginePairSlots(r *engine.Relation) int {
+	n := 0
+	artifacts := reflect.ValueOf(r).Elem().FieldByName("cache").Elem().FieldByName("artifacts")
+	for _, key := range artifacts.MapKeys() {
+		if !key.FieldByName("inner").IsNil() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStoredEnginesHoldNoPairSlots: a pair slot in a stored snapshot's
+// engine would keep the inner relation's generation reachable from the
+// outer one, which is how every generation ever published used to stay in
+// the heap. After any number of publishes, through every join technique the
+// service resolves, no stored engine holds one.
+func TestStoredEnginesHoldNoPairSlots(t *testing.T) {
+	opt := testOptions(t)
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	names := []string{"alpha", "beta", "gamma"}
+	for i, name := range names {
+		if _, err := s.Register(name, gridPoints(600, int64(31+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, s, names...)
+	for i := 0; i < 6; i++ {
+		name := names[i%len(names)]
+		if _, err := s.Append(name, []geom.Point{{X: 1 + float64(i), Y: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(name); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, s)
+		v := s.View()
+		for _, jn := range engine.JoinNames() {
+			jt, err := engine.LookupJoin(jn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, outer := range names {
+				for _, inner := range names {
+					if outer == inner {
+						continue
+					}
+					est, err := v.JoinEstimator(jt, v.Relation(outer), v.Relation(inner))
+					if err != nil {
+						t.Fatalf("%s %s⋉%s: %v", jn, outer, inner, err)
+					}
+					if _, err := est.EstimateJoin(3); err != nil {
+						t.Fatalf("%s %s⋉%s: %v", jn, outer, inner, err)
+					}
+				}
+			}
+		}
+		for _, name := range names {
+			if n := enginePairSlots(v.Relation(name).Engine); n != 0 {
+				t.Fatalf("after publish %d, the engine of %s holds %d pair slots, want 0", i+1, name, n)
 			}
 		}
 	}

@@ -257,6 +257,9 @@ type Snapshot struct {
 	// the artifacts above so that technique resolution by name serves the
 	// exact same estimator objects. Techniques the store does not precompute
 	// (e.g. staircase-c) build lazily inside Engine, once per snapshot.
+	// Pair artifacts are the exception: the View owns them
+	// (View.JoinEstimator), so that no snapshot holds a reference to another
+	// relation's generation.
 	Engine *engine.Relation
 	// Resolution is the canonical artifact resolution this snapshot was
 	// built at — the declared resolution, or a coarser rung when the
@@ -355,6 +358,22 @@ func (v *View) Relation(name string) *Snapshot { return v.relations[name] }
 // same View has an entry.
 func (v *View) Merge(outer, inner string) *core.CatalogMerge {
 	return v.merges[[2]string{outer, inner}]
+}
+
+// JoinEstimator resolves a join technique for two snapshots of this View.
+// Catalog-Merge is the View's own pair merge: a stored relation's engine is
+// never asked for one, because an engine pair slot would keep the inner
+// generation reachable for as long as the outer one lives. An absent pair
+// means its build failed when the View was published. Every other technique
+// needs only per-relation artifacts and resolves through the engines.
+func (v *View) JoinEstimator(jt engine.JoinTechnique, outer, inner *Snapshot) (core.JoinEstimator, error) {
+	if jt.Name != engine.TechCatalogMerge {
+		return jt.Estimator(outer.Engine, inner.Engine)
+	}
+	if m := v.Merge(outer.Name, inner.Name); m != nil {
+		return m, nil
+	}
+	return nil, errors.New("the pair's merge could not be built when its relations were published")
 }
 
 // Names returns the sorted names of the published relations. The slice is
@@ -1288,9 +1307,6 @@ func (s *Store) buildViewLocked() (*View, mergeRecs) {
 					continue
 				}
 				v.merges[pair] = m
-				// Seed the merge into the outer relation's engine so join
-				// technique resolution by name returns the store's object.
-				outer.Engine.SeedPair(engine.TechCatalogMerge, inner.Engine, m)
 				if k, ok := peerOf(v.relations[other].Fingerprint); ok && fresh && s.cache != nil {
 					rec := built[k]
 					rec[dir] = m.AppendMapped(nil)

@@ -40,6 +40,7 @@ internal/catalog:FuzzUnmarshalBinary
 internal/wal:FuzzReplayWAL
 internal/store:FuzzLoadBundle
 internal/store:FuzzLoadMergeSideFile
+internal/quadtree:FuzzQuadtreeBuild
 "
 
 race() {
