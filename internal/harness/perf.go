@@ -16,6 +16,7 @@ import (
 	"knncost/internal/geom"
 	"knncost/internal/optimizer"
 	"knncost/internal/quadtree"
+	"knncost/internal/service"
 	"knncost/internal/store"
 )
 
@@ -78,7 +79,33 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 	}
 	cat := stair.CenterCatalog(queries[1].Point)
 
+	// What a client POSTs to register the 20k points: decoding it is the
+	// first thing register→ready pays, once per owning replica, and reading
+	// its name is all the router pays.
+	wire := service.RegisterRequest{Name: "perf", Points: make([][2]float64, len(pts))}
+	for i, p := range pts {
+		wire.Points[i] = [2]float64{p.X, p.Y}
+	}
+	regBody, err := json.Marshal(wire)
+	if err != nil {
+		return nil, fmt.Errorf("harness: perf registration body: %w", err)
+	}
+
 	cases := []perfCase{
+		{"register_decode_20k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := service.DecodeRegistration(regBody); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"router_register_name_20k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := service.RegistrationName(regBody); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"quadtree_build_20k", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				quadtree.Build(pts, quadtree.Options{Capacity: 256, Bounds: datagen.WorldBounds})

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
@@ -11,7 +10,8 @@ import (
 	"knncost/internal/store"
 )
 
-// MutateRequest is the body of POST and DELETE /relations/{name}/points.
+// MutateRequest is the body of POST and DELETE /relations/{name}/points, as
+// clients marshal it; the server decodes the bytes with decodeMutation.
 type MutateRequest struct {
 	// Points are the coordinates to append or delete, each [x, y]. DELETE
 	// removes every stored occurrence of each coordinate.
@@ -40,18 +40,19 @@ func (s *Server) handleMutatePoints(w http.ResponseWriter, r *http.Request, appl
 			return
 		}
 	}
-	var req MutateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBody)).Decode(&req); err != nil {
+	body, err := ReadBody(w, r, MaxRegisterBody)
+	if err != nil {
+		badRequest(w, "reading mutation: %v", err)
+		return
+	}
+	pts, err := decodeMutation(body)
+	if err != nil {
 		badRequest(w, "decoding mutation: %v", err)
 		return
 	}
-	if len(req.Points) == 0 {
+	if len(pts) == 0 {
 		badRequest(w, "mutation needs at least one point")
 		return
-	}
-	pts := make([]geom.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = geom.Point{X: p[0], Y: p[1]}
 	}
 	st, err := apply(r.PathValue("name"), pts)
 	if err != nil {

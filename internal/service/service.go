@@ -446,7 +446,10 @@ func (s *Server) handleDropRelation(w http.ResponseWriter, r *http.Request) {
 
 // RegisterRequest is the body of POST /relations. Exactly one point source
 // must be given: inline Points, or File naming a points file inside the
-// server's data directory.
+// server's data directory. It describes the wire shape for clients, which
+// marshal their bodies from it (GET /relations/{name}/points answers in the
+// same shape); the server decodes the bytes with DecodeRegistration, never
+// into this struct.
 type RegisterRequest struct {
 	// Name is the relation name (letters, digits, '_', '-', '.').
 	// Registering an existing name replaces it: the old version keeps
@@ -464,10 +467,6 @@ type RegisterRequest struct {
 	Resolution *ResolutionSpec `json:"resolution,omitempty"`
 }
 
-// maxRegisterBody bounds the registration body (16 MiB ≈ half a million
-// inline points) so a misbehaving client cannot exhaust server memory.
-const maxRegisterBody = 16 << 20
-
 func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
@@ -477,30 +476,29 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 	}
-	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBody)).Decode(&req); err != nil {
+	body, err := ReadBody(w, r, MaxRegisterBody)
+	if err != nil {
+		badRequest(w, "reading registration: %v", err)
+		return
+	}
+	req, err := DecodeRegistration(body)
+	if err != nil {
 		badRequest(w, "decoding registration: %v", err)
 		return
 	}
-	var pts []geom.Point
+	pts := req.Points
 	switch {
-	case len(req.Points) > 0 && req.File != "":
+	case len(pts) > 0 && req.File != "":
 		badRequest(w, "give either inline points or a file, not both")
 		return
-	case len(req.Points) > 0:
-		pts = make([]geom.Point, len(req.Points))
-		for i, p := range req.Points {
-			pts[i] = geom.Point{X: p[0], Y: p[1]}
-		}
+	case len(pts) == 0 && req.File == "":
+		badRequest(w, "registration needs points or a file")
+		return
 	case req.File != "":
-		var err error
 		if pts, err = s.loadDataFile(req.File); err != nil {
 			badRequest(w, "%v", err)
 			return
 		}
-	default:
-		badRequest(w, "registration needs points or a file")
-		return
 	}
 	st, err := s.store.RegisterResolution(req.Name, pts, req.Resolution.toCore())
 	if err != nil {

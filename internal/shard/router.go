@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -362,7 +363,7 @@ func (rt *Router) do(ctx context.Context, rep *replica, req proxyReq) proxyRes {
 	rep.requests.Add(1)
 	var bodyReader io.Reader
 	if req.body != nil {
-		bodyReader = strings.NewReader(string(req.body))
+		bodyReader = bytes.NewReader(req.body)
 	}
 	hr, err := http.NewRequestWithContext(ctx, req.method, rep.base+req.pathQuery, bodyReader)
 	if err != nil {
@@ -848,20 +849,19 @@ func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// maxRegisterBody mirrors the service's registration body bound.
-const maxRegisterBody = 16 << 20
-
 // handleRegister fans a registration out to every owner of the relation so
 // replica fan-out holds from the moment of registration. The primary's
 // answer is the client's answer.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRegisterBody))
+	body, err := service.ReadBody(w, r, service.MaxRegisterBody)
 	if err != nil {
 		badRequest(w, "reading registration: %v", err)
 		return
 	}
-	var req service.RegisterRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	// Placement needs the name and nothing else: the owners decode the body
+	// they are forwarded, and a body they refuse is their 400 to give.
+	name, err := service.RegistrationName(body)
+	if err != nil {
 		badRequest(w, "decoding registration: %v", err)
 		return
 	}
@@ -869,7 +869,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		method: http.MethodPost, pathQuery: "/relations",
 		body: body, contentType: "application/json",
 	}
-	owners := rt.ownersFor(req.Name)
+	owners := rt.ownersFor(name)
 	results := make([]proxyRes, len(owners))
 	var wg sync.WaitGroup
 	for i, rep := range owners {
@@ -885,7 +885,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results[1:] {
 		if res.err != nil || res.status >= 300 {
 			rt.opt.logger().Printf("shard: registering %q on replica %s: status %d err %v",
-				req.Name, owners[i+1].id, res.status, res.err)
+				name, owners[i+1].id, res.status, res.err)
 		}
 	}
 	writeProxied(w, results[0])
@@ -944,7 +944,7 @@ func mutationUnknown(res proxyRes) bool {
 // deterministic ring owners, not the fastest healthy subset.
 func (rt *Router) handleMutatePoints(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRegisterBody))
+	body, err := service.ReadBody(w, r, service.MaxRegisterBody)
 	if err != nil {
 		badRequest(w, "reading mutation: %v", err)
 		return

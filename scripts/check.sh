@@ -41,6 +41,7 @@ internal/wal:FuzzReplayWAL
 internal/store:FuzzLoadBundle
 internal/store:FuzzLoadMergeSideFile
 internal/quadtree:FuzzQuadtreeBuild
+internal/service:FuzzDecodePointsBody
 "
 
 race() {
