@@ -40,7 +40,12 @@
 // store persists every built catalog keyed by a fingerprint of the data, and
 // a restarted daemon warm-loads its whole schema — including relations
 // registered at runtime — without rebuilding a single catalog (the
-// knncost_catalog_builds expvar stays 0; /debug/vars exposes it).
+// knncost_catalog_builds expvar stays 0; /debug/vars exposes it). A pair's
+// Catalog-Merge is built, or loaded from the cache, the first time a join or
+// a plan asks for that pair, and kept while both relations stay as they are:
+// knncost_pair_merges and knncost_pair_merge_bytes are the pairs the current
+// schema holds resolved, the one part of the footprint that can grow with the
+// square of the relation count.
 //
 // The daemon is hardened for production traffic:
 //
@@ -127,6 +132,8 @@ var storeCounters = map[string]func(*store.Store) any{
 	"knncost_cache_swept_files":   count((*store.Store).CacheSweptFiles),
 	"knncost_cache_swept_bytes":   count((*store.Store).CacheSweptBytes),
 	"knncost_relations":           func(s *store.Store) any { return int64(s.View().NumRelations()) },
+	"knncost_pair_merges":         func(s *store.Store) any { n, _ := s.View().PairMerges(); return int64(n) },
+	"knncost_pair_merge_bytes":    func(s *store.Store) any { _, b := s.View().PairMerges(); return b },
 	"knncost_wal_appends":         count((*store.Store).WALAppends),
 	"knncost_wal_fsyncs":          count((*store.Store).WALFsyncs),
 	"knncost_wal_replayed":        count((*store.Store).WALReplayed),

@@ -56,7 +56,9 @@ func stopDaemon(t *testing.T, exit chan int) {
 // acceptance: run with -cache-dir, register a relation at runtime, stop;
 // a restarted daemon must restore the whole schema — boot and runtime
 // relations — from the cache with zero catalog builds (expvar-checked) and
-// serve estimates identical to the first run's.
+// serve estimates identical to the first run's. The two catalog-merge joins
+// among the probes are the only pairs either run resolves: built at first
+// demand by the cold run, loaded at first demand by the warm one.
 func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 	cacheDir := t.TempDir()
 	base, exit := startDaemon(t, "-cache-dir", cacheDir)
@@ -90,6 +92,9 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		"/estimate/join?outer=runtime&inner=hotels&k=7",
 		"/estimate/join?outer=restaurants&inner=runtime&k=3&technique=virtual-grid",
 	}
+	if n := expvarInt(t, base, "knncost_pair_merges"); n != 0 {
+		t.Fatalf("knncost_pair_merges = %d before any join, want 0", n)
+	}
 	cold := make(map[string]float64, len(probes))
 	for _, p := range probes {
 		code, body := getStatus(t, base+p)
@@ -102,8 +107,11 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		}
 		cold[p] = blocks
 	}
-	if builds := expvarInt(t, base, "knncost_catalog_builds"); builds == 0 {
-		t.Fatal("cold run built no catalogs — warm-restart assertion would be vacuous")
+	if builds := expvarInt(t, base, "knncost_catalog_builds"); builds != 3*3+2 {
+		t.Fatalf("cold run built %d catalogs, want 3 per relation and the 2 merges the probes asked for", builds)
+	}
+	if n, b := expvarInt(t, base, "knncost_pair_merges"), expvarInt(t, base, "knncost_pair_merge_bytes"); n != 2 || b <= 0 {
+		t.Fatalf("knncost_pair_merges = %d (%d bytes) after two catalog-merge joins, want 2", n, b)
 	}
 	stopDaemon(t, exit)
 
@@ -113,7 +121,8 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 	if builds := expvarInt(t, base2, "knncost_catalog_builds"); builds != 0 {
 		t.Errorf("warm restart built %d catalogs, want 0 (everything cached)", builds)
 	}
-	if hits := expvarInt(t, base2, "knncost_cache_hits"); hits == 0 {
+	loaded := expvarInt(t, base2, "knncost_cache_hits")
+	if loaded == 0 {
 		t.Error("warm restart recorded no cache hits")
 	}
 	for _, p := range probes {
@@ -126,6 +135,12 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		if blocks := body["blocks"].(float64); blocks != cold[p] {
 			t.Errorf("warm %s: blocks %v != cold %v", p, blocks, cold[p])
 		}
+	}
+	if builds, hits := expvarInt(t, base2, "knncost_catalog_builds"), expvarInt(t, base2, "knncost_cache_hits"); builds != 0 || hits != loaded+2 {
+		t.Errorf("warm run after the probes: %d built, %d cache hits, want 0 and the 2 merges on top of %d", builds, hits, loaded)
+	}
+	if n := expvarInt(t, base2, "knncost_pair_merges"); n != 2 {
+		t.Errorf("knncost_pair_merges = %d on the warm run, want 2", n)
 	}
 	stopDaemon(t, exit2)
 }

@@ -4,15 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"knncost/internal/aknn"
 	"knncost/internal/core"
 	"knncost/internal/datagen"
+	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/optimizer"
 	"knncost/internal/quadtree"
@@ -208,6 +212,13 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 		return nil, fmt.Errorf("harness: perf store: %w", err)
 	}
 	v := st.View()
+	catalogMerge, err := engine.LookupJoin(engine.TechCatalogMerge)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := v.JoinEstimator(catalogMerge, v.Relation("perf_outer"), v.Relation("perf_inner")); err != nil {
+		return nil, fmt.Errorf("harness: perf merge warmup: %w", err)
+	}
 	planQuery := optimizer.Query{Selects: []optimizer.SelectPredicate{
 		{Relation: "perf_outer", Query: queries[0].Point, K: 10},
 		{Relation: "perf_inner", Query: queries[0].Point, K: 25},
@@ -231,9 +242,29 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 				}
 			}
 		}},
+		// The pair-merge trajectory. What a fleet pays to come up: 100
+		// relations of 1,000 points registered into a cached store until all
+		// are ready — 300 per-relation catalogs, and however many of the 9,900
+		// pair merges the store builds before anyone has asked for one.
+		perfCase{"store_register_100x1k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := registerFleet(seed, 100, 1000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// And what a join pays for a pair that is resolved already.
+		perfCase{"view_merge_hit_20k", func(b *testing.B) {
+			outer, inner := v.Relation("perf_outer"), v.Relation("perf_inner")
+			for i := 0; i < b.N; i++ {
+				if _, err := v.JoinEstimator(catalogMerge, outer, inner); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	)
 
-	results := make([]PerfResult, 0, len(cases))
+	results := make([]PerfResult, 0, len(cases)+1)
 	for _, c := range cases {
 		r := testing.Benchmark(c.fn)
 		results = append(results, PerfResult{
@@ -244,7 +275,76 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 			Iterations:  r.N,
 		})
 	}
-	return results, nil
+	first, err := firstDemand(st, catalogMerge, queries)
+	if err != nil {
+		return nil, fmt.Errorf("harness: perf first demand: %w", err)
+	}
+	return append(results, first), nil
+}
+
+// firstDemand measures what the first catalog-merge join over a pair pays
+// after either relation has published: each round republishes the 20k-point
+// relation with one more point (not timed) and times one resolution on the new
+// View. A state that can be measured once is no loop for testing.Benchmark,
+// whose N would be spent in the untimed part.
+func firstDemand(st *store.Store, catalogMerge engine.JoinTechnique, queries []core.SelectQuery) (PerfResult, error) {
+	const rounds = 40
+	r := PerfResult{Op: "view_merge_first_demand_20k", Iterations: rounds}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var before, after runtime.MemStats
+	for i := 0; i < rounds; i++ {
+		if _, err := st.Append("perf_inner", []geom.Point{queries[i].Point}); err != nil {
+			return r, err
+		}
+		if err := st.Flush("perf_inner"); err != nil {
+			return r, err
+		}
+		if err := st.WaitSettled(ctx, "perf_inner"); err != nil {
+			return r, err
+		}
+		v := st.View()
+		outer, inner := v.Relation("perf_outer"), v.Relation("perf_inner")
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := v.JoinEstimator(catalogMerge, outer, inner)
+		r.NsPerOp += float64(time.Since(start).Nanoseconds()) / rounds
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return r, err
+		}
+		r.AllocsPerOp += int64(after.Mallocs - before.Mallocs)
+		r.BytesPerOp += int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	r.AllocsPerOp /= rounds
+	r.BytesPerOp /= rounds
+	return r, nil
+}
+
+// registerFleet registers n relations of size points each into a store over
+// a fresh cache directory, waits until all are ready and closes it.
+func registerFleet(seed int64, n, size int) error {
+	dir, err := os.MkdirTemp("", "knncost-perf-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	st, err := store.New(store.Options{
+		MaxK: 200, IndexCapacity: 256, Bounds: datagen.WorldBounds, CompactInterval: -1,
+		CacheDir: dir, QueueLen: n, Logger: log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	defer st.Close(ctx)
+	for i := 0; i < n; i++ {
+		if _, err := st.Register(fmt.Sprintf("fleet%03d", i), datagen.OSMLike(size, seed+int64(i))); err != nil {
+			return err
+		}
+	}
+	return st.WaitReady(ctx)
 }
 
 // WritePerfJSON writes results as BENCH_<date>.json in dir ("" means the

@@ -249,33 +249,39 @@ func cacheFiles(t *testing.T, dir string) map[string][2]int64 {
 	return out
 }
 
-// joinEstimates probes every ordered pair of a View through its merge.
-func joinEstimates(t *testing.T, v *View) map[[2]string]float64 {
+// joinEstimates demands the given ordered pairs of a View — every ordered
+// pair when none is given — and probes each through its merge.
+func joinEstimates(t *testing.T, v *View, pairs ...[2]string) map[[2]string]float64 {
 	t.Helper()
-	out := map[[2]string]float64{}
-	for _, outer := range v.Names() {
-		for _, inner := range v.Names() {
-			if outer == inner {
-				continue
+	if len(pairs) == 0 {
+		for _, outer := range v.Names() {
+			for _, inner := range v.Names() {
+				if outer != inner {
+					pairs = append(pairs, [2]string{outer, inner})
+				}
 			}
-			m := v.Merge(outer, inner)
-			if m == nil {
-				t.Fatalf("no merge for %s⋉%s", outer, inner)
-			}
-			est, err := m.EstimateJoin(9)
-			if err != nil {
-				t.Fatalf("EstimateJoin %s⋉%s: %v", outer, inner, err)
-			}
-			out[[2]string{outer, inner}] = est
 		}
+	}
+	out := map[[2]string]float64{}
+	for _, pair := range pairs {
+		m := v.Merge(pair[0], pair[1])
+		if m == nil {
+			t.Fatalf("no merge for %s⋉%s", pair[0], pair[1])
+		}
+		est, err := m.EstimateJoin(9)
+		if err != nil {
+			t.Fatalf("EstimateJoin %s⋉%s: %v", pair[0], pair[1], err)
+		}
+		out[pair] = est
 	}
 	return out
 }
 
 // TestWarmRestartWritesNothing: a restart that restores every relation from
-// its bundle and every pair from a side-file leaves the directory — files,
-// registry, write-ahead log, lock — exactly as it found it: it writes
-// nothing and, with nothing dead, its start-up sweep unlinks nothing.
+// its bundle and every pair that was demanded from a side-file leaves the
+// directory — files, registry, write-ahead log, lock — exactly as it found
+// it: it writes nothing and, with nothing dead, its start-up sweep unlinks
+// nothing. It loads a merge when the pair is demanded again, not before.
 func TestWarmRestartWritesNothing(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -287,17 +293,27 @@ func TestWarmRestartWritesNothing(t *testing.T) {
 		}
 	}
 	waitReady(t, cold)
-	want := joinEstimates(t, cold.View())
+	if b := cold.CatalogBuilds(); b != 3*3 {
+		t.Fatalf("three registrations built %d catalogs, want 9 and no merge", b)
+	}
+	demanded := [][2]string{{"w0", "w1"}, {"w1", "w0"}, {"w2", "w0"}, {"w0", "w2"}}
+	want := joinEstimates(t, cold.View(), demanded...)
+	if b := cold.CatalogBuilds(); b != 3*3+4 {
+		t.Fatalf("four demanded pairs took the builds to %d, want 13", b)
+	}
 	closeStore(t, cold)
 	before := cacheFiles(t, opt.CacheDir)
 
 	warm := newTestStore(t, opt)
 	waitReady(t, warm)
-	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*3+6 {
-		t.Fatalf("warm restart: %d built, %d cache hits, want 0 and 15", b, h)
+	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*3 {
+		t.Fatalf("warm restart before any join: %d built, %d cache hits, want 0 and 9", b, h)
 	}
-	if got := joinEstimates(t, warm.View()); !reflect.DeepEqual(got, want) {
+	if got := joinEstimates(t, warm.View(), demanded...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("join estimates changed across the restart: %v vs %v", got, want)
+	}
+	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*3+4 {
+		t.Fatalf("warm restart after the same joins: %d built, %d cache hits, want 0 and 13", b, h)
 	}
 	if n := warm.CacheSweptFiles(); n != 0 {
 		t.Fatalf("warm restart swept %d files", n)
@@ -330,13 +346,14 @@ func TestTwoScopesShareOneDirectory(t *testing.T) {
 	}
 	a, b := open("a"), open("b")
 	register(a, []int{0, 1, 2})
-	register(b, []int{2, 1, 0})
 	want := joinEstimates(t, a.View())
+	register(b, []int{2, 1, 0})
 	if got := joinEstimates(t, b.View()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scopes disagree: %v vs %v", got, want)
 	}
 	// The shard-handoff shape: everything b registers, scope a has cached,
-	// and r's side-file serves q and p although b registers them after r.
+	// and the pairs a was asked for it has cached too: r's side-file serves
+	// q and p although b registers them after r.
 	if built, hits := b.CatalogBuilds(), b.CacheHits(); built != 0 || hits != 9+6 {
 		t.Fatalf("scope b built %d catalogs and loaded %d from scope a's files, want 0 and 15", built, hits)
 	}
@@ -360,8 +377,8 @@ func TestTwoScopesShareOneDirectory(t *testing.T) {
 }
 
 // TestLostSideFileRebuildsAndRewrites: merges are derivable, so deleting a
-// side-file costs exactly its pairs' rebuilds on the next start, which
-// writes them back; the start after that builds nothing.
+// side-file costs exactly its pairs' rebuilds when they are next demanded,
+// which writes them back; the start after that builds nothing.
 func TestLostSideFileRebuildsAndRewrites(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -382,28 +399,29 @@ func TestLostSideFileRebuildsAndRewrites(t *testing.T) {
 
 	second := newTestStore(t, opt)
 	waitReady(t, second)
-	if b, h := second.CatalogBuilds(), second.CacheHits(); b != 4 || h != 9+2 {
-		t.Fatalf("after losing z's side-file: %d built, %d hits, want 4 and 11", b, h)
-	}
 	if got := joinEstimates(t, second.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuilt merges are not bit-identical")
+	}
+	if b, h := second.CatalogBuilds(), second.CacheHits(); b != 4 || h != 9+2 {
+		t.Fatalf("after losing z's side-file: %d built, %d hits, want 4 and 11", b, h)
 	}
 	closeStore(t, second)
 
 	third := newTestStore(t, opt)
 	waitReady(t, third)
-	if b := third.CatalogBuilds(); b != 0 {
-		t.Fatalf("start after the rebuild constructed %d catalogs: the merges were not written back", b)
-	}
 	if got := joinEstimates(t, third.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("written-back merges are not bit-identical")
+	}
+	if b := third.CatalogBuilds(); b != 0 {
+		t.Fatalf("start after the rebuild constructed %d catalogs: the merges were not written back", b)
 	}
 }
 
 // TestCorruptMergeEntryRebuilds: a side-file record whose checksum holds
 // but whose catalog entries break their invariants (here the second entry's
 // EndK := 0 and Cost := -1) is a miss for that one merge — rebuilt
-// bit-identical — never an estimate read from it.
+// bit-identical at its first demand, and written over the bad record —
+// never an estimate read from it.
 func TestCorruptMergeEntryRebuilds(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -443,11 +461,11 @@ func TestCorruptMergeEntryRebuilds(t *testing.T) {
 
 	second := newTestStore(t, opt)
 	waitReady(t, second)
-	if b := second.CatalogBuilds(); b != 1 {
-		t.Fatalf("restart over one corrupt merge built %d catalogs, want 1", b)
-	}
 	if got := joinEstimates(t, second.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("estimates changed: a corrupt merge was served or rebuilt differently")
+	}
+	if b, h := second.CatalogBuilds(), second.CacheHits(); b != 1 || h != 6+1 {
+		t.Fatalf("restart over one corrupt merge: %d built, %d hits, want 1 and 7", b, h)
 	}
 	closeStore(t, second)
 
@@ -462,19 +480,19 @@ func TestCorruptMergeEntryRebuilds(t *testing.T) {
 	}
 	third := newTestStore(t, opt)
 	waitReady(t, third)
-	if b := third.CatalogBuilds(); b != 0 {
-		t.Fatalf("restart over the healed side-file built %d catalogs, want 0", b)
-	}
 	if got := joinEstimates(t, third.View()); !reflect.DeepEqual(got, want) {
 		t.Fatal("estimates changed across the healed restart")
 	}
+	if b := third.CatalogBuilds(); b != 0 {
+		t.Fatalf("restart over the healed side-file built %d catalogs, want 0", b)
+	}
 }
 
-// TestRestartDropsDeadPeersRecords: a side-file names the generations its
-// relation was published next to. A restart keeps in memory only the records
-// of peers its registry names, and a side-file rewrite keeps on disk the
-// records of peers this store has never seen — another store's, which would
-// otherwise rebuild them on its every restart.
+// TestRestartDropsDeadPeersRecords: a side-file names the older generations
+// its relation was joined with. A restart keeps in memory only the records of
+// peers its registry names, and a side-file rewrite keeps on disk the records
+// of peers this store has never seen — another store's, which would otherwise
+// rebuild them on its every restart.
 func TestRestartDropsDeadPeersRecords(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -484,12 +502,14 @@ func TestRestartDropsDeadPeersRecords(t *testing.T) {
 		if _, err := first.Register(name, gridPoints(400+50*i, int64(40+i))); err != nil {
 			t.Fatal(err)
 		}
-		waitReady(t, first, name) // cold's side-file names hot's first generation
+		waitReady(t, first, name)
 	}
+	joinEstimates(t, first.View()) // cold's side-file names hot's first generation
 	if _, err := first.Append("hot", gridPoints(10, 42)); err != nil {
 		t.Fatal(err)
 	}
-	settle(t, first, "hot") // hot's second generation: its side-file names cold
+	settle(t, first, "hot")
+	joinEstimates(t, first.View()) // hot's second generation: its side-file names cold
 	coldFP := first.View().Relation("cold").Fingerprint
 	closeStore(t, first)
 
@@ -504,8 +524,12 @@ func TestRestartDropsDeadPeersRecords(t *testing.T) {
 	if recs := second.View().Relation("hot").merges; len(recs) != 1 {
 		t.Fatalf("hot's snapshot holds %d records, want the one for cold", len(recs))
 	}
+	joinEstimates(t, second.View())
+	if b, h := second.CatalogBuilds(), second.CacheHits(); b != 0 || h != 6+2 {
+		t.Fatalf("restart: %d built, %d hits, want 0 and 8", b, h)
+	}
 	stranger, _ := peerOf(fmt.Sprintf("%064x", 0xfeed))
-	if err := second.cache.storeMerges(coldFP, mergeRecs{stranger: {{1, 2, 3, 4, 5, 6, 7, 8}}}); err != nil {
+	if err := second.cache.storeMerge(coldFP, stranger, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	side, err := os.ReadFile(second.cache.sidePath(coldFP))
@@ -578,8 +602,8 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 
 // TestStatusRepublishSharesTheView: a republish in which no snapshot
 // changed (a queued/building transition, a delta-depth update) shares the
-// previous View's relation and merge maps instead of rebuilding n·(n−1)
-// pairs.
+// previous View's relation map and pair table, so a pair demanded through
+// either View is resolved once for both.
 func TestStatusRepublishSharesTheView(t *testing.T) {
 	opt := testOptions(t)
 	opt.CompactInterval = -1
@@ -592,6 +616,9 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 	}
 	waitReady(t, s)
 	v1 := s.View()
+	if v1.Merge("s1", "s2") == nil {
+		t.Fatal("no merge for s1⋉s2")
+	}
 	builds := s.CatalogBuilds()
 	if _, err := s.Append("s2", []geom.Point{{X: 1, Y: 2}}); err != nil {
 		t.Fatal(err)
@@ -603,12 +630,14 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 	if v1 == v2 || v2.List()[1].DeltaOps != 1 {
 		t.Fatalf("append did not republish the listing: %+v", v2.List())
 	}
-	if reflect.ValueOf(v1.merges).Pointer() != reflect.ValueOf(v2.merges).Pointer() ||
-		reflect.ValueOf(v1.relations).Pointer() != reflect.ValueOf(v2.relations).Pointer() {
+	if v1.pairs != v2.pairs || reflect.ValueOf(v1.relations).Pointer() != reflect.ValueOf(v2.relations).Pointer() {
 		t.Fatal("a status-only republish copied the View's maps")
 	}
-	if s.CatalogBuilds() != builds {
-		t.Fatal("a status-only republish built catalogs")
+	if v2.Merge("s1", "s2") != v1.Merge("s1", "s2") || v1.Merge("s3", "s1") != v2.Merge("s3", "s1") {
+		t.Fatal("the two Views resolved one pair twice")
+	}
+	if got := s.CatalogBuilds(); got != builds+1 {
+		t.Fatalf("a status-only republish and one new pair built %d catalogs, want 1", got-builds)
 	}
 }
 

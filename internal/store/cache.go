@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"log"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,20 +39,21 @@ import (
 //	                       sections KNPT (points, rebuilds the index), KNCSMAP
 //	                       (core.Staircase), KNVGMAP (core.VirtualGrid), KNAB
 //	                       (aknn.Summary), and a trailing CRC32C of all of it
-//	cat/<fp>.knm           merge side-file: every Catalog-Merge (KNCMMAP) the
-//	                       publish that introduced <fp> had to build, both
-//	                       directions per peer; see encodeSideFile
+//	cat/<fp>.knm           merge side-file: the Catalog-Merges (KNCMMAP) asked
+//	                       for between <fp> and the relations published before
+//	                       it, both directions per peer; see encodeSideFile
 //
 // A bundle is written once, off the store lock, and is immutable: one that
-// exists is complete. A pair's merges live in the side-file of whichever of
-// its two relations was published later, so a lookup consults both
-// relations' records; merges are derivable, so a lost or corrupt side-file
-// is rebuilt and last-writer-wins between stores sharing a directory is
-// harmless. Both files are read whole into a scratch buffer from which only
-// the bytes the loaders borrow are copied, into exact-size allocations the
-// garbage collector owns. Everything is written atomically (temp file +
-// rename) and every load failure is a cache miss, never an error: the worst
-// a corrupt cache can do is force a rebuild.
+// exists is complete. A pair's merges, once asked for, live in the side-file
+// of whichever of its two relations was published later, so a lookup consults
+// both relations' records and a side-file names no peer younger than itself;
+// merges are derivable, so a lost or corrupt record is rebuilt and
+// last-writer-wins between stores sharing a directory is harmless. Both files
+// are read whole into a scratch buffer from which only the bytes the loaders
+// borrow are copied, into exact-size allocations the garbage collector owns.
+// Everything is written atomically (temp file + rename) and every load
+// failure is a cache miss, never an error: the worst a corrupt cache can do
+// is force a rebuild.
 //
 // A generation no registry in the directory names any more is dead, and is
 // swept: see sweep for the rule and DESIGN §15 for why it needs no grace
@@ -125,7 +127,7 @@ type diskCache struct {
 	// "registry") just before each rename, and with "sweep" just before each
 	// unlink — the crash-injection points.
 	hook    func(op string)
-	mu      sync.Mutex      // guards the fields below and the registry file
+	mu      sync.Mutex      // guards the fields below, the registry file and side-file updates
 	entries []registryEntry // the registry file's relations, sorted by name
 	dead    []string        // fingerprints whose sweep found the lock busy
 	skipped int             // sweeps skipped or vetoed, for the log's rate limit
@@ -462,26 +464,26 @@ func decodeSideFile(data []byte) mergeRecs {
 	return recs
 }
 
-// storeMerges writes the side-file of fp as the union of built and the
-// records it holds now: another store on this directory may have put records
-// there for peers this one has never seen, and dropping them would have the
-// two stores rebuild each other's merges on every restart. Where both have a
-// payload for the same peer and direction, built wins: mergeFor builds only
-// what the records did not yield, so the stored payload is one it rejected
-// (intact by CRC, invalid as a catalog), and keeping it would have every
-// restart rebuild that merge again.
-func (c *diskCache) storeMerges(fp string, built mergeRecs) error {
-	side, _ := os.ReadFile(c.sidePath(fp))
-	for k, old := range decodeSideFile(side) {
-		rec := built[k]
-		for dir, payload := range old {
-			if rec[dir] == nil {
-				rec[dir] = payload
-			}
-		}
-		built[k] = rec
+// storeMerge puts a freshly built merge — fp⋉peer for dir 0, peer⋉fp for
+// dir 1 — into the side-file of fp, beside the records it holds now (a peer
+// store's included), replacing the payload mergeFor rejected, if any. Like a
+// publish, the write holds the directory's lock shared and needs fp's bundle
+// on disk, so no .knm outlives its .knc.
+func (c *diskCache) storeMerge(fp string, peer peerKey, dir int, payload []byte) error {
+	release, _ := c.lock(false) // unobtainable only where no sweep can run either
+	defer release()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.hasBundle(fp) {
+		return nil
 	}
-	return c.writeFile("merges", c.sidePath(fp), encodeSideFile(built))
+	side, _ := os.ReadFile(c.sidePath(fp))
+	recs := mergeRecs{}
+	maps.Copy(recs, decodeSideFile(side))
+	rec := recs[peer]
+	rec[dir] = payload
+	recs[peer] = rec
+	return c.writeFile("merges", c.sidePath(fp), encodeSideFile(recs))
 }
 
 // --- points section ----------------------------------------------------------

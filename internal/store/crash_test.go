@@ -4,8 +4,9 @@ package store
 // crashHook fires at every durability-critical operation: in the WAL (frame
 // half-written, frame complete, fsync, rotate, trim) and in the disk cache
 // (a bundle, a merge side-file or the registry written but not yet renamed
-// into place; a build finished and not yet published; a dead generation's
-// file about to be unlinked). At each firing the harness copies the whole
+// into place; a build finished and not yet published; a pair merge demanded
+// and not yet resolved; a dead generation's file about to be unlinked). At
+// each firing the harness copies the whole
 // cache directory
 // — WAL, artifact store, registry — exactly as it exists at that instant,
 // and notes whether the store's View lists the relation as ready. Each copy
@@ -105,8 +106,9 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.Store(s)
-	// A static peer, so that every publish of "live" also builds pair
-	// merges and writes a side-file.
+	// A static peer, so that there is a pair to join: its merges are demanded
+	// after every mutation, against whatever generation is published by then,
+	// and each first demand builds one and rewrites a side-file.
 	peerPts, base := gridPoints(120, 4), gridPoints(150, 3)
 	for i, pts := range [][]geom.Point{peerPts, base} {
 		name := []string{"peer", "live"}[i]
@@ -138,8 +140,10 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
+		assertMergesExact(t, s.View(), "live", "peer")
 	}
 	settle(t, s, "live")
+	assertMergesExact(t, s.View(), "live", "peer")
 	closeStore(t, s)
 
 	// Every logical state the relation ever passed through.
@@ -224,6 +228,13 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 			refs[ref.Fingerprint] = ref
 		}
 		assertBitExact(t, snap, ref)
+		// Whatever the capture holds of a side-file — nothing, the records
+		// from before the write it interrupted, records of a generation the
+		// recovery moved past — the pair's merges are those of the recovered
+		// snapshots.
+		if _, known := s2.Status("peer"); known {
+			assertMergesExact(t, s2.View(), "live", "peer")
+		}
 		closeStore(t, s2)
 		checked++
 	}

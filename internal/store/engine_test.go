@@ -230,9 +230,10 @@ func TestStoreSelectGuardsKBelowOne(t *testing.T) {
 }
 
 // TestCacheLayoutTwoFilesPerFingerprint pins the format-5 cache layout: one
-// bundle per fingerprint, one merge side-file for the relation published
-// second (it built the pair's merges), the registry, the WAL — and nothing
-// else: no per-artifact directories, no merge/ directory.
+// bundle per fingerprint, a merge side-file only once a pair was demanded —
+// that of the relation published second, whichever side of the join it is —
+// the registry, the WAL — and nothing else: no per-artifact directories, no
+// merge/ directory.
 func TestCacheLayoutTwoFilesPerFingerprint(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -250,18 +251,25 @@ func TestCacheLayoutTwoFilesPerFingerprint(t *testing.T) {
 	if fpA == "" || fpB == "" {
 		t.Fatal("point-registered relations have no fingerprint")
 	}
-	got, err := filepath.Glob(filepath.Join(opt.CacheDir, "cat", "*"))
-	if err != nil {
-		t.Fatal(err)
+	check := func(when string, want ...string) {
+		t.Helper()
+		got, err := filepath.Glob(filepath.Join(opt.CacheDir, "cat", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(want)
+		for i := range got {
+			got[i] = filepath.Base(got[i])
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s cat/ holds %v, want %v", when, got, want)
+		}
 	}
-	want := []string{fpA + ".knc", fpB + ".knc", fpB + ".knm"}
-	sort.Strings(want)
-	for i := range got {
-		got[i] = filepath.Base(got[i])
+	check("before any join", fpA+".knc", fpB+".knc")
+	if v.Merge("alpha", "beta") == nil {
+		t.Fatal("no merge for alpha⋉beta")
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("cat/ holds %v, want %v", got, want)
-	}
+	check("after alpha⋉beta", fpA+".knc", fpB+".knc", fpB+".knm")
 	if _, err := os.Stat(filepath.Join(opt.CacheDir, "merge")); err == nil {
 		t.Error("pre-format-5 merge/ directory still created")
 	}

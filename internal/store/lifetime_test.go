@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
 )
@@ -14,9 +15,10 @@ import (
 // TestPublishedGenerationsAreCollected: the heap a store holds is that of
 // the generations it serves. Every generation a publish replaced must become
 // unreachable — nothing live (a newer snapshot, its engine, the View, the
-// store's bookkeeping) may point at it — and a request still holding the
-// View from before a publish must keep getting that View's pair merges
-// without anything being rebuilt for it.
+// store's bookkeeping, a pair slot demanded before, between or after the
+// publishes) may point at it — and a request still holding the View from
+// before a publish must keep getting that View's pair merges, from that
+// View's snapshots, without leaving anything in the View that replaced it.
 func TestPublishedGenerationsAreCollected(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -59,12 +61,25 @@ func TestPublishedGenerationsAreCollected(t *testing.T) {
 	}
 
 	track()
+	joinEstimates(t, s.View()) // every pair has a slot before the first publish
 	for i := 0; i < 30; i++ {
+		// The pair the next publish leaves alone keeps its slot across it: the
+		// same estimator, nothing rebuilt.
+		a, b := names[(i+1)%3], names[(i+2)%3]
+		kept := s.View().Merge(a, b)
 		mutate(i)
-		// What a request does between two publishes: a join through the View.
+		builds := s.CatalogBuilds()
 		v := s.View()
-		if _, err := v.JoinEstimator(cm, v.Relation(names[i%3]), v.Relation(names[(i+1)%3])); err != nil {
+		if v.Merge(a, b) != kept || s.CatalogBuilds() != builds {
+			t.Fatalf("publish %d of %s replaced the slot of %s⋉%s", i, names[i%3], a, b)
+		}
+		// What a request does between two publishes: a join through the View,
+		// here one of the two the publish did replace.
+		if _, err := v.JoinEstimator(cm, v.Relation(names[i%3]), v.Relation(a)); err != nil {
 			t.Fatal(err)
+		}
+		if got := s.CatalogBuilds(); got != builds+1 {
+			t.Fatalf("publish %d: the replaced pair built %d merges on its first demand, want 1", i, got-builds)
 		}
 		track()
 	}
@@ -104,6 +119,34 @@ func TestPublishedGenerationsAreCollected(t *testing.T) {
 			t.Errorf("the stale View's %s engine holds %d pair slots, want 0", name, n)
 		}
 	}
+
+	// A pair first demanded from the stale View after the publish is merged
+	// from the stale View's snapshots, and the current View never hears of it.
+	held, _ := s.View().PairMerges()
+	builds = s.CatalogBuilds()
+	got := joinBits(t, stale, cm, "beta", "gamma")
+	if n := s.CatalogBuilds() - builds; n != 1 {
+		t.Fatalf("the stale View's first demand of beta⋉gamma built %d merges, want 1", n)
+	}
+	ref, err := core.BuildCatalogMerge(stale.Relation("beta").Count, stale.Relation("gamma").Count,
+		opt.SampleSize, stale.Relation("beta").Resolution.MaxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range got {
+		if want, _ := ref.EstimateJoin(k + 1); got[k] != math.Float64bits(want) {
+			t.Fatalf("stale View, beta⋉gamma k=%d: not the merge of the stale snapshots", k+1)
+		}
+	}
+	if n, _ := s.View().PairMerges(); n != held {
+		t.Errorf("a demand on the stale View took the current View from %d pair merges to %d", held, n)
+	}
+	s.View().pairs.Range(func(key, _ any) bool {
+		if p := key.(pairKey); p[0] == stale.Relation("beta") || p[1] == stale.Relation("beta") {
+			t.Errorf("the current View holds a slot over beta's replaced generation (%s⋉%s)", p[0].Name, p[1].Name)
+		}
+		return true
+	})
 	runtime.KeepAlive(stale)
 }
 

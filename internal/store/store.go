@@ -11,14 +11,15 @@
 //   - Every relation is published as an immutable, versioned Snapshot
 //     (data index, Count-Index, staircase, density, Virtual-Grid). Snapshots
 //     never change after publication.
-//   - All published snapshots — plus the per-ordered-pair Catalog-Merge
-//     estimators and the listing metadata — live in a single immutable View
-//     swapped in with one atomic pointer store (RCU, the same model an
-//     inference server uses for hot model swaps). An in-flight estimate that
-//     loaded a View keeps a fully consistent schema for its whole lifetime;
-//     a rebuild, drop or registration never mutates anything a reader can
-//     see. View resolution is one atomic load plus a map lookup and performs
-//     zero heap allocations (a test pins this).
+//   - All published snapshots and the listing metadata live in a single
+//     immutable View swapped in with one atomic pointer store (RCU, the same
+//     model an inference server uses for hot model swaps). An in-flight
+//     estimate that loaded a View keeps a fully consistent schema for its
+//     whole lifetime; a rebuild, drop or registration never mutates anything
+//     a reader can see. View resolution is one atomic load plus a map lookup
+//     and performs zero heap allocations (a test pins this).
+//   - Catalog-Merge needs a catalog per ordered pair (the paper's O(n²)
+//     term, §4.3): the View resolves one when a join or plan first asks.
 //   - Catalog construction runs on a bounded background worker pool. Builds
 //     for the same relation are deduplicated: re-registering a queued
 //     relation supersedes the queued build in place, and re-registering one
@@ -28,12 +29,12 @@
 //   - With a cache directory configured, built catalogs are persisted in the
 //     internal/core binary formats keyed by a fingerprint of the point data
 //     and build options: one bundle file per fingerprint (build parameters,
-//     points, per-relation catalogs) and one side-file of pair merges. A
-//     restarted store re-registers the cached relations and loads their
-//     catalogs instead of rebuilding — warm restarts cost index-rebuild
-//     milliseconds, not catalog-build seconds. The files of a generation
-//     that no registry in the directory names any more are swept, so the
-//     directory holds live data only, however many compactions ran.
+//     points, per-relation catalogs) and one side-file of the pair merges
+//     asked for. A restarted store re-registers the cached relations and
+//     loads their catalogs instead of rebuilding — warm restarts cost
+//     index-rebuild milliseconds, not catalog-build seconds. The files of a
+//     generation no registry in the directory names any more are swept, so
+//     the directory holds live data only, however many compactions ran.
 package store
 
 import (
@@ -42,7 +43,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"maps"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -161,8 +161,8 @@ type Options struct {
 	Logger *log.Logger
 	// crashHook, when set, is the WAL's OpHook and fires before the disk
 	// cache renames a bundle, side-file or registry into place or unlinks a
-	// swept file, and ("built") between each build and its publish: the
-	// crash-injection tests snapshot the cache directory at each firing.
+	// swept file, ("built") between a build and its publish and ("merge")
+	// before a pair is resolved: the crash tests snapshot the directory then.
 	crashHook func(op string)
 }
 
@@ -277,12 +277,12 @@ type Snapshot struct {
 	// hits is the estimate-traffic counter shared with the relation's
 	// store entry across republishes; Touch increments it.
 	hits *atomic.Int64
-	// merges are the records of this fingerprint's merge side-file as read
-	// with the bundle (nil when built fresh); mergeFor consults them. A
-	// restart keeps only those of peers its registry names (recoverLocked);
-	// a registration in a running store keeps them all, for the peers a
-	// shard handoff registers next.
+	// merges are this fingerprint's side-file records as read with the bundle
+	// (nil when built fresh), for mergeFor. A restart keeps only those of
+	// peers its registry names (recoverLocked); a registration in a running
+	// store keeps all, for the peers a shard handoff registers next.
 	merges mergeRecs
+	seq    uint64 // publication order: a pair's merge goes to the younger one's side-file
 }
 
 // Touch records one estimate served from this snapshot. The count is the
@@ -334,46 +334,71 @@ type RelationStatus struct {
 }
 
 // View is an immutable snapshot of the whole store: every published
-// relation, every per-ordered-pair Catalog-Merge, and the listing. A View
-// loaded once stays internally consistent forever; later registrations,
-// rebuilds and drops produce new Views without touching old ones.
+// relation and the listing. A View loaded once stays internally consistent
+// forever; later registrations, rebuilds and drops produce new Views without
+// touching old ones; all a View gains once published is memoised pair merges.
 type View struct {
 	relations map[string]*Snapshot
-	merges    map[[2]string]*core.CatalogMerge
 	names     []string         // sorted names of published relations
 	statuses  []RelationStatus // sorted listing incl. unpublished relations
+	pairs     *sync.Map        // pairKey → *pairSlot, for every pair a join or plan asked for
+	store     *Store           // resolves the merges; nil only in emptyView, which has no pair
 }
 
-var emptyView = &View{
-	relations: map[string]*Snapshot{},
-	merges:    map[[2]string]*core.CatalogMerge{},
+// pairKey is {outer, inner} by identity: no slot serves another generation.
+type pairKey [2]*Snapshot
+
+// pairSlot is the single-flight memo of one pair's Catalog-Merge; a failure
+// is kept like a result, until either relation publishes again.
+type pairSlot struct {
+	once  sync.Once
+	est   core.JoinEstimator // the *core.CatalogMerge
+	err   error
+	bytes atomic.Int64 // the merge's SizeBytes() once resolved; what PairMerges reads
 }
+
+var emptyView = &View{relations: map[string]*Snapshot{}, pairs: new(sync.Map)}
 
 // Relation returns the published snapshot for name, or nil. It performs no
 // heap allocations.
 func (v *View) Relation(name string) *Snapshot { return v.relations[name] }
 
-// Merge returns the Catalog-Merge estimator for the ordered pair
-// (outer, inner), or nil. Every ordered pair of relations published in the
-// same View has an entry.
-func (v *View) Merge(outer, inner string) *core.CatalogMerge {
-	return v.merges[[2]string{outer, inner}]
+// PairMerges counts the pair merges this View holds resolved, and their bytes.
+func (v *View) PairMerges() (n int, bytes int64) {
+	v.pairs.Range(func(_, slot any) bool {
+		if b := slot.(*pairSlot).bytes.Load(); b > 0 {
+			n, bytes = n+1, bytes+b
+		}
+		return true
+	})
+	return n, bytes
 }
 
 // JoinEstimator resolves a join technique for two snapshots of this View.
 // Catalog-Merge is the View's own pair merge: a stored relation's engine is
 // never asked for one, because an engine pair slot would keep the inner
-// generation reachable for as long as the outer one lives. An absent pair
-// means its build failed when the View was published. Every other technique
-// needs only per-relation artifacts and resolves through the engines.
+// generation reachable for as long as the outer one lives. The first request
+// for a pair resolves its merge (Store.mergeFor), no store lock held; a later
+// one allocates nothing. Other techniques resolve through the engines.
 func (v *View) JoinEstimator(jt engine.JoinTechnique, outer, inner *Snapshot) (core.JoinEstimator, error) {
 	if jt.Name != engine.TechCatalogMerge {
 		return jt.Estimator(outer.Engine, inner.Engine)
 	}
-	if m := v.Merge(outer.Name, inner.Name); m != nil {
-		return m, nil
+	key := pairKey{outer, inner}
+	slot, ok := v.pairs.Load(key)
+	if !ok {
+		slot, _ = v.pairs.LoadOrStore(key, new(pairSlot))
 	}
-	return nil, errors.New("the pair's merge could not be built when its relations were published")
+	p := slot.(*pairSlot)
+	p.once.Do(func() {
+		if m, err := v.store.mergeFor(outer, inner); err != nil {
+			p.err = err
+		} else {
+			p.est = m
+			p.bytes.Store(int64(m.SizeBytes()))
+		}
+	})
+	return p.est, p.err
 }
 
 // Names returns the sorted names of the published relations. The slice is
@@ -472,6 +497,7 @@ type Store struct {
 	entries map[string]*entry
 	closed  bool
 	seq     uint64 // mutation sequence when the WAL is disabled
+	pubSeq  uint64 // Snapshot.seq of the latest publish
 	// publishHooks run under s.mu whenever a relation's published snapshot
 	// changes (hot swap, compaction publish, drop); see AddPublishHook.
 	publishHooks []func(relation string)
@@ -487,9 +513,9 @@ type Store struct {
 	stopTuner chan struct{} // nil when the background tuner is off
 	tunerDone chan struct{}
 
-	// catalogBuilds counts catalogs actually constructed (staircase,
-	// virtual grid, catalog-merge); warm restarts that load everything from
-	// the disk cache leave it at zero — the soak smoke asserts exactly that.
+	// catalogBuilds counts catalogs actually constructed (staircase, virtual
+	// grid, aknn summary, a catalog-merge per pair asked for); warm restarts
+	// that load all from the disk cache leave it at zero — the soak asserts it.
 	catalogBuilds atomic.Int64
 	// cacheHits counts catalogs loaded from the disk cache instead of built.
 	cacheHits atomic.Int64
@@ -1108,11 +1134,9 @@ func (s *Store) manifestFor(b *builtRelation) manifest {
 }
 
 // publishLocked turns a finished build into the next published version:
-// the relation's snapshot, the Catalog-Merge estimators pairing it with
-// every other published relation, their durable form, and a fresh View. It
-// runs under s.mu — publication is serialized, which is what guarantees
-// every View carries a merge for every ordered pair of its relations.
-// Readers never block on it.
+// the relation's snapshot, its durable form, and a fresh View. It runs under
+// s.mu — publication is serialized — and builds nothing: the new snapshot's
+// pair merges are resolved when asked for. Readers never block on it.
 func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	version := uint64(1)
 	if e.snap != nil {
@@ -1150,6 +1174,8 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 		hits:           e.hits,
 		merges:         b.merges,
 	}
+	s.pubSeq++
+	snap.seq = s.pubSeq
 	e.snap = snap
 	e.state = StateReady
 	e.err = ""
@@ -1162,10 +1188,10 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	e.pending = filterCovered(e.pending, covered)
 	// The next View is swapped in last, after the registry write: a reader
 	// is told a relation is ready only once a restart would restore it.
-	v, built := s.buildViewLocked()
+	v := s.buildViewLocked()
 	var replaced string
 	if s.cache != nil && b.fp != "" {
-		replaced = s.persistLocked(e, b, covered, built)
+		replaced = s.persistLocked(e, b, covered)
 	}
 	s.view.Store(v)
 	s.notifyPublishLocked(e.name)
@@ -1178,16 +1204,16 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 }
 
 // persistLocked makes e's new snapshot the durable base. Order: make sure
-// the bundle is on disk, write the merges this publish built, checkpoint the
-// fold in the WAL, fsync it, and only then let the registry adopt the new
-// fingerprint. Replay treats a checkpoint whose fingerprint the registry
-// never adopted as ineffective, so a crash anywhere in this sequence
-// recovers a consistent base + delta state. All of it runs under the cache
-// directory's lock, shared: no store on the directory can sweep between the
-// moment the bundle is seen on disk and the moment the registry names it. It
-// returns the fingerprint the registry held for e before, now a dead
-// generation for the caller to sweep once the lock is released.
-func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built mergeRecs) (replaced string) {
+// the bundle is on disk, checkpoint the fold in the WAL, fsync it, and only
+// then let the registry adopt the new fingerprint. Replay treats a checkpoint
+// whose fingerprint the registry never adopted as ineffective, so a crash
+// anywhere in this sequence recovers a consistent base + delta state. All of
+// it runs under the cache directory's lock, shared: no store on the directory
+// can sweep between the moment the bundle is seen on disk and the moment the
+// registry names it. It returns the fingerprint the registry held for e
+// before, now a dead generation for the caller to sweep once the lock is
+// released.
+func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string) {
 	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
 	defer release()
 	// buildCatalogs wrote the bundle, or loaded it, some time ago and
@@ -1202,11 +1228,6 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built 
 			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
 			e.rememberFailed = true
 			return ""
-		}
-	}
-	if len(built) > 0 {
-		if err := s.cache.storeMerges(b.fp, built); err != nil {
-			s.opt.logger().Printf("store: caching merges of %q: %v (continuing uncached)", e.name, err)
 		}
 	}
 	// A warm restart republishes the base its log already checkpoints; it
@@ -1240,39 +1261,29 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64, built 
 // republishLocked swaps in a View of the current entries; for every change
 // but a new snapshot, which publishLocked alone makes (and persists first).
 func (s *Store) republishLocked() {
-	v, _ := s.buildViewLocked()
-	s.view.Store(v)
+	s.view.Store(s.buildViewLocked())
 }
 
 // buildViewLocked assembles the next View from the current entries. A View
 // is immutable, so what did not change is shared with the current one: all
 // but the listing when no snapshot changed (a status or delta-depth
-// update); otherwise the merge map is copied and only the changed
-// relation's pairs are dropped and re-resolved — from side-file records or
-// by building, here, under the lock, so that concurrent publishes cannot
-// each miss the other's relation. A pair whose build fails stays absent
-// until either of its relations publishes again; nothing else retries it.
-// The merges built are returned as records for the changed relation's
-// side-file (none without a cache).
-func (s *Store) buildViewLocked() (*View, mergeRecs) {
+// update); otherwise the pair table starts over with the slots — resolved,
+// failed or in flight — whose two snapshots are both still published.
+func (s *Store) buildViewLocked() *View {
 	old := s.view.Load()
-	v := &View{relations: old.relations, merges: old.merges, names: old.names,
+	v := &View{relations: old.relations, names: old.names, pairs: old.pairs, store: s,
 		statuses: make([]RelationStatus, 0, len(s.entries))}
-	var changed []string
+	changed := false
 	for name, e := range s.entries {
 		v.statuses = append(v.statuses, e.statusLocked())
-		if e.snap != old.relations[name] {
-			changed = append(changed, name)
-		}
+		changed = changed || e.snap != old.relations[name]
 	}
 	sort.Slice(v.statuses, func(i, j int) bool { return v.statuses[i].Name < v.statuses[j].Name })
 	for _, name := range old.names {
-		if s.entries[name] == nil {
-			changed = append(changed, name) // dropped
-		}
+		changed = changed || s.entries[name] == nil // dropped
 	}
-	if len(changed) == 0 {
-		return v, nil
+	if !changed {
+		return v
 	}
 	v.relations = make(map[string]*Snapshot, len(s.entries))
 	v.names = make([]string, 0, len(s.entries))
@@ -1283,62 +1294,49 @@ func (s *Store) buildViewLocked() (*View, mergeRecs) {
 		}
 	}
 	sort.Strings(v.names)
-	v.merges = maps.Clone(old.merges)
-	built := mergeRecs{}
-	for _, name := range changed {
-		for _, other := range old.names {
-			delete(v.merges, [2]string{name, other})
-			delete(v.merges, [2]string{other, name})
+	v.pairs = new(sync.Map)
+	old.pairs.Range(func(key, slot any) bool {
+		if p := key.(pairKey); v.relations[p[0].Name] == p[0] && v.relations[p[1].Name] == p[1] {
+			v.pairs.Store(key, slot)
 		}
-		if v.relations[name] == nil {
-			continue
-		}
-		for _, other := range v.names {
-			for dir, pair := range [2][2]string{{name, other}, {other, name}} {
-				if other == name || v.merges[pair] != nil {
-					continue // itself, or both changed and the other went first
-				}
-				outer, inner := v.relations[pair[0]], v.relations[pair[1]]
-				m, fresh, err := s.mergeFor(outer, inner)
-				if err != nil {
-					// A merge failure must not unpublish the relations; the
-					// pair is simply absent and the join endpoint reports it.
-					s.opt.logger().Printf("store: catalog-merge %s⋉%s: %v", pair[0], pair[1], err)
-					continue
-				}
-				v.merges[pair] = m
-				if k, ok := peerOf(v.relations[other].Fingerprint); ok && fresh && s.cache != nil {
-					rec := built[k]
-					rec[dir] = m.AppendMapped(nil)
-					built[k] = rec
-				}
-			}
-		}
-	}
-	return v, built
+		return true
+	})
+	return v
 }
 
-// mergeFor loads the Catalog-Merge for one ordered pair from the side-file
-// records of either relation, or builds it; fresh reports a build.
-func (s *Store) mergeFor(outer, inner *Snapshot) (m *core.CatalogMerge, fresh bool, err error) {
+// mergeFor resolves the Catalog-Merge of one ordered pair, never under s.mu:
+// from the side-file records either snapshot was loaded with, else by
+// building it and adding it to the side-file of the pair's younger snapshot.
+func (s *Store) mergeFor(outer, inner *Snapshot) (*core.CatalogMerge, error) {
+	if s.opt.crashHook != nil {
+		s.opt.crashHook("merge")
+	}
 	ko, okOuter := peerOf(outer.Fingerprint)
 	ki, okInner := peerOf(inner.Fingerprint)
-	if okOuter && okInner {
-		for _, raw := range [2][]byte{outer.merges[ki][0], inner.merges[ko][1]} {
-			if m, err := core.LoadCatalogMergeMapped(raw); err == nil {
-				s.cacheHits.Add(1)
-				return m, false, nil
-			}
+	for _, raw := range [2][]byte{outer.merges[ki][0], inner.merges[ko][1]} {
+		if m, err := core.LoadCatalogMergeMapped(raw); err == nil && okOuter && okInner {
+			s.cacheHits.Add(1)
+			return m, nil
 		}
 	}
 	// The merge's catalog depth follows the outer relation's effective
 	// resolution, matching the engine's CatalogMerge accessor.
-	m, err = core.BuildCatalogMerge(outer.Count, inner.Count, s.opt.SampleSize, outer.Resolution.MaxK)
+	m, err := core.BuildCatalogMerge(outer.Count, inner.Count, s.opt.SampleSize, outer.Resolution.MaxK)
 	if err != nil {
-		return nil, false, err
+		s.opt.logger().Printf("store: catalog-merge %s⋉%s: %v", outer.Name, inner.Name, err)
+		return nil, err
 	}
 	s.catalogBuilds.Add(1)
-	return m, true, nil
+	if s.cache != nil && okOuter && okInner {
+		fp, peer, dir := outer.Fingerprint, ki, 0
+		if inner.seq > outer.seq {
+			fp, peer, dir = inner.Fingerprint, ko, 1
+		}
+		if err := s.cache.storeMerge(fp, peer, dir, m.AppendMapped(nil)); err != nil {
+			s.opt.logger().Printf("store: caching merge %s⋉%s: %v (continuing uncached)", outer.Name, inner.Name, err)
+		}
+	}
+	return m, nil
 }
 
 // statusLocked snapshots the externally visible state of e.

@@ -82,16 +82,21 @@ func mustRegister(t *testing.T, s *Store, name string, pts []geom.Point) {
 	waitReady(t, s, name)
 }
 
-// TestSweepAfterCompaction: however often a relation is folded, cat/ holds
-// one bundle and one side-file per live relation, and the restart is warm.
+// TestSweepAfterCompaction: however often a relation is folded and joined,
+// cat/ holds one bundle and at most one side-file per live relation, and the
+// restart is warm. The merges go with the generation that was published
+// later, so the relation that never changes collects no record of the
+// generations it was joined with.
 func TestSweepAfterCompaction(t *testing.T) {
 	opt := sweepOptions(t, t.TempDir(), "")
 	s := newTestStore(t, opt)
 	mustRegister(t, s, "still", gridPoints(400, 1))
 	mustRegister(t, s, "live", gridPoints(500, 2))
+	want := joinEstimates(t, s.View())
 	const folds = 6
 	for i := 0; i < folds; i++ {
 		mustAppend(t, s, "live", gridPoints(10, int64(100+i)))
+		want = joinEstimates(t, s.View())
 		if stray := strayFiles(t, opt.CacheDir, s.View()); len(stray) != 0 {
 			t.Fatalf("after fold %d cat/ still holds %v", i, stray)
 		}
@@ -99,7 +104,9 @@ func TestSweepAfterCompaction(t *testing.T) {
 	if n, b := s.CacheSweptFiles(), s.CacheSweptBytes(); n != 2*folds || b <= 0 {
 		t.Fatalf("%d folds swept %d files (%d bytes), want a bundle and a side-file each", folds, n, b)
 	}
-	want := joinEstimates(t, s.View())
+	if _, err := os.Stat(s.cache.sidePath(s.View().Relation("still").Fingerprint)); err == nil {
+		t.Fatal("the relation that never changed has a side-file, for generations that are gone")
+	}
 	closeStore(t, s)
 
 	warm := newTestStore(t, opt)
@@ -128,6 +135,7 @@ func TestSweepSparesPeerScope(t *testing.T) {
 	if first != b.View().Relation("shared").Fingerprint {
 		t.Fatal("the two scopes disagree on the fingerprint of identical points")
 	}
+	joinEstimates(t, a.View()) // shared was published later: the generation has a side-file
 	mustAppend(t, a, "shared", gridPoints(10, 5))
 	if !a.cache.hasBundle(first) || a.CacheSweptFiles() != 0 {
 		t.Fatalf("scope a swept a generation scope b still names (%d files)", a.CacheSweptFiles())
@@ -240,6 +248,7 @@ func TestDropSweeps(t *testing.T) {
 	mustRegister(t, s, "keep", gridPoints(300, 10))
 	mustRegister(t, s, "gone", gridPoints(400, 11))
 	mustRegister(t, s, "twin", gridPoints(400, 11))
+	joinEstimates(t, s.View()) // the twins' fingerprint has a side-file
 	fp := s.View().Relation("gone").Fingerprint
 	s.Drop("gone")
 	if !s.cache.hasBundle(fp) || s.CacheSweptFiles() != 0 {

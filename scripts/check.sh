@@ -15,12 +15,13 @@ cd "$(dirname "$0")/.."
 # batch estimation workers, the engine's once-per-artifact builds, the
 # bounds-only AkNN join (whose summaries are shared across snapshot
 # readers), the WAL's group-commit fsync batching, the relation store's
-# build pool, delta overlays and hot-swap publication, the optimizer's
-# single-flight plan cache under concurrent misses and invalidations, the
-# HTTP batch endpoint and the robustness middleware, the fault-injection
-# harness, the oracle differential suite (which runs batches against live
-# hot-swaps), the shard tier's scatter-gather, hedging, breaker and
-# mirror-on-demand machinery, and the daemon's signal-driven drain.
+# build pool, delta overlays, hot-swap publication and first-demand pair
+# merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
+# optimizer's single-flight plan cache under concurrent misses and
+# invalidations, the HTTP batch endpoint and the robustness middleware, the
+# fault-injection harness, the oracle differential suite (which runs batches
+# against live hot-swaps), the shard tier's scatter-gather, hedging, breaker
+# and mirror-on-demand machinery, and the daemon's signal-driven drain.
 RACE_PKGS="./internal/core/... ./internal/engine/... ./internal/aknn/... ./internal/wal/... ./internal/store/... ./internal/optimizer/... ./internal/service/... ./internal/faultinject/... ./internal/oracle/... ./internal/shard/... ./cmd/knncostd/..."
 
 # Every fuzz target in the repository, as package:target. The seed corpus
