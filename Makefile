@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet lint cover race bench-smoke bench perf bench-diff soak accuracy fuzz-smoke
+.PHONY: all build test check vet lint cover race bench-smoke bench perf bench-diff accuracy fuzz-smoke
 
 all: check
 
@@ -51,11 +51,6 @@ accuracy:
 # also runs on every plain `go test`); scripts/check.sh owns the target list.
 fuzz-smoke:
 	sh scripts/check.sh fuzz
-
-# Boot a real knncostd, burst the batch endpoint, SIGTERM it, and assert a
-# clean drain and exit 0 — the end-to-end smoke of the robustness layer.
-soak:
-	sh scripts/soak.sh
 
 # Full measured benchmark sweep (slow).
 bench:

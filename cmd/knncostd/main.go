@@ -163,9 +163,9 @@ var routerCounters = map[string]func(*shard.Router) any{
 	"knnrouter_requests":           func(r *shard.Router) any { return r.RequestsByShard() },
 }
 
-// run is main with injectable args and stdout, so tests (and the soak
-// script via the printed listen address) can drive a full daemon lifecycle
-// including the signal-triggered drain. It returns the process exit code.
+// run is main with injectable args and stdout, so tests can drive a full
+// daemon lifecycle (via the printed listen address) including the
+// signal-triggered drain. It returns the process exit code.
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("knncostd", flag.ContinueOnError)
 	var (

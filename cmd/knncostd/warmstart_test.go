@@ -91,6 +91,7 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		"/estimate/join?outer=hotels&inner=restaurants&k=12",
 		"/estimate/join?outer=runtime&inner=hotels&k=7",
 		"/estimate/join?outer=restaurants&inner=runtime&k=3&technique=virtual-grid",
+		"/estimate/join?outer=hotels&inner=restaurants&k=20&technique=aknn-bounds",
 	}
 	if n := expvarInt(t, base, "knncost_pair_merges"); n != 0 {
 		t.Fatalf("knncost_pair_merges = %d before any join, want 0", n)

@@ -105,6 +105,28 @@ func TestFacadeTechniqueListings(t *testing.T) {
 	}
 }
 
+// TestFacadeOneEnginePerIndex pins that an Index holds each artifact once:
+// the estimator a planner relation resolves by name is the very object the
+// Index serves directly, not a second build over the same tree.
+func TestFacadeOneEnginePerIndex(t *testing.T) {
+	ix := knncost.BuildQuadtreeIndex(knncost.GenerateOSMLike(5000, 5),
+		knncost.IndexOptions{Capacity: 128, Bounds: knncost.WorldBounds()})
+	direct, err := ix.SelectEstimatorFor("staircase-cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := knncost.NewRelationTechnique("r", ix, "staircase-cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Estimator != direct {
+		t.Errorf("NewRelationTechnique built a second staircase (%p) beside the Index's (%p)", rel.Estimator, direct)
+	}
+	if def := knncost.NewRelation("r", ix, nil); def.Engine() != rel.Engine() {
+		t.Error("NewRelation and NewRelationTechnique wrap different engines of one Index")
+	}
+}
+
 // TestFacadeNewRelationTechnique plans through a named technique end to end.
 func TestFacadeNewRelationTechnique(t *testing.T) {
 	ix := knncost.BuildQuadtreeIndex(knncost.GenerateOSMLike(5000, 5),

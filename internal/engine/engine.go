@@ -88,9 +88,8 @@ func (o BuildOptions) WithResolution(r core.Resolution) BuildOptions {
 // artifactKey identifies one cached artifact of a Relation. Per-relation
 // artifacts (staircase, density, virtual grid) have a nil inner; pair
 // artifacts (catalog-merge) key on the identity of the inner relation.
-// The key carries the canonical resolution the artifact is built at, so
-// resolution views of one relation (AtResolution) share the cache without
-// ever serving an artifact built at a different depth.
+// The key carries the canonical resolution the artifact is built at, so a
+// seeded artifact never answers for a depth it was not built at.
 type artifactKey struct {
 	technique string
 	inner     *Relation
@@ -115,16 +114,7 @@ type Relation struct {
 	opt   BuildOptions
 	res   core.Resolution // canonical; == opt.Resolution()
 
-	// cache is shared between a relation and its AtResolution views, so
-	// artifacts built at any resolution over the same data are built at
-	// most once process-wide.
-	cache *artifactCache
-}
-
-// artifactCache is the resolution-keyed artifact map shared by all
-// resolution views of one relation.
-type artifactCache struct {
-	mu        sync.Mutex
+	mu        sync.Mutex // guards the artifacts map, not the builds
 	artifacts map[artifactKey]*artifact
 }
 
@@ -144,40 +134,18 @@ func NewRelationWithCount(name string, tree, count *index.Tree, opt BuildOptions
 	}
 	opt = opt.withDefaults()
 	return &Relation{
-		name:  name,
-		tree:  tree,
-		count: count,
-		opt:   opt,
-		res:   opt.Resolution(),
-		cache: &artifactCache{artifacts: map[artifactKey]*artifact{}},
+		name:      name,
+		tree:      tree,
+		count:     count,
+		opt:       opt,
+		res:       opt.Resolution(),
+		artifacts: map[artifactKey]*artifact{},
 	}
 }
 
 // Resolution returns the canonical resolution the relation builds its
 // artifacts at.
 func (r *Relation) Resolution() core.Resolution { return r.res }
-
-// AtResolution returns a view of the relation that builds and serves
-// artifacts at the given resolution. The view shares the relation's data
-// index, Count-Index and artifact cache — artifacts are keyed by
-// resolution, so views never collide and never rebuild what another view
-// already built. The receiver is returned unchanged when the resolution
-// is already its own.
-func (r *Relation) AtResolution(res core.Resolution) *Relation {
-	res = res.Canon()
-	if res == r.res {
-		return r
-	}
-	opt := r.opt.WithResolution(res)
-	return &Relation{
-		name:  r.name,
-		tree:  r.tree,
-		count: r.count,
-		opt:   opt,
-		res:   res,
-		cache: r.cache,
-	}
-}
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
@@ -195,13 +163,12 @@ func (r *Relation) Options() BuildOptions { return r.opt }
 // Only the map access is under the lock; builds run outside it, so a slow
 // staircase build never blocks an unrelated artifact.
 func (r *Relation) slot(key artifactKey) *artifact {
-	c := r.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.artifacts[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a := r.artifacts[key]
 	if a == nil {
 		a = &artifact{}
-		c.artifacts[key] = a
+		r.artifacts[key] = a
 	}
 	return a
 }

@@ -91,9 +91,6 @@ func (g *Grid) CellBounds(col, row int) geom.Rect {
 	return r
 }
 
-// Dims returns the number of columns and rows.
-func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
-
 // Bounds returns the gridded region.
 func (g *Grid) Bounds() geom.Rect { return g.bounds }
 

@@ -62,13 +62,6 @@ func minDistPointRect(p geom.Point, r geom.Rect) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// maxDistPointRect is the distance from p to the farthest corner of r.
-func maxDistPointRect(p geom.Point, r geom.Rect) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // intervalGap is the distance between the closed intervals [alo,ahi] and
 // [blo,bhi]; zero when they overlap.
 func intervalGap(alo, ahi, blo, bhi float64) float64 {

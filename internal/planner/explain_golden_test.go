@@ -3,6 +3,7 @@ package planner
 import (
 	"testing"
 
+	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/quadtree"
 )
@@ -22,7 +23,7 @@ func goldenRelation(t *testing.T) *Relation {
 	tree := quadtree.Build(pts, quadtree.Options{
 		Capacity: 16, Bounds: geom.NewRect(0, 0, 100, 100),
 	}).Index()
-	return NewRelation("places", tree, nil)
+	return NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), nil)
 }
 
 // TestExplainGolden pins Decision.Explain() for every plan shape the

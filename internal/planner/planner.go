@@ -54,24 +54,23 @@ type Relation struct {
 	count *index.Tree
 }
 
-// NewRelation wraps an index as a relation. When est is nil a
-// density-based estimator is attached (build a staircase for serious use).
-func NewRelation(name string, tree *index.Tree, est core.SelectEstimator) *Relation {
-	eng := engine.NewRelation(name, tree, engine.BuildOptions{})
+// NewRelation wraps an engine relation — the one holder of the index's
+// artifacts, which the caller shares — as a planner relation. When est is
+// nil a density-based estimator is attached (build a staircase for serious
+// use).
+func NewRelation(name string, eng *engine.Relation, est core.SelectEstimator) *Relation {
 	technique := ""
 	if est == nil {
 		est = eng.Density()
 		technique = engine.TechDensity
 	}
-	return &Relation{Name: name, Tree: tree, Estimator: est, Technique: technique, eng: eng, count: eng.Count()}
+	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: technique, eng: eng, count: eng.Count()}
 }
 
-// NewRelationTechnique wraps an index as a relation whose select estimator
-// is resolved from the engine's technique registry by name; the
-// technique's preprocessing artifact is built here. opt tunes the artifact
-// builds; the zero value means the repository defaults.
-func NewRelationTechnique(name string, tree *index.Tree, technique string, opt engine.BuildOptions) (*Relation, error) {
-	eng := engine.NewRelation(name, tree, opt)
+// NewRelationTechnique is NewRelation with the select estimator resolved
+// from the engine's technique registry by name; the technique's
+// preprocessing artifact is built here unless eng already holds it.
+func NewRelationTechnique(name string, eng *engine.Relation, technique string) (*Relation, error) {
 	tech, err := engine.LookupSelect(technique)
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
@@ -80,7 +79,7 @@ func NewRelationTechnique(name string, tree *index.Tree, technique string, opt e
 	if err != nil {
 		return nil, fmt.Errorf("planner: building %s estimator for %s: %w", tech.Name, name, err)
 	}
-	return &Relation{Name: name, Tree: tree, Estimator: est, Technique: tech.Name, eng: eng, count: eng.Count()}, nil
+	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: tech.Name, eng: eng, count: eng.Count()}, nil
 }
 
 // Engine returns the relation's engine representation, through which

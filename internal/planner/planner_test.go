@@ -8,6 +8,7 @@ import (
 
 	"knncost/internal/core"
 	"knncost/internal/datagen"
+	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/index"
 	"knncost/internal/quadtree"
@@ -23,7 +24,7 @@ func buildRelation(t *testing.T, n int, seed int64, capacity int) (*Relation, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRelation("places", tree, stair), pts
+	return NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), stair), pts
 }
 
 func TestPlanKNNSelectNoFilter(t *testing.T) {
@@ -228,7 +229,7 @@ func TestBatchValidation(t *testing.T) {
 func TestNewRelationDefaultsToDensity(t *testing.T) {
 	pts := datagen.OSMLike(2000, 10)
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
-	rel := NewRelation("r", tree, nil)
+	rel := NewRelation("r", engine.NewRelation("r", tree, engine.BuildOptions{}), nil)
 	if rel.Estimator == nil {
 		t.Fatal("nil estimator should default to density-based")
 	}

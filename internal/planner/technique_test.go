@@ -15,7 +15,7 @@ func TestNewRelationTechnique(t *testing.T) {
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
 
 	for _, name := range engine.SelectNames() {
-		rel, err := NewRelationTechnique("places", tree, name, engine.BuildOptions{MaxK: 100})
+		rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{MaxK: 100}), name)
 		if err != nil {
 			t.Fatalf("NewRelationTechnique(%s): %v", name, err)
 		}
@@ -32,7 +32,7 @@ func TestNewRelationTechnique(t *testing.T) {
 
 	// Any casing resolves to the registered name; the pre-registry
 	// spelling is as unknown as any other.
-	rel, err := NewRelationTechnique("places", tree, "Staircase-CC", engine.BuildOptions{MaxK: 100})
+	rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{MaxK: 100}), "Staircase-CC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNewRelationTechnique(t *testing.T) {
 	}
 
 	for _, name := range []string{"nope", "staircase"} {
-		if _, err := NewRelationTechnique("places", tree, name, engine.BuildOptions{}); err == nil {
+		if _, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{}), name); err == nil {
 			t.Errorf("unknown technique %q accepted", name)
 		}
 	}
@@ -54,7 +54,7 @@ func TestNewRelationTechnique(t *testing.T) {
 func TestSelectTechniqueEstimates(t *testing.T) {
 	pts := datagen.OSMLike(5000, 12)
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
-	rel := NewRelation("places", tree, nil)
+	rel := NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), nil)
 	q, k := pts[42], 9
 
 	sweep := SelectTechniqueEstimates(rel, q, k)
@@ -88,7 +88,7 @@ func TestBatchJoinTechnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := NewRelation("places", tree, stair)
+	rel := NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), stair)
 	queries := datagen.OSMLike(500, 103)
 
 	// The default shared-join estimate comes from catalog-merge and keeps

@@ -113,7 +113,3 @@ func (g *Grid) Find(p geom.Point) *index.Block {
 	}
 	return nil
 }
-
-// NumCells returns the cell count of the directory (for tests and sizing
-// diagnostics).
-func (g *Grid) NumCells() int { return len(g.cells) }

@@ -12,8 +12,7 @@ import (
 	"testing"
 
 	"knncost/internal/geom"
-	"knncost/internal/index"
-	"knncost/internal/quadtree"
+	"knncost/internal/store"
 )
 
 // edgeServer serves two degenerate relations: "tiny" with 6 points and
@@ -28,18 +27,10 @@ func edgeServer(t *testing.T) *httptest.Server {
 	for i := range dupPts {
 		dupPts[i] = geom.Point{X: 4, Y: 4}
 	}
-	build := func(pts []geom.Point) *index.Tree {
-		return quadtree.Build(pts, quadtree.Options{
-			Capacity: 4, Bounds: geom.NewRect(0, 0, 10, 10),
-		}).Index()
-	}
-	s, err := New(map[string]*index.Tree{
-		"tiny": build(tinyPts),
-		"dups": build(dupPts),
-	}, Options{MaxK: 16, SampleSize: 8, GridSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := storeServer(t, store.Options{
+		IndexCapacity: 4, Bounds: geom.NewRect(0, 0, 10, 10),
+		MaxK: 16, SampleSize: 8, GridSize: 4,
+	}, map[string][]geom.Point{"tiny": tinyPts, "dups": dupPts})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return srv

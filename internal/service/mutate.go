@@ -2,8 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
-	"mime"
 	"net/http"
 
 	"knncost/internal/geom"
@@ -32,17 +30,8 @@ func (s *Server) handleDeletePoints(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMutatePoints(w http.ResponseWriter, r *http.Request, apply func(string, []geom.Point) (store.RelationStatus, error)) {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				errorResponse{Error: fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	body, err := ReadBody(w, r, MaxRegisterBody)
-	if err != nil {
-		badRequest(w, "reading mutation: %v", err)
+	body, ok := readJSONBody(w, r, MaxRegisterBody, "reading mutation")
+	if !ok {
 		return
 	}
 	pts, err := decodeMutation(body)
@@ -59,10 +48,6 @@ func (s *Server) handleMutatePoints(w http.ResponseWriter, r *http.Request, appl
 		switch {
 		case errors.Is(err, store.ErrUnknownRelation):
 			notFound(w, "%v", err)
-		case errors.Is(err, store.ErrNoPointSource):
-			// The relation exists but was registered from a prebuilt index:
-			// there is no point sequence to mutate. Conflict, not not-found.
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		case errors.Is(err, store.ErrClosed):
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})

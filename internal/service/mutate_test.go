@@ -9,9 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"knncost/internal/geom"
-	"knncost/internal/index"
-	"knncost/internal/quadtree"
 	"knncost/internal/store"
 )
 
@@ -138,33 +135,16 @@ func TestMutatePointsEndToEnd(t *testing.T) {
 }
 
 func TestMutatePointsErrors(t *testing.T) {
-	srv, st := mutateServer(t)
+	srv, _ := mutateServer(t)
 	if code, _ := adminPost(t, srv.URL+"/relations", RegisterRequest{Name: "live", Points: inlinePoints(100, 2)}, nil); code != http.StatusAccepted {
 		t.Fatalf("register: status %d", code)
 	}
 	waitReadyHTTP(t, srv.URL, "live")
-	pts := make([]geom.Point, 100)
-	for i, p := range inlinePoints(100, 3) {
-		pts[i] = geom.Point{X: p[0], Y: p[1]}
-	}
-	var tree *index.Tree = quadtree.Build(pts, quadtree.Options{Capacity: 64}).Index()
-	if _, err := st.RegisterIndex("idx", tree); err != nil {
-		t.Fatal(err)
-	}
-	waitReadyHTTP(t, srv.URL, "idx")
 
 	one := MutateRequest{Points: [][2]float64{{1, 2}}}
 	var errResp errorResponse
 	if code := mutate(t, http.MethodPost, srv.URL+"/relations/nope/points", one, &errResp); code != http.StatusNotFound {
 		t.Fatalf("unknown relation: status %d (%s)", code, errResp.Error)
-	}
-	// Index-registered relations have no point sequence to mutate: 409, the
-	// relation exists but this operation conflicts with how it was made.
-	if code := mutate(t, http.MethodPost, srv.URL+"/relations/idx/points", one, &errResp); code != http.StatusConflict {
-		t.Fatalf("index-registered: status %d (%s)", code, errResp.Error)
-	}
-	if code := mutate(t, http.MethodDelete, srv.URL+"/relations/idx/points", one, &errResp); code != http.StatusConflict {
-		t.Fatalf("index-registered delete: status %d (%s)", code, errResp.Error)
 	}
 	if code := mutate(t, http.MethodPost, srv.URL+"/relations/live/points", MutateRequest{}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("empty mutation: status %d", code)

@@ -1,10 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"mime"
 	"net/http"
 	"time"
 
@@ -74,30 +73,13 @@ type PlanResponse struct {
 	TookNs       int64             `json:"took_ns"`
 }
 
-// handlePlanRoute dispatches on method and media type before the body is
-// decoded, like the batch estimate route: wrong methods get 405 + Allow,
-// non-JSON bodies get 415.
-func (s *Server) handlePlanRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorResponse{Error: fmt.Sprintf("method %s not allowed; use POST", r.Method)})
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadJSONPost(w, r, maxBatchBody, "decoding plan request")
+	if !ok {
 		return
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				errorResponse{Error: fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	s.handlePlan(w, r)
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		badRequest(w, "decoding plan request: %v", err)
 		return
 	}

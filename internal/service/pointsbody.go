@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"mime"
 	"net/http"
 	"strconv"
 
@@ -43,6 +44,40 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// ReadJSONPost is the prelude of every route that takes a JSON POST, here and
+// in the shard router: 405 with Allow unless the method is POST, then as
+// readJSONBody.
+func ReadJSONPost(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSON(w, http.StatusMethodNotAllowed,
+			errorResponse{Error: fmt.Sprintf("method %s not allowed; use POST", r.Method)})
+		return nil, false
+	}
+	return readJSONBody(w, r, limit, what)
+}
+
+// readJSONBody is ReadJSONPost for the routes the mux has dispatched by
+// method already: 415 for a Content-Type other than application/json (none
+// is taken for JSON), 400 "<what>: <cause>" for a body that cannot be read
+// within limit; ok is false after either answer.
+func readJSONBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (body []byte, ok bool) {
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		mt, _, err := mime.ParseMediaType(ct)
+		if err != nil || mt != "application/json" {
+			writeJSON(w, http.StatusUnsupportedMediaType,
+				errorResponse{Error: fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
+			return nil, false
+		}
+	}
+	body, err := ReadBody(w, r, limit)
+	if err != nil {
+		badRequest(w, "%s: %v", what, err)
+		return nil, false
+	}
+	return body, true
 }
 
 // Registration is a decoded POST /relations body: RegisterRequest's fields

@@ -22,27 +22,21 @@ import (
 	"knncost/internal/faultinject"
 	"knncost/internal/geom"
 	"knncost/internal/index"
-	"knncost/internal/quadtree"
 	"knncost/internal/service/middleware"
+	"knncost/internal/store"
 )
 
 // smallServer builds a Server over small relations (fast catalogs) and
 // returns the raw handler for wrapping.
 func smallServer(t *testing.T) *Server {
 	t.Helper()
-	build := func(n int, seed int64) *index.Tree {
-		return quadtree.Build(datagen.OSMLike(n, seed), quadtree.Options{
-			Capacity: 64, Bounds: datagen.WorldBounds,
-		}).Index()
-	}
-	s, err := New(map[string]*index.Tree{
-		"hotels":      build(2000, 1),
-		"restaurants": build(3000, 2),
-	}, Options{MaxK: 100, SampleSize: 50, GridSize: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return storeServer(t, store.Options{
+		IndexCapacity: 64, Bounds: datagen.WorldBounds,
+		MaxK: 100, SampleSize: 50, GridSize: 6,
+	}, map[string][]geom.Point{
+		"hotels":      datagen.OSMLike(2000, 1),
+		"restaurants": datagen.OSMLike(3000, 2),
+	})
 }
 
 func swapCostSelect(t *testing.T, fn func(context.Context, *index.Tree, geom.Point, int) (int, error)) {

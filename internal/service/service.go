@@ -6,8 +6,9 @@
 // A Server answers requests against an internal/store relation store: every
 // estimate resolves the store's current immutable View with one atomic load,
 // so the hot path never blocks on catalog construction and never observes a
-// half-published schema. Relations can be fixed at startup (New) or managed
-// dynamically over the admin endpoints (registration enqueues a background
+// half-published schema. Relations are whatever the store holds — restored
+// from its cache directory, registered by the process that owns it, or
+// managed over the admin endpoints (registration enqueues a background
 // catalog build; the relation starts serving the moment its snapshot is
 // published, and rebuilds hot-swap atomically under live traffic).
 //
@@ -45,21 +46,20 @@
 //
 // Mutations are WAL-durable when the response returns and become visible in
 // estimates at the next compaction; the response's delta_* fields report how
-// much is pending. Mutating an index-registered relation (no point source)
-// is 409; an unknown relation is 404.
+// much is pending. Mutating an unknown relation is 404.
 //
 // A relation that is registered but not yet published answers estimates with
 // 503 + Retry-After (it will exist shortly); an unknown name stays 400.
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"math"
-	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -71,22 +71,21 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
-	"knncost/internal/index"
 	"knncost/internal/knn"
 	"knncost/internal/knnjoin"
 	"knncost/internal/optimizer"
 	"knncost/internal/store"
 )
 
-// Options configure catalog construction at server start.
+// Options configure a Server. Catalog construction is configured on the
+// store (store.Options), not here.
 type Options struct {
-	// MaxK is the largest catalog-maintained k. Zero means the core
-	// default.
-	MaxK int
-	// SampleSize is the Catalog-Merge sample size. Zero means 200.
+	// MaxK, SampleSize and GridSize are read by nothing: the frozen benchmark
+	// sets them (benchmark/oracle.go), so they stay until it is unfrozen
+	// (ROADMAP item 4).
+	MaxK       int
 	SampleSize int
-	// GridSize is the Virtual-Grid dimension. Zero means 10.
-	GridSize int
+	GridSize   int
 	// DataDir, when non-empty, enables the server-side "file" source of
 	// POST /relations: file names resolve strictly inside this directory.
 	// Empty (the default) disables file loading entirely.
@@ -96,61 +95,12 @@ type Options struct {
 	PlanCacheEntries int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxK == 0 {
-		o.MaxK = core.DefaultMaxK
-	}
-	if o.SampleSize == 0 {
-		o.SampleSize = 200
-	}
-	if o.GridSize == 0 {
-		o.GridSize = 10
-	}
-	return o
-}
-
 // Server answers estimation requests for the relations of a store.
 type Server struct {
-	opt      Options
-	store    *store.Store
-	ownStore bool // Close drains the store only when New created it
-	planner  *optimizer.Planner
-	mux      *http.ServeMux
-}
-
-// New creates a server over a fixed schema (name → data index) with an
-// internally managed store: all catalogs are built before New returns, so
-// construction time is the preprocessing cost of the whole schema. For
-// dynamic schemas and warm restarts, create a store.Store and use
-// NewWithStore instead.
-func New(trees map[string]*index.Tree, opt Options) (*Server, error) {
-	opt = opt.withDefaults()
-	st, err := store.New(store.Options{
-		MaxK:       opt.MaxK,
-		SampleSize: opt.SampleSize,
-		GridSize:   opt.GridSize,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	closeStore := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		st.Close(ctx)
-	}
-	for name, tree := range trees {
-		if _, err := st.RegisterIndex(name, tree); err != nil {
-			closeStore()
-			return nil, fmt.Errorf("service: %w", err)
-		}
-	}
-	if err := st.WaitReady(context.Background()); err != nil {
-		closeStore()
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	s := NewWithStore(st, opt)
-	s.ownStore = true
-	return s, nil
+	opt     Options
+	store   *store.Store
+	planner *optimizer.Planner
+	mux     *http.ServeMux
 }
 
 // NewWithStore creates a server over a caller-managed store. The caller owns
@@ -159,7 +109,7 @@ func New(trees map[string]*index.Tree, opt Options) (*Server, error) {
 // 503 + Retry-After until their snapshot lands.
 func NewWithStore(st *store.Store, opt Options) *Server {
 	s := &Server{
-		opt:     opt.withDefaults(),
+		opt:     opt,
 		store:   st,
 		planner: optimizer.NewPlanner(opt.PlanCacheEntries),
 		mux:     http.NewServeMux(),
@@ -179,15 +129,6 @@ func (s *Server) Store() *store.Store { return s.store }
 // publication and tests).
 func (s *Server) Planner() *optimizer.Planner { return s.planner }
 
-// Close drains the internally managed store of a New-constructed server; it
-// is a no-op for NewWithStore servers, whose store the caller owns.
-func (s *Server) Close(ctx context.Context) error {
-	if !s.ownStore {
-		return nil
-	}
-	return s.store.Close(ctx)
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -202,14 +143,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /relations/{name}/points", s.handleAppendPoints)
 	s.mux.HandleFunc("DELETE /relations/{name}/points", s.handleDeletePoints)
 	s.mux.HandleFunc("GET /estimate/select", s.handleEstimateSelect)
-	// The batch route owns its method dispatch (instead of a "POST ..."
-	// mux pattern) so wrong methods get a JSON 405 with an Allow header
-	// and POSTs get a Content-Type check before the body is read.
-	s.mux.HandleFunc("/estimate/select/batch", s.handleEstimateSelectBatchRoute)
+	// The batch and plan routes own their method dispatch (instead of a
+	// "POST ..." mux pattern) so wrong methods get a JSON 405 with an Allow
+	// header (ReadJSONPost).
+	s.mux.HandleFunc("/estimate/select/batch", s.handleEstimateSelectBatch)
 	s.mux.HandleFunc("GET /estimate/join", s.handleEstimateJoin)
-	// Like the batch route, /plan owns its method dispatch for JSON 405
-	// (with Allow) and a Content-Type check before the body is read.
-	s.mux.HandleFunc("/plan", s.handlePlanRoute)
+	s.mux.HandleFunc("/plan", s.handlePlan)
 	s.mux.HandleFunc("GET /cost/select", s.handleCostSelect)
 	s.mux.HandleFunc("GET /cost/join", s.handleCostJoin)
 }
@@ -371,24 +310,19 @@ func (s *Server) handleRelationStatus(w http.ResponseWriter, r *http.Request) {
 // bit-identical catalogs. This is the hand-off primitive the shard router's
 // rebalance warm-restores are built on; serving the logical (not published)
 // sequence keeps mirror healing convergent even mid-ingest.
-// Index-registered relations have no reproducible point source and
-// answer 404.
 func (s *Server) handleRelationPoints(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	pts, err := s.store.LogicalPoints(name)
 	if err != nil {
-		switch {
-		case errors.Is(err, store.ErrNotReady):
+		if errors.Is(err, store.ErrNotReady) {
 			if st, known := s.store.Status(name); known {
 				notReady(w, st)
 				return
 			}
 			notFound(w, "unknown relation %q", name)
-		case errors.Is(err, store.ErrNoPointSource):
-			notFound(w, "relation %q has no reproducible point source", name)
-		default:
-			notFound(w, "%v", err)
+			return
 		}
+		notFound(w, "%v", err)
 		return
 	}
 	resp := RegisterRequest{Name: name, Points: make([][2]float64, len(pts))}
@@ -468,17 +402,8 @@ type RegisterRequest struct {
 }
 
 func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				errorResponse{Error: fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	body, err := ReadBody(w, r, MaxRegisterBody)
-	if err != nil {
-		badRequest(w, "reading registration: %v", err)
+	body, ok := readJSONBody(w, r, MaxRegisterBody, "reading registration")
+	if !ok {
 		return
 	}
 	req, err := DecodeRegistration(body)
@@ -722,30 +647,15 @@ func validateBatchQueries(qs []BatchSelectQuery) error {
 	return nil
 }
 
-// handleEstimateSelectBatchRoute dispatches on method and media type before
-// the batch body is decoded: wrong methods get 405 + Allow, non-JSON bodies
-// get 415 — both as JSON, like every other response of the service.
-func (s *Server) handleEstimateSelectBatchRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorResponse{Error: fmt.Sprintf("method %s not allowed; use POST", r.Method)})
+func (s *Server) handleEstimateSelectBatch(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadJSONPost(w, r, maxBatchBody, "decoding batch request")
+	if !ok {
 		return
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				errorResponse{Error: fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	s.handleEstimateSelectBatch(w, r)
-}
-
-func (s *Server) handleEstimateSelectBatch(w http.ResponseWriter, r *http.Request) {
+	// Decode, not Unmarshal: the route has always taken the first JSON value
+	// of the body and ignored what follows it (so does /plan).
 	var req BatchSelectRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		badRequest(w, "decoding batch request: %v", err)
 		return
 	}

@@ -1,32 +1,54 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"knncost/internal/datagen"
-	"knncost/internal/index"
-	"knncost/internal/quadtree"
+	"knncost/internal/geom"
+	"knncost/internal/store"
 )
 
-func testServer(t *testing.T) *httptest.Server {
+// storeServer returns a Server over a store opened with opt — which carries
+// the index capacity and bounds every relation is indexed with — holding
+// rels, all ready. The store is closed with the test.
+func storeServer(t *testing.T, opt store.Options, rels map[string][]geom.Point) *Server {
 	t.Helper()
-	build := func(n int, seed int64) *index.Tree {
-		return quadtree.Build(datagen.OSMLike(n, seed), quadtree.Options{
-			Capacity: 128, Bounds: datagen.WorldBounds,
-		}).Index()
-	}
-	s, err := New(map[string]*index.Tree{
-		"hotels":      build(8000, 1),
-		"restaurants": build(15000, 2),
-	}, Options{MaxK: 200, SampleSize: 100, GridSize: 8})
+	st, err := store.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		st.Close(ctx)
+	})
+	for name, pts := range rels {
+		if _, err := st.Register(name, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return NewWithStore(st, Options{})
+}
+
+func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	s := storeServer(t, store.Options{
+		IndexCapacity: 128, Bounds: datagen.WorldBounds,
+		MaxK: 200, SampleSize: 100, GridSize: 8,
+	}, map[string][]geom.Point{
+		"hotels":      datagen.OSMLike(8000, 1),
+		"restaurants": datagen.OSMLike(15000, 2),
+	})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return srv
@@ -152,12 +174,8 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestNewRejectsEmptyRelation(t *testing.T) {
-	empty := quadtree.Build(nil, quadtree.Options{
-		Bounds: datagen.WorldBounds,
-	}).Index()
-	// A single empty leaf is one block, so use a tree with zero blocks.
-	_ = empty
-	if _, err := New(map[string]*index.Tree{"x": index.New(nil, true)}, Options{}); err == nil {
-		t.Error("relation without blocks should be rejected")
+	s := storeServer(t, store.Options{}, nil)
+	if _, err := s.Store().Register("x", nil); err == nil {
+		t.Error("relation without points should be rejected")
 	}
 }

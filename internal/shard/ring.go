@@ -106,13 +106,6 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// Shards returns the sorted shard IDs. The slice is shared; callers must
-// not modify it.
-func (r *Ring) Shards() []string { return r.shards }
-
-// NumShards returns the number of shards on the ring.
-func (r *Ring) NumShards() int { return len(r.shards) }
-
 // Owner returns the shard that owns the relation: the first virtual node at
 // or clockwise after the relation's hash.
 func (r *Ring) Owner(relation string) string {

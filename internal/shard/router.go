@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"mime"
 	"net/http"
 	"net/url"
 	"regexp"
@@ -1009,22 +1008,8 @@ const maxBatchBody = 1 << 20
 // of routedDo, and the answers are reassembled in query order — so the
 // merged result is positionally identical to a single node's.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			map[string]string{"error": fmt.Sprintf("method %s not allowed; use POST", r.Method)})
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				map[string]string{"error": fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	if err != nil {
-		badRequest(w, "decoding batch request: %v", err)
+	body, ok := service.ReadJSONPost(w, r, maxBatchBody, "decoding batch request")
+	if !ok {
 		return
 	}
 	var req service.BatchSelectRequest
@@ -1109,22 +1094,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // owners answer and the router mirrors the missing relations onto the
 // winner in-band — one heal round per referenced relation.
 func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			map[string]string{"error": fmt.Sprintf("method %s not allowed; use POST", r.Method)})
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-			writeJSON(w, http.StatusUnsupportedMediaType,
-				map[string]string{"error": fmt.Sprintf("Content-Type %q not supported; use application/json", ct)})
-			return
-		}
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	if err != nil {
-		badRequest(w, "decoding plan request: %v", err)
+	body, ok := service.ReadJSONPost(w, r, maxBatchBody, "decoding plan request")
+	if !ok {
 		return
 	}
 	var req service.PlanRequest

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,7 +198,7 @@ func differentialPaths(relations map[string][]geom.Point) []string {
 			paths = append(paths, fmt.Sprintf("/cost/select?rel=%s&x=%v&y=%v&k=%d", rel, q.X, q.Y, k))
 		}
 		inner := names[(i+1)%len(names)]
-		for _, tech := range []string{"catalog-merge", "virtual-grid", "block-sample", ""} {
+		for _, tech := range []string{"catalog-merge", "virtual-grid", "block-sample", "aknn-bounds", ""} {
 			paths = append(paths, fmt.Sprintf("/estimate/join?outer=%s&inner=%s&k=4&technique=%s", rel, inner, tech))
 		}
 		paths = append(paths, fmt.Sprintf("/cost/join?outer=%s&inner=%s&k=3", rel, inner))
@@ -391,6 +392,42 @@ func TestRouterSurface(t *testing.T) {
 	status, body = fetch(t, front.URL+"/relations/alpha/points")
 	if status != http.StatusOK || body["name"] != "alpha" {
 		t.Errorf("points dump: status %d body keys %v", status, body["name"])
+	}
+
+	// The JSON-POST prelude is the service's own code: a wrong method, a
+	// wrong media type and an oversized body answer through the router byte
+	// for byte as a node answers them.
+	prelude := func(base, path, method, ct, body string) (int, string, string) {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, strings.NewReader(body))
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Allow"), string(raw)
+	}
+	for _, path := range []string{"/estimate/select/batch", "/plan"} {
+		for _, c := range []struct {
+			method, ct, body string
+			want             int
+		}{
+			{http.MethodGet, "", "", http.StatusMethodNotAllowed},
+			{http.MethodDelete, "application/json", "{}", http.StatusMethodNotAllowed},
+			{http.MethodPost, "text/plain", "hi", http.StatusUnsupportedMediaType},
+			{http.MethodPost, "application/json", strings.Repeat(" ", 1<<20+1), http.StatusBadRequest},
+		} {
+			rs, rAllow, rb := prelude(front.URL, path, c.method, c.ct, c.body)
+			os, oAllow, ob := prelude(oracle.URL, path, c.method, c.ct, c.body)
+			if rs != c.want || rs != os || rAllow != oAllow || rb != ob {
+				t.Errorf("%s %s (%q): router %d Allow=%q %q, node %d Allow=%q %q, want status %d",
+					c.method, path, c.ct, rs, rAllow, rb, os, oAllow, ob, c.want)
+			}
+		}
 	}
 
 	// Drop: removed from every replica, a re-query 400s, listing shrinks.

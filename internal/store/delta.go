@@ -41,9 +41,6 @@ import (
 var (
 	// ErrUnknownRelation means the relation is not registered.
 	ErrUnknownRelation = errors.New("store: unknown relation")
-	// ErrNoPointSource means the relation was registered from a pre-built
-	// index: it has no reproducible point sequence to mutate.
-	ErrNoPointSource = errors.New("store: relation has no point source")
 	// ErrNotReady means the relation has not published a first snapshot.
 	ErrNotReady = errors.New("store: relation not ready")
 )
@@ -156,10 +153,6 @@ func (s *Store) mutate(kind wal.Kind, name string, pts []geom.Point) (RelationSt
 		s.mu.Unlock()
 		return RelationStatus{}, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
 	}
-	if !e.fromPoints {
-		s.mu.Unlock()
-		return RelationStatus{}, fmt.Errorf("%w: %q", ErrNoPointSource, name)
-	}
 	// Assign the LSN and write the record while holding s.mu so buffer
 	// order always equals log order; the fsync happens after unlock and
 	// group-commits across concurrent mutators.
@@ -235,9 +228,6 @@ func (s *Store) LogicalPoints(name string) ([]geom.Point, error) {
 	e := s.entries[name]
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
-	}
-	if !e.fromPoints {
-		return nil, fmt.Errorf("%w: %q", ErrNoPointSource, name)
 	}
 	if e.snap == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotReady, name)
@@ -325,7 +315,7 @@ func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
 // publish step logs. No-op while a build is already in flight (runJob
 // re-triggers compaction when it lands) or before the first snapshot.
 func (s *Store) compactLocked(e *entry) {
-	if e.snap == nil || e.snap.Points == nil || len(e.pending) == 0 {
+	if e.snap == nil || len(e.pending) == 0 {
 		return
 	}
 	if e.state == StateQueued || e.state == StateBuilding {
@@ -336,7 +326,7 @@ func (s *Store) compactLocked(e *entry) {
 		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", e.name)
 		return
 	}
-	if err := s.enqueueLocked(e, merged, nil); err != nil {
+	if err := s.enqueueLocked(e, merged); err != nil {
 		return // queue saturated; the interval compactor retries
 	}
 	e.isCompact = true
@@ -392,12 +382,11 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			bd = &bundle{pts: pts} // no fingerprint: the build will not take it for the file
 		}
 		e := &entry{name: reg.Name, hits: &atomic.Int64{}}
-		if err := s.enqueueLocked(e, bd.pts, nil); err != nil {
+		if err := s.enqueueLocked(e, bd.pts); err != nil {
 			s.opt.logger().Printf("store: re-registering cached %q: %v", reg.Name, err)
 			continue
 		}
 		e.pendingBundle = bd
-		e.fromPoints = true
 		e.durableFP = reg.Fingerprint
 		// Restore the resolution pair so the rebuild recomputes the exact
 		// registered fingerprint (a warm load) and the tuner resumes from

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"knncost/internal/geom"
-	"knncost/internal/quadtree"
 	"knncost/internal/wal"
 )
 
@@ -412,11 +411,7 @@ func TestMutateValidation(t *testing.T) {
 	if _, err := s.Register("pts", gridPoints(100, 1)); err != nil {
 		t.Fatal(err)
 	}
-	tree := quadtree.Build(gridPoints(100, 2), quadtree.Options{Capacity: 32}).Index()
-	if _, err := s.RegisterIndex("idx", tree); err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, s, "pts", "idx")
+	waitReady(t, s, "pts")
 
 	one := []geom.Point{{X: 1, Y: 2}}
 	if _, err := s.Append("nope", one); !errors.Is(err, ErrUnknownRelation) {
@@ -424,9 +419,6 @@ func TestMutateValidation(t *testing.T) {
 	}
 	if _, err := s.Delete("nope", one); !errors.Is(err, ErrUnknownRelation) {
 		t.Fatalf("delete on unknown: %v", err)
-	}
-	if _, err := s.Append("idx", one); !errors.Is(err, ErrNoPointSource) {
-		t.Fatalf("append to index-registered: %v", err)
 	}
 	if _, err := s.Append("pts", nil); err == nil {
 		t.Fatal("empty append accepted")
@@ -436,9 +428,6 @@ func TestMutateValidation(t *testing.T) {
 	}
 	if _, err := s.Append("bad name!", one); err == nil {
 		t.Fatal("invalid name accepted")
-	}
-	if _, err := s.LogicalPoints("idx"); !errors.Is(err, ErrNoPointSource) {
-		t.Fatalf("LogicalPoints on index-registered: %v", err)
 	}
 	if _, err := s.LogicalPoints("nope"); !errors.Is(err, ErrUnknownRelation) {
 		t.Fatalf("LogicalPoints on unknown: %v", err)

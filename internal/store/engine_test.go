@@ -91,7 +91,7 @@ func TestSnapshotEngineServesSeededArtifacts(t *testing.T) {
 // passing.
 func enginePairSlots(r *engine.Relation) int {
 	n := 0
-	artifacts := reflect.ValueOf(r).Elem().FieldByName("cache").Elem().FieldByName("artifacts")
+	artifacts := reflect.ValueOf(r).Elem().FieldByName("artifacts")
 	for _, key := range artifacts.MapKeys() {
 		if !key.FieldByName("inner").IsNil() {
 			n++

@@ -230,14 +230,12 @@ type Snapshot struct {
 	Name string
 	// Version counts publications of this relation, starting at 1.
 	Version uint64
-	// Fingerprint identifies the point data + build options; empty for
-	// relations registered from a pre-built index (not cacheable).
+	// Fingerprint identifies the point data + build options.
 	Fingerprint string
 	// Points are the relation's points in registration order — the exact
 	// input that produced this snapshot, served by the points endpoint so a
 	// peer shard can re-register them and arrive at a bit-identical build
-	// (same fingerprint, same tree, same catalogs). Nil for index-registered
-	// relations, which have no reproducible point source.
+	// (same fingerprint, same tree, same catalogs).
 	Points []geom.Point
 	// Tree is the data index (points included).
 	Tree *index.Tree
@@ -424,9 +422,8 @@ type entry struct {
 	// state is the externally visible build status.
 	state State
 	err   string
-	// pendingPts / pendingTree is the source of the wanted generation.
-	pendingPts  []geom.Point
-	pendingTree *index.Tree
+	// pendingPts is the source of the wanted generation.
+	pendingPts []geom.Point
 	// pendingBundle is the bundle recovery read pendingPts from, so that
 	// the build need not read the file again.
 	pendingBundle *bundle
@@ -435,9 +432,6 @@ type entry struct {
 	// cancel aborts the in-flight build when superseded or dropped.
 	cancel context.CancelFunc
 
-	// fromPoints marks relations whose wanted generation came from raw
-	// points — the only kind the mutation API and points endpoint serve.
-	fromPoints bool
 	// res is the effective resolution of the wanted generation;
 	// declaredRes is what registration asked for. They diverge only while
 	// the space-budget tuner holds the relation tunerSteps rungs down the
@@ -515,7 +509,7 @@ type Store struct {
 
 	// catalogBuilds counts catalogs actually constructed (staircase, virtual
 	// grid, aknn summary, a catalog-merge per pair asked for); warm restarts
-	// that load all from the disk cache leave it at zero — the soak asserts it.
+	// that load all from the disk cache leave it at zero.
 	catalogBuilds atomic.Int64
 	// cacheHits counts catalogs loaded from the disk cache instead of built.
 	cacheHits atomic.Int64
@@ -712,24 +706,6 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	if err := res.Validate(); err != nil {
 		return RelationStatus{}, fmt.Errorf("store: relation %q: %w", name, err)
 	}
-	return s.submit(name, pts, nil, res)
-}
-
-// RegisterIndex schedules a build of name over a pre-built data index. The
-// index is used as-is (any index.Tree works, including non-partitioning
-// ones); because the store cannot reproduce an arbitrary index from disk,
-// index-registered relations bypass the warm-restart cache.
-func (s *Store) RegisterIndex(name string, tree *index.Tree) (RelationStatus, error) {
-	if err := validateName(name); err != nil {
-		return RelationStatus{}, err
-	}
-	if tree == nil || tree.NumBlocks() == 0 {
-		return RelationStatus{}, fmt.Errorf("store: relation %q has no blocks", name)
-	}
-	return s.submit(name, nil, tree, s.opt.resolveResolution(core.Resolution{}))
-}
-
-func (s *Store) submit(name string, pts []geom.Point, tree *index.Tree, res core.Resolution) (RelationStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -740,7 +716,7 @@ func (s *Store) submit(name string, pts []geom.Point, tree *index.Tree, res core
 	if isNew {
 		e = &entry{name: name, hits: &atomic.Int64{}}
 	}
-	if err := s.enqueueLocked(e, pts, tree); err != nil {
+	if err := s.enqueueLocked(e, pts); err != nil {
 		return RelationStatus{}, err
 	}
 	if isNew {
@@ -753,17 +729,16 @@ func (s *Store) submit(name string, pts []geom.Point, tree *index.Tree, res core
 	e.pending = nil
 	e.ckptLSN = s.lastLSNLocked()
 	e.isCompact = false
-	e.fromPoints = pts != nil
 	e.res, e.declaredRes = res, res
 	e.tunerSteps, e.tunerFloor, e.tunerProbed = 0, math.MaxInt, 0
 	s.republishLocked()
 	return e.statusLocked(), nil
 }
 
-// enqueueLocked stages pts/tree as e's wanted generation and ensures a
+// enqueueLocked stages pts as e's wanted generation and ensures a
 // build signal is queued, superseding any in-flight build. On ErrQueueFull
 // the entry is untouched. Caller holds s.mu.
-func (s *Store) enqueueLocked(e *entry, pts []geom.Point, tree *index.Tree) error {
+func (s *Store) enqueueLocked(e *entry, pts []geom.Point) error {
 	// Close sets s.closed and closes s.jobs under the same lock, so this
 	// check is what keeps late enqueues — a finishing build's follow-up
 	// compaction, a racing Flush — from sending on the closed channel.
@@ -780,7 +755,7 @@ func (s *Store) enqueueLocked(e *entry, pts []geom.Point, tree *index.Tree) erro
 		}
 	}
 	e.gen++
-	e.pendingPts, e.pendingTree = pts, tree
+	e.pendingPts = pts
 	if e.state == StateBuilding && e.cancel != nil {
 		e.cancel() // supersede the in-flight build
 	}
@@ -962,7 +937,7 @@ func (s *Store) runJob(name string) {
 		return
 	}
 	gen := e.gen
-	pts, tree, restored := e.pendingPts, e.pendingTree, e.pendingBundle
+	pts, restored := e.pendingPts, e.pendingBundle
 	e.pendingBundle = nil
 	res := e.res
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -971,7 +946,7 @@ func (s *Store) runJob(name string) {
 	s.republishLocked()
 	s.mu.Unlock()
 
-	built, err := s.buildCatalogs(ctx, name, pts, tree, res, restored)
+	built, err := s.buildCatalogs(ctx, name, pts, res, restored)
 	cancel()
 	if s.opt.crashHook != nil {
 		s.opt.crashHook("built") // the bundle is on disk and nothing names it yet
@@ -1016,8 +991,8 @@ type builtRelation struct {
 	density   *core.DensityBased
 	vgrid     *core.VirtualGrid
 	aknn      *aknn.Summary
-	pts       []geom.Point    // registration-order source points; nil for index builds
-	fp        string          // empty when not cacheable
+	pts       []geom.Point    // registration-order source points
+	fp        string          // fingerprint of pts at res
 	res       core.Resolution // the resolution the artifacts were built at
 	merges    mergeRecs       // fp's side-file records, when cache-loaded
 }
@@ -1026,21 +1001,17 @@ type builtRelation struct {
 // at the given resolution; restored, when it carries the same fingerprint,
 // stands in for the bundle on disk. It runs without any store lock; ctx
 // aborts it between stages.
-func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, tree *index.Tree, res core.Resolution, restored *bundle) (*builtRelation, error) {
+func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, res core.Resolution, restored *bundle) (*builtRelation, error) {
 	res = res.Canon()
-	b := &builtRelation{tree: tree, res: res}
-	if tree == nil {
-		b.pts = pts
-		bounds := s.opt.Bounds
-		if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
-			bounds = boundsOf(pts)
-		}
-		b.tree = quadtree.Build(pts, quadtree.Options{
-			Capacity: s.opt.IndexCapacity,
-			Bounds:   bounds,
-		}).Index()
-		b.fp = s.fingerprint(pts, res)
+	bounds := s.opt.Bounds
+	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
+		bounds = boundsOf(pts)
 	}
+	b := &builtRelation{pts: pts, res: res, fp: s.fingerprint(pts, res)}
+	b.tree = quadtree.Build(pts, quadtree.Options{
+		Capacity: s.opt.IndexCapacity,
+		Bounds:   bounds,
+	}).Index()
 	if b.tree.NumBlocks() == 0 {
 		return nil, fmt.Errorf("relation %q indexed to zero blocks", name)
 	}
@@ -1050,7 +1021,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	b.count = b.tree.CountTree()
 	b.density = core.NewDensityBased(b.count)
 
-	if b.fp != "" && s.cache != nil && s.loadCachedCatalogs(b, restored) {
+	if s.cache != nil && s.loadCachedCatalogs(b, restored) {
 		return b, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -1080,7 +1051,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if b.fp != "" && s.cache != nil {
+	if s.cache != nil {
 		if err := s.storeBundle(b); err != nil {
 			s.opt.logger().Printf("store: caching %q: %v (the publish tries once more)", name, err)
 		}
@@ -1179,7 +1150,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	e.snap = snap
 	e.state = StateReady
 	e.err = ""
-	e.pendingPts, e.pendingTree = nil, nil
+	e.pendingPts = nil
 	covered := e.ckptLSN
 	wasCompact := e.isCompact
 	e.isCompact = false
@@ -1190,7 +1161,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 	// is told a relation is ready only once a restart would restore it.
 	v := s.buildViewLocked()
 	var replaced string
-	if s.cache != nil && b.fp != "" {
+	if s.cache != nil {
 		replaced = s.persistLocked(e, b, covered)
 	}
 	s.view.Store(v)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"knncost/internal/geom"
-	"knncost/internal/quadtree"
 )
 
 func testOptions(t *testing.T) Options {
@@ -119,28 +118,6 @@ func TestRegisterPublishesConsistentView(t *testing.T) {
 	}
 	if got := v.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("Names() = %v, want [alpha beta]", got)
-	}
-}
-
-func TestRegisterIndexBypassesCache(t *testing.T) {
-	opt := testOptions(t)
-	opt.CacheDir = t.TempDir()
-	s := newTestStore(t, opt)
-	pts := gridPoints(1200, 3)
-	tree := quadtree.Build(pts, quadtree.Options{
-		Capacity: 32,
-		Bounds:   geom.NewRect(-1, -1, 101, 101),
-	}).Index()
-	if _, err := s.RegisterIndex("pre", tree); err != nil {
-		t.Fatalf("RegisterIndex: %v", err)
-	}
-	waitReady(t, s, "pre")
-	snap := s.View().Relation("pre")
-	if snap.Tree != tree {
-		t.Fatal("RegisterIndex did not use the caller's tree")
-	}
-	if snap.Fingerprint != "" {
-		t.Fatalf("index-registered relation has fingerprint %q, want none", snap.Fingerprint)
 	}
 }
 

@@ -21,9 +21,6 @@ package store
 //     checkpoints them, and a re-registration mid-retune supersedes the
 //     retune (gen check). A retuned relation is bit-identical to a fresh
 //     registration of the same points at the same resolution.
-//
-// Only point-registered relations are tuned: index-registered ones cannot
-// be rebuilt from a reproducible source.
 
 import (
 	"sort"
@@ -86,14 +83,7 @@ func (s *Store) rebalance() {
 			continue
 		}
 		total += int64(e.snap.ArtifactBytes)
-		if !e.fromPoints {
-			continue
-		}
-		var hits int64
-		if e.hits != nil {
-			hits = e.hits.Swap(0)
-		}
-		cands = append(cands, tunerCand{e: e, hits: hits, size: e.snap.ArtifactBytes})
+		cands = append(cands, tunerCand{e: e, hits: e.hits.Swap(0), size: e.snap.ArtifactBytes})
 	}
 	s.tunerBytes.Store(total)
 	// The grow threshold sits below the budget by one headroom band (10%)
@@ -168,7 +158,7 @@ func (s *Store) rebalance() {
 // exactly like compactLocked. Caller holds s.mu. Reports whether the
 // rebuild was scheduled.
 func (s *Store) retuneLocked(e *entry, steps int, res core.Resolution) bool {
-	if e.snap == nil || e.snap.Points == nil {
+	if e.snap == nil {
 		return false
 	}
 	if e.state == StateQueued || e.state == StateBuilding {
@@ -178,7 +168,7 @@ func (s *Store) retuneLocked(e *entry, steps int, res core.Resolution) bool {
 	if len(merged) == 0 {
 		return false
 	}
-	if err := s.enqueueLocked(e, merged, nil); err != nil {
+	if err := s.enqueueLocked(e, merged); err != nil {
 		return false // queue saturated; the next pass retries
 	}
 	e.res = res
@@ -206,7 +196,7 @@ func (s *Store) probeQError() {
 	s.mu.Lock()
 	var probes []probe
 	for _, e := range s.entries {
-		if e.tunerSteps == 0 || e.snap == nil || e.snap.Points == nil {
+		if e.tunerSteps == 0 || e.snap == nil {
 			continue
 		}
 		if e.snap.Resolution != e.res {

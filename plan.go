@@ -13,7 +13,7 @@ type Relation = planner.Relation
 // relation's k-NN-Select costs; nil attaches a density-based estimator
 // (build a StaircaseEstimator for serious use).
 func NewRelation(name string, ix *Index, est SelectEstimator) *Relation {
-	return planner.NewRelation(name, ix.tree, est)
+	return planner.NewRelation(name, ix.engine(), est)
 }
 
 // Filter is a tuple predicate with its estimated selectivity, used by

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Repository gate: vet, pinned static analysis, full tests, race tests on
 # the concurrent packages, a 1-iteration benchmark smoke, the coverage
-# floors, two real-process soak phases, the catalog cache at fleet scale,
-# the benchmark module's own vet and tests, the estimator-accuracy
-# regression gate, and a short fuzz smoke of every fuzz target. `make check`
+# floors, the catalog cache at fleet scale, the benchmark module's own vet
+# and tests, the estimator-accuracy regression gate, and a short fuzz smoke
+# of every fuzz target. `make check`
 # runs this script; `make race` and `make fuzz-smoke` run its `race` and
 # `fuzz` stages alone, so the package and target lists below are the only
 # copies.
@@ -80,15 +80,6 @@ go test -run xxx -bench 'BenchmarkEstimateSelectHot|BenchmarkStaircaseBuildAlloc
 # internal/aknn >= 85%, internal/shard >= 78%, internal/wal >= 80%,
 # internal/optimizer >= 80%.
 sh scripts/cover.sh
-
-# Sharded-tier smoke: three shard daemons + router, a routed registration,
-# and a rebalance that must heal via a zero-build warm restore.
-sh scripts/soak.sh shard
-
-# Crash-recovery smoke: stream appends into a live daemon, kill -9 it
-# mid-ingest, restart over the same cache, and require the WAL replay to
-# converge bit-exact with a from-scratch registration of the same points.
-sh scripts/soak.sh ingest
 
 # Catalog-cache scale: warm-load a 2000-relation fleet from its bundles and
 # require bit-identical estimates, zero builds, a start-up sweep that removes

@@ -73,7 +73,7 @@ func (ix *Index) JoinEstimatorFor(technique string, inner *Index) (JoinEstimator
 // NewRelationTechnique wraps an index as a planner relation whose select
 // estimator is resolved from the technique registry by name.
 func NewRelationTechnique(name string, ix *Index, technique string) (*Relation, error) {
-	return planner.NewRelationTechnique(name, ix.tree, technique, engine.BuildOptions{})
+	return planner.NewRelationTechnique(name, ix.engine(), technique)
 }
 
 // TechniqueEstimate is one entry of a SelectTechniqueEstimates sweep.
