@@ -153,24 +153,33 @@ func FuzzLoadAknnSummary(f *testing.F) {
 		pts[i] = geom.Point{X: rng.Float64() * 64, Y: rng.Float64() * 64}
 	}
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 32}).Index()
-	var buf bytes.Buffer
+	var buf, coarse bytes.Buffer
 	if _, err := aknn.BuildSummary(tree.CountTree()).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := aknn.BuildSummaryCapacity(tree.CountTree(), 128).WriteTo(&coarse); err != nil {
 		f.Fatal(err)
 	}
 	valid := append([]byte(nil), buf.Bytes()...)
 
 	f.Add(valid)
+	f.Add(coarse.Bytes())
 	f.Add([]byte{})
 	f.Add(valid[:1])
 	for _, frac := range []int{8, 4, 2} {
 		f.Add(valid[:len(valid)/frac])
 	}
-	for _, pos := range []int{4, 5, 6, 7, 8, len(valid) / 2} {
-		if pos < len(valid) {
-			mut := append([]byte(nil), valid...)
-			mut[pos] ^= 0xFF
-			f.Add(mut)
-		}
+	// The version byte, then the header's varints — partition count, total
+	// (two bytes at 600 points), capacity — and the first bound.
+	for _, pos := range []int{4, 5, 6, 7, 8, 9, len(valid) / 2} {
+		mut := append([]byte(nil), valid...)
+		mut[pos] ^= 0xFF
+		f.Add(mut)
+	}
+	for _, retired := range []byte{1, 2} { // the layouts without and with the capacity field
+		mut := append([]byte(nil), valid...)
+		mut[4] = retired
+		f.Add(mut)
 	}
 	// A hostile partition count right after the magic: 0xFF... uvarint.
 	f.Add(append(append([]byte(nil), valid[:5]...),

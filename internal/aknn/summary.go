@@ -189,17 +189,13 @@ func numJoinBlocks(t *index.Tree) int {
 
 // --- persistence -----------------------------------------------------------
 
-// summaryMagic heads the serialized Summary format (KNAB, version 1):
-// magic, uvarint partition count, uvarint total point count, then per
-// partition four little-endian float64 bounds (minX minY maxX maxY) and a
-// uvarint count. Version 2 (summaryMagicV2) inserts a uvarint partition
-// capacity between the total and the partitions; capacity-0 summaries
-// still serialize as version 1, so every pre-capacity file and fuzz-corpus
-// input remains byte-identical and loadable.
-const (
-	summaryMagic   = "KNAB\x01"
-	summaryMagicV2 = "KNAB\x02"
-)
+// summaryMagic heads the serialized Summary format (KNAB): magic, uvarint
+// partition count, uvarint total point count, uvarint partition capacity
+// (0 = one partition per leaf block), then per partition four little-endian
+// float64 bounds (minX minY maxX maxY) and a uvarint count. Versions 1 and
+// 2 were the same record without and with the capacity field; there is one
+// layout now, and files of the older two are refused by their magic.
+const summaryMagic = "KNAB\x03"
 
 // maxSanePartitions bounds what LoadSummary accepts from a hostile or
 // corrupt count field (a 256 MiB summary).
@@ -216,16 +212,10 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 		buf = buf[:0]
 		return err
 	}
-	if s.capacity > 0 {
-		buf = append(buf, summaryMagicV2...)
-	} else {
-		buf = append(buf, summaryMagic...)
-	}
+	buf = append(buf, summaryMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(s.parts)))
 	buf = binary.AppendUvarint(buf, uint64(s.total))
-	if s.capacity > 0 {
-		buf = binary.AppendUvarint(buf, uint64(s.capacity))
-	}
+	buf = binary.AppendUvarint(buf, uint64(s.capacity))
 	for _, p := range s.parts {
 		for _, f := range [4]float64{p.Bounds.Min.X, p.Bounds.Min.Y, p.Bounds.Max.X, p.Bounds.Max.Y} {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
@@ -246,9 +236,7 @@ func (s *Summary) StorageBytes() int {
 	n := len(summaryMagic)
 	n += binary.PutUvarint(scratch[:], uint64(len(s.parts)))
 	n += binary.PutUvarint(scratch[:], uint64(s.total))
-	if s.capacity > 0 {
-		n += binary.PutUvarint(scratch[:], uint64(s.capacity))
-	}
+	n += binary.PutUvarint(scratch[:], uint64(s.capacity))
 	for _, p := range s.parts {
 		n += 32 + binary.PutUvarint(scratch[:], uint64(p.Count))
 	}
@@ -266,8 +254,7 @@ func LoadSummary(r io.Reader) (*Summary, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("aknn: summary header: %w", err)
 	}
-	v2 := string(magic) == summaryMagicV2
-	if !v2 && string(magic) != summaryMagic {
+	if string(magic) != summaryMagic {
 		return nil, errors.New("aknn: bad summary magic")
 	}
 	n, err := binary.ReadUvarint(br)
@@ -284,17 +271,14 @@ func LoadSummary(r io.Reader) (*Summary, error) {
 	if total > math.MaxInt64/2 {
 		return nil, fmt.Errorf("aknn: implausible total %d", total)
 	}
-	s := &Summary{}
-	if v2 {
-		capacity, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("aknn: partition capacity: %w", err)
-		}
-		if capacity < 1 || capacity > math.MaxInt32 {
-			return nil, fmt.Errorf("aknn: implausible partition capacity %d", capacity)
-		}
-		s.capacity = int(capacity)
+	capacity, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("aknn: partition capacity: %w", err)
 	}
+	if capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("aknn: implausible partition capacity %d", capacity)
+	}
+	s := &Summary{capacity: int(capacity)}
 	var rec [32]byte
 	var cum uint64
 	for i := uint64(0); i < n; i++ {

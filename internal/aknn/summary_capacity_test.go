@@ -19,7 +19,7 @@ func randRect(rng *rand.Rand, bounds geom.Rect) geom.Rect {
 }
 
 // TestSummaryCapacityRoundTrip: the partition capacity — the AkNN axis of
-// core.Resolution — must survive the KNAB v2 persist round trip exactly,
+// core.Resolution — must survive the KNAB persist round trip exactly,
 // because a warm-restarted store keys its artifact cache on the reloaded
 // resolution. Estimates must be bit-identical across the reload at every
 // capacity rung the tuner ladder can produce.
@@ -61,12 +61,8 @@ func TestSummaryCapacityRoundTrip(t *testing.T) {
 			t.Fatalf("capacity %d: WriteTo reported %d bytes, wrote %d, StorageBytes %d",
 				capacity, n, buf.Len(), sum.StorageBytes())
 		}
-		wantMagic := summaryMagic
-		if capacity > 0 {
-			wantMagic = summaryMagicV2
-		}
-		if !strings.HasPrefix(buf.String(), wantMagic) {
-			t.Fatalf("capacity %d: serialized magic %q, want %q", capacity, buf.Bytes()[:5], wantMagic)
+		if !strings.HasPrefix(buf.String(), summaryMagic) {
+			t.Fatalf("capacity %d: serialized magic %q, want %q", capacity, buf.Bytes()[:5], summaryMagic)
 		}
 
 		loaded, err := LoadSummary(bytes.NewReader(buf.Bytes()))
@@ -91,25 +87,29 @@ func TestSummaryCapacityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummaryCapacityZeroWritesV1: capacity 0 must serialize byte-identically
-// to the v1 format BuildSummary always wrote, so a fleet that never enables
-// the tuner produces caches older binaries can still read.
-func TestSummaryCapacityZeroWritesV1(t *testing.T) {
+// TestSummaryOneLayout: there is one KNAB record. BuildSummary and capacity
+// 0 serialize to the same bytes — the capacity field always present, 0
+// meaning one partition per leaf block — and the magics of the two retired
+// layouts (without and with the field) are refused, not misread.
+func TestSummaryOneLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	inner := buildTree(t, randPoints(rng, 800, testBounds()), 8).CountTree()
-	var v1, v0 bytes.Buffer
-	if _, err := BuildSummary(inner).WriteTo(&v1); err != nil {
+	var plain, zero bytes.Buffer
+	if _, err := BuildSummary(inner).WriteTo(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSummaryCapacity(inner, 0).WriteTo(&v0); err != nil {
+	if _, err := BuildSummaryCapacity(inner, 0).WriteTo(&zero); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v1.Bytes(), v0.Bytes()) {
-		t.Fatalf("capacity-0 summary serializes to %d bytes differing from BuildSummary's %d-byte v1 output",
-			v0.Len(), v1.Len())
+	if !bytes.Equal(plain.Bytes(), zero.Bytes()) {
+		t.Fatalf("capacity-0 summary serializes to %d bytes differing from BuildSummary's %d",
+			zero.Len(), plain.Len())
 	}
-	if !strings.HasPrefix(v0.String(), summaryMagic) {
-		t.Fatalf("capacity-0 magic %q, want v1 %q", v0.Bytes()[:5], summaryMagic)
+	for _, old := range []string{"KNAB\x01", "KNAB\x02"} {
+		retired := append([]byte(old), zero.Bytes()[len(summaryMagic):]...)
+		if _, err := LoadSummary(bytes.NewReader(retired)); err == nil {
+			t.Errorf("a summary under the retired magic %q loaded", old)
+		}
 	}
 }
 

@@ -28,19 +28,19 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// Reset and Reserve are the scratch-catalog reuse primitives: Reset keeps
-// capacity, Reserve pre-sizes it, and a reused catalog behaves like a fresh
-// one.
-func TestResetReserveReuse(t *testing.T) {
+// Reset is the scratch-catalog reuse primitive: it keeps capacity, and a
+// reused catalog behaves like a fresh one. Clone is how the contents leave
+// the scratch: exact-size, sharing nothing.
+func TestResetReuse(t *testing.T) {
 	c := &Catalog{}
-	c.Reserve(8)
-	if got := cap(c.entries); got < 8 {
-		t.Fatalf("capacity %d after Reserve(8)", got)
-	}
 	if err := c.Append(1, 10, 3); err != nil {
 		t.Fatal(err)
 	}
+	kept := c.Clone()
 	c.Reset()
+	if cost, ok := kept.Lookup(10); !ok || cost != 3 || cap(kept.entries) != 1 {
+		t.Fatalf("clone after the scratch was reset: Lookup(10) = (%d, %v), capacity %d", cost, ok, cap(kept.entries))
+	}
 	if c.Len() != 0 || c.MaxK() != 0 {
 		t.Fatalf("after Reset: Len=%d MaxK=%d", c.Len(), c.MaxK())
 	}

@@ -13,15 +13,26 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"knncost/internal/pqueue"
 )
 
 // Entry states that the operator costs Cost block scans for every
-// k in [StartK, EndK].
+// k in [StartK, EndK]. It is the view Entries hands out; a catalog stores
+// the packed interval below.
 type Entry struct {
 	StartK, EndK int
 	Cost         int
+}
+
+// interval is a catalog entry as held in memory and in the aligned
+// encoding: 8 bytes. Its start is the previous interval's end plus one
+// (1 for the first), and ends and costs are bounded by MaxInt32 — the bound
+// every decoder has always enforced — so both fit a uint32.
+type interval struct {
+	end, cost uint32
 }
 
 // Catalog is a sorted, contiguous list of entries covering [1, MaxK()].
@@ -29,28 +40,31 @@ type Entry struct {
 // no gaps. Adjacent entries with equal cost are coalesced automatically —
 // the "stability" compression that keeps catalogs small (§3.1).
 type Catalog struct {
-	entries []Entry
+	entries []interval
 }
 
 // Append adds the entry ([startK, endK], cost). startK must continue the
-// catalog contiguously (equal 1 for the first entry). Appending an entry
-// with the same cost as the last extends it instead of growing the list.
+// catalog contiguously (equal 1 for the first entry), and endK and cost
+// must lie in [0, MaxInt32]. Appending an entry with the same cost as the
+// last extends it instead of growing the list.
 func (c *Catalog) Append(startK, endK, cost int) error {
 	if startK > endK {
 		return fmt.Errorf("catalog: inverted interval [%d,%d]", startK, endK)
 	}
-	want := 1
-	if n := len(c.entries); n > 0 {
-		want = c.entries[n-1].EndK + 1
-	}
-	if startK != want {
+	if want := c.MaxK() + 1; startK != want {
 		return fmt.Errorf("catalog: interval [%d,%d] does not continue at k=%d", startK, endK, want)
 	}
-	if n := len(c.entries); n > 0 && c.entries[n-1].Cost == cost {
-		c.entries[n-1].EndK = endK
+	if endK > math.MaxInt32 {
+		return fmt.Errorf("catalog: interval end %d overflows", endK)
+	}
+	if cost < 0 || cost > math.MaxInt32 {
+		return fmt.Errorf("catalog: cost %d out of range", cost)
+	}
+	if n := len(c.entries); n > 0 && c.entries[n-1].cost == uint32(cost) {
+		c.entries[n-1].end = uint32(endK)
 		return nil
 	}
-	c.entries = append(c.entries, Entry{StartK: startK, EndK: endK, Cost: cost})
+	c.entries = append(c.entries, interval{end: uint32(endK), cost: uint32(cost)})
 	return nil
 }
 
@@ -63,18 +77,19 @@ func (c *Catalog) Lookup(k int) (int, bool) {
 	if k < 1 || len(c.entries) == 0 || k > c.MaxK() {
 		return 0, false
 	}
-	// Hand-rolled binary search for the first entry with EndK >= k: unlike
-	// sort.Search there is no function value on the hot path.
+	// Hand-rolled binary search for the first entry with end >= k (k fits a
+	// uint32: it is at most MaxK): unlike sort.Search there is no function
+	// value on the hot path.
 	lo, hi := 0, len(c.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.entries[mid].EndK < k {
+		if c.entries[mid].end < uint32(k) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return c.entries[lo].Cost, true
+	return int(c.entries[lo].cost), true
 }
 
 // Reset empties the catalog, retaining the allocated entry capacity. It is
@@ -82,19 +97,24 @@ func (c *Catalog) Lookup(k int) (int, bool) {
 // of the staircase builder) that live in a pool.
 func (c *Catalog) Reset() { c.entries = c.entries[:0] }
 
-// Reserve ensures capacity for at least n entries, so that a builder that
-// knows an upper bound on interval count avoids incremental growth.
-func (c *Catalog) Reserve(n int) {
-	if n > cap(c.entries) {
-		grown := make([]Entry, len(c.entries), n)
-		copy(grown, c.entries)
-		c.entries = grown
-	}
+// Clone returns an exact-size copy of c that shares nothing with it — how
+// a builder hands out the contents of a pooled scratch catalog.
+func (c *Catalog) Clone() *Catalog {
+	return &Catalog{entries: slices.Clone(c.entries)}
 }
 
-// Entries returns the underlying entries. The slice is shared; callers must
-// not modify it.
-func (c *Catalog) Entries() []Entry { return c.entries }
+// Entries returns the intervals as a freshly built slice with their starts
+// filled in. It allocates: it serves figures and tests, nothing on a
+// request path.
+func (c *Catalog) Entries() []Entry {
+	out := make([]Entry, len(c.entries))
+	prevEnd := 0
+	for i, e := range c.entries {
+		out[i] = Entry{StartK: prevEnd + 1, EndK: int(e.end), Cost: int(e.cost)}
+		prevEnd = int(e.end)
+	}
+	return out
+}
 
 // Len returns the number of intervals.
 func (c *Catalog) Len() int { return len(c.entries) }
@@ -104,12 +124,12 @@ func (c *Catalog) MaxK() int {
 	if len(c.entries) == 0 {
 		return 0
 	}
-	return c.entries[len(c.entries)-1].EndK
+	return int(c.entries[len(c.entries)-1].end)
 }
 
 // sweepSource tracks one catalog's cursor during a plane-sweep merge.
 type sweepSource struct {
-	entries []Entry
+	entries []interval
 	pos     int
 }
 
@@ -123,8 +143,8 @@ func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
 	}
 	maxK := cats[0].MaxK()
 	for i, c := range cats {
-		if c.Len() == 0 || c.entries[0].StartK != 1 {
-			return nil, fmt.Errorf("catalog: merge input %d does not start at k=1", i)
+		if c.Len() == 0 {
+			return nil, fmt.Errorf("catalog: merge input %d is empty", i)
 		}
 		if c.MaxK() != maxK {
 			return nil, fmt.Errorf("catalog: merge input %d covers up to %d, want %d", i, c.MaxK(), maxK)
@@ -132,12 +152,12 @@ func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
 	}
 	sources := make([]sweepSource, len(cats))
 	costs := make([]int, len(cats))
-	var boundaries pqueue.Queue[int] // indexes into sources, keyed by current EndK
+	var boundaries pqueue.Queue[int] // indexes into sources, keyed by current end
 	boundaries.Grow(len(cats))
 	for i, c := range cats {
 		sources[i] = sweepSource{entries: c.entries}
-		costs[i] = c.entries[0].Cost
-		boundaries.Push(i, float64(c.entries[0].EndK))
+		costs[i] = int(c.entries[0].cost)
+		boundaries.Push(i, float64(c.entries[0].end))
 	}
 	out := &Catalog{}
 	start := 1
@@ -157,8 +177,8 @@ func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
 			s := &sources[i]
 			s.pos++
 			if s.pos < len(s.entries) {
-				costs[i] = s.entries[s.pos].Cost
-				boundaries.Push(i, float64(s.entries[s.pos].EndK))
+				costs[i] = int(s.entries[s.pos].cost)
+				boundaries.Push(i, float64(s.entries[s.pos].end))
 			}
 		}
 		start = end + 1
@@ -206,11 +226,11 @@ func (c *Catalog) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 1, 1+10*len(c.entries))
 	buf[0] = marshalHeader
 	buf = binary.AppendUvarint(buf, uint64(len(c.entries)))
-	prevEnd := 0
+	prevEnd := uint32(0)
 	for _, e := range c.entries {
-		buf = binary.AppendUvarint(buf, uint64(e.EndK-prevEnd))
-		buf = binary.AppendUvarint(buf, uint64(e.Cost))
-		prevEnd = e.EndK
+		buf = binary.AppendUvarint(buf, uint64(e.end-prevEnd))
+		buf = binary.AppendUvarint(buf, uint64(e.cost))
+		prevEnd = e.end
 	}
 	return buf, nil
 }
@@ -232,8 +252,8 @@ func (c *Catalog) UnmarshalBinary(data []byte) error {
 	if n > uint64(len(data)/2) {
 		return errors.New("catalog: entry count exceeds payload")
 	}
-	entries := make([]Entry, 0, n)
-	prevEnd := 0
+	entries := make([]interval, 0, n)
+	prevEnd := uint32(0)
 	for i := uint64(0); i < n; i++ {
 		delta, sz := binary.Uvarint(data)
 		if sz <= 0 {
@@ -245,9 +265,9 @@ func (c *Catalog) UnmarshalBinary(data []byte) error {
 			return errors.New("catalog: truncated cost")
 		}
 		data = data[sz2:]
-		// Well-formed catalogs have strictly increasing interval ends and
-		// costs that fit comfortably in an int; anything else would break
-		// the binary-search invariant Lookup relies on (or overflow EndK).
+		// Well-formed catalogs have strictly increasing interval ends, and
+		// ends and costs within int32; anything else would break the
+		// binary-search invariant Lookup relies on (or wrap a uint32).
 		if delta == 0 {
 			return errors.New("catalog: non-increasing interval end")
 		}
@@ -257,9 +277,8 @@ func (c *Catalog) UnmarshalBinary(data []byte) error {
 		if cost > math.MaxInt32 {
 			return errors.New("catalog: cost overflows")
 		}
-		end := prevEnd + int(delta)
-		entries = append(entries, Entry{StartK: prevEnd + 1, EndK: end, Cost: int(cost)})
-		prevEnd = end
+		prevEnd += uint32(delta)
+		entries = append(entries, interval{end: prevEnd, cost: uint32(cost)})
 	}
 	if len(data) != 0 {
 		return errors.New("catalog: trailing bytes")
@@ -268,13 +287,18 @@ func (c *Catalog) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// StorageBytes returns the size of the binary encoding — the storage
-// overhead metric of the paper's Figures 14, 20 and 22.
+// StorageBytes returns len(MarshalBinary()) — the storage overhead metric of
+// the paper's Figures 14, 20 and 22 — by counting varint widths instead of
+// encoding: every publish sums it over a relation's catalogs.
 func (c *Catalog) StorageBytes() int {
-	b, err := c.MarshalBinary()
-	if err != nil {
-		// MarshalBinary cannot fail on a well-formed catalog.
-		panic(err)
+	n := 1 + uvarintLen(uint64(len(c.entries)))
+	prevEnd := uint32(0)
+	for _, e := range c.entries {
+		n += uvarintLen(uint64(e.end-prevEnd)) + uvarintLen(uint64(e.cost))
+		prevEnd = e.end
 	}
-	return len(b)
+	return n
 }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -290,6 +291,48 @@ func paperCatalogForMarshal() *Catalog {
 	_ = c.Append(1, 520, 3)
 	_ = c.Append(521, 675, 7)
 	return c
+}
+
+// TestMarshalBinaryPinned: the paper-metric encoding of the Figure 4
+// catalog, byte for byte as the 24-byte-entry representation wrote it.
+// Every storage column of results/fig*.csv and the tuner's budget are sums
+// of these lengths, so the bytes may not move with the in-memory layout.
+func TestMarshalBinaryPinned(t *testing.T) {
+	const want = "01068804039b0107851608b3090cf2080dc3200e"
+	got, err := paperCatalog(t).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("MarshalBinary = %x, want %s", got, want)
+	}
+}
+
+// Property: StorageBytes counts exactly the bytes MarshalBinary writes.
+func TestStorageBytesMatchesMarshal(t *testing.T) {
+	edge := &Catalog{}
+	mustAppend(t, edge, 1, 127, 127)
+	mustAppend(t, edge, 128, 255, 128)
+	mustAppend(t, edge, 256, 1<<14+255, 1<<14)
+	mustAppend(t, edge, 1<<14+256, 1<<31-1, 1<<31-1)
+	rng := rand.New(rand.NewSource(5))
+	cats := []*Catalog{{}, edge, paperCatalog(t)}
+	for i := 0; i < 200; i++ {
+		cats = append(cats, randomCatalog(rng, 1+rng.Intn(1<<uint(1+rng.Intn(20)))))
+	}
+	for i, c := range cats {
+		enc, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.StorageBytes(); got != len(enc) {
+			t.Fatalf("catalog %d (%d entries): StorageBytes = %d, MarshalBinary wrote %d", i, c.Len(), got, len(enc))
+		}
+	}
+	c := paperCatalog(t)
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.StorageBytes() }); allocs != 0 {
+		t.Errorf("StorageBytes allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestStorageBytesCompact(t *testing.T) {

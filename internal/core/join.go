@@ -101,6 +101,9 @@ func BuildCatalogMerge(outer, inner *index.Tree, sampleSize, maxK int) (*Catalog
 	if maxK <= 0 {
 		maxK = DefaultMaxK
 	}
+	if maxK > maxSaneK {
+		return nil, fmt.Errorf("core: invalid catalog-merge MaxK %d", maxK)
+	}
 	sample := SampleBlocks(outer, sampleSize)
 	if len(sample) == 0 {
 		return nil, errors.New("core: outer relation has no blocks")
@@ -183,6 +186,9 @@ func BuildVirtualGrid(inner *index.Tree, nx, ny, maxK int) (*VirtualGrid, error)
 	}
 	if maxK <= 0 {
 		maxK = DefaultMaxK
+	}
+	if maxK > maxSaneK {
+		return nil, fmt.Errorf("core: invalid virtual-grid MaxK %d", maxK)
 	}
 	bounds := inner.Bounds()
 	if bounds.Width() <= 0 || bounds.Height() <= 0 {

@@ -39,14 +39,14 @@ import (
 // uses them.
 
 const (
-	mappedMagicStaircase   = "KNCSMAP\x01"
-	mappedMagicCatalogMrg  = "KNCMMAP\x01"
-	mappedMagicVirtualGrid = "KNVGMAP\x01"
+	mappedMagicStaircase   = "KNCSMAP\x02"
+	mappedMagicCatalogMrg  = "KNCMMAP\x02"
+	mappedMagicVirtualGrid = "KNVGMAP\x02"
 
-	// maxSaneK bounds the MaxK a loader accepts. Catalog-maintained k values
-	// are "a practically large constant" (the paper uses 10,000); 2^32 is far
-	// beyond any of them while still rejecting hostile length fields early.
-	maxSaneK = 1 << 32
+	// maxSaneK bounds the MaxK a loader accepts: the largest interval end a
+	// catalog can hold. Catalog-maintained k values are "a practically large
+	// constant" (the paper uses 10,000), far below it.
+	maxSaneK = math.MaxInt32
 )
 
 // mappedWriter appends fixed-width sections to a byte slice.

@@ -60,7 +60,8 @@ func fuzzSetup(tb testing.TB) {
 // seedMutations adds the valid encoding plus systematic corruptions:
 // truncations at several depths and a flipped byte in the magic, in each
 // of the headerWords fixed-width fields, in the first catalog's entry
-// count and first entry, and mid-file.
+// count, at both ends of its first entry's two 32-bit fields, in the low
+// byte of its second entry's, and mid-file.
 func seedMutations(f *testing.F, valid []byte, headerWords int) {
 	f.Add(valid)
 	f.Add([]byte{})
@@ -69,9 +70,11 @@ func seedMutations(f *testing.F, valid []byte, headerWords int) {
 		f.Add(valid[:len(valid)/frac])
 	}
 	positions := []int{4, 7, len(valid) / 2}
-	for w := 0; w < headerWords+4; w++ { // +4: entry count, StartK, EndK, Cost
+	for w := 0; w < headerWords+1; w++ { // +1: the first catalog's entry count
 		positions = append(positions, 8+8*w, 8+8*w+7)
 	}
+	entry := 8 + 8*(headerWords+1)
+	positions = append(positions, entry, entry+3, entry+4, entry+7, entry+8, entry+12) // end, cost; end, cost
 	for _, pos := range positions {
 		mut := append([]byte(nil), valid...)
 		mut[pos] ^= 0xFF

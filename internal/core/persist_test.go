@@ -218,7 +218,7 @@ func TestLoadCorruptData(t *testing.T) {
 
 // TestMappedLoadersRejectCorruptInput: every truncation of a valid
 // encoding, trailing garbage, a corrupt magic or version, every header word
-// and every word of every catalog entry overwritten with an out-of-range or
+// and every field of every catalog entry overwritten with an out-of-range or
 // order-breaking value must produce an error — never a panic and never a
 // silently wrong artifact — whether the catalogs are borrowed in place or
 // decoded from misaligned bytes. This is the property the store's
@@ -244,17 +244,18 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		name        string
 		full        []byte
 		headerWords int // fixed-width fields between the magic and the first catalog
+		maxKWord    int // which of them is MaxK
 		load        func([]byte) error
 	}{
-		{"staircase", stair.AppendMapped(nil), 4, func(raw []byte) error {
+		{"staircase", stair.AppendMapped(nil), 4, 1, func(raw []byte) error {
 			_, err := LoadStaircaseMapped(data, raw, StaircaseOptions{})
 			return err
 		}},
-		{"virtual-grid", vg.AppendMapped(nil), 7, func(raw []byte) error {
+		{"virtual-grid", vg.AppendMapped(nil), 7, 2, func(raw []byte) error {
 			_, err := LoadVirtualGridMapped(raw)
 			return err
 		}},
-		{"catalog-merge", cm.AppendMapped(nil), 2, func(raw []byte) error {
+		{"catalog-merge", cm.AppendMapped(nil), 2, 0, func(raw []byte) error {
 			_, err := LoadCatalogMergeMapped(raw)
 			return err
 		}},
@@ -275,6 +276,12 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 			binary.LittleEndian.PutUint64(mut[off:], v)
 			return mut
 		}
+		// poke32 does the same for one field of a catalog record.
+		poke32 := func(off int, v uint32) []byte {
+			mut := append([]byte(nil), l.full...)
+			binary.LittleEndian.PutUint32(mut[off:], v)
+			return mut
+		}
 		if err := l.load(l.full); err != nil {
 			t.Fatalf("%s: valid file rejected: %v", l.name, err)
 		}
@@ -286,36 +293,39 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		flipped[3] ^= 0xFF
 		reject(flipped, "corrupt magic")
 		flipped = append([]byte{}, l.full...)
-		flipped[7] = 2
+		flipped[7] = 1
+		reject(flipped, "the 24-byte-entry format version")
+		flipped[7] = 3
 		reject(flipped, "unknown format version")
 
-		const neg1 = ^uint64(0) // -1 as a count, k or cost; NaN as a float
+		const neg1 = ^uint64(0)  // -1 as a count or a k; NaN as a float
+		const neg32 = ^uint32(0) // -1 as an interval end or a cost
 		off := 8
 		for i := 0; i < l.headerWords; i++ {
 			reject(poke(off, neg1), "header word %d = -1", i)
 			off += 8
 		}
+		reject(poke(8+8*l.maxKWord, 1<<31), "MaxK beyond what a catalog interval can end at")
 		entries := 0
 		for off < len(l.full) {
 			count := int(binary.LittleEndian.Uint64(l.full[off:]))
 			reject(poke(off, neg1), "entry count at %d = -1", off)
 			reject(poke(off, uint64(count)+1), "entry count at %d = %d+1", off, count)
 			off += 8
-			for e := 0; e < count; e, off = e+1, off+24 {
-				startK := binary.LittleEndian.Uint64(l.full[off:])
-				endK := binary.LittleEndian.Uint64(l.full[off+8:])
-				for _, v := range []uint64{0, neg1, startK + 1, startK - 1} {
-					reject(poke(off, v), "entry at %d: StartK %d -> %d", off, startK, int64(v))
+			prevEnd := uint32(0)
+			for e := 0; e < count; e, off = e+1, off+8 {
+				endK := binary.LittleEndian.Uint32(l.full[off:])
+				for _, v := range []uint32{0, neg32, 1 << 31, prevEnd} {
+					reject(poke32(off, v), "entry at %d: end %d -> %d", off, endK, int32(v))
 				}
-				for _, v := range []uint64{0, neg1, 1 << 31} {
-					reject(poke(off+8, v), "entry at %d: EndK %d -> %d", off, endK, int64(v))
+				if e < count-1 { // the last entry's end is the catalog's MaxK: any in-range value past the previous end is a valid catalog
+					next := binary.LittleEndian.Uint32(l.full[off+8:])
+					reject(poke32(off, next), "entry at %d: end %d -> the next entry's %d", off, endK, next)
 				}
-				if e < count-1 { // the last entry's end is the catalog's MaxK: any in-range value is a valid catalog
-					reject(poke(off+8, endK+1), "entry at %d: EndK %d -> %d without the next StartK", off, endK, endK+1)
+				for _, v := range []uint32{neg32, 1 << 31} {
+					reject(poke32(off+4, v), "entry at %d: cost -> %d", off, int32(v))
 				}
-				for _, v := range []uint64{neg1, 1 << 31} {
-					reject(poke(off+16, v), "entry at %d: Cost -> %d", off, int64(v))
-				}
+				prevEnd = endK
 				entries++
 			}
 		}

@@ -41,9 +41,8 @@ var procedure1Pool = sync.Pool{New: func() any { return new(procedure1Scratch) }
 // assigned the cost of scanning the whole index (distance browsing will
 // have consumed every block by then).
 func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catalog {
-	cat := &catalog.Catalog{}
 	if maxK < 1 {
-		return cat
+		return &catalog.Catalog{}
 	}
 	s := procedure1Pool.Get().(*procedure1Scratch)
 	defer procedure1Pool.Put(s)
@@ -57,10 +56,13 @@ func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catal
 			lb = math.Inf(1) // nothing left to read: every pending point comes out
 		}
 		// Return the pending points no farther than any unread block can be.
+		// Which side of lb a distance falls is a coin flip to the branch
+		// predictor, so every distance is stored and only the increment is
+		// conditional, which compiles to a conditional move, not a jump.
 		kept := 0
 		for _, d := range pending {
+			pending[kept] = d
 			if d > lb {
-				pending[kept] = d
 				kept++
 			}
 		}
@@ -88,15 +90,12 @@ func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catal
 		mustAppend(&s.cat, emitted+1, maxK, data.NumBlocks())
 	}
 	s.pending = pending[:0]
-	cat.Reserve(s.cat.Len())
-	for _, e := range s.cat.Entries() {
-		mustAppend(cat, e.StartK, e.EndK, e.Cost)
-	}
-	return cat
+	return s.cat.Clone()
 }
 
-// mustAppend appends an interval that is contiguous by construction; a
-// failure indicates a bug in the builder, not bad input.
+// mustAppend appends an interval that is contiguous by construction and in
+// range because the estimator constructors bound MaxK; a failure indicates
+// a bug in the builder, not bad input.
 func mustAppend(cat *catalog.Catalog, startK, endK, cost int) {
 	if err := cat.Append(startK, endK, cost); err != nil {
 		panic("core: non-contiguous catalog build: " + err.Error())

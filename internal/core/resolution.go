@@ -65,7 +65,7 @@ func (r Resolution) Canon() Resolution {
 // Validate rejects resolutions no builder accepts.
 func (r Resolution) Validate() error {
 	r = r.Canon()
-	if r.MaxK < 1 {
+	if r.MaxK < 1 || r.MaxK > maxSaneK {
 		return fmt.Errorf("core: invalid resolution MaxK %d", r.MaxK)
 	}
 	if r.Corners != -1 && r.Corners != 1 && r.Corners != 4 {
@@ -141,15 +141,18 @@ func (r Resolution) CoarserN(n int) Resolution {
 
 // Artifact is implemented by every technique artifact: anything a
 // relation builds, caches, persists and serves estimates from. It reports
-// the resolution the artifact was built at and its in-memory byte
-// footprint, which is what the store's space-budget tuner accounts
+// the resolution the artifact was built at and its size in the paper's
+// storage metric, which is what the store's space-budget tuner accounts
 // against -catalog-budget-bytes. Axes a particular artifact does not use
 // (e.g. GridSize for a staircase) report the canonical defaults.
 type Artifact interface {
 	// Resolution returns the canonical resolution the artifact was built at.
 	Resolution() Resolution
-	// SizeBytes returns the artifact's byte footprint: the serialized
-	// catalog bytes it retains, built or borrowed from a cache read.
+	// SizeBytes returns the artifact's size in the storage metric of the
+	// paper's §5: the varint encoding of its catalogs
+	// (catalog.StorageBytes), not the bytes it retains. A catalog interval
+	// is ~2.4 bytes in the metric and 8 in the heap and in a cache file,
+	// so an artifact holds roughly three times what this reports.
 	SizeBytes() int
 }
 

@@ -112,7 +112,7 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	if opt.MaxK == 0 {
 		opt.MaxK = DefaultMaxK
 	}
-	if opt.MaxK < 1 {
+	if opt.MaxK < 1 || opt.MaxK > maxSaneK {
 		return nil, fmt.Errorf("core: invalid MaxK %d", opt.MaxK)
 	}
 	aux := data

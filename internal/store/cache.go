@@ -63,14 +63,16 @@ import (
 
 // cacheFormat is the bundle/side-file/registry format version; bump on any
 // change to the layout or to what a fingerprint covers. Format 5 replaced
-// format 4's one file and one mmap per artifact, O(relations²) of them. The
-// version is part of every fingerprint and of both magics, so entries of
-// older formats all miss: a format bump costs one rebuild, never an error.
-const cacheFormat = 5
+// format 4's one file and one mmap per artifact, O(relations²) of them;
+// format 6 stores a catalog interval in 8 bytes instead of 24 and gives the
+// KNAB section one layout. The version is part of every fingerprint and of
+// both magics, so entries of older formats all miss: a format bump costs
+// one rebuild, never an error.
+const cacheFormat = 6
 
 const (
-	bundleMagic = "KNCBNDL\x05"
-	sideMagic   = "KNCMRGS\x05"
+	bundleMagic = "KNCBNDL\x06"
+	sideMagic   = "KNCMRGS\x06"
 	// A bundle's header is the magic, the eight manifest fields (bundleTable
 	// bytes so far) and the four-entry section table, all little-endian
 	// uint64 words.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"log"
 	"math/rand"
@@ -487,7 +488,12 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading cached bundle: %v", err)
 	}
-	data[len(data)/2] ^= 0x10
+	stairEntry := data[bundleTable+24*1:] // section table row 1: kind, offset, length
+	off, n := binary.LittleEndian.Uint64(stairEntry[8:]), binary.LittleEndian.Uint64(stairEntry[16:])
+	if string(data[off:off+7]) != "KNCSMAP" {
+		t.Fatalf("section 1 of the bundle starts %q, not a staircase", data[off:off+8])
+	}
+	data[off+n/2] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("corrupting cached bundle: %v", err)
 	}

@@ -38,6 +38,7 @@ internal/core:FuzzLoadStaircase
 internal/core:FuzzLoadCatalogMerge
 internal/core:FuzzLoadVirtualGrid
 internal/catalog:FuzzUnmarshalBinary
+internal/catalog:FuzzBorrowAligned
 internal/wal:FuzzReplayWAL
 internal/store:FuzzLoadBundle
 internal/store:FuzzLoadMergeSideFile
