@@ -29,9 +29,10 @@
 package aknn
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"knncost/internal/geom"
 	"knncost/internal/index"
@@ -55,7 +56,7 @@ type bound struct {
 // from it — is independent of how the sort breaks ties. bounds is
 // reordered in place.
 func threshold(bounds []bound, k int) float64 {
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].maxD < bounds[j].maxD })
+	slices.SortFunc(bounds, func(a, b bound) int { return cmp.Compare(a.maxD, b.maxD) })
 	cum := 0
 	for _, b := range bounds {
 		cum += b.count
@@ -101,12 +102,12 @@ func ScanSet(inner *index.Tree, from geom.Rect, k int) []*index.Block {
 // model.
 func Cost(outer, inner *index.Tree, k int) int {
 	sum := BuildSummary(inner)
-	total := 0
+	total, bs := 0, make([]bound, len(sum.parts))
 	for _, b := range outer.Blocks() {
 		if b.Count == 0 {
 			continue
 		}
-		total += sum.Candidates(b.Bounds, k)
+		total += sum.candidates(bs, b.Bounds, k)
 	}
 	return total
 }
@@ -117,7 +118,7 @@ func Cost(outer, inner *index.Tree, k int) int {
 // context's error and the partial sum.
 func CostContext(ctx context.Context, outer, inner *index.Tree, k int) (int, error) {
 	sum := BuildSummary(inner)
-	total := 0
+	total, bs := 0, make([]bound, len(sum.parts))
 	for _, b := range outer.Blocks() {
 		if err := ctx.Err(); err != nil {
 			return total, err
@@ -125,7 +126,7 @@ func CostContext(ctx context.Context, outer, inner *index.Tree, k int) (int, err
 		if b.Count == 0 {
 			continue
 		}
-		total += sum.Candidates(b.Bounds, k)
+		total += sum.candidates(bs, b.Bounds, k)
 	}
 	return total, nil
 }

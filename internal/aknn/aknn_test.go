@@ -202,6 +202,37 @@ func TestEstimatorErrors(t *testing.T) {
 	}
 }
 
+// TestEstimateJoinReusesScratch: an estimate over every outer block sorts in
+// one scratch — the sample, the strided sample and the scratch are all it
+// allocates, however many blocks it walks — and sums what the exported
+// Candidates, which makes a scratch per call, returns block by block.
+func TestEstimateJoinReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	outer := buildTree(t, randPoints(rng, 1500, testBounds()), 16).CountTree()
+	inner := buildTree(t, randPoints(rng, 2000, testBounds()), 16).CountTree()
+	sum := BuildSummary(inner)
+	for _, sample := range []int{0, 40} {
+		est := sum.Bind(outer, sample)
+		for _, k := range []int{1, 17, 500, 2500} {
+			got, err := est.EstimateJoin(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := sampleBounds(outer, sample)
+			want := 0
+			for _, from := range bounds {
+				want += sum.Candidates(from, k)
+			}
+			if scaled := float64(want) * (float64(numJoinBlocks(outer)) / float64(len(bounds))); got != scaled {
+				t.Fatalf("sample %d, k %d: EstimateJoin = %v, per-block Candidates sum to %v", sample, k, got, scaled)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { est.EstimateJoin(17) }); allocs > 4 {
+			t.Errorf("sample %d: EstimateJoin allocates %v times over %d outer blocks, want <= 4", sample, allocs, outer.NumBlocks())
+		}
+	}
+}
+
 func TestSummaryAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tree := buildTree(t, randPoints(rng, 300, testBounds()), 16).CountTree()

@@ -100,10 +100,15 @@ func (s *Summary) Total() int { return s.total }
 // arithmetic ScanSet applies to a live index, so a Summary-based estimate
 // over every outer block equals Cost exactly.
 func (s *Summary) Candidates(from geom.Rect, k int) int {
+	return s.candidates(make([]bound, len(s.parts)), from, k)
+}
+
+// candidates is Candidates sorting in bs, one bound per partition: a caller
+// that walks many outer partitions makes it once.
+func (s *Summary) candidates(bs []bound, from geom.Rect, k int) int {
 	if k < 1 {
 		return 0
 	}
-	bs := make([]bound, len(s.parts))
 	for i, p := range s.parts {
 		bs[i] = bound{geom.MaxDistRect(from, p.Bounds), p.Count}
 	}
@@ -145,9 +150,9 @@ func (e *Estimator) EstimateJoin(k int) (float64, error) {
 	if len(sample) == 0 {
 		return 0, errors.New("aknn: outer relation has no blocks")
 	}
-	agg := 0
+	agg, bs := 0, make([]bound, len(e.sum.parts))
 	for _, from := range sample {
-		agg += e.sum.Candidates(from, k)
+		agg += e.sum.candidates(bs, from, k)
 	}
 	scale := float64(numJoinBlocks(e.outer)) / float64(len(sample))
 	return float64(agg) * scale, nil

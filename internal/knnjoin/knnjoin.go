@@ -34,10 +34,23 @@ import (
 // The inner tree may be a data index or its Count-Index; only bounds and
 // counts are consulted.
 func Locality(inner *index.Tree, from geom.Origin, k int) []*index.Block {
+	out, _ := locality(inner, from, k, true)
+	return out
+}
+
+// LocalitySize returns only the size of the locality of `from` — the cost
+// contribution of one outer block — and materialises none of it.
+func LocalitySize(inner *index.Tree, from geom.Origin, k int) int {
+	_, n := locality(inner, from, k, false)
+	return n
+}
+
+// locality walks the locality of `from` in scan order and counts its blocks;
+// with collect set it returns them as well.
+func locality(inner *index.Tree, from geom.Origin, k int, collect bool) (out []*index.Block, n int) {
 	if k < 1 {
-		return nil
+		return nil, 0
 	}
-	var out []*index.Block
 	scan := inner.ScanMinDist(from)
 	// Phase 1: accumulate blocks until they jointly hold k points,
 	// tracking the highest MAXDIST seen.
@@ -46,9 +59,11 @@ func Locality(inner *index.Tree, from geom.Origin, k int) []*index.Block {
 	for count < k {
 		blk, _, ok := scan.Next()
 		if !ok {
-			return out // fewer than k points in total: all blocks
+			return out, n // fewer than k points in total: all blocks
 		}
-		out = append(out, blk)
+		if n++; collect {
+			out = append(out, blk)
+		}
 		count += blk.Count
 		if d := from.MaxDistTo(blk.Bounds); d > maxDist {
 			maxDist = d
@@ -59,16 +74,12 @@ func Locality(inner *index.Tree, from geom.Origin, k int) []*index.Block {
 	for {
 		blk, minDist, ok := scan.Next()
 		if !ok || minDist > maxDist {
-			return out
+			return out, n
 		}
-		out = append(out, blk)
+		if n++; collect {
+			out = append(out, blk)
+		}
 	}
-}
-
-// LocalitySize returns only the size of the locality of `from` — the cost
-// contribution of one outer block.
-func LocalitySize(inner *index.Tree, from geom.Origin, k int) int {
-	return len(Locality(inner, from, k))
 }
 
 // Cost returns the ground-truth cost of the k-NN-Join (outer ⋉_knn inner)

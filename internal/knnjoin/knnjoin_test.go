@@ -59,10 +59,13 @@ func TestLocalityMonotoneInK(t *testing.T) {
 	inner := buildIx(randPoints(rng, 3000, bounds), bounds, 64)
 	from := geom.NewRect(40, 40, 45, 45)
 	last := 0
-	for k := 1; k <= 2000; k *= 2 {
+	for k := 1; k <= 4096; k *= 2 { // past the 3000 points there are: every block
 		size := LocalitySize(inner, from, k)
 		if size < last {
 			t.Errorf("locality size decreased from %d to %d at k=%d", last, size, k)
+		}
+		if n := len(Locality(inner, from, k)); n != size {
+			t.Errorf("k=%d: LocalitySize counts %d blocks, Locality returns %d", k, size, n)
 		}
 		last = size
 	}

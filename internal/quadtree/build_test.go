@@ -3,6 +3,7 @@ package quadtree
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -73,7 +74,41 @@ func checkAgainstAppendBuild(pts []geom.Point, opt Options) error {
 	if err := diffNodes(got.root, appendBuild(opt.Bounds, input, 0, opt), "r"); err != nil {
 		return err
 	}
+	if err := checkFlat(got, input); err != nil {
+		return err
+	}
 	return got.Index().Validate()
+}
+
+// checkFlat holds Flat to what a caller that keeps one copy of the points
+// relies on: the order is a permutation, flat[order[i]] is pts[i] bit for bit,
+// and the blocks of the index are consecutive windows of flat, in order.
+func checkFlat(tr *Tree, pts []geom.Point) error {
+	flat, order := tr.Flat(pts)
+	if len(flat) != len(pts) || len(order) != len(pts) {
+		return fmt.Errorf("Flat of %d points: %d points, %d positions", len(pts), len(flat), len(order))
+	}
+	taken := make([]bool, len(flat))
+	for i, at := range order {
+		if int(at) >= len(flat) || taken[at] {
+			return fmt.Errorf("order[%d] = %d: out of range or taken, not a permutation of 0..%d", i, at, len(flat)-1)
+		}
+		taken[at] = true
+		if got, want := flat[at], pts[i]; math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+			return fmt.Errorf("flat[order[%d]] = %v, input point %d is %v", i, got, i, want)
+		}
+	}
+	at := 0
+	for _, b := range tr.Index().Blocks() {
+		if len(b.Points) > 0 && &b.Points[0] != &flat[at] {
+			return fmt.Errorf("block %d (%d points) does not start at flat[%d]", b.ID, len(b.Points), at)
+		}
+		at += len(b.Points)
+	}
+	if at != len(flat) {
+		return fmt.Errorf("blocks cover %d of flat's %d points", at, len(flat))
+	}
+	return nil
 }
 
 func TestBuildMatchesAppendBuilder(t *testing.T) {
@@ -93,6 +128,14 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 	}
 	if err := checkAgainstAppendBuild(same, Options{Capacity: 4, MaxDepth: 6, Bounds: geom.NewRect(0, 0, 1, 1)}); err != nil {
 		t.Errorf("duplicates: %v", err)
+	}
+
+	// Equal coordinates that differ in their bits: both zeros compare equal,
+	// land in one leaf in input order, and must come back as they went in.
+	negZero := math.Copysign(0, -1)
+	zeros := []geom.Point{{X: 0, Y: 0}, {X: negZero, Y: 0}, {X: 0.5, Y: 0.5}, {X: 0, Y: negZero}, {X: negZero, Y: negZero}, {X: -0.5, Y: 0}, {X: 0, Y: 0}}
+	if err := checkAgainstAppendBuild(zeros, Options{Capacity: 2, MaxDepth: 3, Bounds: geom.NewRect(-1, -1, 1, 1)}); err != nil {
+		t.Errorf("signed zeros: %v", err)
 	}
 
 	// A lattice on [0,16)² whose every point lies on the dividing line of
@@ -212,6 +255,11 @@ func FuzzQuadtreeBuild(f *testing.F) {
 	f.Add(uint8(1), uint8(3), []byte{0, 0, 8, 8, 8, 8, 15, 1, 4, 12})
 	f.Add(uint8(4), uint8(28), []byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
 	f.Add(uint8(2), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Add(uint8(1), uint8(5), []byte{})                                                  // no point
+	f.Add(uint8(1), uint8(5), []byte{5, 5})                                              // one
+	f.Add(uint8(1), uint8(2), []byte{7, 7, 7, 7, 9, 9, 7, 7, 7, 7, 7, 7})                // a leaf over capacity at MaxDepth
+	f.Add(uint8(1), uint8(4), []byte{1, 1, 2, 2, 3, 3, 1, 2, 2, 1, 1, 1})                // three quadrants empty, duplicates
+	f.Add(uint8(1), uint8(6), []byte{16, 16, 16, 0, 0, 16, 8, 8, 24, 24, 16, 16, 8, 24}) // on the centre lines of two levels
 	f.Fuzz(func(t *testing.T, capacity, maxDepth uint8, data []byte) {
 		pts := make([]geom.Point, len(data)/2)
 		for i := range pts {

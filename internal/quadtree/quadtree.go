@@ -57,6 +57,7 @@ type node struct {
 	bounds   geom.Rect
 	children *[4]*node    // non-nil for internal nodes
 	points   []geom.Point // leaf payload
+	first    uint32       // of a built leaf: where its points start in Tree.flat
 }
 
 func (n *node) isLeaf() bool { return n.children == nil }
@@ -64,6 +65,7 @@ func (n *node) isLeaf() bool { return n.children == nil }
 // Tree is a region quadtree over a fixed bounded region.
 type Tree struct {
 	root *node
+	flat []geom.Point // Build's copy of its input: the one array every built leaf is a window of
 	opt  Options
 	size int
 }
@@ -78,11 +80,31 @@ func Build(pts []geom.Point, opt Options) *Tree {
 			panic(fmt.Sprintf("quadtree: point %v outside bounds %v", p, opt.Bounds))
 		}
 	}
-	t := &Tree{opt: opt, size: len(pts)}
-	owned := make([]geom.Point, len(pts))
-	copy(owned, pts)
-	t.root = build(opt.Bounds, owned, make([]geom.Point, len(pts)), 0, opt)
+	t := &Tree{opt: opt, size: len(pts), flat: make([]geom.Point, len(pts))}
+	copy(t.flat, pts)
+	t.root = build(opt.Bounds, t.flat, make([]geom.Point, len(pts)), 0, 0, opt)
 	return t
+}
+
+// Flat returns the array Build copied pts into — the leaves' points are
+// consecutive windows of it, in the depth-first leaf order of
+// Index().Blocks() — and where each point of pts sits in it: flat[order[i]]
+// is pts[i]. The build's partition is stable, so a leaf holds its points in
+// input order and one descent per point with a cursor per leaf recovers the
+// order; a Build whose caller never asks pays nothing for it. pts must be the
+// points t was built from, and t must not have been inserted into since.
+func (t *Tree) Flat(pts []geom.Point) (flat []geom.Point, order []uint32) {
+	order = make([]uint32, len(pts))
+	placed := make([]uint32, len(pts)) // at a leaf's first: how many of its points have come by
+	for i, p := range pts {
+		n := t.root
+		for !n.isLeaf() {
+			n = n.children[quadIndex(n.bounds.Center(), p)]
+		}
+		order[i] = n.first + placed[n.first]
+		placed[n.first]++
+	}
+	return t.flat, order
 }
 
 // build decomposes bounds over pts in place: a stable counting partition
@@ -90,13 +112,13 @@ func Build(pts []geom.Point, opt Options) *Tree {
 // as pts), so the children are consecutive windows of the one array and the
 // points of a leaf keep their input order. A leaf's window is clipped to
 // its length: Insert's append then copies the leaf out instead of writing
-// into the next leaf's points.
-func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) *node {
+// into the next leaf's points. first is where pts starts in the built array.
+func build(bounds geom.Rect, pts, scratch []geom.Point, first uint32, depth int, opt Options) *node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
 		if len(pts) == 0 {
 			pts = nil
 		}
-		return &node{bounds: bounds, points: pts[:len(pts):len(pts)]}
+		return &node{bounds: bounds, points: pts[:len(pts):len(pts)], first: first}
 	}
 	center := bounds.Center()
 	var count [4]int
@@ -117,7 +139,7 @@ func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) 
 	children := new([4]*node)
 	lo := 0
 	for i := range children {
-		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], depth+1, opt)
+		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], first+uint32(lo), depth+1, opt)
 		lo = next[i]
 	}
 	return &node{bounds: bounds, children: children}
@@ -160,7 +182,7 @@ func (t *Tree) Insert(p geom.Point) error {
 func (t *Tree) split(n *node, depth int) {
 	pts := n.points
 	n.points = nil
-	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), depth, t.opt)
+	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), 0, depth, t.opt)
 	// build may return a leaf only when it cannot split further, which
 	// cannot happen here because len(pts) > capacity and depth < MaxDepth.
 	n.children = sub.children

@@ -574,8 +574,8 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 		want = append(want[:len(want):len(want)], add...)
 	}
 	settle(t, s, "live")
-	if got := s.View().Relation("live"); !samePoints(got.Points, want) {
-		t.Fatalf("uncached compaction serves %d points, want %d", len(got.Points), len(want))
+	if got := s.View().Relation("live").Points(); !samePoints(got, want) {
+		t.Fatalf("uncached compaction serves %d points, want %d", len(got), len(want))
 	}
 	if reg := s.cache.registry(); len(reg) != 1 || reg[0].Fingerprint != baseFP {
 		t.Fatalf("registry adopted a fingerprint without a bundle: %+v", reg)

@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,7 +151,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	prefixes := make([][]geom.Point, len(ops)+1)
 	prefixes[0] = base
 	for j, o := range ops {
-		prefixes[j+1] = applyMutations(prefixes[j], []mutation{{kind: o.kind, pts: o.pts}})
+		prefixes[j+1] = applyMutations(slices.Clone(prefixes[j]), []mutation{{kind: o.kind, pts: o.pts}})
 	}
 
 	capMu.Lock()

@@ -55,14 +55,12 @@ type mutation struct {
 
 // applyMutations computes the logical point sequence of base with muts
 // applied in LSN order: appends concatenate, deletes remove every occurrence
-// of each listed coordinate, preserving the order of survivors. base is
-// never modified; the result is a fresh slice (or base itself when muts is
-// empty).
+// of each listed coordinate, preserving the order of survivors. It takes base
+// over — the fold happens in it and the result is base's array, or its
+// successor once an append has outgrown it — so a caller hands in points it
+// has just gathered, or a copy.
 func applyMutations(base []geom.Point, muts []mutation) []geom.Point {
-	if len(muts) == 0 {
-		return base
-	}
-	out := append(make([]geom.Point, 0, len(base)), base...)
+	out := base
 	for _, m := range muts {
 		switch m.kind {
 		case wal.KindAppend:
@@ -221,7 +219,7 @@ func (s *Store) rollbackMutation(name string, lsn uint64) bool {
 // published snapshot's points with every pending delta applied. This is the
 // sequence a from-scratch registration would need to converge to the same
 // state — the points endpoint serves it so shard mirror-healing stays
-// convergent mid-ingest. The returned slice must not be modified.
+// convergent mid-ingest. The slice is gathered for the call and the caller's.
 func (s *Store) LogicalPoints(name string) ([]geom.Point, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,7 +230,15 @@ func (s *Store) LogicalPoints(name string) ([]geom.Point, error) {
 	if e.snap == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotReady, name)
 	}
-	return applyMutations(e.snap.Points, e.pending), nil
+	return e.logicalPointsLocked(), nil
+}
+
+// logicalPointsLocked gathers e's published points in registration order,
+// with room for what the pending deltas append, and folds those in. e.snap is
+// not nil.
+func (e *entry) logicalPointsLocked() []geom.Point {
+	base := make([]geom.Point, 0, len(e.snap.order)+pendingPoints(e))
+	return applyMutations(e.snap.appendPoints(base), e.pending)
 }
 
 // Flush schedules an immediate compaction of name's pending deltas,
@@ -321,7 +327,7 @@ func (s *Store) compactLocked(e *entry) {
 	if e.state == StateQueued || e.state == StateBuilding {
 		return
 	}
-	merged := applyMutations(e.snap.Points, e.pending)
+	merged := e.logicalPointsLocked()
 	if len(merged) == 0 {
 		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", e.name)
 		return

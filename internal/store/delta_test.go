@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -346,7 +347,7 @@ func TestUnflushedDeltasReplayOnRestart(t *testing.T) {
 	if _, err := s.Delete("live", []geom.Point{base[3], base[77]}); err != nil {
 		t.Fatal(err)
 	}
-	want := applyMutations(base, []mutation{
+	want := applyMutations(slices.Clone(base), []mutation{
 		{kind: wal.KindAppend, pts: add},
 		{kind: wal.KindDelete, pts: []geom.Point{base[3], base[77]}},
 	})

@@ -232,12 +232,8 @@ type Snapshot struct {
 	Version uint64
 	// Fingerprint identifies the point data + build options.
 	Fingerprint string
-	// Points are the relation's points in registration order — the exact
-	// input that produced this snapshot, served by the points endpoint so a
-	// peer shard can re-register them and arrive at a bit-identical build
-	// (same fingerprint, same tree, same catalogs).
-	Points []geom.Point
-	// Tree is the data index (points included).
+	// Tree is the data index (points included): every Block.Points is a
+	// window of the one array flat, the relation's only resident copy.
 	Tree *index.Tree
 	// Count is the Count-Index derived from Tree.
 	Count *index.Tree
@@ -281,7 +277,32 @@ type Snapshot struct {
 	// store keeps all, for the peers a shard handoff registers next.
 	merges mergeRecs
 	seq    uint64 // publication order: a pair's merge goes to the younger one's side-file
+	// flat is Tree's point array, in depth-first leaf order; order[i] is where
+	// the i-th registered point sits in it (quadtree.Tree.Flat).
+	flat  []geom.Point
+	order []uint32
 }
+
+// Points returns the relation's points in registration order — the exact
+// input that produced this snapshot, which the points endpoint serves so a
+// peer shard can re-register them and arrive at a bit-identical build (same
+// fingerprint, same tree, same catalogs). A snapshot keeps them in tree order
+// only, so each call gathers a fresh slice of 16 bytes a point: the result is
+// the caller's, and a caller that wants a few points uses PointAt.
+func (sn *Snapshot) Points() []geom.Point {
+	return sn.appendPoints(make([]geom.Point, 0, len(sn.order)))
+}
+
+func (sn *Snapshot) appendPoints(dst []geom.Point) []geom.Point {
+	for _, at := range sn.order {
+		dst = append(dst, sn.flat[at])
+	}
+	return dst
+}
+
+// PointAt returns the i-th point in registration order, Points()[i], without
+// gathering the rest.
+func (sn *Snapshot) PointAt(i int) geom.Point { return sn.flat[sn.order[i]] }
 
 // Touch records one estimate served from this snapshot. The count is the
 // tuner's per-relation traffic signal: hot relations keep (or regain)
@@ -970,6 +991,7 @@ func (s *Store) runJob(name string) {
 		}
 		cur.state = StateFailed
 		cur.err = err.Error()
+		cur.pendingPts = nil // nothing builds from them again: a retry is a new registration or a compaction
 		s.republishLocked()
 		s.opt.logger().Printf("store: building %q: %v", name, err)
 		return
@@ -991,7 +1013,9 @@ type builtRelation struct {
 	density   *core.DensityBased
 	vgrid     *core.VirtualGrid
 	aknn      *aknn.Summary
-	pts       []geom.Point    // registration-order source points
+	pts       []geom.Point // registration-order source points; garbage once published
+	flat      []geom.Point // tree's point array and pts' positions in it: what the snapshot keeps
+	order     []uint32
 	fp        string          // fingerprint of pts at res
 	res       core.Resolution // the resolution the artifacts were built at
 	merges    mergeRecs       // fp's side-file records, when cache-loaded
@@ -1008,16 +1032,18 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		bounds = boundsOf(pts)
 	}
 	b := &builtRelation{pts: pts, res: res, fp: s.fingerprint(pts, res)}
-	b.tree = quadtree.Build(pts, quadtree.Options{
+	qt := quadtree.Build(pts, quadtree.Options{
 		Capacity: s.opt.IndexCapacity,
 		Bounds:   bounds,
-	}).Index()
+	})
+	b.tree = qt.Index()
 	if b.tree.NumBlocks() == 0 {
 		return nil, fmt.Errorf("relation %q indexed to zero blocks", name)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	b.flat, b.order = qt.Flat(pts)
 	b.count = b.tree.CountTree()
 	b.density = core.NewDensityBased(b.count)
 
@@ -1129,7 +1155,6 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 		Name:           e.name,
 		Version:        version,
 		Fingerprint:    b.fp,
-		Points:         b.pts,
 		Tree:           b.tree,
 		Count:          b.count,
 		Staircase:      b.staircase,
@@ -1144,6 +1169,8 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) {
 		ArtifactBytes:  stairBytes + vgBytes + aknnBytes,
 		hits:           e.hits,
 		merges:         b.merges,
+		flat:           b.flat,
+		order:          b.order,
 	}
 	s.pubSeq++
 	snap.seq = s.pubSeq

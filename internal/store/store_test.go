@@ -454,6 +454,26 @@ func TestWarmRestart(t *testing.T) {
 	}
 }
 
+// damageStaircaseSection flips one bit inside the staircase section of fp's
+// bundle under dir: damage that leaves the points section intact.
+func damageStaircaseSection(t *testing.T, dir, fp string) {
+	t.Helper()
+	path := (&diskCache{dir: dir}).bundlePath(fp)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading cached bundle: %v", err)
+	}
+	stairEntry := data[bundleTable+24*1:] // section table row 1: kind, offset, length
+	off, n := binary.LittleEndian.Uint64(stairEntry[8:]), binary.LittleEndian.Uint64(stairEntry[16:])
+	if string(data[off:off+7]) != "KNCSMAP" {
+		t.Fatalf("section 1 of the bundle starts %q, not a staircase", data[off:off+8])
+	}
+	data[off+n/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("corrupting cached bundle: %v", err)
+	}
+}
+
 // TestCorruptCacheFallsBackToRebuild: a hostile or damaged cache must never
 // surface an error or a wrong catalog — it is a miss, and the store
 // rebuilds. Damage to a bundle's derivable sections must not lose the
@@ -482,21 +502,7 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	}
 	closeStore(t, first)
 
-	// Flip one bit inside the bundle's staircase section.
-	path := (&diskCache{dir: dir}).bundlePath(fp)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading cached bundle: %v", err)
-	}
-	stairEntry := data[bundleTable+24*1:] // section table row 1: kind, offset, length
-	off, n := binary.LittleEndian.Uint64(stairEntry[8:]), binary.LittleEndian.Uint64(stairEntry[16:])
-	if string(data[off:off+7]) != "KNCSMAP" {
-		t.Fatalf("section 1 of the bundle starts %q, not a staircase", data[off:off+8])
-	}
-	data[off+n/2] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("corrupting cached bundle: %v", err)
-	}
+	damageStaircaseSection(t, dir, fp)
 
 	warm := newTestStore(t, opt)
 	waitReady(t, warm, "c")
@@ -509,7 +515,7 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	if err := warm.WaitSettled(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}
-	if got := warm.View().Relation("c").Points; !samePoints(got, append(slices.Clone(pts), extra...)) {
+	if got := warm.View().Relation("c").Points(); !samePoints(got, append(slices.Clone(pts), extra...)) {
 		t.Fatalf("relation restored from a damaged bundle has %d points, want the %d registered and the %d appended", len(got), len(pts), len(extra))
 	}
 	if _, err := warm.View().Relation("c").Staircase.EstimateSelect(geom.Point{X: 50, Y: 50}, 10); err != nil {
@@ -527,8 +533,8 @@ func TestCorruptCacheFallsBackToRebuild(t *testing.T) {
 	// Damage to the points themselves is the one loss the cache cannot make
 	// good: the salvaged points no longer hash to the registered
 	// fingerprint, so the relation is skipped rather than served wrong.
-	path = (&diskCache{dir: dir}).bundlePath(again.View().Relation("c").Fingerprint)
-	data, _ = os.ReadFile(path)
+	path := (&diskCache{dir: dir}).bundlePath(again.View().Relation("c").Fingerprint)
+	data, _ := os.ReadFile(path)
 	data[bundleHeader+1000] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -279,7 +279,7 @@ func TestSupersededBuildSweeps(t *testing.T) {
 	s = newTestStore(t, opt)
 	mustRegister(t, s, "r", gridPoints(400, 12))
 	snap := s.View().Relation("r")
-	if !samePoints(snap.Points, gridPoints(400, 13)) {
+	if !samePoints(snap.Points(), gridPoints(400, 13)) {
 		t.Fatal("the superseding registration did not win")
 	}
 	if got, want := catNames(t, opt.CacheDir), []string{snap.Fingerprint + ".knc"}; !slices.Equal(got, want) || s.CacheSweptFiles() != 1 {
@@ -316,11 +316,11 @@ func TestNoLockNoSweep(t *testing.T) {
 	if n := strings.Count(logged.String(), "not sweeping"); n != 1 {
 		t.Fatalf("%d log lines for five refused sweeps, want the first only:\n%s", n, logged.String())
 	}
-	want := s.View().Relation("a").Points
+	want := s.View().Relation("a").Points()
 	closeStore(t, s)
 	again := newTestStore(t, opt)
 	waitReady(t, again)
-	if n := again.CatalogBuilds(); n != 0 || !samePoints(again.View().Relation("a").Points, want) {
+	if n := again.CatalogBuilds(); n != 0 || !samePoints(again.View().Relation("a").Points(), want) {
 		t.Fatalf("restart without the lock built %d catalogs", n)
 	}
 }
@@ -489,8 +489,8 @@ func TestTwoScopesMutateConcurrently(t *testing.T) {
 		s := newTestStore(t, sweepOptions(t, dir, scope))
 		waitReady(t, s, "still", "m")
 		snap := s.View().Relation("m")
-		if !samePoints(snap.Points, want) {
-			t.Fatalf("scope %s restored %d points, want %d", scope, len(snap.Points), len(want))
+		if got := snap.Points(); !samePoints(got, want) {
+			t.Fatalf("scope %s restored %d points, want %d", scope, len(got), len(want))
 		}
 		assertBitExact(t, snap, fromScratch(t, want))
 		views = append(views, s.View())

@@ -164,7 +164,7 @@ func (s *Store) retuneLocked(e *entry, steps int, res core.Resolution) bool {
 	if e.state == StateQueued || e.state == StateBuilding {
 		return false
 	}
-	merged := applyMutations(e.snap.Points, e.pending)
+	merged := e.logicalPointsLocked()
 	if len(merged) == 0 {
 		return false
 	}
@@ -237,21 +237,22 @@ const tunerProbes = 8
 // deterministic stride of its own points, probing the catalog at its
 // shallow, middle and full depth.
 func snapshotQError(snap *Snapshot) float64 {
-	pts := snap.Points
-	if len(pts) == 0 {
+	n := len(snap.order)
+	if n == 0 {
 		return 1
 	}
-	stride := max(1, len(pts)/tunerProbes)
+	stride := max(1, n/tunerProbes)
 	maxK := snap.Resolution.MaxK
 	ks := []int{1, max(1, maxK/4), maxK}
 	worst := 1.0
-	for i := 0; i < len(pts); i += stride {
+	for i := 0; i < n; i += stride {
+		p := snap.PointAt(i)
 		for _, k := range ks {
-			est, err := snap.Staircase.EstimateSelect(pts[i], k)
+			est, err := snap.Staircase.EstimateSelect(p, k)
 			if err != nil {
 				continue
 			}
-			act := float64(knn.SelectCost(snap.Tree, pts[i], k))
+			act := float64(knn.SelectCost(snap.Tree, p, k))
 			if q := qError(est, act); q > worst {
 				worst = q
 			}
