@@ -27,22 +27,21 @@ cover:
 race:
 	sh scripts/check.sh race
 
-# One iteration of every benchmark: catches benchmarks that panic or
-# regress to building their fixture per op, without the full measurement
-# cost.
+# One iteration of every benchmark; scripts/check.sh owns the command.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
+	sh scripts/check.sh bench
 
 # The repository gate, documented in README.md; scripts/check.sh is its one
 # definition.
 check:
 	sh scripts/check.sh
 
-# Estimator-accuracy regression gate: audit every estimation technique
-# against the brute-force oracle, print the per-technique pass/fail table,
-# and fail if an exact-equality invariant breaks or a q-error quantile
-# degrades beyond 10% of results/ACCURACY_BASELINE.json. Refresh the golden
-# file with:
+# Estimator-accuracy regression gate: measure every estimation technique's
+# q-error against the true costs on the oracle corpus, print the
+# per-technique pass/fail table, and fail if a technique goes missing or a
+# q-error quantile degrades beyond 10% of results/ACCURACY_BASELINE.json
+# (the exact-equality invariants are the oracle suite's, in `make test`).
+# Refresh the golden file with:
 #   go run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json -update-baseline
 accuracy:
 	$(GO) run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"knncost/internal/core"
-	"knncost/internal/knn"
 )
 
 // Ablation compares the staircase design choices the paper fixes without
@@ -34,35 +33,19 @@ func Ablation(e *Env) (*Table, error) {
 	}
 	density := core.NewDensityBased(tree.CountTree())
 
-	var small, big, all ablationBucket
-	estimators := []core.SelectEstimator{cc, co, cq, density}
-
 	rng := e.rng(99)
 	queries := e.queryPoints(cfg.SelectQueries, cfg.MaxScale, rng)
-	for _, q := range queries {
-		k := 1 + rng.Intn(cfg.MaxK)
-		actual := float64(knn.SelectCost(tree, q, k))
-		if actual == 0 {
-			continue
-		}
-		var errs [4]float64
-		for i, est := range estimators {
-			v, err := est.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
+	var small, big, all errSum
+	if err := selectErrors(tree, queries, randomKs(rng, len(queries), cfg.MaxK),
+		[]core.SelectEstimator{cc, co, cq, density}, func(actual float64, errs []float64) {
+			all.add(actual, errs)
+			if actual > 5 {
+				big.add(actual, errs)
+			} else {
+				small.add(actual, errs)
 			}
-			errs[i] = errRatio(v, actual)
-		}
-		magnitude := &small
-		if actual > 5 {
-			magnitude = &big
-		}
-		for _, b := range []*ablationBucket{&all, magnitude} {
-			for i := range errs {
-				b.sum[i] += errs[i]
-			}
-			b.n++
-		}
+		}); err != nil {
+		return nil, err
 	}
 
 	t := &Table{
@@ -74,26 +57,20 @@ func Ablation(e *Env) (*Table, error) {
 	}
 	for _, row := range []struct {
 		name string
-		b    *ablationBucket
+		b    *errSum
 	}{{"all", &all}, {"cost<=5", &small}, {"cost>5", &big}} {
 		if row.b.n == 0 {
 			continue
 		}
-		t.AddRow(row.name, fmt.Sprintf("%.0f", row.b.n),
-			fmt.Sprintf("%.3f", row.b.sum[0]/row.b.n),
-			fmt.Sprintf("%.3f", row.b.sum[2]/row.b.n),
-			fmt.Sprintf("%.3f", row.b.sum[1]/row.b.n),
-			fmt.Sprintf("%.3f", row.b.sum[3]/row.b.n),
+		n := float64(row.b.n)
+		t.AddRow(row.name, fmt.Sprintf("%d", row.b.n),
+			fmt.Sprintf("%.3f", row.b.errs[0]/n),
+			fmt.Sprintf("%.3f", row.b.errs[2]/n),
+			fmt.Sprintf("%.3f", row.b.errs[1]/n),
+			fmt.Sprintf("%.3f", row.b.errs[3]/n),
 			fmt.Sprintf("%d", cc.StorageBytes()),
 			fmt.Sprintf("%d", cq.StorageBytes()),
 			fmt.Sprintf("%d", co.StorageBytes()))
 	}
 	return t, nil
-}
-
-// ablationBucket accumulates per-estimator error sums for one cost-range
-// bucket of the ablation study.
-type ablationBucket struct {
-	sum [4]float64
-	n   float64
 }

@@ -5,7 +5,6 @@ import (
 
 	"knncost/internal/core"
 	"knncost/internal/datagen"
-	"knncost/internal/knn"
 	"knncost/internal/quadtree"
 )
 
@@ -43,39 +42,18 @@ func CapacitySweep(e *Env) (*Table, error) {
 
 		rng := e.rng(int64(7000 + capacity))
 		queries := e.queryPoints(cfg.SelectQueries, cfg.MaxScale, rng)
-		var sumCC, sumCO, sumD, sumActual float64
-		counted := 0
-		for _, q := range queries {
-			k := 1 + rng.Intn(cfg.MaxK)
-			actual := float64(knn.SelectCost(tree, q, k))
-			if actual == 0 {
-				continue
-			}
-			est, err := cc.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumCC += errRatio(est, actual)
-			est, err = co.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumCO += errRatio(est, actual)
-			est, err = density.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumD += errRatio(est, actual)
-			sumActual += actual
-			counted++
+		var sum errSum
+		if err := selectErrors(tree, queries, randomKs(rng, len(queries), cfg.MaxK),
+			[]core.SelectEstimator{cc, co, density}, sum.add); err != nil {
+			return nil, err
 		}
-		n := float64(counted)
+		n := float64(sum.n)
 		t.AddRow(fmt.Sprintf("%d", capacity),
 			fmt.Sprintf("%d", tree.NumBlocks()),
-			fmt.Sprintf("%.1f", sumActual/n),
-			fmt.Sprintf("%.3f", sumCC/n),
-			fmt.Sprintf("%.3f", sumCO/n),
-			fmt.Sprintf("%.3f", sumD/n))
+			fmt.Sprintf("%.1f", sum.actual/n),
+			fmt.Sprintf("%.3f", sum.errs[0]/n),
+			fmt.Sprintf("%.3f", sum.errs[1]/n),
+			fmt.Sprintf("%.3f", sum.errs[2]/n))
 	}
 	return t, nil
 }

@@ -8,6 +8,8 @@ import (
 	"knncost/internal/datagen"
 	"knncost/internal/geom"
 	"knncost/internal/index"
+	"knncost/internal/knn"
+	"knncost/internal/knnjoin"
 	"knncost/internal/quadtree"
 )
 
@@ -266,4 +268,84 @@ func errRatio(est, actual float64) float64 {
 		d = -d
 	}
 	return d / actual
+}
+
+// randomKs draws n values of k uniformly from [1, maxK], the paper's
+// "random value of k".
+func randomKs(rng *rand.Rand, n, maxK int) []int {
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = 1 + rng.Intn(maxK)
+	}
+	return ks
+}
+
+// errSum accumulates per-estimator error ratios (up to four estimators, the
+// most any figure compares), and the true cost, over the queries it counted.
+type errSum struct {
+	errs   [4]float64
+	actual float64
+	n      int
+}
+
+func (s *errSum) add(actual float64, errs []float64) {
+	for i, v := range errs {
+		s.errs[i] += v
+	}
+	s.actual += actual
+	s.n++
+}
+
+// selectErrors is the figures' one k-NN-Select error loop: for every query
+// whose true cost knn.SelectCost(tree, queries[i], ks[i]) is non-zero, it
+// passes that cost and each estimator's error ratio against it to visit.
+func selectErrors(tree *index.Tree, queries []geom.Point, ks []int, ests []core.SelectEstimator, visit func(actual float64, errs []float64)) error {
+	errs := make([]float64, len(ests))
+	for i, q := range queries {
+		actual := float64(knn.SelectCost(tree, q, ks[i]))
+		if actual == 0 {
+			continue
+		}
+		for j, est := range ests {
+			v, err := est.EstimateSelect(q, ks[i])
+			if err != nil {
+				return err
+			}
+			errs[j] = errRatio(v, actual)
+		}
+		visit(actual, errs)
+	}
+	return nil
+}
+
+// joinTruth is five random ks and the true k-NN-Join cost at each; the
+// join figures average each estimator's error over them.
+type joinTruth struct {
+	ks      []int
+	actuals []float64
+}
+
+func newJoinTruth(rng *rand.Rand, maxK int, outer, inner *index.Tree) joinTruth {
+	t := joinTruth{ks: randomKs(rng, 5, maxK)}
+	for _, k := range t.ks {
+		t.actuals = append(t.actuals, float64(knnjoin.Cost(outer, inner, k)))
+	}
+	return t
+}
+
+// meanErrors is the figures' one k-NN-Join error loop: each estimator's
+// error ratio averaged over the ks.
+func (t joinTruth) meanErrors(ests ...core.JoinEstimator) ([]float64, error) {
+	means := make([]float64, len(ests))
+	for j, est := range ests {
+		for i, k := range t.ks {
+			v, err := est.EstimateJoin(k)
+			if err != nil {
+				return nil, err
+			}
+			means[j] += errRatio(v, t.actuals[i])
+		}
+		means[j] /= float64(len(t.ks))
+	}
+	return means, nil
 }

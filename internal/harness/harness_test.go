@@ -323,3 +323,84 @@ func TestRunUnknownFigure(t *testing.T) {
 		t.Error("unknown figure should error")
 	}
 }
+
+// TestQuickFiguresUnchanged pins the deterministic tables of the quick
+// configuration byte for byte against testdata/quick: every table without
+// a timing column, and fig24's err_ratio and storage_B columns.
+func TestQuickFiguresUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness figures are slow")
+	}
+	e := NewEnv(Quick())
+	var tables []*Table
+	for _, id := range []string{"fig2", "fig4", "fig7", "fig11", "fig14", "fig15", "fig16", "fig20", "fig22", "ablation", "capacity"} {
+		got, err := figures[id](e, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		tables = append(tables, got...)
+	}
+	fig24, err := Fig24(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := &Table{ID: fig24.ID}
+	keep := []int{0, 2, 3} // technique, err_ratio, storage_B
+	for _, c := range keep {
+		pinned.Columns = append(pinned.Columns, fig24.Columns[c])
+	}
+	for _, row := range fig24.Rows {
+		var cells []string
+		for _, c := range keep {
+			cells = append(cells, row[c])
+		}
+		pinned.AddRow(cells...)
+	}
+	tables = append(tables, pinned)
+
+	for _, tab := range tables {
+		want, err := os.ReadFile(filepath.Join("testdata", "quick", tab.ID+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := tab.CSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s changed:\n got:\n%s\nwant:\n%s", tab.ID, got.String(), want)
+		}
+	}
+}
+
+// TestFig10NeedsOutDir checks that fig10 without an output directory
+// writes nothing, into the working directory least of all, and says why.
+func TestFig10NeedsOutDir(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	var out bytes.Buffer
+	if err := Run(NewEnv(Quick()), []string{"fig10"}, RunOptions{Stdout: &out}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("fig10 with no output directory left %v in the working directory", entries)
+	}
+	if !strings.Contains(out.String(), "-out") {
+		t.Errorf("fig10 does not say it needs -out: %q", out.String())
+	}
+}

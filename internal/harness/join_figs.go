@@ -6,7 +6,6 @@ import (
 
 	"knncost/internal/core"
 	"knncost/internal/index"
-	"knncost/internal/knnjoin"
 )
 
 // Fig07 reproduces Figure 7: the locality size of one outer block is
@@ -37,19 +36,11 @@ func Fig15(e *Env) (*Table, error) {
 	cfg := e.cfg
 	outer := e.Tree(cfg.MaxScale).CountTree()
 	inner := e.ensureJoinInner().CountTree()
-	rng := e.rng(15)
 	// A handful of random k values, averaged ("a random value of k").
-	ks := make([]int, 5)
-	for i := range ks {
-		ks[i] = 1 + rng.Intn(cfg.MaxK)
-	}
-	actuals := make([]float64, len(ks))
-	for i, k := range ks {
-		actuals[i] = float64(knnjoin.Cost(outer, inner, k))
-	}
+	truth := newJoinTruth(e.rng(15), cfg.MaxK, outer, inner)
 	t := &Table{
 		ID:      "fig15",
-		Title:   fmt.Sprintf("k-NN-Join estimation accuracy vs sample size (avg over k=%v)", ks),
+		Title:   fmt.Sprintf("k-NN-Join estimation accuracy vs sample size (avg over k=%v)", truth.ks),
 		Columns: []string{"sample_size", "err_catalog_merge", "err_block_sample"},
 	}
 	maxSample := numNonEmpty(outer)
@@ -58,24 +49,13 @@ func Fig15(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bs := core.NewBlockSample(outer, inner, s)
-		var sumCM, sumBS float64
-		for i, k := range ks {
-			est, err := cm.EstimateJoin(k)
-			if err != nil {
-				return nil, err
-			}
-			sumCM += errRatio(est, actuals[i])
-			est, err = bs.EstimateJoin(k)
-			if err != nil {
-				return nil, err
-			}
-			sumBS += errRatio(est, actuals[i])
+		errs, err := truth.meanErrors(cm, core.NewBlockSample(outer, inner, s))
+		if err != nil {
+			return nil, err
 		}
-		n := float64(len(ks))
 		t.AddRow(fmt.Sprintf("%d", s),
-			fmt.Sprintf("%.3f", sumCM/n),
-			fmt.Sprintf("%.3f", sumBS/n))
+			fmt.Sprintf("%.3f", errs[0]),
+			fmt.Sprintf("%.3f", errs[1]))
 	}
 	return t, nil
 }
@@ -86,18 +66,10 @@ func Fig16(e *Env) (*Table, error) {
 	cfg := e.cfg
 	outer := e.Tree(cfg.MaxScale).CountTree()
 	inner := e.ensureJoinInner().CountTree()
-	rng := e.rng(16)
-	ks := make([]int, 5)
-	for i := range ks {
-		ks[i] = 1 + rng.Intn(cfg.MaxK)
-	}
-	actuals := make([]float64, len(ks))
-	for i, k := range ks {
-		actuals[i] = float64(knnjoin.Cost(outer, inner, k))
-	}
+	truth := newJoinTruth(e.rng(16), cfg.MaxK, outer, inner)
 	t := &Table{
 		ID:      "fig16",
-		Title:   fmt.Sprintf("Virtual-Grid estimation accuracy vs grid size (avg over k=%v)", ks),
+		Title:   fmt.Sprintf("Virtual-Grid estimation accuracy vs grid size (avg over k=%v)", truth.ks),
 		Columns: []string{"grid", "err_virtual_grid"},
 	}
 	for _, g := range []int{4, 8, 12, 16, 20} {
@@ -105,15 +77,11 @@ func Fig16(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sum float64
-		for i, k := range ks {
-			est, err := vg.EstimateJoin(outer, k)
-			if err != nil {
-				return nil, err
-			}
-			sum += errRatio(est, actuals[i])
+		errs, err := truth.meanErrors(vg.Bind(outer))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%dx%d", g, g), fmt.Sprintf("%.3f", sum/float64(len(ks))))
+		t.AddRow(fmt.Sprintf("%dx%d", g, g), fmt.Sprintf("%.3f", errs[0]))
 	}
 	return t, nil
 }

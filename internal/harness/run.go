@@ -19,7 +19,8 @@ func FigureIDs() []string {
 }
 
 // figures maps experiment IDs to runners. Each runner returns the tables it
-// produced (fig10 returns none: it writes an SVG next to the CSV output).
+// produced (fig10 returns none: it writes an SVG next to the CSV output, and
+// nothing when there is no output directory).
 var figures = map[string]func(e *Env, opts RunOptions) ([]*Table, error){
 	"fig2": func(e *Env, _ RunOptions) ([]*Table, error) {
 		return []*Table{Fig02(e)}, nil
@@ -31,6 +32,10 @@ var figures = map[string]func(e *Env, opts RunOptions) ([]*Table, error){
 		return []*Table{Fig07(e)}, nil
 	},
 	"fig10": func(e *Env, opts RunOptions) ([]*Table, error) {
+		if opts.OutDir == "" {
+			fmt.Fprintln(opts.Stdout, "fig10 — skipped: the SVG needs an output directory (knnbench -out)")
+			return nil, nil
+		}
 		path := filepath.Join(opts.OutDir, "fig10.svg")
 		f, err := os.Create(path)
 		if err != nil {

@@ -108,37 +108,18 @@ func Fig11(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree := e.Tree(scale)
 		rng := e.rng(int64(1100 + scale))
 		queries := e.queryPoints(cfg.SelectQueries, scale, rng)
-		var sumCC, sumCO, sumD float64
-		for _, q := range queries {
-			k := 1 + rng.Intn(cfg.MaxK)
-			actual := float64(knn.SelectCost(tree, q, k))
-			if actual == 0 {
-				continue
-			}
-			est, err := cc.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumCC += errRatio(est, actual)
-			est, err = co.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumCO += errRatio(est, actual)
-			est, err = density.EstimateSelect(q, k)
-			if err != nil {
-				return nil, err
-			}
-			sumD += errRatio(est, actual)
+		var sum errSum
+		if err := selectErrors(e.Tree(scale), queries, randomKs(rng, len(queries), cfg.MaxK),
+			[]core.SelectEstimator{cc, co, density}, sum.add); err != nil {
+			return nil, err
 		}
 		n := float64(len(queries))
 		t.AddRow(fmt.Sprintf("%d", scale),
-			fmt.Sprintf("%.3f", sumCC/n),
-			fmt.Sprintf("%.3f", sumCO/n),
-			fmt.Sprintf("%.3f", sumD/n))
+			fmt.Sprintf("%.3f", sum.errs[0]/n),
+			fmt.Sprintf("%.3f", sum.errs[1]/n),
+			fmt.Sprintf("%.3f", sum.errs[2]/n))
 	}
 	return t, nil
 }

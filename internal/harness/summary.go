@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"knncost/internal/core"
-	"knncost/internal/knn"
-	"knncost/internal/knnjoin"
 )
 
 // Fig24 reproduces Figure 24, the qualitative pros/cons summary of every
@@ -29,12 +27,7 @@ func Fig24(e *Env) (*Table, error) {
 
 	// --- k-NN-Select techniques ---
 	queries := e.queryPoints(200, cfg.MaxScale, rng)
-	ks := make([]int, len(queries))
-	actuals := make([]float64, len(queries))
-	for i := range queries {
-		ks[i] = 1 + rng.Intn(cfg.MaxK)
-		actuals[i] = float64(knn.SelectCost(tree, queries[i], ks[i]))
-	}
+	ks := randomKs(rng, len(queries), cfg.MaxK)
 	selectRow := func(name string, build func() (core.SelectEstimator, int, error)) error {
 		start := time.Now()
 		est, storage, err := build()
@@ -42,13 +35,9 @@ func Fig24(e *Env) (*Table, error) {
 			return err
 		}
 		preprocess := time.Since(start)
-		var sumErr float64
-		for i := range queries {
-			v, err := est.EstimateSelect(queries[i], ks[i])
-			if err != nil {
-				return err
-			}
-			sumErr += errRatio(v, actuals[i])
+		var sum errSum
+		if err := selectErrors(tree, queries, ks, []core.SelectEstimator{est}, sum.add); err != nil {
+			return err
 		}
 		i := 0
 		perOp := timeOp(func() {
@@ -59,7 +48,7 @@ func Fig24(e *Env) (*Table, error) {
 		})
 		t.AddRow(name,
 			fmt.Sprintf("%d", perOp.Nanoseconds()),
-			fmt.Sprintf("%.3f", sumErr/float64(len(queries))),
+			fmt.Sprintf("%.3f", sum.errs[0]/float64(len(queries))),
 			fmt.Sprintf("%d", storage),
 			fmt.Sprintf("%.3f", preprocess.Seconds()))
 		return nil
@@ -89,12 +78,7 @@ func Fig24(e *Env) (*Table, error) {
 	}
 
 	// --- k-NN-Join techniques ---
-	joinKs := make([]int, 5)
-	joinActuals := make([]float64, len(joinKs))
-	for i := range joinKs {
-		joinKs[i] = 1 + rng.Intn(cfg.MaxK)
-		joinActuals[i] = float64(knnjoin.Cost(count, inner, joinKs[i]))
-	}
+	truth := newJoinTruth(rng, cfg.MaxK, count, inner)
 	joinRow := func(name string, build func() (core.JoinEstimator, int, error)) error {
 		start := time.Now()
 		est, storage, err := build()
@@ -102,22 +86,18 @@ func Fig24(e *Env) (*Table, error) {
 			return err
 		}
 		preprocess := time.Since(start)
-		var sumErr float64
-		for i := range joinKs {
-			v, err := est.EstimateJoin(joinKs[i])
-			if err != nil {
-				return err
-			}
-			sumErr += errRatio(v, joinActuals[i])
+		errs, err := truth.meanErrors(est)
+		if err != nil {
+			return err
 		}
 		i := 0
 		perOp := timeOp(func() {
-			mustJoinEstimate(est.EstimateJoin(joinKs[i%len(joinKs)]))
+			mustJoinEstimate(est.EstimateJoin(truth.ks[i%len(truth.ks)]))
 			i++
 		})
 		t.AddRow(name,
 			fmt.Sprintf("%d", perOp.Nanoseconds()),
-			fmt.Sprintf("%.3f", sumErr/float64(len(joinKs))),
+			fmt.Sprintf("%.3f", errs[0]),
 			fmt.Sprintf("%d", storage),
 			fmt.Sprintf("%.3f", preprocess.Seconds()))
 		return nil

@@ -192,9 +192,9 @@ var staircaseModes = []struct {
 // same anchors, same interpolation arithmetic, but literal simulations and
 // naive traversal instead of catalogs and heaps. Fallback paths (k > MaxK,
 // query outside the index) are covered by the corpus's k sweep and
-// outside-MBR queries.
+// outside-MBR queries. MaxK 100 and 64 are the accuracy audit's full
+// resolution and its first tuner rung.
 func TestEstimatorsMatchOracleReferences(t *testing.T) {
-	const maxK = 40
 	for _, w := range testCorpus(t) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -205,20 +205,22 @@ func TestEstimatorsMatchOracleReferences(t *testing.T) {
 			fallback := func(q geom.Point, k int) (float64, error) {
 				return oracle.DensityEstimate(count, q, k)
 			}
-			for _, m := range staircaseModes {
-				stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: maxK, Mode: m.core})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, q := range w.Queries {
-					for _, k := range append(w.Ks, maxK+9) {
-						got, gotErr := stair.EstimateSelect(q, k)
-						want, wantErr := oracle.StaircaseEstimate(tree, m.oracle, q, k, maxK, fallback)
-						if (gotErr != nil) != (wantErr != nil) {
-							t.Fatalf("%s(%v, k=%d) err %v, oracle err %v", m.name, q, k, gotErr, wantErr)
-						}
-						if got != want {
-							t.Fatalf("%s(%v, k=%d) = %v, oracle %v", m.name, q, k, got, want)
+			for _, maxK := range []int{40, 64, 100} {
+				for _, m := range staircaseModes {
+					stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: maxK, Mode: m.core})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range w.Queries {
+						for _, k := range append(w.Ks, maxK+9) {
+							got, gotErr := stair.EstimateSelect(q, k)
+							want, wantErr := oracle.StaircaseEstimate(tree, m.oracle, q, k, maxK, fallback)
+							if (gotErr != nil) != (wantErr != nil) {
+								t.Fatalf("%s@%d(%v, k=%d) err %v, oracle err %v", m.name, maxK, q, k, gotErr, wantErr)
+							}
+							if got != want {
+								t.Fatalf("%s@%d(%v, k=%d) = %v, oracle %v", m.name, maxK, q, k, got, want)
+							}
 						}
 					}
 				}
@@ -237,13 +239,10 @@ func TestEstimatorsMatchOracleReferences(t *testing.T) {
 }
 
 // TestJoinEstimatorsMatchOracleReferences does the same for the three join
-// estimators, including the k > MaxK clamping path.
+// estimators, including the k > MaxK clamping path, at sample 7 and at
+// MaxK 60 and 100 — the accuracy audit's resolution, with its grid rung 2x2.
 func TestJoinEstimatorsMatchOracleReferences(t *testing.T) {
-	const (
-		maxK   = 60
-		sample = 7
-		gridN  = 5
-	)
+	const sample = 7
 	ws := testCorpus(t)
 	for i := range ws {
 		outerW, innerW := ws[i], ws[(i+1)%len(ws)]
@@ -252,29 +251,32 @@ func TestJoinEstimatorsMatchOracleReferences(t *testing.T) {
 			outer := buildTree(t, outerW.Points, 32).CountTree()
 			inner := buildTree(t, innerW.Points, 32).CountTree()
 			bs := core.NewBlockSample(outer, inner, sample)
-			cm, err := core.BuildCatalogMerge(outer, inner, sample, maxK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vg, err := core.BuildVirtualGrid(inner, gridN, gridN, maxK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 2, 9, 33, maxK, maxK + 11} {
-				got, err := bs.EstimateJoin(k)
-				want, wantErr := oracle.BlockSampleEstimate(outer, inner, sample, k)
-				if err != nil || wantErr != nil || got != want {
-					t.Fatalf("blocksample(k=%d) = %v,%v; oracle %v,%v", k, got, err, want, wantErr)
+			for _, res := range []struct{ maxK, gridN int }{{60, 5}, {100, 5}, {100, 2}} {
+				maxK, gridN := res.maxK, res.gridN
+				cm, err := core.BuildCatalogMerge(outer, inner, sample, maxK)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, err = cm.EstimateJoin(k)
-				want, wantErr = oracle.CatalogMergeEstimate(outer, inner, sample, maxK, k)
-				if err != nil || wantErr != nil || got != want {
-					t.Fatalf("catalogmerge(k=%d) = %v,%v; oracle %v,%v", k, got, err, want, wantErr)
+				vg, err := core.BuildVirtualGrid(inner, gridN, gridN, maxK)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, err = vg.EstimateJoin(outer, k)
-				want, wantErr = oracle.VirtualGridEstimate(outer, inner, gridN, gridN, maxK, k)
-				if err != nil || wantErr != nil || got != want {
-					t.Fatalf("virtualgrid(k=%d) = %v,%v; oracle %v,%v", k, got, err, want, wantErr)
+				for _, k := range []int{1, 2, 9, 33, maxK, maxK + 11} {
+					got, err := bs.EstimateJoin(k)
+					want, wantErr := oracle.BlockSampleEstimate(outer, inner, sample, k)
+					if err != nil || wantErr != nil || got != want {
+						t.Fatalf("blocksample(k=%d) = %v,%v; oracle %v,%v", k, got, err, want, wantErr)
+					}
+					got, err = cm.EstimateJoin(k)
+					want, wantErr = oracle.CatalogMergeEstimate(outer, inner, sample, maxK, k)
+					if err != nil || wantErr != nil || got != want {
+						t.Fatalf("catalogmerge@%d(k=%d) = %v,%v; oracle %v,%v", maxK, k, got, err, want, wantErr)
+					}
+					got, err = vg.EstimateJoin(outer, k)
+					want, wantErr = oracle.VirtualGridEstimate(outer, inner, gridN, gridN, maxK, k)
+					if err != nil || wantErr != nil || got != want {
+						t.Fatalf("virtualgrid %dx%d@%d(k=%d) = %v,%v; oracle %v,%v", gridN, gridN, maxK, k, got, err, want, wantErr)
+					}
 				}
 			}
 		})
