@@ -75,7 +75,7 @@ type DensityEstimator = core.DensityBased
 // NewDensityEstimator creates the density-based estimator over ix's
 // Count-Index.
 func NewDensityEstimator(ix *Index) *DensityEstimator {
-	return core.NewDensityBased(ix.count)
+	return core.NewDensityBased(ix.tree)
 }
 
 // JoinPair is one k-NN-Join result tuple.
@@ -95,7 +95,7 @@ func JoinKNN(outer, inner *Index, k int, emit func(JoinPair)) JoinStats {
 // JoinKNNCost returns the true block-scan cost of (outer ⋉_knn inner)
 // under locality-based processing, computed from counts alone.
 func JoinKNNCost(outer, inner *Index, k int) int {
-	return knnjoin.Cost(outer.count, inner.count, k)
+	return knnjoin.Cost(outer.tree, inner.tree, k)
 }
 
 // AknnPair is one result tuple of the bounds-only AkNN join.
@@ -117,7 +117,7 @@ func JoinAkNN(outer, inner *Index, k int, emit func(AknnPair)) AknnStats {
 // bounds-only processing — candidate inner points scanned — computed from
 // partition bounds and counts alone.
 func JoinAkNNCost(outer, inner *Index, k int) int {
-	return aknn.Cost(outer.count, inner.count, k)
+	return aknn.Cost(outer.tree, inner.tree, k)
 }
 
 // AknnSummary is the per-inner-relation artifact of the aknn-bounds join
@@ -126,14 +126,14 @@ type AknnSummary = aknn.Summary
 
 // NewAknnSummary summarizes inner for the bounds-only AkNN cost model.
 func NewAknnSummary(inner *Index) *AknnSummary {
-	return aknn.BuildSummary(inner.count)
+	return aknn.BuildSummary(inner.tree)
 }
 
 // NewAknnBoundsEstimator creates the aknn-bounds join estimator for
 // (outer ⋉_aknn inner); sampleSize <= 0 uses every outer block (exact:
 // the estimate equals JoinAkNNCost).
 func NewAknnBoundsEstimator(outer, inner *Index, sampleSize int) JoinEstimator {
-	return aknn.BuildSummary(inner.count).Bind(outer.count, sampleSize)
+	return aknn.BuildSummary(inner.tree).Bind(outer.tree, sampleSize)
 }
 
 // LoadAknnSummary reloads a summary previously saved with its WriteTo
@@ -149,7 +149,7 @@ type BlockSampleEstimator = core.BlockSample
 // (outer ⋉_knn inner) with the given sample size; sampleSize <= 0 uses
 // every outer block (exact, slowest).
 func NewBlockSampleEstimator(outer, inner *Index, sampleSize int) *BlockSampleEstimator {
-	return core.NewBlockSample(outer.count, inner.count, sampleSize)
+	return core.NewBlockSample(outer.tree, inner.tree, sampleSize)
 }
 
 // CatalogMergeEstimator is the precomputed-catalog join estimator (§4.2):
@@ -161,7 +161,7 @@ type CatalogMergeEstimator = core.CatalogMerge
 // (outer ⋉_knn inner). sampleSize <= 0 uses every outer block; maxK <= 0
 // uses the default.
 func NewCatalogMergeEstimator(outer, inner *Index, sampleSize, maxK int) (*CatalogMergeEstimator, error) {
-	return core.BuildCatalogMerge(outer.count, inner.count, sampleSize, maxK)
+	return core.BuildCatalogMerge(outer.tree, inner.tree, sampleSize, maxK)
 }
 
 // VirtualGridEstimator is the linear-storage join estimator (§4.3): built
@@ -174,7 +174,7 @@ type VirtualGridEstimator struct {
 // NewVirtualGridEstimator precomputes per-cell locality catalogs for inner
 // over an nx × ny virtual grid. maxK <= 0 uses the default.
 func NewVirtualGridEstimator(inner *Index, nx, ny, maxK int) (*VirtualGridEstimator, error) {
-	vg, err := core.BuildVirtualGrid(inner.count, nx, ny, maxK)
+	vg, err := core.BuildVirtualGrid(inner.tree, nx, ny, maxK)
 	if err != nil {
 		return nil, err
 	}
@@ -184,12 +184,12 @@ func NewVirtualGridEstimator(inner *Index, nx, ny, maxK int) (*VirtualGridEstima
 // EstimateJoin predicts the cost of (outer ⋉_knn inner) for the inner
 // relation this estimator was built over.
 func (v *VirtualGridEstimator) EstimateJoin(outer *Index, k int) (float64, error) {
-	return v.vg.EstimateJoin(outer.count, k)
+	return v.vg.EstimateJoin(outer.tree, k)
 }
 
 // Bind fixes an outer relation, yielding a JoinEstimator for the pair.
 func (v *VirtualGridEstimator) Bind(outer *Index) JoinEstimator {
-	return v.vg.Bind(outer.count)
+	return v.vg.Bind(outer.tree)
 }
 
 // StorageBytes returns the serialized size of the per-cell catalogs.

@@ -414,6 +414,29 @@ func TestVirtualGridAccuracy(t *testing.T) {
 	}
 }
 
+// VirtualGrid.EstimateJoin derives each cell's bounds from the grid's bounds
+// and shape instead of reading them from a stored array, and allocates
+// nothing for it: zero per estimate, at every grid size, as before.
+func TestVirtualGridEstimateJoinZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	bounds := geom.NewRect(0, 0, 100, 100)
+	outer := buildIx(clusteredPoints(rng, 3000, bounds), bounds, 32)
+	inner := buildIx(randPoints(rng, 2000, bounds), bounds, 32)
+	for _, g := range []int{1, 10, 33} {
+		vg, err := BuildVirtualGrid(inner, g, g, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := vg.EstimateJoin(outer, 17); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("grid %dx%d: EstimateJoin allocates %.1f times per call, want 0", g, g, allocs)
+		}
+	}
+}
+
 // Every outer block must be attributed to exactly one grid cell, whatever
 // the grid size — the O(n_o) invariant of §4.3.2.
 func TestVirtualGridAttributionPartition(t *testing.T) {
@@ -428,8 +451,8 @@ func TestVirtualGridAttributionPartition(t *testing.T) {
 		}
 		attributed := 0
 		counts := map[int]int{}
-		for i, cell := range vg.cells {
-			outer.VisitRange(cell, func(o *index.Block) {
+		for i := range vg.catalogs {
+			outer.VisitRange(vg.cell(i), func(o *index.Block) {
 				if vg.attributedTo(o, i) {
 					counts[o.ID]++
 					attributed++

@@ -169,8 +169,7 @@ func (c *CatalogMerge) Catalog() *catalog.Catalog { return c.merged }
 // grid size — the behaviour Figures 16 and 19 report. DESIGN.md §3 records
 // this interpretation of the paper's prose.
 type VirtualGrid struct {
-	cells    []geom.Rect // row-major
-	catalogs []*catalog.Catalog
+	catalogs []catalog.Catalog // row-major, one per cell
 	bounds   geom.Rect
 	nx, ny   int
 	maxK     int
@@ -194,21 +193,25 @@ func BuildVirtualGrid(inner *index.Tree, nx, ny, maxK int) (*VirtualGrid, error)
 	if bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, errors.New("core: inner index has degenerate bounds")
 	}
-	cells := grid.Cells(bounds, nx, ny)
 	v := &VirtualGrid{
-		cells:    cells,
-		catalogs: make([]*catalog.Catalog, len(cells)),
+		catalogs: make([]catalog.Catalog, nx*ny),
 		bounds:   bounds,
 		nx:       nx,
 		ny:       ny,
 		maxK:     maxK,
 	}
 	// Per-cell catalogs are independent; build them on all cores.
-	_ = forEachIndexed(len(cells), 0, func(i int) error {
-		v.catalogs[i] = BuildLocalityCatalog(inner, cells[i], maxK)
+	_ = forEachIndexed(len(v.catalogs), 0, func(i int) error {
+		v.catalogs[i] = *BuildLocalityCatalog(inner, v.cell(i), maxK)
 		return nil
 	})
 	return v, nil
+}
+
+// cell returns the bounds of cell i (row-major), derived the way grid.Grid
+// derives its cells, bit for bit.
+func (v *VirtualGrid) cell(i int) geom.Rect {
+	return grid.CellRect(v.bounds, v.nx, v.ny, i%v.nx, i/v.nx)
 }
 
 // EstimateJoin predicts the cost of (outer ⋉_knn inner) for the inner
@@ -221,7 +224,8 @@ func (v *VirtualGrid) EstimateJoin(outer *index.Tree, k int) (float64, error) {
 		k = v.maxK
 	}
 	total := 0.0
-	for i, cell := range v.cells {
+	for i := range v.catalogs {
+		cell := v.cell(i)
 		loc, ok := v.catalogs[i].Lookup(k)
 		if !ok {
 			return 0, fmt.Errorf("core: virtual grid cell %d missing k=%d", i, k)

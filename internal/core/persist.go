@@ -10,7 +10,6 @@ import (
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
-	"knncost/internal/grid"
 	"knncost/internal/index"
 	"knncost/internal/ptloc"
 )
@@ -87,18 +86,17 @@ func (m *mappedReader) u64() uint64 {
 	return v
 }
 
-func (m *mappedReader) catalog() *catalog.Catalog {
+// catalog borrows the next catalog into c.
+func (m *mappedReader) catalog(c *catalog.Catalog) {
 	if m.err != nil {
-		return nil
+		return
 	}
-	c := &catalog.Catalog{}
 	n, err := c.BorrowAligned(m.data[m.off:])
 	if err != nil {
 		m.err = err
-		return nil
+		return
 	}
 	m.off += n
-	return c
 }
 
 func (m *mappedReader) done() error {
@@ -126,13 +124,13 @@ func (s *Staircase) AppendMapped(buf []byte) []byte {
 	m.u64(uint64(s.aux.NumBlocks()))
 	m.u64(uint64(s.aux.NumPoints()))
 	for i := range s.center {
-		m.catalog(s.center[i])
+		m.catalog(&s.center[i])
 		switch s.mode {
 		case ModeCenterCorners:
-			m.catalog(s.corners[i])
+			m.catalog(&s.corners[i])
 		case ModeCenterQuadrant:
-			for _, c := range s.quads[i] {
-				m.catalog(c)
+			for j := range s.quads[i] {
+				m.catalog(&s.quads[i][j])
 			}
 		}
 	}
@@ -196,25 +194,25 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 		mode:     mode,
 		maxK:     maxK,
 		fallback: opt.Fallback,
-		center:   make([]*catalog.Catalog, numBlocks),
+		center:   make([]catalog.Catalog, numBlocks),
 	}
 	if s.fallback == nil {
-		s.fallback = NewDensityBased(data.CountTree())
+		s.fallback = NewDensityBased(data)
 	}
 	switch mode {
 	case ModeCenterCorners:
-		s.corners = make([]*catalog.Catalog, numBlocks)
+		s.corners = make([]catalog.Catalog, numBlocks)
 	case ModeCenterQuadrant:
-		s.quads = make([][4]*catalog.Catalog, numBlocks)
+		s.quads = make([][4]catalog.Catalog, numBlocks)
 	}
 	for i := 0; i < numBlocks; i++ {
-		s.center[i] = m.catalog()
+		m.catalog(&s.center[i])
 		switch mode {
 		case ModeCenterCorners:
-			s.corners[i] = m.catalog()
+			m.catalog(&s.corners[i])
 		case ModeCenterQuadrant:
-			for j := 0; j < 4; j++ {
-				s.quads[i][j] = m.catalog()
+			for j := range s.quads[i] {
+				m.catalog(&s.quads[i][j])
 			}
 		}
 		if m.err != nil {
@@ -264,7 +262,8 @@ func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
 	if m.err == nil && (math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0) {
 		return nil, fmt.Errorf("core: invalid catalog-merge scale %v", scale)
 	}
-	merged := m.catalog()
+	merged := new(catalog.Catalog)
+	m.catalog(merged)
 	if err := m.done(); err != nil {
 		return nil, err
 	}
@@ -282,8 +281,8 @@ func (v *VirtualGrid) AppendMapped(buf []byte) []byte {
 	m.u64(math.Float64bits(v.bounds.Min.Y))
 	m.u64(math.Float64bits(v.bounds.Max.X))
 	m.u64(math.Float64bits(v.bounds.Max.Y))
-	for _, c := range v.catalogs {
-		m.catalog(c)
+	for i := range v.catalogs {
+		m.catalog(&v.catalogs[i])
 	}
 	return m
 }
@@ -326,15 +325,14 @@ func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
 		return nil, fmt.Errorf("core: invalid grid bounds %v", bounds)
 	}
 	v := &VirtualGrid{
-		cells:    grid.Cells(bounds, nx, ny),
-		catalogs: make([]*catalog.Catalog, nx*ny),
+		catalogs: make([]catalog.Catalog, nx*ny),
 		bounds:   bounds,
 		nx:       nx,
 		ny:       ny,
 		maxK:     maxK,
 	}
 	for i := range v.catalogs {
-		v.catalogs[i] = m.catalog()
+		m.catalog(&v.catalogs[i])
 		if m.err != nil {
 			return nil, m.err
 		}

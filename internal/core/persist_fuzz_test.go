@@ -84,7 +84,7 @@ func seedMutations(f *testing.F, valid []byte, headerWords int) {
 
 // checkLoaded fails unless every catalog of a loaded artifact holds the
 // invariants Lookup relies on and the artifact re-encodes to its input.
-func checkLoaded(t *testing.T, input, reencoded []byte, cats ...*catalog.Catalog) {
+func checkLoaded(t *testing.T, input, reencoded []byte, cats ...catalog.Catalog) {
 	t.Helper()
 	for i, c := range cats {
 		prevEnd := 0
@@ -108,7 +108,7 @@ func FuzzLoadStaircase(f *testing.F) {
 		if err != nil {
 			return // rejection is always acceptable
 		}
-		cats := append(append([]*catalog.Catalog(nil), s.center...), s.corners...)
+		cats := append(append([]catalog.Catalog(nil), s.center...), s.corners...)
 		for i := range s.quads {
 			cats = append(cats, s.quads[i][:]...)
 		}
@@ -131,7 +131,7 @@ func FuzzLoadCatalogMerge(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkLoaded(t, data, cm.AppendMapped(nil), cm.merged)
+		checkLoaded(t, data, cm.AppendMapped(nil), *cm.merged)
 		for _, k := range []int{1, 7, 40, 1000} {
 			_, _ = cm.EstimateJoin(k)
 		}

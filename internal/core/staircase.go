@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,10 +86,10 @@ type StaircaseOptions struct {
 // is); EstimateSelectBatch fans queries out over it freely.
 type Staircase struct {
 	aux      *index.Tree
-	loc      *ptloc.Grid           // O(1) point location over aux leaf blocks
-	center   []*catalog.Catalog    // indexed by aux block ID
-	corners  []*catalog.Catalog    // merged max; nil unless ModeCenterCorners
-	quads    [][4]*catalog.Catalog // per-corner; nil unless ModeCenterQuadrant
+	loc      *ptloc.Grid          // O(1) point location over aux leaf blocks
+	center   []catalog.Catalog    // indexed by aux block ID
+	corners  []catalog.Catalog    // merged max; nil unless ModeCenterCorners
+	quads    [][4]catalog.Catalog // per-corner; nil unless ModeCenterQuadrant
 	mode     StaircaseMode
 	maxK     int
 	fallback SelectEstimator
@@ -127,7 +126,7 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 		fallback: opt.Fallback,
 	}
 	if s.fallback == nil {
-		s.fallback = NewDensityBased(data.CountTree())
+		s.fallback = NewDensityBased(data)
 	}
 	blocks := aux.Blocks()
 	anchors, cornerOf := staircaseAnchors(blocks, opt.Mode)
@@ -136,12 +135,13 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 		cats[i] = BuildSelectCatalog(data, anchors[i], opt.MaxK)
 		return nil
 	})
-	// A copy, not a sub-slice: cats also holds the corner catalogs, which
-	// ModeCenterCorners must not retain past the max-merge.
-	s.center = slices.Clone(cats[:len(blocks)])
+	s.center = make([]catalog.Catalog, len(blocks))
+	for i := range s.center {
+		s.center[i] = *cats[i]
+	}
 	switch opt.Mode {
 	case ModeCenterCorners:
-		s.corners = make([]*catalog.Catalog, len(blocks))
+		s.corners = make([]catalog.Catalog, len(blocks))
 		err := forEachIndexed(len(blocks), opt.Parallelism, func(b int) error {
 			var four [4]*catalog.Catalog
 			for i, a := range cornerOf[b] {
@@ -151,17 +151,17 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 			if err != nil {
 				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b, err)
 			}
-			s.corners[b] = merged
+			s.corners[b] = *merged
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	case ModeCenterQuadrant:
-		s.quads = make([][4]*catalog.Catalog, len(blocks))
+		s.quads = make([][4]catalog.Catalog, len(blocks))
 		for b := range blocks {
 			for i, a := range cornerOf[b] {
-				s.quads[b][i] = cats[a]
+				s.quads[b][i] = *cats[a]
 			}
 		}
 	}
@@ -286,9 +286,9 @@ func (s *Staircase) EstimateSelect(q geom.Point, k int) (float64, error) {
 	}
 	var cornerCat *catalog.Catalog
 	if s.mode == ModeCenterQuadrant {
-		cornerCat = s.quads[blk.ID][quadrantCorner(blk.Bounds, q)]
+		cornerCat = &s.quads[blk.ID][quadrantCorner(blk.Bounds, q)]
 	} else {
-		cornerCat = s.corners[blk.ID]
+		cornerCat = &s.corners[blk.ID]
 	}
 	cCorner, ok := cornerCat.Lookup(k)
 	if !ok {
@@ -357,7 +357,7 @@ func (s *Staircase) CenterCatalog(p geom.Point) *catalog.Catalog {
 	if blk == nil {
 		return nil
 	}
-	return s.center[blk.ID]
+	return &s.center[blk.ID]
 }
 
 // EstimateSelectBatch answers many k-NN-Select cost queries with a worker

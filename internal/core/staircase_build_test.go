@@ -55,15 +55,15 @@ func perBlockStaircase(tb testing.TB, data *index.Tree, opt StaircaseOptions) *S
 	}
 	n := aux.NumBlocks()
 	s := &Staircase{aux: aux, loc: ptloc.Build(aux), mode: opt.Mode, maxK: opt.MaxK,
-		center: make([]*catalog.Catalog, n)}
+		center: make([]catalog.Catalog, n)}
 	switch opt.Mode {
 	case ModeCenterCorners:
-		s.corners = make([]*catalog.Catalog, n)
+		s.corners = make([]catalog.Catalog, n)
 	case ModeCenterQuadrant:
-		s.quads = make([][4]*catalog.Catalog, n)
+		s.quads = make([][4]catalog.Catalog, n)
 	}
 	for _, b := range aux.Blocks() {
-		s.center[b.ID] = browserSelectCatalog(data, b.Bounds.Center(), opt.MaxK)
+		s.center[b.ID] = *browserSelectCatalog(data, b.Bounds.Center(), opt.MaxK)
 		var four [4]*catalog.Catalog
 		for i, c := range b.Bounds.Corners() {
 			four[i] = browserSelectCatalog(data, c, opt.MaxK)
@@ -74,9 +74,11 @@ func perBlockStaircase(tb testing.TB, data *index.Tree, opt StaircaseOptions) *S
 			if err != nil {
 				tb.Fatal(err)
 			}
-			s.corners[b.ID] = merged
+			s.corners[b.ID] = *merged
 		case ModeCenterQuadrant:
-			s.quads[b.ID] = four
+			for i, c := range four {
+				s.quads[b.ID][i] = *c
+			}
 		}
 	}
 	return s

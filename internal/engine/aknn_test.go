@@ -35,7 +35,7 @@ func TestAknnBoundsRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := aknn.BuildSummary(inner.Count()).Bind(outer.Count(), 7)
+	direct := aknn.BuildSummary(inner.Tree().CountTree()).Bind(outer.Tree().CountTree(), 7)
 	for _, k := range []int{1, 7, 64, 2000} {
 		got, err := est.EstimateJoin(k)
 		want, wantErr := direct.EstimateJoin(k)
@@ -52,7 +52,7 @@ func TestAknnBoundsRegistration(t *testing.T) {
 // rebuilt — the store's warm-restart contract.
 func TestAknnSummarySeeded(t *testing.T) {
 	rel := NewRelation("r", testTree(t, 800, 3), BuildOptions{})
-	pre := aknn.BuildSummary(rel.Count())
+	pre := aknn.BuildSummary(rel.Tree())
 	rel.Seed(TechAknnBounds, pre)
 	if got := rel.AknnSummary(); got != pre {
 		t.Fatalf("seeded summary not served: got %p, want %p", got, pre)
@@ -72,8 +72,8 @@ func TestAknnBoundsPairDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAB := aknn.Cost(a.Count(), b.Count(), 5)
-	wantBA := aknn.Cost(b.Count(), a.Count(), 5)
+	wantAB := aknn.Cost(a.Tree(), b.Tree(), 5)
+	wantBA := aknn.Cost(b.Tree(), a.Tree(), 5)
 	if wantAB == wantBA {
 		t.Fatal("fixture degenerate: both directions cost the same")
 	}

@@ -75,7 +75,7 @@ func init() {
 		Summary:      "bounds-only pruning cost of the exact AkNN join, in points (Winecki)",
 		Preprocessed: true,
 		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
-			return inner.AknnSummary().Bind(outer.count, outer.opt.SampleSize), nil
+			return inner.AknnSummary().Bind(outer.tree, outer.opt.SampleSize), nil
 		},
 	})
 	RegisterJoin(JoinTechnique{
@@ -87,7 +87,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return vg.Bind(outer.count), nil
+			return vg.Bind(outer.tree), nil
 		},
 	})
 }

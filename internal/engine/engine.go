@@ -108,35 +108,23 @@ type artifact struct {
 // requests for the same artifact share one build. A Relation is safe for
 // concurrent use.
 type Relation struct {
-	name  string
-	tree  *index.Tree
-	count *index.Tree
-	opt   BuildOptions
-	res   core.Resolution // canonical; == opt.Resolution()
+	name string
+	tree *index.Tree
+	opt  BuildOptions
+	res  core.Resolution // canonical; == opt.Resolution()
 
 	mu        sync.Mutex // guards the artifacts map, not the builds
 	artifacts map[artifactKey]*artifact
 }
 
-// NewRelation wraps a data index as an engine relation. The Count-Index is
-// derived from the tree; use NewRelationWithCount when the caller already
-// holds one.
+// NewRelation wraps a data index as an engine relation. The tree is also
+// the relation's Count-Index: every estimator reads it through block bounds
+// and counts only, never its points.
 func NewRelation(name string, tree *index.Tree, opt BuildOptions) *Relation {
-	return NewRelationWithCount(name, tree, nil, opt)
-}
-
-// NewRelationWithCount is NewRelation with a pre-derived Count-Index, so
-// callers that already built one (the store, the facade Index) do not pay
-// for a second derivation. A nil count is derived from the tree.
-func NewRelationWithCount(name string, tree, count *index.Tree, opt BuildOptions) *Relation {
-	if count == nil {
-		count = tree.CountTree()
-	}
 	opt = opt.withDefaults()
 	return &Relation{
 		name:      name,
 		tree:      tree,
-		count:     count,
 		opt:       opt,
 		res:       opt.Resolution(),
 		artifacts: map[artifactKey]*artifact{},
@@ -152,9 +140,6 @@ func (r *Relation) Name() string { return r.name }
 
 // Tree returns the data index.
 func (r *Relation) Tree() *index.Tree { return r.tree }
-
-// Count returns the Count-Index.
-func (r *Relation) Count() *index.Tree { return r.count }
 
 // Options returns the effective (defaulted) build options.
 func (r *Relation) Options() BuildOptions { return r.opt }
@@ -216,7 +201,7 @@ func (r *Relation) Seed(technique string, v any) {
 // al.), building it on first use. Construction cannot fail.
 func (r *Relation) Density() *core.DensityBased {
 	v, _ := r.buildOnce(artifactKey{technique: TechDensity}, func() (any, error) {
-		return core.NewDensityBased(r.count), nil
+		return core.NewDensityBased(r.tree), nil
 	})
 	return v.(*core.DensityBased)
 }
@@ -279,7 +264,7 @@ func (r *Relation) VirtualGrid() (*core.VirtualGrid, error) {
 		res:       core.Resolution{MaxK: r.opt.MaxK, GridSize: r.opt.GridSize}.Canon(),
 	}
 	v, err := r.buildOnce(key, func() (any, error) {
-		return core.BuildVirtualGrid(r.count, r.opt.GridSize, r.opt.GridSize, r.opt.MaxK)
+		return core.BuildVirtualGrid(r.tree, r.opt.GridSize, r.opt.GridSize, r.opt.MaxK)
 	})
 	if err != nil {
 		return nil, err
@@ -297,7 +282,7 @@ func (r *Relation) AknnSummary() *aknn.Summary {
 		res:       core.Resolution{AknnCapacity: r.opt.AknnCapacity}.Canon(),
 	}
 	v, _ := r.buildOnce(key, func() (any, error) {
-		return aknn.BuildSummaryCapacity(r.count, r.opt.AknnCapacity), nil
+		return aknn.BuildSummaryCapacity(r.tree, r.opt.AknnCapacity), nil
 	})
 	return v.(*aknn.Summary)
 }
@@ -312,7 +297,7 @@ func (r *Relation) CatalogMerge(inner *Relation) (*core.CatalogMerge, error) {
 		res:       core.Resolution{MaxK: r.opt.MaxK}.Canon(),
 	}
 	v, err := r.buildOnce(key, func() (any, error) {
-		return core.BuildCatalogMerge(r.count, inner.count, r.opt.SampleSize, r.opt.MaxK)
+		return core.BuildCatalogMerge(r.tree, inner.tree, r.opt.SampleSize, r.opt.MaxK)
 	})
 	if err != nil {
 		return nil, err
@@ -324,7 +309,7 @@ func (r *Relation) CatalogMerge(inner *Relation) (*core.CatalogMerge, error) {
 // Block-Sample needs no preprocessing — localities are computed at
 // estimation time — so construction is per call and cannot fail.
 func (r *Relation) BlockSample(inner *Relation) *core.BlockSample {
-	return core.NewBlockSample(r.count, inner.count, r.opt.SampleSize)
+	return core.NewBlockSample(r.tree, inner.tree, r.opt.SampleSize)
 }
 
 // SelectEstimator resolves a registered select technique by name against

@@ -71,22 +71,27 @@ func (g *Grid) cellIndex(p geom.Point) int {
 }
 
 // CellBounds returns the rectangle of the cell at the given column and row.
-func (g *Grid) CellBounds(col, row int) geom.Rect {
-	w := g.bounds.Width() / float64(g.nx)
-	h := g.bounds.Height() / float64(g.ny)
-	minX := g.bounds.Min.X + float64(col)*w
-	minY := g.bounds.Min.Y + float64(row)*h
+func (g *Grid) CellBounds(col, row int) geom.Rect { return CellRect(g.bounds, g.nx, g.ny, col, row) }
+
+// CellRect returns the rectangle of the cell at the given column and row of
+// an nx × ny grid over bounds — CellBounds without a Grid, for the
+// Virtual-Grid estimator, which derives its cells instead of storing them.
+func CellRect(bounds geom.Rect, nx, ny, col, row int) geom.Rect {
+	w := bounds.Width() / float64(nx)
+	h := bounds.Height() / float64(ny)
+	minX := bounds.Min.X + float64(col)*w
+	minY := bounds.Min.Y + float64(row)*h
 	r := geom.Rect{
 		Min: geom.Point{X: minX, Y: minY},
 		Max: geom.Point{X: minX + w, Y: minY + h},
 	}
 	// Snap the outer edges so that boundary points stay inside the grid
 	// despite floating-point rounding.
-	if col == g.nx-1 {
-		r.Max.X = g.bounds.Max.X
+	if col == nx-1 {
+		r.Max.X = bounds.Max.X
 	}
-	if row == g.ny-1 {
-		r.Max.Y = g.bounds.Max.Y
+	if row == ny-1 {
+		r.Max.Y = bounds.Max.Y
 	}
 	return r
 }
@@ -122,18 +127,4 @@ func (g *Grid) Index() *index.Tree {
 		root.Children = append(root.Children, rowNode)
 	}
 	return index.New(root, true)
-}
-
-// Cells returns, for each cell in row-major order, its bounds — a
-// convenience for the Virtual-Grid estimator, which attaches one catalog per
-// cell.
-func Cells(bounds geom.Rect, nx, ny int) []geom.Rect {
-	g := New(bounds, nx, ny)
-	out := make([]geom.Rect, 0, nx*ny)
-	for row := 0; row < ny; row++ {
-		for col := 0; col < nx; col++ {
-			out = append(out, g.CellBounds(col, row))
-		}
-	}
-	return out
 }

@@ -61,9 +61,16 @@ func TestNewPanics(t *testing.T) {
 
 func TestCellBoundsTileExactly(t *testing.T) {
 	bounds := geom.NewRect(-3, 2, 7, 12)
-	cells := Cells(bounds, 4, 5)
-	if len(cells) != 20 {
-		t.Fatalf("Cells returned %d rects, want 20", len(cells))
+	g := New(bounds, 4, 5)
+	var cells []geom.Rect
+	for row := 0; row < 5; row++ {
+		for col := 0; col < 4; col++ {
+			c := CellRect(bounds, 4, 5, col, row)
+			if c != g.CellBounds(col, row) {
+				t.Errorf("cell (%d,%d): CellRect %v, CellBounds %v", col, row, c, g.CellBounds(col, row))
+			}
+			cells = append(cells, c)
+		}
 	}
 	var area float64
 	for _, c := range cells {

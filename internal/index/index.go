@@ -7,9 +7,10 @@
 //
 // A Tree is a hierarchy of Nodes whose leaves carry Blocks. A Block is the
 // unit of I/O the paper counts: the cost of an operator is the number of
-// blocks scanned. The auxiliary Count-Index of the paper — same block
-// structure, counts but no data points — is derived from any Tree via
-// CountTree.
+// blocks scanned. The estimators read a Tree through its blocks' bounds and
+// counts only, so a data Tree is its own Count-Index — the paper's auxiliary
+// structure with the same blocks, counts but no data points; CountTree
+// derives that structure as a copy without points.
 package index
 
 import (
@@ -168,10 +169,10 @@ func (t *Tree) VisitRange(r geom.Rect, fn func(*Block)) {
 	walk(t.root)
 }
 
-// CountTree returns the paper's Count-Index for this tree: a structurally
-// identical hierarchy whose blocks carry counts but no data points. Block
-// IDs match the source tree's, so costs measured on the Count-Index can be
-// related back to data blocks.
+// CountTree returns the paper's Count-Index for this tree as a copy: a
+// structurally identical hierarchy whose blocks carry counts but no data
+// points. Block IDs match the source tree's, so costs measured on the copy
+// can be related back to data blocks; an estimate over it equals one over t.
 func (t *Tree) CountTree() *Tree {
 	ct := &Tree{numPoints: t.numPoints, partitioning: t.partitioning}
 	ct.blocks = make([]*Block, 0, len(t.blocks))

@@ -50,8 +50,7 @@ type Relation struct {
 	// resolved by name; empty for caller-supplied estimators.
 	Technique string
 
-	eng   *engine.Relation
-	count *index.Tree
+	eng *engine.Relation
 }
 
 // NewRelation wraps an engine relation — the one holder of the index's
@@ -64,7 +63,7 @@ func NewRelation(name string, eng *engine.Relation, est core.SelectEstimator) *R
 		est = eng.Density()
 		technique = engine.TechDensity
 	}
-	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: technique, eng: eng, count: eng.Count()}
+	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: technique, eng: eng}
 }
 
 // NewRelationTechnique is NewRelation with the select estimator resolved
@@ -79,7 +78,7 @@ func NewRelationTechnique(name string, eng *engine.Relation, technique string) (
 	if err != nil {
 		return nil, fmt.Errorf("planner: building %s estimator for %s: %w", tech.Name, name, err)
 	}
-	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: tech.Name, eng: eng, count: eng.Count()}, nil
+	return &Relation{Name: name, Tree: eng.Tree(), Estimator: est, Technique: tech.Name, eng: eng}, nil
 }
 
 // Engine returns the relation's engine representation, through which

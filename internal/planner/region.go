@@ -34,7 +34,7 @@ func PlanKNNSelectInRegion(rel *Relation, q geom.Point, k int, region geom.Rect)
 		return nil, fmt.Errorf("planner: invalid region %v", region)
 	}
 
-	rangeCost := rangeop.Cost(rel.count, region)
+	rangeCost := rangeop.Cost(rel.Tree, region)
 	rangeFirst := &Plan{
 		Description:   fmt.Sprintf("range-first scan of %s ∩ region", rel.Name),
 		EstimatedCost: float64(rangeCost),
@@ -43,7 +43,7 @@ func PlanKNNSelectInRegion(rel *Relation, q geom.Point, k int, region geom.Rect)
 		},
 	}
 
-	selectivity := rangeop.Selectivity(rel.count, region)
+	selectivity := rangeop.Selectivity(rel.Tree, region)
 	plans := []*Plan{rangeFirst}
 	if selectivity > 0 {
 		browseK := int(math.Ceil(float64(k) / selectivity))

@@ -7,13 +7,15 @@
 // The staircase estimator resolves its catalog block through a Grid, which
 // removes the last data-dependent pointer chase from the k-NN-Select
 // estimation hot path: after construction, Find performs no allocations and
-// touches only two contiguous arrays.
+// reads two flat arrays — the cells' offsets and their candidate block IDs —
+// before the candidate blocks themselves.
 //
 // A Grid is immutable after Build and safe for concurrent use.
 package ptloc
 
 import (
 	"math"
+	"slices"
 
 	"knncost/internal/geom"
 	"knncost/internal/index"
@@ -27,11 +29,13 @@ const maxCellsPerAxis = 4096
 type Grid struct {
 	bounds     geom.Rect
 	nx, ny     int
-	invW, invH float64 // cells per unit length along each axis
-	// cells[row*nx+col] lists the blocks whose bounds overlap the cell, in
-	// ascending block-ID (DFS) order — the same preference order as
+	invW, invH float64        // cells per unit length along each axis
+	blocks     []*index.Block // the tree's Blocks(), shared
+	// The IDs of the blocks whose bounds overlap cell i (row*nx+col) are
+	// cand[start[i]:start[i+1]], ascending — the same preference order as
 	// Tree.Find, so Find returns identical results.
-	cells [][]*index.Block
+	start []uint32
+	cand  []uint32
 }
 
 // Build constructs the accelerator over the leaf blocks of t. The grid
@@ -40,41 +44,45 @@ type Grid struct {
 // partitionings while bounding memory at O(blocks).
 func Build(t *index.Tree) *Grid {
 	bounds := t.Bounds()
-	g := &Grid{bounds: bounds, nx: 1, ny: 1}
+	g := &Grid{bounds: bounds, nx: 1, ny: 1, blocks: t.Blocks()}
 	n := t.NumBlocks()
-	if n == 0 || bounds.Width() <= 0 || bounds.Height() <= 0 {
-		// Degenerate index: a single cell holding every block still
-		// answers correctly, just without the O(1) fan-out.
-		g.cells = [][]*index.Block{nil}
-		for _, b := range t.Blocks() {
-			g.cells[0] = append(g.cells[0], b)
-		}
-		g.invW, g.invH = 0, 0
-		return g
+	if n > 0 && bounds.Width() > 0 && bounds.Height() > 0 {
+		side := min(int(math.Ceil(math.Sqrt(float64(4*n)))), maxCellsPerAxis)
+		g.nx, g.ny = side, side
+		g.invW = float64(g.nx) / bounds.Width()
+		g.invH = float64(g.ny) / bounds.Height()
 	}
-	side := int(math.Ceil(math.Sqrt(float64(4 * n))))
-	if side < 1 {
-		side = 1
+	// A degenerate index keeps the single cell, with every block a candidate
+	// of it (invW and invH are zero): it still answers correctly, just
+	// without the O(1) fan-out. Two passes over the blocks, counting then
+	// placing, fill the candidate array; Blocks() is in ascending ID order,
+	// so each cell's candidates come out sorted.
+	g.start = make([]uint32, g.nx*g.ny+1)
+	g.visit(func(cell int, _ uint32) { g.start[cell+1]++ })
+	for i := 1; i < len(g.start); i++ {
+		g.start[i] += g.start[i-1]
 	}
-	if side > maxCellsPerAxis {
-		side = maxCellsPerAxis
-	}
-	g.nx, g.ny = side, side
-	g.invW = float64(g.nx) / bounds.Width()
-	g.invH = float64(g.ny) / bounds.Height()
-	g.cells = make([][]*index.Block, g.nx*g.ny)
-	// Blocks() is in ascending ID order, so appending keeps every candidate
-	// list sorted by ID without an explicit sort.
-	for _, b := range t.Blocks() {
+	g.cand = make([]uint32, g.start[len(g.start)-1])
+	next := slices.Clone(g.start[:len(g.start)-1])
+	g.visit(func(cell int, id uint32) {
+		g.cand[next[cell]] = id
+		next[cell]++
+	})
+	return g
+}
+
+// visit calls fn for every (cell, block) pair where the block's bounds
+// overlap the cell, blocks in ID order.
+func (g *Grid) visit(fn func(cell int, id uint32)) {
+	for id, b := range g.blocks {
 		c0, r0 := g.cellOf(b.Bounds.Min)
 		c1, r1 := g.cellOf(b.Bounds.Max)
 		for r := r0; r <= r1; r++ {
 			for c := c0; c <= c1; c++ {
-				g.cells[r*g.nx+c] = append(g.cells[r*g.nx+c], b)
+				fn(r*g.nx+c, uint32(id))
 			}
 		}
 	}
-	return g
 }
 
 // cellOf maps a point to its (col, row) cell coordinates, clamped to the
@@ -106,8 +114,9 @@ func (g *Grid) Find(p geom.Point) *index.Block {
 		return nil
 	}
 	col, row := g.cellOf(p)
-	for _, b := range g.cells[row*g.nx+col] {
-		if b.Bounds.Contains(p) {
+	cell := row*g.nx + col
+	for _, id := range g.cand[g.start[cell]:g.start[cell+1]] {
+		if b := g.blocks[id]; b.Bounds.Contains(p) {
 			return b
 		}
 	}

@@ -1,6 +1,7 @@
 package ptloc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"knncost/internal/index"
 	"knncost/internal/kdtree"
 	"knncost/internal/quadtree"
+	"knncost/internal/rtree"
 )
 
 // trees builds one index of each space-partitioning kind over the same
@@ -93,4 +95,67 @@ func TestDegenerateTree(t *testing.T) {
 	if got := g.Find(geom.Point{X: 6, Y: 5}); got != nil {
 		t.Fatalf("out-of-bounds Find = %+v, want nil", got)
 	}
+}
+
+// FuzzFind: Grid.Find is index.Tree.Find on a random quadtree and on the
+// auxiliary quadtree a staircase builds over an R-tree's points (§3.3), at
+// fuzzed query points on a quarter-unit lattice reaching outside the bounds,
+// at every block's corners and center, and on the grid's own cell edges and
+// one ulp either side of them.
+func FuzzFind(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 0, 8, 8, 8, 8, 15, 1, 4, 12, 32, 32}, []byte{0, 80, 8, 8, 40, 40})
+	f.Add(uint8(0), []byte{7, 7, 7, 7, 7, 7, 7, 7}, []byte{255, 0, 36, 36})           // duplicates: the aux bounds are a point
+	f.Add(uint8(1), []byte{}, []byte{1, 2})                                           // no point
+	f.Add(uint8(0), []byte{1, 1, 2, 2, 3, 3, 1, 2, 2, 1, 31, 30}, []byte{6, 6, 7, 7}) // three quadrants empty
+	f.Fuzz(func(t *testing.T, capacity uint8, data, queries []byte) {
+		pts := make([]geom.Point, len(data)/2)
+		for i := range pts {
+			pts[i] = geom.Point{X: float64(data[2*i]%33) / 2, Y: float64(data[2*i+1]%33) / 2}
+		}
+		leaf := int(capacity%8) + 1
+		trees := map[string]*index.Tree{
+			"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: leaf, MaxDepth: 8, Bounds: geom.NewRect(0, 0, 16, 16)}).Index(),
+		}
+		if len(pts) > 0 {
+			rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: leaf + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var aux []geom.Point
+			for _, b := range rt.Index().Blocks() {
+				aux = append(aux, b.Points...)
+			}
+			trees["rtree-aux"] = quadtree.Build(aux, quadtree.Options{Capacity: leaf}).Index()
+		}
+		for name, tree := range trees {
+			g := Build(tree)
+			check := func(p geom.Point) {
+				if got, want := g.Find(p), tree.Find(p); got != want {
+					t.Fatalf("%s: Find(%v): grid %+v, tree %+v", name, p, got, want)
+				}
+			}
+			for i := 0; i+1 < len(queries); i += 2 {
+				check(geom.Point{X: float64(queries[i]%81)/4 - 2, Y: float64(queries[i+1]%81)/4 - 2})
+			}
+			for _, b := range tree.Blocks() {
+				for _, c := range b.Bounds.Corners() {
+					check(c)
+				}
+				check(b.Bounds.Center())
+			}
+			if g.invW == 0 {
+				continue // one cell: its edges are the bounds, whose corners are checked above
+			}
+			for col := 0; col <= g.nx; col++ {
+				x := g.bounds.Min.X + float64(col)/g.invW
+				for row := 0; row <= g.ny; row++ {
+					y := g.bounds.Min.Y + float64(row)/g.invH
+					for _, dx := range []float64{math.Inf(-1), 0, math.Inf(1)} {
+						check(geom.Point{X: math.Nextafter(x, x+dx), Y: y})
+						check(geom.Point{X: x, Y: math.Nextafter(y, y+dx)})
+					}
+				}
+			}
+		}
+	})
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"knncost/internal/datagen"
 	"knncost/internal/store"
 )
 
@@ -176,5 +178,50 @@ func TestMutatePointsErrors(t *testing.T) {
 	var info RelationInfo
 	if code := getJSON(t, srv.URL+"/relations/live/status", &info); code != http.StatusOK || info.DeltaOps != 0 {
 		t.Fatalf("rejections left deltas: status %d %+v", code, info)
+	}
+}
+
+// TestOutOfBoundsPointIsA400: with store bounds set, a point outside them is
+// a 400 naming it, on registration and on append — the seed-113 point of the
+// benchmark's ingest writer, which used to kill the daemon in a build
+// worker — and the relation keeps serving.
+func TestOutOfBoundsPointIsA400(t *testing.T) {
+	st, err := store.New(store.Options{
+		MaxK: 100, SampleSize: 40, GridSize: 4, IndexCapacity: 64,
+		Bounds: datagen.WorldBounds, CompactInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		st.Close(ctx)
+	})
+	srv := httptest.NewServer(NewWithStore(st, Options{MaxK: 100, SampleSize: 40, GridSize: 4}))
+	t.Cleanup(srv.Close)
+
+	stray := [2]float64{91.38, 90.0002}
+	base := inlinePoints(300, 1)
+	for i := range base {
+		base[i][1] -= 50 // inside ±90
+	}
+	var e errorResponse
+	code, _ := adminPost(t, srv.URL+"/relations", RegisterRequest{Name: "live", Points: append(base[:len(base):len(base)], stray)}, &e)
+	if code != http.StatusBadRequest || !strings.Contains(e.Error, "point 300 ") || !strings.Contains(e.Error, "90.0002") {
+		t.Fatalf("register with %v: status %d, error %q; want 400 naming point 300", stray, code, e.Error)
+	}
+	if code, _ := adminPost(t, srv.URL+"/relations", RegisterRequest{Name: "live", Points: base}, nil); code != http.StatusAccepted {
+		t.Fatalf("register: status %d", code)
+	}
+	waitReadyHTTP(t, srv.URL, "live")
+	e = errorResponse{}
+	code = mutate(t, http.MethodPost, srv.URL+"/relations/live/points", MutateRequest{Points: [][2]float64{{1, 1}, stray}}, &e)
+	if code != http.StatusBadRequest || !strings.Contains(e.Error, "point 1 ") || !strings.Contains(e.Error, "91.38") {
+		t.Fatalf("append of %v: status %d, error %q; want 400 naming point 1", stray, code, e.Error)
+	}
+	var info RelationInfo
+	if code := getJSON(t, srv.URL+"/relations/live/status", &info); code != http.StatusOK || info.State != "ready" || info.DeltaOps != 0 {
+		t.Fatalf("after the refused append: status %d, %+v", code, info)
 	}
 }

@@ -814,7 +814,7 @@ func (s *Server) handleCostJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	cost, err := costJoin(r.Context(), outer.Count, inner.Count, k)
+	cost, err := costJoin(r.Context(), outer.Tree, inner.Tree, k)
 	if err != nil {
 		writeCancelled(w, err)
 		return

@@ -139,10 +139,9 @@ func (s *Store) mutate(kind wal.Kind, name string, pts []geom.Point) (RelationSt
 	if len(pts) == 0 {
 		return RelationStatus{}, fmt.Errorf("store: mutation of %q has no points", name)
 	}
-	for i, p := range pts {
-		if !finite(p.X) || !finite(p.Y) {
-			return RelationStatus{}, fmt.Errorf("store: mutation of %q point %d is not finite: %v", name, i, p)
-		}
+	// A delete of a point the bounds exclude is a no-op, like any absent one.
+	if err := s.opt.checkPoints(pts, kind == wal.KindAppend); err != nil {
+		return RelationStatus{}, fmt.Errorf("store: mutation of %q %w", name, err)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -240,7 +239,7 @@ func (s *Store) LogicalPoints(name string) ([]geom.Point, error) {
 // with room for what the pending deltas append, and folds those in. e.snap is
 // not nil.
 func (e *entry) logicalPointsLocked() []geom.Point {
-	base := make([]geom.Point, 0, len(e.snap.order)+pendingPoints(e))
+	base := make([]geom.Point, 0, e.snap.order.Len()+pendingPoints(e))
 	return applyMutations(e.snap.appendPoints(base), e.pending)
 }
 

@@ -3,15 +3,18 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"knncost/internal/datagen"
 	"knncost/internal/geom"
 	"knncost/internal/wal"
 )
@@ -627,6 +630,60 @@ func TestMutateValidation(t *testing.T) {
 	st, _ := s.Status("pts")
 	if st.DeltaOps != 0 {
 		t.Fatalf("rejected mutations left deltas behind: %+v", st)
+	}
+}
+
+// TestOutOfBoundsPointsAreRefused: with Options.Bounds set, a registration
+// or an append carrying a point outside it is refused with an error naming
+// the point and its index, and leaves nothing behind; a point on the bounds
+// is inside. (91.38, 90.0002) is what the benchmark's ingest writer appended
+// at seed 113: it used to reach the fold and panic quadtree.Build in a build
+// worker. A delete of it is a no-op, like that of any absent point.
+func TestOutOfBoundsPointsAreRefused(t *testing.T) {
+	opt := testOptions(t)
+	opt.Bounds = datagen.WorldBounds
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	stray := geom.Point{X: 91.38, Y: 90.0002}
+	pts := datagen.OSMLike(200, 5)
+
+	refused := func(op string, err error, index int) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s with %v accepted", op, stray)
+		}
+		for _, want := range []string{fmt.Sprintf("point %d ", index), "91.38", "90.0002"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", op, err, want)
+			}
+		}
+	}
+	_, err := s.Register("r", append(slices.Clone(pts), stray))
+	refused("register", err, len(pts))
+	if _, ok := s.Status("r"); ok {
+		t.Fatal("the refused registration left an entry")
+	}
+	if _, err := s.Register("r", pts); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "r")
+	_, err = s.Append("r", []geom.Point{{X: 1, Y: 1}, stray})
+	refused("append", err, 1)
+	if st := mustStatus(t, s, "r"); st.DeltaOps != 0 {
+		t.Fatalf("the refused append left %d pending mutations", st.DeltaOps)
+	}
+
+	corner := datagen.WorldBounds.Max
+	mustAppend(t, s, "r", []geom.Point{corner})
+	if _, err := s.Delete("r", []geom.Point{stray}); err != nil {
+		t.Fatalf("delete of a point outside the bounds: %v", err)
+	}
+	if err := s.Flush("r"); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, s, "r")
+	if got := s.View().Relation("r").Points(); !samePoints(got, append(pts, corner)) {
+		t.Fatalf("the fold published %d points, want the %d registered and the corner", len(got), len(pts))
 	}
 }
 

@@ -11,7 +11,110 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
+	"knncost/internal/index"
 )
+
+// TestSnapshotHoldsOneTree: the Count-Index is the data tree. Whatever a
+// snapshot reaches — its estimators, its engine and every artifact in it, a
+// staircase-c built there on demand — and whatever the View resolves for a
+// pair, the Catalog-Merge included, reaches no index.Tree but the two
+// snapshots' own: no clone, no second copy for counts.
+func TestSnapshotHoldsOneTree(t *testing.T) {
+	s := newTestStore(t, testOptions(t))
+	for i, name := range []string{"a", "b"} {
+		if _, err := s.Register(name, gridPoints(1500, int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, s, "a", "b")
+	v := s.View()
+	a, b := v.Relation("a"), v.Relation("b")
+	if _, err := a.Engine.SelectEstimator(engine.TechStaircaseC); err != nil {
+		t.Fatal(err)
+	}
+	roots := []any{a, b}
+	for _, jt := range engine.JoinTechniques() {
+		est, err := v.JoinEstimator(jt, a, b)
+		if err != nil {
+			t.Fatalf("%s: %v", jt.Name, err)
+		}
+		roots = append(roots, est)
+	}
+	trees := map[*index.Tree]bool{}
+	seen := map[reachKey]bool{}
+	for _, r := range roots {
+		reachTrees(reflect.ValueOf(r), seen, trees)
+	}
+	if len(trees) != 2 || !trees[a.Tree] || !trees[b.Tree] {
+		t.Fatalf("the snapshots and their estimators reach %d trees, want the two snapshots' own", len(trees))
+	}
+}
+
+type reachKey struct {
+	at uintptr
+	t  reflect.Type
+}
+
+var treeType = reflect.TypeOf((*index.Tree)(nil))
+
+// reachTrees records in trees every *index.Tree reachable from v without
+// entering one. Function values are not followed.
+func reachTrees(v reflect.Value, seen map[reachKey]bool, trees map[*index.Tree]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if v.Type() == treeType {
+			trees[(*index.Tree)(v.UnsafePointer())] = true
+			return
+		}
+		key := reachKey{v.Pointer(), v.Type()}
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		reachTrees(v.Elem(), seen, trees)
+	case reflect.Interface:
+		if !v.IsNil() {
+			reachTrees(v.Elem(), seen, trees)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			reachTrees(v.Field(i), seen, trees)
+		}
+	case reflect.Slice, reflect.Array:
+		if holdsPointers(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				reachTrees(v.Index(i), seen, trees)
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			reachTrees(it.Key(), seen, trees)
+			reachTrees(it.Value(), seen, trees)
+		}
+	}
+}
+
+// holdsPointers reports whether a value of type t can lead to another
+// object, so that reachTrees need not visit the points and intervals of a
+// slice one by one.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map:
+		return true
+	case reflect.Array:
+		return holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // TestSnapshotEngineServesSeededArtifacts pins the contract between the
 // store and the engine: the engine relation published with a snapshot
@@ -33,7 +136,7 @@ func TestSnapshotEngineServesSeededArtifacts(t *testing.T) {
 		if snap.Engine == nil {
 			t.Fatalf("%s: snapshot has no engine relation", name)
 		}
-		if snap.Engine.Tree() != snap.Tree || snap.Engine.Count() != snap.Count {
+		if snap.Engine.Tree() != snap.Tree || snap.Count != snap.Tree {
 			t.Errorf("%s: engine indexes are not the snapshot's", name)
 		}
 		stair, err := snap.Engine.Staircase(core.ModeCenterCorners)

@@ -123,8 +123,8 @@ func TestFailedMergeIsMemoised(t *testing.T) {
 	}
 	waitReady(t, s)
 	// No registration yields a relation a merge fails on; empty this one's
-	// Count-Index in place, before anything has read it.
-	s.View().Relation("hollow").Count = index.New(nil, true)
+	// tree in place, before anything has read it.
+	s.View().Relation("hollow").Tree = index.New(nil, true)
 	cm, err := engine.LookupJoin(engine.TechCatalogMerge)
 	if err != nil {
 		t.Fatal(err)

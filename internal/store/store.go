@@ -9,8 +9,8 @@
 // the estimate hot path:
 //
 //   - Every relation is published as an immutable, versioned Snapshot
-//     (data index, Count-Index, staircase, density, Virtual-Grid). Snapshots
-//     never change after publication.
+//     (data index, staircase, density, Virtual-Grid, AkNN summary).
+//     Snapshots never change after publication.
 //   - All published snapshots and the listing metadata live in a single
 //     immutable View swapped in with one atomic pointer store (RCU, the same
 //     model an inference server uses for hot model swaps). An in-flight
@@ -105,8 +105,9 @@ type Options struct {
 	// IndexCapacity is the quadtree leaf capacity used when a relation is
 	// registered from raw points. Zero means 256.
 	IndexCapacity int
-	// Bounds is the index bounds for point-registered relations. The zero
-	// rectangle means "compute from the points".
+	// Bounds is the index bounds for point-registered relations; when set,
+	// registrations and appends with a point outside it are refused. The
+	// zero rectangle means "compute from the points".
 	Bounds geom.Rect
 	// Workers is the build-pool size. Zero means GOMAXPROCS.
 	Workers int
@@ -217,6 +218,30 @@ func (o Options) resolveResolution(r core.Resolution) core.Resolution {
 	return r.Canon()
 }
 
+// fixedBounds returns Options.Bounds when it is set, a rectangle of positive
+// area: then it is the region every relation's quadtree decomposes.
+func (o Options) fixedBounds() (geom.Rect, bool) {
+	b := o.Bounds
+	return b, b.Valid() && b.Width() > 0 && b.Height() > 0
+}
+
+// checkPoints refuses a point no build can index: one that is not finite,
+// or, when inBounds asks and Options.Bounds is set, one outside the bounds —
+// the test quadtree.Build panics on, in a build worker.
+func (o Options) checkPoints(pts []geom.Point, inBounds bool) error {
+	for i, p := range pts {
+		if !finite(p.X) || !finite(p.Y) {
+			return fmt.Errorf("point %d is not finite: %v", i, p)
+		}
+	}
+	if bounds, ok := o.fixedBounds(); ok && inBounds {
+		if i := quadtree.FirstOutside(pts, bounds); i >= 0 {
+			return fmt.Errorf("point %d %v is outside the bounds %v", i, pts[i], bounds)
+		}
+	}
+	return nil
+}
+
 func (o Options) logger() *log.Logger {
 	if o.Logger != nil {
 		return o.Logger
@@ -235,18 +260,21 @@ type Snapshot struct {
 	Version uint64
 	// Fingerprint identifies the point data + build options.
 	Fingerprint string
-	// Tree is the data index (points included): every Block.Points is a
-	// window of the one array flat, the relation's only resident copy.
+	// Tree is the data index: its blocks' Points are consecutive windows of
+	// one array, the relation's only resident copy of its points. It is also
+	// the relation's Count-Index (§2: block bounds and counts, no points):
+	// every estimator below, the engine's and the View's pair merges read it
+	// through bounds and counts only.
 	Tree *index.Tree
-	// Count is the Count-Index derived from Tree.
+	// Count is Tree, named for callers that ask for the Count-Index.
 	Count *index.Tree
 	// Staircase is the paper's k-NN-Select estimator (§3).
 	Staircase *core.Staircase
 	// Density is the density-based baseline estimator.
 	Density *core.DensityBased
-	// VGrid is the Virtual-Grid join estimator built over Count (§4.3).
+	// VGrid is the Virtual-Grid join estimator built over Tree (§4.3).
 	VGrid *core.VirtualGrid
-	// Aknn is the bounds-only AkNN join summary built over Count
+	// Aknn is the bounds-only AkNN join summary built over Tree
 	// (internal/aknn) — the inner-relation artifact of the aknn-bounds
 	// technique.
 	Aknn *aknn.Summary
@@ -274,32 +302,24 @@ type Snapshot struct {
 	// hits is the estimate-traffic counter shared with the relation's
 	// store entry across republishes; Touch increments it.
 	hits *atomic.Int64
-	// flat is Tree's point array, in depth-first leaf order; order[i] is where
-	// the i-th registered point sits in it (quadtree.Tree.Flat).
-	flat  []geom.Point
-	order []uint32
+	// order is the registration order, as the leaf of Tree each registered
+	// point sits in (quadtree.Tree.Flat).
+	order quadtree.LeafOrder
 }
 
 // Points returns the relation's points in registration order — the exact
 // input that produced this snapshot, which the points endpoint serves so a
 // peer shard can re-register them and arrive at a bit-identical build (same
 // fingerprint, same tree, same catalogs). A snapshot keeps them in tree order
-// only, so each call gathers a fresh slice of 16 bytes a point: the result is
-// the caller's, and a caller that wants a few points uses PointAt.
+// only, so each call gathers a fresh slice of 16 bytes a point, and the result
+// is the caller's.
 func (sn *Snapshot) Points() []geom.Point {
-	return sn.appendPoints(make([]geom.Point, 0, len(sn.order)))
+	return sn.appendPoints(make([]geom.Point, 0, sn.order.Len()))
 }
 
 func (sn *Snapshot) appendPoints(dst []geom.Point) []geom.Point {
-	for _, at := range sn.order {
-		dst = append(dst, sn.flat[at])
-	}
-	return dst
+	return sn.order.AppendPoints(dst, sn.Tree.Blocks())
 }
-
-// PointAt returns the i-th point in registration order, Points()[i], without
-// gathering the rest.
-func (sn *Snapshot) PointAt(i int) geom.Point { return sn.flat[sn.order[i]] }
 
 // Touch records one estimate served from this snapshot. The count is the
 // tuner's per-relation traffic signal: hot relations keep (or regain)
@@ -413,7 +433,7 @@ func (v *View) JoinEstimator(jt engine.JoinTechnique, outer, inner *Snapshot) (c
 		}
 		// The merge's catalog depth follows the outer relation's effective
 		// resolution, matching the engine's CatalogMerge accessor.
-		m, err := core.BuildCatalogMerge(outer.Count, inner.Count, s.opt.SampleSize, outer.Resolution.MaxK)
+		m, err := core.BuildCatalogMerge(outer.Tree, inner.Tree, s.opt.SampleSize, outer.Resolution.MaxK)
 		if err != nil {
 			s.opt.logger().Printf("store: catalog-merge %s⋉%s: %v", outer.Name, inner.Name, err)
 			p.err = err
@@ -727,10 +747,8 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	if len(pts) == 0 {
 		return RelationStatus{}, fmt.Errorf("store: relation %q has no points", name)
 	}
-	for i, p := range pts {
-		if !finite(p.X) || !finite(p.Y) {
-			return RelationStatus{}, fmt.Errorf("store: relation %q point %d is not finite: %v", name, i, p)
-		}
+	if err := s.opt.checkPoints(pts, true); err != nil {
+		return RelationStatus{}, fmt.Errorf("store: relation %q %w", name, err)
 	}
 	res = s.opt.resolveResolution(res)
 	if err := res.Validate(); err != nil {
@@ -1024,16 +1042,14 @@ func (s *Store) runJob(name string) {
 // the publish step.
 type builtRelation struct {
 	tree      *index.Tree
-	count     *index.Tree
 	staircase *core.Staircase
 	density   *core.DensityBased
 	vgrid     *core.VirtualGrid
 	aknn      *aknn.Summary
-	pts       []geom.Point // registration-order source points; garbage once published
-	flat      []geom.Point // tree's point array and pts' positions in it: what the snapshot keeps
-	order     []uint32
-	fp        string          // fingerprint of pts at res
-	res       core.Resolution // the resolution the artifacts were built at
+	pts       []geom.Point       // registration-order source points; garbage once published
+	order     quadtree.LeafOrder // pts as leaves of tree: with tree, what the snapshot keeps of them
+	fp        string             // fingerprint of pts at res
+	res       core.Resolution    // the resolution the artifacts were built at
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
@@ -1042,8 +1058,8 @@ type builtRelation struct {
 // aborts it between stages.
 func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, res core.Resolution, restored *bundle) (*builtRelation, error) {
 	res = res.Canon()
-	bounds := s.opt.Bounds
-	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
+	bounds, ok := s.opt.fixedBounds()
+	if !ok {
 		bounds = boundsOf(pts)
 	}
 	b := &builtRelation{pts: pts, res: res, fp: s.fingerprint(pts, res)}
@@ -1058,9 +1074,8 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b.flat, b.order = qt.Flat(pts)
-	b.count = b.tree.CountTree()
-	b.density = core.NewDensityBased(b.count)
+	_, b.order = qt.Flat(pts)
+	b.density = core.NewDensityBased(b.tree)
 
 	if s.cache != nil && s.loadCachedCatalogs(b, restored) {
 		return b, nil
@@ -1081,13 +1096,13 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	vg, err := core.BuildVirtualGrid(b.count, res.GridSize, res.GridSize, res.MaxK)
+	vg, err := core.BuildVirtualGrid(b.tree, res.GridSize, res.GridSize, res.MaxK)
 	if err != nil {
 		return nil, fmt.Errorf("virtual grid: %w", err)
 	}
 	s.catalogBuilds.Add(1)
 	b.vgrid = vg
-	b.aknn = aknn.BuildSummaryCapacity(b.count, res.AknnCapacity)
+	b.aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
 	s.catalogBuilds.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1155,7 +1170,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	if e.snap != nil {
 		version = e.snap.Version + 1
 	}
-	eng := engine.NewRelationWithCount(e.name, b.tree, b.count,
+	eng := engine.NewRelation(e.name, b.tree,
 		engine.BuildOptions{SampleSize: s.opt.SampleSize}.WithResolution(b.res))
 	// Seed the engine with the artifacts this build already produced (or
 	// cache-loaded), so technique resolution never rebuilds what the store
@@ -1172,7 +1187,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 		Version:        version,
 		Fingerprint:    b.fp,
 		Tree:           b.tree,
-		Count:          b.count,
+		Count:          b.tree,
 		Staircase:      b.staircase,
 		Density:        b.density,
 		VGrid:          b.vgrid,
@@ -1184,7 +1199,6 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 		AknnBytes:      aknnBytes,
 		ArtifactBytes:  stairBytes + vgBytes + aknnBytes,
 		hits:           e.hits,
-		flat:           b.flat,
 		order:          b.order,
 	}
 	e.snap = snap

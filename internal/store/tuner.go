@@ -237,16 +237,13 @@ const tunerProbes = 8
 // deterministic stride of its own points, probing the catalog at its
 // shallow, middle and full depth.
 func snapshotQError(snap *Snapshot) float64 {
-	n := len(snap.order)
-	if n == 0 {
-		return 1
-	}
-	stride := max(1, n/tunerProbes)
+	pts := snap.Points()
+	stride := max(1, len(pts)/tunerProbes)
 	maxK := snap.Resolution.MaxK
 	ks := []int{1, max(1, maxK/4), maxK}
 	worst := 1.0
-	for i := 0; i < n; i += stride {
-		p := snap.PointAt(i)
+	for i := 0; i < len(pts); i += stride {
+		p := pts[i]
 		for _, k := range ks {
 			est, err := snap.Staircase.EstimateSelect(p, k)
 			if err != nil {

@@ -120,7 +120,7 @@ func TestTunerConvergesToBudget(t *testing.T) {
 	// answers selects (the accuracy contract is probed separately).
 	for _, name := range names {
 		snap := sB.View().Relation(name)
-		if _, err := snap.Staircase.EstimateSelect(snap.PointAt(0), 9); err != nil {
+		if _, err := snap.Staircase.EstimateSelect(snap.Points()[0], 9); err != nil {
 			t.Fatalf("%s: estimate after tuning: %v", name, err)
 		}
 	}

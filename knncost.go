@@ -66,13 +66,12 @@ type IndexOptions struct {
 	Fanout int
 }
 
-// Index is a spatial index over a set of points together with its
-// Count-Index (the auxiliary block-count structure the paper's estimators
-// read). Build one with BuildQuadtreeIndex, BuildRTreeIndex or
-// BuildGridIndex.
+// Index is a spatial index over a set of points. It is its own Count-Index
+// (the auxiliary block-count structure the paper's estimators read): they
+// see its block bounds and counts, never its points. Build one with
+// BuildQuadtreeIndex, BuildRTreeIndex or BuildGridIndex.
 type Index struct {
-	tree  *index.Tree
-	count *index.Tree
+	tree *index.Tree
 
 	// eng is the lazily created engine relation behind SelectEstimatorFor
 	// and JoinEstimatorFor; it caches each technique's artifact once per
@@ -121,7 +120,7 @@ func BuildKDTreeIndex(pts []Point, opt IndexOptions) *Index {
 }
 
 func wrapIndex(t *index.Tree) *Index {
-	return &Index{tree: t, count: t.CountTree()}
+	return &Index{tree: t}
 }
 
 // NumPoints returns the number of indexed points.
@@ -180,11 +179,11 @@ func (ix *Index) RangeSelect(r Rect) ([]Point, int) {
 // RangeCost returns the exact block-scan cost of RangeSelect(r), computed
 // from the Count-Index without touching data.
 func (ix *Index) RangeCost(r Rect) int {
-	return rangeop.Cost(ix.count, r)
+	return rangeop.Cost(ix.tree, r)
 }
 
 // RangeSelectivity estimates the fraction of the indexed points inside r
 // under the per-block uniformity assumption.
 func (ix *Index) RangeSelectivity(r Rect) float64 {
-	return rangeop.Selectivity(ix.count, r)
+	return rangeop.Selectivity(ix.tree, r)
 }

@@ -43,6 +43,7 @@ internal/catalog:FuzzBorrowAligned
 internal/wal:FuzzReplayWAL
 internal/store:FuzzLoadBundle
 internal/quadtree:FuzzQuadtreeBuild
+internal/ptloc:FuzzFind
 internal/service:FuzzDecodePointsBody
 "
 

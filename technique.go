@@ -50,7 +50,7 @@ func JoinTechniques() []TechniqueInfo {
 // through it is built at most once per Index.
 func (ix *Index) engine() *engine.Relation {
 	ix.engOnce.Do(func() {
-		ix.eng = engine.NewRelationWithCount("index", ix.tree, ix.count, engine.BuildOptions{})
+		ix.eng = engine.NewRelation("index", ix.tree, engine.BuildOptions{})
 	})
 	return ix.eng
 }
