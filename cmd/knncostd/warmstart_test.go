@@ -58,7 +58,9 @@ func stopDaemon(t *testing.T, exit chan int) {
 // relations — from the cache with zero catalog builds (expvar-checked) and
 // serve estimates identical to the first run's. The two catalog-merge joins
 // among the probes are the only pairs either run resolves, each built at
-// first demand by both runs: pair merges are not cached.
+// first demand by both runs: pair merges are not cached. Bundles hold no
+// AkNN summary either: the aknn-bounds probe of the warm run goes through
+// the summary the restore rebuilt from the restored tree.
 func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 	cacheDir := t.TempDir()
 	base, exit := startDaemon(t, "-cache-dir", cacheDir)
@@ -108,9 +110,11 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 		}
 		cold[p] = blocks
 	}
-	if builds := expvarInt(t, base, "knncost_catalog_builds"); builds != 3*3+2 {
-		t.Fatalf("cold run built %d catalogs, want 3 per relation and the 2 merges the probes asked for", builds)
+	if builds := expvarInt(t, base, "knncost_catalog_builds"); builds != 3*2+2 {
+		t.Fatalf("cold run built %d catalogs, want 2 per relation and the 2 merges the probes asked for", builds)
 	}
+	_, status := getStatus(t, base+"/relations/restaurants/status")
+	aknnBytes, _ := status["aknn_bytes"].(float64)
 	if n, b := expvarInt(t, base, "knncost_pair_merges"), expvarInt(t, base, "knncost_pair_merge_bytes"); n != 2 || b <= 0 {
 		t.Fatalf("knncost_pair_merges = %d (%d bytes) after two catalog-merge joins, want 2", n, b)
 	}
@@ -125,6 +129,9 @@ func TestWarmRestartServesIdenticalEstimates(t *testing.T) {
 	loaded := expvarInt(t, base2, "knncost_cache_hits")
 	if loaded == 0 {
 		t.Error("warm restart recorded no cache hits")
+	}
+	if _, status := getStatus(t, base2+"/relations/restaurants/status"); status["aknn_bytes"] != aknnBytes || aknnBytes <= 0 {
+		t.Errorf("warm restart serves an AkNN summary of %v bytes, the cold run %v", status["aknn_bytes"], aknnBytes)
 	}
 	for _, p := range probes {
 		code, body := getStatus(t, base2+p)

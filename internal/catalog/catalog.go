@@ -4,8 +4,8 @@
 // scans for any k in the interval (Figures 4 and 7). Catalogs support
 // logarithmic lookup, the plane-sweep merge of Figure 8 (sum across
 // catalogs, driven by a min-heap), the max-merge used for the staircase
-// corners-catalog, and a compact binary encoding used to account for catalog
-// storage exactly as §5 does.
+// corners-catalog, and a compact binary encoding: the catalog storage §5
+// accounts for, and the form in which artifacts persist their catalogs.
 package catalog
 
 import (
@@ -27,10 +27,10 @@ type Entry struct {
 	Cost         int
 }
 
-// interval is a catalog entry as held in memory and in the aligned
-// encoding: 8 bytes. Its start is the previous interval's end plus one
-// (1 for the first), and ends and costs are bounded by MaxInt32 — the bound
-// every decoder has always enforced — so both fit a uint32.
+// interval is a catalog entry as held in memory: 8 bytes. Its start is the
+// previous interval's end plus one (1 for the first), and ends and costs are
+// bounded by MaxInt32 — the bound the decoder has always enforced — so both
+// fit a uint32.
 type interval struct {
 	end, cost uint32
 }
@@ -213,78 +213,147 @@ func MergeMax(cats []*Catalog) (*Catalog, error) {
 	})
 }
 
-// marshal format: uvarint entry count, then per entry uvarint(EndK delta
-// from previous EndK) and uvarint(Cost). StartK values are implied by
-// contiguity, so each entry costs only a few bytes — this is the storage the
-// experiments of §5 account for. It is a metric, not a persistence format
-// (artifacts persist in the aligned encoding of aligned.go); UnmarshalBinary
-// exists to prove the metric counts a lossless encoding.
+// The binary encoding: a version byte, the uvarint entry count, then per
+// entry uvarint(EndK delta from the previous EndK) and uvarint(Cost), every
+// uvarint in its shortest form. StartK values are implied by contiguity, so
+// each entry costs only a few bytes. It is the storage the experiments of
+// §5 account for (StorageBytes counts it) and the one persisted form of a
+// catalog: artifacts write their catalogs in it back to back, and a Decoder
+// reads them back.
 const marshalHeader = byte(0x01) // format version
 
 // MarshalBinary encodes the catalog compactly.
 func (c *Catalog) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 1, 1+10*len(c.entries))
-	buf[0] = marshalHeader
-	buf = binary.AppendUvarint(buf, uint64(len(c.entries)))
+	return c.AppendBinary(make([]byte, 0, c.StorageBytes())), nil
+}
+
+// AppendBinary appends the MarshalBinary encoding of c to buf: StorageBytes
+// bytes.
+func (c *Catalog) AppendBinary(buf []byte) []byte {
+	buf = binary.AppendUvarint(append(buf, marshalHeader), uint64(len(c.entries)))
 	prevEnd := uint32(0)
 	for _, e := range c.entries {
 		buf = binary.AppendUvarint(buf, uint64(e.end-prevEnd))
 		buf = binary.AppendUvarint(buf, uint64(e.cost))
 		prevEnd = e.end
 	}
-	return buf, nil
+	return buf
 }
 
-// UnmarshalBinary decodes a catalog encoded by MarshalBinary.
+// UnmarshalBinary decodes a catalog encoded by MarshalBinary: the prefix
+// decoder for one catalog, and no bytes after it. On error c is unchanged.
 func (c *Catalog) UnmarshalBinary(data []byte) error {
+	d, n, err := NewDecoder(data, 1)
+	if err != nil {
+		return err
+	}
+	if n != len(data) {
+		return errors.New("catalog: trailing bytes")
+	}
+	d.Next(c)
+	return nil
+}
+
+// Decoder reads catalogs encoded by MarshalBinary and laid end to end, the
+// way artifacts persist them. NewDecoder validates every one of them before
+// anything is decoded, so Next cannot fail, and gives all their intervals
+// one exact-size allocation.
+type Decoder struct {
+	data []byte     // the encodings not yet decoded
+	all  []interval // every validated interval; Next appends into it
+}
+
+// NewDecoder validates the first n encodings in data and returns a Decoder
+// positioned at the first, with the number of bytes the n take; what
+// follows them is the caller's. An encoding must hold what Append would:
+// interval ends strictly increasing from at least 1, and ends and costs
+// within int32, because Lookup's binary search trusts them.
+func NewDecoder(data []byte, n int) (Decoder, int, error) {
+	total, size := 0, 0
+	for i := 0; i < n; i++ {
+		count, sz, err := decode(data[size:], nil)
+		if err != nil {
+			return Decoder{}, 0, err
+		}
+		total += count
+		size += sz
+	}
+	return Decoder{data: data[:size], all: make([]interval, 0, total)}, size, nil
+}
+
+// Next decodes the next catalog into c. c shares the decoder's allocation
+// but no capacity with its neighbours, so an Append to it copies. Calling
+// Next more often than NewDecoder was told to validate panics.
+func (d *Decoder) Next(c *Catalog) {
+	start := len(d.all)
+	_, size, err := decode(d.data, &d.all)
+	if err != nil {
+		panic("catalog: Decoder.Next past the validated encodings")
+	}
+	c.entries = d.all[start:len(d.all):len(d.all)]
+	d.data = d.data[size:]
+}
+
+// decode parses the encoding at the start of data and returns its entry
+// count and its length in bytes; with out non-nil it also appends the
+// intervals to *out.
+func decode(data []byte, out *[]interval) (count, size int, err error) {
 	if len(data) == 0 || data[0] != marshalHeader {
-		return errors.New("catalog: bad header")
+		return 0, 0, errors.New("catalog: bad header")
 	}
-	data = data[1:]
-	n, sz := binary.Uvarint(data)
+	size = 1
+	n, sz := uvarint(data[size:])
 	if sz <= 0 {
-		return errors.New("catalog: truncated entry count")
+		return 0, 0, errors.New("catalog: truncated entry count")
 	}
-	data = data[sz:]
+	size += sz
 	// Every entry costs at least two bytes (one per uvarint), so a count
-	// beyond len(data)/2 is a hostile or corrupt length field; reject it
-	// before it sizes an allocation.
-	if n > uint64(len(data)/2) {
-		return errors.New("catalog: entry count exceeds payload")
+	// beyond that is a hostile or corrupt length field; reject it before it
+	// sizes an allocation.
+	if n > uint64(len(data)-size)/2 {
+		return 0, 0, errors.New("catalog: entry count exceeds payload")
 	}
-	entries := make([]interval, 0, n)
 	prevEnd := uint32(0)
 	for i := uint64(0); i < n; i++ {
-		delta, sz := binary.Uvarint(data)
+		delta, sz := uvarint(data[size:])
 		if sz <= 0 {
-			return errors.New("catalog: truncated end delta")
+			return 0, 0, errors.New("catalog: truncated end delta")
 		}
-		data = data[sz:]
-		cost, sz2 := binary.Uvarint(data)
-		if sz2 <= 0 {
-			return errors.New("catalog: truncated cost")
+		size += sz
+		cost, sz := uvarint(data[size:])
+		if sz <= 0 {
+			return 0, 0, errors.New("catalog: truncated cost")
 		}
-		data = data[sz2:]
+		size += sz
 		// Well-formed catalogs have strictly increasing interval ends, and
 		// ends and costs within int32; anything else would break the
 		// binary-search invariant Lookup relies on (or wrap a uint32).
 		if delta == 0 {
-			return errors.New("catalog: non-increasing interval end")
+			return 0, 0, errors.New("catalog: non-increasing interval end")
 		}
 		if delta > math.MaxInt32 || uint64(prevEnd)+delta > math.MaxInt32 {
-			return errors.New("catalog: interval end overflows")
+			return 0, 0, errors.New("catalog: interval end overflows")
 		}
 		if cost > math.MaxInt32 {
-			return errors.New("catalog: cost overflows")
+			return 0, 0, errors.New("catalog: cost overflows")
 		}
 		prevEnd += uint32(delta)
-		entries = append(entries, interval{end: prevEnd, cost: uint32(cost)})
+		if out != nil {
+			*out = append(*out, interval{end: prevEnd, cost: uint32(cost)})
+		}
 	}
-	if len(data) != 0 {
-		return errors.New("catalog: trailing bytes")
+	return int(n), size, nil
+}
+
+// uvarint reads one uvarint in its shortest form. binary.Uvarint also
+// accepts padded forms (0x80 0x00 for 0), which would give a catalog a
+// second encoding; those read as malformed (size 0).
+func uvarint(data []byte) (uint64, int) {
+	v, n := binary.Uvarint(data)
+	if n > 0 && n != uvarintLen(v) {
+		return 0, 0
 	}
-	c.entries = entries
-	return nil
+	return v, n
 }
 
 // StorageBytes returns len(MarshalBinary()) — the storage overhead metric of

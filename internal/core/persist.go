@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
@@ -16,31 +15,31 @@ import (
 
 // Catalog persistence: a query optimizer builds its statistics once and
 // keeps them across restarts. Staircase, CatalogMerge and VirtualGrid each
-// have one persisted encoding, written by AppendMapped (WriteTo writes the
-// same bytes to a stream) and parsed by the Load*Mapped functions (the
-// io.Reader loaders read everything and call them): an 8-byte magic, then
-// fixed-width little-endian uint64 header fields, then every catalog in
-// the aligned encoding of catalog.AppendAligned. All sections are
-// multiples of 8 bytes, so each catalog stays 8-byte aligned relative to
-// the start of the input and a loader handed 8-byte-aligned bytes borrows
-// the catalogs in place instead of decoding them one by one. The store's
-// bundles embed these bytes unchanged.
+// have one persisted encoding, written by AppendBinary (WriteTo writes the
+// same bytes to a stream) and parsed by the Unmarshal* functions (the
+// io.Reader loaders read everything and call them): an 8-byte magic,
+// fixed-width little-endian uint64 header fields, then every catalog in its
+// catalog.MarshalBinary encoding, back to back. Past the header an encoding
+// is therefore exactly the artifact's StorageBytes, the storage the paper's
+// Figures 14, 20 and 22 count. The store's bundles embed these bytes
+// unchanged.
 //
 // Loading a Staircase requires the same data index (its catalogs attach to
 // that index's blocks, and the header records a fingerprint to catch
 // mismatches); CatalogMerge and VirtualGrid load standalone. Every header
-// field is validated before anything is sized by it, every catalog entry by
-// catalog.BorrowAligned, and trailing bytes are an error.
-//
-// Lifetime: loaded artifacts alias the input bytes, and the borrow is an
-// ordinary Go reference: loaders are handed heap allocations, so the
-// garbage collector keeps the bytes alive exactly as long as an artifact
-// uses them.
+// field is validated before anything is sized by it, every catalog by
+// catalog.NewDecoder, and trailing bytes are an error. A loaded artifact
+// shares nothing with its input: the decoder gives all of its intervals one
+// allocation.
 
 const (
-	mappedMagicStaircase   = "KNCSMAP\x02"
-	mappedMagicCatalogMrg  = "KNCMMAP\x02"
-	mappedMagicVirtualGrid = "KNVGMAP\x02"
+	magicStaircase   = "KNCSMAP\x03"
+	magicCatalogMrg  = "KNCMMAP\x03"
+	magicVirtualGrid = "KNVGMAP\x03"
+
+	// Header sizes: the magic and four or seven uint64 fields.
+	headerStaircase   = 8 + 4*8
+	headerVirtualGrid = 8 + 7*8
 
 	// maxSaneK bounds the MaxK a loader accepts: the largest interval end a
 	// catalog can hold. Catalog-maintained k values are "a practically large
@@ -48,63 +47,63 @@ const (
 	maxSaneK = math.MaxInt32
 )
 
-// mappedWriter appends fixed-width sections to a byte slice.
-type mappedWriter []byte
+// appendHeader appends a magic and its fixed-width fields to buf.
+func appendHeader(buf []byte, magic string, fields ...uint64) []byte {
+	buf = append(buf, magic...)
+	for _, f := range fields {
+		buf = binary.LittleEndian.AppendUint64(buf, f)
+	}
+	return buf
+}
 
-func (m *mappedWriter) u64(v uint64)               { *m = binary.LittleEndian.AppendUint64(*m, v) }
-func (m *mappedWriter) catalog(c *catalog.Catalog) { *m = c.AppendAligned(*m) }
-
-// mappedReader parses fixed-width sections from the raw bytes without
-// copying them.
-type mappedReader struct {
+// reader parses an encoding: the header fields, then its catalogs.
+type reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (m *mappedReader) magic(want string) {
-	if m.err != nil {
+func (r *reader) magic(want string) {
+	if r.err != nil {
 		return
 	}
-	if len(m.data) < len(want) || string(m.data[:len(want)]) != want {
-		m.err = fmt.Errorf("core: bad magic, want %q", want)
+	if len(r.data) < len(want) || string(r.data[:len(want)]) != want {
+		r.err = fmt.Errorf("core: bad magic, want %q", want)
 		return
 	}
-	m.off = len(want)
+	r.off = len(want)
 }
 
-func (m *mappedReader) u64() uint64 {
-	if m.err != nil {
+func (r *reader) u64() uint64 {
+	if r.err != nil {
 		return 0
 	}
-	if m.off+8 > len(m.data) {
-		m.err = errors.New("core: truncated header")
+	if r.off+8 > len(r.data) {
+		r.err = errors.New("core: truncated header")
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(m.data[m.off:])
-	m.off += 8
+	v := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
 	return v
 }
 
-// catalog borrows the next catalog into c.
-func (m *mappedReader) catalog(c *catalog.Catalog) {
-	if m.err != nil {
-		return
+// catalogs validates the n catalogs that follow and returns their decoder.
+func (r *reader) catalogs(n int) catalog.Decoder {
+	if r.err != nil {
+		return catalog.Decoder{}
 	}
-	n, err := c.BorrowAligned(m.data[m.off:])
-	if err != nil {
-		m.err = err
-		return
-	}
-	m.off += n
+	d, size, err := catalog.NewDecoder(r.data[r.off:], n)
+	r.off += size
+	r.err = err
+	return d
 }
 
-func (m *mappedReader) done() error {
-	if m.err != nil {
-		return m.err
+func (r *reader) done() error {
+	if r.err != nil {
+		return r.err
 	}
-	if m.off != len(m.data) {
-		return fmt.Errorf("core: %d trailing bytes", len(m.data)-m.off)
+	if r.off != len(r.data) {
+		return fmt.Errorf("core: %d trailing bytes", len(r.data)-r.off)
 	}
 	return nil
 }
@@ -115,62 +114,73 @@ func writeTo(w io.Writer, enc []byte) (int64, error) {
 	return int64(n), err
 }
 
-// AppendMapped appends the staircase's persisted encoding to buf. The
-// companion LoadStaircaseMapped must be given the same data index.
-func (s *Staircase) AppendMapped(buf []byte) []byte {
-	m := mappedWriter(append(buf, mappedMagicStaircase...))
-	m.u64(uint64(s.mode))
-	m.u64(uint64(s.maxK))
-	m.u64(uint64(s.aux.NumBlocks()))
-	m.u64(uint64(s.aux.NumPoints()))
+// AppendBinary appends the staircase's persisted encoding to buf. The
+// companion UnmarshalStaircase must be given the same data index.
+func (s *Staircase) AppendBinary(buf []byte) []byte {
+	buf = appendHeader(buf, magicStaircase, uint64(s.mode), uint64(s.maxK),
+		uint64(s.aux.NumBlocks()), uint64(s.aux.NumPoints()))
+	s.eachCatalog(func(c *catalog.Catalog) { buf = c.AppendBinary(buf) })
+	return buf
+}
+
+// EncodedSize returns len(AppendBinary(nil)): the header and StorageBytes.
+func (s *Staircase) EncodedSize() int { return headerStaircase + s.StorageBytes() }
+
+// eachCatalog calls f with every catalog of s in encoding order: per block
+// the center catalog, then its corners-catalog or its four quadrant ones.
+func (s *Staircase) eachCatalog(f func(*catalog.Catalog)) {
 	for i := range s.center {
-		m.catalog(&s.center[i])
+		f(&s.center[i])
 		switch s.mode {
 		case ModeCenterCorners:
-			m.catalog(&s.corners[i])
+			f(&s.corners[i])
 		case ModeCenterQuadrant:
 			for j := range s.quads[i] {
-				m.catalog(&s.quads[i][j])
+				f(&s.quads[i][j])
 			}
 		}
 	}
-	return m
 }
 
-// WriteTo writes the AppendMapped encoding to w.
-func (s *Staircase) WriteTo(w io.Writer) (int64, error) { return writeTo(w, s.AppendMapped(nil)) }
+// WriteTo writes the AppendBinary encoding to w.
+func (s *Staircase) WriteTo(w io.Writer) (int64, error) { return writeTo(w, s.AppendBinary(nil)) }
 
-// LoadStaircase reads all of r and loads it with LoadStaircaseMapped.
+// LoadStaircase reads all of r and loads it with UnmarshalStaircase.
 func LoadStaircase(data *index.Tree, r io.Reader, opt StaircaseOptions) (*Staircase, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading staircase: %w", err)
 	}
-	return LoadStaircaseMapped(data, raw, opt)
+	return UnmarshalStaircase(data, raw, opt)
 }
 
-// LoadStaircaseMapped reconstructs a staircase from the raw bytes of an
-// AppendMapped encoding against the same data index it was built on,
-// borrowing the catalogs in place. opt supplies only AuxCapacity (to
-// rebuild the auxiliary index for a non-partitioning data index) and
-// Fallback; mode and MaxK come from the header. The header's block-count
-// and point-count fingerprints must match the index, otherwise an error is
-// returned.
-func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
-	m := &mappedReader{data: raw}
-	m.magic(mappedMagicStaircase)
-	mode := StaircaseMode(m.u64())
-	maxK := int(m.u64())
-	numBlocks := int(m.u64())
-	numPoints := int(m.u64())
-	if m.err != nil {
-		return nil, m.err
+// UnmarshalStaircase reconstructs a staircase from an AppendBinary encoding
+// against the same data index it was built on. opt supplies only
+// AuxCapacity (to rebuild the auxiliary index for a non-partitioning data
+// index) and Fallback; mode and MaxK come from the header. The header's
+// block-count and point-count fingerprints must match the index, otherwise
+// an error is returned.
+func UnmarshalStaircase(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
+	r := &reader{data: raw}
+	r.magic(magicStaircase)
+	mode := StaircaseMode(r.u64())
+	maxK := int(r.u64())
+	numBlocks := int(r.u64())
+	numPoints := int(r.u64())
+	if r.err != nil {
+		return nil, r.err
 	}
 	// Validate the header fields before they size anything: an unknown mode
 	// would leave the corners/quads slices nil and panic at estimation time,
 	// and a hostile maxK or block count must not drive allocations.
+	perBlock := 0
 	switch mode {
-	case ModeCenterCorners, ModeCenterOnly, ModeCenterQuadrant:
+	case ModeCenterOnly:
+		perBlock = 1
+	case ModeCenterCorners:
+		perBlock = 2
+	case ModeCenterQuadrant:
+		perBlock = 5
 	default:
 		return nil, fmt.Errorf("core: unknown staircase mode %d", mode)
 	}
@@ -187,6 +197,10 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 	if aux.NumBlocks() != numBlocks || aux.NumPoints() != numPoints {
 		return nil, fmt.Errorf("core: staircase file built for %d blocks/%d points, index has %d/%d",
 			numBlocks, numPoints, aux.NumBlocks(), aux.NumPoints())
+	}
+	d := r.catalogs(perBlock * numBlocks)
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	s := &Staircase{
 		aux:      aux,
@@ -205,115 +219,92 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 	case ModeCenterQuadrant:
 		s.quads = make([][4]catalog.Catalog, numBlocks)
 	}
-	for i := 0; i < numBlocks; i++ {
-		m.catalog(&s.center[i])
-		switch mode {
-		case ModeCenterCorners:
-			m.catalog(&s.corners[i])
-		case ModeCenterQuadrant:
-			for j := range s.quads[i] {
-				m.catalog(&s.quads[i][j])
-			}
-		}
-		if m.err != nil {
-			return nil, m.err
-		}
-	}
-	if err := m.done(); err != nil {
-		return nil, err
-	}
+	s.eachCatalog(func(c *catalog.Catalog) { d.Next(c) })
 	return s, nil
 }
 
-// AppendMapped appends the persisted encoding of the merged pair catalog
+// AppendBinary appends the persisted encoding of the merged pair catalog
 // and its scale factor to buf.
-func (c *CatalogMerge) AppendMapped(buf []byte) []byte {
-	buf = slices.Grow(buf, len(mappedMagicCatalogMrg)+16+c.merged.AlignedSize()) // the store appends thousands to nil
-	m := mappedWriter(append(buf, mappedMagicCatalogMrg...))
-	m.u64(uint64(c.maxK))
-	m.u64(math.Float64bits(c.scale))
-	m.catalog(c.merged)
-	return m
+func (c *CatalogMerge) AppendBinary(buf []byte) []byte {
+	return c.merged.AppendBinary(appendHeader(buf, magicCatalogMrg, uint64(c.maxK), math.Float64bits(c.scale)))
 }
 
-// WriteTo writes the AppendMapped encoding to w.
-func (c *CatalogMerge) WriteTo(w io.Writer) (int64, error) { return writeTo(w, c.AppendMapped(nil)) }
+// WriteTo writes the AppendBinary encoding to w.
+func (c *CatalogMerge) WriteTo(w io.Writer) (int64, error) { return writeTo(w, c.AppendBinary(nil)) }
 
-// LoadCatalogMerge reads all of r and loads it with LoadCatalogMergeMapped.
+// LoadCatalogMerge reads all of r and loads it with UnmarshalCatalogMerge.
 func LoadCatalogMerge(r io.Reader) (*CatalogMerge, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading catalog-merge: %w", err)
 	}
-	return LoadCatalogMergeMapped(raw)
+	return UnmarshalCatalogMerge(raw)
 }
 
-// LoadCatalogMergeMapped reconstructs a CatalogMerge from the raw bytes
-// of an AppendMapped encoding, borrowing the catalog in place. It is fully
-// standalone: no index is needed at estimation time.
-func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
-	m := &mappedReader{data: raw}
-	m.magic(mappedMagicCatalogMrg)
-	maxK := int(m.u64())
-	scale := math.Float64frombits(m.u64())
-	if m.err == nil && (maxK < 1 || maxK > maxSaneK) {
+// UnmarshalCatalogMerge reconstructs a CatalogMerge from an AppendBinary
+// encoding. It is fully standalone: no index is needed at estimation time.
+func UnmarshalCatalogMerge(raw []byte) (*CatalogMerge, error) {
+	r := &reader{data: raw}
+	r.magic(magicCatalogMrg)
+	maxK := int(r.u64())
+	scale := math.Float64frombits(r.u64())
+	if r.err == nil && (maxK < 1 || maxK > maxSaneK) {
 		return nil, fmt.Errorf("core: unreasonable catalog-merge MaxK %d", maxK)
 	}
-	if m.err == nil && (math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0) {
+	if r.err == nil && (math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0) {
 		return nil, fmt.Errorf("core: invalid catalog-merge scale %v", scale)
 	}
-	merged := new(catalog.Catalog)
-	m.catalog(merged)
-	if err := m.done(); err != nil {
+	d := r.catalogs(1)
+	if err := r.done(); err != nil {
 		return nil, err
 	}
+	merged := new(catalog.Catalog)
+	d.Next(merged)
 	return &CatalogMerge{merged: merged, scale: scale, maxK: maxK}, nil
 }
 
-// AppendMapped appends the virtual grid's persisted encoding — bounds,
+// AppendBinary appends the virtual grid's persisted encoding — bounds,
 // dimensions and per-cell catalogs — to buf.
-func (v *VirtualGrid) AppendMapped(buf []byte) []byte {
-	m := mappedWriter(append(buf, mappedMagicVirtualGrid...))
-	m.u64(uint64(v.nx))
-	m.u64(uint64(v.ny))
-	m.u64(uint64(v.maxK))
-	m.u64(math.Float64bits(v.bounds.Min.X))
-	m.u64(math.Float64bits(v.bounds.Min.Y))
-	m.u64(math.Float64bits(v.bounds.Max.X))
-	m.u64(math.Float64bits(v.bounds.Max.Y))
+func (v *VirtualGrid) AppendBinary(buf []byte) []byte {
+	buf = appendHeader(buf, magicVirtualGrid, uint64(v.nx), uint64(v.ny), uint64(v.maxK),
+		math.Float64bits(v.bounds.Min.X), math.Float64bits(v.bounds.Min.Y),
+		math.Float64bits(v.bounds.Max.X), math.Float64bits(v.bounds.Max.Y))
 	for i := range v.catalogs {
-		m.catalog(&v.catalogs[i])
+		buf = v.catalogs[i].AppendBinary(buf)
 	}
-	return m
+	return buf
 }
 
-// WriteTo writes the AppendMapped encoding to w.
-func (v *VirtualGrid) WriteTo(w io.Writer) (int64, error) { return writeTo(w, v.AppendMapped(nil)) }
+// EncodedSize returns len(AppendBinary(nil)): the header and StorageBytes.
+func (v *VirtualGrid) EncodedSize() int { return headerVirtualGrid + v.StorageBytes() }
 
-// LoadVirtualGrid reads all of r and loads it with LoadVirtualGridMapped.
+// WriteTo writes the AppendBinary encoding to w.
+func (v *VirtualGrid) WriteTo(w io.Writer) (int64, error) { return writeTo(w, v.AppendBinary(nil)) }
+
+// LoadVirtualGrid reads all of r and loads it with UnmarshalVirtualGrid.
 func LoadVirtualGrid(r io.Reader) (*VirtualGrid, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading virtual-grid: %w", err)
 	}
-	return LoadVirtualGridMapped(raw)
+	return UnmarshalVirtualGrid(raw)
 }
 
-// LoadVirtualGridMapped reconstructs a VirtualGrid from the raw bytes of
-// an AppendMapped encoding, borrowing the per-cell catalogs in place. It
-// is fully standalone: estimation needs only the outer relation.
-func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
-	m := &mappedReader{data: raw}
-	m.magic(mappedMagicVirtualGrid)
-	nx := int(m.u64())
-	ny := int(m.u64())
-	maxK := int(m.u64())
+// UnmarshalVirtualGrid reconstructs a VirtualGrid from an AppendBinary
+// encoding. It is fully standalone: estimation needs only the outer
+// relation.
+func UnmarshalVirtualGrid(raw []byte) (*VirtualGrid, error) {
+	r := &reader{data: raw}
+	r.magic(magicVirtualGrid)
+	nx := int(r.u64())
+	ny := int(r.u64())
+	maxK := int(r.u64())
 	bounds := geom.Rect{
-		Min: geom.Point{X: math.Float64frombits(m.u64()), Y: math.Float64frombits(m.u64())},
-		Max: geom.Point{X: math.Float64frombits(m.u64()), Y: math.Float64frombits(m.u64())},
+		Min: geom.Point{X: math.Float64frombits(r.u64()), Y: math.Float64frombits(r.u64())},
+		Max: geom.Point{X: math.Float64frombits(r.u64()), Y: math.Float64frombits(r.u64())},
 	}
-	if m.err != nil {
-		return nil, m.err
+	if r.err != nil {
+		return nil, r.err
 	}
 	if nx < 1 || ny < 1 || nx > 1<<20 || ny > 1<<20 || nx*ny > 1<<20 {
 		return nil, fmt.Errorf("core: unreasonable grid %dx%d", nx, ny)
@@ -324,6 +315,10 @@ func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
 	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, fmt.Errorf("core: invalid grid bounds %v", bounds)
 	}
+	d := r.catalogs(nx * ny)
+	if err := r.done(); err != nil {
+		return nil, err
+	}
 	v := &VirtualGrid{
 		catalogs: make([]catalog.Catalog, nx*ny),
 		bounds:   bounds,
@@ -332,13 +327,7 @@ func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
 		maxK:     maxK,
 	}
 	for i := range v.catalogs {
-		m.catalog(&v.catalogs[i])
-		if m.err != nil {
-			return nil, m.err
-		}
-	}
-	if err := m.done(); err != nil {
-		return nil, err
+		d.Next(&v.catalogs[i])
 	}
 	return v, nil
 }

@@ -41,27 +41,27 @@ func fuzzSetup(tb testing.TB) {
 		if err != nil {
 			panic(err)
 		}
-		fuzzFixture.staircase = s.AppendMapped(nil)
+		fuzzFixture.staircase = s.AppendBinary(nil)
 
 		cm, err := BuildCatalogMerge(fuzzFixture.data.CountTree(), other.CountTree(), 20, 40)
 		if err != nil {
 			panic(err)
 		}
-		fuzzFixture.merge = cm.AppendMapped(nil)
+		fuzzFixture.merge = cm.AppendBinary(nil)
 
 		vg, err := BuildVirtualGrid(fuzzFixture.data.CountTree(), 4, 4, 40)
 		if err != nil {
 			panic(err)
 		}
-		fuzzFixture.vgrid = vg.AppendMapped(nil)
+		fuzzFixture.vgrid = vg.AppendBinary(nil)
 	})
 }
 
 // seedMutations adds the valid encoding plus systematic corruptions:
 // truncations at several depths and a flipped byte in the magic, in each
-// of the headerWords fixed-width fields, in the first catalog's entry
-// count, at both ends of its first entry's two 32-bit fields, in the low
-// byte of its second entry's, and mid-file.
+// of the headerWords fixed-width fields, in the first catalog's version
+// byte, entry count and first two (end delta, cost) pairs, mid-file and in
+// the last two bytes.
 func seedMutations(f *testing.F, valid []byte, headerWords int) {
 	f.Add(valid)
 	f.Add([]byte{})
@@ -70,11 +70,12 @@ func seedMutations(f *testing.F, valid []byte, headerWords int) {
 		f.Add(valid[:len(valid)/frac])
 	}
 	positions := []int{4, 7, len(valid) / 2}
-	for w := 0; w < headerWords+1; w++ { // +1: the first catalog's entry count
+	for w := 0; w < headerWords; w++ {
 		positions = append(positions, 8+8*w, 8+8*w+7)
 	}
-	entry := 8 + 8*(headerWords+1)
-	positions = append(positions, entry, entry+3, entry+4, entry+7, entry+8, entry+12) // end, cost; end, cost
+	first := 8 + 8*headerWords
+	positions = append(positions, first, first+1, first+2, first+3, first+4, first+5, // version, count, (delta, cost) twice
+		len(valid)-2, len(valid)-1)
 	for _, pos := range positions {
 		mut := append([]byte(nil), valid...)
 		mut[pos] ^= 0xFF
@@ -112,7 +113,7 @@ func FuzzLoadStaircase(f *testing.F) {
 		for i := range s.quads {
 			cats = append(cats, s.quads[i][:]...)
 		}
-		checkLoaded(t, data, s.AppendMapped(nil), cats...)
+		checkLoaded(t, data, s.AppendBinary(nil), cats...)
 		// Accepted input must yield a usable estimator: estimates may fail
 		// with an error (catalogs shorter than MaxK) but must never panic.
 		for _, q := range []geom.Point{{X: 1, Y: 1}, {X: 32, Y: 32}, {X: 63, Y: 63}} {
@@ -131,7 +132,7 @@ func FuzzLoadCatalogMerge(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkLoaded(t, data, cm.AppendMapped(nil), *cm.merged)
+		checkLoaded(t, data, cm.AppendBinary(nil), *cm.merged)
 		for _, k := range []int{1, 7, 40, 1000} {
 			_, _ = cm.EstimateJoin(k)
 		}
@@ -147,7 +148,7 @@ func FuzzLoadVirtualGrid(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkLoaded(t, data, vg.AppendMapped(nil), vg.catalogs...)
+		checkLoaded(t, data, vg.AppendBinary(nil), vg.catalogs...)
 		for _, k := range []int{1, 7, 40} {
 			_, _ = vg.EstimateJoin(fuzzFixture.data, k)
 		}

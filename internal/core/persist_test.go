@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"knncost/internal/catalog"
 	"knncost/internal/geom"
 	"knncost/internal/rtree"
 )
@@ -34,13 +35,19 @@ func TestStaircaseRoundTrip(t *testing.T) {
 			t.Errorf("%v: WriteTo reported %d bytes, wrote %d", mode, n, buf.Len())
 		}
 		prefix := []byte("12345678") // appending must leave what was there
-		if raw := orig.AppendMapped(prefix); !bytes.Equal(raw, append(prefix, buf.Bytes()...)) {
-			t.Fatalf("%v: AppendMapped(prefix) is not prefix + the bytes WriteTo wrote", mode)
+		if raw := orig.AppendBinary(prefix); !bytes.Equal(raw, append(prefix, buf.Bytes()...)) {
+			t.Fatalf("%v: AppendBinary(prefix) is not prefix + the bytes WriteTo wrote", mode)
 		}
-		loaded, err := LoadStaircase(data, &buf, StaircaseOptions{})
+		// Past the header, the encoding is the paper's storage metric.
+		if n := buf.Len(); n != orig.EncodedSize() || n != headerStaircase+orig.StorageBytes() {
+			t.Fatalf("%v: encoded %d bytes, EncodedSize %d, header + StorageBytes %d", mode, n, orig.EncodedSize(), headerStaircase+orig.StorageBytes())
+		}
+		raw := buf.Bytes()
+		loaded, err := UnmarshalStaircase(data, raw, StaircaseOptions{})
 		if err != nil {
-			t.Fatalf("%v LoadStaircase: %v", mode, err)
+			t.Fatalf("%v UnmarshalStaircase: %v", mode, err)
 		}
+		clear(raw) // nothing loaded aliases the input: the estimates below hold
 		if loaded.Mode() != mode || loaded.MaxK() != 150 {
 			t.Fatalf("%v: loaded mode/maxK = %v/%d", mode, loaded.Mode(), loaded.MaxK())
 		}
@@ -165,6 +172,9 @@ func TestVirtualGridRoundTrip(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if n := buf.Len(); n != orig.EncodedSize() || n != headerVirtualGrid+orig.StorageBytes() {
+		t.Fatalf("encoded %d bytes, EncodedSize %d, header + StorageBytes %d", n, orig.EncodedSize(), headerVirtualGrid+orig.StorageBytes())
+	}
 	loaded, err := LoadVirtualGrid(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +226,14 @@ func TestLoadCorruptData(t *testing.T) {
 	}
 }
 
-// TestMappedLoadersRejectCorruptInput: every truncation of a valid
-// encoding, trailing garbage, a corrupt magic or version, every header word
-// and every field of every catalog entry overwritten with an out-of-range or
-// order-breaking value must produce an error — never a panic and never a
-// silently wrong artifact — whether the catalogs are borrowed in place or
-// decoded from misaligned bytes. This is the property the store's
-// rebuild-on-miss fallback relies on.
-func TestMappedLoadersRejectCorruptInput(t *testing.T) {
+// TestLoadersRejectCorruptInput: every truncation of a valid encoding,
+// trailing garbage, a corrupt magic or version, every header word and every
+// catalog's version byte and first end delta overwritten with an
+// out-of-range or order-breaking value must produce an error — never a
+// panic and never a silently wrong artifact. This is the property the
+// store's rebuild-on-miss fallback relies on. (What the catalog decoder
+// refuses entry by entry, internal/catalog's tests pin.)
+func TestLoadersRejectCorruptInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	bounds := geom.NewRect(0, 0, 50, 50)
 	data := buildIx(clusteredPoints(rng, 600, bounds), bounds, 32)
@@ -239,34 +249,38 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stairCats []*catalog.Catalog
+	stair.eachCatalog(func(c *catalog.Catalog) { stairCats = append(stairCats, c) })
+	var vgCats []*catalog.Catalog
+	for i := range vg.catalogs {
+		vgCats = append(vgCats, &vg.catalogs[i])
+	}
 
 	loaders := []struct {
 		name        string
 		full        []byte
 		headerWords int // fixed-width fields between the magic and the first catalog
 		maxKWord    int // which of them is MaxK
+		cats        []*catalog.Catalog
 		load        func([]byte) error
 	}{
-		{"staircase", stair.AppendMapped(nil), 4, 1, func(raw []byte) error {
-			_, err := LoadStaircaseMapped(data, raw, StaircaseOptions{})
+		{"staircase", stair.AppendBinary(nil), 4, 1, stairCats, func(raw []byte) error {
+			_, err := UnmarshalStaircase(data, raw, StaircaseOptions{})
 			return err
 		}},
-		{"virtual-grid", vg.AppendMapped(nil), 7, 2, func(raw []byte) error {
-			_, err := LoadVirtualGridMapped(raw)
+		{"virtual-grid", vg.AppendBinary(nil), 7, 2, vgCats, func(raw []byte) error {
+			_, err := UnmarshalVirtualGrid(raw)
 			return err
 		}},
-		{"catalog-merge", cm.AppendMapped(nil), 2, 0, func(raw []byte) error {
-			_, err := LoadCatalogMergeMapped(raw)
+		{"catalog-merge", cm.AppendBinary(nil), 2, 0, []*catalog.Catalog{cm.merged}, func(raw []byte) error {
+			_, err := UnmarshalCatalogMerge(raw)
 			return err
 		}},
 	}
 	for _, l := range loaders {
-		// reject fails the test unless raw is refused both 8-byte aligned
-		// (catalogs borrowed) and one byte off (catalogs decoded).
 		reject := func(raw []byte, what string, args ...any) {
 			t.Helper()
-			shifted := append(make([]byte, 1, 1+len(raw)), raw...)[1:]
-			if l.load(raw) == nil || l.load(shifted) == nil {
+			if l.load(raw) == nil {
 				t.Fatalf("%s: %s loaded without error", l.name, fmt.Sprintf(what, args...))
 			}
 		}
@@ -276,10 +290,10 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 			binary.LittleEndian.PutUint64(mut[off:], v)
 			return mut
 		}
-		// poke32 does the same for one field of a catalog record.
-		poke32 := func(off int, v uint32) []byte {
+		// set does the same for one byte.
+		set := func(off int, v byte) []byte {
 			mut := append([]byte(nil), l.full...)
-			binary.LittleEndian.PutUint32(mut[off:], v)
+			mut[off] = v
 			return mut
 		}
 		if err := l.load(l.full); err != nil {
@@ -288,18 +302,14 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		for cut := 0; cut < len(l.full); cut += 1 + len(l.full)/97 {
 			reject(l.full[:cut], "truncation to %d/%d bytes", cut, len(l.full))
 		}
-		reject(append(append([]byte{}, l.full...), 0, 0, 0, 0, 0, 0, 0, 0), "trailing garbage")
-		flipped := append([]byte{}, l.full...)
-		flipped[3] ^= 0xFF
-		reject(flipped, "corrupt magic")
-		flipped = append([]byte{}, l.full...)
-		flipped[7] = 1
-		reject(flipped, "the 24-byte-entry format version")
-		flipped[7] = 3
-		reject(flipped, "unknown format version")
+		reject(append(append([]byte{}, l.full...), 0), "trailing garbage")
+		reject(set(3, l.full[3]^0xFF), "corrupt magic")
+		for _, v := range []byte{1, 2} {
+			reject(set(7, v), "the format-%d encoding's version", v)
+		}
+		reject(set(7, 4), "unknown format version")
 
-		const neg1 = ^uint64(0)  // -1 as a count or a k; NaN as a float
-		const neg32 = ^uint32(0) // -1 as an interval end or a cost
+		const neg1 = ^uint64(0) // -1 as a count or a k; NaN as a float
 		off := 8
 		for i := 0; i < l.headerWords; i++ {
 			reject(poke(off, neg1), "header word %d = -1", i)
@@ -307,30 +317,62 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		}
 		reject(poke(8+8*l.maxKWord, 1<<31), "MaxK beyond what a catalog interval can end at")
 		entries := 0
-		for off < len(l.full) {
-			count := int(binary.LittleEndian.Uint64(l.full[off:]))
-			reject(poke(off, neg1), "entry count at %d = -1", off)
-			reject(poke(off, uint64(count)+1), "entry count at %d = %d+1", off, count)
-			off += 8
-			prevEnd := uint32(0)
-			for e := 0; e < count; e, off = e+1, off+8 {
-				endK := binary.LittleEndian.Uint32(l.full[off:])
-				for _, v := range []uint32{0, neg32, 1 << 31, prevEnd} {
-					reject(poke32(off, v), "entry at %d: end %d -> %d", off, endK, int32(v))
-				}
-				if e < count-1 { // the last entry's end is the catalog's MaxK: any in-range value past the previous end is a valid catalog
-					next := binary.LittleEndian.Uint32(l.full[off+8:])
-					reject(poke32(off, next), "entry at %d: end %d -> the next entry's %d", off, endK, next)
-				}
-				for _, v := range []uint32{neg32, 1 << 31} {
-					reject(poke32(off+4, v), "entry at %d: cost -> %d", off, int32(v))
-				}
-				prevEnd = endK
-				entries++
+		for i, c := range l.cats {
+			reject(set(off, 2), "catalog %d: version byte 2", i)
+			if c.Len() > 0 && l.full[off+1] < 0x80 {
+				reject(set(off+2, 0), "catalog %d: first end delta 0", i) // the count takes one byte
 			}
+			entries += c.Len()
+			off += c.StorageBytes()
 		}
 		if off != len(l.full) || entries == 0 {
 			t.Fatalf("%s: walked %d entries to offset %d of %d", l.name, entries, off, len(l.full))
 		}
+	}
+}
+
+// TestLoadAllocationsDoNotGrowWithCatalogs: a loader decodes all of an
+// artifact's catalogs into one allocation, so a staircase over 16 times the
+// blocks, or a virtual grid of 64 times the cells, loads in as many
+// allocations as a small one.
+func TestLoadAllocationsDoNotGrowWithCatalogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	bounds := geom.NewRect(0, 0, 100, 100)
+	allocs := func(load func() error) float64 {
+		t.Helper()
+		if err := load(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { _ = load() })
+	}
+	var stairAllocs, vgAllocs []float64
+	for _, n := range []int{500, 8000} {
+		data := buildIx(clusteredPoints(rng, n, bounds), bounds, 32)
+		stair, err := BuildStaircase(data, StaircaseOptions{MaxK: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := stair.AppendBinary(nil)
+		fallback := NewDensityBased(data)
+		stairAllocs = append(stairAllocs, allocs(func() error {
+			_, err := UnmarshalStaircase(data, raw, StaircaseOptions{Fallback: fallback})
+			return err
+		}))
+		t.Logf("%d points: %d blocks, staircase load %.0f allocs", n, data.NumBlocks(), stairAllocs[len(stairAllocs)-1])
+	}
+	data := buildIx(clusteredPoints(rng, 4000, bounds), bounds, 32).CountTree()
+	for _, g := range []int{2, 16} {
+		vg, err := BuildVirtualGrid(data, g, g, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := vg.AppendBinary(nil)
+		vgAllocs = append(vgAllocs, allocs(func() error {
+			_, err := UnmarshalVirtualGrid(raw)
+			return err
+		}))
+	}
+	if stairAllocs[0] != stairAllocs[1] || vgAllocs[0] != vgAllocs[1] {
+		t.Fatalf("allocations grow with the catalogs: staircase %v, virtual grid %v", stairAllocs, vgAllocs)
 	}
 }

@@ -238,7 +238,7 @@ func TestStaircaseSharedCornersByteIdentical(t *testing.T) {
 		for _, mode := range []StaircaseMode{ModeCenterCorners, ModeCenterOnly, ModeCenterQuadrant} {
 			opt := StaircaseOptions{MaxK: 120, Mode: mode, AuxCapacity: 32}
 			ref := perBlockStaircase(t, data, opt)
-			want := ref.AppendMapped(nil)
+			want := ref.AppendBinary(nil)
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%v/p=%d", family, mode, par), func(t *testing.T) {
 					opt.Parallelism = par
@@ -246,7 +246,7 @@ func TestStaircaseSharedCornersByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(s.AppendMapped(nil), want) {
+					if !bytes.Equal(s.AppendBinary(nil), want) {
 						t.Fatal("shared-corner build persists different bytes than the per-block build")
 					}
 				})

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"knncost/internal/aknn"
 	"knncost/internal/core"
 	"knncost/internal/datagen"
 	"knncost/internal/geom"
@@ -19,9 +18,10 @@ import (
 	"knncost/internal/quadtree"
 )
 
-// testBundle encodes a small real relation build and returns the file bytes
-// with the index the staircase must be loaded against.
-func testBundle(t testing.TB) ([]byte, *index.Tree) {
+// testBuild is a small real relation build: its points, the index the
+// staircase must be loaded against, its two catalog artifacts and their
+// manifest.
+func testBuild(t testing.TB) ([]geom.Point, *index.Tree, *core.Staircase, *core.VirtualGrid, manifest) {
 	t.Helper()
 	pts := gridPoints(300, 71)
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
@@ -33,38 +33,81 @@ func testBundle(t testing.TB) ([]byte, *index.Tree) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := manifest{NumPoints: int64(len(pts)), NumBlocks: int64(tree.NumBlocks()), MaxK: 24, Corners: -1, GridSize: 3}
-	data, err := encodeBundle(m, pts, stair, vg, aknn.BuildSummary(tree.CountTree()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, tree
+	m := manifest{NumPoints: int64(len(pts)), NumBlocks: int64(tree.NumBlocks()), MaxK: 24, Corners: -1, SampleSize: 5, GridSize: 3, AknnCapacity: 7, Capacity: 16}
+	return pts, tree, stair, vg, m
+}
+
+// testBundle encodes testBuild and returns the file bytes with the index
+// the staircase must be loaded against.
+func testBundle(t testing.TB) ([]byte, *index.Tree) {
+	t.Helper()
+	pts, tree, stair, vg, m := testBuild(t)
+	return encodeBundle(m, pts, stair, vg), tree
 }
 
 // loadAll drives a decoded bundle through the loader that needs the index,
 // as the build worker does.
 func loadAll(bd *bundle, tree *index.Tree) error {
-	_, err := core.LoadStaircaseMapped(tree, bd.stair, core.StaircaseOptions{})
+	_, err := core.UnmarshalStaircase(tree, bd.stair, core.StaircaseOptions{})
 	return err
 }
 
+// TestBundleRoundTrip: a bundle decodes to what was encoded, keeps nothing
+// of the file read, and is encoded into one allocation of exactly its size.
 func TestBundleRoundTrip(t *testing.T) {
-	data, tree := testBundle(t)
+	pts, tree, stair, vg, m := testBuild(t)
+	data := encodeBundle(m, pts, stair, vg)
+	if cap(data) != len(data) {
+		t.Fatalf("bundle of %d bytes was encoded into a buffer of %d", len(data), cap(data))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { encodeBundle(m, pts, stair, vg) }); allocs != 1 {
+		t.Fatalf("encodeBundle allocates %.0f times, want 1", allocs)
+	}
 	bd, err := decodeBundle(data)
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
-	if !samePoints(bd.pts, gridPoints(300, 71)) {
+	if !samePoints(bd.pts, pts) {
 		t.Fatal("points did not survive the round trip")
 	}
-	if bd.man.Corners != -1 || bd.man.NumBlocks != int64(tree.NumBlocks()) {
-		t.Fatalf("manifest did not survive the round trip: %+v", bd.man)
+	if bd.man != m {
+		t.Fatalf("manifest did not survive the round trip: %+v, want %+v", bd.man, m)
 	}
 	if err := loadAll(bd, tree); err != nil {
 		t.Fatalf("staircase section: %v", err)
 	}
+	if !bytes.Equal(bd.stair, stair.AppendBinary(nil)) || !bytes.Equal(bd.vgrid.AppendBinary(nil), vg.AppendBinary(nil)) {
+		t.Fatal("catalog sections did not survive the round trip")
+	}
 	if &bd.stair[:1][0] == &data[:1][0] || cap(bd.stair) != len(bd.stair) {
 		t.Fatal("decoded bundle retains the file read")
+	}
+}
+
+// TestBundleHoldsWhatThePaperCounts: a bundle is its header, its points,
+// each catalog section's header and the artifact's StorageBytes — the bytes
+// the storage columns of Figures 14, 20 and 22 count — and its checksum,
+// with no padding between them.
+func TestBundleHoldsWhatThePaperCounts(t *testing.T) {
+	const stairHeader, vgHeader = 8 + 4*8, 8 + 7*8 // magic and fixed-width fields
+	for _, n := range []int{40, 300, 5000} {
+		pts := gridPoints(n, 71)
+		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
+		stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vg, err := core.BuildVirtualGrid(tree.CountTree(), 5, 5, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bundleHeader + len(appendPoints(nil, pts)) +
+			stairHeader + stair.StorageBytes() +
+			vgHeader + vg.StorageBytes() +
+			4
+		if got := len(encodeBundle(manifest{}, pts, stair, vg)); got != want {
+			t.Errorf("%d points: bundle is %d bytes, want %d", n, got, want)
+		}
 	}
 }
 
@@ -220,27 +263,27 @@ func TestWarmRestartWritesNothing(t *testing.T) {
 		}
 	}
 	waitReady(t, cold)
-	if b := cold.CatalogBuilds(); b != 3*3 {
-		t.Fatalf("three registrations built %d catalogs, want 9 and no merge", b)
+	if b := cold.CatalogBuilds(); b != 3*2 {
+		t.Fatalf("three registrations built %d catalogs, want 6 and no merge", b)
 	}
 	demanded := [][2]string{{"w0", "w1"}, {"w1", "w0"}, {"w2", "w0"}, {"w0", "w2"}}
 	want := joinEstimates(t, cold.View(), demanded...)
-	if b := cold.CatalogBuilds(); b != 3*3+4 {
-		t.Fatalf("four demanded pairs took the builds to %d, want 13", b)
+	if b := cold.CatalogBuilds(); b != 3*2+4 {
+		t.Fatalf("four demanded pairs took the builds to %d, want 10", b)
 	}
 	closeStore(t, cold)
 	before := cacheFiles(t, opt.CacheDir)
 
 	warm := newTestStore(t, opt)
 	waitReady(t, warm)
-	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*3 {
-		t.Fatalf("warm restart before any join: %d built, %d cache hits, want 0 and 9", b, h)
+	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != 3*2 {
+		t.Fatalf("warm restart before any join: %d built, %d cache hits, want 0 and 6", b, h)
 	}
 	if got := joinEstimates(t, warm.View(), demanded...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("join estimates changed across the restart: %v vs %v", got, want)
 	}
-	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 4 || h != 3*3 {
-		t.Fatalf("warm restart after the same joins: %d built, %d cache hits, want 4 and 9", b, h)
+	if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 4 || h != 3*2 {
+		t.Fatalf("warm restart after the same joins: %d built, %d cache hits, want 4 and 6", b, h)
 	}
 	if n := warm.CacheSweptFiles(); n != 0 {
 		t.Fatalf("warm restart swept %d files", n)
@@ -280,8 +323,8 @@ func TestTwoScopesShareOneDirectory(t *testing.T) {
 	}
 	// The shard-handoff shape: everything b registers, scope a has cached;
 	// the pairs b is asked for, b builds.
-	if built, hits := b.CatalogBuilds(), b.CacheHits(); built != 6 || hits != 9 {
-		t.Fatalf("scope b built %d catalogs and loaded %d from scope a's files, want the 6 merges and 9", built, hits)
+	if built, hits := b.CatalogBuilds(), b.CacheHits(); built != 6 || hits != 6 {
+		t.Fatalf("scope b built %d catalogs and loaded %d from scope a's files, want the 6 merges and 6", built, hits)
 	}
 	closeStore(t, a)
 	closeStore(t, b)
@@ -414,12 +457,13 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 // TestBundleBytesPinned: a relation's bundle is content-addressed, so how
 // its artifacts are built must never show in it. The digest was recorded
 // from the build that heap-sorted five anchors per block (commit 96bd4f1);
-// a staircase, virtual grid or AkNN summary that differs in one bit — or a
-// layout change without a cacheFormat bump — changes it. Re-pinned once for
-// format 6 (8-byte catalog intervals, one KNAB layout), whose artifacts
-// answer every estimate as format 5's did.
+// a staircase or virtual grid that differs in one bit — or a layout change
+// without a cacheFormat bump — changes it. Re-pinned once for format 6
+// (8-byte catalog intervals, one KNAB layout) and once for format 7 (varint
+// catalogs, no KNAB section), whose artifacts answer every estimate as the
+// format before did.
 func TestBundleBytesPinned(t *testing.T) {
-	const want = "438f464c9216f2b4cfc2f75752e31ca9ee2c1e9079b6a620357fe40116642d76"
+	const want = "4cd6812c281645fe342ec9f8b014989197220218f607d2331b4e8d500a95697c"
 	opt := testOptions(t)
 	opt.MaxK, opt.IndexCapacity = 200, 48
 	opt.CacheDir = t.TempDir()
@@ -440,11 +484,13 @@ func TestBundleBytesPinned(t *testing.T) {
 
 // TestBundleOverhead: what a relation costs on disk beyond its points, at
 // the daemon's default options and the two relation sizes the benchmark's
-// disk_bytes_per_point_byte is measured on. The staircase holds ~0.2
-// catalog intervals per point at capacity 256, so the bounds hold only
-// while an interval is stored in 8 bytes: at 24 these two relations were
-// 1.346 and 1.405. The shape of the quadtree moves the ratio from seed to
-// seed (1.14–1.18 at 20k points; 1.20 or 1.26 at 1k, by one more split).
+// disk_bytes_per_point_byte is measured on. The bundle holds the points and
+// the two catalog artifacts in the varint encoding the paper's storage
+// figures count, and nothing the restored tree rebuilds: 1.034 and 1.067
+// here. With 8-byte fixed-width intervals and an AkNN summary section
+// (format 6) they were 1.138 and 1.195, and with 24-byte intervals 1.346 and
+// 1.405. The shape of the quadtree moves the ratio from seed to seed, at 1k
+// by one more split.
 func TestBundleOverhead(t *testing.T) {
 	opt := Options{
 		MaxK: 1000, SampleSize: 200, GridSize: 10, IndexCapacity: 256,
@@ -455,7 +501,7 @@ func TestBundleOverhead(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		bound float64
-	}{{20000, 1.16}, {1000, 1.20}} {
+	}{{20000, 1.06}, {1000, 1.12}} {
 		name := fmt.Sprintf("osm%d", tc.n)
 		if _, err := s.Register(name, datagen.OSMLike(tc.n, 5)); err != nil {
 			t.Fatal(err)
@@ -477,14 +523,14 @@ func TestBundleOverhead(t *testing.T) {
 // how it is computed must never show in it. The digest was recorded at
 // commit a2ee1fa, which fed the hash one buffer holding every point; the
 // lengths put a point just before, on and just after the edge of the buffer
-// the hash is fed through now. Re-pinned for cacheFormat 6: the format
-// version is the first thing the hash is fed.
+// the hash is fed through now. Re-pinned for cacheFormats 6 and 7: the
+// format version is the first thing the hash is fed.
 func TestFingerprintPinned(t *testing.T) {
 	opt := testOptions(t)
 	opt.MaxK, opt.IndexCapacity = 200, 48
 	s := newTestStore(t, opt)
 	res := s.opt.resolveResolution(core.Resolution{})
-	const want = "ae21a5bca9c1b61ef88396a78ce94373deb73931d3c4cb2878e59c93cd7dc69c"
+	const want = "7294246cb7939a65976f6ec31aab44b316ae642d7497fb396a27a0041dab98cf"
 	if got := s.fingerprint(gridPoints(3000, 16), res); got != want {
 		t.Errorf("fingerprint of the pinned relation is %s, want %s", got, want)
 	}

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"knncost/internal/aknn"
 	"knncost/internal/core"
 	"knncost/internal/geom"
 )
@@ -35,19 +34,25 @@ import (
 //	registry[-scope].json  name → fingerprint + resolution of live relations
 //	lock                   empty; its flock orders publishes against sweeps
 //	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
-//	                       table (kind, offset, length), the 8-byte-aligned
-//	                       sections KNPT (points, rebuilds the index), KNCSMAP
-//	                       (core.Staircase), KNVGMAP (core.VirtualGrid), KNAB
-//	                       (aknn.Summary), and a trailing CRC32C of all of it
+//	                       table (kind, offset, length), the sections KNPT
+//	                       (points, rebuilds the index), KNCSMAP
+//	                       (core.Staircase) and KNVGMAP (core.VirtualGrid) end
+//	                       to end, and a trailing CRC32C of all of it
+//
+// The two catalog sections hold their catalogs in catalog.MarshalBinary's
+// encoding, so past a section's header its bytes are the artifact's
+// StorageBytes — what the paper's storage figures count. What derives from
+// the index alone is not stored: the density estimator and the AkNN summary
+// are rebuilt from the restored tree (the summary at the manifest's
+// AknnCapacity), which costs less than reading them would.
 //
 // A bundle is written once, off the store lock, and is immutable: one that
 // exists is complete. Pair merges are not cached: a restart rebuilds each at
 // its first demand, which costs less than writing it did. A bundle is read
-// whole into a scratch buffer from which only the bytes the loaders borrow
-// are copied, into exact-size allocations the garbage collector owns.
-// Everything is written atomically (temp file + rename) and every load
-// failure is a cache miss, never an error: the worst a corrupt cache can do
-// is force a rebuild.
+// whole into a scratch buffer; loading copies out of it, so nothing kept
+// aliases the file read. Everything is written atomically (temp file +
+// rename) and every load failure is a cache miss, never an error: the worst
+// a corrupt cache can do is force a rebuild.
 //
 // A generation no registry in the directory names any more is dead, and is
 // swept: see sweep for the rule and DESIGN §15 for why it needs no grace
@@ -57,20 +62,21 @@ import (
 
 // cacheFormat is the bundle/registry format version; bump on any change to
 // the layout or to what a fingerprint covers. Format 5 replaced format 4's
-// one file and one mmap per artifact, O(relations²) of them; format 6 stores
-// a catalog interval in 8 bytes instead of 24 and gives the KNAB section one
-// layout. The version is part of every fingerprint and of the bundle magic,
-// so entries of older formats all miss: a format bump costs one rebuild,
-// never an error.
-const cacheFormat = 6
+// one file and one mmap per artifact, O(relations²) of them; format 6 stored
+// a catalog interval in 8 bytes instead of 24; format 7 stores catalogs in
+// their varint encoding and drops the KNAB section. The version is part of
+// every fingerprint and of the bundle magic, so entries of older formats all
+// miss: a format bump costs one rebuild, never an error.
+const cacheFormat = 7
 
 const (
-	bundleMagic = "KNCBNDL\x06"
+	bundleMagic = "KNCBNDL\x07"
 	// A bundle's header is the magic, the eight manifest fields (bundleTable
-	// bytes so far) and the four-entry section table, all little-endian
+	// bytes so far) and the three-entry section table, all little-endian
 	// uint64 words.
-	bundleTable  = 8 + 8*8
-	bundleHeader = bundleTable + 4*3*8
+	bundleTable    = 8 + 8*8
+	bundleSections = 3
+	bundleHeader   = bundleTable + bundleSections*3*8
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -122,7 +128,7 @@ type diskCache struct {
 	// just before each rename, and with "sweep" just before each unlink —
 	// the crash-injection points.
 	hook func(op string)
-	// synced, when set, is called with each path syncRegistry fsyncs: the
+	// synced, when set, is called with each path fsync makes durable: the
 	// power-loss test empties the bundles it never saw.
 	synced  func(path string)
 	mu      sync.Mutex      // guards the fields below and the registry file
@@ -259,39 +265,34 @@ type bundle struct {
 	man manifest
 	pts []geom.Point
 	// stair is the KNCSMAP section, which needs the rebuilt data index to
-	// load. It shares one exact-size allocation with the bytes vgrid
-	// borrows; nothing else of the file read is retained.
+	// load: an exact-size copy, so nothing of the file read is retained.
 	stair []byte
 	vgrid *core.VirtualGrid
-	aknn  *aknn.Summary
 }
 
-// encodeBundle serializes one relation build: header, then the four
-// sections in table order, each starting on an 8-byte boundary.
-func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary) ([]byte, error) {
-	var knab bytes.Buffer
-	if _, err := sum.WriteTo(&knab); err != nil {
-		return nil, err
-	}
-	out := make([]byte, bundleHeader, bundleHeader+24*len(pts)+stair.SizeBytes()+vg.SizeBytes())
+// encodeBundle serializes one relation build: header, then the three
+// sections end to end in table order, then the checksum. The buffer is
+// sized exactly, so the bundle is one allocation.
+func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid) []byte {
+	out := make([]byte, bundleHeader, bundleHeader+pointsSize(len(pts))+stair.EncodedSize()+vg.EncodedSize()+4)
 	copy(out, bundleMagic)
-	var man bytes.Buffer
-	binary.Write(&man, binary.LittleEndian, m) // fixed-size struct into a Buffer: cannot fail
-	copy(out[8:bundleTable], man.Bytes())
-	for kind, section := range []func([]byte) []byte{
-		func(b []byte) []byte { return appendPoints(b, pts) },
-		stair.AppendMapped,
-		vg.AppendMapped,
-		func(b []byte) []byte { return append(b, knab.Bytes()...) },
-	} {
-		out = append(out, make([]byte, -len(out)&7)...)
-		off := len(out)
-		out = section(out)
-		for i, w := range [3]int{kind, off, len(out) - off} {
+	for i, w := range [...]int64{m.NumPoints, m.NumBlocks, m.MaxK, m.Corners, m.SampleSize, m.GridSize, m.AknnCapacity, m.Capacity} {
+		binary.LittleEndian.PutUint64(out[8+8*i:], uint64(w))
+	}
+	var ends [bundleSections + 1]int
+	ends[0] = len(out)
+	out = appendPoints(out, pts)
+	ends[1] = len(out)
+	out = stair.AppendBinary(out)
+	ends[2] = len(out)
+	out = vg.AppendBinary(out)
+	ends[3] = len(out)
+	for kind := 0; kind < bundleSections; kind++ {
+		for i, w := range [3]int{kind, ends[kind], ends[kind+1] - ends[kind]} {
 			binary.LittleEndian.PutUint64(out[bundleTable+24*kind+8*i:], uint64(w))
 		}
 	}
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable)), nil
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
 // decodeBundle parses the bytes of a bundle file. data is scratch: nothing
@@ -308,12 +309,12 @@ func decodeBundle(data []byte) (*bundle, error) {
 	if err := binary.Read(bytes.NewReader(body[8:bundleTable]), binary.LittleEndian, &bd.man); err != nil {
 		return nil, err
 	}
-	var sec [4][]byte
+	var sec [bundleSections][]byte
 	end := uint64(bundleHeader)
 	for i := range sec {
 		entry := body[bundleTable+24*i:]
 		kind, off, n := binary.LittleEndian.Uint64(entry), binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
-		if kind != uint64(i) || off != (end+7)&^7 || off > uint64(len(body)) || n > uint64(len(body))-off {
+		if kind != uint64(i) || off != end || n > uint64(len(body))-off {
 			return nil, fmt.Errorf("bundle: section %d does not tile the file", i)
 		}
 		sec[i], end = body[off:off+n], off+n
@@ -325,13 +326,9 @@ func decodeBundle(data []byte) (*bundle, error) {
 	if bd.pts, err = decodePoints(sec[0]); err != nil {
 		return nil, err
 	}
-	art := append(append(make([]byte, 0, len(sec[1])+len(sec[2])), sec[1]...), sec[2]...)
-	bd.stair = art[:len(sec[1]):len(sec[1])]
-	if bd.vgrid, err = core.LoadVirtualGridMapped(art[len(sec[1]):]); err != nil {
+	bd.stair = append(make([]byte, 0, len(sec[1])), sec[1]...)
+	if bd.vgrid, err = core.UnmarshalVirtualGrid(sec[2]); err != nil {
 		return nil, fmt.Errorf("virtual grid: %w", err)
-	}
-	if bd.aknn, err = aknn.LoadSummary(bytes.NewReader(sec[3])); err != nil {
-		return nil, fmt.Errorf("aknn summary: %w", err)
 	}
 	return bd, nil
 }
@@ -378,12 +375,8 @@ func (c *diskCache) salvage(fp string) ([]geom.Point, error) {
 	return salvagePoints(data)
 }
 
-func (c *diskCache) storeBundle(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary) error {
-	data, err := encodeBundle(m, pts, stair, vg, sum)
-	if err != nil {
-		return err
-	}
-	return c.writeFile("bundle", c.bundlePath(fp), data)
+func (c *diskCache) storeBundle(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid) error {
+	return c.writeFile("bundle", c.bundlePath(fp), encodeBundle(m, pts, stair, vg))
 }
 
 // --- points section ----------------------------------------------------------
@@ -393,6 +386,12 @@ const pointsMagic = "KNPT\x01"
 // maxCachedPoints bounds what decodePoints will allocate for a hostile or
 // corrupt count field (64 MiB of points).
 const maxCachedPoints = 4 << 20
+
+// pointsSize is the length of the points section of n points.
+func pointsSize(n int) int {
+	var count [binary.MaxVarintLen64]byte
+	return len(pointsMagic) + binary.PutUvarint(count[:], uint64(n)) + 16*n
+}
 
 func appendPoints(buf []byte, pts []geom.Point) []byte {
 	buf = binary.AppendUvarint(append(buf, pointsMagic...), uint64(len(pts)))
@@ -537,6 +536,15 @@ func (c *diskCache) syncRegistry() error {
 	clear(c.unsynced)
 	c.dirty = false
 	return nil
+}
+
+// syncBundle makes the bundle of fp durable under its name: the file, then
+// cat/.
+func (c *diskCache) syncBundle(fp string) error {
+	if err := c.fsync(c.bundlePath(fp)); err != nil || runtime.GOOS == "windows" {
+		return err
+	}
+	return c.fsync(filepath.Join(c.dir, "cat"))
 }
 
 // fsync makes the file or directory at path durable.

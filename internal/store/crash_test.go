@@ -251,30 +251,61 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 // TestPowerLossBeforeTrimKeepsTheBundle: a power loss keeps what was
 // fsynced, and a bundle is a file renamed into place without an fsync, which
 // can come back empty. A fold's trim deletes the mutations its bundle
-// absorbed, and the generation before it is already swept, so by the trim's
-// first unlink the bundle the registry names must be on disk. At each unlink
-// the harness copies the directory, empties every bundle no fsync covered,
-// and restarts from the copy: the relation must come back whole.
+// absorbed, and its publish sweeps the generation before it, so whichever
+// registry a power loss leaves must name a bundle that is on disk: at each
+// registry rename of a fold — the new registry in place, nothing after it
+// done — and at each unlink of a trim, which a later fold's publish may
+// precede. At each of those points the harness copies the directory,
+// empties every bundle no fsync covered, and restarts from the copy: the
+// relation must come back whole. The copy is one instant: it is taken under
+// the store lock, under which every registry write happens. A fresh
+// registration is not captured: until its first fsync nothing promises it
+// survives a power loss.
 func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 	root := t.TempDir()
 	cacheDir := filepath.Join(root, "cache")
 	var mu sync.Mutex
 	synced := map[string]bool{} // base names of the bundles an fsync covered
 	var caps []string
+	armed := false // from the registration's publish on
+	var s *Store
 	opt := testOptions(t)
 	opt.CacheDir = cacheDir
 	opt.CompactThreshold = 1 << 20
 	opt.CompactInterval = -1
 	opt.crashHook = func(op string) {
-		if op != "trim" {
+		switch op {
+		case "trim": // a trim runs without the store lock: take it before mu, as a publish's fsyncs do
+			s.mu.Lock()
+			defer s.mu.Unlock()
+		case "registry": // the publish holds the store lock
+		default:
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		dst := filepath.Join(root, fmt.Sprintf("trim-%d", len(caps)))
+		if !armed {
+			return
+		}
+		dst := filepath.Join(root, fmt.Sprintf("%s-%d", op, len(caps)))
 		if err := copyTree(cacheDir, dst); err != nil {
 			t.Errorf("capture: %v", err)
 			return
+		}
+		if op == "registry" { // the rename about to happen has happened
+			tmp, _ := filepath.Glob(filepath.Join(cacheDir, ".tmp-*"))
+			if len(tmp) != 1 {
+				t.Errorf("capture: %d temp files beside the registry, want its one", len(tmp))
+				return
+			}
+			next, err := os.ReadFile(tmp[0])
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dst, "registry.json"), next, 0o644)
+			}
+			if err != nil {
+				t.Errorf("capture: %v", err)
+				return
+			}
 		}
 		bundles, _ := filepath.Glob(filepath.Join(dst, "cat", "*.knc"))
 		for _, b := range bundles {
@@ -286,7 +317,7 @@ func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 		}
 		caps = append(caps, dst)
 	}
-	s := newTestStore(t, opt)
+	s = newTestStore(t, opt)
 	s.cache.synced = func(path string) {
 		mu.Lock()
 		synced[filepath.Base(path)] = true
@@ -297,6 +328,9 @@ func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, s, "r")
+	mu.Lock()
+	armed = true
+	mu.Unlock()
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			add := gridPoints(4, int64(140+3*i+j))
@@ -315,22 +349,30 @@ func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 	mu.Lock()
 	captured := slices.Clone(caps)
 	mu.Unlock()
-	if len(captured) == 0 {
-		t.Fatal("no trim capture: the folds deleted no segment")
+	var registry, trim int
+	for _, dir := range captured {
+		if strings.HasPrefix(filepath.Base(dir), "trim") {
+			trim++
+		} else {
+			registry++
+		}
+	}
+	if registry != 2 || trim == 0 {
+		t.Fatalf("captured %d registry renames and %d trims, want the 2 folds' and at least one", registry, trim)
 	}
 	opt.crashHook = nil
-	for i, dir := range captured {
+	for _, dir := range captured {
 		opt.CacheDir = dir
 		again := newTestStore(t, opt)
 		if _, known := again.Status("r"); !known {
-			t.Fatalf("capture %d: the power loss lost the relation", i)
+			t.Fatalf("%s: the power loss lost the relation", filepath.Base(dir))
 		}
 		settle(t, again, "r")
-		// A trim follows a fold, so at least the first fold's points are
-		// restored, in order; which fold a trim follows is the scheduler's.
+		// Every capture follows a fold, so at least the first fold's points
+		// are restored, in order; which fold a trim follows is the scheduler's.
 		got, err := again.LogicalPoints("r")
 		if err != nil || len(got) < 212 || len(got) > len(want) || !samePoints(got, want[:len(got)]) {
-			t.Fatalf("capture %d: restored %d points, want a folded prefix of %d (%v)", i, len(got), len(want), err)
+			t.Fatalf("%s: restored %d points, want a folded prefix of %d (%v)", filepath.Base(dir), len(got), len(want), err)
 		}
 		closeStore(t, again)
 	}

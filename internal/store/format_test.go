@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,34 +14,22 @@ import (
 	"knncost/internal/geom"
 )
 
-// TestFormatFourCacheMissesCleanly: a cache directory written by the
-// previous on-disk format (4: a directory of per-artifact files per
-// fingerprint, one merge file per ordered pair) must behave as a clean miss
-// under the current format — the store cold-starts without error, re-registration
-// rebuilds (knncost_catalog_builds increments), and the fresh bundle lands
-// beside the stale directory.
-func TestFormatFourCacheMissesCleanly(t *testing.T) {
-	dir := t.TempDir()
+// writeFormatFour hand-writes what a format-4 cache left behind: its
+// registry naming "legacy", an artifact directory with its manifest, and a
+// pair-merge file. None of it is read any more.
+func writeFormatFour(t *testing.T, dir string) {
+	t.Helper()
 	staleFP := strings.Repeat("ab", 32)
-
-	// Hand-write what a format-4 cache left behind: its registry, an
-	// artifact directory with its manifest, and a pair-merge file. None of
-	// it is read any more.
 	for _, sub := range []string{filepath.Join("cat", staleFP), "merge"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reg, err := json.Marshal(map[string]any{
-		"format": 4,
-		"relations": []map[string]any{
-			{"name": "legacy", "fingerprint": staleFP},
-		},
+		"format":    4,
+		"relations": []map[string]any{{"name": "legacy", "fingerprint": staleFP}},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "registry.json"), reg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	man, err := json.Marshal(map[string]any{"format": 4, "num_points": 900, "max_k": 64})
@@ -48,6 +37,7 @@ func TestFormatFourCacheMissesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{
+		"registry.json": reg,
 		filepath.Join("cat", staleFP, "manifest.json"):                                 man,
 		filepath.Join("cat", staleFP, "points.bin"):                                    []byte("KNPT\x01garbage"),
 		filepath.Join("cat", staleFP, engine.TechStaircaseCC+".bin"):                   []byte("KNCSMAP\x01stale"),
@@ -59,187 +49,192 @@ func TestFormatFourCacheMissesCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	opt := testOptions(t)
-	opt.CacheDir = dir
-	s := newTestStore(t, opt)
-	waitReady(t, s) // a format-4 registry restores nothing
-	if n := s.View().NumRelations(); n != 0 {
-		t.Fatalf("format-4 registry restored %d relations, want 0", n)
-	}
-
-	if _, err := s.Register("legacy", gridPoints(900, 7)); err != nil {
-		t.Fatalf("Register over a format-4 cache: %v", err)
-	}
-	waitReady(t, s, "legacy")
-	if s.CatalogBuilds() == 0 {
-		t.Fatal("re-registration over a format-4 cache served stale artifacts instead of rebuilding")
-	}
-	snap := s.View().Relation("legacy")
-	if _, err := os.Stat(filepath.Join(dir, "cat", snap.Fingerprint+".knc")); err != nil {
-		t.Fatalf("no bundle written beside the format-4 directory: %v", err)
-	}
-	if _, err := snap.Staircase.EstimateSelect(geom.Point{X: 40, Y: 40}, 9); err != nil {
-		t.Fatalf("estimate after format migration: %v", err)
-	}
-	if snap.Resolution.MaxK != opt.MaxK || snap.Resolution.GridSize != opt.GridSize {
-		t.Fatalf("rebuilt resolution %+v does not carry the store defaults (maxk %d, grid %d)",
-			snap.Resolution, opt.MaxK, opt.GridSize)
-	}
 }
 
-// TestFormatFiveCacheMissesCleanly: testdata/format5 is a cache directory
-// the previous format's store wrote (24-byte catalog entries, KNAB\x01):
-// two relations under testOptions — gridPoints(200, 7) as "legacy",
-// gridPoints(150, 8) as "peer" — one demanded pair merge, its WAL. Under
-// the current format it is a clean miss: no error, nothing restored, the
-// registry moved aside (which keeps the old files from ever being swept),
-// and a re-registration of the same points builds and writes its bundle
-// beside them — even when an old bundle sits at the very path the new
-// fingerprint names.
-func TestFormatFiveCacheMissesCleanly(t *testing.T) {
-	dir := t.TempDir()
-	if err := copyTree(filepath.Join("testdata", "format5"), dir); err != nil {
-		t.Fatal(err)
-	}
-	old, err := filepath.Glob(filepath.Join(dir, "cat", "*.kn[cm]"))
-	if err != nil || len(old) != 3 {
-		t.Fatalf("fixture holds %d bundle and side files (%v), want 3", len(old), err)
-	}
-
-	opt := testOptions(t)
-	opt.CacheDir = dir
-	s := newTestStore(t, opt)
-	waitReady(t, s) // a format-5 registry restores nothing
-	if n := s.View().NumRelations(); n != 0 {
-		t.Fatalf("format-5 registry restored %d relations, want 0", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "registry.json.bad")); err != nil {
-		t.Fatalf("format-5 registry was not moved aside: %v", err)
-	}
-
-	// The hostile spelling of the same miss: the old bundle's bytes under
-	// the name the new format will look for.
-	pts := gridPoints(200, 7)
-	fp := s.fingerprint(pts, s.opt.resolveResolution(core.Resolution{}))
-	for _, path := range old {
-		if strings.HasSuffix(path, fp+".knc") {
-			t.Fatalf("the format-6 fingerprint %s equals a format-5 one", fp)
+// oldFiles lists every regular file under dir/cat, with its bytes.
+func oldFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.Walk(filepath.Join(dir, "cat"), func(p string, info os.FileInfo, err error) error {
+		if err == nil && info.Mode().IsRegular() {
+			out[p], err = os.ReadFile(p)
 		}
-	}
-	stale, err := os.ReadFile(old[0])
-	if err != nil || !strings.HasSuffix(old[0], ".knc") || string(stale[:8]) != "KNCBNDL\x05" {
-		t.Fatalf("%s is not a format-5 bundle (%v)", old[0], err)
-	}
-	if _, err := decodeBundle(stale); err == nil {
-		t.Fatal("a format-5 bundle decoded")
-	}
-	planted := filepath.Join(dir, "cat", fp+".knc")
-	if err := os.WriteFile(planted, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := s.Register("legacy", pts); err != nil {
-		t.Fatalf("Register over a format-5 cache: %v", err)
-	}
-	if _, err := s.Register("peer", gridPoints(150, 8)); err != nil {
-		t.Fatalf("Register over a format-5 cache: %v", err)
-	}
-	waitReady(t, s, "legacy", "peer")
-	if s.CatalogBuilds() == 0 || s.CacheHits() != 0 {
-		t.Fatalf("re-registration over a format-5 cache: %d builds, %d cache hits; want builds and no hit", s.CatalogBuilds(), s.CacheHits())
-	}
-	snap := s.View().Relation("legacy")
-	if snap.Fingerprint != fp {
-		t.Fatalf("published fingerprint %s, computed %s", snap.Fingerprint, fp)
-	}
-	fresh, err := os.ReadFile(planted)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBundle(fresh); err != nil {
-		t.Fatalf("the bundle at the new fingerprint was not rewritten in the current format: %v", err)
-	}
-	if s.View().Merge("legacy", "peer") == nil {
-		t.Fatal("pair merge unavailable after the rebuild")
-	}
-	if _, err := snap.Staircase.EstimateSelect(geom.Point{X: 40, Y: 1}, 9); err != nil {
-		t.Fatalf("estimate after format migration: %v", err)
-	}
-	for _, path := range old {
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("old file swept while its registry.json.bad is there: %v", err)
-		}
-	}
-	closeStore(t, s)
-
-	// The directory is now an ordinary current-format one.
-	warm := newTestStore(t, opt)
-	waitReady(t, warm, "legacy", "peer")
-	if n := warm.CatalogBuilds(); n != 0 {
-		t.Fatalf("restart after the migration built %d catalogs, want 0", n)
-	}
+	return out
 }
 
-// TestParentSideFilesAreSwept: testdata/format6 is a cache directory the
-// parent version wrote — the current format, plus the pair-merge side-files
-// it kept: three relations under testOptions, gridPoints(200, 61),
-// gridPoints(250, 62) and gridPoints(300, 63) as r0, r1 and r2, registered
-// in that order, and every ordered pair demanded, so r1's and r2's bundles
-// each have a .knm beside them. The restart is warm for every relation, its
-// start-up pass sweeps the side-files, each pair is built again once at its
-// first demand and answers as the parent did, and the next restart finds
-// nothing to sweep.
-func TestParentSideFilesAreSwept(t *testing.T) {
-	dir := t.TempDir()
-	if err := copyTree(filepath.Join("testdata", "format6"), dir); err != nil {
-		t.Fatal(err)
+// TestOlderCacheFormatsMissCleanly: a cache directory an older format wrote
+// is a clean miss under the current one, whatever it holds:
+//
+//   - format 4: a directory of per-artifact files per fingerprint and one
+//     merge file per ordered pair, hand-written here;
+//   - testdata/format5: 24-byte catalog entries and a KNAB\x01 section —
+//     gridPoints(200, 7) as "legacy" and gridPoints(150, 8) as "peer", one
+//     demanded pair merge (a .knm side-file), its WAL;
+//   - testdata/format6: 8-byte aligned catalog entries and a KNAB\x03
+//     section — gridPoints(200, 61), (250, 62) and (300, 63) as r0, r1 and
+//     r2, every ordered pair demanded (two .knm side-files).
+//
+// For each, the store starts without error and restores nothing, the
+// registry is moved aside, and nothing is swept while the .bad file is
+// there. Re-registering the same points rebuilds every catalog, even over an
+// old file planted at the very path the new fingerprint names, and answers
+// as the old store did. The next restart is warm. Once the .bad file is
+// removed, the start-up pass sweeps every old bundle and side-file — a .knm
+// planted in the now current-format directory included — and nothing else.
+func TestOlderCacheFormatsMissCleanly(t *testing.T) {
+	type rel struct {
+		name string
+		pts  []geom.Point
 	}
-	side, err := filepath.Glob(filepath.Join(dir, "cat", "*.knm"))
-	if err != nil || len(side) != 2 {
-		t.Fatalf("fixture holds %d side-files (%v), want 2", len(side), err)
-	}
-	var sideBytes int64
-	for _, path := range side {
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sideBytes += info.Size()
-	}
-	// The parent's answers: joinEstimates over the fixture, before it closed.
-	parent := map[[2]string]float64{
-		{"r0", "r1"}: 188, {"r0", "r2"}: 208,
-		{"r1", "r0"}: 176, {"r1", "r2"}: 168,
-		{"r2", "r0"}: 224, {"r2", "r1"}: 196,
-	}
-	opt := testOptions(t)
-	opt.CacheDir = dir
-	opt.CompactInterval = -1
-	s := newTestStore(t, opt)
-	waitReady(t, s, "r0", "r1", "r2")
-	if b, h := s.CatalogBuilds(), s.CacheHits(); b != 0 || h != 3*3 {
-		t.Fatalf("restart over the parent's directory: %d built, %d cache hits, want 0 and 9", b, h)
-	}
-	if n, b := s.CacheSweptFiles(), s.CacheSweptBytes(); n != 2 || b != sideBytes {
-		t.Fatalf("start-up pass swept %d files / %d bytes, want the 2 side-files' %d", n, b, sideBytes)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "cat", "*.knm")); len(left) != 0 {
-		t.Fatalf("side-files survived the start-up pass: %v", left)
-	}
-	for range 2 {
-		if got := joinEstimates(t, s.View()); !reflect.DeepEqual(got, parent) {
-			t.Fatalf("joins over the parent's bundles: %v, the parent answered %v", got, parent)
-		}
-		if n := s.CatalogBuilds(); n != 6 {
-			t.Fatalf("the 6 pairs took %d builds, want one each", n)
-		}
-	}
-	closeStore(t, s)
+	for _, tc := range []struct {
+		name    string
+		fixture string // a directory under testdata; "" for the hand-written format 4
+		rels    []rel
+		joins   map[[2]string]float64 // what the old store answered, when recorded
+	}{
+		{name: "format4", rels: []rel{{"legacy", gridPoints(900, 7)}}},
+		{name: "format5", fixture: "format5", rels: []rel{{"legacy", gridPoints(200, 7)}, {"peer", gridPoints(150, 8)}}},
+		{name: "format6", fixture: "format6",
+			rels: []rel{{"r0", gridPoints(200, 61)}, {"r1", gridPoints(250, 62)}, {"r2", gridPoints(300, 63)}},
+			joins: map[[2]string]float64{ // joinEstimates over the fixture, before its store closed
+				{"r0", "r1"}: 188, {"r0", "r2"}: 208,
+				{"r1", "r0"}: 176, {"r1", "r2"}: 168,
+				{"r2", "r0"}: 224, {"r2", "r1"}: 196,
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.fixture == "" {
+				writeFormatFour(t, dir)
+			} else if err := copyTree(filepath.Join("testdata", tc.fixture), dir); err != nil {
+				t.Fatal(err)
+			}
+			old := oldFiles(t, dir)
+			var paths []string
+			var oldBundle, oldSide int
+			for path := range old {
+				paths = append(paths, path)
+				switch filepath.Ext(path) {
+				case ".knc":
+					oldBundle++
+				case ".knm":
+					oldSide++
+				}
+			}
+			opt := testOptions(t)
+			opt.CacheDir = dir
+			opt.CompactInterval = -1
+			s := newTestStore(t, opt)
+			waitReady(t, s)
+			if n := s.View().NumRelations(); n != 0 {
+				t.Fatalf("the old registry restored %d relations, want 0", n)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "registry.json.bad")); err != nil {
+				t.Fatalf("the old registry was not moved aside: %v", err)
+			}
 
-	again := newTestStore(t, opt)
-	waitReady(t, again, "r0", "r1", "r2")
-	if n, b := again.CatalogBuilds(), again.CacheSweptFiles(); n != 0 || b != 0 {
-		t.Fatalf("second restart: %d built, %d files swept, want 0 and 0", n, b)
+			// The hostile spelling of the miss: old bytes under the name the
+			// current format looks for.
+			res := s.opt.resolveResolution(core.Resolution{})
+			planted := s.cache.bundlePath(s.fingerprint(tc.rels[0].pts, res))
+			if _, clash := old[planted]; clash {
+				t.Fatalf("the current fingerprint %s is an old one", filepath.Base(planted))
+			}
+			slices.Sort(paths)
+			var stale []byte
+			for _, path := range paths {
+				if strings.HasSuffix(path, ".knc") || strings.HasSuffix(path, "points.bin") {
+					stale = old[path]
+					break
+				}
+			}
+			if _, err := decodeBundle(stale); err == nil {
+				t.Fatal("an old bundle decoded")
+			}
+			if err := os.WriteFile(planted, stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var names []string
+			for _, r := range tc.rels {
+				if _, err := s.Register(r.name, r.pts); err != nil {
+					t.Fatalf("Register %s: %v", r.name, err)
+				}
+				names = append(names, r.name)
+			}
+			waitReady(t, s, names...)
+			if b, h := s.CatalogBuilds(), s.CacheHits(); b != int64(2*len(names)) || h != 0 {
+				t.Fatalf("re-registration: %d builds, %d cache hits; want %d and none", b, h, 2*len(names))
+			}
+			if fresh, err := os.ReadFile(planted); err != nil {
+				t.Fatal(err)
+			} else if _, err := decodeBundle(fresh); err != nil {
+				t.Fatalf("the bundle at the new fingerprint was not rewritten in the current format: %v", err)
+			}
+			for _, r := range tc.rels {
+				snap := s.View().Relation(r.name)
+				if _, err := snap.Staircase.EstimateSelect(geom.Point{X: 40, Y: 1}, 9); err != nil {
+					t.Fatalf("estimate after the migration: %v", err)
+				}
+				if snap.Resolution != res {
+					t.Fatalf("rebuilt resolution %+v, want the store defaults %+v", snap.Resolution, res)
+				}
+			}
+			if tc.joins != nil {
+				if got := joinEstimates(t, s.View()); !reflect.DeepEqual(got, tc.joins) {
+					t.Fatalf("joins after the rebuild: %v, the old store answered %v", got, tc.joins)
+				}
+			}
+			closeStore(t, s)
+			for path, data := range old {
+				if now, err := os.ReadFile(path); err != nil || string(now) != string(data) {
+					t.Errorf("old file %s swept or changed while registry.json.bad is there: %v", path, err)
+				}
+			}
+			if n := s.CacheSweptFiles(); n != 0 {
+				t.Fatalf("swept %d files while registry.json.bad is there", n)
+			}
+
+			warm := newTestStore(t, opt)
+			waitReady(t, warm, names...)
+			if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != int64(2*len(names)) {
+				t.Fatalf("restart after the migration: %d built, %d cache hits, want 0 and %d", b, h, 2*len(names))
+			}
+			closeStore(t, warm)
+
+			// The operator removes the .bad file: the old generations are dead.
+			if err := os.Remove(filepath.Join(dir, "registry.json.bad")); err != nil {
+				t.Fatal(err)
+			}
+			side := filepath.Join(dir, "cat", strings.Repeat("cd", 32)+".knm")
+			if err := os.WriteFile(side, []byte("KNMERGE"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			swept := newTestStore(t, opt)
+			waitReady(t, swept, names...)
+			if n, want := swept.CacheSweptFiles(), int64(oldBundle+oldSide+1); n != want || swept.CatalogBuilds() != 0 {
+				t.Fatalf("start-up pass swept %d files (%d builds), want the %d old bundles and side-files and the planted one", n, swept.CatalogBuilds(), want)
+			}
+			var left []string
+			for _, name := range catNames(t, dir) {
+				if filepath.Ext(name) == ".knc" || filepath.Ext(name) == ".knm" {
+					left = append(left, strings.TrimSuffix(name, ".knc"))
+				}
+			}
+			var live []string
+			for _, name := range names {
+				live = append(live, swept.View().Relation(name).Fingerprint)
+			}
+			slices.Sort(live)
+			if !slices.Equal(left, live) {
+				t.Fatalf("cat/ holds %v after the sweep, want the live bundles %v", left, live)
+			}
+			closeStore(t, swept)
+		})
 	}
 }

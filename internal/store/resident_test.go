@@ -206,7 +206,9 @@ func TestFailedBuildReleasesPoints(t *testing.T) {
 // retune, a restart from the bundle's points with the log replayed over them,
 // and the salvage of a damaged bundle. After each, Points and LogicalPoints
 // are the model's sequence, and the fingerprint is the one the
-// commit before this layout (cbf411a) computed for the same steps.
+// commit before this layout (cbf411a) computed for the same steps, re-pinned
+// for cacheFormat 7, which the hash is fed first (under format 6 they are
+// cbf411a's values).
 func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	root := t.TempDir()
 	opt := tunerTestOptions(t)
@@ -227,7 +229,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 			t.Fatalf("%s: LogicalPoints is not the model's sequence (%d points, err %v)", stage, len(got), err)
 		}
 		if snap.Fingerprint != wantFP {
-			t.Errorf("%s: fingerprint %s, the parent computed %s", stage, snap.Fingerprint, wantFP)
+			t.Errorf("%s: fingerprint %s, want %s", stage, snap.Fingerprint, wantFP)
 		}
 	}
 
@@ -236,7 +238,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, s, "r")
-	check(s, "register", "f7c40e04cce5acdcf116e849b2e2c9cfb80d71eaa59a5aa38cf1e9dd1940af7e")
+	check(s, "register", "30043a6b5c564a3983ab692ca2d3c5e55cda9c634b5c8e71075e3473e0d264c2")
 
 	// Appends, then a delete that takes all three copies of the duplicated
 	// coordinate and one of the appended points: pending first, then folded.
@@ -260,14 +262,14 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, s, "r")
-	check(s, "flush", "41c18083b3ef129d757276d0692b00f4852e6b312c6031b3ebca4d3fe55b0972")
+	check(s, "flush", "8d5213231879638903fd467803ec809055f8bf34d84de34d07a4ae8e248cd65b")
 
 	tickUntil(t, s, []string{"r"}, func() bool { return s.TunerShrinks() > 0 })
 	waitReady(t, s, "r")
 	if st := mustStatus(t, s, "r"); st.Resolution == st.DeclaredResolution {
 		t.Fatal("the tuner pass did not retune the relation")
 	}
-	check(s, "retune", "5b1934a6176355e73c9ba318d5cbaa67b077e75d1b6c1d3d40261cd7d41d798d")
+	check(s, "retune", "2391068c293526510aee2c8b534fa6406ab6553bfefdd39da08e867df3a95536")
 
 	// What a SIGKILL leaves: the directory as it is, a delta only the log
 	// holds, no Close.
@@ -287,7 +289,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if re.CacheHits() == 0 || re.WALReplayed() == 0 {
 		t.Fatalf("the restart loaded %d catalogs and replayed %d mutations, want the bundle's and the log's", re.CacheHits(), re.WALReplayed())
 	}
-	check(re, "reopen", "4c2752b30c53d597dcbd6304632f28b5043172464df53d8517c44fef519e8e53")
+	check(re, "reopen", "73185ac600aafddd0e514b1f97ade028829add11a3284d1f1112685a4849fe58")
 	fp := re.View().Relation("r").Fingerprint
 	closeStore(t, re)
 
@@ -298,5 +300,5 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if salvaged.CatalogBuilds() == 0 {
 		t.Fatal("the damaged bundle was served, not rebuilt from its points")
 	}
-	check(salvaged, "salvage", "4c2752b30c53d597dcbd6304632f28b5043172464df53d8517c44fef519e8e53")
+	check(salvaged, "salvage", "73185ac600aafddd0e514b1f97ade028829add11a3284d1f1112685a4849fe58")
 }

@@ -23,7 +23,8 @@ import (
 // TestCatalogScale measures the cache read path at fleet scale: N small
 // relations are built once and persisted as bundles, then the cache is
 // re-opened and every relation warm-loaded, exactly the way a restarted
-// daemon re-hydrates its schema. The test asserts bit-identical estimates
+// daemon re-hydrates its schema: two catalog artifacts read, the AkNN
+// summary rebuilt from the restored tree. The test asserts bit-identical estimates
 // across the round trip with zero artifact builds, and that the warm-loaded
 // set is no more resident than the same set built on the heap, give or take
 // twice the bytes read — restore cost proportional to live bytes, not to
@@ -85,7 +86,7 @@ func TestCatalogScale(t *testing.T) {
 		}
 		sum := aknn.BuildSummaryCapacity(count, res.AknnCapacity)
 		fp := fmt.Sprintf("%064x", i)
-		if err := cache.storeBundle(fp, manifest{}, pts, stair, vg, sum); err != nil {
+		if err := cache.storeBundle(fp, manifest{}, pts, stair, vg); err != nil {
 			t.Fatalf("storeBundle %d: %v", i, err)
 		}
 		fps[i] = fp
@@ -142,12 +143,15 @@ func TestCatalogScale(t *testing.T) {
 		pts := bd.pts
 		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
 		count := tree.CountTree()
-		stair, err := core.LoadStaircaseMapped(tree, bd.stair, opt)
+		stair, err := core.UnmarshalStaircase(tree, bd.stair, opt)
 		if err != nil {
-			t.Fatalf("LoadStaircaseMapped %d: %v", i, err)
+			t.Fatalf("UnmarshalStaircase %d: %v", i, err)
 		}
-		keep[i] = loaded{stair, bd.vgrid, bd.aknn}
-		if got := probeAll(t, pts, stair, bd.vgrid, bd.aknn, count); got != want[i] {
+		// The summary is not in the bundle: the store rebuilds it from the
+		// restored tree, as it does here.
+		sum := aknn.BuildSummaryCapacity(count, res.AknnCapacity)
+		keep[i] = loaded{stair, bd.vgrid, sum}
+		if got := probeAll(t, pts, stair, bd.vgrid, sum, count); got != want[i] {
 			t.Fatalf("relation %d not bit-identical after warm load: got %+v, want %+v", i, got, want[i])
 		}
 	}
@@ -172,9 +176,10 @@ func TestCatalogScale(t *testing.T) {
 	}
 }
 
-// probeAll pins all three cached artifacts of one relation with a
-// deterministic estimate each; bit-identity of the triple across a reload
-// means the borrowed catalogs decode to the exact built values.
+// probeAll pins the three artifacts of one relation with a deterministic
+// estimate each; bit-identity of the triple across a reload means the
+// cached catalogs decode to the exact built values and the rebuilt summary
+// is the one built.
 func probeAll(t *testing.T, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid, sum *aknn.Summary, count *index.Tree) [3]float64 {
 	t.Helper()
 	sel, err := stair.EstimateSelect(pts[0], 7)

@@ -556,12 +556,13 @@ type Store struct {
 	tunerDone chan struct{}
 
 	// catalogBuilds counts catalogs actually constructed (staircase, virtual
-	// grid, aknn summary, a catalog-merge per pair asked for); a warm restart
-	// that loads every relation from the disk cache counts only the pairs
-	// asked for since.
+	// grid, a catalog-merge per pair asked for); a warm restart that loads
+	// every relation from the disk cache counts only the pairs asked for
+	// since. The density estimator and the AkNN summary, rebuilt from the
+	// index at every publish, count in neither this nor cacheHits.
 	catalogBuilds atomic.Int64
-	// cacheHits counts per-relation catalogs loaded from the disk cache
-	// instead of built.
+	// cacheHits counts per-relation catalogs (staircase, virtual grid)
+	// loaded from the disk cache instead of built.
 	cacheHits atomic.Int64
 	// walReplayed counts the logged mutations replay left pending at startup;
 	// walTruncated counts torn tails (and dropped follow-on segments)
@@ -1075,7 +1076,10 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		return nil, err
 	}
 	_, b.order = qt.Flat(pts)
+	// The density estimator and the AkNN summary read only the index's
+	// bounds and counts: neither is cached nor counted as a catalog build.
 	b.density = core.NewDensityBased(b.tree)
+	b.aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
 
 	if s.cache != nil && s.loadCachedCatalogs(b, restored) {
 		return b, nil
@@ -1102,8 +1106,6 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	}
 	s.catalogBuilds.Add(1)
 	b.vgrid = vg
-	b.aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
-	s.catalogBuilds.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1131,20 +1133,20 @@ func (s *Store) loadCachedCatalogs(b *builtRelation, bd *bundle) bool {
 	if bd.man != s.manifestFor(b) {
 		return false
 	}
-	stair, err := core.LoadStaircaseMapped(b.tree, bd.stair, core.StaircaseOptions{Fallback: b.density})
+	stair, err := core.UnmarshalStaircase(b.tree, bd.stair, core.StaircaseOptions{Fallback: b.density})
 	if err != nil {
 		s.opt.logger().Printf("store: cache load %s: staircase: %v (rebuilding)", shortFP(b.fp), err)
 		return false
 	}
-	b.staircase, b.vgrid, b.aknn = stair, bd.vgrid, bd.aknn
-	s.cacheHits.Add(3) // staircase + virtual grid + aknn summary
+	b.staircase, b.vgrid = stair, bd.vgrid
+	s.cacheHits.Add(2) // staircase + virtual grid
 	return true
 }
 
 // storeBundle writes b's bundle: points and artifacts, built or cache-loaded,
 // encode to the same bytes.
 func (s *Store) storeBundle(b *builtRelation) error {
-	return s.cache.storeBundle(b.fp, s.manifestFor(b), b.pts, b.staircase, b.vgrid, b.aknn)
+	return s.cache.storeBundle(b.fp, s.manifestFor(b), b.pts, b.staircase, b.vgrid)
 }
 
 func (s *Store) manifestFor(b *builtRelation) manifest {
@@ -1221,7 +1223,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	s.view.Store(v)
 	s.notifyPublishLocked(e.name)
 	if replaced != "" {
-		s.cache.sweep(replaced)
+		s.retireLocked(replaced)
 	}
 	if wasCompact {
 		s.compactions.Add(1)
@@ -1229,16 +1231,31 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	return trim
 }
 
+// retireLocked sweeps fp, the generation a publish replaced, once
+// syncRegistry has made the registry that no longer names it durable, with
+// every bundle it names: until then a power loss may bring back the registry
+// that does. Should an fsync fail, the sweep is left to the next start's. A
+// fresh registration replaces nothing and pays nothing here.
+func (s *Store) retireLocked(fp string) {
+	if err := s.cache.syncRegistry(); err != nil {
+		s.opt.logger().Printf("store: not sweeping %s: %v", shortFP(fp), err)
+		return
+	}
+	s.cache.sweep(fp)
+}
+
 // persistLocked makes e's new snapshot the durable base. Order: make sure
-// the bundle is on disk, checkpoint the fold in the WAL, fsync it, and only
-// then let the registry adopt the new fingerprint. Replay treats a checkpoint
-// whose fingerprint the registry never adopted as ineffective, so a crash
-// anywhere in this sequence recovers a consistent base + delta state. All of
-// it runs under the cache directory's lock, shared: no store on the directory
-// can sweep between the moment the bundle is seen on disk and the moment the
-// registry names it. It returns the fingerprint the registry held for e
-// before, now a dead generation for the caller to sweep once the lock is
-// released, and the WAL watermark the publish leaves (0: nothing to trim).
+// the bundle is on disk — and durable, when it replaces a generation —
+// checkpoint the fold in the WAL, fsync it, and only then let the registry
+// adopt the new fingerprint. Replay treats a checkpoint whose fingerprint the
+// registry never adopted as ineffective, so a crash anywhere in this sequence
+// recovers a consistent base + delta state, and a power loss finds whichever
+// registry survives naming a bundle that did. All of it runs under the cache
+// directory's lock, shared: no store on the directory can sweep between the
+// moment the bundle is seen on disk and the moment the registry names it. It
+// returns the fingerprint the registry held for e before, now a dead
+// generation for the caller to retire, and the WAL watermark the publish
+// leaves (0: nothing to trim).
 func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64) {
 	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
 	defer release()
@@ -1252,6 +1269,15 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 			// No bundle, no restore: keep the previous fingerprint registered
 			// and the log pinned, as for a failed registry write.
 			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
+			e.durableStale = true
+			return "", 0
+		}
+	}
+	// The previous generation is swept once the registry stops naming it,
+	// so the new bundle must be durable before the registry may name it.
+	if e.durableFP != "" && e.durableFP != b.fp {
+		if err := s.cache.syncBundle(b.fp); err != nil {
+			s.opt.logger().Printf("store: syncing the bundle of %q: %v (registry not updated)", e.name, err)
 			e.durableStale = true
 			return "", 0
 		}

@@ -39,7 +39,6 @@ internal/core:FuzzLoadStaircase
 internal/core:FuzzLoadCatalogMerge
 internal/core:FuzzLoadVirtualGrid
 internal/catalog:FuzzUnmarshalBinary
-internal/catalog:FuzzBorrowAligned
 internal/wal:FuzzReplayWAL
 internal/store:FuzzLoadBundle
 internal/quadtree:FuzzQuadtreeBuild
