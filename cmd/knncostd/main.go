@@ -141,13 +141,6 @@ var storeCounters = map[string]func(*store.Store) any{
 	"knncost_wal_replayed":        count((*store.Store).WALReplayed),
 	"knncost_wal_truncated_tails": count((*store.Store).WALTruncatedTails),
 	"knncost_compactions":         count((*store.Store).Compactions),
-	"knncost_tuner_passes":        count((*store.Store).TunerPasses),
-	"knncost_tuner_shrinks":       count((*store.Store).TunerShrinks),
-	"knncost_tuner_grows":         count((*store.Store).TunerGrows),
-	"knncost_tuner_reverts":       count((*store.Store).TunerReverts),
-	"knncost_tuner_blocked":       count((*store.Store).TunerBlocked),
-	"knncost_tuner_total_bytes":   count((*store.Store).ArtifactBytes),
-	"knncost_tuner_budget_bytes":  count((*store.Store).TunerBudgetBytes),
 }
 
 var plannerCounters = map[string]func(*optimizer.Planner) any{
@@ -195,12 +188,6 @@ func run(args []string, stdout io.Writer) int {
 			"WAL segment size at which a log that is never folded rotates anyway (0 means the built-in default)")
 		planCache = fs.Int("plan-cache", 0,
 			"plan cache capacity in entries (0 means the built-in default)")
-		catalogBudget = fs.Int64("catalog-budget-bytes", 0,
-			"global artifact byte budget enforced by the space auto-tuner (0 disables tuning)")
-		tunerInterval = fs.Duration("tuner-interval", 0,
-			"auto-tuner pass interval (0 means 5s, negative disables the background loop)")
-		tunerTolerance = fs.Float64("tuner-qerror-tolerance", 0,
-			"worst select q-error a coarsened relation may show before the tuner reverts it (0 means 2.0)")
 
 		estimateDeadline = fs.Duration("deadline-estimate", 5*time.Second,
 			"per-request deadline for /estimate/* and metadata routes (0 disables)")
@@ -292,10 +279,6 @@ func run(args []string, stdout io.Writer) int {
 		CompactInterval:  *compactInterval,
 		WALSyncInterval:  *walSyncInterval,
 		WALSegmentBytes:  *walSegmentBytes,
-
-		CatalogBudgetBytes:   *catalogBudget,
-		TunerInterval:        *tunerInterval,
-		TunerQErrorTolerance: *tunerTolerance,
 	})
 	if err != nil {
 		log.Printf("knncostd: %v", err)

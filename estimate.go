@@ -136,12 +136,6 @@ func NewAknnBoundsEstimator(outer, inner *Index, sampleSize int) JoinEstimator {
 	return aknn.BuildSummary(inner.tree).Bind(outer.tree, sampleSize)
 }
 
-// LoadAknnSummary reloads a summary previously saved with its WriteTo
-// method. It is standalone: no index is required.
-func LoadAknnSummary(r io.Reader) (*AknnSummary, error) {
-	return aknn.LoadSummary(r)
-}
-
 // BlockSampleEstimator is the sampling-at-query-time join estimator (§4.1).
 type BlockSampleEstimator = core.BlockSample
 

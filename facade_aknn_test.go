@@ -1,7 +1,6 @@
 package knncost_test
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -151,33 +150,5 @@ func TestFacadeAknnEdgeCases(t *testing.T) {
 		if err != nil || math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
 			t.Fatalf("EstimateJoin(k=%d) = %v, %v", k, got, err)
 		}
-	}
-}
-
-// TestFacadeAknnSummaryRoundTrip: the summary artifact reloads standalone
-// and estimates bit-identically — the facade wrapper over persistence.
-func TestFacadeAknnSummaryRoundTrip(t *testing.T) {
-	inner := knncost.BuildQuadtreeIndex(knncost.GenerateOSMLike(3000, 5),
-		knncost.IndexOptions{Capacity: 64, Bounds: knncost.WorldBounds()})
-	sum := knncost.NewAknnSummary(inner)
-	var buf bytes.Buffer
-	if _, err := sum.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := knncost.LoadAknnSummary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Total() != sum.Total() || loaded.NumPartitions() != sum.NumPartitions() {
-		t.Fatalf("reloaded %d/%d, want %d/%d",
-			loaded.NumPartitions(), loaded.Total(), sum.NumPartitions(), sum.Total())
-	}
-	// The round trip is lossless: re-serializing reproduces the bytes.
-	var again bytes.Buffer
-	if _, err := loaded.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("re-serialized summary differs from the original bytes")
 	}
 }

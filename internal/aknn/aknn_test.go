@@ -1,7 +1,6 @@
 package aknn
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -249,76 +248,12 @@ func TestSummaryAccessors(t *testing.T) {
 	if sum.NumPartitions() != nonEmpty {
 		t.Fatalf("NumPartitions = %d, want %d", sum.NumPartitions(), nonEmpty)
 	}
-	var buf bytes.Buffer
-	n, err := sum.WriteTo(&buf)
-	if err != nil || n != int64(buf.Len()) {
-		t.Fatalf("WriteTo = %d, %v; buffer %d", n, err, buf.Len())
+	// The storage metric aknn_bytes and the figure CSVs report: pinned, so
+	// the figures' storage columns cannot move.
+	if got := sum.StorageBytes(); got != 1791 {
+		t.Fatalf("StorageBytes = %d, want 1791", got)
 	}
-	if sum.StorageBytes() != buf.Len() {
-		t.Fatalf("StorageBytes = %d, serialized %d", sum.StorageBytes(), buf.Len())
-	}
-}
-
-// TestPersistRoundTrip: a reloaded summary estimates bit-identically.
-func TestPersistRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 50, 1000} {
-		inner := buildTree(t, randPoints(rng, n, testBounds()), 8).CountTree()
-		outer := buildTree(t, randPoints(rng, 200, testBounds()), 8).CountTree()
-		sum := BuildSummary(inner)
-		var buf bytes.Buffer
-		if _, err := sum.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadSummary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("n=%d: LoadSummary: %v", n, err)
-		}
-		if loaded.Total() != sum.Total() || loaded.NumPartitions() != sum.NumPartitions() {
-			t.Fatalf("n=%d: reloaded %d/%d, want %d/%d", n,
-				loaded.NumPartitions(), loaded.Total(), sum.NumPartitions(), sum.Total())
-		}
-		for _, k := range []int{1, 7, 64, n + 1} {
-			a, errA := sum.Bind(outer, 7).EstimateJoin(k)
-			b, errB := loaded.Bind(outer, 7).EstimateJoin(k)
-			if (errA == nil) != (errB == nil) || a != b {
-				t.Fatalf("n=%d k=%d: original %v,%v reloaded %v,%v", n, k, a, errA, b, errB)
-			}
-		}
-	}
-}
-
-func TestLoadSummaryRejectsHostileInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	sum := BuildSummary(buildTree(t, randPoints(rng, 100, testBounds()), 8).CountTree())
-	var buf bytes.Buffer
-	if _, err := sum.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":           {},
-		"bad magic":       []byte("XXXX\x01rest"),
-		"truncated":       valid[:len(valid)/2],
-		"huge part count": append([]byte(summaryMagic), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01),
-	}
-	// Inflate the recorded total so the cumulative check fires.
-	inflated := append([]byte(nil), valid...)
-	inflated[len(summaryMagic)+1] = 0xFF // total's first varint byte gains a continuation...
-	for name, data := range cases {
-		if _, err := LoadSummary(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// A partition with a NaN bound must be rejected.
-	nan := append([]byte(nil), valid...)
-	for i := 0; i < 8; i++ {
-		nan[len(valid)-9-i] = 0xFF // stomp somewhere in the last record
-	}
-	if s, err := LoadSummary(bytes.NewReader(nan)); err == nil {
-		// Stomping may have produced a still-consistent file; the only
-		// requirement is no panic and a usable or rejected summary.
-		_ = s.Total()
+	if got := BuildSummaryCapacity(tree, 64).StorageBytes(); got != 174 {
+		t.Fatalf("StorageBytes at capacity 64 = %d, want 174", got)
 	}
 }

@@ -1,11 +1,10 @@
 // Fuzz targets for the bounds-only AkNN join: the join and its cost model
-// against the brute-force oracle references on arbitrary point sets, and
-// the summary loader against hostile bytes. The seed corpus runs on every
-// `go test`; make fuzz-smoke additionally runs each target under -fuzz.
+// against the brute-force oracle references on arbitrary point sets. The
+// seed corpus runs on every `go test`; make fuzz-smoke additionally runs
+// each target under -fuzz.
 package aknn_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -140,62 +139,5 @@ func FuzzAknnBoundsEstimate(f *testing.F) {
 		if sample == 0 && est != float64(want) {
 			t.Fatalf("full-sample estimate %v != exact cost %d", est, want)
 		}
-	})
-}
-
-// FuzzLoadAknnSummary pins the loader's hardening contract: any input
-// either errors or yields a summary whose estimates never panic, with no
-// allocation sized by a hostile length field.
-func FuzzLoadAknnSummary(f *testing.F) {
-	rng := rand.New(rand.NewSource(99))
-	pts := make([]geom.Point, 600)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * 64, Y: rng.Float64() * 64}
-	}
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 32}).Index()
-	var buf, coarse bytes.Buffer
-	if _, err := aknn.BuildSummary(tree.CountTree()).WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := aknn.BuildSummaryCapacity(tree.CountTree(), 128).WriteTo(&coarse); err != nil {
-		f.Fatal(err)
-	}
-	valid := append([]byte(nil), buf.Bytes()...)
-
-	f.Add(valid)
-	f.Add(coarse.Bytes())
-	f.Add([]byte{})
-	f.Add(valid[:1])
-	for _, frac := range []int{8, 4, 2} {
-		f.Add(valid[:len(valid)/frac])
-	}
-	// The version byte, then the header's varints — partition count, total
-	// (two bytes at 600 points), capacity — and the first bound.
-	for _, pos := range []int{4, 5, 6, 7, 8, 9, len(valid) / 2} {
-		mut := append([]byte(nil), valid...)
-		mut[pos] ^= 0xFF
-		f.Add(mut)
-	}
-	for _, retired := range []byte{1, 2} { // the layouts without and with the capacity field
-		mut := append([]byte(nil), valid...)
-		mut[4] = retired
-		f.Add(mut)
-	}
-	// A hostile partition count right after the magic: 0xFF... uvarint.
-	f.Add(append(append([]byte(nil), valid[:5]...),
-		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
-
-	outer := tree.CountTree()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := aknn.LoadSummary(bytes.NewReader(data))
-		if err != nil {
-			return // rejection is always acceptable
-		}
-		for _, k := range []int{1, 7, 40, 1000} {
-			if _, err := s.Bind(outer, 5).EstimateJoin(k); err != nil {
-				t.Fatalf("accepted summary failed to estimate (k=%d): %v", k, err)
-			}
-		}
-		_ = s.StorageBytes()
 	})
 }

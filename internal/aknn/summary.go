@@ -1,12 +1,8 @@
 package aknn
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
-	"math"
 
 	"knncost/internal/core"
 	"knncost/internal/geom"
@@ -192,53 +188,13 @@ func numJoinBlocks(t *index.Tree) int {
 	return n
 }
 
-// --- persistence -----------------------------------------------------------
-
-// summaryMagic heads the serialized Summary format (KNAB): magic, uvarint
-// partition count, uvarint total point count, uvarint partition capacity
-// (0 = one partition per leaf block), then per partition four little-endian
-// float64 bounds (minX minY maxX maxY) and a uvarint count. Versions 1 and
-// 2 were the same record without and with the capacity field; there is one
-// layout now, and files of the older two are refused by their magic.
-const summaryMagic = "KNAB\x03"
-
-// maxSanePartitions bounds what LoadSummary accepts from a hostile or
-// corrupt count field (a 256 MiB summary).
-const maxSanePartitions = 1 << 22
-
-// WriteTo serializes the summary so LoadSummary can reload it without the
-// index.
-func (s *Summary) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	buf := make([]byte, 0, 1<<14)
-	flush := func() error {
-		n, err := w.Write(buf)
-		written += int64(n)
-		buf = buf[:0]
-		return err
-	}
-	buf = append(buf, summaryMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(s.parts)))
-	buf = binary.AppendUvarint(buf, uint64(s.total))
-	buf = binary.AppendUvarint(buf, uint64(s.capacity))
-	for _, p := range s.parts {
-		for _, f := range [4]float64{p.Bounds.Min.X, p.Bounds.Min.Y, p.Bounds.Max.X, p.Bounds.Max.Y} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
-		buf = binary.AppendUvarint(buf, uint64(p.Count))
-		if len(buf) >= 1<<14-64 {
-			if err := flush(); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, flush()
-}
-
-// StorageBytes returns the serialized size of the summary.
+// StorageBytes returns the summary's size in the paper's storage metric: a
+// 5-byte header, uvarints of the partition count, the total point count and
+// the partition capacity, then per partition four float64 bounds and a
+// uvarint count.
 func (s *Summary) StorageBytes() int {
 	var scratch [binary.MaxVarintLen64]byte
-	n := len(summaryMagic)
+	n := 5
 	n += binary.PutUvarint(scratch[:], uint64(len(s.parts)))
 	n += binary.PutUvarint(scratch[:], uint64(s.total))
 	n += binary.PutUvarint(scratch[:], uint64(s.capacity))
@@ -246,81 +202,6 @@ func (s *Summary) StorageBytes() int {
 		n += 32 + binary.PutUvarint(scratch[:], uint64(p.Count))
 	}
 	return n
-}
-
-// LoadSummary reloads a summary previously saved with WriteTo. It is
-// standalone — no index is required. Length and count fields are
-// validated before anything is sized by them, and partitions are read one
-// record at a time, so a hostile input can reject but never panic or
-// force an oversized allocation.
-func LoadSummary(r io.Reader) (*Summary, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(summaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("aknn: summary header: %w", err)
-	}
-	if string(magic) != summaryMagic {
-		return nil, errors.New("aknn: bad summary magic")
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("aknn: partition count: %w", err)
-	}
-	if n > maxSanePartitions {
-		return nil, fmt.Errorf("aknn: implausible partition count %d", n)
-	}
-	total, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("aknn: total count: %w", err)
-	}
-	if total > math.MaxInt64/2 {
-		return nil, fmt.Errorf("aknn: implausible total %d", total)
-	}
-	capacity, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("aknn: partition capacity: %w", err)
-	}
-	if capacity > math.MaxInt32 {
-		return nil, fmt.Errorf("aknn: implausible partition capacity %d", capacity)
-	}
-	s := &Summary{capacity: int(capacity)}
-	var rec [32]byte
-	var cum uint64
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("aknn: partition %d bounds: %w", i, err)
-		}
-		var f [4]float64
-		for j := range f {
-			f[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*j:]))
-			if math.IsNaN(f[j]) || math.IsInf(f[j], 0) {
-				return nil, fmt.Errorf("aknn: partition %d has non-finite bounds", i)
-			}
-		}
-		if f[2] < f[0] || f[3] < f[1] {
-			return nil, fmt.Errorf("aknn: partition %d has inverted bounds", i)
-		}
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("aknn: partition %d count: %w", i, err)
-		}
-		if count < 1 {
-			return nil, fmt.Errorf("aknn: partition %d is empty", i)
-		}
-		cum += count
-		if cum > total {
-			return nil, fmt.Errorf("aknn: partition counts exceed recorded total %d", total)
-		}
-		s.parts = append(s.parts, Partition{
-			Bounds: geom.Rect{Min: geom.Point{X: f[0], Y: f[1]}, Max: geom.Point{X: f[2], Y: f[3]}},
-			Count:  int(count),
-		})
-	}
-	if cum != total {
-		return nil, fmt.Errorf("aknn: partition counts sum to %d, recorded total %d", cum, total)
-	}
-	s.total = int(total)
-	return s, nil
 }
 
 // Resolution implements core.Artifact. Only the AknnCapacity axis applies

@@ -295,8 +295,8 @@ func paperCatalogForMarshal() *Catalog {
 
 // TestMarshalBinaryPinned: the paper-metric encoding of the Figure 4
 // catalog, byte for byte as the 24-byte-entry representation wrote it.
-// Every storage column of results/fig*.csv and the tuner's budget are sums
-// of these lengths, so the bytes may not move with the in-memory layout.
+// Every storage column of results/fig*.csv and of the relation listings is a
+// sum of these lengths, so the bytes may not move with the in-memory layout.
 func TestMarshalBinaryPinned(t *testing.T) {
 	const want = "01068804039b0107851608b3090cf2080dc3200e"
 	got, err := paperCatalog(t).MarshalBinary()

@@ -10,9 +10,9 @@ const DefaultGridSize = 10
 // how deep the interval catalogs go (MaxK), how many merged corner
 // catalogs a staircase block keeps (Corners), how fine the virtual grid is
 // (GridSize), and how many points an AkNN summary partition aggregates
-// (AknnCapacity). One relation is built at one resolution; coarser
-// resolutions cost fewer bytes and (boundedly) more q-error, which is the
-// dial the store's space-budget tuner turns.
+// (AknnCapacity). One relation is built at one resolution, the one its
+// registration declares: coarser resolutions cost fewer bytes and
+// (boundedly) more q-error, a choice made once, when the artifacts are built.
 //
 // The zero value means the repository-wide defaults at every axis,
 // matching the zero-value conventions of engine.BuildOptions and
@@ -96,55 +96,12 @@ func (r Resolution) Key() string {
 	return fmt.Sprintf("k%d.c%d.g%d.a%d", r.MaxK, r.Corners, r.GridSize, r.AknnCapacity)
 }
 
-// Tuner ladder floors: shrinking stops at these so estimates never
-// degenerate to a single catalog interval or a 1x1 grid.
-const (
-	minTunedMaxK     = 64
-	minTunedGridSize = 2
-	maxTunedCapacity = 4096
-	minTunedCapacity = 64
-)
-
-// Coarser returns the next resolution down the space ladder: it first
-// halves MaxK (floor 64), then halves GridSize (floor 2), then doubles
-// AknnCapacity (from 64, cap 4096). Corners is never tuned — it changes
-// which technique artifacts exist, not just their depth. At the floor of
-// every axis Coarser returns r unchanged; callers detect exhaustion by
-// comparing.
-func (r Resolution) Coarser() Resolution {
-	r = r.Canon()
-	switch {
-	case r.MaxK > minTunedMaxK:
-		r.MaxK = max(minTunedMaxK, r.MaxK/2)
-	case r.GridSize > minTunedGridSize:
-		r.GridSize = max(minTunedGridSize, r.GridSize/2)
-	case r.AknnCapacity == 0:
-		r.AknnCapacity = minTunedCapacity
-	case r.AknnCapacity < maxTunedCapacity:
-		r.AknnCapacity = min(maxTunedCapacity, r.AknnCapacity*2)
-	}
-	return r
-}
-
-// CoarserN applies Coarser n times.
-func (r Resolution) CoarserN(n int) Resolution {
-	r = r.Canon()
-	for i := 0; i < n; i++ {
-		next := r.Coarser()
-		if next == r {
-			break
-		}
-		r = next
-	}
-	return r
-}
-
 // Artifact is implemented by every technique artifact: anything a
 // relation builds, caches, persists and serves estimates from. It reports
 // the resolution the artifact was built at and its size in the paper's
-// storage metric, which is what the store's space-budget tuner accounts
-// against -catalog-budget-bytes. Axes a particular artifact does not use
-// (e.g. GridSize for a staircase) report the canonical defaults.
+// storage metric, which relation listings and the figures' storage columns
+// report. Axes a particular artifact does not use (e.g. GridSize for a
+// staircase) report the canonical defaults.
 type Artifact interface {
 	// Resolution returns the canonical resolution the artifact was built at.
 	Resolution() Resolution

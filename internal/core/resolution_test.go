@@ -102,73 +102,8 @@ func TestResolutionKey(t *testing.T) {
 	}
 }
 
-// TestResolutionCoarserLadder walks the full tuner ladder from a
-// representative production resolution and asserts the documented order
-// (MaxK halves to 64, then GridSize halves to 2, then AknnCapacity doubles
-// from 64 to 4096), termination, and the exhaustion fixed point.
-func TestResolutionCoarserLadder(t *testing.T) {
-	r := Resolution{MaxK: 1000, GridSize: 10}.Canon()
-	var ladder []Resolution
-	for i := 0; i < 100; i++ {
-		next := r.Coarser()
-		if next == r {
-			break
-		}
-		ladder = append(ladder, next)
-		r = next
-	}
-	want := []Resolution{
-		{MaxK: 500, Corners: 1, GridSize: 10},
-		{MaxK: 250, Corners: 1, GridSize: 10},
-		{MaxK: 125, Corners: 1, GridSize: 10},
-		{MaxK: 64, Corners: 1, GridSize: 10},
-		{MaxK: 64, Corners: 1, GridSize: 5},
-		{MaxK: 64, Corners: 1, GridSize: 2},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 64},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 128},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 256},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 512},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 1024},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 2048},
-		{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 4096},
-	}
-	if len(ladder) != len(want) {
-		t.Fatalf("ladder has %d rungs, want %d: %+v", len(ladder), len(want), ladder)
-	}
-	for i := range want {
-		if ladder[i] != want[i] {
-			t.Fatalf("rung %d = %+v, want %+v", i, ladder[i], want[i])
-		}
-	}
-	// The floor is a fixed point, and Corners is never tuned.
-	floor := ladder[len(ladder)-1]
-	if floor.Coarser() != floor {
-		t.Fatalf("floor %+v is not a fixed point", floor)
-	}
-	quad := Resolution{MaxK: 64, Corners: 4, GridSize: 2, AknnCapacity: 4096}
-	if got := quad.Coarser(); got.Corners != 4 {
-		t.Fatalf("Coarser tuned Corners: %+v", got)
-	}
-}
-
-func TestResolutionCoarserN(t *testing.T) {
-	r := Resolution{MaxK: 256, GridSize: 4}.Canon()
-	step := r
-	for n := 0; n < 20; n++ {
-		if got := r.CoarserN(n); got != step {
-			t.Fatalf("CoarserN(%d) = %+v, want %+v", n, got, step)
-		}
-		step = step.Coarser()
-	}
-	// Overshooting the ladder stops at the floor instead of looping.
-	if got, floor := r.CoarserN(1000), r.CoarserN(20); got != floor {
-		t.Fatalf("CoarserN(1000) = %+v, want the floor %+v", got, floor)
-	}
-}
-
 // TestArtifactSizeBytes: every core artifact must report its resolution
-// and a positive byte footprint — the quantities the store's space-budget
-// tuner accounts against -catalog-budget-bytes.
+// and a positive byte footprint — the quantities relation listings report.
 func TestArtifactSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	bounds := geom.NewRect(0, 0, 100, 100)

@@ -30,35 +30,17 @@ const (
 	accuracyMaxK     = 100 // largest catalog-maintained k
 	accuracySample   = 7   // join-estimator sample size
 	accuracyGrid     = 5   // virtual-grid dimension (accuracyGrid x accuracyGrid)
-	// accuracyRungs is how many steps of the store tuner's Coarser ladder
-	// get their own rows (technique@rung), pinning the accuracy envelope of
-	// space-tuned relations.
-	accuracyRungs = 3
 )
 
-// resolutionRungs walks the tuner's Coarser ladder from the audit's full
-// resolution — the resolutions a space-tuned relation can actually be
-// serving at — and returns each of the first accuracyRungs steps by the
-// axis it coarsens: a smaller MaxK, a smaller grid, or a larger AkNN
-// summary capacity.
-func resolutionRungs() (maxKs, grids, capacities []int) {
-	prev := core.Resolution{MaxK: accuracyMaxK, GridSize: accuracyGrid}.Canon()
-	for i := 0; i < accuracyRungs; i++ {
-		next := prev.Coarser()
-		switch {
-		case next.MaxK != prev.MaxK:
-			maxKs = append(maxKs, next.MaxK)
-		case next.GridSize != prev.GridSize:
-			grids = append(grids, next.GridSize)
-		case next.AknnCapacity != prev.AknnCapacity:
-			capacities = append(capacities, next.AknnCapacity)
-		default:
-			return maxKs, grids, capacities // ladder exhausted
-		}
-		prev = next
-	}
-	return maxKs, grids, capacities
-}
+// The coarser resolutions the audit gives their own rows (technique@rung):
+// a smaller catalog depth, a coarser virtual grid and a coalescing AkNN
+// summary — one step down each axis from the full resolution above, pinning
+// the accuracy envelope of a relation registered at a coarser resolution.
+var (
+	rungMaxKs      = []int{64}
+	rungGrids      = []int{2}
+	rungCapacities = []int{64}
+)
 
 // Quantiles summarizes a q-error distribution. Every field is >= 1 by
 // construction (a q-error is max(est/actual, actual/est)).
@@ -254,11 +236,10 @@ func RunAccuracy(seed int64) (AccuracyReport, error) {
 	for i, w := range ws {
 		trees[i] = quadtree.Build(w.Points, quadtree.Options{Capacity: accuracyCapacity}).Index()
 	}
-	maxKs, grids, capacities := resolutionRungs()
 	for i, w := range ws {
 		tree := trees[i]
 		count := tree.CountTree()
-		selects, err := selectTechs(tree, count, maxKs)
+		selects, err := selectTechs(tree, count, rungMaxKs)
 		if err != nil {
 			return AccuracyReport{}, err
 		}
@@ -277,7 +258,7 @@ func RunAccuracy(seed int64) (AccuracyReport, error) {
 
 		// Join techniques, against the next workload as inner relation.
 		inner := trees[(i+1)%len(trees)].CountTree()
-		joins, err := joinTechs(count, inner, grids, capacities)
+		joins, err := joinTechs(count, inner, rungGrids, rungCapacities)
 		if err != nil {
 			return AccuracyReport{}, err
 		}

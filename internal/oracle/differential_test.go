@@ -193,7 +193,7 @@ var staircaseModes = []struct {
 // naive traversal instead of catalogs and heaps. Fallback paths (k > MaxK,
 // query outside the index) are covered by the corpus's k sweep and
 // outside-MBR queries. MaxK 100 and 64 are the accuracy audit's full
-// resolution and its first tuner rung.
+// resolution and its coarser MaxK rung.
 func TestEstimatorsMatchOracleReferences(t *testing.T) {
 	for _, w := range testCorpus(t) {
 		w := w

@@ -417,15 +417,15 @@ func registeredFingerprint(t *testing.T, dir, name string) string {
 }
 
 // TestPointsDumpRoundTrips: a points dump decodes into the wire struct
-// bit-exactly (what the benchmark's oracle does), and POSTed to a second
-// store — through the one-pass decoder — reproduces the relation's
-// fingerprint.
+// bit-exactly (what the benchmark's oracle does) and carries the resolution
+// the relation was registered at, and POSTed to a second store — through the
+// one-pass decoder — reproduces the relation's fingerprint.
 func TestPointsDumpRoundTrips(t *testing.T) {
 	pts := inlinePoints2(500, 3)
 	// Coordinates encoding/json writes in exponent form, and a negative zero.
 	pts = append(pts, geom.Point{X: 1e-7, Y: -2.5e21}, geom.Point{X: math.Copysign(0, -1), Y: 1e21})
 	wire := RegisterRequest{Name: "src", Points: make([][2]float64, len(pts)),
-		Resolution: &ResolutionSpec{MaxK: 50, Corners: 1}}
+		Resolution: &ResolutionSpec{MaxK: 64, GridSize: 2, AknnCapacity: 64}}
 	for i, p := range pts {
 		wire.Points[i] = [2]float64{p.X, p.Y}
 	}
@@ -453,7 +453,8 @@ func TestPointsDumpRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(dump, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Name != "src" || len(decoded.Points) != len(pts) || decoded.Resolution == nil || decoded.Resolution.MaxK != 50 {
+	res := ResolutionSpec{MaxK: 64, Corners: 1, GridSize: 2, AknnCapacity: 64} // canonical: corners 0 is 1
+	if decoded.Name != "src" || len(decoded.Points) != len(pts) || decoded.Resolution == nil || *decoded.Resolution != res {
 		t.Fatalf("dump decodes to name %q, %d points, resolution %+v", decoded.Name, len(decoded.Points), decoded.Resolution)
 	}
 	for i, p := range pts {

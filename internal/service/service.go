@@ -215,14 +215,9 @@ type RelationInfo struct {
 	StaircaseBytes   int    `json:"staircase_bytes"`
 	VirtualGridBytes int    `json:"virtual_grid_bytes"`
 	AknnBytes        int    `json:"aknn_bytes,omitempty"`
-	// ArtifactBytes is the total artifact footprint the store's space-budget
-	// tuner accounts against -catalog-budget-bytes.
-	ArtifactBytes int `json:"artifact_bytes,omitempty"`
-	// Resolution is the published snapshot's effective artifact resolution;
-	// DeclaredResolution is what registration asked for. They differ only
-	// while the space-budget tuner holds the relation at a coarser rung.
-	Resolution         *ResolutionSpec `json:"resolution,omitempty"`
-	DeclaredResolution *ResolutionSpec `json:"declared_resolution,omitempty"`
+	// Resolution is the artifact resolution the relation was registered,
+	// and its published snapshot built, at.
+	Resolution *ResolutionSpec `json:"resolution,omitempty"`
 	// DeltaOps/DeltaPoints/DeltaAgeMs describe the WAL-durable mutations the
 	// published snapshot does not cover yet; DeltaAgeMs is the staleness
 	// bound — the age of the oldest uncompacted write.
@@ -265,21 +260,19 @@ func specOf(res core.Resolution) *ResolutionSpec {
 
 func infoFromStatus(st store.RelationStatus) RelationInfo {
 	return RelationInfo{
-		Name:               st.Name,
-		State:              st.State,
-		Version:            st.Version,
-		Error:              st.Error,
-		NumPoints:          st.NumPoints,
-		NumBlocks:          st.NumBlocks,
-		StaircaseBytes:     st.StaircaseBytes,
-		VirtualGridBytes:   st.VirtualGridBytes,
-		AknnBytes:          st.AknnBytes,
-		ArtifactBytes:      st.ArtifactBytes,
-		Resolution:         specOf(st.Resolution),
-		DeclaredResolution: specOf(st.DeclaredResolution),
-		DeltaOps:           st.DeltaOps,
-		DeltaPoints:        st.DeltaPoints,
-		DeltaAgeMs:         st.DeltaAgeMs,
+		Name:             st.Name,
+		State:            st.State,
+		Version:          st.Version,
+		Error:            st.Error,
+		NumPoints:        st.NumPoints,
+		NumBlocks:        st.NumBlocks,
+		StaircaseBytes:   st.StaircaseBytes,
+		VirtualGridBytes: st.VirtualGridBytes,
+		AknnBytes:        st.AknnBytes,
+		Resolution:       specOf(st.Resolution),
+		DeltaOps:         st.DeltaOps,
+		DeltaPoints:      st.DeltaPoints,
+		DeltaAgeMs:       st.DeltaAgeMs,
 	}
 }
 
@@ -329,12 +322,11 @@ func (s *Server) handleRelationPoints(w http.ResponseWriter, r *http.Request) {
 	for i, p := range pts {
 		resp.Points[i] = [2]float64{p.X, p.Y}
 	}
-	// Carry the declared (not the tuner's effective) resolution: POSTing
-	// the response elsewhere must reproduce the accuracy contract the
-	// relation was registered with, so mirror healing and rebalance
-	// hand-offs keep per-relation resolutions intact.
+	// Carry the resolution: POSTing the response elsewhere must reproduce
+	// the accuracy the relation was registered with, so mirror healing and
+	// rebalance hand-offs keep per-relation resolutions intact.
 	if st, ok := s.store.Status(name); ok {
-		resp.Resolution = specOf(st.DeclaredResolution)
+		resp.Resolution = specOf(st.Resolution)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -554,7 +546,6 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rel.Touch()
 	start := time.Now()
 	blocks, err := est.EstimateSelect(geom.Point{X: x, Y: y}, k)
 	if err != nil {
@@ -682,7 +673,6 @@ func (s *Server) handleEstimateSelectBatch(w http.ResponseWriter, r *http.Reques
 	if maxP := runtime.GOMAXPROCS(0); parallelism > maxP {
 		parallelism = maxP
 	}
-	rel.TouchN(len(queries))
 	start := time.Now()
 	results, err := core.EstimateSelectBatchContext(r.Context(), est, queries, parallelism)
 	if err != nil {
@@ -747,9 +737,6 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: fmt.Sprintf("%s %s⋉%s unavailable: %v", jt.Name, outer.Name, inner.Name, err)})
 		return
 	}
-	// Both sides serve artifacts for a join estimate; both count as traffic.
-	outer.Touch()
-	inner.Touch()
 	start := time.Now()
 	blocks, err := est.EstimateJoin(k)
 	if err != nil {

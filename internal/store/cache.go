@@ -97,16 +97,15 @@ type manifest struct {
 	Capacity     int64
 }
 
-// registryEntry names one live relation, its cached fingerprint, and its
-// resolutions: Resolution is the effective (possibly tuner-coarsened)
-// resolution the fingerprint was built at — a restart must recompute the
-// identical fingerprint to warm-load — and Declared is what the user asked
-// for, so the tuner can grow the relation back after a restart.
+// registryEntry names one live relation, its cached fingerprint, and the
+// resolution the fingerprint was built at: a restart recomputes the
+// identical fingerprint from it to warm-load, and keeps building the
+// relation at it. A registry an earlier version wrote may also carry a
+// "declared" key, which decoding ignores.
 type registryEntry struct {
 	Name        string          `json:"name"`
 	Fingerprint string          `json:"fingerprint"`
 	Resolution  core.Resolution `json:"resolution"`
-	Declared    core.Resolution `json:"declared"`
 }
 
 type registryFile struct {
@@ -452,11 +451,11 @@ func (c *diskCache) registry() []registryEntry {
 	return slices.Clone(c.entries)
 }
 
-// remember records name → (fp, effective resolution, declared resolution)
-// in the registry, replacing any previous entry for name; replaced is the
-// fingerprint that entry held, when it held a different one.
-func (c *diskCache) remember(name, fp string, res, declared core.Resolution) (replaced string, err error) {
-	return c.updateRegistry(name, &registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon(), Declared: declared.Canon()})
+// remember records name → (fp, resolution) in the registry, replacing any
+// previous entry for name; replaced is the fingerprint that entry held, when
+// it held a different one.
+func (c *diskCache) remember(name, fp string, res core.Resolution) (replaced string, err error) {
+	return c.updateRegistry(name, &registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon()})
 }
 
 // forget removes name from the registry and returns the fingerprint it held,

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"knncost/internal/geom"
@@ -375,6 +374,7 @@ func (s *Store) compactor() {
 // build publishing mid-replay could checkpoint-clear deltas it never saw.
 func (s *Store) recoverLocked(records []wal.Record) {
 	for _, reg := range s.cache.registry() {
+		res := s.opt.resolveResolution(reg.Resolution)
 		bd, err := s.cache.loadBundle(reg.Fingerprint)
 		if err != nil {
 			// The artifacts are derivable, the points (and the logged
@@ -382,42 +382,20 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			// points still hash to the registered fingerprint restores the
 			// relation, and its build rewrites the bundle.
 			pts, perr := s.cache.salvage(reg.Fingerprint)
-			if perr != nil || s.fingerprint(pts, s.opt.resolveResolution(reg.Resolution)) != reg.Fingerprint {
+			if perr != nil || s.fingerprint(pts, res) != reg.Fingerprint {
 				s.opt.logger().Printf("store: cache registry %q: %v (points not recoverable, skipping)", reg.Name, err)
 				continue
 			}
 			s.opt.logger().Printf("store: cache registry %q: %v (points intact, rebuilding the rest)", reg.Name, err)
 			bd = &bundle{pts: pts} // no fingerprint: the build will not take it for the file
 		}
-		e := &entry{name: reg.Name, hits: &atomic.Int64{}}
+		e := &entry{name: reg.Name, res: res}
 		if err := s.enqueueLocked(e, bd.pts); err != nil {
 			s.opt.logger().Printf("store: re-registering cached %q: %v", reg.Name, err)
 			continue
 		}
 		e.pendingBundle = bd
 		e.durableFP = reg.Fingerprint
-		// Restore the resolution pair so the rebuild recomputes the exact
-		// registered fingerprint (a warm load) and the tuner resumes from
-		// the persisted rung. The step count is re-derived by walking the
-		// ladder; an unreachable effective resolution (hand-edited
-		// registry) falls back to the declared one — one cold rebuild,
-		// never an error. Q-error floors are not persisted: the probe
-		// re-establishes them within a pass if the rung is too coarse.
-		e.declaredRes = s.opt.resolveResolution(reg.Declared)
-		e.res = e.declaredRes
-		e.tunerFloor = math.MaxInt
-		want := s.opt.resolveResolution(reg.Resolution)
-		for r, steps := e.declaredRes, 0; ; steps++ {
-			if r == want {
-				e.res, e.tunerSteps = want, steps
-				break
-			}
-			next := r.Coarser()
-			if next == r {
-				break // ladder exhausted without reaching want
-			}
-			r = next
-		}
 		s.entries[reg.Name] = e
 	}
 	now := time.Now()

@@ -51,15 +51,13 @@ func assertMergesExact(t *testing.T, v *View, a, b string) {
 
 // TestNoMergeBuiltUnderStoreLock: a merge is built by the goroutine that
 // asked for the pair, and that goroutine never holds s.mu — neither a
-// publish (registration, compaction, tuner retune, warm restore) nor a status
+// publish (registration, compaction, warm restore) nor a status
 // read waits on a merge. The "merge" seam fires before every build.
 func TestNoMergeBuiltUnderStoreLock(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
 	opt.CompactInterval = -1
 	opt.CompactThreshold = 8
-	opt.CatalogBudgetBytes = 1 // everything is over budget: every tick retunes
-	opt.TunerInterval = -1
 	var s *Store
 	var resolved, locked int
 	opt.crashHook = func(op string) {
@@ -94,12 +92,6 @@ func TestNoMergeBuiltUnderStoreLock(t *testing.T) {
 			settle(t, s, name)
 			joinEstimates(t, s.View())
 		}
-		s.TunerTick()
-		settle(t, s)
-		if s.TunerShrinks() == 0 {
-			t.Fatal("the tuner retuned nothing; the test does not cover its publishes")
-		}
-		joinEstimates(t, s.View())
 		if resolved == 0 || locked != 0 {
 			t.Fatalf("round %d: %d of %d merges were resolved with the store lock held", round, locked, resolved)
 		}

@@ -203,19 +203,21 @@ func TestFailedBuildReleasesPoints(t *testing.T) {
 // TestRegistrationOrderSurvivesEveryPath: a snapshot keeps its points in tree
 // order, so every way of making one has to carry the registration order across:
 // a build from a registration body, a compaction of appends and deletes, a
-// retune, a restart from the bundle's points with the log replayed over them,
-// and the salvage of a damaged bundle. After each, Points and LogicalPoints
+// restart from the bundle's points with the log replayed over them, and the
+// salvage of a damaged bundle. After each, Points and LogicalPoints
 // are the model's sequence, and the fingerprint is the one the
 // commit before this layout (cbf411a) computed for the same steps, re-pinned
 // for cacheFormat 7, which the hash is fed first (under format 6 they are
-// cbf411a's values).
+// cbf411a's values). The reopen and salvage pins are what commit a6d4c2a
+// computed for these same steps, the relation at its registered resolution
+// throughout.
 func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	root := t.TempDir()
-	opt := tunerTestOptions(t)
+	opt := testOptions(t)
+	opt.MaxK = 512
 	opt.CacheDir = filepath.Join(root, "live")
 	opt.CompactInterval = -1
 	opt.CompactThreshold = 1 << 20 // only Flush and settle compact
-	opt.CatalogBudgetBytes = 1     // every tuner pass wants the relation coarser
 
 	model := gridPoints(1500, 71)
 	model[700], model[1200] = model[3], model[3] // one coordinate, three times
@@ -264,13 +266,6 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	settle(t, s, "r")
 	check(s, "flush", "8d5213231879638903fd467803ec809055f8bf34d84de34d07a4ae8e248cd65b")
 
-	tickUntil(t, s, []string{"r"}, func() bool { return s.TunerShrinks() > 0 })
-	waitReady(t, s, "r")
-	if st := mustStatus(t, s, "r"); st.Resolution == st.DeclaredResolution {
-		t.Fatal("the tuner pass did not retune the relation")
-	}
-	check(s, "retune", "2391068c293526510aee2c8b534fa6406ab6553bfefdd39da08e867df3a95536")
-
 	// What a SIGKILL leaves: the directory as it is, a delta only the log
 	// holds, no Close.
 	tail := gridPoints(25, 73)
@@ -283,13 +278,12 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.CacheDir = killed
-	opt.CatalogBudgetBytes = 0 // the restart keeps the rung, and tunes no further
 	re := newTestStore(t, opt)
 	settle(t, re, "r")
 	if re.CacheHits() == 0 || re.WALReplayed() == 0 {
 		t.Fatalf("the restart loaded %d catalogs and replayed %d mutations, want the bundle's and the log's", re.CacheHits(), re.WALReplayed())
 	}
-	check(re, "reopen", "73185ac600aafddd0e514b1f97ade028829add11a3284d1f1112685a4849fe58")
+	check(re, "reopen", "4f3ec07287a13751168e040c4c2ef0d6e66c5adf0b52eb156f69b50a3b48c5c6")
 	fp := re.View().Relation("r").Fingerprint
 	closeStore(t, re)
 
@@ -300,5 +294,5 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if salvaged.CatalogBuilds() == 0 {
 		t.Fatal("the damaged bundle was served, not rebuilt from its points")
 	}
-	check(salvaged, "salvage", "73185ac600aafddd0e514b1f97ade028829add11a3284d1f1112685a4849fe58")
+	check(salvaged, "salvage", "4f3ec07287a13751168e040c4c2ef0d6e66c5adf0b52eb156f69b50a3b48c5c6")
 }

@@ -114,7 +114,7 @@ func TestCatalogScale(t *testing.T) {
 	// reported, and with every bundle named it must remove nothing.
 	reg := registryFile{Format: cacheFormat}
 	for i, fp := range fps {
-		reg.Relations = append(reg.Relations, registryEntry{Name: fmt.Sprintf("r%d", i), Fingerprint: fp, Resolution: res, Declared: res})
+		reg.Relations = append(reg.Relations, registryEntry{Name: fmt.Sprintf("r%d", i), Fingerprint: fp, Resolution: res})
 	}
 	regData, err := json.Marshal(reg)
 	if err != nil {

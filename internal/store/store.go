@@ -143,23 +143,6 @@ type Options struct {
 	// trades a bounded loss window for throughput by fsyncing on a timer
 	// instead.
 	WALSyncInterval time.Duration
-	// CatalogBudgetBytes is the space-budget auto-tuner's global target for
-	// the summed artifact bytes of every published relation. While the
-	// total exceeds it, the tuner rebuilds the coldest relations (by
-	// estimate traffic) one resolution step coarser; with headroom it grows
-	// tuned relations back toward their declared resolution. Zero (the
-	// default) disables the tuner entirely.
-	CatalogBudgetBytes int64
-	// TunerInterval is the cadence of the background tuner pass. Zero
-	// means 5s; negative disables the background loop (passes then happen
-	// only via TunerTick — useful in deterministic tests).
-	TunerInterval time.Duration
-	// TunerQErrorTolerance bounds the estimate degradation a tuner shrink
-	// may cause: after a coarsened rebuild publishes, the tuner probes its
-	// q-error against ground-truth distance browsing and reverts the step
-	// (and refuses to repeat it) when the worst probe exceeds this factor.
-	// Zero means 2.0.
-	TunerQErrorTolerance float64
 	// Logger receives cache warnings and build logs. Nil means the standard
 	// logger.
 	Logger *log.Logger
@@ -194,12 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactInterval == 0 {
 		o.CompactInterval = 2 * time.Second
-	}
-	if o.TunerInterval == 0 {
-		o.TunerInterval = 5 * time.Second
-	}
-	if o.TunerQErrorTolerance == 0 {
-		o.TunerQErrorTolerance = 2.0
 	}
 	return o
 }
@@ -287,21 +264,14 @@ type Snapshot struct {
 	// relation's generation.
 	Engine *engine.Relation
 	// Resolution is the canonical artifact resolution this snapshot was
-	// built at — the declared resolution, or a coarser rung when the
-	// space-budget tuner shrank the relation.
+	// built at: the one its registration declared.
 	Resolution core.Resolution
 	// StaircaseBytes and VGridBytes are the serialized catalog sizes,
-	// computed once at publication. AknnBytes is the aknn summary's;
-	// ArtifactBytes is the total the tuner accounts against the budget
-	// (staircase + virtual grid + aknn summary).
+	// computed once at publication; AknnBytes is the aknn summary's.
 	StaircaseBytes int
 	VGridBytes     int
 	AknnBytes      int
-	ArtifactBytes  int
 
-	// hits is the estimate-traffic counter shared with the relation's
-	// store entry across republishes; Touch increments it.
-	hits *atomic.Int64
 	// order is the registration order, as the leaf of Tree each registered
 	// point sits in (quadtree.Tree.Flat).
 	order quadtree.LeafOrder
@@ -321,26 +291,6 @@ func (sn *Snapshot) appendPoints(dst []geom.Point) []geom.Point {
 	return sn.order.AppendPoints(dst, sn.Tree.Blocks())
 }
 
-// Touch records one estimate served from this snapshot. The count is the
-// tuner's per-relation traffic signal: hot relations keep (or regain)
-// their declared resolution, cold ones are shrunk first when the store is
-// over its catalog byte budget. Safe for concurrent use; a no-op on
-// snapshots that predate the store (zero value) or tests that build
-// snapshots by hand.
-func (sn *Snapshot) Touch() {
-	if sn.hits != nil {
-		sn.hits.Add(1)
-	}
-}
-
-// TouchN records n estimates served from this snapshot in one call (the
-// batch endpoint's accounting).
-func (sn *Snapshot) TouchN(n int) {
-	if sn.hits != nil && n > 0 {
-		sn.hits.Add(int64(n))
-	}
-}
-
 // RelationStatus is the externally visible state of one relation, as served
 // by listings and status endpoints. It is a value type copied out of the
 // store, never a live reference.
@@ -356,12 +306,8 @@ type RelationStatus struct {
 	StaircaseBytes   int `json:"staircase_bytes"`
 	VirtualGridBytes int `json:"virtual_grid_bytes"`
 	AknnBytes        int `json:"aknn_bytes"`
-	ArtifactBytes    int `json:"artifact_bytes"`
-	// Resolution is the published snapshot's effective resolution;
-	// DeclaredResolution is what registration asked for. They differ only
-	// while the space-budget tuner holds the relation at a coarser rung.
-	Resolution         core.Resolution `json:"resolution"`
-	DeclaredResolution core.Resolution `json:"declared_resolution"`
+	// Resolution is the resolution the published snapshot was built at.
+	Resolution core.Resolution `json:"resolution"`
 	// Delta overlay depth: mutations acknowledged but not yet compacted
 	// into the published snapshot. All zero when the relation is settled.
 	DeltaOps    int   `json:"delta_ops,omitempty"`
@@ -479,23 +425,9 @@ type entry struct {
 	// cancel aborts the in-flight build when superseded or dropped.
 	cancel context.CancelFunc
 
-	// res is the effective resolution of the wanted generation;
-	// declaredRes is what registration asked for. They diverge only while
-	// the space-budget tuner holds the relation tunerSteps rungs down the
-	// coarsening ladder.
-	res         core.Resolution
-	declaredRes core.Resolution
-	tunerSteps  int
-	// tunerFloor caps tunerSteps: a shrink whose published q-error blew
-	// the tolerance sets the floor one step back and is never repeated.
-	tunerFloor int
-	// tunerProbed is the snapshot version the q-error probe last checked,
-	// so each published rebuild is probed at most once.
-	tunerProbed uint64
-	// hits counts estimates served from this relation's snapshots
-	// (Snapshot.Touch); the tuner swaps it to zero every pass, making the
-	// value per-pass traffic. Shared with every published snapshot.
-	hits *atomic.Int64
+	// res is the resolution the relation was registered at, which every
+	// generation is built at.
+	res core.Resolution
 	// pending is the delta overlay: durably logged mutations not yet
 	// folded into the published snapshot, in LSN order.
 	pending []mutation
@@ -552,9 +484,6 @@ type Store struct {
 	stopCompact   chan struct{} // nil when the interval compactor is off
 	compactorDone chan struct{}
 
-	stopTuner chan struct{} // nil when the background tuner is off
-	tunerDone chan struct{}
-
 	// catalogBuilds counts catalogs actually constructed (staircase, virtual
 	// grid, a catalog-merge per pair asked for); a warm restart that loads
 	// every relation from the disk cache counts only the pairs asked for
@@ -570,16 +499,6 @@ type Store struct {
 	walReplayed  atomic.Int64
 	walTruncated atomic.Int64
 	compactions  atomic.Int64
-
-	// Tuner counters (see tuner.go): passes run, shrink/grow rebuilds
-	// scheduled, q-error reverts, shrinks refused by a q-error floor, and
-	// the artifact-byte total measured by the latest pass.
-	tunerPasses  atomic.Int64
-	tunerShrinks atomic.Int64
-	tunerGrows   atomic.Int64
-	tunerReverts atomic.Int64
-	tunerBlocked atomic.Int64
-	tunerBytes   atomic.Int64
 }
 
 // New creates a Store and starts its build workers. When CacheDir is set,
@@ -642,11 +561,6 @@ func New(opt Options) (*Store, error) {
 		s.stopCompact = make(chan struct{})
 		s.compactorDone = make(chan struct{})
 		go s.compactor()
-	}
-	if opt.CatalogBudgetBytes > 0 && opt.TunerInterval > 0 {
-		s.stopTuner = make(chan struct{})
-		s.tunerDone = make(chan struct{})
-		go s.tuner()
 	}
 	return s, nil
 }
@@ -738,9 +652,8 @@ func (s *Store) Register(name string, pts []geom.Point) (RelationStatus, error) 
 // RegisterResolution is Register with a per-relation artifact resolution:
 // catalog depth (MaxK), staircase corner budget, virtual-grid granularity
 // and aknn partition capacity. Zero axes inherit the store-wide options,
-// so the zero resolution is exactly Register. The resolution is the
-// relation's declared accuracy; the space-budget tuner may serve it
-// coarser under memory pressure, but never refuses the registration.
+// so the zero resolution is exactly Register. Every generation of the
+// relation, compactions and restarts included, is built at it.
 func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resolution) (RelationStatus, error) {
 	if err := validateName(name); err != nil {
 		return RelationStatus{}, err
@@ -763,7 +676,7 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	e := s.entries[name]
 	isNew := e == nil
 	if isNew {
-		e = &entry{name: name, hits: &atomic.Int64{}}
+		e = &entry{name: name}
 	}
 	if err := s.enqueueLocked(e, pts); err != nil {
 		return RelationStatus{}, err
@@ -773,16 +686,13 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	}
 	// A user registration replaces base and deltas wholesale: pending
 	// mutations are obsolete, and the publish checkpoint covers everything
-	// logged so far for this relation. The declared resolution resets the
-	// tuner state too — a re-registration is a fresh accuracy contract.
-	// Until it publishes, a crash restores the registered base, which needs
-	// the dropped deltas from the log.
+	// logged so far for this relation. Until it publishes, a crash restores
+	// the registered base, which needs the dropped deltas from the log.
 	e.durableStale = e.durableStale || len(e.pending) > 0
 	e.pending = nil
 	e.ckptLSN = s.lastLSNLocked()
 	e.isCompact = false
-	e.res, e.declaredRes = res, res
-	e.tunerSteps, e.tunerFloor, e.tunerProbed = 0, math.MaxInt, 0
+	e.res = res
 	s.republishLocked()
 	return e.statusLocked(), nil
 }
@@ -944,10 +854,6 @@ func (s *Store) Close(ctx context.Context) error {
 	if s.stopCompact != nil {
 		close(s.stopCompact)
 		<-s.compactorDone
-	}
-	if s.stopTuner != nil {
-		close(s.stopTuner)
-		<-s.tunerDone
 	}
 	done := make(chan struct{})
 	go func() {
@@ -1199,8 +1105,6 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 		StaircaseBytes: stairBytes,
 		VGridBytes:     vgBytes,
 		AknnBytes:      aknnBytes,
-		ArtifactBytes:  stairBytes + vgBytes + aknnBytes,
-		hits:           e.hits,
 		order:          b.order,
 	}
 	e.snap = snap
@@ -1298,7 +1202,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 			return "", 0
 		}
 	}
-	replaced, err := s.cache.remember(e.name, b.fp, b.res, e.declaredRes)
+	replaced, err := s.cache.remember(e.name, b.fp, b.res)
 	if err != nil {
 		s.opt.logger().Printf("store: updating cache registry for %q: %v", e.name, err)
 		e.durableStale = true
@@ -1369,9 +1273,7 @@ func (e *entry) statusLocked() RelationStatus {
 		st.StaircaseBytes = e.snap.StaircaseBytes
 		st.VirtualGridBytes = e.snap.VGridBytes
 		st.AknnBytes = e.snap.AknnBytes
-		st.ArtifactBytes = e.snap.ArtifactBytes
 		st.Resolution = e.snap.Resolution
-		st.DeclaredResolution = e.declaredRes
 	}
 	if len(e.pending) > 0 {
 		st.DeltaOps = len(e.pending)

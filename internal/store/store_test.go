@@ -3,16 +3,21 @@ package store
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"log"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"knncost/internal/core"
+	"knncost/internal/engine"
 	"knncost/internal/geom"
 )
 
@@ -361,97 +366,138 @@ func TestHotSwapNoMixedVersions(t *testing.T) {
 	}
 }
 
-// TestWarmRestart is the cache contract: a second store over the same cache
-// directory must reach ready without constructing a single catalog and serve
-// byte-identical estimates.
+// TestWarmRestart is the cache contract: a store over the cache directory an
+// earlier store left must reach ready without constructing a single catalog,
+// serve every relation at the resolution it was registered at, and answer
+// bit-identically to a store that built the same points at that resolution.
+// The cases:
+//
+//   - defaults: two relations at the store-wide resolution;
+//   - declared resolution: one relation registered at MaxK 64, grid 2 and
+//     AkNN capacity 64, beside one at the defaults;
+//   - format7 declared key: testdata/format7, written under the current
+//     cacheFormat by a store whose registry entries carried a "declared"
+//     resolution beside "resolution": d0 (gridPoints(200, 81)), where the two
+//     agree, and t0 (gridPoints(300, 82)), served at grid 2 of a declared 4.
+//     Each restores at its "resolution", the one its bundle was built at.
 func TestWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	opt := testOptions(t)
-	opt.CacheDir = dir
+	type rel struct {
+		name string
+		pts  []geom.Point
+		res  core.Resolution
+	}
+	for _, tc := range []struct {
+		name    string
+		fixture string // a directory under testdata to restart over; "" restarts over the cold store's
+		rels    []rel
+	}{
+		{name: "defaults", rels: []rel{{"w1", gridPoints(1500, 2), core.Resolution{}}, {"w2", gridPoints(1500, 2), core.Resolution{}}}},
+		{name: "declared resolution", rels: []rel{
+			{"w1", gridPoints(1500, 2), core.Resolution{MaxK: 64, GridSize: 2, AknnCapacity: 64}},
+			{"w2", gridPoints(1200, 5), core.Resolution{}},
+		}},
+		{name: "format7 declared key", fixture: "format7", rels: []rel{
+			{"d0", gridPoints(200, 81), core.Resolution{}},
+			{"t0", gridPoints(300, 82), core.Resolution{GridSize: 2}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := testOptions(t)
+			cold := opt
+			if tc.fixture != "" {
+				if err := copyTree(filepath.Join("testdata", tc.fixture), dir); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				cold.CacheDir = dir
+			}
+			s := newTestStore(t, cold)
+			var names []string
+			for _, r := range tc.rels {
+				if _, err := s.RegisterResolution(r.name, r.pts, r.res); err != nil {
+					t.Fatalf("Register %s: %v", r.name, err)
+				}
+				names = append(names, r.name)
+			}
+			waitReady(t, s, names...)
+			if s.CatalogBuilds() == 0 {
+				t.Fatal("cold store built no catalogs — cache test is vacuous")
+			}
+			want := restartAnswers(t, s, names)
+			closeStore(t, s)
 
-	type probe struct {
-		q geom.Point
-		k int
+			opt.CacheDir = dir
+			warm := newTestStore(t, opt)
+			waitReady(t, warm) // registry restore re-registered every relation
+			if got := warm.View().Names(); !slices.Equal(got, names) {
+				t.Fatalf("warm store restored %v, want %v", got, names)
+			}
+			if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != int64(2*len(names)) {
+				t.Fatalf("warm restart: %d built, %d cache hits, want 0 and %d", b, h, 2*len(names))
+			}
+			for _, r := range tc.rels {
+				if got, res := mustStatus(t, warm, r.name).Resolution, opt.resolveResolution(r.res); got != res {
+					t.Errorf("%s restored at %+v, want %+v", r.name, got, res)
+				}
+			}
+			if got := restartAnswers(t, warm, names); !reflect.DeepEqual(got, want) {
+				t.Errorf("answers changed across the restart:\nwarm %v\ncold %v", got, want)
+			}
+		})
 	}
-	probes := []probe{{geom.Point{X: 10, Y: 10}, 1}, {geom.Point{X: 55, Y: 40}, 17}, {geom.Point{X: 90, Y: 5}, 60}}
-	joinKs := []int{1, 8, 50}
+}
 
-	cold, err := New(opt)
-	if err != nil {
-		t.Fatalf("New(cold): %v", err)
-	}
-	for _, name := range []string{"w1", "w2"} {
-		if _, err := cold.Register(name, gridPoints(1500, int64(len(name)))); err != nil {
-			t.Fatalf("Register %s: %v", name, err)
+// restartAnswers is what TestWarmRestart compares across a restart: every
+// relation's resolution and staircase estimates, and the catalog-merge,
+// virtual-grid and aknn-bounds estimates of both orders of the first pair.
+func restartAnswers(t *testing.T, s *Store, names []string) map[string]any {
+	t.Helper()
+	out := map[string]any{}
+	v := s.View()
+	for _, name := range names {
+		out[name+" resolution"] = mustStatus(t, s, name).Resolution
+		for _, p := range []struct {
+			q geom.Point
+			k int
+		}{{geom.Point{X: 10, Y: 10}, 1}, {geom.Point{X: 55, Y: 40}, 17}, {geom.Point{X: 90, Y: 5}, 60}} {
+			est, err := v.Relation(name).Staircase.EstimateSelect(p.q, p.k)
+			if err != nil {
+				t.Fatalf("%s EstimateSelect: %v", name, err)
+			}
+			out[fmt.Sprintf("%s select %v k=%d", name, p.q, p.k)] = est
 		}
 	}
-	{
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := cold.WaitReady(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("cold WaitReady: %v", err)
+	for _, pair := range [][2]string{{names[0], names[1]}, {names[1], names[0]}} {
+		for _, tech := range []string{engine.TechCatalogMerge, engine.TechVirtualGrid, engine.TechAknnBounds} {
+			jt, err := engine.LookupJoin(tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := v.JoinEstimator(jt, v.Relation(pair[0]), v.Relation(pair[1]))
+			if err != nil {
+				t.Fatalf("%s %s⋉%s: %v", tech, pair[0], pair[1], err)
+			}
+			for _, k := range []int{1, 8, 50} {
+				blocks, err := est.EstimateJoin(k)
+				if err != nil {
+					t.Fatalf("%s %s⋉%s EstimateJoin(%d): %v", tech, pair[0], pair[1], k, err)
+				}
+				out[fmt.Sprintf("%s %s⋉%s k=%d", tech, pair[0], pair[1], k)] = blocks
+			}
 		}
 	}
-	if cold.CatalogBuilds() == 0 {
-		t.Fatal("cold store built no catalogs — cache test is vacuous")
-	}
-	coldSelect := map[probe]float64{}
-	v := cold.View()
-	for _, p := range probes {
-		est, err := v.Relation("w1").Staircase.EstimateSelect(p.q, p.k)
-		if err != nil {
-			t.Fatalf("cold EstimateSelect: %v", err)
-		}
-		coldSelect[p] = est
-	}
-	coldJoin := map[int]float64{}
-	for _, k := range joinKs {
-		est, err := v.Merge("w1", "w2").EstimateJoin(k)
-		if err != nil {
-			t.Fatalf("cold EstimateJoin: %v", err)
-		}
-		coldJoin[k] = est
-	}
-	{
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := cold.Close(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("cold Close: %v", err)
-		}
-	}
+	return out
+}
 
-	warm := newTestStore(t, opt)
-	waitReady(t, warm) // registry restore re-registered w1 and w2
-	if got := warm.View().Names(); len(got) != 2 || got[0] != "w1" || got[1] != "w2" {
-		t.Fatalf("warm store restored %v, want [w1 w2]", got)
+// mustStatus returns name's status, failing the test when it has none.
+func mustStatus(t *testing.T, s *Store, name string) RelationStatus {
+	t.Helper()
+	st, ok := s.Status(name)
+	if !ok {
+		t.Fatalf("relation %q has no status", name)
 	}
-	if n := warm.CatalogBuilds(); n != 0 {
-		t.Fatalf("warm restart constructed %d catalogs, want 0 (all from cache)", n)
-	}
-	if warm.CacheHits() == 0 {
-		t.Fatal("warm restart recorded no cache hits")
-	}
-	wv := warm.View()
-	for _, p := range probes {
-		est, err := wv.Relation("w1").Staircase.EstimateSelect(p.q, p.k)
-		if err != nil {
-			t.Fatalf("warm EstimateSelect: %v", err)
-		}
-		if est != coldSelect[p] {
-			t.Errorf("EstimateSelect(%v, %d): warm %v != cold %v", p.q, p.k, est, coldSelect[p])
-		}
-	}
-	for _, k := range joinKs {
-		est, err := wv.Merge("w1", "w2").EstimateJoin(k)
-		if err != nil {
-			t.Fatalf("warm EstimateJoin: %v", err)
-		}
-		if est != coldJoin[k] {
-			t.Errorf("EstimateJoin(%d): warm %v != cold %v", k, est, coldJoin[k])
-		}
-	}
+	return st
 }
 
 // damageStaircaseSection flips one bit inside the staircase section of fp's

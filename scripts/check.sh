@@ -33,7 +33,6 @@ internal/oracle:FuzzEstimateSelect
 internal/oracle:FuzzJoinCost
 internal/aknn:FuzzAknnJoin
 internal/aknn:FuzzAknnBoundsEstimate
-internal/aknn:FuzzLoadAknnSummary
 internal/core:FuzzSelectCatalog
 internal/core:FuzzLoadStaircase
 internal/core:FuzzLoadCatalogMerge
