@@ -372,6 +372,11 @@ func serve(ln net.Listener, handler http.Handler, cfg serveConfig, warm func(con
 		IdleTimeout:       cfg.idleTimeout,
 	}
 
+	// Handle the signals before anything can report ready: a SIGTERM sent
+	// the moment /readyz answers must drain, not kill, the process.
+	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	warmCtx, stopWarm := context.WithCancel(context.Background())
 	defer stopWarm()
 	warmFailed := make(chan struct{})
@@ -388,9 +393,6 @@ func serve(ln net.Listener, handler http.Handler, cfg serveConfig, warm func(con
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	select {
 	case <-warmFailed:

@@ -74,6 +74,11 @@ type StaircaseOptions struct {
 	// concurrently. Zero means GOMAXPROCS; 1 forces a serial build.
 	// Catalogs are independent, so the result is identical regardless.
 	Parallelism int
+	// Data is the data index Procedure 1 browses when the index given to
+	// BuildStaircase is its Count-Index: the same blocks, with their points.
+	// The catalogs attach to the given index, so the built Staircase keeps
+	// no reference to Data. Nil means the given index holds its points.
+	Data *index.Tree
 }
 
 // Staircase is the paper's k-NN-Select cost estimator (§3). For every block
@@ -101,6 +106,10 @@ type Staircase struct {
 // index is built over the same points, as §3.3 prescribes, so that every
 // query point falls inside some block.
 //
+// Procedure 1 reads points, so the index it browses — data, or opt.Data when
+// data is a Count-Index — must hold every point it counts: a block that
+// counts points and holds none is an error, not a full-scan catalog.
+//
 // Procedure 1 runs once per anchor, not five times per block: neighbouring
 // blocks of a partitioning index share their corner points, and the catalog
 // of a point does not depend on which block asked for it.
@@ -114,9 +123,23 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	if opt.MaxK < 1 || opt.MaxK > maxSaneK {
 		return nil, fmt.Errorf("core: invalid MaxK %d", opt.MaxK)
 	}
+	browse := data
+	if opt.Data != nil {
+		browse = opt.Data
+		if browse.NumBlocks() != data.NumBlocks() || browse.NumPoints() != data.NumPoints() {
+			return nil, fmt.Errorf("core: the data index has %d blocks/%d points, its Count-Index %d/%d",
+				browse.NumBlocks(), browse.NumPoints(), data.NumBlocks(), data.NumPoints())
+		}
+	}
+	for _, b := range browse.Blocks() {
+		if len(b.Points) != b.Count {
+			return nil, fmt.Errorf("core: block %d counts %d points and holds %d: Procedure 1 needs the data index, not a Count-Index",
+				b.ID, b.Count, len(b.Points))
+		}
+	}
 	aux := data
 	if !data.Partitioning() {
-		aux = auxiliaryIndex(data, opt.AuxCapacity)
+		aux = auxiliaryIndex(browse, opt.AuxCapacity)
 	}
 	s := &Staircase{
 		aux:      aux,
@@ -132,7 +155,7 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	anchors, cornerOf := staircaseAnchors(blocks, opt.Mode)
 	cats := make([]*catalog.Catalog, len(anchors))
 	_ = forEachIndexed(len(anchors), opt.Parallelism, func(i int) error {
-		cats[i] = BuildSelectCatalog(data, anchors[i], opt.MaxK)
+		cats[i] = BuildSelectCatalog(browse, anchors[i], opt.MaxK)
 		return nil
 	})
 	s.center = make([]catalog.Catalog, len(blocks))

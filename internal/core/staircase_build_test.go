@@ -296,3 +296,40 @@ func TestBuildStaircaseAllocCeiling(t *testing.T) {
 		t.Errorf("BuildStaircase allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", allocs, ceiling, recorded)
 	}
 }
+
+// TestStaircaseRefusesACountIndex: Procedure 1 browses points, so a
+// staircase over a Count-Index alone — blocks that count points and hold
+// none — is an error, not the full-scan catalogs browsing nothing would
+// record. Given its data index as Data, the Count-Index carries the same
+// catalogs, byte for byte, as a build over the data index itself, and keeps
+// no reference to it; a Data of other blocks is refused.
+func TestStaircaseRefusesACountIndex(t *testing.T) {
+	pts := datagen.OSMLike(3000, 5)
+	data := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+	count := data.CountTree()
+	for _, mode := range []StaircaseMode{ModeCenterCorners, ModeCenterOnly, ModeCenterQuadrant} {
+		opt := StaircaseOptions{MaxK: 200, Mode: mode}
+		if s, err := BuildStaircase(count, opt); err == nil {
+			t.Fatalf("%v: a staircase of %d blocks was built over a Count-Index", mode, s.NumBlocks())
+		}
+		want, err := BuildStaircase(data, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Data = data
+		got, err := BuildStaircase(count, opt)
+		if err != nil {
+			t.Fatalf("%v: over the Count-Index with its data index: %v", mode, err)
+		}
+		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+			t.Errorf("%v: the catalogs differ from a build over the data index", mode)
+		}
+		if got.aux != count {
+			t.Errorf("%v: the staircase attached to another tree than the Count-Index", mode)
+		}
+		opt.Data = quadtree.Build(pts[:2000], quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+		if _, err := BuildStaircase(count, opt); err == nil {
+			t.Errorf("%v: built over a data index of other blocks", mode)
+		}
+	}
+}

@@ -22,6 +22,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 
 	"knncost/internal/aknn"
@@ -110,8 +111,11 @@ type artifact struct {
 type Relation struct {
 	name string
 	tree *index.Tree
-	opt  BuildOptions
-	res  core.Resolution // canonical; == opt.Resolution()
+	// hydrate, when set, rebuilds the data index tree counts: tree is then a
+	// Count-Index (NewCountRelation).
+	hydrate func() (*index.Tree, error)
+	opt     BuildOptions
+	res     core.Resolution // canonical; == opt.Resolution()
 
 	mu        sync.Mutex // guards the artifacts map, not the builds
 	artifacts map[artifactKey]*artifact
@@ -131,6 +135,16 @@ func NewRelation(name string, tree *index.Tree, opt BuildOptions) *Relation {
 	}
 }
 
+// NewCountRelation wraps a Count-Index — blocks with bounds and counts, no
+// points — as an engine relation. Every artifact but a staircase reads
+// counts only; a staircase built here rather than seeded browses the data
+// index hydrate returns, which must have count's blocks, and keeps none of it.
+func NewCountRelation(name string, count *index.Tree, hydrate func() (*index.Tree, error), opt BuildOptions) *Relation {
+	r := NewRelation(name, count, opt)
+	r.hydrate = hydrate
+	return r
+}
+
 // Resolution returns the canonical resolution the relation builds its
 // artifacts at.
 func (r *Relation) Resolution() core.Resolution { return r.res }
@@ -138,7 +152,8 @@ func (r *Relation) Resolution() core.Resolution { return r.res }
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
 
-// Tree returns the data index.
+// Tree returns the relation's index: the data index, or the Count-Index of
+// a NewCountRelation.
 func (r *Relation) Tree() *index.Tree { return r.tree }
 
 // Options returns the effective (defaulted) build options.
@@ -240,13 +255,21 @@ func (r *Relation) Staircase(mode core.StaircaseMode) (*core.Staircase, error) {
 		res:       core.Resolution{MaxK: r.opt.MaxK, Corners: corners}.Canon(),
 	}
 	v, err := r.buildOnce(key, func() (any, error) {
-		return core.BuildStaircase(r.tree, core.StaircaseOptions{
+		opt := core.StaircaseOptions{
 			MaxK:        r.opt.MaxK,
 			Mode:        mode,
 			AuxCapacity: r.opt.AuxCapacity,
 			Fallback:    r.Density(),
 			Parallelism: r.opt.Parallelism,
-		})
+		}
+		if r.hydrate != nil {
+			data, err := r.hydrate()
+			if err != nil {
+				return nil, fmt.Errorf("engine: hydrating %s: %w", r.name, err)
+			}
+			opt.Data = data
+		}
+		return core.BuildStaircase(r.tree, opt)
 	})
 	if err != nil {
 		return nil, err

@@ -74,73 +74,7 @@ func checkAgainstAppendBuild(pts []geom.Point, opt Options) error {
 	if err := diffNodes(got.root, appendBuild(opt.Bounds, input, 0, opt), "r"); err != nil {
 		return err
 	}
-	if err := checkFlat(got, input); err != nil {
-		return err
-	}
 	return got.Index().Validate()
-}
-
-// checkFlat holds Flat to what a caller that keeps one copy of the points
-// relies on: the blocks of the index are consecutive windows of flat, in order;
-// the i-th point's leaf contains it; and gathering through the order gives back
-// pts bit for bit.
-func checkFlat(tr *Tree, pts []geom.Point) error {
-	flat, order := tr.Flat(pts)
-	blocks := tr.Index().Blocks()
-	if len(flat) != len(pts) || order.Len() != len(pts) {
-		return fmt.Errorf("Flat of %d points: %d points, an order of %d", len(pts), len(flat), order.Len())
-	}
-	for i, p := range pts {
-		if l := order.leaf(i); l >= len(blocks) || !blocks[l].Bounds.Contains(p) {
-			return fmt.Errorf("point %d %v: leaf %d of %d does not contain it", i, p, l, len(blocks))
-		}
-	}
-	for i, got := range order.AppendPoints(nil, blocks) {
-		if want := pts[i]; math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
-			return fmt.Errorf("gathered point %d is %v, input point %d is %v", i, got, i, want)
-		}
-	}
-	at := 0
-	for _, b := range blocks {
-		if len(b.Points) > 0 && &b.Points[0] != &flat[at] {
-			return fmt.Errorf("block %d (%d points) does not start at flat[%d]", b.ID, len(b.Points), at)
-		}
-		at += len(b.Points)
-	}
-	if at != len(flat) {
-		return fmt.Errorf("blocks cover %d of flat's %d points", at, len(flat))
-	}
-	return nil
-}
-
-// TestLeafOrderWidths: a leaf id survives packing at every width boundary —
-// one leaf (no bits), two (one bit), 256 and 257 (8 and 9 bits, the first of
-// which straddles words), and above 65,536 (17 bits).
-func TestLeafOrderWidths(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, c := range []struct{ leaves, width int }{{1, 0}, {2, 1}, {256, 8}, {257, 9}, {65_537, 17}} {
-		const n = 1000
-		o := newLeafOrder(n, c.leaves)
-		if int(o.width) != c.width {
-			t.Errorf("%d leaves: %d bits an id, want %d", c.leaves, o.width, c.width)
-		}
-		if got, want := len(o.words)*64, n*c.width; got < want || got >= want+64 {
-			t.Errorf("%d leaves: %d words for %d bits", c.leaves, len(o.words), want)
-		}
-		ids := make([]uint32, n)
-		for i := range ids {
-			ids[i] = uint32(rng.Intn(c.leaves))
-			if i%7 == 0 {
-				ids[i] = uint32(c.leaves - 1) // every bit of the width set
-			}
-			o.set(i, ids[i])
-		}
-		for i, want := range ids {
-			if got := o.leaf(i); got != int(want) {
-				t.Fatalf("%d leaves: Leaf(%d) = %d, want %d", c.leaves, i, got, want)
-			}
-		}
-	}
 }
 
 func TestBuildMatchesAppendBuilder(t *testing.T) {

@@ -57,18 +57,15 @@ type node struct {
 	bounds   geom.Rect
 	children *[4]*node    // non-nil for internal nodes
 	points   []geom.Point // leaf payload
-	leaf     uint32       // of a built leaf: its position in Index().Blocks()
 }
 
 func (n *node) isLeaf() bool { return n.children == nil }
 
 // Tree is a region quadtree over a fixed bounded region.
 type Tree struct {
-	root   *node
-	flat   []geom.Point // Build's copy of its input: the one array every built leaf is a window of
-	opt    Options
-	size   int
-	leaves uint32 // leaves Build made
+	root *node
+	opt  Options
+	size int
 }
 
 // Build constructs a quadtree over pts. It panics if a point lies outside
@@ -79,10 +76,10 @@ func Build(pts []geom.Point, opt Options) *Tree {
 	if i := FirstOutside(pts, opt.Bounds); i >= 0 {
 		panic(fmt.Sprintf("quadtree: point %v outside bounds %v", pts[i], opt.Bounds))
 	}
-	t := &Tree{opt: opt, size: len(pts), flat: make([]geom.Point, len(pts))}
-	copy(t.flat, pts)
-	t.root = build(opt.Bounds, t.flat, make([]geom.Point, len(pts)), &t.leaves, 0, opt)
-	return t
+	// Build's copy of its input: the one array every built leaf is a window of.
+	flat := make([]geom.Point, len(pts))
+	copy(flat, pts)
+	return &Tree{opt: opt, size: len(pts), root: build(opt.Bounds, flat, make([]geom.Point, len(pts)), 0, opt)}
 }
 
 // FirstOutside returns the index of the first point of pts that bounds does
@@ -97,40 +94,18 @@ func FirstOutside(pts []geom.Point, bounds geom.Rect) int {
 	return -1
 }
 
-// Flat returns the array Build copied pts into — the leaves' points are
-// consecutive windows of it, in the depth-first leaf order of
-// Index().Blocks() — and the order of pts as the leaf each point landed in.
-// The build's partition is stable, so a leaf holds its points in input order,
-// and one descent per point recovers the order; a Build whose caller never
-// asks pays nothing for it. pts must be the points t was built from, and t
-// must not have been inserted into since.
-func (t *Tree) Flat(pts []geom.Point) (flat []geom.Point, order LeafOrder) {
-	order = newLeafOrder(len(pts), int(t.leaves))
-	for i, p := range pts {
-		n := t.root
-		for !n.isLeaf() {
-			n = n.children[quadIndex(n.bounds.Center(), p)]
-		}
-		order.set(i, n.leaf)
-	}
-	return t.flat, order
-}
-
 // build decomposes bounds over pts in place: a stable counting partition
 // groups each node's points by quadrant (through scratch, which is as long
 // as pts), so the children are consecutive windows of the one array and the
 // points of a leaf keep their input order. A leaf's window is clipped to
 // its length: Insert's append then copies the leaf out instead of writing
-// into the next leaf's points. leaves counts the leaves built so far, in
-// depth-first order: a new leaf's count is its position among them.
-func build(bounds geom.Rect, pts, scratch []geom.Point, leaves *uint32, depth int, opt Options) *node {
+// into the next leaf's points.
+func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) *node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
 		if len(pts) == 0 {
 			pts = nil
 		}
-		n := &node{bounds: bounds, points: pts[:len(pts):len(pts)], leaf: *leaves}
-		*leaves++
-		return n
+		return &node{bounds: bounds, points: pts[:len(pts):len(pts)]}
 	}
 	center := bounds.Center()
 	var count [4]int
@@ -151,7 +126,7 @@ func build(bounds geom.Rect, pts, scratch []geom.Point, leaves *uint32, depth in
 	children := new([4]*node)
 	lo := 0
 	for i := range children {
-		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], leaves, depth+1, opt)
+		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], depth+1, opt)
 		lo = next[i]
 	}
 	return &node{bounds: bounds, children: children}
@@ -194,7 +169,7 @@ func (t *Tree) Insert(p geom.Point) error {
 func (t *Tree) split(n *node, depth int) {
 	pts := n.points
 	n.points = nil
-	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), new(uint32), depth, t.opt)
+	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), depth, t.opt)
 	// build may return a leaf only when it cannot split further, which
 	// cannot happen here because len(pts) > capacity and depth < MaxDepth.
 	n.children = sub.children

@@ -419,7 +419,10 @@ func registeredFingerprint(t *testing.T, dir, name string) string {
 // TestPointsDumpRoundTrips: a points dump decodes into the wire struct
 // bit-exactly (what the benchmark's oracle does) and carries the resolution
 // the relation was registered at, and POSTed to a second store — through the
-// one-pass decoder — reproduces the relation's fingerprint.
+// one-pass decoder — reproduces the relation's fingerprint. The dump and the
+// ground truth read the points from the relation's bundle: damage there is
+// their error, never other points. And a dump is one generation's points and
+// resolution, whatever re-registrations race it.
 func TestPointsDumpRoundTrips(t *testing.T) {
 	pts := inlinePoints2(500, 3)
 	// Coordinates encoding/json writes in exponent form, and a negative zero.
@@ -468,7 +471,104 @@ func TestPointsDumpRoundTrips(t *testing.T) {
 		t.Fatalf("re-registering the dump: %d %s", code, body)
 	}
 	waitReadyHTTP(t, second.URL, "src")
-	if a, b := registeredFingerprint(t, firstDir, "src"), registeredFingerprint(t, secondDir, "src"); a != b {
-		t.Errorf("fingerprint %s became %s through dump and re-registration", a, b)
+	fp := registeredFingerprint(t, secondDir, "src")
+	if a := registeredFingerprint(t, firstDir, "src"); a != fp {
+		t.Errorf("fingerprint %s became %s through dump and re-registration", a, fp)
 	}
+
+	// Damage to the points in the bundle the snapshot reads them from fails
+	// the readers of points, not the estimates.
+	bundle := filepath.Join(secondDir, "cat", fp+".knc")
+	data, err := os.ReadFile(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[400] ^= 0x04 // inside the points section, which follows a 144-byte header
+	if err := os.WriteFile(bundle, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{
+		"/relations/src/points":                http.StatusInternalServerError,
+		"/cost/select?rel=src&x=1&y=1&k=5":     http.StatusInternalServerError,
+		"/estimate/select?rel=src&x=1&y=1&k=5": http.StatusOK,
+	} {
+		if code, body := sendBody(t, http.MethodGet, second.URL+path, ""); code != want {
+			t.Errorf("GET %s over a damaged bundle: %d %s, want %d", path, code, body, want)
+		}
+	}
+
+	// A dump takes its points and its resolution from one generation. While
+	// src flips between two generations that differ in both, every dump is
+	// the points of one with the resolution of the same one.
+	alt := RegisterRequest{Name: "src", Points: wire.Points[:300], Resolution: &ResolutionSpec{MaxK: 32, GridSize: 3}}
+	altBody, err := json.Marshal(alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resOf := map[int]ResolutionSpec{len(pts): res}
+	register := func(body []byte) {
+		if code, resp := sendBody(t, http.MethodPost, first.URL+"/relations", string(body)); code != http.StatusAccepted {
+			t.Errorf("re-registering: %d %s", code, resp)
+		}
+	}
+	register(altBody)
+	waitReadyHTTP(t, first.URL, "src")
+	var gen2 RegisterRequest
+	if err := json.Unmarshal([]byte(mustGetBody(t, first.URL+"/relations/src/points")), &gen2); err != nil || len(gen2.Points) != 300 {
+		t.Fatalf("dump of the second generation: %d points, %v", len(gen2.Points), err)
+	}
+	resOf[300] = *gen2.Resolution
+	if resOf[300] == res {
+		t.Fatal("the two generations share a resolution: the check below is vacuous")
+	}
+	done := make(chan struct{})
+	flipped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { flipped <- n }()
+		for ; ; n++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			register([][]byte{dump, altBody}[n%2])
+			for st := ""; st != "ready"; {
+				var info RelationInfo
+				resp, err := http.Get(first.URL + "/relations/src/status")
+				if err != nil {
+					return
+				}
+				err = json.NewDecoder(resp.Body).Decode(&info)
+				resp.Body.Close()
+				if err != nil {
+					return
+				}
+				st = info.State
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		var got RegisterRequest
+		if err := json.Unmarshal([]byte(mustGetBody(t, first.URL+"/relations/src/points")), &got); err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := resOf[len(got.Points)]; !ok || got.Resolution == nil || *got.Resolution != want {
+			t.Fatalf("dump %d: %d points with resolution %+v, not one generation's pair", i, len(got.Points), got.Resolution)
+		}
+	}
+	close(done)
+	if n := <-flipped; n < 2 {
+		t.Errorf("the relation flipped %d times under the dumps, want several", n)
+	}
+}
+
+// mustGetBody GETs url and returns the body of a 200.
+func mustGetBody(t *testing.T, url string) string {
+	t.Helper()
+	code, body := sendBody(t, http.MethodGet, url, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	return body
 }

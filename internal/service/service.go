@@ -305,28 +305,29 @@ func (s *Server) handleRelationStatus(w http.ResponseWriter, r *http.Request) {
 // sequence keeps mirror healing convergent even mid-ingest.
 func (s *Server) handleRelationPoints(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	pts, err := s.store.LogicalPoints(name)
-	if err != nil {
-		if errors.Is(err, store.ErrNotReady) {
-			if st, known := s.store.Status(name); known {
-				notReady(w, st)
-				return
-			}
-			notFound(w, "unknown relation %q", name)
+	// The resolution comes with the points, from the same snapshot: POSTing
+	// the response elsewhere must reproduce the accuracy that generation was
+	// built at, so mirror healing and rebalance hand-offs keep per-relation
+	// resolutions intact.
+	pts, res, err := s.store.Dump(name)
+	switch {
+	case errors.Is(err, store.ErrNotReady):
+		if st, known := s.store.Status(name); known {
+			notReady(w, st)
 			return
 		}
+		notFound(w, "unknown relation %q", name)
+		return
+	case errors.Is(err, store.ErrUnknownRelation):
 		notFound(w, "%v", err)
 		return
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
 	}
-	resp := RegisterRequest{Name: name, Points: make([][2]float64, len(pts))}
+	resp := RegisterRequest{Name: name, Points: make([][2]float64, len(pts)), Resolution: specOf(res)}
 	for i, p := range pts {
 		resp.Points[i] = [2]float64{p.X, p.Y}
-	}
-	// Carry the resolution: POSTing the response elsewhere must reproduce
-	// the accuracy the relation was registered with, so mirror healing and
-	// rebalance hand-offs keep per-relation resolutions intact.
-	if st, ok := s.store.Status(name); ok {
-		resp.Resolution = specOf(st.Resolution)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -770,7 +771,14 @@ func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	cost, err := costSelect(r.Context(), rel.Tree, geom.Point{X: x, Y: y}, k)
+	// The ground truth browses points, which the served Count-Index does not
+	// hold: it runs on the data index, rebuilt for the request.
+	data, err := rel.Hydrate()
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	cost, err := costSelect(r.Context(), data, geom.Point{X: x, Y: y}, k)
 	if err != nil {
 		writeCancelled(w, err)
 		return

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"knncost"
 	"knncost/internal/datagen"
 	"knncost/internal/geom"
 	"knncost/internal/store"
@@ -118,6 +119,12 @@ func TestEstimateSelect(t *testing.T) {
 	getJSON(t, srv.URL+"/cost/select?rel=restaurants&x=10&y=45&k=20", &actual)
 	if actual.Blocks < 1 {
 		t.Fatalf("actual cost %g", actual.Blocks)
+	}
+	// The ground truth runs on the data index the snapshot hydrates: the
+	// facade's over the same points, bounds and capacity, bit for bit.
+	ix := knncost.BuildQuadtreeIndex(datagen.OSMLike(15000, 2), knncost.IndexOptions{Capacity: 128, Bounds: datagen.WorldBounds})
+	if want := ix.SelectKNNCost(geom.Point{X: 10, Y: 45}, 20); actual.Blocks != float64(want) {
+		t.Errorf("/cost/select = %g blocks, the facade's cost %d", actual.Blocks, want)
 	}
 	if r := math.Abs(est.Blocks-actual.Blocks) / actual.Blocks; r > 1.5 {
 		t.Errorf("estimate %g vs actual %g (ratio %g)", est.Blocks, actual.Blocks, r)

@@ -346,7 +346,8 @@ func TestTwoScopesShareOneDirectory(t *testing.T) {
 }
 
 // TestFailedBundleWriteKeepsDurableBase: a compaction whose bundle cannot be
-// written still serves, but must not become the durable base — no
+// written still serves and dumps, from its points kept in memory, but must
+// not become the durable base — no
 // checkpoint, no registry entry, the log stays pinned — so a restart
 // recovers the previous base plus every acknowledged mutation. A peer's drop
 // trims the log meanwhile: at any segment size a trim that ignored the pin
@@ -383,9 +384,15 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 		want = append(want[:len(want):len(want)], add...)
 	}
 	settle(t, s, "live")
-	if got := s.View().Relation("live").Points(); !samePoints(got, want) {
-		t.Fatalf("uncached compaction serves %d points, want %d", len(got), len(want))
+	// Served, dumped and hydrated from the points section kept in memory.
+	snap := s.View().Relation("live")
+	if snap.src.file != nil {
+		t.Fatal("the uncached compaction reads its points from a file")
 	}
+	if got, err := s.LogicalPoints("live"); err != nil || !samePoints(got, want) {
+		t.Fatalf("uncached compaction dumps %d points (err %v), want %d", len(got), err, len(want))
+	}
+	checkCountIndex(t, snap, len(want))
 	if !s.Drop("peer") {
 		t.Fatal("Drop(peer) returned false")
 	}

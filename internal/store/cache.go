@@ -23,6 +23,8 @@ import (
 
 	"knncost/internal/core"
 	"knncost/internal/geom"
+	"knncost/internal/index"
+	"knncost/internal/quadtree"
 )
 
 // The disk cache gives the store warm restarts: catalogs are persisted in
@@ -50,9 +52,11 @@ import (
 // exists is complete. Pair merges are not cached: a restart rebuilds each at
 // its first demand, which costs less than writing it did. A bundle is read
 // whole into a scratch buffer; loading copies out of it, so nothing kept
-// aliases the file read. Everything is written atomically (temp file +
-// rename) and every load failure is a cache miss, never an error: the worst
-// a corrupt cache can do is force a rebuild.
+// aliases the file read. A published snapshot keeps its bundle open and reads
+// the KNPT section again whenever its points are asked for (pointsSource).
+// Everything is written atomically (temp file + rename) and every load
+// failure is a cache miss, never an error: the worst a corrupt cache can do
+// is force a rebuild.
 //
 // A generation no registry in the directory names any more is dead, and is
 // swept: see sweep for the rule and DESIGN §15 for why it needs no grace
@@ -440,6 +444,50 @@ func decodePoints(data []byte) ([]geom.Point, error) {
 	return pts, nil
 }
 
+// pointsSource is where a published generation's points are, its tree
+// keeping only bounds and counts: the KNPT section of the bundle the publish
+// persisted, through the file it opened — a sweep's unlink leaves an open
+// file readable — or, when no bundle was persisted, the section's bytes in
+// memory. Both decode through decodePoints; points read from the file must
+// hash to the generation's fingerprint, or the read is an error. Nothing
+// closes the file but os.File's finalizer, once the last snapshot holding the
+// source is garbage.
+type pointsSource struct {
+	file   *os.File // nil: mem holds the section
+	mem    []byte
+	n      int // points in the section
+	fp     string
+	res    core.Resolution
+	bounds geom.Rect // the root of the tree the points build
+	s      *Store
+}
+
+func (src *pointsSource) points() ([]geom.Point, error) {
+	if src.file == nil {
+		return decodePoints(src.mem)
+	}
+	// The section starts every bundle, right after the fixed-size header.
+	sec := make([]byte, pointsSize(src.n))
+	if _, err := src.file.ReadAt(sec, bundleHeader); err != nil {
+		return nil, fmt.Errorf("reading the points of %s: %w", shortFP(src.fp), err)
+	}
+	pts, err := decodePoints(sec)
+	if err == nil && src.s.fingerprint(pts, src.res) != src.fp {
+		return nil, fmt.Errorf("the points read from %s do not hash to its fingerprint", shortFP(src.fp))
+	}
+	return pts, err
+}
+
+// hydrate rebuilds the data index: quadtree.Build is deterministic, so the
+// points at the bounds and capacity of the published tree make its blocks.
+func (src *pointsSource) hydrate() (*index.Tree, error) {
+	pts, err := src.points()
+	if err != nil {
+		return nil, err
+	}
+	return quadtree.Build(pts, quadtree.Options{Capacity: src.s.opt.IndexCapacity, Bounds: src.bounds}).Index(), nil
+}
+
 // --- registry ----------------------------------------------------------------
 
 func (c *diskCache) registryPath() string { return filepath.Join(c.dir, c.registryName) }
@@ -577,12 +625,6 @@ var errLockBusy = errors.New("the cache directory's lock is held")
 // and there no sweep gets the exclusive one either.
 func (c *diskCache) lock(exclusive bool) (release func(), err error) {
 	return lockFile(filepath.Join(c.dir, "lock"), exclusive)
-}
-
-// hasBundle reports whether the bundle of fp is on disk right now.
-func (c *diskCache) hasBundle(fp string) bool {
-	_, err := os.Stat(c.bundlePath(fp))
-	return err == nil
 }
 
 // sweep unlinks the bundle of each given fingerprint ("" is none), and of

@@ -32,8 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
+	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/wal"
 )
@@ -219,27 +221,31 @@ func (s *Store) rollbackMutation(name string, lsn uint64) bool {
 // LogicalPoints returns the relation's current logical point sequence: the
 // published snapshot's points with every pending delta applied. This is the
 // sequence a from-scratch registration would need to converge to the same
-// state — the points endpoint serves it so shard mirror-healing stays
-// convergent mid-ingest. The slice is gathered for the call and the caller's.
+// state. The slice is read for the call and the caller's.
 func (s *Store) LogicalPoints(name string) ([]geom.Point, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[name]
-	if e == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
-	}
-	if e.snap == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotReady, name)
-	}
-	return e.logicalPointsLocked(), nil
+	pts, _, err := s.Dump(name)
+	return pts, err
 }
 
-// logicalPointsLocked gathers e's published points in registration order,
-// with room for what the pending deltas append, and folds those in. e.snap is
-// not nil.
-func (e *entry) logicalPointsLocked() []geom.Point {
-	base := make([]geom.Point, 0, e.snap.order.Len()+pendingPoints(e))
-	return applyMutations(e.snap.appendPoints(base), e.pending)
+// Dump is LogicalPoints with the resolution of the snapshot the points
+// extend, both taken under one lock: the points endpoint serves the pair, so
+// that a re-registration elsewhere — shard mirror healing, mid-ingest too —
+// rebuilds that generation, never the points of one with the resolution of
+// the next. The points are read after the lock is released.
+func (s *Store) Dump(name string) ([]geom.Point, core.Resolution, error) {
+	s.mu.Lock()
+	e := s.entries[name]
+	if e == nil {
+		s.mu.Unlock()
+		return nil, core.Resolution{}, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
+	}
+	snap, pending := e.snap, slices.Clone(e.pending)
+	s.mu.Unlock()
+	if snap == nil {
+		return nil, core.Resolution{}, fmt.Errorf("%w: %q", ErrNotReady, name)
+	}
+	pts, err := snap.logicalPoints(pending)
+	return pts, snap.Resolution, err
 }
 
 // Flush schedules an immediate compaction of name's pending deltas,
@@ -317,10 +323,11 @@ func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
 }
 
 // compactLocked schedules a rebuild of e that folds its pending deltas into
-// fresh artifacts via the ordinary build lifecycle. No WAL record is
-// written here: the fold becomes durable only through the checkpoint the
-// publish step logs. No-op while a build is already in flight (runJob
-// re-triggers compaction when it lands) or before the first snapshot.
+// fresh artifacts via the ordinary build lifecycle; the build worker reads
+// the published points, off the lock. No WAL record is written here: the
+// fold becomes durable only through the checkpoint the publish step logs.
+// No-op while a build is already in flight (runJob re-triggers compaction
+// when it lands) or before the first snapshot.
 func (s *Store) compactLocked(e *entry) {
 	if e.snap == nil || len(e.pending) == 0 {
 		return
@@ -328,14 +335,11 @@ func (s *Store) compactLocked(e *entry) {
 	if e.state == StateQueued || e.state == StateBuilding {
 		return
 	}
-	merged := e.logicalPointsLocked()
-	if len(merged) == 0 {
-		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", e.name)
-		return
-	}
-	if err := s.enqueueLocked(e, merged); err != nil {
+	if err := s.enqueueLocked(e, nil); err != nil {
 		return // queue saturated; the interval compactor retries
 	}
+	// A copy: pending grows, and filterCovered compacts it in place.
+	e.pendingBase, e.pendingMuts = e.snap, slices.Clone(e.pending)
 	e.isCompact = true
 	e.ckptLSN = e.pending[len(e.pending)-1].lsn
 	s.republishLocked()

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -562,6 +563,25 @@ func TestReRegistrationPinsTheLog(t *testing.T) {
 	}
 }
 
+// holdsOpen reports whether a descriptor of this process names path, as it
+// is or, unlinked, with " (deleted)" after it (Linux only).
+func holdsOpen(t *testing.T, path string) bool {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if link, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.TrimSuffix(link, " (deleted)") == path {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRestartAfterDropDoesNotResurrect: a dropped relation stays dropped
+// across a restart, and its snapshot's open bundle is closed once the
+// snapshot is garbage (checked where /proc/self/fd says so, on Linux).
 func TestRestartAfterDropDoesNotResurrect(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -580,8 +600,22 @@ func TestRestartAfterDropDoesNotResurrect(t *testing.T) {
 	if _, err := s.Append("gone", gridPoints(5, 43)); err != nil {
 		t.Fatal(err)
 	}
+	gone := s.cache.bundlePath(s.View().Relation("gone").Fingerprint)
+	if runtime.GOOS == "linux" && !holdsOpen(t, gone) {
+		t.Fatal("a live relation's snapshot does not hold its bundle open")
+	}
 	if !s.Drop("gone") {
 		t.Fatal("Drop returned false")
+	}
+	// The dropped snapshot's file closes when the snapshot is collected.
+	if runtime.GOOS == "linux" {
+		for deadline := time.Now().Add(10 * time.Second); holdsOpen(t, gone) && time.Now().Before(deadline); {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if holdsOpen(t, gone) {
+			t.Fatal("the process still holds the dropped relation's bundle open")
+		}
 	}
 	closeStore(t, s)
 

@@ -259,8 +259,9 @@ func TestStoredEnginesHoldNoPairSlots(t *testing.T) {
 
 // TestSnapshotEngineLazyStaircaseC proves a technique the store does not
 // precompute (staircase-c) builds lazily in the snapshot's engine, exactly
-// once, and is bit-exact with a direct core construction over the same
-// index and options.
+// once, and is bit-exact with a direct core construction over the data index
+// the snapshot hydrates, at the same options; the served Count-Index alone is
+// refused, not built into a full-scan staircase.
 func TestSnapshotEngineLazyStaircaseC(t *testing.T) {
 	opt := testOptions(t)
 	s := newTestStore(t, opt)
@@ -282,11 +283,19 @@ func TestSnapshotEngineLazyStaircaseC(t *testing.T) {
 		t.Error("staircase-c built twice, want one cached artifact")
 	}
 
-	want, err := core.BuildStaircase(snap.Tree, core.StaircaseOptions{
+	stairOpt := core.StaircaseOptions{
 		MaxK:     opt.MaxK,
 		Mode:     core.ModeCenterOnly,
 		Fallback: snap.Density,
-	})
+	}
+	if _, err := core.BuildStaircase(snap.Tree, stairOpt); err == nil {
+		t.Fatal("a staircase was built over the Count-Index alone")
+	}
+	data, err := snap.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.BuildStaircase(data, stairOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,8 @@ import (
 // store's bookkeeping, a pair slot demanded before, between or after the
 // publishes) may point at it — and a request still holding the View from
 // before a publish must keep getting that View's pair merges, from that
-// View's snapshots, without leaving anything in the View that replaced it.
+// View's snapshots, and its points once the sweep has unlinked their bundle,
+// without leaving anything in the View that replaced it.
 func TestPublishedGenerationsAreCollected(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()
@@ -100,9 +101,18 @@ func TestPublishedGenerationsAreCollected(t *testing.T) {
 	// A reader that loaded its View before a publish.
 	stale := s.View()
 	before := joinBits(t, stale, cm, "alpha", "beta")
+	stalePts := stale.Relation("beta").Points()
 	mutate(31) // republishes beta (31 % 3 == 1): alpha⋉beta is replaced in the next View
 	if s.View().Relation("beta") == stale.Relation("beta") {
 		t.Fatal("beta was not republished")
+	}
+	// The publish swept the bundle of the generation it replaced; the stale
+	// View's snapshot still reads its points from the file it holds open.
+	if fp := stale.Relation("beta").Fingerprint; s.cache.hasBundle(fp) {
+		t.Fatalf("the replaced bundle %s was not swept", shortFP(fp))
+	}
+	if got, err := stale.Relation("beta").ReadPoints(); err != nil || !samePoints(got, stalePts) {
+		t.Fatalf("the stale View dumps %d points after the sweep (err %v), want its own %d", len(got), err, len(stalePts))
 	}
 	builds := s.CatalogBuilds()
 	after := joinBits(t, stale, cm, "alpha", "beta")

@@ -1,20 +1,26 @@
 // Differential tests of the store against the brute-force oracle: every
-// estimate a published Snapshot serves — before a hot swap, after one, and
-// after a warm restart from the disk cache — must equal the slow reference
-// computation over that snapshot's own tree, and batch estimates served
+// estimate a published Snapshot serves — before a hot swap, after one, after
+// a compaction, after a warm restart from the disk cache and after a salvage,
+// with a cache directory and without — must equal the slow reference
+// computation over that snapshot's own trees, and batch estimates served
 // concurrently with hot swaps must each match exactly one published
-// version.
+// version. What reads points after publish — a lazily built staircase-c or
+// staircase-q, the ground truth — must equal the public facade's answer over
+// the registered points, bit for bit.
 package store
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"knncost"
 	"knncost/internal/core"
 	"knncost/internal/geom"
+	"knncost/internal/knn"
 	"knncost/internal/oracle"
 )
 
@@ -31,13 +37,21 @@ var oracleProbes = []geom.Point{
 
 // assertSnapshotMatchesOracle checks every estimator of the published view
 // against its reference implementation, derived from nothing but the
-// snapshot's own trees. ks straddle MaxK so the staircase fallback path is
-// covered too.
-func assertSnapshotMatchesOracle(t *testing.T, v *View, outerName, innerName string, opt Options) {
+// snapshot's own trees — the Count-Index it serves and the data index it
+// hydrates — and the readers of points against the facade over outerPts, the
+// outer relation's points in registration order. ks straddle MaxK so the
+// staircase fallback path is covered too.
+func assertSnapshotMatchesOracle(t *testing.T, v *View, outerName, innerName string, opt Options, outerPts []geom.Point) {
 	t.Helper()
 	outer, inner := v.Relation(outerName), v.Relation(innerName)
 	if outer == nil || inner == nil {
 		t.Fatalf("view is missing %q or %q", outerName, innerName)
+	}
+	checkCountIndex(t, outer, len(outerPts))
+	assertReadersMatchFacade(t, outer, opt, outerPts)
+	data, err := outer.Hydrate()
+	if err != nil {
+		t.Fatal(err)
 	}
 	ks := []int{1, 2, 17, opt.MaxK, opt.MaxK + 13}
 	fallback := func(q geom.Point, k int) (float64, error) {
@@ -46,7 +60,7 @@ func assertSnapshotMatchesOracle(t *testing.T, v *View, outerName, innerName str
 	for _, q := range oracleProbes {
 		for _, k := range ks {
 			got, err := outer.Staircase.EstimateSelect(q, k)
-			want, wantErr := oracle.StaircaseEstimate(outer.Tree, oracle.ModeCenterCorners, q, k, opt.MaxK, fallback)
+			want, wantErr := oracle.StaircaseEstimate(data, oracle.ModeCenterCorners, q, k, opt.MaxK, fallback)
 			if err != nil || wantErr != nil || got != want {
 				t.Fatalf("staircase(%v, k=%d) v%d = %v,%v; oracle %v,%v",
 					q, k, outer.Version, got, err, want, wantErr)
@@ -73,6 +87,49 @@ func assertSnapshotMatchesOracle(t *testing.T, v *View, outerName, innerName str
 	}
 }
 
+// assertReadersMatchFacade: a staircase-c and a staircase-q built in snap's
+// engine after publish, over the data index it hydrates, and the ground
+// truth /cost/select computes over that index, answer what the public facade
+// answers over pts — the relation's points in registration order — indexed
+// at the snapshot's bounds and the store's capacity, bit for bit.
+func assertReadersMatchFacade(t *testing.T, snap *Snapshot, opt Options, pts []geom.Point) {
+	t.Helper()
+	ix := knncost.BuildQuadtreeIndex(pts, knncost.IndexOptions{Capacity: opt.IndexCapacity, Bounds: snap.Tree.Bounds()})
+	data, err := snap.Hydrate()
+	if err != nil {
+		t.Fatalf("%s v%d: hydrating: %v", snap.Name, snap.Version, err)
+	}
+	for _, mode := range []core.StaircaseMode{core.ModeCenterOnly, core.ModeCenterQuadrant} {
+		got, err := snap.Engine.Staircase(mode)
+		if err != nil {
+			t.Fatalf("%s v%d: lazy %v staircase: %v", snap.Name, snap.Version, mode, err)
+		}
+		want, err := knncost.NewStaircaseEstimator(ix, knncost.StaircaseOptions{
+			MaxK: snap.Resolution.MaxK, Mode: mode, Fallback: knncost.NewDensityEstimator(ix),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range oracleProbes {
+			for _, k := range []int{1, 2, 17, snap.Resolution.MaxK, snap.Resolution.MaxK + 13} {
+				g, gerr := got.EstimateSelect(q, k)
+				w, werr := want.EstimateSelect(q, k)
+				if gerr != nil || werr != nil || g != w {
+					t.Fatalf("%s v%d: lazy %v staircase(%v, k=%d) = %v,%v; facade %v,%v", snap.Name, snap.Version, mode, q, k, g, gerr, w, werr)
+				}
+			}
+		}
+	}
+	for _, q := range oracleProbes {
+		for _, k := range []int{1, 9, 100, len(pts) + 1} {
+			got, err := knn.SelectCostContext(context.Background(), data, q, k)
+			if want := ix.SelectKNNCost(q, k); err != nil || got != want {
+				t.Fatalf("%s v%d: select cost(%v, k=%d) over the hydrated tree = %d,%v; facade %d", snap.Name, snap.Version, q, k, got, err, want)
+			}
+		}
+	}
+}
+
 // TestSnapshotEstimatesMatchOracleAcrossSwapAndRestart walks one relation
 // through its full lifecycle — initial publish, hot swap to a new dataset,
 // warm restart from the disk cache — and asserts oracle agreement at every
@@ -91,7 +148,7 @@ func TestSnapshotEstimatesMatchOracleAcrossSwapAndRestart(t *testing.T) {
 	}
 	waitReady(t, cold)
 	before := cold.View()
-	assertSnapshotMatchesOracle(t, before, "rel", "aux", cold.Options())
+	assertSnapshotMatchesOracle(t, before, "rel", "aux", cold.Options(), gridPoints(800, 1))
 	beforeEst, err := before.Relation("rel").Staircase.EstimateSelect(oracleProbes[0], 5)
 	if err != nil {
 		t.Fatal(err)
@@ -110,13 +167,30 @@ func TestSnapshotEstimatesMatchOracleAcrossSwapAndRestart(t *testing.T) {
 	if after.Relation("rel").Tree.NumPoints() != 1200 {
 		t.Fatalf("swap serves %d points, want 1200", after.Relation("rel").Tree.NumPoints())
 	}
-	assertSnapshotMatchesOracle(t, after, "rel", "aux", cold.Options())
-	assertSnapshotMatchesOracle(t, before, "rel", "aux", cold.Options())
+	assertSnapshotMatchesOracle(t, after, "rel", "aux", cold.Options(), gridPoints(1200, 2))
+	assertSnapshotMatchesOracle(t, before, "rel", "aux", cold.Options(), gridPoints(800, 1))
 	if got, err := before.Relation("rel").Staircase.EstimateSelect(oracleProbes[0], 5); err != nil || got != beforeEst {
 		t.Fatalf("pre-swap view changed its answer: %v,%v, was %v", got, err, beforeEst)
 	}
 
-	coldEst, err := after.Relation("rel").Staircase.EstimateSelect(oracleProbes[1], 33)
+	// Compact appends and a delete into rel.
+	model := gridPoints(1200, 2)
+	add := gridPoints(60, 4)
+	if _, err := cold.Append("rel", add); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Delete("rel", model[5:7]); err != nil {
+		t.Fatal(err)
+	}
+	model = append(slices.Delete(slices.Clone(model), 5, 7), add...)
+	if err := cold.Flush("rel"); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, cold, "rel")
+	compacted := cold.View()
+	assertSnapshotMatchesOracle(t, compacted, "rel", "aux", cold.Options(), model)
+
+	coldEst, err := compacted.Relation("rel").Staircase.EstimateSelect(oracleProbes[1], 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +211,24 @@ func TestSnapshotEstimatesMatchOracleAcrossSwapAndRestart(t *testing.T) {
 		t.Fatalf("warm restart constructed %d catalogs, want 0", n)
 	}
 	wv := warm.View()
-	assertSnapshotMatchesOracle(t, wv, "rel", "aux", warm.Options())
+	assertSnapshotMatchesOracle(t, wv, "rel", "aux", warm.Options(), model)
 	if got, err := wv.Relation("rel").Staircase.EstimateSelect(oracleProbes[1], 33); err != nil || got != coldEst {
 		t.Fatalf("warm estimate %v,%v != cold %v", got, err, coldEst)
+	}
+	fp := wv.Relation("rel").Fingerprint
+	closeStore(t, warm)
+
+	// Salvage: damage outside the points rebuilds the catalogs from them.
+	damageStaircaseSection(t, opt.CacheDir, fp)
+	salvaged := newTestStore(t, opt)
+	waitReady(t, salvaged)
+	if salvaged.CatalogBuilds() == 0 {
+		t.Fatal("the damaged bundle was served, not rebuilt from its points")
+	}
+	sv := salvaged.View()
+	assertSnapshotMatchesOracle(t, sv, "rel", "aux", salvaged.Options(), model)
+	if got, err := sv.Relation("rel").Staircase.EstimateSelect(oracleProbes[1], 33); err != nil || got != coldEst {
+		t.Fatalf("salvaged estimate %v,%v != cold %v", got, err, coldEst)
 	}
 }
 
@@ -173,11 +262,17 @@ func TestBatchDuringHotSwapMatchesPublishedVersion(t *testing.T) {
 		if snap.Tree.NumPoints() != len(pts) {
 			t.Fatalf("published %d points, want %d", snap.Tree.NumPoints(), len(pts))
 		}
+		checkCountIndex(t, snap, len(pts))
+		assertReadersMatchFacade(t, snap, opt, pts) // a store without a cache directory
+		data, err := snap.Hydrate()
+		if err != nil {
+			t.Fatal(err)
+		}
 		vec := make([]core.SelectResult, len(queries))
 		for i, q := range queries {
 			blocks, err := snap.Staircase.EstimateSelect(q.Point, q.K)
 			vec[i] = core.SelectResult{Blocks: blocks, Err: err}
-			want, wantErr := oracle.StaircaseEstimate(snap.Tree, oracle.ModeCenterCorners, q.Point, q.K, opt.MaxK,
+			want, wantErr := oracle.StaircaseEstimate(data, oracle.ModeCenterCorners, q.Point, q.K, opt.MaxK,
 				func(p geom.Point, k int) (float64, error) { return oracle.DensityEstimate(snap.Count, p, k) })
 			if err != nil || wantErr != nil || blocks != want {
 				t.Fatalf("expected vector disagrees with oracle at %v k=%d: %v,%v vs %v,%v",

@@ -9,8 +9,9 @@
 // the estimate hot path:
 //
 //   - Every relation is published as an immutable, versioned Snapshot
-//     (data index, staircase, density, Virtual-Grid, AkNN summary).
-//     Snapshots never change after publication.
+//     (Count-Index, staircase, density, Virtual-Grid, AkNN summary; the
+//     points stay in the bundle the build wrote). Snapshots never change
+//     after publication.
 //   - All published snapshots and the listing metadata live in a single
 //     immutable View swapped in with one atomic pointer store (RCU, the same
 //     model an inference server uses for hot model swaps). An in-flight
@@ -45,6 +46,7 @@ import (
 	"io/fs"
 	"log"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -226,10 +228,11 @@ func (o Options) logger() *log.Logger {
 	return log.Default()
 }
 
-// Snapshot is one immutable published version of a relation: the data index
-// and every per-relation estimator, built together from the same points.
-// All fields are read-only after publication; sharing a Snapshot across any
-// number of goroutines is safe.
+// Snapshot is one immutable published version of a relation: the
+// Count-Index and every per-relation estimator, built together from the same
+// points, which it reads back on demand (ReadPoints, Hydrate). All fields are
+// read-only after publication; sharing a Snapshot across any number of
+// goroutines is safe.
 type Snapshot struct {
 	// Name is the relation name.
 	Name string
@@ -237,11 +240,9 @@ type Snapshot struct {
 	Version uint64
 	// Fingerprint identifies the point data + build options.
 	Fingerprint string
-	// Tree is the data index: its blocks' Points are consecutive windows of
-	// one array, the relation's only resident copy of its points. It is also
-	// the relation's Count-Index (§2: block bounds and counts, no points):
-	// every estimator below, the engine's and the View's pair merges read it
-	// through bounds and counts only.
+	// Tree is the relation's Count-Index (§2: the data index's block bounds
+	// and counts, no points): every estimator below, the engine's and the
+	// View's pair merges read nothing else. Hydrate rebuilds the data index.
 	Tree *index.Tree
 	// Count is Tree, named for callers that ask for the Count-Index.
 	Count *index.Tree
@@ -258,7 +259,8 @@ type Snapshot struct {
 	// Engine is the relation's engine.Relation, seeded at publication with
 	// the artifacts above so that technique resolution by name serves the
 	// exact same estimator objects. Techniques the store does not precompute
-	// (e.g. staircase-c) build lazily inside Engine, once per snapshot.
+	// (e.g. staircase-c) build lazily inside Engine, once per snapshot, over
+	// the data index Hydrate returns.
 	// Pair artifacts are the exception: the View owns them
 	// (View.JoinEstimator), so that no snapshot holds a reference to another
 	// relation's generation.
@@ -272,23 +274,32 @@ type Snapshot struct {
 	VGridBytes     int
 	AknnBytes      int
 
-	// order is the registration order, as the leaf of Tree each registered
-	// point sits in (quadtree.Tree.Flat).
-	order quadtree.LeafOrder
+	src *pointsSource
 }
 
-// Points returns the relation's points in registration order — the exact
+// ReadPoints returns the relation's points in registration order — the exact
 // input that produced this snapshot, which the points endpoint serves so a
 // peer shard can re-register them and arrive at a bit-identical build (same
-// fingerprint, same tree, same catalogs). A snapshot keeps them in tree order
-// only, so each call gathers a fresh slice of 16 bytes a point, and the result
-// is the caller's.
-func (sn *Snapshot) Points() []geom.Point {
-	return sn.appendPoints(make([]geom.Point, 0, sn.order.Len()))
-}
+// fingerprint, same tree, same catalogs). Each call reads a fresh slice, the
+// caller's, from the generation's bundle or, without one, from the encoded
+// section the snapshot keeps; it fails rather than return points that do not
+// hash to Fingerprint.
+func (sn *Snapshot) ReadPoints() ([]geom.Point, error) { return sn.src.points() }
 
-func (sn *Snapshot) appendPoints(dst []geom.Point) []geom.Point {
-	return sn.order.AppendPoints(dst, sn.Tree.Blocks())
+// Hydrate rebuilds the data index Tree counts: ReadPoints built at Tree's
+// bounds and the store's leaf capacity, which yields Tree's blocks with their
+// points. It serves the readers that need points — the ground-truth
+// endpoint and a staircase built after publish — and the result is the
+// caller's.
+func (sn *Snapshot) Hydrate() (*index.Tree, error) { return sn.src.hydrate() }
+
+// logicalPoints reads the points and folds muts into them.
+func (sn *Snapshot) logicalPoints(muts []mutation) ([]geom.Point, error) {
+	pts, err := sn.ReadPoints()
+	if err != nil {
+		return nil, fmt.Errorf("store: relation %q: %w", sn.Name, err)
+	}
+	return applyMutations(pts, muts), nil
 }
 
 // RelationStatus is the externally visible state of one relation, as served
@@ -415,8 +426,12 @@ type entry struct {
 	// state is the externally visible build status.
 	state State
 	err   string
-	// pendingPts is the source of the wanted generation.
-	pendingPts []geom.Point
+	// pendingPts is the source of the wanted generation; for a compaction,
+	// pendingBase's points with pendingMuts folded in, which the build
+	// worker reads.
+	pendingPts  []geom.Point
+	pendingBase *Snapshot
+	pendingMuts []mutation
 	// pendingBundle is the bundle recovery read pendingPts from, so that
 	// the build need not read the file again.
 	pendingBundle *bundle
@@ -717,7 +732,7 @@ func (s *Store) enqueueLocked(e *entry, pts []geom.Point) error {
 		}
 	}
 	e.gen++
-	e.pendingPts = pts
+	e.pendingPts, e.pendingBase, e.pendingMuts = pts, nil, nil
 	if e.state == StateBuilding && e.cancel != nil {
 		e.cancel() // supersede the in-flight build
 	}
@@ -897,8 +912,8 @@ func (s *Store) runJob(name string) {
 		return
 	}
 	gen := e.gen
-	pts, restored := e.pendingPts, e.pendingBundle
-	e.pendingBundle = nil
+	pts, base, muts, restored := e.pendingPts, e.pendingBase, e.pendingMuts, e.pendingBundle
+	e.pendingBase, e.pendingMuts, e.pendingBundle = nil, nil, nil
 	res := e.res
 	ctx, cancel := context.WithCancel(s.ctx)
 	e.cancel = cancel
@@ -906,7 +921,18 @@ func (s *Store) runJob(name string) {
 	s.republishLocked()
 	s.mu.Unlock()
 
-	built, err := s.buildCatalogs(ctx, name, pts, res, restored)
+	var built *builtRelation
+	var err error
+	if base != nil {
+		// A compaction reads its base here, off the lock.
+		if pts, err = base.logicalPoints(muts); err == nil && len(pts) == 0 {
+			err = errEmptyFold
+		}
+	}
+	if err == nil {
+		built, err = s.buildCatalogs(ctx, name, pts, res, restored)
+	}
+	cancelled := ctx.Err() != nil
 	cancel()
 	if s.opt.crashHook != nil {
 		s.opt.crashHook("built") // the bundle is on disk and nothing names it yet
@@ -926,8 +952,14 @@ func (s *Store) runJob(name string) {
 		return
 	}
 	cur.cancel = nil
+	if errors.Is(err, errEmptyFold) {
+		cur.state = StateReady // the deltas stay pending, the snapshot serves
+		s.republishLocked()
+		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", name)
+		return
+	}
 	if err != nil {
-		if ctx.Err() != nil {
+		if cancelled {
 			err = fmt.Errorf("build cancelled: %w", err)
 		}
 		cur.state = StateFailed
@@ -945,18 +977,21 @@ func (s *Store) runJob(name string) {
 	}
 }
 
+// errEmptyFold is a compaction whose deletes leave no point: a relation
+// cannot shrink to zero points, so it is not built.
+var errEmptyFold = errors.New("the fold would delete every point")
+
 // builtRelation carries a finished per-relation build from the worker into
 // the publish step.
 type builtRelation struct {
-	tree      *index.Tree
+	tree      *index.Tree // the Count-Index
 	staircase *core.Staircase
 	density   *core.DensityBased
 	vgrid     *core.VirtualGrid
 	aknn      *aknn.Summary
-	pts       []geom.Point       // registration-order source points; garbage once published
-	order     quadtree.LeafOrder // pts as leaves of tree: with tree, what the snapshot keeps of them
-	fp        string             // fingerprint of pts at res
-	res       core.Resolution    // the resolution the artifacts were built at
+	pts       []geom.Point    // registration-order source points; garbage once published
+	fp        string          // fingerprint of pts at res
+	res       core.Resolution // the resolution the artifacts were built at
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
@@ -970,18 +1005,19 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		bounds = boundsOf(pts)
 	}
 	b := &builtRelation{pts: pts, res: res, fp: s.fingerprint(pts, res)}
-	qt := quadtree.Build(pts, quadtree.Options{
+	// The data index lives for the build only: Procedure 1 browses it, and
+	// what is published is its Count-Index.
+	data := quadtree.Build(pts, quadtree.Options{
 		Capacity: s.opt.IndexCapacity,
 		Bounds:   bounds,
-	})
-	b.tree = qt.Index()
+	}).Index()
+	b.tree = data.CountTree()
 	if b.tree.NumBlocks() == 0 {
 		return nil, fmt.Errorf("relation %q indexed to zero blocks", name)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, b.order = qt.Flat(pts)
 	// The density estimator and the AkNN summary read only the index's
 	// bounds and counts: neither is cached nor counted as a catalog build.
 	b.density = core.NewDensityBased(b.tree)
@@ -997,6 +1033,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		MaxK:     res.MaxK,
 		Mode:     res.StaircaseMode(),
 		Fallback: b.density,
+		Data:     data,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("staircase: %w", err)
@@ -1078,7 +1115,23 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	if e.snap != nil {
 		version = e.snap.Version + 1
 	}
-	eng := engine.NewRelation(e.name, b.tree,
+	covered := e.ckptLSN
+	wasCompact := e.isCompact
+	e.isCompact = false
+	// Deltas this build folded in are acknowledged by the snapshot now;
+	// anything logged after the fold stays pending for the next round.
+	e.pending = filterCovered(e.pending, covered)
+	// The registry is written before the View is swapped: a reader is told
+	// a relation is ready only once a restart would restore it.
+	src := &pointsSource{n: len(b.pts), fp: b.fp, res: b.res, bounds: b.tree.Bounds(), s: s}
+	var replaced string
+	if s.cache != nil {
+		replaced, trim, src.file = s.persistLocked(e, b, covered)
+	}
+	if src.file == nil {
+		src.mem = appendPoints(make([]byte, 0, pointsSize(len(b.pts))), b.pts)
+	}
+	eng := engine.NewCountRelation(e.name, b.tree, src.hydrate,
 		engine.BuildOptions{SampleSize: s.opt.SampleSize}.WithResolution(b.res))
 	// Seed the engine with the artifacts this build already produced (or
 	// cache-loaded), so technique resolution never rebuilds what the store
@@ -1089,8 +1142,7 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	eng.Seed(engine.StaircaseTechnique(b.staircase.Mode()), b.staircase)
 	eng.Seed(engine.TechVirtualGrid, b.vgrid)
 	eng.Seed(engine.TechAknnBounds, b.aknn)
-	stairBytes, vgBytes, aknnBytes := b.staircase.SizeBytes(), b.vgrid.SizeBytes(), b.aknn.SizeBytes()
-	snap := &Snapshot{
+	e.snap = &Snapshot{
 		Name:           e.name,
 		Version:        version,
 		Fingerprint:    b.fp,
@@ -1102,29 +1154,15 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 		Aknn:           b.aknn,
 		Engine:         eng,
 		Resolution:     b.res,
-		StaircaseBytes: stairBytes,
-		VGridBytes:     vgBytes,
-		AknnBytes:      aknnBytes,
-		order:          b.order,
+		StaircaseBytes: b.staircase.SizeBytes(),
+		VGridBytes:     b.vgrid.SizeBytes(),
+		AknnBytes:      b.aknn.SizeBytes(),
+		src:            src,
 	}
-	e.snap = snap
 	e.state = StateReady
 	e.err = ""
 	e.pendingPts = nil
-	covered := e.ckptLSN
-	wasCompact := e.isCompact
-	e.isCompact = false
-	// Deltas this build folded in are acknowledged by the snapshot now;
-	// anything logged after the fold stays pending for the next round.
-	e.pending = filterCovered(e.pending, covered)
-	// The next View is swapped in last, after the registry write: a reader
-	// is told a relation is ready only once a restart would restore it.
-	v := s.buildViewLocked()
-	var replaced string
-	if s.cache != nil {
-		replaced, trim = s.persistLocked(e, b, covered)
-	}
-	s.view.Store(v)
+	s.view.Store(s.buildViewLocked())
 	s.notifyPublishLocked(e.name)
 	if replaced != "" {
 		s.retireLocked(replaced)
@@ -1149,7 +1187,8 @@ func (s *Store) retireLocked(fp string) {
 }
 
 // persistLocked makes e's new snapshot the durable base. Order: make sure
-// the bundle is on disk — and durable, when it replaces a generation —
+// the bundle is on disk, and open it — the snapshot reads its points from it —
+// then make it durable, when it replaces a generation,
 // checkpoint the fold in the WAL, fsync it, and only then let the registry
 // adopt the new fingerprint. Replay treats a checkpoint whose fingerprint the
 // registry never adopted as ineffective, so a crash anywhere in this sequence
@@ -1158,9 +1197,11 @@ func (s *Store) retireLocked(fp string) {
 // directory's lock, shared: no store on the directory can sweep between the
 // moment the bundle is seen on disk and the moment the registry names it. It
 // returns the fingerprint the registry held for e before, now a dead
-// generation for the caller to retire, and the WAL watermark the publish
-// leaves (0: nothing to trim).
-func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64) {
+// generation for the caller to retire, the WAL watermark the publish leaves
+// (0: nothing to trim), and the open bundle (nil: none was persisted). A
+// failure past the open keeps the file: it holds the snapshot's points
+// whatever the registry names, and a sweep's unlink leaves it readable.
+func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64, f *os.File) {
 	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
 	defer release()
 	// buildCatalogs wrote the bundle, or loaded it, some time ago and
@@ -1168,14 +1209,18 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 	// which it was a dead generation not yet named here, or this store's
 	// own, when a relation returns to a fingerprint it has just left. The
 	// build still holds everything the file held.
-	if !s.cache.hasBundle(b.fp) {
-		if err := s.storeBundle(b); err != nil {
-			// No bundle, no restore: keep the previous fingerprint registered
-			// and the log pinned, as for a failed registry write.
-			s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
-			e.durableStale = true
-			return "", 0
+	f, err := os.Open(s.cache.bundlePath(b.fp))
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = s.storeBundle(b); err == nil {
+			f, err = os.Open(s.cache.bundlePath(b.fp))
 		}
+	}
+	if err != nil {
+		// No bundle, no restore: keep the previous fingerprint registered
+		// and the log pinned, as for a failed registry write.
+		s.opt.logger().Printf("store: caching %q: %v (serving it from memory, but not restorable)", e.name, err)
+		e.durableStale = true
+		return "", 0, nil
 	}
 	// The previous generation is swept once the registry stops naming it,
 	// so the new bundle must be durable before the registry may name it.
@@ -1183,7 +1228,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 		if err := s.cache.syncBundle(b.fp); err != nil {
 			s.opt.logger().Printf("store: syncing the bundle of %q: %v (registry not updated)", e.name, err)
 			e.durableStale = true
-			return "", 0
+			return "", 0, f
 		}
 	}
 	// A warm restart republishes the base its log already checkpoints; it
@@ -1199,10 +1244,10 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 			// covered deltas on replay.
 			s.opt.logger().Printf("store: checkpointing %q: %v (registry not updated)", e.name, err)
 			e.durableStale = true
-			return "", 0
+			return "", 0, f
 		}
 	}
-	replaced, err := s.cache.remember(e.name, b.fp, b.res)
+	replaced, err = s.cache.remember(e.name, b.fp, b.res)
 	if err != nil {
 		s.opt.logger().Printf("store: updating cache registry for %q: %v", e.name, err)
 		e.durableStale = true
@@ -1210,7 +1255,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 		e.durableStale = false
 		e.durableFP, e.durableCovered = b.fp, covered
 	}
-	return replaced, s.walWatermarkLocked()
+	return replaced, s.walWatermarkLocked(), f
 }
 
 // republishLocked swaps in a View of the current entries; for every change

@@ -19,6 +19,7 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
+	"knncost/internal/knn"
 )
 
 func testOptions(t *testing.T) Options {
@@ -379,7 +380,13 @@ func TestHotSwapNoMixedVersions(t *testing.T) {
 //     cacheFormat by a store whose registry entries carried a "declared"
 //     resolution beside "resolution": d0 (gridPoints(200, 81)), where the two
 //     agree, and t0 (gridPoints(300, 82)), served at grid 2 of a declared 4.
-//     Each restores at its "resolution", the one its bundle was built at.
+//     Each restores at its "resolution", the one its bundle was built at;
+//   - compacted: the first relation restarts from the generation a
+//     compaction of appends published.
+//
+// The answers compared include what reads points after publish: a
+// staircase-c and a staircase-q built lazily, and the ground-truth cost over
+// the hydrated data index.
 func TestWarmRestart(t *testing.T) {
 	type rel struct {
 		name string
@@ -390,6 +397,7 @@ func TestWarmRestart(t *testing.T) {
 		name    string
 		fixture string // a directory under testdata to restart over; "" restarts over the cold store's
 		rels    []rel
+		add     []geom.Point // appended to the first relation and compacted before the restart
 	}{
 		{name: "defaults", rels: []rel{{"w1", gridPoints(1500, 2), core.Resolution{}}, {"w2", gridPoints(1500, 2), core.Resolution{}}}},
 		{name: "declared resolution", rels: []rel{
@@ -400,6 +408,8 @@ func TestWarmRestart(t *testing.T) {
 			{"d0", gridPoints(200, 81), core.Resolution{}},
 			{"t0", gridPoints(300, 82), core.Resolution{GridSize: 2}},
 		}},
+		{name: "compacted", rels: []rel{{"w1", gridPoints(1500, 2), core.Resolution{}}, {"w2", gridPoints(900, 6), core.Resolution{}}},
+			add: gridPoints(80, 7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -423,6 +433,18 @@ func TestWarmRestart(t *testing.T) {
 			waitReady(t, s, names...)
 			if s.CatalogBuilds() == 0 {
 				t.Fatal("cold store built no catalogs — cache test is vacuous")
+			}
+			if tc.add != nil {
+				if _, err := s.Append(names[0], tc.add); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Flush(names[0]); err != nil {
+					t.Fatal(err)
+				}
+				settle(t, s, names[0])
+				if s.Compactions() != 1 {
+					t.Fatalf("%d compactions, want 1", s.Compactions())
+				}
 			}
 			want := restartAnswers(t, s, names)
 			closeStore(t, s)
@@ -449,8 +471,10 @@ func TestWarmRestart(t *testing.T) {
 }
 
 // restartAnswers is what TestWarmRestart compares across a restart: every
-// relation's resolution and staircase estimates, and the catalog-merge,
-// virtual-grid and aknn-bounds estimates of both orders of the first pair.
+// relation's resolution, its staircase estimates — the published one's, and
+// a staircase-c's and a staircase-q's built on demand — and its ground-truth
+// costs over the hydrated data index, and the catalog-merge, virtual-grid and
+// aknn-bounds estimates of both orders of the first pair.
 func restartAnswers(t *testing.T, s *Store, names []string) map[string]any {
 	t.Helper()
 	out := map[string]any{}
@@ -466,6 +490,22 @@ func restartAnswers(t *testing.T, s *Store, names []string) map[string]any {
 				t.Fatalf("%s EstimateSelect: %v", name, err)
 			}
 			out[fmt.Sprintf("%s select %v k=%d", name, p.q, p.k)] = est
+			for _, mode := range []core.StaircaseMode{core.ModeCenterOnly, core.ModeCenterQuadrant} {
+				stair, err := v.Relation(name).Engine.Staircase(mode)
+				if err != nil {
+					t.Fatalf("%s %v staircase: %v", name, mode, err)
+				}
+				est, err := stair.EstimateSelect(p.q, p.k)
+				if err != nil {
+					t.Fatalf("%s %v EstimateSelect: %v", name, mode, err)
+				}
+				out[fmt.Sprintf("%s %v select %v k=%d", name, mode, p.q, p.k)] = est
+			}
+			data, err := v.Relation(name).Hydrate()
+			if err != nil {
+				t.Fatalf("%s Hydrate: %v", name, err)
+			}
+			out[fmt.Sprintf("%s cost %v k=%d", name, p.q, p.k)] = knn.SelectCost(data, p.q, p.k)
 		}
 	}
 	for _, pair := range [][2]string{{names[0], names[1]}, {names[1], names[0]}} {

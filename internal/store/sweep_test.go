@@ -20,6 +20,12 @@ import (
 )
 
 // catNames lists cat/ by file name, sorted.
+// hasBundle reports whether the bundle of fp is on disk right now.
+func (c *diskCache) hasBundle(fp string) bool {
+	_, err := os.Stat(c.bundlePath(fp))
+	return err == nil
+}
+
 func catNames(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(filepath.Join(dir, "cat"))
