@@ -136,19 +136,9 @@ func findIn(n *Node, p geom.Point) *Block {
 	return nil
 }
 
-// RangeBlocks returns all leaf blocks whose bounds intersect r, in
-// depth-first order. The Virtual-Grid estimator uses it as the "range query
-// on the outer relation" of §4.3.2.
-func (t *Tree) RangeBlocks(r geom.Rect) []*Block {
-	var out []*Block
-	t.VisitRange(r, func(b *Block) {
-		out = append(out, b)
-	})
-	return out
-}
-
 // VisitRange calls fn for each leaf block intersecting r, in depth-first
-// order, without allocating a result slice.
+// order, without allocating a result slice. The Virtual-Grid estimator uses
+// it as the "range query on the outer relation" of §4.3.2.
 func (t *Tree) VisitRange(r geom.Rect, fn func(*Block)) {
 	if t.root == nil {
 		return

@@ -75,9 +75,16 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// rangeBlocks gathers what VisitRange visits.
+func rangeBlocks(tr *Tree, r geom.Rect) []*Block {
+	var out []*Block
+	tr.VisitRange(r, func(b *Block) { out = append(out, b) })
+	return out
+}
+
 func TestRangeBlocks(t *testing.T) {
 	tr := buildTestTree()
-	got := tr.RangeBlocks(geom.NewRect(0.5, 0.5, 2.5, 1.5))
+	got := rangeBlocks(tr, geom.NewRect(0.5, 0.5, 2.5, 1.5))
 	ids := make([]int, len(got))
 	for i, b := range got {
 		ids[i] = b.ID
@@ -91,7 +98,7 @@ func TestRangeBlocks(t *testing.T) {
 			t.Fatalf("RangeBlocks IDs = %v, want %v", ids, want)
 		}
 	}
-	if got := tr.RangeBlocks(geom.NewRect(10, 10, 11, 11)); len(got) != 0 {
+	if got := rangeBlocks(tr, geom.NewRect(10, 10, 11, 11)); len(got) != 0 {
 		t.Errorf("disjoint range returned %d blocks", len(got))
 	}
 }

@@ -18,9 +18,8 @@ import (
 	"knncost/internal/quadtree"
 )
 
-// testBuild is a small real relation build: its points, the index the
-// staircase must be loaded against, its two catalog artifacts and their
-// manifest.
+// testBuild is a small real relation build: its points, its Count-Index, its
+// two catalog artifacts and their manifest.
 func testBuild(t testing.TB) ([]geom.Point, *index.Tree, *core.Staircase, *core.VirtualGrid, manifest) {
 	t.Helper()
 	pts := gridPoints(300, 71)
@@ -29,65 +28,67 @@ func testBuild(t testing.TB) ([]geom.Point, *index.Tree, *core.Staircase, *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	vg, err := core.BuildVirtualGrid(tree.CountTree(), 3, 3, 24)
+	count := tree.CountTree()
+	vg, err := core.BuildVirtualGrid(count, 3, 3, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := manifest{NumPoints: int64(len(pts)), NumBlocks: int64(tree.NumBlocks()), MaxK: 24, Corners: -1, SampleSize: 5, GridSize: 3, AknnCapacity: 7, Capacity: 16}
-	return pts, tree, stair, vg, m
+	return pts, count, stair, vg, m
 }
 
-// testBundle encodes testBuild and returns the file bytes with the index
-// the staircase must be loaded against.
-func testBundle(t testing.TB) ([]byte, *index.Tree) {
+// testBundle encodes testBuild.
+func testBundle(t testing.TB) []byte {
 	t.Helper()
-	pts, tree, stair, vg, m := testBuild(t)
-	return encodeBundle(m, pts, stair, vg), tree
+	pts, count, stair, vg, m := testBuild(t)
+	return encodeBundle(m, pts, count, stair, vg)
 }
 
-// loadAll drives a decoded bundle through the loader that needs the index,
-// as the build worker does.
-func loadAll(bd *bundle, tree *index.Tree) error {
-	_, err := core.UnmarshalStaircase(tree, bd.stair, core.StaircaseOptions{})
-	return err
+// decodeBundle is readBundle over bytes in memory.
+func decodeBundle(data []byte) (*builtRelation, error) {
+	b, _, err := readBundle(bytes.NewReader(data), int64(len(data)), sha256.New())
+	return b, err
 }
 
-// TestBundleRoundTrip: a bundle decodes to what was encoded, keeps nothing
-// of the file read, and is encoded into one allocation of exactly its size.
+// TestBundleRoundTrip: a bundle decodes to what was encoded — the decoded
+// artifacts encode to the same bytes once the bytes read are gone — its
+// points reach the fingerprint's hash as appendPoints encodes them, and it is
+// encoded into one allocation of exactly its size.
 func TestBundleRoundTrip(t *testing.T) {
-	pts, tree, stair, vg, m := testBuild(t)
-	data := encodeBundle(m, pts, stair, vg)
+	pts, count, stair, vg, m := testBuild(t)
+	data := encodeBundle(m, pts, count, stair, vg)
 	if cap(data) != len(data) {
 		t.Fatalf("bundle of %d bytes was encoded into a buffer of %d", len(data), cap(data))
 	}
-	if allocs := testing.AllocsPerRun(10, func() { encodeBundle(m, pts, stair, vg) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { encodeBundle(m, pts, count, stair, vg) }); allocs != 1 {
 		t.Fatalf("encodeBundle allocates %.0f times, want 1", allocs)
 	}
-	bd, err := decodeBundle(data)
+	h := sha256.New()
+	b, man, err := readBundle(bytes.NewReader(data), int64(len(data)), h)
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
-	if !samePoints(bd.pts, pts) {
-		t.Fatal("points did not survive the round trip")
+	if want := sha256.Sum256(appendPoints(nil, pts)); !bytes.Equal(h.Sum(nil), want[:]) {
+		t.Fatal("the points section did not reach the hash as appendPoints encodes it")
 	}
-	if bd.man != m {
-		t.Fatalf("manifest did not survive the round trip: %+v, want %+v", bd.man, m)
+	if man != m {
+		t.Fatalf("manifest did not survive the round trip: %+v, want %+v", man, m)
 	}
-	if err := loadAll(bd, tree); err != nil {
-		t.Fatalf("staircase section: %v", err)
+	if !reflect.DeepEqual(b.tree, count) {
+		t.Fatal("the Count-Index did not survive the round trip")
 	}
-	if !bytes.Equal(bd.stair, stair.AppendBinary(nil)) || !bytes.Equal(bd.vgrid.AppendBinary(nil), vg.AppendBinary(nil)) {
-		t.Fatal("catalog sections did not survive the round trip")
-	}
-	if &bd.stair[:1][0] == &data[:1][0] || cap(bd.stair) != len(bd.stair) {
-		t.Fatal("decoded bundle retains the file read")
+	want := bytes.Clone(data)
+	clear(data)
+	if got := encodeBundle(man, pts, b.tree, b.staircase, b.vgrid); !bytes.Equal(got, want) {
+		t.Fatal("the decoded bundle does not encode to the bytes it was read from")
 	}
 }
 
-// TestBundleHoldsWhatThePaperCounts: a bundle is its header, its points,
-// each catalog section's header and the artifact's StorageBytes — the bytes
-// the storage columns of Figures 14, 20 and 22 count — and its checksum,
-// with no padding between them.
+// TestBundleHoldsWhatThePaperCounts: a bundle is its header, its points, its
+// Count-Index — the root's bounds, a bit a node and a count a block — each
+// catalog section's header and the artifact's StorageBytes — the bytes the
+// storage columns of Figures 14, 20 and 22 count — and its checksum, with no
+// padding between them.
 func TestBundleHoldsWhatThePaperCounts(t *testing.T) {
 	const stairHeader, vgHeader = 8 + 4*8, 8 + 7*8 // magic and fixed-width fields
 	for _, n := range []int{40, 300, 5000} {
@@ -101,12 +102,42 @@ func TestBundleHoldsWhatThePaperCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bundleHeader + len(appendPoints(nil, pts)) +
+		nodes := (4*tree.NumBlocks() - 1) / 3
+		countBytes := 32 + (nodes+7)/8
+		for _, b := range tree.Blocks() {
+			countBytes += len(binary.AppendUvarint(nil, uint64(b.Count)))
+		}
+		want := bundleHeader + len(appendPoints(nil, pts)) + countBytes +
 			stairHeader + stair.StorageBytes() +
 			vgHeader + vg.StorageBytes() +
 			4
-		if got := len(encodeBundle(manifest{}, pts, stair, vg)); got != want {
+		if got := len(encodeBundle(manifest{}, pts, tree.CountTree(), stair, vg)); got != want {
 			t.Errorf("%d points: bundle is %d bytes, want %d", n, got, want)
+		}
+	}
+}
+
+// TestCountIndexRefusesOtherShapes: the KNCI section decodes only at the
+// manifest's block and point counts — a shape with three more or three fewer
+// leaves (the next quadtree leaf counts), or counts that sum to one point
+// more or fewer, is refused — and, sealed with a valid checksum, a shape bit
+// or a count changed is refused or decodes to another tree, never panics.
+func TestCountIndexRefusesOtherShapes(t *testing.T) {
+	_, count, _, _, m := testBuild(t)
+	sec := appendCountIndex(nil, count)
+	if got, err := decodeCountIndex(sec, m.NumBlocks, m.NumPoints); err != nil || !reflect.DeepEqual(got, count) {
+		t.Fatalf("the section does not decode to the Count-Index it encodes (err %v)", err)
+	}
+	for _, c := range [][2]int64{{m.NumBlocks + 3, m.NumPoints}, {m.NumBlocks - 3, m.NumPoints}, {m.NumBlocks, m.NumPoints + 1}, {m.NumBlocks, m.NumPoints - 1}} {
+		if _, err := decodeCountIndex(sec, c[0], c[1]); err == nil {
+			t.Errorf("a section of %d blocks and %d points decoded as %d and %d", m.NumBlocks, m.NumPoints, c[0], c[1])
+		}
+	}
+	for i := 32; i < len(sec); i++ {
+		bad := bytes.Clone(sec)
+		bad[i] ^= 0x01
+		if got, err := decodeCountIndex(bad, m.NumBlocks, m.NumPoints); err == nil && reflect.DeepEqual(got, count) {
+			t.Fatalf("a flip of byte %d decoded to the same tree", i)
 		}
 	}
 }
@@ -116,7 +147,7 @@ func TestBundleHoldsWhatThePaperCounts(t *testing.T) {
 // artifact. This is what lets the store treat its cache directory as
 // untrusted.
 func TestCacheFilesRejectCorruptInput(t *testing.T) {
-	full, _ := testBundle(t)
+	full := testBundle(t)
 	miss := func(b []byte) bool { _, err := decodeBundle(b); return err != nil }
 	if miss(full) {
 		t.Fatal("valid bundle rejected")
@@ -154,7 +185,7 @@ func TestCacheFilesRejectCorruptInput(t *testing.T) {
 // damage inside them yields an error or different points (which the caller's
 // fingerprint check rejects), never a panic.
 func TestSalvagePointsIgnoresDamageElsewhere(t *testing.T) {
-	full, _ := testBundle(t)
+	full := testBundle(t)
 	want := gridPoints(300, 71)
 	end := bundleHeader + len(appendPoints(nil, want))
 	for cut := 0; cut < len(full); cut++ {
@@ -187,16 +218,16 @@ func reseal(data []byte) []byte {
 	return data
 }
 
+// FuzzLoadBundle drives the one load path, readBundle through an
+// io.ReaderAt, and salvage: either may reject its input, neither may panic.
 func FuzzLoadBundle(f *testing.F) {
-	data, tree := testBundle(f)
+	data := testBundle(f)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add([]byte(bundleMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, reseal(bytes.Clone(data))} {
-			if bd, err := decodeBundle(in); err == nil {
-				loadAll(bd, tree) // may reject; must not panic
-			}
+			decodeBundle(in)
 			salvagePoints(in)
 		}
 	})
@@ -466,11 +497,13 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 // from the build that heap-sorted five anchors per block (commit 96bd4f1);
 // a staircase or virtual grid that differs in one bit — or a layout change
 // without a cacheFormat bump — changes it. Re-pinned once for format 6
-// (8-byte catalog intervals, one KNAB layout) and once for format 7 (varint
-// catalogs, no KNAB section), whose artifacts answer every estimate as the
-// format before did.
+// (8-byte catalog intervals, one KNAB layout), once for format 7 (varint
+// catalogs, no KNAB section) and once for format 8 (a fourth section, the
+// KNCI Count-Index, after the points), whose artifacts answer every estimate
+// as the format before did: format 8's points, staircase and virtual-grid
+// sections are format 7's bytes.
 func TestBundleBytesPinned(t *testing.T) {
-	const want = "4cd6812c281645fe342ec9f8b014989197220218f607d2331b4e8d500a95697c"
+	const want = "d98564d7993017b84d7404af9d01767f4619e299914f693a557ff8171c8952d8"
 	opt := testOptions(t)
 	opt.MaxK, opt.IndexCapacity = 200, 48
 	opt.CacheDir = t.TempDir()
@@ -530,14 +563,14 @@ func TestBundleOverhead(t *testing.T) {
 // how it is computed must never show in it. The digest was recorded at
 // commit a2ee1fa, which fed the hash one buffer holding every point; the
 // lengths put a point just before, on and just after the edge of the buffer
-// the hash is fed through now. Re-pinned for cacheFormats 6 and 7: the
+// the hash is fed through now. Re-pinned for cacheFormats 6, 7 and 8: the
 // format version is the first thing the hash is fed.
 func TestFingerprintPinned(t *testing.T) {
 	opt := testOptions(t)
 	opt.MaxK, opt.IndexCapacity = 200, 48
 	s := newTestStore(t, opt)
 	res := s.opt.resolveResolution(core.Resolution{})
-	const want = "7294246cb7939a65976f6ec31aab44b316ae642d7497fb396a27a0041dab98cf"
+	const want = "5708b99bdb05600fafbc936697b177eabcd479566873b87391ac6f433cc188a4"
 	if got := s.fingerprint(gridPoints(3000, 16), res); got != want {
 		t.Errorf("fingerprint of the pinned relation is %s, want %s", got, want)
 	}

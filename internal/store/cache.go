@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"log"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,23 +39,22 @@ import (
 //	lock                   empty; its flock orders publishes against sweeps
 //	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
 //	                       table (kind, offset, length), the sections KNPT
-//	                       (points, rebuilds the index), KNCSMAP
+//	                       (points), KNCI (the Count-Index), KNCSMAP
 //	                       (core.Staircase) and KNVGMAP (core.VirtualGrid) end
 //	                       to end, and a trailing CRC32C of all of it
 //
 // The two catalog sections hold their catalogs in catalog.MarshalBinary's
 // encoding, so past a section's header its bytes are the artifact's
 // StorageBytes — what the paper's storage figures count. What derives from
-// the index alone is not stored: the density estimator and the AkNN summary
-// are rebuilt from the restored tree (the summary at the manifest's
-// AknnCapacity), which costs less than reading them would.
+// the Count-Index alone is not stored: the density estimator and the AkNN
+// summary are rebuilt from it (the summary at the manifest's AknnCapacity),
+// which costs less than reading them would.
 //
 // A bundle is written once, off the store lock, and is immutable: one that
 // exists is complete. Pair merges are not cached: a restart rebuilds each at
-// its first demand, which costs less than writing it did. A bundle is read
-// whole into a scratch buffer; loading copies out of it, so nothing kept
-// aliases the file read. A published snapshot keeps its bundle open and reads
-// the KNPT section again whenever its points are asked for (pointsSource).
+// its first demand, which costs less than writing it did. A load reads a
+// bundle once and decodes all but the points (readBundle); the snapshot
+// keeps the file open and reads KNPT when its points are asked for.
 // Everything is written atomically (temp file + rename) and every load
 // failure is a cache miss, never an error: the worst a corrupt cache can do
 // is force a rebuild.
@@ -65,21 +66,19 @@ import (
 // (Store.persistLocked), under the lock that keeps sweepers out.
 
 // cacheFormat is the bundle/registry format version; bump on any change to
-// the layout or to what a fingerprint covers. Format 5 replaced format 4's
-// one file and one mmap per artifact, O(relations²) of them; format 6 stored
-// a catalog interval in 8 bytes instead of 24; format 7 stores catalogs in
-// their varint encoding and drops the KNAB section. The version is part of
-// every fingerprint and of the bundle magic, so entries of older formats all
-// miss: a format bump costs one rebuild, never an error.
-const cacheFormat = 7
+// the layout or to what a fingerprint covers (DESIGN §15 has their history:
+// format 8 added the KNCI section). The version is part of every fingerprint
+// and of the bundle magic, so entries of older formats all miss: a format
+// bump costs one rebuild, never an error.
+const cacheFormat = 8
 
 const (
-	bundleMagic = "KNCBNDL\x07"
+	bundleMagic = "KNCBNDL\x08"
 	// A bundle's header is the magic, the eight manifest fields (bundleTable
-	// bytes so far) and the three-entry section table, all little-endian
+	// bytes so far) and the four-entry section table, all little-endian
 	// uint64 words.
 	bundleTable    = 8 + 8*8
-	bundleSections = 3
+	bundleSections = 4
 	bundleHeader   = bundleTable + bundleSections*3*8
 )
 
@@ -161,13 +160,8 @@ func openDiskCache(dir, scope string, logger *log.Logger) (*diskCache, error) {
 	}
 	c := &diskCache{dir: dir, registryName: "registry.json", tmpPrefix: ".tmp-" + scope + "-", logger: logger, unsynced: map[string]bool{}}
 	if scope != "" {
-		for _, r := range scope {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-				r == '_', r == '-', r == '.':
-			default:
-				return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
-			}
+		if r, bad := badRune(scope); bad {
+			return nil, fmt.Errorf("registry scope %q contains %q (allowed: letters, digits, '_', '-', '.')", scope, r)
 		}
 		c.registryName = "registry-" + scope + ".json"
 	}
@@ -210,6 +204,13 @@ func openDiskCache(dir, scope string, logger *log.Logger) (*diskCache, error) {
 // Two relations with the same fingerprint produce bit-identical catalogs;
 // any change to points, resolution or options changes it.
 func (s *Store) fingerprint(pts []geom.Point, res core.Resolution) string {
+	h := s.fingerprintHash(res)
+	hashPoints(h, pts) // count included
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// fingerprintHash is the fingerprint's hash fed all but the points section.
+func (s *Store) fingerprintHash(res core.Resolution) hash.Hash {
 	res = res.Canon()
 	h := sha256.New()
 	var hdr [128]byte
@@ -225,8 +226,7 @@ func (s *Store) fingerprint(pts []geom.Point, res core.Resolution) string {
 		binary.LittleEndian.PutUint64(hdr[:8], math.Float64bits(f))
 		h.Write(hdr[:8])
 	}
-	hashPoints(h, pts) // count included
-	return hex.EncodeToString(h.Sum(nil))
+	return h
 }
 
 func shortFP(fp string) string {
@@ -262,34 +262,33 @@ func (c *diskCache) writeFile(op, path string, data []byte) error {
 
 // --- bundle ------------------------------------------------------------------
 
-// bundle is one decoded cat/<fp>.knc.
-type bundle struct {
-	fp  string
-	man manifest
-	pts []geom.Point
-	// stair is the KNCSMAP section, which needs the rebuilt data index to
-	// load: an exact-size copy, so nothing of the file read is retained.
-	stair []byte
-	vgrid *core.VirtualGrid
-}
+// The sections in file order, which is each one's kind in the table: the
+// points first, where salvage and pointsSource find them without the table.
+const (
+	secPoints = iota // KNPT: the registration-order points
+	secCount         // KNCI: the Count-Index
+	secStair         // KNCSMAP: core.Staircase
+	secGrid          // KNVGMAP: core.VirtualGrid
+)
 
-// encodeBundle serializes one relation build: header, then the three
+// encodeBundle serializes one relation build: header, then the four
 // sections end to end in table order, then the checksum. The buffer is
 // sized exactly, so the bundle is one allocation.
-func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid) []byte {
-	out := make([]byte, bundleHeader, bundleHeader+pointsSize(len(pts))+stair.EncodedSize()+vg.EncodedSize()+4)
+func encodeBundle(m manifest, pts []geom.Point, count *index.Tree, stair *core.Staircase, vg *core.VirtualGrid) []byte {
+	out := make([]byte, bundleHeader, bundleHeader+pointsSize(len(pts))+countIndexSize(count)+stair.EncodedSize()+vg.EncodedSize()+4)
 	copy(out, bundleMagic)
 	for i, w := range [...]int64{m.NumPoints, m.NumBlocks, m.MaxK, m.Corners, m.SampleSize, m.GridSize, m.AknnCapacity, m.Capacity} {
 		binary.LittleEndian.PutUint64(out[8+8*i:], uint64(w))
 	}
-	var ends [bundleSections + 1]int
-	ends[0] = len(out)
+	ends := [bundleSections + 1]int{bundleHeader} // where each section starts, and the checksum
 	out = appendPoints(out, pts)
-	ends[1] = len(out)
+	ends[secCount] = len(out)
+	out = appendCountIndex(out, count)
+	ends[secStair] = len(out)
 	out = stair.AppendBinary(out)
-	ends[2] = len(out)
+	ends[secGrid] = len(out)
 	out = vg.AppendBinary(out)
-	ends[3] = len(out)
+	ends[bundleSections] = len(out)
 	for kind := 0; kind < bundleSections; kind++ {
 		for i, w := range [3]int{kind, ends[kind], ends[kind+1] - ends[kind]} {
 			binary.LittleEndian.PutUint64(out[bundleTable+24*kind+8*i:], uint64(w))
@@ -298,51 +297,77 @@ func encodeBundle(m manifest, pts []geom.Point, stair *core.Staircase, vg *core.
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
-// decodeBundle parses the bytes of a bundle file. data is scratch: nothing
-// returned aliases it.
-func decodeBundle(data []byte) (*bundle, error) {
-	if len(data) < bundleHeader+4 || string(data[:8]) != bundleMagic {
-		return nil, errors.New("bundle: truncated or bad magic")
+// chunks are the buffers readBundle streams a bundle through.
+var chunks = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// readBundle verifies and decodes the size bytes of a bundle r holds, in
+// one pass: the checksum covers every byte but its own, the points stream
+// through a fixed buffer into h, the fingerprint's hash, undecoded, and the
+// Count-Index and the two catalogs after them decode into b.
+func readBundle(r io.ReaderAt, size int64, h hash.Hash) (b *builtRelation, man manifest, err error) {
+	var hdr [bundleHeader]byte
+	if n, err := r.ReadAt(hdr[:], 0); n < len(hdr) { // err is not nil
+		return nil, man, err
 	}
-	body := data[:len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(body):]) {
-		return nil, errors.New("bundle: checksum mismatch")
+	if size < bundleHeader+4 || string(hdr[:8]) != bundleMagic {
+		return nil, man, errors.New("bundle: truncated or bad magic")
 	}
-	bd := &bundle{}
-	if err := binary.Read(bytes.NewReader(body[8:bundleTable]), binary.LittleEndian, &bd.man); err != nil {
-		return nil, err
+	if err := binary.Read(bytes.NewReader(hdr[8:bundleTable]), binary.LittleEndian, &man); err != nil {
+		return nil, man, err
 	}
-	var sec [bundleSections][]byte
-	end := uint64(bundleHeader)
-	for i := range sec {
-		entry := body[bundleTable+24*i:]
+	sec := [bundleSections + 1]uint64{bundleHeader} // where each section starts, and the checksum
+	for i := 0; i < bundleSections; i++ {
+		entry := hdr[bundleTable+24*i:]
 		kind, off, n := binary.LittleEndian.Uint64(entry), binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
-		if kind != uint64(i) || off != end || n > uint64(len(body))-off {
-			return nil, fmt.Errorf("bundle: section %d does not tile the file", i)
+		if kind != uint64(i) || off != sec[i] || n > uint64(size-4)-off {
+			return nil, man, fmt.Errorf("bundle: section %d does not tile the file", i)
 		}
-		sec[i], end = body[off:off+n], off+n
+		sec[i+1] = off + n
 	}
-	if end != uint64(len(body)) {
-		return nil, errors.New("bundle: trailing bytes")
+	if sec[bundleSections] != uint64(size-4) {
+		return nil, man, errors.New("bundle: trailing bytes")
 	}
-	var err error
-	if bd.pts, err = decodePoints(sec[0]); err != nil {
-		return nil, err
+	if m := man.NumPoints; m < 0 || m > maxCachedPoints || sec[secCount]-sec[secPoints] != uint64(pointsSize(int(m))) {
+		return nil, man, errors.New("bundle: the points section does not hold the manifest's points")
 	}
-	bd.stair = append(make([]byte, 0, len(sec[1])), sec[1]...)
-	if bd.vgrid, err = core.UnmarshalVirtualGrid(sec[2]); err != nil {
-		return nil, fmt.Errorf("virtual grid: %w", err)
+	buf := chunks.Get().(*[32 << 10]byte)
+	defer chunks.Put(buf)
+	crc := crc32.New(crcTable)
+	crc.Write(hdr[:])
+	pts := io.NewSectionReader(r, int64(sec[secPoints]), int64(sec[secCount]-sec[secPoints]))
+	if n, err := io.CopyBuffer(io.MultiWriter(crc, h), pts, buf[:]); n != pts.Size() {
+		return nil, man, fmt.Errorf("bundle: %d of %d point bytes read: %v", n, pts.Size(), err)
 	}
-	return bd, nil
+	tail := append(buf[:0], make([]byte, uint64(size)-sec[secCount])...) // buf, when it fits
+	if n, err := r.ReadAt(tail, int64(sec[secCount])); n < len(tail) {
+		return nil, man, err
+	}
+	body := tail[:len(tail)-4]
+	if crc.Write(body); crc.Sum32() != binary.LittleEndian.Uint32(tail[len(body):]) {
+		return nil, man, errors.New("bundle: checksum mismatch")
+	}
+	part := func(kind int) []byte { return body[sec[kind]-sec[secCount] : sec[kind+1]-sec[secCount]] }
+	b = &builtRelation{}
+	if b.tree, err = decodeCountIndex(part(secCount), man.NumBlocks, man.NumPoints); err != nil {
+		return nil, man, err
+	}
+	b.density = core.NewDensityBased(b.tree)
+	if b.staircase, err = core.UnmarshalStaircase(b.tree, part(secStair), core.StaircaseOptions{Fallback: b.density}); err != nil {
+		return nil, man, fmt.Errorf("staircase: %w", err)
+	}
+	if b.vgrid, err = core.UnmarshalVirtualGrid(part(secGrid)); err != nil {
+		return nil, man, fmt.Errorf("virtual grid: %w", err)
+	}
+	return b, man, nil
 }
 
-// salvagePoints decodes the points section of a bundle that fails
-// decodeBundle. Everything else in a bundle derives from the points, so
-// damage elsewhere must not lose them. The section comes first, right after
-// the fixed-size header, and states its own length, so neither the section
-// table nor the tail of the file need be intact. The checksum that failed
-// was the points' only guard here: the caller must recompute the
-// fingerprint, whose SHA-256 covers every point, before trusting the result.
+// salvagePoints decodes the points section of a bundle that fails to load.
+// Everything else in a bundle derives from the points, so damage elsewhere
+// must not lose them. The section comes first, right after the fixed-size
+// header, and states its own length, so neither the section table nor the
+// tail of the file need be intact. The checksum that failed was the points'
+// only guard here: the caller must recompute the fingerprint, whose SHA-256
+// covers every point, before trusting the result.
 func salvagePoints(data []byte) ([]geom.Point, error) {
 	if len(data) < bundleHeader+len(pointsMagic) || string(data[:8]) != bundleMagic {
 		return nil, errors.New("bundle: truncated or bad magic")
@@ -355,31 +380,104 @@ func salvagePoints(data []byte) ([]geom.Point, error) {
 	return decodePoints(sec) // checks the magic, the count and the exact length
 }
 
-// loadBundle reads the bundle of fp.
-func (c *diskCache) loadBundle(fp string) (*bundle, error) {
-	data, err := os.ReadFile(c.bundlePath(fp))
-	if err != nil {
-		return nil, err
+// --- Count-Index section -----------------------------------------------------
+
+// The KNCI section is a build's Count-Index (§2: blocks and counts, no
+// points): the root's bounds as four little-endian float64 words, a bit per
+// node in preorder, low bit first — 1 for a node split into its quadrants —
+// and a uvarint count per leaf in block order. Blocks' bounds are not
+// stored: the decoder splits the root with Rect.Quadrants, as quadtree.Build
+// did, so they come out bit-identical. L leaves make (4L-1)/3 nodes.
+
+// countIndexSize is the length of t's KNCI section; t is a quadtree's.
+func countIndexSize(t *index.Tree) int {
+	n := 32 + shapeBytes(int64(t.NumBlocks()))
+	for _, b := range t.Blocks() {
+		n += (bits.Len64(uint64(b.Count)|1) + 6) / 7
 	}
-	bd, err := decodeBundle(data)
-	if err != nil {
-		return nil, err
-	}
-	bd.fp = fp
-	return bd, nil
+	return n
 }
 
-// salvage reads what salvagePoints recovers from the bundle of fp.
-func (c *diskCache) salvage(fp string) ([]geom.Point, error) {
-	data, err := os.ReadFile(c.bundlePath(fp))
-	if err != nil {
-		return nil, err
+func shapeBytes(leaves int64) int { return int((4*leaves-1)/3+7) / 8 }
+
+func appendCountIndex(buf []byte, t *index.Tree) []byte {
+	r := t.Bounds()
+	for _, f := range [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	return salvagePoints(data)
+	shape := len(buf)
+	for range shapeBytes(int64(t.NumBlocks())) {
+		buf = append(buf, 0)
+	}
+	markSplits(buf[shape:], t.Root(), 0)
+	for _, b := range t.Blocks() {
+		buf = binary.AppendUvarint(buf, uint64(b.Count))
+	}
+	return buf
 }
 
-func (c *diskCache) storeBundle(fp string, m manifest, pts []geom.Point, stair *core.Staircase, vg *core.VirtualGrid) error {
-	return c.writeFile("bundle", c.bundlePath(fp), encodeBundle(m, pts, stair, vg))
+// markSplits sets the bits of n's split nodes, n's bit being i; it returns the next.
+func markSplits(shape []byte, n *index.Node, i int) int {
+	if n.IsLeaf() {
+		return i + 1
+	}
+	shape[i/8] |= 1 << (i % 8)
+	i++
+	for _, c := range n.Children {
+		i = markSplits(shape, c, i)
+	}
+	return i
+}
+
+// decodeCountIndex decodes a KNCI section that must hold numBlocks leaves
+// counting numPoints points.
+func decodeCountIndex(data []byte, numBlocks, numPoints int64) (*index.Tree, error) {
+	// A leaf takes a count byte at least, which bounds numBlocks.
+	if numBlocks < 1 || (numBlocks-1)%3 != 0 || numBlocks > int64(len(data)) || len(data) < 32+shapeBytes(numBlocks) || numPoints < 0 {
+		return nil, fmt.Errorf("count index: %d bytes cannot hold a quadtree of %d leaves", len(data), numBlocks)
+	}
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])) }
+	root := geom.Rect{Min: geom.Point{X: f(0), Y: f(1)}, Max: geom.Point{X: f(2), Y: f(3)}}
+	if w, h := root.Width(), root.Height(); !(w > 0 && h > 0) || math.IsInf(w+h, 0) { // NaN fails the first test
+		return nil, fmt.Errorf("count index: invalid bounds %v", root)
+	}
+	shape, counts := data[32:32+shapeBytes(numBlocks)], data[32+shapeBytes(numBlocks):]
+	next, nodes, left := 0, int(4*numBlocks-1)/3, uint64(numPoints) // left: what the leaves to come must count
+	// node decodes the subtree of the next shape bit at bounds and depth (no
+	// split at quadtree's default MaxDepth), or returns nil.
+	var node func(bounds geom.Rect, depth int) *index.Node
+	node = func(bounds geom.Rect, depth int) *index.Node {
+		if next == nodes {
+			return nil
+		}
+		i := next
+		next++
+		n := &index.Node{Bounds: bounds}
+		if shape[i/8]>>(i%8)&1 == 0 {
+			c, sz := binary.Uvarint(counts)
+			if sz <= 0 || c > left {
+				return nil
+			}
+			counts, left = counts[sz:], left-c
+			n.Block = &index.Block{Bounds: bounds, Count: int(c)}
+			return n
+		}
+		if depth >= quadtree.DefaultMaxDepth {
+			return nil
+		}
+		n.Children = make([]*index.Node, 4)
+		for q, r := range bounds.Quadrants() {
+			if n.Children[q] = node(r, depth+1); n.Children[q] == nil {
+				return nil
+			}
+		}
+		return n
+	}
+	n := node(root, 0)
+	if n == nil || next != nodes || len(counts) != 0 || left != 0 || shape[len(shape)-1]>>(1+(nodes-1)%8) != 0 {
+		return nil, fmt.Errorf("count index: the section is not a quadtree of %d leaves counting %d points", numBlocks, numPoints)
+	}
+	return index.New(n, true), nil
 }
 
 // --- points section ----------------------------------------------------------

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"time"
 
@@ -269,57 +270,7 @@ func (s *Store) Flush(name string) error {
 // or ctx expires. With no names it settles every relation known at call
 // time.
 func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
-	if len(names) == 0 {
-		s.mu.Lock()
-		for name := range s.entries {
-			names = append(names, name)
-		}
-		s.mu.Unlock()
-	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		done := true
-		var failed error
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		for _, name := range names {
-			e := s.entries[name]
-			if e == nil {
-				failed = fmt.Errorf("store: relation %q is not registered", name)
-				break
-			}
-			switch e.state {
-			case StateReady:
-				if len(e.pending) > 0 {
-					s.compactLocked(e)
-					done = false
-				}
-			case StateFailed:
-				failed = fmt.Errorf("store: building %q: %s", name, e.err)
-			default:
-				done = false
-			}
-			if failed != nil {
-				break
-			}
-		}
-		s.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		if done {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
+	return s.wait(ctx, true, names)
 }
 
 // compactLocked schedules a rebuild of e that folds its pending deltas into
@@ -338,11 +289,16 @@ func (s *Store) compactLocked(e *entry) {
 	if err := s.enqueueLocked(e, nil); err != nil {
 		return // queue saturated; the interval compactor retries
 	}
+	stageFold(e)
+	s.republishLocked()
+}
+
+// stageFold makes the generation stageLocked staged fold e's pending deltas.
+func stageFold(e *entry) {
 	// A copy: pending grows, and filterCovered compacts it in place.
 	e.pendingBase, e.pendingMuts = e.snap, slices.Clone(e.pending)
 	e.isCompact = true
 	e.ckptLSN = e.pending[len(e.pending)-1].lsn
-	s.republishLocked()
 }
 
 // compactor is the background staleness bound: every CompactInterval it
@@ -373,34 +329,43 @@ func (s *Store) compactor() {
 }
 
 // recoverLocked restores the registry's relations and replays the WAL over
-// them. Must run under s.mu before any build can publish: replay assigns
-// each restored entry its pending deltas and checkpoint watermark, and a
-// build publishing mid-replay could checkpoint-clear deltas it never saw.
-func (s *Store) recoverLocked(records []wal.Record) {
+// them before any worker runs: replay assigns each restored entry its
+// pending deltas and checkpoint watermark, and a build publishing mid-replay
+// could checkpoint-clear deltas it never saw. A relation whose bundle loads
+// is published from it; one whose points alone verify is staged for a
+// rebuild, one whose points do not is lost, and one with deltas left is
+// staged for their fold. It builds the View once and returns the staged
+// relations, for New to queue, and the log's watermark.
+func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint64) {
 	for _, reg := range s.cache.registry() {
 		res := s.opt.resolveResolution(reg.Resolution)
-		bd, err := s.cache.loadBundle(reg.Fingerprint)
-		if err != nil {
-			// The artifacts are derivable, the points (and the logged
-			// mutations that apply to them) are not: a damaged bundle whose
-			// points still hash to the registered fingerprint restores the
-			// relation, and its build rewrites the bundle.
-			pts, perr := s.cache.salvage(reg.Fingerprint)
-			if perr != nil || s.fingerprint(pts, res) != reg.Fingerprint {
-				s.opt.logger().Printf("store: cache registry %q: %v (points not recoverable, skipping)", reg.Name, err)
-				continue
-			}
-			s.opt.logger().Printf("store: cache registry %q: %v (points intact, rebuilding the rest)", reg.Name, err)
-			bd = &bundle{pts: pts} // no fingerprint: the build will not take it for the file
-		}
-		e := &entry{name: reg.Name, res: res}
-		if err := s.enqueueLocked(e, bd.pts); err != nil {
-			s.opt.logger().Printf("store: re-registering cached %q: %v", reg.Name, err)
+		e := &entry{name: reg.Name, res: res, durableFP: reg.Fingerprint}
+		s.entries[reg.Name] = e
+		b, err := s.loadBundle(reg.Fingerprint, res)
+		if err == nil {
+			s.installLocked(e, b)
 			continue
 		}
-		e.pendingBundle = bd
-		e.durableFP = reg.Fingerprint
-		s.entries[reg.Name] = e
+		// The artifacts are derivable, the points (and the logged mutations
+		// that apply to them) are not: a damaged bundle whose points still
+		// hash to the registered fingerprint restores the relation, and its
+		// build rewrites the bundle.
+		var pts []geom.Point
+		data, perr := os.ReadFile(s.cache.bundlePath(reg.Fingerprint))
+		if perr == nil {
+			pts, perr = salvagePoints(data)
+		}
+		if perr == nil && s.fingerprint(pts, res) != reg.Fingerprint {
+			perr = errors.New("they do not hash to its fingerprint")
+		}
+		if perr != nil {
+			e.state, e.err = StateFailed, fmt.Sprintf("restoring %s: %v; its points: %v", shortFP(reg.Fingerprint), err, perr)
+			s.opt.logger().Printf("store: cache registry %q: %s (listed as failed)", reg.Name, e.err)
+			continue
+		}
+		s.opt.logger().Printf("store: cache registry %q: %v (points intact, rebuilding the rest)", reg.Name, err)
+		stageLocked(e, pts)
+		queued = append(queued, reg.Name)
 	}
 	now := time.Now()
 	for _, rec := range records {
@@ -427,21 +392,31 @@ func (s *Store) recoverLocked(records []wal.Record) {
 			e.pending = append(e.pending, mutation{lsn: rec.LSN, kind: rec.Kind, pts: rec.Points, at: now})
 		}
 	}
-	// A drop not followed by an effective checkpoint means the relation's
-	// last durable event is its removal (the registry forget may not have
-	// landed before the crash) — finish the drop instead of resurrecting.
 	for name, e := range s.entries {
-		if !e.replayDropped {
-			continue
+		switch {
+		case e.replayDropped:
+			// A drop not followed by an effective checkpoint means the
+			// relation's last durable event is its removal (the registry
+			// forget may not have landed before the crash) — finish the drop
+			// instead of resurrecting.
+			delete(s.entries, name)
+			if _, err := s.cache.forget(name); err != nil {
+				s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", name, err)
+			}
+			s.opt.logger().Printf("store: replay finished drop of %q", name)
+		case e.state == StateFailed:
+			// Pinned at the registered bundle's checkpoint, below all pending.
+			delete(s.entries, name)
+			e.pending, e.durableStale = nil, true
+			s.lost[name] = e
+		default:
+			s.walReplayed.Add(int64(len(e.pending)))
+			if e.state == StateReady && len(e.pending) > 0 {
+				stageLocked(e, nil)
+				stageFold(e)
+				queued = append(queued, name)
+			}
 		}
-		delete(s.entries, name)
-		if _, err := s.cache.forget(name); err != nil {
-			s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", name, err)
-		}
-		s.opt.logger().Printf("store: replay finished drop of %q", name)
-	}
-	for _, e := range s.entries {
-		s.walReplayed.Add(int64(len(e.pending)))
 	}
 	// No worker can publish before this returns, so what the registry names
 	// now is all this store relies on: everything else in cat/ that no peer
@@ -449,27 +424,30 @@ func (s *Store) recoverLocked(records []wal.Record) {
 	// the bundle a kill kept from being registered.
 	s.cache.sweepAll()
 	s.republishLocked()
+	return queued, s.walWatermarkLocked()
 }
 
 // walWatermarkLocked returns the LSN at and below which replay needs no
 // record: a relation pins the log from its first pending delta, or from its
 // last durable checkpoint while the registry lacks what it serves (a
-// registry write failed, or a re-registration dropped deltas the registered
-// base never folded). 0 without a WAL.
+// registry write failed, a re-registration dropped deltas the registered
+// base never folded, or a restart could not restore it). 0 without a WAL.
 func (s *Store) walWatermarkLocked() uint64 {
 	if s.wal == nil {
 		return 0
 	}
 	watermark := s.wal.LastLSN()
-	for _, e := range s.entries {
-		pin := uint64(math.MaxUint64)
-		if len(e.pending) > 0 {
-			pin = e.pending[0].lsn - 1
+	for _, entries := range [2]map[string]*entry{s.entries, s.lost} {
+		for _, e := range entries {
+			pin := uint64(math.MaxUint64)
+			if len(e.pending) > 0 {
+				pin = e.pending[0].lsn - 1
+			}
+			if e.durableStale && e.durableCovered < pin {
+				pin = e.durableCovered
+			}
+			watermark = min(watermark, pin)
 		}
-		if e.durableStale && e.durableCovered < pin {
-			pin = e.durableCovered
-		}
-		watermark = min(watermark, pin)
 	}
 	return watermark
 }

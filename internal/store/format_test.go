@@ -77,7 +77,10 @@ func oldFiles(t *testing.T, dir string) map[string][]byte {
 //     demanded pair merge (a .knm side-file), its WAL;
 //   - testdata/format6: 8-byte aligned catalog entries and a KNAB\x03
 //     section — gridPoints(200, 61), (250, 62) and (300, 63) as r0, r1 and
-//     r2, every ordered pair demanded (two .knm side-files).
+//     r2, every ordered pair demanded (two .knm side-files);
+//   - testdata/format7: varint catalog entries and no KNCI section —
+//     gridPoints(200, 81) as d0 and gridPoints(300, 82) as t0 at grid 2, its
+//     registry entries carrying a "declared" resolution.
 //
 // For each, the store starts without error and restores nothing, the
 // registry is moved aside, and nothing is swept while the .bad file is
@@ -106,6 +109,9 @@ func TestOlderCacheFormatsMissCleanly(t *testing.T) {
 				{"r1", "r0"}: 176, {"r1", "r2"}: 168,
 				{"r2", "r0"}: 224, {"r2", "r1"}: 196,
 			}},
+		{name: "format7", fixture: "format7",
+			rels:  []rel{{"d0", gridPoints(200, 81)}, {"t0", gridPoints(300, 82)}},
+			joins: map[[2]string]float64{{"d0", "t0"}: 240, {"t0", "d0"}: 196}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

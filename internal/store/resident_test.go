@@ -14,6 +14,7 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/datagen"
 	"knncost/internal/geom"
+	"knncost/internal/index"
 )
 
 // Points is ReadPoints for a test whose snapshot's points must read.
@@ -78,8 +79,9 @@ func TestPointsResidentOnce(t *testing.T) {
 }
 
 // checkCountIndex fails unless snap's tree is a Count-Index of n points whose
-// blocks are those of the data index Hydrate rebuilds: the same bounds and
-// counts, in the same order, and there with their points.
+// nodes and blocks are those of the data index Hydrate rebuilds: the same
+// shape, the same bounds and counts, in the same order, and there with their
+// points.
 func checkCountIndex(t *testing.T, snap *Snapshot, n int) {
 	t.Helper()
 	data, err := snap.Hydrate()
@@ -89,6 +91,21 @@ func checkCountIndex(t *testing.T, snap *Snapshot, n int) {
 	if got, want := data.NumBlocks(), snap.Tree.NumBlocks(); got != want || snap.Tree.NumPoints() != n || data.NumPoints() != n {
 		t.Fatalf("%s: the hydrated tree has %d blocks/%d points, the served one %d/%d, want %d points",
 			snap.Name, got, data.NumPoints(), want, snap.Tree.NumPoints(), n)
+	}
+	var sameShape func(a, b *index.Node) bool
+	sameShape = func(a, b *index.Node) bool {
+		if a.Bounds != b.Bounds || len(a.Children) != len(b.Children) || a.IsLeaf() != b.IsLeaf() {
+			return false
+		}
+		for i := range a.Children {
+			if !sameShape(a.Children[i], b.Children[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !sameShape(snap.Tree.Root(), data.Root()) {
+		t.Fatalf("%s: the served tree's nodes are not the hydrated tree's", snap.Name)
 	}
 	for i, b := range snap.Tree.Blocks() {
 		h := data.Blocks()[i]
@@ -241,10 +258,10 @@ func TestFailedBuildReleasesPoints(t *testing.T) {
 // salvage of a damaged bundle. After each, Points and LogicalPoints
 // are the model's sequence, and the fingerprint is the one the
 // commit before this layout (cbf411a) computed for the same steps, re-pinned
-// for cacheFormat 7, which the hash is fed first (under format 6 they are
-// cbf411a's values). The reopen and salvage pins are what commit a6d4c2a
-// computed for these same steps, the relation at its registered resolution
-// throughout.
+// for cacheFormats 7 and 8, which the hash is fed first (under format 6 they
+// are cbf411a's values). The reopen and salvage pins were first computed at
+// commit a6d4c2a, for these same steps, the relation at its registered
+// resolution throughout.
 func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	root := t.TempDir()
 	opt := testOptions(t)
@@ -274,7 +291,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, s, "r")
-	check(s, "register", "30043a6b5c564a3983ab692ca2d3c5e55cda9c634b5c8e71075e3473e0d264c2")
+	check(s, "register", "c035f66773f319ff163720dd563d8a35e7cc37ca131316107b9f3f51d2171000")
 
 	// Appends, then a delete that takes all three copies of the duplicated
 	// coordinate and one of the appended points: pending first, then folded.
@@ -298,7 +315,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, s, "r")
-	check(s, "flush", "8d5213231879638903fd467803ec809055f8bf34d84de34d07a4ae8e248cd65b")
+	check(s, "flush", "86e0e3252a728c771368602505b64ab1d7c3ab2e6f2186ce1853fbba39cc0c0d")
 
 	// What a SIGKILL leaves: the directory as it is, a delta only the log
 	// holds, no Close.
@@ -317,7 +334,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if re.CacheHits() == 0 || re.WALReplayed() == 0 {
 		t.Fatalf("the restart loaded %d catalogs and replayed %d mutations, want the bundle's and the log's", re.CacheHits(), re.WALReplayed())
 	}
-	check(re, "reopen", "4f3ec07287a13751168e040c4c2ef0d6e66c5adf0b52eb156f69b50a3b48c5c6")
+	check(re, "reopen", "9ae94aae74a9a163e05e816bd16e693e9e1d38eb80882a82ea73508826e4c028")
 	fp := re.View().Relation("r").Fingerprint
 	closeStore(t, re)
 
@@ -328,7 +345,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if salvaged.CatalogBuilds() == 0 {
 		t.Fatal("the damaged bundle was served, not rebuilt from its points")
 	}
-	check(salvaged, "salvage", "4f3ec07287a13751168e040c4c2ef0d6e66c5adf0b52eb156f69b50a3b48c5c6")
+	check(salvaged, "salvage", "9ae94aae74a9a163e05e816bd16e693e9e1d38eb80882a82ea73508826e4c028")
 }
 
 // TestUnreadableBundleFailsItsReadersOnly: a live snapshot whose bundle is

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,20 +18,21 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/index"
-	"knncost/internal/quadtree"
 )
 
-// TestCatalogScale measures the cache read path at fleet scale: N small
-// relations are built once and persisted as bundles, then the cache is
-// re-opened and every relation warm-loaded, exactly the way a restarted
-// daemon re-hydrates its schema: two catalog artifacts read, the AkNN
-// summary rebuilt from the restored tree. The test asserts bit-identical estimates
-// across the round trip with zero artifact builds, and that the warm-loaded
-// set is no more resident than the same set built on the heap, give or take
-// twice the bytes read — restore cost proportional to live bytes, not to
-// file count (a page per mapped file, as format 4 cost, is 8 KB a relation
-// and fails this from a few thousand relations up). It logs the numbers
-// DESIGN.md records: warm-load wall time, RSS and heap growth.
+// TestCatalogScale measures the restore path at fleet scale: N small
+// relations are built once and persisted as bundles, then a store is started
+// over the cache directory, exactly the way a restarted daemon re-hydrates
+// its schema: each relation published from its bundle's Count-Index and two
+// catalog sections, the AkNN summary rebuilt from the Count-Index, no build
+// job queued. The test asserts that every relation is served, with zero
+// catalog builds and two cache hits each, and bit-identical estimates across
+// the round trip, and that the restored set is no more resident than the
+// same set built on the heap, give or take twice the bytes read — restore
+// cost proportional to live bytes, not to file count (a page per mapped
+// file, as format 4 cost, is 8 KB a relation and fails this from a few
+// thousand relations up). It logs the numbers DESIGN.md records: the
+// restore's wall time per relation, RSS and heap growth.
 //
 // KNNCOST_SCALE_RELATIONS overrides the relation count; scripts/check.sh
 // drives it at 2000, DESIGN.md §15 records 100k.
@@ -46,13 +48,10 @@ func TestCatalogScale(t *testing.T) {
 		}
 		n = v
 	}
-	dir := t.TempDir()
-	cache, err := openDiskCache(dir, "", log.New(io.Discard, "", 0))
-	if err != nil {
-		t.Fatalf("openDiskCache: %v", err)
-	}
-	res := core.Resolution{MaxK: 64, GridSize: 4}.Canon()
-	opt := core.StaircaseOptions{MaxK: res.MaxK, Mode: res.StaircaseMode()}
+	opt := Options{MaxK: 64, GridSize: 4, IndexCapacity: 16, CacheDir: t.TempDir(), CompactInterval: -1,
+		Logger: log.New(io.Discard, "", 0)}
+	origin := newTestStore(t, opt)
+	res := origin.opt.resolveResolution(core.Resolution{})
 
 	relPoints := func(i int) []geom.Point {
 		return gridPoints(16+i%17, int64(i))
@@ -74,34 +73,24 @@ func TestCatalogScale(t *testing.T) {
 	buildStart := time.Now()
 	for i := 0; i < n; i++ {
 		pts := relPoints(i)
-		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
-		count := tree.CountTree()
-		stair, err := core.BuildStaircase(tree, opt)
+		b, err := origin.buildCatalogs(context.Background(), fmt.Sprintf("r%d", i), pts, res)
 		if err != nil {
-			t.Fatalf("BuildStaircase %d: %v", i, err)
+			t.Fatalf("build %d: %v", i, err)
 		}
-		vg, err := core.BuildVirtualGrid(count, res.GridSize, res.GridSize, res.MaxK)
-		if err != nil {
-			t.Fatalf("BuildVirtualGrid %d: %v", i, err)
-		}
-		sum := aknn.BuildSummaryCapacity(count, res.AknnCapacity)
-		fp := fmt.Sprintf("%064x", i)
-		if err := cache.storeBundle(fp, manifest{}, pts, stair, vg); err != nil {
-			t.Fatalf("storeBundle %d: %v", i, err)
-		}
-		fps[i] = fp
-		built[i] = loaded{stair, vg, sum}
-		want[i] = probeAll(t, pts, stair, vg, sum, count)
-		artifactBytes += int64(stair.SizeBytes() + vg.SizeBytes() + sum.SizeBytes())
+		fps[i] = b.fp
+		built[i] = loaded{b.staircase, b.vgrid, b.aknn}
+		want[i] = probeAll(t, pts, b.staircase, b.vgrid, b.aknn, b.tree)
+		artifactBytes += int64(b.staircase.SizeBytes() + b.vgrid.SizeBytes() + b.aknn.SizeBytes())
 		pointBytes += int64(16 * len(pts))
 	}
 	buildTook := time.Since(buildStart)
+	closeStore(t, origin)
 	runtime.GC()
 	debug.FreeOSMemory()
 	rssBuilt := vmRSS() // heap-built artifacts resident
 
-	// Drop every built artifact before measuring the warm path, so RSS and
-	// heap growth attribute to the loads alone.
+	// Drop every built artifact before measuring the restore, so RSS and
+	// heap growth attribute to it alone.
 	for i := range built {
 		built[i] = loaded{}
 	}
@@ -120,58 +109,51 @@ func TestCatalogScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache, err := openDiskCache(opt.CacheDir, "", opt.Logger)
+	if err != nil {
+		t.Fatalf("openDiskCache: %v", err)
+	}
 	if err := os.WriteFile(cache.registryPath(), regData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache2, err := openDiskCache(dir, "", log.New(io.Discard, "", 0))
-	if err != nil {
+	if cache, err = openDiskCache(opt.CacheDir, "", opt.Logger); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	sweepStart := time.Now()
-	cache2.sweepAll()
+	cache.sweepAll()
 	sweepTook := time.Since(sweepStart)
-	if swept := cache2.sweptFiles.Load(); swept != 0 || len(cache2.registry()) != n {
-		t.Fatalf("start-up sweep over %d registered bundles removed %d files (registry restored %d)", n, swept, len(cache2.registry()))
+	if swept := cache.sweptFiles.Load(); swept != 0 || len(cache.registry()) != n {
+		t.Fatalf("start-up sweep over %d registered bundles removed %d files (registry restored %d)", n, swept, len(cache.registry()))
 	}
-	keep := make([]loaded, n) // a daemon keeps every relation resident
-	warmStart := time.Now()
+
+	restoreStart := time.Now()
+	s := newTestStore(t, opt) // a daemon keeps every relation resident
+	waitReady(t, s)
+	restoreTook := time.Since(restoreStart)
+	if got, b, h := s.View().NumRelations(), s.CatalogBuilds(), s.CacheHits(); got != n || b != 0 || h != int64(2*n) {
+		t.Fatalf("the restart serves %d of %d relations after %d catalog builds and %d cache hits, want all of them, 0 and %d", got, n, b, h, 2*n)
+	}
 	for i := 0; i < n; i++ {
-		bd, err := cache2.loadBundle(fps[i])
-		if err != nil {
-			t.Fatalf("loadBundle %d: %v", i, err)
-		}
-		pts := bd.pts
-		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
-		count := tree.CountTree()
-		stair, err := core.UnmarshalStaircase(tree, bd.stair, opt)
-		if err != nil {
-			t.Fatalf("UnmarshalStaircase %d: %v", i, err)
-		}
-		// The summary is not in the bundle: the store rebuilds it from the
-		// restored tree, as it does here.
-		sum := aknn.BuildSummaryCapacity(count, res.AknnCapacity)
-		keep[i] = loaded{stair, bd.vgrid, sum}
-		if got := probeAll(t, pts, stair, bd.vgrid, sum, count); got != want[i] {
-			t.Fatalf("relation %d not bit-identical after warm load: got %+v, want %+v", i, got, want[i])
+		snap := s.View().Relation(fmt.Sprintf("r%d", i))
+		if got := probeAll(t, relPoints(i), snap.Staircase, snap.VGrid, snap.Aknn, snap.Tree); got != want[i] {
+			t.Fatalf("relation %d not bit-identical after the restore: got %+v, want %+v", i, got, want[i])
 		}
 	}
-	warmTook := time.Since(warmStart)
 	runtime.GC()
 	debug.FreeOSMemory()
 	rss1, heap1 := vmRSS(), heapAlloc()
-	runtime.KeepAlive(keep)
 
-	t.Logf("relations=%d artifact_bytes=%.1fMB build=%v startup_sweep=%v warm_load=%v (%.1fµs/relation)",
+	t.Logf("relations=%d artifact_bytes=%.1fMB build=%v startup_sweep=%v restore=%v (%.1fµs/relation)",
 		n, float64(artifactBytes)/(1<<20), buildTook.Round(time.Millisecond), sweepTook.Round(10*time.Microsecond),
-		warmTook.Round(time.Millisecond), float64(warmTook.Microseconds())/float64(n))
-	t.Logf("rss: built=%.1fMB warm=%.1fMB (growth rss=%+.1fMB heap=%+.1fMB; loaded artifacts %.1fMB + points %.1fMB)",
+		restoreTook.Round(time.Millisecond), float64(restoreTook.Microseconds())/float64(n))
+	t.Logf("rss: built=%.1fMB restored=%.1fMB (growth rss=%+.1fMB heap=%+.1fMB; loaded artifacts %.1fMB + points %.1fMB)",
 		float64(rssBuilt)/(1<<20), float64(rss1)/(1<<20),
 		float64(rss1-rss0)/(1<<20), float64(heap1-heap0)/(1<<20),
 		float64(artifactBytes)/(1<<20), float64(pointBytes)/(1<<20))
 	// Both sets hold the same indexes (tree, point-location grid), which at
 	// these relation sizes outweigh the catalogs; 4 MB is allocator slack.
 	if limit := (rssBuilt - rssStart) + 2*(artifactBytes+pointBytes) + 4<<20; rss0 > 0 && rss1-rss0 > limit {
-		t.Errorf("warm RSS grew %.1fMB, want at most the built set's %.1fMB + 2 × %.1fMB read + 4MB",
+		t.Errorf("restored RSS grew %.1fMB, want at most the built set's %.1fMB + 2 × %.1fMB read + 4MB",
 			float64(rss1-rss0)/(1<<20), float64(rssBuilt-rssStart)/(1<<20), float64(artifactBytes+pointBytes)/(1<<20))
 	}
 }

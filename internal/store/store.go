@@ -30,17 +30,18 @@
 //   - With a cache directory configured, built catalogs are persisted in the
 //     internal/core binary formats keyed by a fingerprint of the point data
 //     and build options: one bundle file per fingerprint (build parameters,
-//     points, per-relation catalogs). A restarted store re-registers the
-//     cached relations and loads their catalogs instead of rebuilding —
-//     warm restarts cost index-rebuild milliseconds, not catalog-build
-//     seconds — and builds a pair merge again at its first demand. The
-//     bundle of a generation no registry in the directory names any more is
-//     swept, so the directory holds live data only, however many compactions
-//     ran.
+//     points, Count-Index, per-relation catalogs). A restarted store
+//     publishes each cached relation from its bundle, with no build job and
+//     no point decoded — a warm restart costs one verifying read per bundle,
+//     not catalog-build seconds — and builds a pair merge again at its first
+//     demand. The bundle of a generation no registry in the directory names
+//     any more is swept, so the directory holds live data only, however many
+//     compactions ran.
 package store
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -432,9 +433,6 @@ type entry struct {
 	pendingPts  []geom.Point
 	pendingBase *Snapshot
 	pendingMuts []mutation
-	// pendingBundle is the bundle recovery read pendingPts from, so that
-	// the build need not read the file again.
-	pendingBundle *bundle
 	// snap is the currently published snapshot, nil before first publish.
 	snap *Snapshot
 	// cancel aborts the in-flight build when superseded or dropped.
@@ -485,8 +483,11 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	closed  bool
-	seq     uint64 // mutation sequence when the WAL is disabled
+	// lost holds the registry entries a restart could not verify: listed as
+	// failed, each pins the log until Register or Drop replaces it.
+	lost   map[string]*entry
+	closed bool
+	seq    uint64 // mutation sequence when the WAL is disabled
 	// publishHooks run under s.mu whenever a relation's published snapshot
 	// changes (hot swap, compaction publish, drop); see AddPublishHook.
 	publishHooks []func(relation string)
@@ -517,16 +518,16 @@ type Store struct {
 }
 
 // New creates a Store and starts its build workers. When CacheDir is set,
-// the write-ahead log in <CacheDir>/wal[-scope] is replayed and relations
-// recorded in the cache registry are re-registered immediately with their
-// unflushed deltas pending (their builds resolve from the cache, so they
-// become ready without any catalog construction, and leftover deltas
-// compact right after the first publish).
+// the write-ahead log in <CacheDir>/wal[-scope] is replayed and the
+// relations recorded in the cache registry are restored before New returns:
+// each is published from its bundle with its unflushed deltas pending, and
+// leftover deltas compact right away.
 func New(opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	s := &Store{
 		opt:     opt,
 		entries: map[string]*entry{},
+		lost:    map[string]*entry{},
 		jobs:    make(chan string, opt.QueueLen),
 	}
 	s.view.Store(emptyView)
@@ -560,18 +561,23 @@ func New(opt Options) (*Store, error) {
 			s.opt.logger().Printf("store: wal repaired on replay: %d torn tails truncated, %d segments dropped", rep.TruncatedTails, rep.DroppedSegments)
 		}
 	}
-	// Hold the lock across worker startup and recovery: a worker grabs the
-	// lock before building, so no build can publish until every restored
-	// relation carries its replayed deltas.
-	s.mu.Lock()
+	var queued []string
+	var trim uint64
+	if s.cache != nil {
+		s.mu.Lock()
+		queued, trim = s.recoverLocked(replay.Records)
+		s.mu.Unlock()
+	}
 	for i := 0; i < opt.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.cache != nil {
-		s.recoverLocked(replay.Records)
+	// Recovery is not admission: a build it staged waits for a slot rather
+	// than fail on the queue bound, which is Register's.
+	for _, name := range queued {
+		s.jobs <- name
 	}
-	s.mu.Unlock()
+	s.trimWAL(trim)
 	if opt.CompactInterval > 0 {
 		s.stopCompact = make(chan struct{})
 		s.compactorDone = make(chan struct{})
@@ -643,15 +649,20 @@ func validateName(name string) error {
 	if name == "" || len(name) > 64 {
 		return fmt.Errorf("store: relation name must be 1-64 characters, got %d", len(name))
 	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.':
-		default:
-			return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
-		}
+	if r, bad := badRune(name); bad {
+		return fmt.Errorf("store: relation name %q contains %q (allowed: letters, digits, '_', '-', '.')", name, r)
 	}
 	return nil
+}
+
+// badRune returns the first rune of s outside a name's [A-Za-z0-9_.-].
+func badRune(s string) (rune, bool) {
+	for _, r := range s {
+		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' || r == '-' || r == '.') {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
 // Register schedules a (re)build of name from the given points and returns
@@ -691,13 +702,17 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	e := s.entries[name]
 	isNew := e == nil
 	if isNew {
-		e = &entry{name: name}
+		// A lost entry's checkpoint stays pinned until this one publishes.
+		if e = s.lost[name]; e == nil {
+			e = &entry{name: name}
+		}
 	}
 	if err := s.enqueueLocked(e, pts); err != nil {
 		return RelationStatus{}, err
 	}
 	if isNew {
 		s.entries[name] = e
+		delete(s.lost, name)
 	}
 	// A user registration replaces base and deltas wholesale: pending
 	// mutations are obsolete, and the publish checkpoint covers everything
@@ -731,6 +746,12 @@ func (s *Store) enqueueLocked(e *entry, pts []geom.Point) error {
 			return ErrQueueFull
 		}
 	}
+	stageLocked(e, pts)
+	return nil
+}
+
+// stageLocked makes pts e's wanted generation; the caller queues its signal.
+func stageLocked(e *entry, pts []geom.Point) {
 	e.gen++
 	e.pendingPts, e.pendingBase, e.pendingMuts = pts, nil, nil
 	if e.state == StateBuilding && e.cancel != nil {
@@ -738,7 +759,6 @@ func (s *Store) enqueueLocked(e *entry, pts []geom.Point) error {
 	}
 	e.state = StateQueued
 	e.err = ""
-	return nil
 }
 
 // lastLSNLocked returns the newest assigned mutation sequence number.
@@ -763,6 +783,9 @@ func (s *Store) Drop(name string) bool {
 	defer s.mu.Unlock()
 	e := s.entries[name]
 	if e == nil {
+		e = s.lost[name]
+	}
+	if e == nil {
 		return false
 	}
 	// Log the drop and make it durable before the registry forgets the
@@ -779,6 +802,7 @@ func (s *Store) Drop(name string) bool {
 		e.cancel()
 	}
 	delete(s.entries, name)
+	delete(s.lost, name)
 	s.republishLocked()
 	s.notifyPublishLocked(name)
 	if s.cache != nil {
@@ -807,6 +831,11 @@ func (s *Store) Status(name string) (RelationStatus, bool) {
 // (the first failure is returned as an error), or ctx expires. With no
 // names it waits for every relation known at call time.
 func (s *Store) WaitReady(ctx context.Context, names ...string) error {
+	return s.wait(ctx, false, names)
+}
+
+// wait is WaitReady and, with settle, WaitSettled.
+func (s *Store) wait(ctx context.Context, settle bool, names []string) error {
 	if len(names) == 0 {
 		s.mu.Lock()
 		for name := range s.entries {
@@ -818,8 +847,12 @@ func (s *Store) WaitReady(ctx context.Context, names ...string) error {
 	defer tick.Stop()
 	for {
 		done := true
-		s.mu.Lock()
 		var failed error
+		s.mu.Lock()
+		if settle && s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
 		for _, name := range names {
 			e := s.entries[name]
 			if e == nil {
@@ -828,6 +861,10 @@ func (s *Store) WaitReady(ctx context.Context, names ...string) error {
 			}
 			switch e.state {
 			case StateReady:
+				if settle && len(e.pending) > 0 {
+					s.compactLocked(e)
+					done = false
+				}
 			case StateFailed:
 				failed = fmt.Errorf("store: building %q: %s", name, e.err)
 			default:
@@ -912,8 +949,8 @@ func (s *Store) runJob(name string) {
 		return
 	}
 	gen := e.gen
-	pts, base, muts, restored := e.pendingPts, e.pendingBase, e.pendingMuts, e.pendingBundle
-	e.pendingBase, e.pendingMuts, e.pendingBundle = nil, nil, nil
+	pts, base, muts := e.pendingPts, e.pendingBase, e.pendingMuts
+	e.pendingBase, e.pendingMuts = nil, nil
 	res := e.res
 	ctx, cancel := context.WithCancel(s.ctx)
 	e.cancel = cancel
@@ -930,7 +967,7 @@ func (s *Store) runJob(name string) {
 		}
 	}
 	if err == nil {
-		built, err = s.buildCatalogs(ctx, name, pts, res, restored)
+		built, err = s.buildCatalogs(ctx, name, pts, res)
 	}
 	cancelled := ctx.Err() != nil
 	cancel()
@@ -981,30 +1018,41 @@ func (s *Store) runJob(name string) {
 // cannot shrink to zero points, so it is not built.
 var errEmptyFold = errors.New("the fold would delete every point")
 
-// builtRelation carries a finished per-relation build from the worker into
-// the publish step.
+// builtRelation carries a finished per-relation build, or a bundle's load,
+// from the worker into the publish step.
 type builtRelation struct {
 	tree      *index.Tree // the Count-Index
 	staircase *core.Staircase
 	density   *core.DensityBased
 	vgrid     *core.VirtualGrid
 	aknn      *aknn.Summary
-	pts       []geom.Point    // registration-order source points; garbage once published
+	pts       []geom.Point    // registration-order source points; nil for a restore, garbage once published
 	fp        string          // fingerprint of pts at res
 	res       core.Resolution // the resolution the artifacts were built at
+	file      *os.File        // the bundle a load opened, which the snapshot keeps; nil for a build
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
-// at the given resolution; restored, when it carries the same fingerprint,
-// stands in for the bundle on disk. It runs without any store lock; ctx
-// aborts it between stages.
-func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, res core.Resolution, restored *bundle) (*builtRelation, error) {
+// at the given resolution. It runs without any store lock; ctx aborts it
+// between stages.
+func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, res core.Resolution) (*builtRelation, error) {
 	res = res.Canon()
+	fp := s.fingerprint(pts, res)
+	if s.cache != nil {
+		b, err := s.loadBundle(fp, res)
+		if err == nil {
+			b.pts = pts
+			return b, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.opt.logger().Printf("store: cache load %s: %v (rebuilding)", shortFP(fp), err)
+		}
+	}
 	bounds, ok := s.opt.fixedBounds()
 	if !ok {
 		bounds = boundsOf(pts)
 	}
-	b := &builtRelation{pts: pts, res: res, fp: s.fingerprint(pts, res)}
+	b := &builtRelation{pts: pts, res: res, fp: fp}
 	// The data index lives for the build only: Procedure 1 browses it, and
 	// what is published is its Count-Index.
 	data := quadtree.Build(pts, quadtree.Options{
@@ -1022,13 +1070,6 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	// bounds and counts: neither is cached nor counted as a catalog build.
 	b.density = core.NewDensityBased(b.tree)
 	b.aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
-
-	if s.cache != nil && s.loadCachedCatalogs(b, restored) {
-		return b, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	stair, err := core.BuildStaircase(b.tree, core.StaircaseOptions{
 		MaxK:     res.MaxK,
 		Mode:     res.StaircaseMode(),
@@ -1060,47 +1101,54 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	return b, nil
 }
 
-// loadCachedCatalogs tries to satisfy a build from the bundle recovery
-// already read, else from the disk cache. Any mismatch or corruption is a
-// miss, never an error: the caller rebuilds.
-func (s *Store) loadCachedCatalogs(b *builtRelation, bd *bundle) bool {
-	if bd == nil || bd.fp != b.fp {
-		var err error
-		if bd, err = s.cache.loadBundle(b.fp); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				s.opt.logger().Printf("store: cache load %s: %v (rebuilding)", shortFP(b.fp), err)
-			}
-			return false
-		}
-	}
-	if bd.man != s.manifestFor(b) {
-		return false
-	}
-	stair, err := core.UnmarshalStaircase(b.tree, bd.stair, core.StaircaseOptions{Fallback: b.density})
+// loadBundle loads the bundle of fp at res, for a restore or a registration
+// whose points the cache has seen: it builds nothing, decodes no point and
+// refuses a bundle whose points do not hash to fp or whose options differ.
+// The file it opens is the one the snapshot keeps.
+func (s *Store) loadBundle(fp string, res core.Resolution) (*builtRelation, error) {
+	f, err := os.Open(s.cache.bundlePath(fp))
 	if err != nil {
-		s.opt.logger().Printf("store: cache load %s: staircase: %v (rebuilding)", shortFP(b.fp), err)
-		return false
+		return nil, err
 	}
-	b.staircase, b.vgrid = stair, bd.vgrid
+	h := s.fingerprintHash(res)
+	info, err := f.Stat()
+	var b *builtRelation
+	var man manifest
+	if err == nil {
+		b, man, err = readBundle(f, info.Size(), h)
+	}
+	switch {
+	case err != nil:
+	case hex.EncodeToString(h.Sum(nil)) != fp:
+		err = errors.New("bundle: its points do not hash to its fingerprint")
+	case man != s.manifestFor(b.tree, res):
+		err = errors.New("bundle: built with other options")
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	s.cacheHits.Add(2) // staircase + virtual grid
-	return true
+	b.aknn, b.fp, b.res, b.file = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity), fp, res, f
+	return b, nil
 }
 
 // storeBundle writes b's bundle: points and artifacts, built or cache-loaded,
 // encode to the same bytes.
 func (s *Store) storeBundle(b *builtRelation) error {
-	return s.cache.storeBundle(b.fp, s.manifestFor(b), b.pts, b.staircase, b.vgrid)
+	data := encodeBundle(s.manifestFor(b.tree, b.res), b.pts, b.tree, b.staircase, b.vgrid)
+	return s.cache.writeFile("bundle", s.cache.bundlePath(b.fp), data)
 }
 
-func (s *Store) manifestFor(b *builtRelation) manifest {
+func (s *Store) manifestFor(tree *index.Tree, res core.Resolution) manifest {
 	return manifest{
-		NumPoints:    int64(b.tree.NumPoints()),
-		NumBlocks:    int64(b.tree.NumBlocks()),
-		MaxK:         int64(b.res.MaxK),
-		Corners:      int64(b.res.Corners),
+		NumPoints:    int64(tree.NumPoints()),
+		NumBlocks:    int64(tree.NumBlocks()),
+		MaxK:         int64(res.MaxK),
+		Corners:      int64(res.Corners),
 		SampleSize:   int64(s.opt.SampleSize),
-		GridSize:     int64(b.res.GridSize),
-		AknnCapacity: int64(b.res.AknnCapacity),
+		GridSize:     int64(res.GridSize),
+		AknnCapacity: int64(res.AknnCapacity),
 		Capacity:     int64(s.opt.IndexCapacity),
 	}
 }
@@ -1111,10 +1159,6 @@ func (s *Store) manifestFor(b *builtRelation) manifest {
 // pair merges are resolved when asked for. Readers never block on it. It
 // returns the WAL watermark for the caller to trim to once s.mu is released.
 func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
-	version := uint64(1)
-	if e.snap != nil {
-		version = e.snap.Version + 1
-	}
 	covered := e.ckptLSN
 	wasCompact := e.isCompact
 	e.isCompact = false
@@ -1123,11 +1167,30 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	e.pending = filterCovered(e.pending, covered)
 	// The registry is written before the View is swapped: a reader is told
 	// a relation is ready only once a restart would restore it.
-	src := &pointsSource{n: len(b.pts), fp: b.fp, res: b.res, bounds: b.tree.Bounds(), s: s}
 	var replaced string
 	if s.cache != nil {
-		replaced, trim, src.file = s.persistLocked(e, b, covered)
+		replaced, trim = s.persistLocked(e, b, covered)
 	}
+	s.installLocked(e, b)
+	s.view.Store(s.buildViewLocked())
+	s.notifyPublishLocked(e.name)
+	if replaced != "" {
+		s.retireLocked(replaced)
+	}
+	if wasCompact {
+		s.compactions.Add(1)
+	}
+	return trim
+}
+
+// installLocked makes b e's snapshot, its points in b's bundle or memory. A
+// restore calls it alone: its bundle is durable and registered already.
+func (s *Store) installLocked(e *entry, b *builtRelation) {
+	version := uint64(1)
+	if e.snap != nil {
+		version = e.snap.Version + 1
+	}
+	src := &pointsSource{file: b.file, n: b.tree.NumPoints(), fp: b.fp, res: b.res, bounds: b.tree.Bounds(), s: s}
 	if src.file == nil {
 		src.mem = appendPoints(make([]byte, 0, pointsSize(len(b.pts))), b.pts)
 	}
@@ -1162,15 +1225,6 @@ func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
 	e.state = StateReady
 	e.err = ""
 	e.pendingPts = nil
-	s.view.Store(s.buildViewLocked())
-	s.notifyPublishLocked(e.name)
-	if replaced != "" {
-		s.retireLocked(replaced)
-	}
-	if wasCompact {
-		s.compactions.Add(1)
-	}
-	return trim
 }
 
 // retireLocked sweeps fp, the generation a publish replaced, once
@@ -1187,8 +1241,8 @@ func (s *Store) retireLocked(fp string) {
 }
 
 // persistLocked makes e's new snapshot the durable base. Order: make sure
-// the bundle is on disk, and open it — the snapshot reads its points from it —
-// then make it durable, when it replaces a generation,
+// the bundle is on disk, and hold it open in b.file — the snapshot reads its
+// points from it — then make it durable, when it replaces a generation,
 // checkpoint the fold in the WAL, fsync it, and only then let the registry
 // adopt the new fingerprint. Replay treats a checkpoint whose fingerprint the
 // registry never adopted as ineffective, so a crash anywhere in this sequence
@@ -1197,11 +1251,11 @@ func (s *Store) retireLocked(fp string) {
 // directory's lock, shared: no store on the directory can sweep between the
 // moment the bundle is seen on disk and the moment the registry names it. It
 // returns the fingerprint the registry held for e before, now a dead
-// generation for the caller to retire, the WAL watermark the publish leaves
-// (0: nothing to trim), and the open bundle (nil: none was persisted). A
-// failure past the open keeps the file: it holds the snapshot's points
-// whatever the registry names, and a sweep's unlink leaves it readable.
-func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64, f *os.File) {
+// generation for the caller to retire, and the WAL watermark the publish
+// leaves (0: nothing to trim). A failure past the open keeps the file: it
+// holds the snapshot's points whatever the registry names, and a sweep's
+// unlink leaves it readable.
+func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64) {
 	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
 	defer release()
 	// buildCatalogs wrote the bundle, or loaded it, some time ago and
@@ -1209,18 +1263,20 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 	// which it was a dead generation not yet named here, or this store's
 	// own, when a relation returns to a fingerprint it has just left. The
 	// build still holds everything the file held.
-	f, err := os.Open(s.cache.bundlePath(b.fp))
+	path := s.cache.bundlePath(b.fp)
+	_, err := os.Stat(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err = s.storeBundle(b); err == nil {
-			f, err = os.Open(s.cache.bundlePath(b.fp))
-		}
+		err = s.storeBundle(b)
+	}
+	if err == nil && b.file == nil {
+		b.file, err = os.Open(path)
 	}
 	if err != nil {
 		// No bundle, no restore: keep the previous fingerprint registered
 		// and the log pinned, as for a failed registry write.
-		s.opt.logger().Printf("store: caching %q: %v (serving it from memory, but not restorable)", e.name, err)
+		s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
 		e.durableStale = true
-		return "", 0, nil
+		return "", 0
 	}
 	// The previous generation is swept once the registry stops naming it,
 	// so the new bundle must be durable before the registry may name it.
@@ -1228,11 +1284,11 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 		if err := s.cache.syncBundle(b.fp); err != nil {
 			s.opt.logger().Printf("store: syncing the bundle of %q: %v (registry not updated)", e.name, err)
 			e.durableStale = true
-			return "", 0, f
+			return "", 0
 		}
 	}
-	// A warm restart republishes the base its log already checkpoints; it
-	// appends nothing (and remember, below, finds nothing to write).
+	// A re-registration of the points a relation already serves appends
+	// nothing (and remember, below, finds nothing to write).
 	if s.wal != nil && (b.fp != e.durableFP || covered != e.durableCovered) {
 		_, err := s.wal.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: e.name, Covered: covered, Fingerprint: b.fp})
 		if err == nil {
@@ -1244,7 +1300,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 			// covered deltas on replay.
 			s.opt.logger().Printf("store: checkpointing %q: %v (registry not updated)", e.name, err)
 			e.durableStale = true
-			return "", 0, f
+			return "", 0
 		}
 	}
 	replaced, err = s.cache.remember(e.name, b.fp, b.res)
@@ -1255,7 +1311,7 @@ func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (repla
 		e.durableStale = false
 		e.durableFP, e.durableCovered = b.fp, covered
 	}
-	return replaced, s.walWatermarkLocked(), f
+	return replaced, s.walWatermarkLocked()
 }
 
 // republishLocked swaps in a View of the current entries; for every change
@@ -1277,6 +1333,9 @@ func (s *Store) buildViewLocked() *View {
 	for name, e := range s.entries {
 		v.statuses = append(v.statuses, e.statusLocked())
 		changed = changed || e.snap != old.relations[name]
+	}
+	for _, e := range s.lost {
+		v.statuses = append(v.statuses, e.statusLocked())
 	}
 	sort.Slice(v.statuses, func(i, j int) bool { return v.statuses[i].Name < v.statuses[j].Name })
 	for _, name := range old.names {

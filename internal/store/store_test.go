@@ -376,11 +376,12 @@ func TestHotSwapNoMixedVersions(t *testing.T) {
 //   - defaults: two relations at the store-wide resolution;
 //   - declared resolution: one relation registered at MaxK 64, grid 2 and
 //     AkNN capacity 64, beside one at the defaults;
-//   - format7 declared key: testdata/format7, written under the current
-//     cacheFormat by a store whose registry entries carried a "declared"
-//     resolution beside "resolution": d0 (gridPoints(200, 81)), where the two
-//     agree, and t0 (gridPoints(300, 82)), served at grid 2 of a declared 4.
-//     Each restores at its "resolution", the one its bundle was built at;
+//   - format7 declared key: the "declared" resolution format-7 stores wrote
+//     beside "resolution", carried by the registry of testdata/format8 (its
+//     bundles written under the current cacheFormat): d0 (gridPoints(200,
+//     81)), where the two agree, and t0 (gridPoints(300, 82)), served at grid
+//     2 of a declared 4. Each restores at its "resolution", the one its
+//     bundle was built at;
 //   - compacted: the first relation restarts from the generation a
 //     compaction of appends published.
 //
@@ -404,7 +405,7 @@ func TestWarmRestart(t *testing.T) {
 			{"w1", gridPoints(1500, 2), core.Resolution{MaxK: 64, GridSize: 2, AknnCapacity: 64}},
 			{"w2", gridPoints(1200, 5), core.Resolution{}},
 		}},
-		{name: "format7 declared key", fixture: "format7", rels: []rel{
+		{name: "format7 declared key", fixture: "format8", rels: []rel{
 			{"d0", gridPoints(200, 81), core.Resolution{}},
 			{"t0", gridPoints(300, 82), core.Resolution{GridSize: 2}},
 		}},
@@ -549,10 +550,10 @@ func damageStaircaseSection(t *testing.T, dir, fp string) {
 	if err != nil {
 		t.Fatalf("reading cached bundle: %v", err)
 	}
-	stairEntry := data[bundleTable+24*1:] // section table row 1: kind, offset, length
+	stairEntry := data[bundleTable+24*secStair:] // its section table row: kind, offset, length
 	off, n := binary.LittleEndian.Uint64(stairEntry[8:]), binary.LittleEndian.Uint64(stairEntry[16:])
 	if string(data[off:off+7]) != "KNCSMAP" {
-		t.Fatalf("section 1 of the bundle starts %q, not a staircase", data[off:off+8])
+		t.Fatalf("section %d of the bundle starts %q, not a staircase", secStair, data[off:off+8])
 	}
 	data[off+n/2] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
