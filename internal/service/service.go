@@ -280,7 +280,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, _ *http.Request) {
 	list := s.store.View().List()
 	out := make([]RelationInfo, len(list))
 	for i, st := range list {
-		out[i] = infoFromStatus(st)
+		out[i] = infoFromStatus(*st)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -63,7 +63,7 @@ import (
 // swept: see sweep for the rule and DESIGN §15 for why it needs no grace
 // period. Sweeping makes "a bundle that exists" a statement about one
 // instant, so the publisher checks it again at the one moment it matters
-// (Store.persistLocked), under the lock that keeps sweepers out.
+// (Store.persist), under the lock that keeps sweepers out.
 
 // cacheFormat is the bundle/registry format version; bump on any change to
 // the layout or to what a fingerprint covers (DESIGN §15 has their history:
@@ -597,51 +597,58 @@ func (c *diskCache) registry() []registryEntry {
 	return slices.Clone(c.entries)
 }
 
-// remember records name → (fp, resolution) in the registry, replacing any
-// previous entry for name; replaced is the fingerprint that entry held, when
-// it held a different one.
-func (c *diskCache) remember(name, fp string, res core.Resolution) (replaced string, err error) {
-	return c.updateRegistry(name, &registryEntry{Name: name, Fingerprint: fp, Resolution: res.Canon()})
-}
-
 // forget removes name from the registry and returns the fingerprint it held,
-// which the caller sweeps: a later registration of the same data rebuilds.
-func (c *diskCache) forget(name string) (forgotten string, err error) {
-	return c.updateRegistry(name, nil)
+// if any, which the caller sweeps: a later registration of the same data
+// rebuilds.
+func (c *diskCache) forget(name string) (forgotten []string, err error) {
+	return c.remember(nil, name)
 }
 
-// updateRegistry replaces name's entry with put (removes it when put is
-// nil) and writes the file through, unless nothing would change — a warm
-// restart re-remembers what it restored and writes nothing. The in-memory
-// copy changes only once the write has succeeded, so memory and disk never
-// disagree. It returns the fingerprint name no longer maps to, if any.
-func (c *diskCache) updateRegistry(name string, put *registryEntry) (replaced string, err error) {
+// remember is the registry's one writer: it records each of puts' names →
+// (fingerprint, resolution), replacing any previous entry for the name,
+// removes drop's ("" is none), and writes the file through once — a publish
+// group's write — unless nothing would change: a warm restart re-remembers
+// what it restored and writes nothing. The in-memory copy changes only once
+// the write has succeeded, so memory and disk never disagree. It returns the
+// fingerprints that no entry maps to any more.
+func (c *diskCache) remember(puts []registryEntry, drop string) (replaced []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, found := slices.BinarySearchFunc(c.entries, name, func(e registryEntry, n string) int { return strings.Compare(e.Name, n) })
+	byName := func(e registryEntry, n string) int { return strings.Compare(e.Name, n) }
 	next := slices.Clone(c.entries)
-	switch {
-	case put == nil && !found, put != nil && found && c.entries[i] == *put:
-		return "", nil
-	case put == nil:
+	var named []string // the fingerprints this write makes the registry name
+	for _, put := range puts {
+		put.Resolution = put.Resolution.Canon()
+		switch i, found := slices.BinarySearchFunc(next, put.Name, byName); {
+		case !found:
+			next = slices.Insert(next, i, put)
+		case next[i] == put:
+			continue
+		default:
+			if next[i].Fingerprint != put.Fingerprint {
+				replaced = append(replaced, next[i].Fingerprint)
+			}
+			next[i] = put
+		}
+		named = append(named, put.Fingerprint)
+	}
+	i, dropped := slices.BinarySearchFunc(next, drop, byName)
+	if dropped = dropped && drop != ""; dropped {
+		replaced = append(replaced, next[i].Fingerprint)
 		next = slices.Delete(next, i, i+1)
-	case found:
-		next[i] = *put
-	default:
-		next = slices.Insert(next, i, *put)
+	}
+	if len(named) == 0 && !dropped {
+		return nil, nil
 	}
 	data, err := json.Marshal(registryFile{Format: cacheFormat, Relations: next})
+	if err == nil {
+		err = c.writeFile("registry", c.registryPath(), data)
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if err := c.writeFile("registry", c.registryPath(), data); err != nil {
-		return "", err
-	}
-	if found && (put == nil || put.Fingerprint != c.entries[i].Fingerprint) {
-		replaced = c.entries[i].Fingerprint
-	}
-	if put != nil {
-		c.unsynced[put.Fingerprint] = true
+	for _, fp := range named {
+		c.unsynced[fp] = true
 	}
 	c.entries, c.dirty = next, true
 	return replaced, nil

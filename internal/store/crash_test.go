@@ -79,6 +79,13 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 	var caps []crashCapture
 	var live atomic.Pointer[Store]
 	hook := func(op string) {
+		if st := live.Load(); st != nil && op == "trim" {
+			// A trim runs without the store's locks: take pubMu, as a
+			// publish's durable steps do, so that no registry write lands
+			// in the middle of the copy.
+			st.pubMu.Lock()
+			defer st.pubMu.Unlock()
+		}
 		capMu.Lock()
 		defer capMu.Unlock()
 		dst := filepath.Join(capRoot, fmt.Sprintf("%03d-%s", len(caps), op))
@@ -88,7 +95,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		}
 		c := crashCapture{dir: dst, op: op}
 		if st := live.Load(); st != nil {
-			for _, rs := range st.View().List() { // lock-free: the hook may run under s.mu
+			for _, rs := range st.View().List() { // lock-free: the hook may run under pubMu or s.mu
 				if rs.State == StateReady.String() {
 					c.ready = append(c.ready, rs.Name)
 				}
@@ -258,9 +265,9 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 // precede. At each of those points the harness copies the directory,
 // empties every bundle no fsync covered, and restarts from the copy: the
 // relation must come back whole. The copy is one instant: it is taken under
-// the store lock, under which every registry write happens. A fresh
-// registration is not captured: until its first fsync nothing promises it
-// survives a power loss.
+// pubMu, under which every registry write happens. A fresh registration is
+// not captured: until its first fsync nothing promises it survives a power
+// loss.
 func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 	root := t.TempDir()
 	cacheDir := filepath.Join(root, "cache")
@@ -275,10 +282,10 @@ func TestPowerLossBeforeTrimKeepsTheBundle(t *testing.T) {
 	opt.CompactInterval = -1
 	opt.crashHook = func(op string) {
 		switch op {
-		case "trim": // a trim runs without the store lock: take it before mu, as a publish's fsyncs do
-			s.mu.Lock()
-			defer s.mu.Unlock()
-		case "registry": // the publish holds the store lock
+		case "trim": // a trim runs without the store's locks: take pubMu before mu, as a publish's fsyncs do
+			s.pubMu.Lock()
+			defer s.pubMu.Unlock()
+		case "registry": // the publish holds pubMu
 		default:
 			return
 		}

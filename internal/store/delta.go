@@ -14,6 +14,10 @@ package store
 //	View swap (the relation is listed ready) → sweep of the generation the
 //	registry no longer names
 //
+// The builds that finish while one publish does its I/O publish next as a
+// group, each in this order: one fsync covers all their checkpoints, one
+// registry write names all their bundles.
+//
 // A checkpoint record carries (relation, covered LSN, fingerprint) and is
 // only *effective* on replay when its fingerprint matches what the registry
 // restored — so a crash anywhere in the sequence replays to a consistent
@@ -171,6 +175,7 @@ func (s *Store) mutate(kind wal.Kind, name string, pts []geom.Point) (RelationSt
 		lsn = s.seq
 	}
 	e.pending = append(e.pending, mutation{lsn: lsn, kind: kind, pts: pts, at: time.Now()})
+	s.relist[name] = true // the next View lists the delta
 	if pendingPoints(e) >= s.opt.CompactThreshold {
 		s.compactLocked(e)
 	}
@@ -212,7 +217,7 @@ func (s *Store) rollbackMutation(name string, lsn uint64) bool {
 	for i, m := range e.pending {
 		if m.lsn == lsn {
 			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			s.republishLocked()
+			s.republishLocked(name)
 			return true
 		}
 	}
@@ -290,7 +295,7 @@ func (s *Store) compactLocked(e *entry) {
 		return // queue saturated; the interval compactor retries
 	}
 	stageFold(e)
-	s.republishLocked()
+	s.republishLocked(e.name)
 }
 
 // stageFold makes the generation stageLocked staged fold e's pending deltas.
@@ -337,13 +342,16 @@ func (s *Store) compactor() {
 // staged for their fold. It builds the View once and returns the staged
 // relations, for New to queue, and the log's watermark.
 func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint64) {
+	var names []string
 	for _, reg := range s.cache.registry() {
 		res := s.opt.resolveResolution(reg.Resolution)
 		e := &entry{name: reg.Name, res: res, durableFP: reg.Fingerprint}
 		s.entries[reg.Name] = e
+		names = append(names, reg.Name)
 		b, err := s.loadBundle(reg.Fingerprint, res)
 		if err == nil {
-			s.installLocked(e, b)
+			s.installSnapshot(e, b)
+			e.state = StateReady
 			continue
 		}
 		// The artifacts are derivable, the points (and the logged mutations
@@ -423,7 +431,7 @@ func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint6
 	// names either is dead — the generations a kill kept from being swept,
 	// the bundle a kill kept from being registered.
 	s.cache.sweepAll()
-	s.republishLocked()
+	s.republishLocked(names...)
 	return queued, s.walWatermarkLocked()
 }
 

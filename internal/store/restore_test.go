@@ -126,7 +126,7 @@ func TestSkippedRelationPinsTheLog(t *testing.T) {
 				t.Errorf("the restart serves %d relations, want %d", got, want)
 			}
 			if damaged {
-				i := slices.IndexFunc(re.View().List(), func(st RelationStatus) bool { return st.Name == last })
+				i := slices.IndexFunc(re.View().List(), func(st *RelationStatus) bool { return st.Name == last })
 				if i < 0 || re.View().List()[i].State != StateFailed.String() || re.View().List()[i].Error == "" {
 					t.Errorf("the relation whose points do not verify is not listed as failed: %+v", re.View().List())
 				}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,4 +203,46 @@ func heapAlloc() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkRegisterToReady records register→ready per relation as the
+// store grows (ROADMAP item 3): relations of 1k points, registered by a
+// sequential client in batches of 100, each batch waited ready before the
+// next, into a store with a cache directory and two build workers. It
+// reports the batch's time per relation for the batches that take the store
+// to 100, 400 and 1,600 relations; a flat row means a publish costs the same
+// however many relations the store holds. It records and asserts nothing.
+func BenchmarkRegisterToReady(b *testing.B) {
+	const batch = 100
+	sizes := []int{100, 400, 1600}
+	perRelation := map[int]float64{}
+	for i := 0; i < b.N; i++ {
+		s, err := New(Options{Workers: 2, CacheDir: b.TempDir(), CompactInterval: -1, Logger: log.New(io.Discard, "", 0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+		for n := batch; n <= sizes[len(sizes)-1]; n += batch {
+			names := make([]string, 0, batch)
+			start := time.Now()
+			for j := n - batch; j < n; j++ {
+				name := fmt.Sprintf("r%d", j)
+				if _, err := s.Register(name, gridPoints(1000, int64(j))); err != nil {
+					b.Fatal(err)
+				}
+				names = append(names, name)
+			}
+			if err := s.WaitReady(ctx, names...); err != nil {
+				b.Fatal(err)
+			}
+			if slices.Contains(sizes, n) {
+				perRelation[n] += float64(time.Since(start).Microseconds()) / 1e3 / batch
+			}
+		}
+		cancel()
+		s.Close(context.Background())
+	}
+	for _, n := range sizes {
+		b.ReportMetric(perRelation[n]/float64(b.N), fmt.Sprintf("ms/rel@%d", n))
+	}
 }

@@ -40,17 +40,20 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"log"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,10 +336,9 @@ type RelationStatus struct {
 // touching old ones; all a View gains once published is memoised pair merges.
 type View struct {
 	relations map[string]*Snapshot
-	names     []string         // sorted names of published relations
-	statuses  []RelationStatus // sorted listing incl. unpublished relations
-	pairs     *sync.Map        // pairKey → *pairSlot, for every pair a join or plan asked for
-	store     *Store           // resolves the merges; nil only in emptyView, which has no pair
+	statuses  []*RelationStatus // sorted listing incl. unpublished relations
+	pairs     *sync.Map         // pairKey → *pairSlot, for every pair a join or plan asked for
+	store     *Store            // resolves the merges; nil only in emptyView, which has no pair
 }
 
 // pairKey is {outer, inner} by identity: no slot serves another generation.
@@ -404,14 +406,22 @@ func (v *View) JoinEstimator(jt engine.JoinTechnique, outer, inner *Snapshot) (c
 	return p.est, p.err
 }
 
-// Names returns the sorted names of the published relations. The slice is
-// shared; callers must not modify it.
-func (v *View) Names() []string { return v.names }
+// Names returns the sorted names of the published relations, in a slice of
+// the caller's.
+func (v *View) Names() []string {
+	names := make([]string, 0, len(v.relations))
+	for name := range v.relations {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
 
 // List returns the status of every relation known when the View was
 // published (including queued, building and failed ones), sorted by name.
-// The slice is shared; callers must not modify it.
-func (v *View) List() []RelationStatus { return v.statuses }
+// The slice and the statuses are shared, one per row a publish recomputed:
+// callers must not modify them.
+func (v *View) List() []*RelationStatus { return v.statuses }
 
 // NumRelations returns the number of published relations.
 func (v *View) NumRelations() int { return len(v.relations) }
@@ -452,7 +462,8 @@ type entry struct {
 	// the compaction counter; compactions also re-trigger on leftovers).
 	isCompact bool
 	// durableFP is the fingerprint the registry holds for this relation
-	// (restored from it, or adopted by the last successful publish); WAL
+	// (restored from it, or adopted by the last successful publish, under
+	// pubMu as well, so a persist reads it under pubMu alone); WAL
 	// checkpoints are effective on replay only if they match.
 	durableFP string
 	// replayDropped is set while replay scans a KindDrop record; if no
@@ -461,9 +472,13 @@ type entry struct {
 	// durableCovered is how much of the log durableFP has absorbed;
 	// durableStale pins the WAL there while the registry lacks what the
 	// relation serves: a persist failed, or a re-registration dropped
-	// pending deltas and has not published yet.
+	// pending deltas, or arrived while a generation persisted, and has not
+	// published yet.
 	durableCovered uint64
 	durableStale   bool
+	// publishing is set while a publish group holds a build of e: a wait
+	// ends once the group has retired what it replaced.
+	publishing bool
 }
 
 // ErrQueueFull is returned by Register when the build queue is saturated.
@@ -481,6 +496,10 @@ type Store struct {
 
 	view atomic.Pointer[View]
 
+	// pubMu orders publishes against each other and against Drop, and is
+	// taken before mu, which a publish never holds across file I/O.
+	pubMu sync.Mutex
+
 	mu      sync.Mutex
 	entries map[string]*entry
 	// lost holds the registry entries a restart could not verify: listed as
@@ -488,6 +507,14 @@ type Store struct {
 	lost   map[string]*entry
 	closed bool
 	seq    uint64 // mutation sequence when the WAL is disabled
+	// finished holds the builds waiting for a publish group; while leading,
+	// a worker forms groups until none is left.
+	finished []*member
+	leading  bool
+	// relist names the relations whose listing row the next View recomputes:
+	// those whose status changed, and those with deltas, whose age moves.
+	relist    map[string]bool
+	published chan struct{} // closed and replaced at every View swap and at Close
 	// publishHooks run under s.mu whenever a relation's published snapshot
 	// changes (hot swap, compaction publish, drop); see AddPublishHook.
 	publishHooks []func(relation string)
@@ -525,10 +552,12 @@ type Store struct {
 func New(opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	s := &Store{
-		opt:     opt,
-		entries: map[string]*entry{},
-		lost:    map[string]*entry{},
-		jobs:    make(chan string, opt.QueueLen),
+		opt:       opt,
+		entries:   map[string]*entry{},
+		lost:      map[string]*entry{},
+		relist:    map[string]bool{},
+		published: make(chan struct{}),
+		jobs:      make(chan string, opt.QueueLen),
 	}
 	s.view.Store(emptyView)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -723,7 +752,7 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	e.ckptLSN = s.lastLSNLocked()
 	e.isCompact = false
 	e.res = res
-	s.republishLocked()
+	s.republishLocked(name)
 	return e.statusLocked(), nil
 }
 
@@ -773,12 +802,15 @@ func (s *Store) lastLSNLocked() uint64 {
 // published snapshot (if any) leaves the next View, the cache registry
 // forgets the name and the relation's cached artifacts are swept, unless
 // another relation or another store on the directory still names them (a
-// re-registration of the same data rebuilds). In-flight estimates holding an
+// re-registration of the same data rebuilds). A publish in progress, of this
+// relation or any other, finishes first. In-flight estimates holding an
 // older View keep working on the snapshot they resolved. It reports whether
 // the relation existed.
 func (s *Store) Drop(name string) bool {
 	var trim uint64
-	defer func() { s.trimWAL(trim) }() // runs after the unlock below
+	defer func() { s.trimWAL(trim) }() // runs after the unlocks below
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entries[name]
@@ -803,14 +835,14 @@ func (s *Store) Drop(name string) bool {
 	}
 	delete(s.entries, name)
 	delete(s.lost, name)
-	s.republishLocked()
+	s.republishLocked(name)
 	s.notifyPublishLocked(name)
 	if s.cache != nil {
 		forgotten, err := s.cache.forget(name)
 		if err != nil {
 			s.opt.logger().Printf("store: updating cache registry after dropping %q: %v", name, err)
 		}
-		s.cache.sweep(forgotten)
+		s.cache.sweep(forgotten...)
 	}
 	trim = s.walWatermarkLocked()
 	return true
@@ -843,10 +875,8 @@ func (s *Store) wait(ctx context.Context, settle bool, names []string) error {
 		}
 		s.mu.Unlock()
 	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
 	for {
-		done := true
+		done, retry := true, false
 		var failed error
 		s.mu.Lock()
 		if settle && s.closed {
@@ -861,9 +891,13 @@ func (s *Store) wait(ctx context.Context, settle bool, names []string) error {
 			}
 			switch e.state {
 			case StateReady:
-				if settle && len(e.pending) > 0 {
+				if e.publishing { // until the generation it replaced is retired
+					done = false
+				} else if settle && len(e.pending) > 0 {
 					s.compactLocked(e)
 					done = false
+					// Still ready: the queue was full, and no View may come.
+					retry = retry || e.state == StateReady
 				}
 			case StateFailed:
 				failed = fmt.Errorf("store: building %q: %s", name, e.err)
@@ -874,6 +908,7 @@ func (s *Store) wait(ctx context.Context, settle bool, names []string) error {
 				break
 			}
 		}
+		published := s.published
 		s.mu.Unlock()
 		if failed != nil {
 			return failed
@@ -881,10 +916,15 @@ func (s *Store) wait(ctx context.Context, settle bool, names []string) error {
 		if done {
 			return nil
 		}
+		var again <-chan time.Time
+		if retry {
+			again = time.After(2 * time.Millisecond)
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-tick.C:
+		case <-published:
+		case <-again:
 		}
 	}
 }
@@ -901,6 +941,7 @@ func (s *Store) Close(ctx context.Context) error {
 	}
 	s.closed = true
 	close(s.jobs)
+	s.wakeLocked() // a WaitSettled returns ErrClosed
 	s.mu.Unlock()
 
 	if s.stopCompact != nil {
@@ -955,7 +996,7 @@ func (s *Store) runJob(name string) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	e.cancel = cancel
 	e.state = StateBuilding
-	s.republishLocked()
+	s.republishLocked(name)
 	s.mu.Unlock()
 
 	var built *builtRelation
@@ -975,42 +1016,35 @@ func (s *Store) runJob(name string) {
 		s.opt.crashHook("built") // the bundle is on disk and nothing names it yet
 	}
 
-	var trim uint64
-	defer func() { s.trimWAL(trim) }() // runs after the unlock below
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.entries[name]
-	if cur == nil || cur.gen != gen {
-		// Dropped or superseded while building: discard, and with the build
-		// the bundle it wrote, which nothing will register.
-		if built != nil && s.cache != nil {
-			s.cache.sweep(built.fp)
-		}
-		return
+	cur, lead := s.entries[name], false
+	current := cur != nil && cur.gen == gen
+	if current {
+		cur.cancel = nil
 	}
-	cur.cancel = nil
-	if errors.Is(err, errEmptyFold) {
+	switch {
+	case current && errors.Is(err, errEmptyFold):
 		cur.state = StateReady // the deltas stay pending, the snapshot serves
-		s.republishLocked()
+		s.republishLocked(name)
 		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", name)
-		return
-	}
-	if err != nil {
+	case current && err != nil:
 		if cancelled {
 			err = fmt.Errorf("build cancelled: %w", err)
 		}
 		cur.state = StateFailed
 		cur.err = err.Error()
 		cur.pendingPts = nil // nothing builds from them again: a retry is a new registration or a compaction
-		s.republishLocked()
+		s.republishLocked(name)
 		s.opt.logger().Printf("store: building %q: %v", name, err)
-		return
+	case built != nil: // one dropped or superseded meanwhile is discarded when its group forms
+		s.finished = append(s.finished, &member{name: name, gen: gen, b: built})
+		lead, s.leading = !s.leading, true
 	}
-	trim = s.publishLocked(cur, built)
-	// Deltas that arrived while this build ran (or were replayed at
-	// startup) are still pending: fold them in the next round.
-	if cur.state == StateReady && len(cur.pending) > 0 {
-		s.compactLocked(cur)
+	s.mu.Unlock()
+	// The worker that finds no leader leads: it publishes, at once and from
+	// the goroutine that is already running, until no build is left waiting;
+	// one that finds a leader goes back to building.
+	for lead && s.publish() {
 	}
 }
 
@@ -1153,39 +1187,201 @@ func (s *Store) manifestFor(tree *index.Tree, res core.Resolution) manifest {
 	}
 }
 
-// publishLocked turns a finished build into the next published version:
-// the relation's snapshot, its durable form, and a fresh View. It runs under
-// s.mu — publication is serialized — and builds nothing: the new snapshot's
-// pair merges are resolved when asked for. Readers never block on it. It
-// returns the WAL watermark for the caller to trim to once s.mu is released.
-func (s *Store) publishLocked(e *entry, b *builtRelation) (trim uint64) {
-	covered := e.ckptLSN
-	wasCompact := e.isCompact
-	e.isCompact = false
-	// Deltas this build folded in are acknowledged by the snapshot now;
-	// anything logged after the fold stays pending for the next round.
-	e.pending = filterCovered(e.pending, covered)
-	// The registry is written before the View is swapped: a reader is told
-	// a relation is ready only once a restart would restore it.
-	var replaced string
-	if s.cache != nil {
-		replaced, trim = s.persistLocked(e, b, covered)
-	}
-	s.installLocked(e, b)
-	s.view.Store(s.buildViewLocked())
-	s.notifyPublishLocked(e.name)
-	if replaced != "" {
-		s.retireLocked(replaced)
-	}
-	if wasCompact {
-		s.compactions.Add(1)
-	}
-	return trim
+// member is one finished build on its way to publication. The worker sets
+// name, gen and b; its group sets the rest.
+type member struct {
+	name    string
+	gen     uint64
+	b       *builtRelation
+	e       *entry
+	covered uint64 // e.ckptLSN for gen: the checkpoint the build folds to
+	compact bool
+	durable bool // the registry names b.fp at covered
 }
 
-// installLocked makes b e's snapshot, its points in b's bundle or memory. A
-// restore calls it alone: its bundle is durable and registered already.
-func (s *Store) installLocked(e *entry, b *builtRelation) {
+// publish publishes, as one group, every build that has finished by the
+// time it holds pubMu, and reports whether there was one: the leader calls
+// it until none is left. A group linearises when it forms: its
+// generations publish even if re-registered while they persist, and one
+// dropped or superseded before is discarded, with the bundle it wrote. Per
+// relation the durable order is DESIGN §12's; a group shares one WAL fsync,
+// one registry write and one View. s.mu is held to form the group and to
+// install it, never across file I/O.
+func (s *Store) publish() bool {
+	var trim uint64
+	defer func() { s.trimWAL(trim) }() // runs after pubMu is released
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	s.mu.Lock()
+	if len(s.finished) == 0 {
+		s.leading = false
+		s.mu.Unlock()
+		return false
+	}
+	var group []*member
+	var dead []string
+	for _, m := range s.finished {
+		if e := s.entries[m.name]; e != nil && e.gen == m.gen {
+			m.e, m.covered, m.compact = e, e.ckptLSN, e.isCompact
+			e.publishing = true
+			group = append(group, m)
+		} else if s.cache != nil {
+			dead = append(dead, m.b.fp) // nothing will register it
+		}
+	}
+	s.finished = nil
+	s.mu.Unlock()
+	if len(dead) > 0 {
+		s.cache.sweep(dead...)
+	}
+	if len(group) == 0 {
+		return true
+	}
+	var replaced []string
+	if s.cache != nil { // before the View: ready implies restorable
+		replaced = s.persist(group)
+	}
+	s.mu.Lock()
+	trim = s.installLocked(group)
+	s.mu.Unlock()
+	// A replaced generation goes once syncRegistry has made the registry
+	// that no longer names it durable, with every bundle it names: until
+	// then a power loss may bring back the registry that does. Should an
+	// fsync fail, the sweep is left to the next start's.
+	if len(replaced) > 0 {
+		if err := s.cache.syncRegistry(); err != nil {
+			s.opt.logger().Printf("store: not sweeping %d replaced generations: %v", len(replaced), err)
+		} else {
+			s.cache.sweep(replaced...)
+		}
+	}
+	s.mu.Lock()
+	for _, m := range group {
+		m.e.publishing = false
+	}
+	s.wakeLocked()
+	s.mu.Unlock()
+	return true
+}
+
+// persist makes each member's build the durable base of its relation, under
+// pubMu alone. Order: make sure its bundle is on disk, and hold it open in
+// b.file — the snapshot reads its points from it — then make it durable,
+// when it replaces a generation, checkpoint every fold in the WAL, fsync it
+// once, and only then let one registry write adopt the new fingerprints.
+// Replay treats a checkpoint whose fingerprint the registry never adopted as
+// ineffective, so a crash anywhere in this sequence recovers a consistent
+// base + delta state, and a power loss finds whichever registry survives
+// naming bundles that did. All of it runs under the cache directory's lock,
+// shared: no store on the directory can sweep between the moment a bundle
+// is seen on disk and the moment the registry names it. A member whose step
+// fails is served but keeps the previous fingerprint registered and the log
+// pinned; a failure past the open keeps the file: it holds the snapshot's
+// points whatever the registry names, and a sweep's unlink leaves it
+// readable. It returns the fingerprints the registry stopped naming.
+func (s *Store) persist(group []*member) (replaced []string) {
+	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
+	defer release()
+	var ok []*member
+	var puts []registryEntry
+	logged := false
+	for _, m := range group {
+		// buildCatalogs wrote the bundle, or loaded it, some time ago and
+		// without the lock. Since then a sweep may have taken it: a peer's,
+		// for which it was a dead generation not yet named here, or this
+		// store's own, when a relation returns to a fingerprint it has just
+		// left. The build still holds everything the file held.
+		b, e := m.b, m.e // e.durableFP and e.durableCovered change under pubMu only
+		path := s.cache.bundlePath(b.fp)
+		_, err := os.Stat(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			err = s.storeBundle(b)
+		}
+		if err == nil && b.file == nil {
+			b.file, err = os.Open(path)
+		}
+		// The previous generation is swept once the registry stops naming
+		// it, so the new bundle must be durable before the registry may.
+		if err == nil && e.durableFP != "" && e.durableFP != b.fp {
+			err = s.cache.syncBundle(b.fp)
+		}
+		// A re-registration of the points a relation already serves appends
+		// nothing (and remember finds nothing to write for it).
+		if err == nil && s.wal != nil && (b.fp != e.durableFP || m.covered != e.durableCovered) {
+			_, err = s.wal.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: m.name, Covered: m.covered, Fingerprint: b.fp})
+			logged = logged || err == nil
+		}
+		if err != nil {
+			s.opt.logger().Printf("store: persisting %q: %v (serving it, registry not updated)", m.name, err)
+			continue
+		}
+		ok = append(ok, m)
+		puts = append(puts, registryEntry{Name: m.name, Fingerprint: b.fp, Resolution: b.res})
+	}
+	// Without a durable checkpoint the registry must keep the old
+	// fingerprint: adopting the new one would double-apply the covered
+	// deltas on replay.
+	if logged {
+		if err := s.wal.Sync(); err != nil {
+			s.opt.logger().Printf("store: syncing checkpoints: %v (registry not updated)", err)
+			return nil
+		}
+	}
+	replaced, err := s.cache.remember(puts, "")
+	if err != nil {
+		s.opt.logger().Printf("store: updating cache registry: %v", err)
+		return nil
+	}
+	for _, m := range ok {
+		m.durable = true
+	}
+	return replaced
+}
+
+// installLocked publishes a persisted group: each member's snapshot, durable
+// state and folded deltas, then one View, then the publish hooks. A member
+// re-registered while it persisted is installed all the same, but its
+// relation stays queued for the newer generation and the log pinned at the
+// persisted checkpoint until that one publishes. It returns the WAL
+// watermark for the caller to trim to once the locks are released.
+func (s *Store) installLocked(group []*member) (trim uint64) {
+	for _, m := range group {
+		e, current := m.e, m.e.gen == m.gen
+		s.relist[m.name] = true
+		if s.cache != nil {
+			if m.durable {
+				e.durableFP, e.durableCovered = m.b.fp, m.covered
+			}
+			e.durableStale = !m.durable || !current
+		}
+		// Deltas this build folded in are acknowledged by the snapshot now;
+		// anything logged after the fold stays pending for the next round.
+		e.pending = filterCovered(e.pending, m.covered)
+		s.installSnapshot(e, m.b)
+		m.b = nil // the snapshot holds what it serves; the build's points go now, not after the retire
+		if current {
+			e.state, e.err, e.pendingPts = StateReady, "", nil
+		}
+		if m.compact {
+			s.compactions.Add(1)
+		}
+	}
+	s.republishLocked()
+	for _, m := range group {
+		s.notifyPublishLocked(m.name)
+		// Deltas that arrived while the build ran (or were replayed at
+		// startup) are still pending: fold them in the next round.
+		if m.e.state == StateReady && len(m.e.pending) > 0 {
+			s.compactLocked(m.e)
+		}
+	}
+	return s.walWatermarkLocked()
+}
+
+// installSnapshot makes b e's next snapshot, its points in b's bundle or
+// memory. A restore calls it alone: its bundle is durable and registered
+// already. Caller holds s.mu.
+func (s *Store) installSnapshot(e *entry, b *builtRelation) {
 	version := uint64(1)
 	if e.snap != nil {
 		version = e.snap.Version + 1
@@ -1222,145 +1418,78 @@ func (s *Store) installLocked(e *entry, b *builtRelation) {
 		AknnBytes:      b.aknn.SizeBytes(),
 		src:            src,
 	}
-	e.state = StateReady
-	e.err = ""
-	e.pendingPts = nil
 }
 
-// retireLocked sweeps fp, the generation a publish replaced, once
-// syncRegistry has made the registry that no longer names it durable, with
-// every bundle it names: until then a power loss may bring back the registry
-// that does. Should an fsync fail, the sweep is left to the next start's. A
-// fresh registration replaces nothing and pays nothing here.
-func (s *Store) retireLocked(fp string) {
-	if err := s.cache.syncRegistry(); err != nil {
-		s.opt.logger().Printf("store: not sweeping %s: %v", shortFP(fp), err)
+// wakeLocked wakes every WaitReady and WaitSettled.
+func (s *Store) wakeLocked() {
+	close(s.published)
+	s.published = make(chan struct{})
+}
+
+// republishLocked swaps in the next View, for every change but a new
+// snapshot, which only installLocked and a restore make. It patches the
+// current View: the rows of names and the other relisted relations are
+// recomputed and merged into the listing in name order, so a publish that
+// replaces one snapshot changes one row and sorts nothing but the relisted
+// names. A View is immutable, so what did not change is shared with the
+// current one: all but the listing when no snapshot changed (a status or
+// delta-depth update); otherwise the relations map is cloned and patched,
+// and the pair table starts over with the slots — resolved, failed or in
+// flight — whose two snapshots are both still published.
+func (s *Store) republishLocked(names ...string) {
+	for _, name := range names {
+		s.relist[name] = true
+	}
+	if len(s.relist) == 0 {
 		return
 	}
-	s.cache.sweep(fp)
-}
-
-// persistLocked makes e's new snapshot the durable base. Order: make sure
-// the bundle is on disk, and hold it open in b.file — the snapshot reads its
-// points from it — then make it durable, when it replaces a generation,
-// checkpoint the fold in the WAL, fsync it, and only then let the registry
-// adopt the new fingerprint. Replay treats a checkpoint whose fingerprint the
-// registry never adopted as ineffective, so a crash anywhere in this sequence
-// recovers a consistent base + delta state, and a power loss finds whichever
-// registry survives naming a bundle that did. All of it runs under the cache
-// directory's lock, shared: no store on the directory can sweep between the
-// moment the bundle is seen on disk and the moment the registry names it. It
-// returns the fingerprint the registry held for e before, now a dead
-// generation for the caller to retire, and the WAL watermark the publish
-// leaves (0: nothing to trim). A failure past the open keeps the file: it
-// holds the snapshot's points whatever the registry names, and a sweep's
-// unlink leaves it readable.
-func (s *Store) persistLocked(e *entry, b *builtRelation, covered uint64) (replaced string, trim uint64) {
-	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
-	defer release()
-	// buildCatalogs wrote the bundle, or loaded it, some time ago and
-	// without the lock. Since then a sweep may have taken it: a peer's, for
-	// which it was a dead generation not yet named here, or this store's
-	// own, when a relation returns to a fingerprint it has just left. The
-	// build still holds everything the file held.
-	path := s.cache.bundlePath(b.fp)
-	_, err := os.Stat(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = s.storeBundle(b)
+	relisted := make([]string, 0, len(s.relist))
+	for name := range s.relist {
+		relisted = append(relisted, name)
 	}
-	if err == nil && b.file == nil {
-		b.file, err = os.Open(path)
-	}
-	if err != nil {
-		// No bundle, no restore: keep the previous fingerprint registered
-		// and the log pinned, as for a failed registry write.
-		s.opt.logger().Printf("store: caching %q: %v (serving it, but not restorable)", e.name, err)
-		e.durableStale = true
-		return "", 0
-	}
-	// The previous generation is swept once the registry stops naming it,
-	// so the new bundle must be durable before the registry may name it.
-	if e.durableFP != "" && e.durableFP != b.fp {
-		if err := s.cache.syncBundle(b.fp); err != nil {
-			s.opt.logger().Printf("store: syncing the bundle of %q: %v (registry not updated)", e.name, err)
-			e.durableStale = true
-			return "", 0
-		}
-	}
-	// A re-registration of the points a relation already serves appends
-	// nothing (and remember, below, finds nothing to write).
-	if s.wal != nil && (b.fp != e.durableFP || covered != e.durableCovered) {
-		_, err := s.wal.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: e.name, Covered: covered, Fingerprint: b.fp})
-		if err == nil {
-			err = s.wal.Sync()
-		}
-		if err != nil {
-			// Without a durable checkpoint the registry must keep the old
-			// fingerprint: adopting the new one would double-apply the
-			// covered deltas on replay.
-			s.opt.logger().Printf("store: checkpointing %q: %v (registry not updated)", e.name, err)
-			e.durableStale = true
-			return "", 0
-		}
-	}
-	replaced, err = s.cache.remember(e.name, b.fp, b.res)
-	if err != nil {
-		s.opt.logger().Printf("store: updating cache registry for %q: %v", e.name, err)
-		e.durableStale = true
-	} else {
-		e.durableStale = false
-		e.durableFP, e.durableCovered = b.fp, covered
-	}
-	return replaced, s.walWatermarkLocked()
-}
-
-// republishLocked swaps in a View of the current entries; for every change
-// but a new snapshot, which publishLocked alone makes (and persists first).
-func (s *Store) republishLocked() {
-	s.view.Store(s.buildViewLocked())
-}
-
-// buildViewLocked assembles the next View from the current entries. A View
-// is immutable, so what did not change is shared with the current one: all
-// but the listing when no snapshot changed (a status or delta-depth
-// update); otherwise the pair table starts over with the slots — resolved,
-// failed or in flight — whose two snapshots are both still published.
-func (s *Store) buildViewLocked() *View {
+	slices.Sort(relisted)
 	old := s.view.Load()
-	v := &View{relations: old.relations, names: old.names, pairs: old.pairs, store: s,
-		statuses: make([]RelationStatus, 0, len(s.entries))}
-	changed := false
-	for name, e := range s.entries {
-		v.statuses = append(v.statuses, e.statusLocked())
-		changed = changed || e.snap != old.relations[name]
-	}
-	for _, e := range s.lost {
-		v.statuses = append(v.statuses, e.statusLocked())
-	}
-	sort.Slice(v.statuses, func(i, j int) bool { return v.statuses[i].Name < v.statuses[j].Name })
-	for _, name := range old.names {
-		changed = changed || s.entries[name] == nil // dropped
-	}
-	if !changed {
-		return v
-	}
-	v.relations = make(map[string]*Snapshot, len(s.entries))
-	v.names = make([]string, 0, len(s.entries))
-	for name, e := range s.entries {
-		if e.snap != nil {
-			v.relations[name] = e.snap
-			v.names = append(v.names, name)
+	v := &View{relations: old.relations, pairs: old.pairs, store: s,
+		statuses: make([]*RelationStatus, 0, len(old.statuses)+len(relisted))}
+	rest, swapped := old.statuses, false
+	for _, name := range relisted {
+		i, found := slices.BinarySearchFunc(rest, name, func(st *RelationStatus, n string) int { return strings.Compare(st.Name, n) })
+		v.statuses = append(v.statuses, rest[:i]...)
+		if found {
+			i++
+		}
+		rest = rest[i:]
+		e := s.entries[name]
+		var snap *Snapshot
+		if row := cmp.Or(e, s.lost[name]); row != nil {
+			st := row.statusLocked()
+			v.statuses = append(v.statuses, &st)
+			snap = row.snap // a lost entry has none
+		}
+		if e == nil || len(e.pending) == 0 {
+			delete(s.relist, name)
+		}
+		if snap != old.relations[name] {
+			if !swapped {
+				v.relations, swapped = maps.Clone(old.relations), true
+			}
+			if v.relations[name] = snap; snap == nil {
+				delete(v.relations, name)
+			}
 		}
 	}
-	sort.Strings(v.names)
-	v.pairs = new(sync.Map)
-	old.pairs.Range(func(key, slot any) bool {
-		if p := key.(pairKey); v.relations[p[0].Name] == p[0] && v.relations[p[1].Name] == p[1] {
-			v.pairs.Store(key, slot)
-		}
-		return true
-	})
-	return v
+	v.statuses = append(v.statuses, rest...)
+	if swapped {
+		v.pairs = new(sync.Map)
+		old.pairs.Range(func(key, slot any) bool {
+			if p := key.(pairKey); v.relations[p[0].Name] == p[0] && v.relations[p[1].Name] == p[1] {
+				v.pairs.Store(key, slot)
+			}
+			return true
+		})
+	}
+	s.view.Store(v)
+	s.wakeLocked()
 }
 
 // statusLocked snapshots the externally visible state of e.

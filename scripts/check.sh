@@ -15,8 +15,11 @@ cd "$(dirname "$0")/.."
 # batch estimation workers, the engine's once-per-artifact builds, the
 # bounds-only AkNN join (whose summaries are shared across snapshot
 # readers), the WAL's group-commit fsync batching, the relation store's
-# build pool, delta overlays, hot-swap publication and first-demand pair
-# merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
+# build pool, delta overlays, hot-swap publication, group publication (a
+# publish's file I/O runs off the store lock, so the race stage also
+# repeats the tests that park one there: TestWritersDoNotWaitForPublishIO,
+# the *DuringPersist tests, TestPublishGroupCommitsOnce) and first-demand
+# pair merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
 # optimizer's single-flight plan cache under concurrent misses and
 # invalidations, the HTTP batch endpoint and the robustness middleware, the
 # fault-injection harness, the oracle differential suite (which runs batches
@@ -47,6 +50,7 @@ internal/service:FuzzDecodePointsBody
 
 race() {
 	go test -race $RACE_PKGS
+	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce' ./internal/store/
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
