@@ -29,9 +29,9 @@
 //
 // With -cache-dir set, point mutations are crash-safe: each is appended to a
 // write-ahead log and fsynced before the HTTP response returns (group
-// commit; see -wal-sync-interval for the relaxed mode), folded into fresh
-// catalogs by background compaction (-compact-threshold, -compact-interval),
-// and replayed from the log on restart if the daemon dies first. The
+// commit), folded into fresh catalogs by background compaction
+// (-compact-threshold, -compact-interval), and replayed from the log on
+// restart if the daemon dies first. The
 // knncost_wal_* expvars report appends, fsyncs, replays and torn tails.
 //
 // The schema is dynamic: relations live in an internal/store relation store
@@ -182,8 +182,6 @@ func run(args []string, stdout io.Writer) int {
 			"pending delta points that trigger a background compaction (0 means 512)")
 		compactInterval = fs.Duration("compact-interval", 0,
 			"staleness bound: pending deltas older than this are compacted (0 means 2s, negative disables)")
-		walSyncInterval = fs.Duration("wal-sync-interval", 0,
-			"WAL group-fsync interval; 0 fsyncs on every mutation before it is acknowledged")
 		walSegmentBytes = fs.Int("wal-segment-bytes", 0,
 			"WAL segment size at which a log that is never folded rotates anyway (0 means the built-in default)")
 		planCache = fs.Int("plan-cache", 0,
@@ -277,7 +275,6 @@ func run(args []string, stdout io.Writer) int {
 		RegistryScope:    *shardID,
 		CompactThreshold: *compactThreshold,
 		CompactInterval:  *compactInterval,
-		WALSyncInterval:  *walSyncInterval,
 		WALSegmentBytes:  *walSegmentBytes,
 	})
 	if err != nil {

@@ -35,7 +35,8 @@ import (
 // milliseconds what a cold one computes in seconds. Layout under the cache
 // directory — one file per fingerprint, so O(relations) files in all:
 //
-//	registry[-scope].json  name → fingerprint + resolution of live relations
+//	registry[-scope].json  name → fingerprint, resolution and covered LSN:
+//	                       the one durable record of each live relation
 //	lock                   empty; its flock orders publishes against sweeps
 //	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
 //	                       table (kind, offset, length), the sections KNPT
@@ -67,13 +68,13 @@ import (
 
 // cacheFormat is the bundle/registry format version; bump on any change to
 // the layout or to what a fingerprint covers (DESIGN §15 has their history:
-// format 8 added the KNCI section). The version is part of every fingerprint
-// and of the bundle magic, so entries of older formats all miss: a format
-// bump costs one rebuild, never an error.
-const cacheFormat = 8
+// format 8 added the KNCI section, format 9 the registry's covered LSN). The
+// version is part of every fingerprint and of the bundle magic, so entries of
+// older formats all miss: a format bump costs one rebuild, never an error.
+const cacheFormat = 9
 
 const (
-	bundleMagic = "KNCBNDL\x08"
+	bundleMagic = "KNCBNDL" + string(rune(cacheFormat))
 	// A bundle's header is the magic, the eight manifest fields (bundleTable
 	// bytes so far) and the four-entry section table, all little-endian
 	// uint64 words.
@@ -100,15 +101,15 @@ type manifest struct {
 	Capacity     int64
 }
 
-// registryEntry names one live relation, its cached fingerprint, and the
-// resolution the fingerprint was built at: a restart recomputes the
+// registryEntry names one live relation, its cached fingerprint, the
+// resolution the fingerprint was built at — a restart recomputes the
 // identical fingerprint from it to warm-load, and keeps building the
-// relation at it. A registry an earlier version wrote may also carry a
-// "declared" key, which decoding ignores.
+// relation at it — and Covered, the highest LSN the bundle folds in.
 type registryEntry struct {
 	Name        string          `json:"name"`
 	Fingerprint string          `json:"fingerprint"`
 	Resolution  core.Resolution `json:"resolution"`
+	Covered     uint64          `json:"covered"`
 }
 
 type registryFile struct {
@@ -604,13 +605,13 @@ func (c *diskCache) forget(name string) (forgotten []string, err error) {
 	return c.remember(nil, name)
 }
 
-// remember is the registry's one writer: it records each of puts' names →
-// (fingerprint, resolution), replacing any previous entry for the name,
-// removes drop's ("" is none), and writes the file through once — a publish
-// group's write — unless nothing would change: a warm restart re-remembers
-// what it restored and writes nothing. The in-memory copy changes only once
-// the write has succeeded, so memory and disk never disagree. It returns the
-// fingerprints that no entry maps to any more.
+// remember is the registry's one writer: it records each of puts' entries,
+// replacing any previous entry for the name, removes drop's ("" is none),
+// and writes the file through once — a publish group's write — unless
+// nothing would change: a warm restart re-remembers what it restored and
+// writes nothing. The in-memory copy changes only once the write has
+// succeeded, so memory and disk never disagree. It returns the fingerprints
+// that no entry maps to any more.
 func (c *diskCache) remember(puts []registryEntry, drop string) (replaced []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

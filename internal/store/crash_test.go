@@ -106,7 +106,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 
 	opt := testOptions(t)
 	opt.CacheDir = cacheDir
-	opt.CompactThreshold = 30 // compactions (and their checkpoints) interleave
+	opt.CompactThreshold = 30 // compactions (and their registry writes) interleave
 	opt.CompactInterval = -1
 	opt.crashHook = hook
 	s, err := New(opt)

@@ -8,33 +8,32 @@ package store
 // compacted relation is bit-identical to a from-scratch build of the same
 // point sequence (the differential gate pins this).
 //
-// Recovery protocol. Publication of a points-built snapshot is ordered:
+// Recovery protocol. A relation's registry entry is its only durable record:
+// its bundle, and covered, the highest LSN the bundle folds in. Publication
+// of a points-built snapshot is ordered (a group of them shares each step):
 //
-//	bundle to disk cache → WAL checkpoint (fsynced) → registry remember →
+//	bundle on disk → log durable through covered → registry rename →
 //	View swap (the relation is listed ready) → sweep of the generation the
-//	registry no longer names
+//	registry no longer names → WAL trim
 //
-// The builds that finish while one publish does its I/O publish next as a
-// group, each in this order: one fsync covers all their checkpoints, one
-// registry write names all their bundles.
-//
-// A checkpoint record carries (relation, covered LSN, fingerprint) and is
-// only *effective* on replay when its fingerprint matches what the registry
-// restored — so a crash anywhere in the sequence replays to a consistent
-// prefix: either the old base plus every durable delta, or the new base
-// plus the deltas logged after it. Drop records are fsynced before the
-// registry forgets the relation, closing the window where a crash could
-// resurrect a dropped relation. Once a publish or a drop leaves records no
-// replay needs, the WAL deletes them, whole segments at a time (retiring the
-// active one when the trim covers its first record), but only after an fsync
-// of the registry, the bundles it names and their directories: a rename
-// still in the page cache must not outlive the records that would rebuild
-// what it names. The trim runs after the store lock is released.
+// Replay re-applies the records above an entry's covered LSN onto its bundle,
+// so a crash anywhere in the sequence replays the old entry or the new one,
+// each with the deltas logged after it. The registry, not the log, holds the
+// truth because a peer's sweep reads only registry files. Drop records are
+// fsynced before the registry forgets the relation, closing the window where
+// a crash could resurrect a dropped relation. Once a publish or a drop leaves
+// records no replay needs, the WAL deletes them, whole segments at a time
+// (retiring the active one when the trim covers its first record), but only
+// after an fsync of the registry, the bundles it names and their
+// directories: a rename still in the page cache must not outlive the records
+// that would rebuild what it names. The trim runs after the store lock is
+// released.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"os"
 	"slices"
@@ -91,8 +90,8 @@ func applyMutations(base []geom.Point, muts []mutation) []geom.Point {
 	return out
 }
 
-// filterCovered drops the mutations a checkpoint covers (lsn <= covered),
-// in place.
+// filterCovered drops the mutations a fold covers (lsn <= covered), in
+// place.
 func filterCovered(muts []mutation, covered uint64) []mutation {
 	out := muts[:0]
 	for _, m := range muts {
@@ -281,7 +280,7 @@ func (s *Store) WaitSettled(ctx context.Context, names ...string) error {
 // compactLocked schedules a rebuild of e that folds its pending deltas into
 // fresh artifacts via the ordinary build lifecycle; the build worker reads
 // the published points, off the lock. No WAL record is written here: the
-// fold becomes durable only through the checkpoint the publish step logs.
+// fold becomes durable only through the registry entry the publish writes.
 // No-op while a build is already in flight (runJob re-triggers compaction
 // when it lands) or before the first snapshot.
 func (s *Store) compactLocked(e *entry) {
@@ -333,19 +332,38 @@ func (s *Store) compactor() {
 	}
 }
 
+// lowerCovered lowers every registry entry that covers more than the log
+// holds to the log's end, in one write. Fsynced records can still be lost (a
+// damaged disk, a removed wal/): the next mutations would then be numbered at
+// or below a covered LSN, and replay would skip them as folded.
+func lowerCovered(c *diskCache, end uint64, logger *log.Logger) error {
+	var lowered []registryEntry
+	for _, reg := range c.registry() {
+		if reg.Covered > end {
+			reg.Covered = end
+			lowered = append(lowered, reg)
+		}
+	}
+	if _, err := c.remember(lowered, ""); err != nil || len(lowered) == 0 {
+		return err
+	}
+	logger.Printf("store: the wal ends at LSN %d, below what %d registry entries cover: its records were lost; lowered them to it", end, len(lowered))
+	return nil
+}
+
 // recoverLocked restores the registry's relations and replays the WAL over
 // them before any worker runs: replay assigns each restored entry its
-// pending deltas and checkpoint watermark, and a build publishing mid-replay
-// could checkpoint-clear deltas it never saw. A relation whose bundle loads
-// is published from it; one whose points alone verify is staged for a
-// rebuild, one whose points do not is lost, and one with deltas left is
-// staged for their fold. It builds the View once and returns the staged
-// relations, for New to queue, and the log's watermark.
+// pending deltas, and a build publishing mid-replay could fold away deltas it
+// never saw. A relation whose bundle loads is published from it; one whose
+// points alone verify is staged for a rebuild, one whose points do not is
+// lost, and one with deltas left is staged for their fold. It builds the View
+// once and returns the staged relations, for New to queue, and the log's
+// watermark.
 func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint64) {
 	var names []string
 	for _, reg := range s.cache.registry() {
 		res := s.opt.resolveResolution(reg.Resolution)
-		e := &entry{name: reg.Name, res: res, durableFP: reg.Fingerprint}
+		e := &entry{name: reg.Name, res: res, durableFP: reg.Fingerprint, ckptLSN: reg.Covered, durableCovered: reg.Covered}
 		s.entries[reg.Name] = e
 		names = append(names, reg.Name)
 		b, err := s.loadBundle(reg.Fingerprint, res)
@@ -377,53 +395,39 @@ func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint6
 	}
 	now := time.Now()
 	for _, rec := range records {
+		// A record at or below the entry's covered LSN is in its bundle, a
+		// drop included: a registration covers everything logged before it.
 		e := s.entries[rec.Relation]
-		if e == nil {
+		if e == nil || rec.LSN <= e.durableCovered {
 			continue
 		}
 		switch rec.Kind {
-		case wal.KindCheckpoint:
-			// Effective only if the registry knows this artifact set: the
-			// checkpoint is written before the registry, so a mismatch
-			// means the fold never became the durable base — the covered
-			// mutations must re-apply onto the older restored base.
-			if rec.Fingerprint == e.durableFP {
-				e.pending = filterCovered(e.pending, rec.Covered)
-				e.ckptLSN = rec.Covered
-				e.durableCovered = rec.Covered
-				e.replayDropped = false
-			}
 		case wal.KindDrop:
-			e.pending = nil
-			e.replayDropped = true
+			// The relation's last durable event is its removal (the registry
+			// forget may not have landed before the crash): finish the drop
+			// instead of resurrecting it.
+			delete(s.entries, rec.Relation)
+			if _, err := s.cache.forget(rec.Relation); err != nil {
+				s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", rec.Relation, err)
+			}
+			s.opt.logger().Printf("store: replay finished drop of %q", rec.Relation)
 		case wal.KindAppend, wal.KindDelete:
 			e.pending = append(e.pending, mutation{lsn: rec.LSN, kind: rec.Kind, pts: rec.Points, at: now})
 		}
 	}
 	for name, e := range s.entries {
-		switch {
-		case e.replayDropped:
-			// A drop not followed by an effective checkpoint means the
-			// relation's last durable event is its removal (the registry
-			// forget may not have landed before the crash) — finish the drop
-			// instead of resurrecting.
-			delete(s.entries, name)
-			if _, err := s.cache.forget(name); err != nil {
-				s.opt.logger().Printf("store: forgetting dropped %q on replay: %v", name, err)
-			}
-			s.opt.logger().Printf("store: replay finished drop of %q", name)
-		case e.state == StateFailed:
-			// Pinned at the registered bundle's checkpoint, below all pending.
+		if e.state == StateFailed {
+			// Pinned at the registered bundle's covered LSN, below all pending.
 			delete(s.entries, name)
 			e.pending, e.durableStale = nil, true
 			s.lost[name] = e
-		default:
-			s.walReplayed.Add(int64(len(e.pending)))
-			if e.state == StateReady && len(e.pending) > 0 {
-				stageLocked(e, nil)
-				stageFold(e)
-				queued = append(queued, name)
-			}
+			continue
+		}
+		s.walReplayed.Add(int64(len(e.pending)))
+		if e.state == StateReady && len(e.pending) > 0 {
+			stageLocked(e, nil)
+			stageFold(e)
+			queued = append(queued, name)
 		}
 	}
 	// No worker can publish before this returns, so what the registry names
@@ -437,7 +441,7 @@ func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint6
 
 // walWatermarkLocked returns the LSN at and below which replay needs no
 // record: a relation pins the log from its first pending delta, or from its
-// last durable checkpoint while the registry lacks what it serves (a
+// registered covered LSN while the registry lacks what it serves (a
 // registry write failed, a re-registration dropped deltas the registered
 // base never folded, or a restart could not restore it). 0 without a WAL.
 func (s *Store) walWatermarkLocked() uint64 {
@@ -488,7 +492,8 @@ func (s *Store) WALFsyncs() int64 {
 }
 
 // WALReplayed returns the number of logged mutations replay left pending at
-// startup: those no effective checkpoint covered, which the store re-applies.
+// startup: those above their registry entry's covered LSN, which the store
+// re-applies.
 func (s *Store) WALReplayed() int64 { return s.walReplayed.Load() }
 
 // WALTruncatedTails returns the number of torn or corrupt WAL tails

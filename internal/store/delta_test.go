@@ -378,6 +378,60 @@ func TestUnflushedDeltasReplayOnRestart(t *testing.T) {
 	assertBitExact(t, s2.View().Relation("live"), fromScratch(t, want))
 }
 
+// TestLostLogKeepsNewWrites: a log that lost fsynced records — here its
+// whole directory — ends below what the registry says a bundle covers. The
+// restart lowers the entry to the log's end, so the mutations it numbers
+// next are replayed after the one that follows, not skipped as folded.
+func TestLostLogKeepsNewWrites(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactThreshold = 1 << 20
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	want := gridPoints(300, 91)
+	if _, err := s.Register("r", slices.Clone(want)); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "r")
+	for i := 0; i < 3; i++ {
+		add := gridPoints(4, int64(92+i))
+		if _, err := s.Append("r", add); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, add...)
+	}
+	settle(t, s, "r")
+	closeStore(t, s)
+	if reg := s.cache.registry(); len(reg) != 1 || reg[0].Covered != 3 {
+		t.Fatalf("the fold registered %+v, want r covering LSN 3", reg)
+	}
+	if err := os.RemoveAll(filepath.Join(opt.CacheDir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+
+	lost := newTestStore(t, opt)
+	if reg := lost.cache.registry(); len(reg) != 1 || reg[0].Covered != 0 {
+		t.Fatalf("over an empty log the registry holds %+v, want r lowered to LSN 0", reg)
+	}
+	waitReady(t, lost, "r")
+	add := gridPoints(5, 95)
+	if _, err := lost.Append("r", add); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, add...)
+	closeStore(t, lost)
+
+	again := newTestStore(t, opt)
+	if n := again.WALReplayed(); n != 1 {
+		t.Fatalf("WALReplayed = %d, want the append made over the empty log", n)
+	}
+	settle(t, again, "r")
+	if got, err := again.LogicalPoints("r"); err != nil || !samePoints(got, want) {
+		t.Fatalf("the restart serves %d points, want all %d acknowledged (%v)", len(got), len(want), err)
+	}
+	assertBitExact(t, again.View().Relation("r"), fromScratch(t, want))
+}
+
 // TestWALHoldsOnlyTheUnfoldedTail: a log that is folded keeps no folded
 // mutation, whatever the segment size. After a stream of mutations over two
 // relations, through several folds, and a settle, no segment but the active
@@ -473,7 +527,7 @@ func TestWALHoldsOnlyTheUnfoldedTail(t *testing.T) {
 // TestWALReplayedCountsPendingMutations: the replay counter is what a
 // restart re-applies, not what it reads. Folding a keeps the segment that
 // also holds b's pending deltas, so a's covered mutations are read again,
-// and the checkpoint after them filters them out.
+// and a's registry entry, which covers them, filters them out.
 func TestWALReplayedCountsPendingMutations(t *testing.T) {
 	opt := testOptions(t)
 	opt.CacheDir = t.TempDir()

@@ -80,7 +80,10 @@ func oldFiles(t *testing.T, dir string) map[string][]byte {
 //     r2, every ordered pair demanded (two .knm side-files);
 //   - testdata/format7: varint catalog entries and no KNCI section —
 //     gridPoints(200, 81) as d0 and gridPoints(300, 82) as t0 at grid 2, its
-//     registry entries carrying a "declared" resolution.
+//     registry entries carrying a "declared" resolution;
+//   - testdata/format8: the same relations with a KNCI section, a registry
+//     without covered LSNs, and a log of kind-3 checkpoint records, which
+//     the current log refuses as malformed and truncates.
 //
 // For each, the store starts without error and restores nothing, the
 // registry is moved aside, and nothing is swept while the .bad file is
@@ -112,6 +115,7 @@ func TestOlderCacheFormatsMissCleanly(t *testing.T) {
 		{name: "format7", fixture: "format7",
 			rels:  []rel{{"d0", gridPoints(200, 81)}, {"t0", gridPoints(300, 82)}},
 			joins: map[[2]string]float64{{"d0", "t0"}: 240, {"t0", "d0"}: 196}},
+		{name: "format8", fixture: "format8", rels: []rel{{"d0", gridPoints(200, 81)}, {"t0", gridPoints(300, 82)}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

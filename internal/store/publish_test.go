@@ -1,12 +1,13 @@
 package store
 
-// Interleavings of a publish with the store's other entry points. Each test
-// parks one publish inside its durable step — its bundles on disk, its
-// checkpoints fsynced, the registry about to be renamed — through the
-// "registry" crash hook, and drives the store around it. A publish holds
-// pubMu there, not s.mu: writers and readers go through, a re-registration
-// queues behind the persisting generation, a drop waits for it, and builds
-// that finish meanwhile publish next as one group.
+// Interleavings of a publish with the store's other entry points. Most tests
+// park one publish inside its durable step — its bundles on disk, the log
+// durable through what it folds in, the registry about to be renamed —
+// through the "registry" crash hook, and drive the store around it. A
+// publish holds pubMu there, not s.mu: writers and readers go through, a
+// re-registration queues behind the persisting generation, a drop waits for
+// it, and builds that finish meanwhile publish next as one group. One parks
+// a mutation's log fsync instead, and a fold of it waits for that fsync.
 
 import (
 	"fmt"
@@ -144,7 +145,7 @@ func TestWritersDoNotWaitForPublishIO(t *testing.T) {
 // TestReRegistrationDuringPersist: a relation re-registered while a fold of
 // it persists publishes the fold first — its group formed before the
 // re-registration — and then the new points. In between, the log stays
-// pinned at the fold's checkpoint, because the registry names a base the
+// pinned at the fold's covered LSN, because the registry names a base the
 // re-registration dropped deltas of; and a copy of the directory taken while
 // the fold was parked restarts with every acknowledged mutation.
 func TestReRegistrationDuringPersist(t *testing.T) {
@@ -167,12 +168,12 @@ func TestReRegistrationDuringPersist(t *testing.T) {
 	if _, err := s.Append("r", add[:4]); err != nil {
 		t.Fatal(err)
 	}
-	covered := s.wal.LastLSN() // the fold's checkpoint
+	covered := s.wal.LastLSN() // what the fold covers
 	parked.arm()
 	if err := s.Flush("r"); err != nil {
 		t.Fatal(err)
 	}
-	parked.wait(t) // the fold of add[:4] is checkpointed, not yet registered
+	parked.wait(t) // the fold of add[:4] is built and its log durable, not yet registered
 	var err error
 	within(t, "Append", func() { _, err = s.Append("r", add[4:]) })
 	if err != nil {
@@ -208,7 +209,7 @@ func TestReRegistrationDuringPersist(t *testing.T) {
 	stale, durableCovered := e.durableStale, e.durableCovered
 	s.mu.Unlock()
 	if !stale || durableCovered != covered || watermark != covered {
-		t.Fatalf("between the two publishes: stale %v, durable checkpoint %d, watermark %d; want the log pinned at the fold's checkpoint %d",
+		t.Fatalf("between the two publishes: stale %v, durable covered %d, watermark %d; want the log pinned at the fold's covered LSN %d",
 			stale, durableCovered, watermark, covered)
 	}
 
@@ -301,8 +302,9 @@ func TestDropDuringPersist(t *testing.T) {
 }
 
 // TestPublishGroupCommitsOnce: builds that finish while a publish is parked
-// publish after it as one group — one WAL fsync for all their checkpoints,
-// one registry write naming all their bundles.
+// publish after it as one group — one registry write naming all their
+// bundles and covered LSNs, and with no mutation in flight, nothing appended
+// to the log and no fsync of it: the registry is their only durable record.
 func TestPublishGroupCommitsOnce(t *testing.T) {
 	const k = 3
 	opt := publishOptions(t)
@@ -335,11 +337,14 @@ func TestPublishGroupCommitsOnce(t *testing.T) {
 			t.Fatalf("%d of %d builds finished", n, k)
 		}
 	}
-	fsyncs, registry := s.WALFsyncs(), p.fired.Load()
+	appends, fsyncs, registry := s.WALAppends(), s.WALFsyncs(), p.fired.Load()
 	p.unpark()
 	waitReady(t, s, names...)
-	if got := s.WALFsyncs() - fsyncs; got != 1 {
-		t.Fatalf("the group of %d took %d WAL fsyncs, want 1", k, got)
+	if got := s.WALAppends() - appends; got != 0 {
+		t.Fatalf("the group of %d appended %d WAL records, want none", k, got)
+	}
+	if got := s.WALFsyncs() - fsyncs; got != 0 {
+		t.Fatalf("the group of %d took %d WAL fsyncs, want none", k, got)
 	}
 	if got := p.fired.Load() - registry; got != 1 {
 		t.Fatalf("the group of %d wrote the registry %d times, want once", k, got)
@@ -353,5 +358,53 @@ func TestPublishGroupCommitsOnce(t *testing.T) {
 	}
 	if !slices.Equal(registered, names) {
 		t.Fatalf("the registry names %v, want %v", registered, names)
+	}
+}
+
+// TestFoldWaitsForItsLogFsync: a fold may be registered only once the log is
+// durable through what it covers — else a lost record's LSN could be reused
+// under a covered LSN that claims it. With a mutation's fsync parked, a
+// flush of its relation builds the fold but does not write the registry
+// until the fsync is released.
+func TestFoldWaitsForItsLogFsync(t *testing.T) {
+	fsync, registry, built := newParker("fsync"), newParker("registry"), newParker("built")
+	s := parkedStore(t, publishOptions(t), fsync, registry, built)
+	mustRegister(t, s, "r", gridPoints(300, 50))
+	add := gridPoints(6, 51)
+	fsync.arm()
+	appended := make(chan error, 1)
+	go func() {
+		_, err := s.Append("r", add)
+		appended <- err
+	}()
+	fsync.wait(t) // the mutation is logged, its fsync not yet issued
+	registered := registry.fired.Load()
+	if err := s.Flush("r"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); built.fired.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the fold never finished building")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // time to reach the registry, were nothing holding it
+	if got := registry.fired.Load() - registered; got != 0 {
+		t.Fatalf("the fold wrote the registry %d times while the log record it covers was not yet durable", got)
+	}
+	select {
+	case err := <-appended:
+		t.Fatalf("the append returned before its fsync: %v", err)
+	default:
+	}
+	fsync.unpark()
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	settle(t, s, "r")
+	if got := registry.fired.Load() - registered; got != 1 {
+		t.Fatalf("the fold wrote the registry %d times once the fsync was released, want once", got)
+	}
+	if got := mustStatus(t, s, "r").NumPoints; got != 306 {
+		t.Fatalf("r holds %d points after the fold, want 306", got)
 	}
 }

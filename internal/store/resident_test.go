@@ -258,7 +258,7 @@ func TestFailedBuildReleasesPoints(t *testing.T) {
 // salvage of a damaged bundle. After each, Points and LogicalPoints
 // are the model's sequence, and the fingerprint is the one the
 // commit before this layout (cbf411a) computed for the same steps, re-pinned
-// for cacheFormats 7 and 8, which the hash is fed first (under format 6 they
+// for cacheFormats 7, 8 and 9, which the hash is fed first (under format 6 they
 // are cbf411a's values). The reopen and salvage pins were first computed at
 // commit a6d4c2a, for these same steps, the relation at its registered
 // resolution throughout.
@@ -291,7 +291,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, s, "r")
-	check(s, "register", "c035f66773f319ff163720dd563d8a35e7cc37ca131316107b9f3f51d2171000")
+	check(s, "register", "bf5b0fef4e194ecdf50c4aefd7fc933a127ba98f8f2131ddd64a70df5eb92267")
 
 	// Appends, then a delete that takes all three copies of the duplicated
 	// coordinate and one of the appended points: pending first, then folded.
@@ -315,7 +315,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, s, "r")
-	check(s, "flush", "86e0e3252a728c771368602505b64ab1d7c3ab2e6f2186ce1853fbba39cc0c0d")
+	check(s, "flush", "2fa447eed9324ca49a0bb734aaa221941f37190db35e22c51d40765e2e208255")
 
 	// What a SIGKILL leaves: the directory as it is, a delta only the log
 	// holds, no Close.
@@ -334,7 +334,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if re.CacheHits() == 0 || re.WALReplayed() == 0 {
 		t.Fatalf("the restart loaded %d catalogs and replayed %d mutations, want the bundle's and the log's", re.CacheHits(), re.WALReplayed())
 	}
-	check(re, "reopen", "9ae94aae74a9a163e05e816bd16e693e9e1d38eb80882a82ea73508826e4c028")
+	check(re, "reopen", "63481b16119314ecbc15252bec9ccedf5c8875bc8c2f2103ec49db19bd084be1")
 	fp := re.View().Relation("r").Fingerprint
 	closeStore(t, re)
 
@@ -345,7 +345,7 @@ func TestRegistrationOrderSurvivesEveryPath(t *testing.T) {
 	if salvaged.CatalogBuilds() == 0 {
 		t.Fatal("the damaged bundle was served, not rebuilt from its points")
 	}
-	check(salvaged, "salvage", "9ae94aae74a9a163e05e816bd16e693e9e1d38eb80882a82ea73508826e4c028")
+	check(salvaged, "salvage", "63481b16119314ecbc15252bec9ccedf5c8875bc8c2f2103ec49db19bd084be1")
 }
 
 // TestUnreadableBundleFailsItsReadersOnly: a live snapshot whose bundle is

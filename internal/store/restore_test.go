@@ -83,7 +83,7 @@ func TestRestartRestoresEveryRelation(t *testing.T) {
 // relation kept from its restore in two ways: by a build queue smaller than
 // the fleet, which recovery no longer goes through, and by a byte of its
 // points flipped in its bundle, which lists it as failed and pins the log at
-// its checkpoint until the byte is mended. Its appends survive either way.
+// its covered LSN until the byte is mended. Its appends survive either way.
 func TestSkippedRelationPinsTheLog(t *testing.T) {
 	for _, damaged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("damaged=%v", damaged), func(t *testing.T) {

@@ -143,12 +143,6 @@ type Options struct {
 	// never folded. Zero means 4 MiB. The WAL is enabled whenever CacheDir
 	// is set.
 	WALSegmentBytes int
-	// WALSyncInterval selects the mutation fsync policy: zero means group
-	// commit (every mutation is fsynced before it is acknowledged,
-	// batching concurrent mutators into one fsync); a positive value
-	// trades a bounded loss window for throughput by fsyncing on a timer
-	// instead.
-	WALSyncInterval time.Duration
 	// Logger receives cache warnings and build logs. Nil means the standard
 	// logger.
 	Logger *log.Logger
@@ -455,25 +449,20 @@ type entry struct {
 	// folded into the published snapshot, in LSN order.
 	pending []mutation
 	// ckptLSN is the mutation watermark the wanted generation folds in;
-	// the publish step writes it into the WAL checkpoint and drops the
+	// the publish step registers it as the entry's covered LSN and drops the
 	// covered prefix of pending.
 	ckptLSN uint64
 	// isCompact marks the wanted generation as a delta compaction (for
 	// the compaction counter; compactions also re-trigger on leftovers).
 	isCompact bool
-	// durableFP is the fingerprint the registry holds for this relation
+	// durableFP and durableCovered are the relation's registry entry
 	// (restored from it, or adopted by the last successful publish, under
-	// pubMu as well, so a persist reads it under pubMu alone); WAL
-	// checkpoints are effective on replay only if they match.
-	durableFP string
-	// replayDropped is set while replay scans a KindDrop record; if no
-	// later effective checkpoint revives the name, the drop is finished.
-	replayDropped bool
-	// durableCovered is how much of the log durableFP has absorbed;
-	// durableStale pins the WAL there while the registry lacks what the
+	// pubMu as well, so a persist reads them under pubMu alone); durableStale
+	// pins the WAL at durableCovered while the registry lacks what the
 	// relation serves: a persist failed, or a re-registration dropped
 	// pending deltas, or arrived while a generation persisted, and has not
 	// published yet.
+	durableFP      string
 	durableCovered uint64
 	durableStale   bool
 	// publishing is set while a publish group holds a build of e: a wait
@@ -576,12 +565,15 @@ func New(opt Options) (*Store, error) {
 		w, rep, err := wal.Open(wal.Options{
 			Dir:          filepath.Join(opt.CacheDir, walDir),
 			SegmentBytes: opt.WALSegmentBytes,
-			SyncInterval: opt.WALSyncInterval,
 			Logger:       opt.Logger,
 			OpHook:       opt.crashHook,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("store: opening wal: %w", err)
+		}
+		if err := lowerCovered(c, w.LastLSN(), s.opt.logger()); err != nil {
+			w.Close()
+			return nil, fmt.Errorf("store: lowering the registry to the log's end: %w", err)
 		}
 		s.wal = w
 		replay = rep
@@ -731,7 +723,7 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	e := s.entries[name]
 	isNew := e == nil
 	if isNew {
-		// A lost entry's checkpoint stays pinned until this one publishes.
+		// A lost entry's covered LSN stays pinned until this one publishes.
 		if e = s.lost[name]; e == nil {
 			e = &entry{name: name}
 		}
@@ -744,9 +736,9 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 		delete(s.lost, name)
 	}
 	// A user registration replaces base and deltas wholesale: pending
-	// mutations are obsolete, and the publish checkpoint covers everything
-	// logged so far for this relation. Until it publishes, a crash restores
-	// the registered base, which needs the dropped deltas from the log.
+	// mutations are obsolete, and the publish registers everything logged so
+	// far as covered. Until it publishes, a crash restores the registered
+	// base, which needs the dropped deltas from the log.
 	e.durableStale = e.durableStale || len(e.pending) > 0
 	e.pending = nil
 	e.ckptLSN = s.lastLSNLocked()
@@ -962,8 +954,8 @@ func (s *Store) Close(ctx context.Context) error {
 		<-done
 	}
 	s.cancel()
-	// Workers are done publishing (and checkpointing); seal the log. Any
-	// deltas still pending stay in the WAL and replay on the next start.
+	// Workers are done publishing; seal the log. Any deltas still pending
+	// stay in the WAL and replay on the next start.
 	if s.wal != nil {
 		if werr := s.wal.Close(); werr != nil {
 			s.opt.logger().Printf("store: closing wal: %v", werr)
@@ -1194,7 +1186,7 @@ type member struct {
 	gen     uint64
 	b       *builtRelation
 	e       *entry
-	covered uint64 // e.ckptLSN for gen: the checkpoint the build folds to
+	covered uint64 // e.ckptLSN for gen: the highest LSN the build folds in
 	compact bool
 	durable bool // the registry names b.fp at covered
 }
@@ -1204,7 +1196,7 @@ type member struct {
 // it until none is left. A group linearises when it forms: its
 // generations publish even if re-registered while they persist, and one
 // dropped or superseded before is discarded, with the bundle it wrote. Per
-// relation the durable order is DESIGN §12's; a group shares one WAL fsync,
+// relation the durable order is DESIGN §12's; a group shares one log commit,
 // one registry write and one View. s.mu is held to form the group and to
 // install it, never across file I/O.
 func (s *Store) publish() bool {
@@ -1267,31 +1259,31 @@ func (s *Store) publish() bool {
 // persist makes each member's build the durable base of its relation, under
 // pubMu alone. Order: make sure its bundle is on disk, and hold it open in
 // b.file — the snapshot reads its points from it — then make it durable,
-// when it replaces a generation, checkpoint every fold in the WAL, fsync it
-// once, and only then let one registry write adopt the new fingerprints.
-// Replay treats a checkpoint whose fingerprint the registry never adopted as
-// ineffective, so a crash anywhere in this sequence recovers a consistent
-// base + delta state, and a power loss finds whichever registry survives
-// naming bundles that did. All of it runs under the cache directory's lock,
-// shared: no store on the directory can sweep between the moment a bundle
-// is seen on disk and the moment the registry names it. A member whose step
-// fails is served but keeps the previous fingerprint registered and the log
-// pinned; a failure past the open keeps the file: it holds the snapshot's
-// points whatever the registry names, and a sweep's unlink leaves it
-// readable. It returns the fingerprints the registry stopped naming.
+// when it replaces a generation; make the log durable through the highest
+// LSN a member folds in; and only then let one registry write adopt each
+// member's fingerprint and covered LSN. A crash anywhere in this sequence
+// replays the log above the old entry or above the new one, and a power loss
+// finds whichever registry survives naming bundles that did. All of it runs
+// under the cache directory's lock, shared: no store on the directory can
+// sweep between the moment a bundle is seen on disk and the moment the
+// registry names it. A member whose step fails is served but keeps the
+// previous entry registered and the log pinned; a failure past the open
+// keeps the file: it holds the snapshot's points whatever the registry
+// names, and a sweep's unlink leaves it readable. It returns the
+// fingerprints the registry stopped naming.
 func (s *Store) persist(group []*member) (replaced []string) {
 	release, _ := s.cache.lock(false) // unobtainable only where no sweep can run either
 	defer release()
 	var ok []*member
 	var puts []registryEntry
-	logged := false
+	var covered uint64
 	for _, m := range group {
 		// buildCatalogs wrote the bundle, or loaded it, some time ago and
 		// without the lock. Since then a sweep may have taken it: a peer's,
 		// for which it was a dead generation not yet named here, or this
 		// store's own, when a relation returns to a fingerprint it has just
 		// left. The build still holds everything the file held.
-		b, e := m.b, m.e // e.durableFP and e.durableCovered change under pubMu only
+		b, e := m.b, m.e // e.durableFP changes under pubMu only
 		path := s.cache.bundlePath(b.fp)
 		_, err := os.Stat(path)
 		if errors.Is(err, fs.ErrNotExist) {
@@ -1305,27 +1297,20 @@ func (s *Store) persist(group []*member) (replaced []string) {
 		if err == nil && e.durableFP != "" && e.durableFP != b.fp {
 			err = s.cache.syncBundle(b.fp)
 		}
-		// A re-registration of the points a relation already serves appends
-		// nothing (and remember finds nothing to write for it).
-		if err == nil && s.wal != nil && (b.fp != e.durableFP || m.covered != e.durableCovered) {
-			_, err = s.wal.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: m.name, Covered: m.covered, Fingerprint: b.fp})
-			logged = logged || err == nil
-		}
 		if err != nil {
 			s.opt.logger().Printf("store: persisting %q: %v (serving it, registry not updated)", m.name, err)
 			continue
 		}
 		ok = append(ok, m)
-		puts = append(puts, registryEntry{Name: m.name, Fingerprint: b.fp, Resolution: b.res})
+		puts = append(puts, registryEntry{Name: m.name, Fingerprint: b.fp, Resolution: b.res, Covered: m.covered})
+		covered = max(covered, m.covered)
 	}
-	// Without a durable checkpoint the registry must keep the old
-	// fingerprint: adopting the new one would double-apply the covered
-	// deltas on replay.
-	if logged {
-		if err := s.wal.Sync(); err != nil {
-			s.opt.logger().Printf("store: syncing checkpoints: %v (registry not updated)", err)
-			return nil
-		}
+	// The log must not lose a record a registered covered LSN names: the
+	// next start would number new records from its end. A mutation is
+	// fsynced before it is acknowledged, so this waits only for one in flight.
+	if err := s.wal.Commit(covered); err != nil {
+		s.opt.logger().Printf("store: syncing the log through LSN %d: %v (registry not updated)", covered, err)
+		return nil
 	}
 	replaced, err := s.cache.remember(puts, "")
 	if err != nil {
@@ -1342,7 +1327,7 @@ func (s *Store) persist(group []*member) (replaced []string) {
 // state and folded deltas, then one View, then the publish hooks. A member
 // re-registered while it persisted is installed all the same, but its
 // relation stays queued for the newer generation and the log pinned at the
-// persisted checkpoint until that one publishes. It returns the WAL
+// persisted covered LSN until that one publishes. It returns the WAL
 // watermark for the caller to trim to once the locks are released.
 func (s *Store) installLocked(group []*member) (trim uint64) {
 	for _, m := range group {

@@ -376,12 +376,15 @@ func TestHotSwapNoMixedVersions(t *testing.T) {
 //   - defaults: two relations at the store-wide resolution;
 //   - declared resolution: one relation registered at MaxK 64, grid 2 and
 //     AkNN capacity 64, beside one at the defaults;
-//   - format7 declared key: the "declared" resolution format-7 stores wrote
-//     beside "resolution", carried by the registry of testdata/format8 (its
-//     bundles written under the current cacheFormat): d0 (gridPoints(200,
-//     81)), where the two agree, and t0 (gridPoints(300, 82)), served at grid
-//     2 of a declared 4. Each restores at its "resolution", the one its
-//     bundle was built at;
+//   - format9 fixture: testdata/format9, the directory a store left after
+//     registering d0 (gridPoints(200, 81)), t0 (gridPoints(300, 82) at grid
+//     2) and g0 (gridPoints(250, 83)); appending gridPoints(3, 84) to g0
+//     (LSN 1, which keeps the log from being trimmed) and gridPoints(12, 85)
+//     to d0 (LSN 2), and folding d0 (covered 2); appending gridPoints(5, 86)
+//     to d0 (LSN 3, left pending); dropping g0 (LSN 4) and registering it
+//     again (covered 4). Replay skips the append and the drop its entries
+//     cover, restores all three at their registered resolutions, d0 with
+//     that last append pending, and folds it;
 //   - compacted: the first relation restarts from the generation a
 //     compaction of appends published.
 //
@@ -399,14 +402,16 @@ func TestWarmRestart(t *testing.T) {
 		fixture string // a directory under testdata to restart over; "" restarts over the cold store's
 		rels    []rel
 		add     []geom.Point // appended to the first relation and compacted before the restart
+		pending bool         // the fixture's log holds one mutation of the first relation past its fold
 	}{
 		{name: "defaults", rels: []rel{{"w1", gridPoints(1500, 2), core.Resolution{}}, {"w2", gridPoints(1500, 2), core.Resolution{}}}},
 		{name: "declared resolution", rels: []rel{
 			{"w1", gridPoints(1500, 2), core.Resolution{MaxK: 64, GridSize: 2, AknnCapacity: 64}},
 			{"w2", gridPoints(1200, 5), core.Resolution{}},
 		}},
-		{name: "format7 declared key", fixture: "format8", rels: []rel{
-			{"d0", gridPoints(200, 81), core.Resolution{}},
+		{name: "format9 fixture", fixture: "format9", pending: true, rels: []rel{
+			{"d0", slices.Concat(gridPoints(200, 81), gridPoints(12, 85), gridPoints(5, 86)), core.Resolution{}},
+			{"g0", gridPoints(250, 83), core.Resolution{}},
 			{"t0", gridPoints(300, 82), core.Resolution{GridSize: 2}},
 		}},
 		{name: "compacted", rels: []rel{{"w1", gridPoints(1500, 2), core.Resolution{}}, {"w2", gridPoints(900, 6), core.Resolution{}}},
@@ -452,12 +457,23 @@ func TestWarmRestart(t *testing.T) {
 
 			opt.CacheDir = dir
 			warm := newTestStore(t, opt)
+			builds := int64(0)
+			if tc.pending {
+				if n := warm.WALReplayed(); n != 1 {
+					t.Fatalf("the fixture restored with %d mutations pending, want 1", n)
+				}
+				settle(t, warm, names...)
+				if v := mustStatus(t, warm, names[0]).Version; v != 2 {
+					t.Fatalf("%s is at version %d after its fold, want 2: restored, then folded", names[0], v)
+				}
+				builds = 2 // the fold's staircase and virtual grid
+			}
 			waitReady(t, warm) // registry restore re-registered every relation
 			if got := warm.View().Names(); !slices.Equal(got, names) {
 				t.Fatalf("warm store restored %v, want %v", got, names)
 			}
-			if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != 0 || h != int64(2*len(names)) {
-				t.Fatalf("warm restart: %d built, %d cache hits, want 0 and %d", b, h, 2*len(names))
+			if b, h := warm.CatalogBuilds(), warm.CacheHits(); b != builds || h != int64(2*len(names)) {
+				t.Fatalf("warm restart: %d built, %d cache hits, want %d and %d", b, h, builds, 2*len(names))
 			}
 			for _, r := range tc.rels {
 				if got, res := mustStatus(t, warm, r.name).Resolution, opt.resolveResolution(r.res); got != res {

@@ -13,7 +13,7 @@ import (
 // validImage returns the bytes of a well-formed single-segment log whose
 // records start at LSN first: a directory holding only an empty segment
 // named first, as a trim that covered every record leaves one, then eight
-// appends.
+// records, appends and drops.
 func validImage(f *testing.F, first uint64) []byte {
 	dir := f.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%020d.seg", first)), segMagic, 0o644); err != nil {
@@ -26,7 +26,7 @@ func validImage(f *testing.F, first uint64) []byte {
 	for i := 0; i < 8; i++ {
 		rec := Record{Kind: KindAppend, Relation: "rel", Points: []geom.Point{{X: float64(i), Y: float64(-i)}}}
 		if i%3 == 2 {
-			rec = Record{Kind: KindCheckpoint, Relation: "rel", Covered: uint64(i), Fingerprint: "abcd1234"}
+			rec = Record{Kind: KindDrop, Relation: "rel"}
 		}
 		if _, err := w.Append(rec); err != nil {
 			f.Fatal(err)

@@ -18,20 +18,15 @@ const (
 	KindAppend Kind = 1
 	// KindDelete removes every occurrence of the listed coordinates.
 	KindDelete Kind = 2
-	// KindCheckpoint marks that every mutation of Relation with an LSN
-	// <= Covered has been folded into the persisted artifact set
-	// identified by Fingerprint. A checkpoint is only *effective* on
-	// replay when Fingerprint matches the fingerprint the registry
-	// restored for the relation: the checkpoint is written before the
-	// registry, so a crash between the two leaves a checkpoint whose
-	// fingerprint the registry never learned — replay must ignore it and
-	// re-apply the covered mutations onto the older base instead.
-	KindCheckpoint Kind = 3
 	// KindDrop records the intent to remove a relation. It is fsynced
 	// before the disk-cache registry forgets the relation, so a crash in
 	// between cannot resurrect the relation on restart.
 	KindDrop Kind = 4
 )
+
+// Kind 3 is not reused: it was the checkpoint record of the store's cache
+// formats before 9, whose logs are a clean miss, so a kind-3 frame is
+// malformed.
 
 // mutates reports whether records of kind k change a relation's points.
 func (k Kind) mutates() bool { return k == KindAppend || k == KindDelete }
@@ -46,11 +41,6 @@ type Record struct {
 	Relation string
 	// Points carries the coordinates of KindAppend / KindDelete records.
 	Points []geom.Point
-	// Covered is the highest mutation LSN folded into a KindCheckpoint.
-	Covered uint64
-	// Fingerprint is the content address of the artifact set a
-	// KindCheckpoint refers to.
-	Fingerprint string
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -89,10 +79,6 @@ func appendFrame(buf []byte, r Record) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.X))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Y))
 		}
-	case KindCheckpoint:
-		buf = binary.AppendUvarint(buf, r.Covered)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Fingerprint)))
-		buf = append(buf, r.Fingerprint...)
 	case KindDrop:
 		// relation name only
 	}
@@ -164,18 +150,6 @@ func decodePayload(p []byte) (Record, error) {
 			r.Points[i].X = math.Float64frombits(binary.LittleEndian.Uint64(p[i*16:]))
 			r.Points[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(p[i*16+8:]))
 		}
-	case KindCheckpoint:
-		covered, n := binary.Uvarint(p)
-		if n <= 0 {
-			return r, errBadPayload
-		}
-		p = p[n:]
-		fpLen, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) != fpLen {
-			return r, errBadPayload
-		}
-		r.Covered = covered
-		r.Fingerprint = string(p[n:])
 	case KindDrop:
 		if len(p) != 0 {
 			return r, errBadPayload

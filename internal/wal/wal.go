@@ -6,8 +6,8 @@
 // [u32 payload length][u32 CRC32-C][payload]; payloads are the varint
 // encoding of Record. LSNs are assigned contiguously across segments and
 // never below a segment's name, so names sort in LSN order, replay can verify
-// continuity, and TrimTo can drop whole segments once every record in them is
-// covered by a durable checkpoint. A segment is retired when it reaches
+// continuity, and TrimTo can drop whole segments once the caller's durable
+// state supersedes every record in them. A segment is retired when it reaches
 // Options.SegmentBytes, or when a trim covers its first record and it holds
 // an append or delete (see TrimTo), so a log that is folded stays the size of
 // its un-folded tail.
@@ -20,8 +20,7 @@
 //
 // Durability: Append only writes to the OS; Commit group-commits — the
 // caller blocks until one fsync covers its LSN, and concurrent committers
-// share a single fsync. With Options.SyncInterval > 0 Commit is a no-op and
-// a background goroutine fsyncs on a timer instead (bounded loss window).
+// share a single fsync.
 package wal
 
 import (
@@ -36,7 +35,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 var segMagic = []byte("KNWL\x01")
@@ -52,11 +50,6 @@ type Options struct {
 	// trim covers it: the backstop for a log that is never folded. Zero
 	// means 4 MiB.
 	SegmentBytes int
-	// SyncInterval selects the fsync policy: zero means group commit
-	// (Commit blocks until an fsync covers its LSN); a positive value
-	// means a background fsync every interval and Commit returns
-	// immediately (the loss window after a crash is one interval).
-	SyncInterval time.Duration
 	// Logger receives non-fatal replay and trim diagnostics.
 	Logger *log.Logger
 	// OpHook, when set, is invoked with an operation label immediately
@@ -106,9 +99,6 @@ type WAL struct {
 	syncing   bool
 	syncedLSN uint64
 	syncErr   error
-
-	stop chan struct{}
-	done chan struct{}
 
 	appends atomic.Int64
 	fsyncs  atomic.Int64
@@ -185,7 +175,9 @@ func Open(opt Options) (*WAL, Replay, error) {
 		w.nextLSN = max(1, named)
 	}
 	w.sc.L = &w.scMu
-	w.syncedLSN = prev
+	// Replayed records count as synced, and a number below the first one
+	// names no record.
+	w.syncedLSN = w.nextLSN - 1
 	if n := len(segs); n > 0 {
 		active := segs[n-1]
 		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -205,11 +197,6 @@ func Open(opt Options) (*WAL, Replay, error) {
 		w.segments = segs[:n-1]
 	} else if err := w.createSegmentLocked(); err != nil {
 		return nil, Replay{}, err
-	}
-	if opt.SyncInterval > 0 {
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.syncLoop()
 	}
 	return w, rep, nil
 }
@@ -272,7 +259,7 @@ func (w *WAL) createSegmentLocked() error {
 
 // rotateLocked makes the active segment durable, closes it, and starts a
 // fresh one. A segment whose every record an fsync already covers (a
-// checkpoint's Sync, typically) is closed without another. Called with w.mu
+// Commit's, typically) is closed without another. Called with w.mu
 // held.
 func (w *WAL) rotateLocked() error {
 	if hook := w.opt.OpHook; hook != nil {
@@ -295,8 +282,7 @@ func (w *WAL) rotateLocked() error {
 }
 
 // Append writes r to the active segment and returns its LSN. The record is
-// in the OS buffer only — call Commit (or rely on the interval syncer) to
-// make it durable. After a write error the log refuses further appends:
+// in the OS buffer only — call Commit to make it durable. After a write error the log refuses further appends:
 // the tail may be torn, and appending past it would make later records
 // unrecoverable.
 func (w *WAL) Append(r Record) (uint64, error) {
@@ -339,28 +325,18 @@ func (w *WAL) Append(r Record) (uint64, error) {
 	return r.LSN, nil
 }
 
-// Commit makes every record with an LSN <= lsn durable. In group-commit
-// mode it blocks until one fsync covers lsn; concurrent committers share a
-// single fsync. In interval mode it returns immediately.
-func (w *WAL) Commit(lsn uint64) error {
-	if w.opt.SyncInterval > 0 {
-		return nil
-	}
-	return w.syncTo(lsn)
-}
-
-// Sync fsyncs everything appended so far, regardless of sync mode. Used
-// for records that must be durable before a dependent side effect
-// (checkpoints before the registry write, drops before the registry
-// forget).
+// Sync fsyncs everything appended so far: Commit of the last LSN.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	target := w.nextLSN - 1
 	w.mu.Unlock()
-	return w.syncTo(target)
+	return w.Commit(target)
 }
 
-func (w *WAL) syncTo(lsn uint64) error {
+// Commit makes every record with an LSN <= lsn durable. It blocks until one
+// fsync covers lsn, and concurrent committers share a single fsync; a
+// covered lsn costs none.
+func (w *WAL) Commit(lsn uint64) error {
 	w.scMu.Lock()
 	for w.syncedLSN < lsn && w.syncErr == nil {
 		if w.syncing {
@@ -410,28 +386,12 @@ func (w *WAL) syncTo(lsn uint64) error {
 	return err
 }
 
-func (w *WAL) syncLoop() {
-	defer close(w.done)
-	t := time.NewTicker(w.opt.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			if err := w.Sync(); err != nil && w.opt.Logger != nil {
-				w.opt.Logger.Printf("wal: interval sync: %v", err)
-			}
-		}
-	}
-}
-
 // TrimTo deletes every segment whose records all have an LSN <= lsn, oldest
 // first. When lsn reaches the active segment's first record and that segment
 // holds an append or delete, the segment is retired first, so what a folded
 // log keeps is its un-folded tail, whatever SegmentBytes is. A segment of
-// checkpoints and drops only is left to fill: those records are small, and
-// retiring it would cost a new file at every publish. durable, when not nil,
+// drops only is left to fill: those records are small, and retiring it would
+// cost a new file at every drop. durable, when not nil,
 // runs once before the first unlink — the caller makes durable there what
 // supersedes the records about to go — and if it fails nothing is deleted
 // (the next trim tries again). durable and the unlinks run without w.mu, so
@@ -508,10 +468,6 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-	}
 	err := w.Sync()
 	w.mu.Lock()
 	cerr := w.f.Close()

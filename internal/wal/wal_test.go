@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"knncost/internal/geom"
 )
@@ -24,7 +23,7 @@ func testRecords(n int) []Record {
 		case 2:
 			recs = append(recs, Record{Kind: KindDelete, Relation: "pois", Points: []geom.Point{{X: float64(i), Y: 9}}})
 		case 3:
-			recs = append(recs, Record{Kind: KindCheckpoint, Relation: "roads", Covered: uint64(i), Fingerprint: fmt.Sprintf("fp-%04d", i)})
+			recs = append(recs, Record{Kind: KindDrop, Relation: fmt.Sprintf("gone-%04d", i)})
 		}
 	}
 	return recs
@@ -237,7 +236,7 @@ func TestHoleInSegmentNamesIsCorruption(t *testing.T) {
 
 // TestTrimRetiresActiveSegment: a trim that covers the active segment's
 // first record retires the segment when it holds a mutation, deletes what it
-// covers after the durable callback, and leaves a log of checkpoints alone.
+// covers after the durable callback, and leaves a log of drops alone.
 func TestTrimRetiresActiveSegment(t *testing.T) {
 	dir := t.TempDir()
 	w, _, err := Open(Options{Dir: dir})
@@ -248,10 +247,10 @@ func TestTrimRetiresActiveSegment(t *testing.T) {
 		names, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 		return names
 	}
-	ckpt := Record{Kind: KindCheckpoint, Relation: "r", Covered: 1, Fingerprint: "fp"}
-	lsns := appendAll(t, w, []Record{ckpt, ckpt})
+	drop := Record{Kind: KindDrop, Relation: "r"}
+	lsns := appendAll(t, w, []Record{drop, drop})
 	if n := w.TrimTo(lsns[1], nil); n != 0 || len(segs()) != 1 {
-		t.Fatalf("a segment of checkpoints was retired: %d removed, %v", n, segs())
+		t.Fatalf("a segment of drops was retired: %d removed, %v", n, segs())
 	}
 
 	lsns = appendAll(t, w, testRecords(6))
@@ -503,32 +502,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestIntervalSyncMode(t *testing.T) {
-	dir := t.TempDir()
-	w, _, err := Open(Options{Dir: dir, SyncInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := w.Append(Record{Kind: KindDrop, Relation: "r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Commit is a no-op in interval mode; the background syncer catches up.
-	if err := w.Commit(lsn); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for w.Fsyncs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval syncer never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpHookSplitsWrites(t *testing.T) {
 	dir := t.TempDir()
 	var ops []string
@@ -621,5 +594,24 @@ func TestDecodeRejectsOverflowingPointCount(t *testing.T) {
 	frame = append(frame, payload...)
 	if _, _, err := decodeFrame(frame); err == nil {
 		t.Fatal("decodeFrame accepted a frame whose point count overflows the size check")
+	}
+}
+
+// TestDecodeRejectsCheckpointKind: kind 3 was the checkpoint record, whose
+// fact a registry entry holds since cache format 9. A CRC-valid frame of that
+// kind, laid out as its encoder wrote it, is malformed.
+func TestDecodeRejectsCheckpointKind(t *testing.T) {
+	payload := binary.AppendUvarint(nil, 1) // LSN
+	payload = append(payload, 3)
+	payload = binary.AppendUvarint(payload, 1)
+	payload = append(payload, 'r')
+	payload = binary.AppendUvarint(payload, 1) // covered
+	payload = binary.AppendUvarint(payload, 2)
+	payload = append(payload, "fp"...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	if _, _, err := decodeFrame(frame); err == nil {
+		t.Fatal("decodeFrame accepted a kind-3 frame")
 	}
 }

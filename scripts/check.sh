@@ -18,7 +18,9 @@ cd "$(dirname "$0")/.."
 # build pool, delta overlays, hot-swap publication, group publication (a
 # publish's file I/O runs off the store lock, so the race stage also
 # repeats the tests that park one there: TestWritersDoNotWaitForPublishIO,
-# the *DuringPersist tests, TestPublishGroupCommitsOnce) and first-demand
+# the *DuringPersist tests, TestPublishGroupCommitsOnce, and with them
+# TestFoldWaitsForItsLogFsync, which parks a mutation's fsync under a fold,
+# and TestLostLogKeepsNewWrites) and first-demand
 # pair merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
 # optimizer's single-flight plan cache under concurrent misses and
 # invalidations, the HTTP batch endpoint and the robustness middleware, the
@@ -50,7 +52,7 @@ internal/service:FuzzDecodePointsBody
 
 race() {
 	go test -race $RACE_PKGS
-	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce' ./internal/store/
+	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites' ./internal/store/
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
