@@ -70,6 +70,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -81,10 +82,9 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -98,34 +98,51 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-// varBridge publishes one component's counters to expvar. Tests run
-// several daemons in one process, so the names are published once and read
-// through an atomic pointer to whichever instance is current.
-type varBridge[T any] struct {
-	once sync.Once
-	cur  atomic.Pointer[T]
+// vars is one daemon's counters, by expvar name, each read from the
+// daemon's own instances. /debug/vars serves them beside the process's
+// expvars (cmdline, memstats), so that two daemons in one process — the
+// tests run several — each report their own, and no global keeps a daemon
+// reachable once it has exited.
+type vars map[string]func() any
+
+// bind adds table's counters, read from inst, to v.
+func bind[T any](v vars, inst *T, table map[string]func(*T) any) vars {
+	for name, read := range table {
+		v[name] = func() any { return read(inst) }
+	}
+	return v
 }
 
-var (
-	storeVars   varBridge[store.Store]
-	plannerVars varBridge[optimizer.Planner]
-	routerVars  varBridge[shard.Router]
-)
-
-// publishCounters makes inst the instance b's expvars read, publishing the
-// names of table on first use.
-func publishCounters[T any](b *varBridge[T], inst *T, table map[string]func(*T) any) {
-	b.cur.Store(inst)
-	b.once.Do(func() {
-		for name, read := range table {
-			expvar.Publish(name, expvar.Func(func() any { return read(b.cur.Load()) }))
-		}
-	})
-}
-
-// count adapts a counter method to a publishCounters table entry.
+// count adapts a counter method to a bind table entry.
 func count[T any](read func(*T) int64) func(*T) any {
 	return func(inst *T) any { return read(inst) }
+}
+
+// ServeHTTP writes v and the process's expvars in expvar.Handler's format.
+func (v vars) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	all := map[string]string{}
+	expvar.Do(func(kv expvar.KeyValue) { all[kv.Key] = kv.Value.String() })
+	for name, read := range v {
+		b, err := json.Marshal(read())
+		if err != nil {
+			b = []byte("null")
+		}
+		all[name] = string(b)
+	}
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintf(w, "{\n")
+	for i, name := range names {
+		if i > 0 {
+			fmt.Fprintf(w, ",\n")
+		}
+		fmt.Fprintf(w, "%q: %s", name, all[name])
+	}
+	fmt.Fprintf(w, "\n}\n")
 }
 
 var storeCounters = map[string]func(*store.Store) any{
@@ -141,6 +158,7 @@ var storeCounters = map[string]func(*store.Store) any{
 	"knncost_wal_replayed":        count((*store.Store).WALReplayed),
 	"knncost_wal_truncated_tails": count((*store.Store).WALTruncatedTails),
 	"knncost_compactions":         count((*store.Store).Compactions),
+	"knncost_persist_failures":    count((*store.Store).PersistFailures),
 }
 
 var plannerCounters = map[string]func(*optimizer.Planner) any{
@@ -282,7 +300,6 @@ func run(args []string, stdout io.Writer) int {
 		ln.Close()
 		return 1
 	}
-	publishCounters(&storeVars, st, storeCounters)
 	srv := service.NewWithStore(st, service.Options{
 		MaxK:             *maxK,
 		SampleSize:       *sample,
@@ -290,7 +307,7 @@ func run(args []string, stdout io.Writer) int {
 		DataDir:          *dataDir,
 		PlanCacheEntries: *planCache,
 	})
-	publishCounters(&plannerVars, srv.Planner(), plannerCounters)
+	counters := bind(bind(vars{}, st, storeCounters), srv.Planner(), plannerCounters)
 
 	// Register the boot schema; the ready gate flips once it is built. The
 	// data is deterministic in (name, n, seed), so across restarts the
@@ -320,7 +337,7 @@ func run(args []string, stdout io.Writer) int {
 			log.Printf("knncostd: store drain: %v", err)
 		}
 	}
-	return serve(ln, srv, cfg, warm, closeStore)
+	return serve(ln, srv, cfg, counters, warm, closeStore)
 }
 
 // serveConfig is the flag subset both modes share: the middleware's
@@ -340,7 +357,7 @@ type serveConfig struct {
 // when it fails, and its context ends when shutdown begins — then a
 // signal-triggered graceful drain. closer runs on every path, after the
 // listener has stopped. It returns the process exit code.
-func serve(ln net.Listener, handler http.Handler, cfg serveConfig, warm func(context.Context) error, closer func()) int {
+func serve(ln net.Listener, handler http.Handler, cfg serveConfig, counters vars, warm func(context.Context) error, closer func()) int {
 	wrapped, _ := middleware.Wrap(handler, middleware.Config{
 		EstimateDeadline: cfg.estimateDeadline,
 		CostDeadline:     cfg.costDeadline,
@@ -358,7 +375,7 @@ func serve(ln net.Listener, handler http.Handler, cfg serveConfig, warm func(con
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	rootMux.Handle("GET /readyz", gate.Handler())
-	rootMux.Handle("GET /debug/vars", expvar.Handler())
+	rootMux.Handle("GET /debug/vars", counters)
 	rootMux.Handle("/", wrapped)
 
 	httpSrv := &http.Server{
@@ -510,7 +527,6 @@ func runRouter(addr, peers string, opt shard.Options, cfg serveConfig, stdout io
 		ln.Close()
 		return 1
 	}
-	publishCounters(&routerVars, rt, routerCounters)
 
 	warm := func(ctx context.Context) error {
 		start := time.Now()
@@ -538,5 +554,5 @@ func runRouter(addr, peers string, opt shard.Options, cfg serveConfig, stdout io
 		log.Printf("ready: routing across %d shards (replicas %d)", len(shards), opt.Replicas)
 		return nil
 	}
-	return serve(ln, rt, cfg, warm, func() {})
+	return serve(ln, rt, cfg, bind(vars{}, rt, routerCounters), warm, func() {})
 }

@@ -166,14 +166,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 	syscall.Kill(os.Getpid(), syscall.SIGTERM)
 
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code %d, want 0", code)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit within 30s of SIGTERM")
-	}
+	awaitExit(t, "daemon", exit)
 	wg.Wait()
 	for c, code := range codes {
 		if code != http.StatusOK {

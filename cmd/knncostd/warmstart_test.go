@@ -42,13 +42,25 @@ func waitRelationReady(t *testing.T, base, name string) {
 func stopDaemon(t *testing.T, exit chan int) {
 	t.Helper()
 	syscall.Kill(os.Getpid(), syscall.SIGTERM)
+	awaitExit(t, "daemon", exit)
+}
+
+// awaitExit requires a signalled daemon to exit 0 within 30s. Its timer is
+// stopped on return, not left pending: the runtime drops a cancelled timer
+// from its heap only once the cancelled ones are a quarter of it, and a
+// request deadline cancelled there holds the exited daemon's server, store
+// and all, for as long as the pending ones keep the quarter out of reach.
+func awaitExit(t *testing.T, name string, exit chan int) {
+	t.Helper()
+	timer := time.NewTimer(30 * time.Second)
+	defer timer.Stop()
 	select {
 	case code := <-exit:
 		if code != 0 {
-			t.Fatalf("daemon exit code %d, want 0", code)
+			t.Fatalf("%s exit code %d, want 0", name, code)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit within 30s of SIGTERM")
+	case <-timer.C:
+		t.Fatalf("%s did not exit within 30s of SIGTERM", name)
 	}
 }
 

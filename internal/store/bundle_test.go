@@ -415,6 +415,9 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 		want = append(want[:len(want):len(want)], add...)
 	}
 	settle(t, s, "live")
+	if s.PersistFailures() == 0 {
+		t.Fatal("PersistFailures() = 0 after publishes whose bundles could not be written")
+	}
 	// Served, dumped and hydrated from the points section kept in memory.
 	snap := s.View().Relation("live")
 	if snap.src.file != nil {
@@ -449,6 +452,37 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 		t.Fatalf("restart recovered %d points, want %d: acknowledged mutations lost", len(got), len(want))
 	}
 	assertBitExact(t, again.View().Relation("live"), fromScratch(t, want))
+}
+
+// TestFailedRegistryWriteIsCounted: a publish whose registry write fails
+// still serves the relation, and PersistFailures counts the failure.
+func TestFailedRegistryWriteIsCounted(t *testing.T) {
+	opt := testOptions(t)
+	opt.CacheDir = t.TempDir()
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	mustRegister(t, s, "a", gridPoints(300, 23))
+	if n := s.PersistFailures(); n != 0 {
+		t.Fatalf("PersistFailures() = %d after a clean publish", n)
+	}
+	// A directory where the registry is renamed to: root cannot write over it.
+	reg := filepath.Join(opt.CacheDir, "registry.json")
+	if err := os.Remove(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(reg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s, "b", gridPoints(200, 24))
+	if s.View().Relation("b") == nil {
+		t.Fatal("b is not served after its registry write failed")
+	}
+	if n := s.PersistFailures(); n != 1 {
+		t.Fatalf("PersistFailures() = %d after one failed registry write, want 1", n)
+	}
+	if reg := s.cache.registry(); len(reg) != 1 || reg[0].Name != "a" {
+		t.Fatalf("the registry in memory moved without its file: %+v", reg)
+	}
 }
 
 // TestStatusRepublishSharesTheView: a republish in which no snapshot

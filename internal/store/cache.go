@@ -38,6 +38,8 @@ import (
 //	registry[-scope].json  name → fingerprint, resolution and covered LSN:
 //	                       the one durable record of each live relation
 //	lock                   empty; its flock orders publishes against sweeps
+//	claims                 empty; a lock on one byte of it is a fingerprint's
+//	                       build claim (diskCache.claim, Linux only)
 //	cat/<fp>.knc           bundle: magic+format, the manifest fields, a section
 //	                       table (kind, offset, length), the sections KNPT
 //	                       (points), KNCI (the Count-Index), KNCSMAP

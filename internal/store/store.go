@@ -531,6 +531,9 @@ type Store struct {
 	walReplayed  atomic.Int64
 	walTruncated atomic.Int64
 	compactions  atomic.Int64
+	// persistFailures counts persist's failed steps: a member whose bundle
+	// could not be kept, a log commit, a registry write.
+	persistFailures atomic.Int64
 }
 
 // New creates a Store and starts its build workers. When CacheDir is set,
@@ -645,6 +648,13 @@ func (s *Store) CatalogBuilds() int64 { return s.catalogBuilds.Load() }
 
 // CacheHits returns the number of catalogs loaded from the disk cache.
 func (s *Store) CacheHits() int64 { return s.cacheHits.Load() }
+
+// PersistFailures returns the number of publish steps that could not make a
+// build durable: a member whose bundle could not be written, opened or
+// fsynced, and a group whose log commit or registry write failed. Each
+// leaves the relation served but its registry entry stale and the log
+// pinned.
+func (s *Store) PersistFailures() int64 { return s.persistFailures.Load() }
 
 // CacheSweptFiles returns the number of dead cache files — bundles of
 // generations no registry names any more, and the merge side-files earlier
@@ -1059,13 +1069,30 @@ type builtRelation struct {
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
-// at the given resolution. It runs without any store lock; ctx aborts it
-// between stages.
+// at the given resolution. It runs without any store lock, and with a cache
+// directory it builds a fingerprint only under that fingerprint's claim
+// (diskCache.claim), so stores sharing the directory build it once; ctx
+// aborts it between stages and while it waits for the claim.
 func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point, res core.Resolution) (*builtRelation, error) {
 	res = res.Canon()
 	fp := s.fingerprint(pts, res)
 	if s.cache != nil {
 		b, err := s.loadBundle(fp, res)
+		if err != nil {
+			// Another store on the directory, or another worker of this one,
+			// may be building fp right now: its claim makes this build wait
+			// for that one, and once held, the cache is looked in again. The
+			// claim is released when this function returns: after the
+			// bundle is on disk, before the publish.
+			release, cerr := s.cache.claim(ctx, fp)
+			defer release()
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if cerr == nil {
+				b, err = s.loadBundle(fp, res)
+			}
+		}
 		if err == nil {
 			b.pts = pts
 			return b, nil
@@ -1298,6 +1325,7 @@ func (s *Store) persist(group []*member) (replaced []string) {
 			err = s.cache.syncBundle(b.fp)
 		}
 		if err != nil {
+			s.persistFailures.Add(1)
 			s.opt.logger().Printf("store: persisting %q: %v (serving it, registry not updated)", m.name, err)
 			continue
 		}
@@ -1309,11 +1337,13 @@ func (s *Store) persist(group []*member) (replaced []string) {
 	// next start would number new records from its end. A mutation is
 	// fsynced before it is acknowledged, so this waits only for one in flight.
 	if err := s.wal.Commit(covered); err != nil {
+		s.persistFailures.Add(1)
 		s.opt.logger().Printf("store: syncing the log through LSN %d: %v (registry not updated)", covered, err)
 		return nil
 	}
 	replaced, err := s.cache.remember(puts, "")
 	if err != nil {
+		s.persistFailures.Add(1)
 		s.opt.logger().Printf("store: updating cache registry: %v", err)
 		return nil
 	}

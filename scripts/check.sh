@@ -20,7 +20,11 @@ cd "$(dirname "$0")/.."
 # repeats the tests that park one there: TestWritersDoNotWaitForPublishIO,
 # the *DuringPersist tests, TestPublishGroupCommitsOnce, and with them
 # TestFoldWaitsForItsLogFsync, which parks a mutation's fsync under a fold,
-# and TestLostLogKeepsNewWrites) and first-demand
+# and TestLostLogKeepsNewWrites), build claims (two stores, or two workers,
+# that miss one fingerprint at once build it once: the race stage repeats
+# TestConcurrentScopesBuildOnce, TestClaimWaitEndsWithItsBuild,
+# TestClaimDiesWithItsHolder, and the daemon-level
+# TestRoutedRegistrationBuildsOnce) and first-demand
 # pair merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
 # optimizer's single-flight plan cache under concurrent misses and
 # invalidations, the HTTP batch endpoint and the robustness middleware, the
@@ -52,7 +56,8 @@ internal/service:FuzzDecodePointsBody
 
 race() {
 	go test -race $RACE_PKGS
-	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites' ./internal/store/
+	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites|ConcurrentScopesBuildOnce|ClaimWaitEndsWithItsBuild|ClaimDiesWithItsHolder' ./internal/store/
+	go test -race -count=10 -run 'RoutedRegistrationBuildsOnce' ./cmd/knncostd/
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
