@@ -48,12 +48,12 @@ func TestAknnBoundsRegistration(t *testing.T) {
 	}
 }
 
-// TestAknnSummarySeeded: a seeded summary is served verbatim, never
-// rebuilt — the store's warm-restart contract.
+// TestAknnSummarySeeded: a summary handed to NewCountRelation is served
+// verbatim, never rebuilt — the store's warm-restart contract.
 func TestAknnSummarySeeded(t *testing.T) {
-	rel := NewRelation("r", testTree(t, 800, 3), BuildOptions{})
-	pre := aknn.BuildSummary(rel.Tree())
-	rel.Seed(TechAknnBounds, pre)
+	tree := testTree(t, 800, 3)
+	pre := aknn.BuildSummary(tree)
+	rel := NewCountRelation("r", tree, nil, BuildOptions{}, Artifacts{Aknn: pre})
 	if got := rel.AknnSummary(); got != pre {
 		t.Fatalf("seeded summary not served: got %p, want %p", got, pre)
 	}

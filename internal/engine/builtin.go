@@ -30,64 +30,69 @@ const (
 	TechAknnBounds = "aknn-bounds"
 )
 
-func init() {
-	RegisterSelect(SelectTechnique{
-		Name:         TechStaircaseCC,
-		Summary:      "staircase catalogs with Center+Corners interpolation (§3)",
-		Preprocessed: true,
-		Estimator: func(r *Relation) (core.SelectEstimator, error) {
-			return r.Staircase(core.ModeCenterCorners)
+// selects and joins are the techniques, sorted by name: the order every
+// listing reports.
+var (
+	selects = []SelectTechnique{
+		{
+			Name:    TechDensity,
+			Summary: "density-based baseline over the Count-Index (§2)",
+			Estimator: func(r *Relation) (core.SelectEstimator, error) {
+				return r.Density(), nil
+			},
 		},
-	})
-	RegisterSelect(SelectTechnique{
-		Name:         TechStaircaseC,
-		Summary:      "staircase catalogs with Center-Only interpolation (§3)",
-		Preprocessed: true,
-		Estimator: func(r *Relation) (core.SelectEstimator, error) {
-			return r.Staircase(core.ModeCenterOnly)
+		{
+			Name:         TechStaircaseC,
+			Summary:      "staircase catalogs with Center-Only interpolation (§3)",
+			Preprocessed: true,
+			Estimator: func(r *Relation) (core.SelectEstimator, error) {
+				return r.Staircase(core.ModeCenterOnly)
+			},
 		},
-	})
-	RegisterSelect(SelectTechnique{
-		Name:    TechDensity,
-		Summary: "density-based baseline over the Count-Index (§2)",
-		Estimator: func(r *Relation) (core.SelectEstimator, error) {
-			return r.Density(), nil
+		{
+			Name:         TechStaircaseCC,
+			Summary:      "staircase catalogs with Center+Corners interpolation (§3)",
+			Preprocessed: true,
+			Estimator: func(r *Relation) (core.SelectEstimator, error) {
+				return r.Staircase(core.ModeCenterCorners)
+			},
 		},
-	})
-
-	RegisterJoin(JoinTechnique{
-		Name:    TechBlockSample,
-		Summary: "query-time localities for a sample of outer blocks (§4.1)",
-		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
-			return outer.BlockSample(inner), nil
+	}
+	joins = []JoinTechnique{
+		{
+			Name:         TechAknnBounds,
+			Summary:      "bounds-only pruning cost of the exact AkNN join, in points (Winecki)",
+			Preprocessed: true,
+			Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
+				return inner.AknnSummary().Bind(outer.tree, outer.opt.SampleSize), nil
+			},
 		},
-	})
-	RegisterJoin(JoinTechnique{
-		Name:         TechCatalogMerge,
-		Summary:      "plane-sweep-merged locality catalog per relation pair (§4.2)",
-		Preprocessed: true,
-		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
-			return outer.CatalogMerge(inner)
+		{
+			Name:    TechBlockSample,
+			Summary: "query-time localities for a sample of outer blocks (§4.1)",
+			Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
+				return outer.BlockSample(inner), nil
+			},
 		},
-	})
-	RegisterJoin(JoinTechnique{
-		Name:         TechAknnBounds,
-		Summary:      "bounds-only pruning cost of the exact AkNN join, in points (Winecki)",
-		Preprocessed: true,
-		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
-			return inner.AknnSummary().Bind(outer.tree, outer.opt.SampleSize), nil
+		{
+			Name:         TechCatalogMerge,
+			Summary:      "plane-sweep-merged locality catalog per relation pair (§4.2)",
+			Preprocessed: true,
+			Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
+				return outer.CatalogMerge(inner)
+			},
 		},
-	})
-	RegisterJoin(JoinTechnique{
-		Name:         TechVirtualGrid,
-		Summary:      "per-grid-cell locality catalogs over the inner relation (§4.3)",
-		Preprocessed: true,
-		Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
-			vg, err := inner.VirtualGrid()
-			if err != nil {
-				return nil, err
-			}
-			return vg.Bind(outer.tree), nil
+		{
+			Name:         TechVirtualGrid,
+			Summary:      "per-grid-cell locality catalogs over the inner relation (§4.3)",
+			Preprocessed: true,
+			Estimator: func(outer, inner *Relation) (core.JoinEstimator, error) {
+				vg, err := inner.VirtualGrid()
+				if err != nil {
+					return nil, err
+				}
+				return vg.Bind(outer.tree), nil
+			},
 		},
-	})
-}
+	}
+)

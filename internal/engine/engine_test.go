@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"knncost/internal/aknn"
 	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/index"
@@ -76,16 +77,16 @@ func TestArtifactsBuildOnce(t *testing.T) {
 	}
 }
 
+// TestSeedWins: artifacts handed to NewCountRelation are served verbatim,
+// by the accessors and by name, and never rebuilt.
 func TestSeedWins(t *testing.T) {
 	tree := testTree(t, 2000, 4)
-	rel := NewRelation("r", tree, BuildOptions{MaxK: 100})
-
 	den := core.NewDensityBased(tree.CountTree())
 	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 100, Fallback: den})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Seed(TechStaircaseCC, stair)
+	rel := NewCountRelation("r", tree, nil, BuildOptions{MaxK: 100}, Artifacts{Density: den, Staircase: stair})
 	got, err := rel.Staircase(core.ModeCenterCorners)
 	if err != nil {
 		t.Fatal(err)
@@ -101,13 +102,54 @@ func TestSeedWins(t *testing.T) {
 	if est.(*core.Staircase) != stair {
 		t.Error("SelectEstimator bypassed the seeded artifact")
 	}
+	if rel.Density() != den {
+		t.Error("seeded density estimator was rebuilt")
+	}
+	// A mode nobody handed in is built on demand, in its own cell.
+	c, err := rel.Staircase(core.ModeCenterOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == stair || c.Mode() != core.ModeCenterOnly {
+		t.Errorf("Staircase(Center-Only) = mode %v, the seeded staircase: %v", c.Mode(), c == stair)
+	}
+}
 
-	// Seeding after the artifact exists is a no-op: the first value wins.
-	den2 := core.NewDensityBased(tree.CountTree())
-	first := rel.Density()
-	rel.Seed(TechDensity, den2)
-	if rel.Density() != first {
-		t.Error("late Seed replaced an already-built artifact")
+// TestSeedAtAnotherResolutionIsRebuilt: an artifact built at a resolution
+// other than the one the relation builds at is not served, but rebuilt at
+// the relation's own.
+func TestSeedAtAnotherResolutionIsRebuilt(t *testing.T) {
+	tree := testTree(t, 2000, 13)
+	count := tree.CountTree()
+	den := core.NewDensityBased(count)
+	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 50, Fallback: den})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vg, err := core.BuildVirtualGrid(count, 4, 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := aknn.BuildSummaryCapacity(count, 64)
+
+	opt := BuildOptions{MaxK: 100, GridSize: 8, AknnCapacity: 16}
+	rel := NewCountRelation("r", tree, nil, opt, Artifacts{Staircase: stair, VGrid: vg, Aknn: sum})
+	gotStair, err := rel.Staircase(core.ModeCenterCorners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStair == stair || gotStair.Resolution().MaxK != 100 {
+		t.Errorf("a staircase at MaxK 50 answered for MaxK 100 (served as is: %v)", gotStair == stair)
+	}
+	gotVG, err := rel.VirtualGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotVG == vg || gotVG.Resolution().GridSize != 8 {
+		t.Errorf("a 4x4 virtual grid answered for GridSize 8 (served as is: %v)", gotVG == vg)
+	}
+	if got := rel.AknnSummary(); got == sum || got.Resolution().AknnCapacity != 16 {
+		t.Errorf("an AkNN summary at capacity 64 answered for capacity 16 (served as is: %v)", got == sum)
 	}
 }
 
@@ -272,5 +314,54 @@ func TestConcurrentResolve(t *testing.T) {
 				t.Errorf("worker %d resolved a different %s artifact", w, name)
 			}
 		}
+	}
+}
+
+// TestCachedResolveAllocatesNothing: resolving a technique by name against
+// built artifacts, and a Catalog-Merge hit, allocate nothing — the plan
+// cache and the service resolve on every request.
+func TestCachedResolveAllocatesNothing(t *testing.T) {
+	rel := NewRelation("r", testTree(t, 1000, 14), BuildOptions{MaxK: 50})
+	inner := NewRelation("s", testTree(t, 800, 15), BuildOptions{MaxK: 50})
+	if _, err := rel.SelectEstimator(TechStaircaseCC); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rel.JoinEstimator(TechCatalogMerge, inner); err != nil {
+		t.Fatal(err)
+	}
+	var sel core.SelectEstimator
+	var join core.JoinEstimator
+	if allocs := testing.AllocsPerRun(200, func() {
+		sel, _ = rel.SelectEstimator(TechStaircaseCC)
+		join, _ = rel.JoinEstimator(TechCatalogMerge, inner)
+	}); allocs != 0 || sel == nil || join == nil {
+		t.Fatalf("a cached resolution allocates %.1f times per call", allocs)
+	}
+}
+
+var benchSink any
+
+func BenchmarkResolveSelect(b *testing.B) {
+	rel := NewRelation("r", quadtree.Build(testPoints(1000, 16), quadtree.Options{Capacity: 32, Bounds: testBounds}).Index(), BuildOptions{MaxK: 50})
+	if _, err := rel.SelectEstimator(TechStaircaseCC); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = rel.SelectEstimator(TechStaircaseCC)
+	}
+}
+
+func BenchmarkCatalogMergeHit(b *testing.B) {
+	build := func(seed int64) *Relation {
+		return NewRelation("r", quadtree.Build(testPoints(1000, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}).Index(), BuildOptions{MaxK: 50})
+	}
+	rel, inner := build(17), build(18)
+	if _, err := rel.CatalogMerge(inner); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = rel.CatalogMerge(inner)
 	}
 }

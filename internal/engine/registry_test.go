@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"knncost/internal/core"
 )
 
 func TestBuiltinNames(t *testing.T) {
@@ -67,16 +65,10 @@ func TestLookupNormalizesNames(t *testing.T) {
 		if _, err := LookupSelect(old); err == nil {
 			t.Errorf("LookupSelect(%q) resolved; the legacy spelling must be unknown", old)
 		}
-		if _, ok := CanonSelectName(old); ok {
-			t.Errorf("CanonSelectName(%q) resolved; the legacy spelling must be unknown", old)
-		}
 	}
 	for _, old := range []string{"blocksample", "catalogmerge", "virtualgrid", "aknnbounds", "aknn"} {
 		if _, err := LookupJoin(old); err == nil {
 			t.Errorf("LookupJoin(%q) resolved; the legacy spelling must be unknown", old)
-		}
-		if _, ok := CanonJoinName(old); ok {
-			t.Errorf("CanonJoinName(%q) resolved; the legacy spelling must be unknown", old)
 		}
 	}
 }
@@ -109,83 +101,17 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", what)
-		}
-	}()
-	fn()
-}
-
-func TestRegisterContract(t *testing.T) {
-	noopSelect := func(*Relation) (core.SelectEstimator, error) { return nil, nil }
-	noopJoin := func(*Relation, *Relation) (core.JoinEstimator, error) { return nil, nil }
-
-	mustPanic(t, "duplicate select name", func() {
-		RegisterSelect(SelectTechnique{Name: TechStaircaseCC, Estimator: noopSelect})
-	})
-	mustPanic(t, "select name differing only in case", func() {
-		RegisterSelect(SelectTechnique{Name: " Density", Estimator: noopSelect})
-	})
-	mustPanic(t, "empty select name", func() {
-		RegisterSelect(SelectTechnique{Estimator: noopSelect})
-	})
-	mustPanic(t, "nil select estimator", func() {
-		RegisterSelect(SelectTechnique{Name: "fresh-select"})
-	})
-	mustPanic(t, "duplicate join name", func() {
-		RegisterJoin(JoinTechnique{Name: TechCatalogMerge, Estimator: noopJoin})
-	})
-	mustPanic(t, "nil join estimator", func() {
-		RegisterJoin(JoinTechnique{Name: "fresh-join"})
-	})
-
-	// A failed registration must leave no trace: the fresh names above must
-	// still be unknown.
-	if _, err := LookupSelect("fresh-select"); err == nil {
-		t.Error("failed registration leaked name fresh-select into the registry")
-	}
-	if _, err := LookupJoin("fresh-join"); err == nil {
-		t.Error("failed registration leaked name fresh-join into the registry")
-	}
-
-	// A valid registration resolves by name, in its registered spelling;
-	// registering the same name again panics.
-	RegisterSelect(SelectTechnique{Name: "Test-Select", Estimator: noopSelect})
-	defer unregisterSelectForTest("test-select")
-	if tech, err := LookupSelect("test-select"); err != nil || tech.Name != "Test-Select" {
-		t.Errorf("LookupSelect(test-select) = %v, %v; want Test-Select", tech.Name, err)
-	}
-	if name, ok := CanonSelectName("TEST-SELECT"); !ok || name != "Test-Select" {
-		t.Errorf("CanonSelectName(TEST-SELECT) = %q, %v; want Test-Select", name, ok)
-	}
-	mustPanic(t, "re-registering test-select", func() {
-		RegisterSelect(SelectTechnique{Name: "test-select", Estimator: noopSelect})
-	})
-
-	RegisterJoin(JoinTechnique{Name: "test-join", Estimator: noopJoin})
-	defer unregisterJoinForTest("test-join")
-	if tech, err := LookupJoin("test-join"); err != nil || tech.Name != "test-join" {
-		t.Errorf("LookupJoin(test-join) = %v, %v; want test-join", tech.Name, err)
-	}
-	mustPanic(t, "re-registering test-join", func() {
-		RegisterJoin(JoinTechnique{Name: "test-join", Estimator: noopJoin})
-	})
-}
-
 // TestListingOrderDeterministic pins the ordering contract of every listing
-// surface: names sorted, registration order not leaking into wire or CLI
-// output.
+// surface: names sorted, in the canonical spelling a lookup compares with.
 func TestListingOrderDeterministic(t *testing.T) {
-	noopSelect := func(*Relation) (core.SelectEstimator, error) { return nil, nil }
-	RegisterSelect(SelectTechnique{Name: "aa-order-probe", Estimator: noopSelect}) // registered last, sorts first
-	defer unregisterSelectForTest("aa-order-probe")
-
 	var listed []string
 	for _, tech := range SelectTechniques() {
 		listed = append(listed, tech.Name)
+	}
+	for _, name := range append(SelectNames(), JoinNames()...) {
+		if canonKey(name) != name {
+			t.Errorf("technique name %q is not canonical; no lookup can find it", name)
+		}
 	}
 	if !sort.StringsAreSorted(listed) || !reflect.DeepEqual(listed, SelectNames()) {
 		t.Errorf("SelectTechniques() lists %v, SelectNames() %v; want both sorted and equal", listed, SelectNames())

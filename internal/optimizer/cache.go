@@ -274,12 +274,11 @@ func buildKey(v *store.View, q *Query, key *planKey) (cacheable bool, err error)
 		if snap == nil {
 			return false, fmt.Errorf("optimizer: unknown relation %q", s.Relation)
 		}
-		canon, ok := engine.CanonSelectName(selectTechnique(s.Technique))
-		if !ok {
-			_, lerr := engine.LookupSelect(s.Technique)
-			return false, fmt.Errorf("optimizer: %w", lerr)
+		tech, err := engine.LookupSelect(selectTechnique(s.Technique))
+		if err != nil {
+			return false, fmt.Errorf("optimizer: %w", err)
 		}
-		key.selects[i] = selectKey{relation: s.Relation, version: snap.Version, k: s.K, technique: canon}
+		key.selects[i] = selectKey{relation: s.Relation, version: snap.Version, k: s.K, technique: tech.Name}
 	}
 	if j := q.Join; j != nil {
 		key.hasJoin = true
@@ -290,15 +289,14 @@ func buildKey(v *store.View, q *Query, key *planKey) (cacheable bool, err error)
 		if inner == nil {
 			return false, fmt.Errorf("optimizer: unknown relation %q", j.Inner)
 		}
-		canon, ok := engine.CanonJoinName(joinTechnique(j.Technique))
-		if !ok {
-			_, lerr := engine.LookupJoin(j.Technique)
-			return false, fmt.Errorf("optimizer: %w", lerr)
+		tech, err := engine.LookupJoin(joinTechnique(j.Technique))
+		if err != nil {
+			return false, fmt.Errorf("optimizer: %w", err)
 		}
 		key.join = joinKey{
 			outer: j.Outer, inner: j.Inner,
 			outerVersion: outer.Version, innerVers: inner.Version,
-			k: j.K, technique: canon,
+			k: j.K, technique: tech.Name,
 		}
 	}
 	return true, nil

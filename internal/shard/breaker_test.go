@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -70,7 +69,7 @@ func TestBreakerBoundsDeadReplicaLatency(t *testing.T) {
 	defer front.Close()
 
 	pts := datagen.OSMLike(400, 17)
-	registerThrough(t, front.URL, map[string][]geom.Point{rel: pts})
+	registerThrough(t, front.URL, rt, shards, map[string][]geom.Point{rel: pts})
 	path := fmt.Sprintf("/estimate/select?rel=%s&x=%v&y=%v&k=10", rel, pts[0].X, pts[0].Y)
 	measure(t, front.URL, path, 20) // warm connections and latency trackers
 
@@ -144,16 +143,7 @@ func TestRouterMutationFanout(t *testing.T) {
 	defer front.Close()
 
 	pts := datagen.OSMLike(200, 7)
-	registerThrough(t, front.URL, map[string][]geom.Point{"live": pts})
-	// The router's status speaks for one replica; the assertions below read
-	// both owners' stores directly.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, ts := range []*testShard{s1, s2} {
-		if err := ts.st.WaitReady(ctx, "live"); err != nil {
-			t.Fatalf("%s: %v", ts.id, err)
-		}
-	}
+	registerThrough(t, front.URL, rt, []*testShard{s1, s2}, map[string][]geom.Point{"live": pts})
 
 	mutate := func(method string, points [][2]float64, wantStatus int) service.RelationInfo {
 		t.Helper()

@@ -40,10 +40,12 @@ func TestMutationHealPinnedToPrimary(t *testing.T) {
 		}
 	}
 	shards := map[string]*testShard{}
+	var all []*testShard
 	var defs []Shard
 	for _, id := range []string{"p1", "p2", "p3"} {
 		ts := newTestShard(t, id, blockable(id))
 		shards[id] = ts
+		all = append(all, ts)
 		defs = append(defs, ts.shard())
 	}
 	rt, err := New(defs, Options{Replicas: 2})
@@ -54,7 +56,7 @@ func TestMutationHealPinnedToPrimary(t *testing.T) {
 	defer front.Close()
 
 	base := datagen.OSMLike(200, 17)
-	registerThrough(t, front.URL, map[string][]geom.Point{"live": base})
+	registerThrough(t, front.URL, rt, all, map[string][]geom.Point{"live": base})
 
 	owners := rt.ownersFor("live")
 	primary, secondary := shards[owners[0].id], shards[owners[1].id]

@@ -99,7 +99,7 @@ func TestHedgingBoundsTailLatency(t *testing.T) {
 	defer front.Close()
 
 	pts := datagen.OSMLike(400, 99)
-	registerThrough(t, front.URL, map[string][]geom.Point{rel: pts})
+	registerThrough(t, front.URL, rt, shards, map[string][]geom.Point{rel: pts})
 	path := fmt.Sprintf("/estimate/select?rel=%s&x=%v&y=%v&k=10", rel, pts[0].X, pts[0].Y)
 
 	// Baseline: both replicas healthy.

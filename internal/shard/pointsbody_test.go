@@ -36,7 +36,7 @@ func TestRouterProxiesMalformedPoints(t *testing.T) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 	relations := map[string][]geom.Point{"live": datagen.OSMLike(200, 7)}
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, []*testShard{s1, s2}, relations)
 	direct := newOracle(t, relations)
 
 	send := func(base, method, path, body string) (int, string) {

@@ -104,8 +104,10 @@ func testRelations(t *testing.T) map[string][]geom.Point {
 }
 
 // registerThrough registers every relation through the router (exercising
-// the fan-out write path) and waits until the router reports them ready.
-func registerThrough(t *testing.T, routerURL string, relations map[string][]geom.Point) {
+// the fan-out write path) and waits until every owner among shards has it
+// ready. The router's status answers for whichever replica replies first,
+// so it cannot prove that both owners are.
+func registerThrough(t *testing.T, routerURL string, rt *Router, shards []*testShard, relations map[string][]geom.Point) {
 	t.Helper()
 	for name, pts := range relations {
 		req := service.RegisterRequest{Name: name, Points: make([][2]float64, len(pts))}
@@ -126,23 +128,21 @@ func registerThrough(t *testing.T, routerURL string, relations map[string][]geom
 			t.Fatalf("registering %s through router: status %d: %s", name, resp.StatusCode, data)
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	byID := map[string]*testShard{}
+	for _, ts := range shards {
+		byID[ts.id] = ts
+	}
 	for name := range relations {
-		for {
-			resp, err := http.Get(routerURL + "/relations/" + name + "/status")
-			if err != nil {
-				t.Fatal(err)
+		for _, owner := range rt.ownersFor(name) {
+			ts := byID[owner.id]
+			if ts == nil {
+				t.Fatalf("owner %s of %s is not among the test shards", owner.id, name)
 			}
-			var st service.RelationInfo
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err == nil && resp.StatusCode == http.StatusOK && st.State == "ready" {
-				break
+			if err := ts.st.WaitReady(ctx, name); err != nil {
+				t.Fatalf("relation %s never became ready on owner %s: %v", name, ts.id, err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("relation %s never became ready through the router (last: %d %+v)", name, resp.StatusCode, st)
-			}
-			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }
@@ -275,7 +275,7 @@ func TestRouterDifferential(t *testing.T) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, shards, relations)
 	paths := differentialPaths(relations)
 	for _, p := range paths {
 		assertSame(t, front.URL, oracle.URL, p)
@@ -359,7 +359,7 @@ func TestRouterSurface(t *testing.T) {
 	}
 	front := httptest.NewServer(rt)
 	defer front.Close()
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, shards, relations)
 
 	// Techniques: answered locally, byte-identical to a shard's answer.
 	rs, rb := fetch(t, front.URL+"/techniques")
@@ -480,7 +480,7 @@ func TestRouterJoinAcrossShards(t *testing.T) {
 	}
 	front := httptest.NewServer(rt)
 	defer front.Close()
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, shards, relations)
 
 	for outer := range relations {
 		for inner := range relations {
@@ -536,7 +536,7 @@ func TestRouterPlanCoResident(t *testing.T) {
 	}
 	front := httptest.NewServer(rt)
 	defer front.Close()
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, shards, relations)
 
 	req := service.PlanRequest{Selects: []service.PlanSelect{
 		{Relation: "alpha", X: 50, Y: 50, K: 8},
@@ -602,7 +602,7 @@ func TestRouterPlanAcrossShards(t *testing.T) {
 	}
 	front := httptest.NewServer(rt)
 	defer front.Close()
-	registerThrough(t, front.URL, relations)
+	registerThrough(t, front.URL, rt, shards, relations)
 
 	req := service.PlanRequest{Selects: []service.PlanSelect{
 		{Relation: crossPair[0], X: 50, Y: 50, K: 8},

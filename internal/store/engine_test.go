@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"knncost/internal/core"
 	"knncost/internal/engine"
@@ -190,16 +192,15 @@ func TestSnapshotEngineServesSeededArtifacts(t *testing.T) {
 
 // enginePairSlots counts the pair artifacts r's engine cache holds. The
 // engine exports no such count (its own test exports are invisible here),
-// so this reads the unexported map; a renamed field panics rather than
-// passing.
+// so this reads the unexported sync.Map; a renamed or retyped field panics
+// rather than passing.
 func enginePairSlots(r *engine.Relation) int {
-	n := 0
-	artifacts := reflect.ValueOf(r).Elem().FieldByName("artifacts")
-	for _, key := range artifacts.MapKeys() {
-		if !key.FieldByName("inner").IsNil() {
-			n++
-		}
+	f := reflect.ValueOf(r).Elem().FieldByName("merges")
+	if f.Type() != reflect.TypeOf(sync.Map{}) {
+		panic("engine.Relation.merges is not a sync.Map")
 	}
+	n := 0
+	(*sync.Map)(unsafe.Pointer(f.UnsafeAddr())).Range(func(any, any) bool { n++; return true })
 	return n
 }
 

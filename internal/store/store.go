@@ -1405,17 +1405,12 @@ func (s *Store) installSnapshot(e *entry, b *builtRelation) {
 	if src.file == nil {
 		src.mem = appendPoints(make([]byte, 0, pointsSize(len(b.pts))), b.pts)
 	}
-	eng := engine.NewCountRelation(e.name, b.tree, src.hydrate,
-		engine.BuildOptions{SampleSize: s.opt.SampleSize}.WithResolution(b.res))
-	// Seed the engine with the artifacts this build already produced (or
+	// The engine serves the artifacts this build already produced (or
 	// cache-loaded), so technique resolution never rebuilds what the store
-	// has: the engine serves these exact objects, bit for bit. The
-	// staircase seeds under the technique its mode (the resolution's corner
-	// budget) selects; artifacts key by their own reported resolution.
-	eng.Seed(engine.TechDensity, b.density)
-	eng.Seed(engine.StaircaseTechnique(b.staircase.Mode()), b.staircase)
-	eng.Seed(engine.TechVirtualGrid, b.vgrid)
-	eng.Seed(engine.TechAknnBounds, b.aknn)
+	// has: these exact objects, bit for bit.
+	eng := engine.NewCountRelation(e.name, b.tree, src.hydrate,
+		engine.BuildOptions{SampleSize: s.opt.SampleSize}.WithResolution(b.res),
+		engine.Artifacts{Density: b.density, Staircase: b.staircase, VGrid: b.vgrid, Aknn: b.aknn})
 	e.snap = &Snapshot{
 		Name:           e.name,
 		Version:        version,

@@ -12,8 +12,10 @@ set -eux
 cd "$(dirname "$0")/.."
 
 # The packages with concurrent hot paths: the staircase build fan-out, the
-# batch estimation workers, the engine's once-per-artifact builds, the
-# bounds-only AkNN join (whose summaries are shared across snapshot
+# batch estimation workers, the engine's once-per-artifact builds (one
+# once-cell per artifact and a sync.Map of pair merges, so the race stage
+# repeats TestConcurrentResolve, TestArtifactsBuildOnce and
+# TestBuildErrorCached), the bounds-only AkNN join (whose summaries are shared across snapshot
 # readers), the WAL's group-commit fsync batching, the relation store's
 # build pool, delta overlays, hot-swap publication, group publication (a
 # publish's file I/O runs off the store lock, so the race stage also
@@ -58,6 +60,7 @@ race() {
 	go test -race $RACE_PKGS
 	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites|ConcurrentScopesBuildOnce|ClaimWaitEndsWithItsBuild|ClaimDiesWithItsHolder' ./internal/store/
 	go test -race -count=10 -run 'RoutedRegistrationBuildsOnce' ./cmd/knncostd/
+	go test -race -count=10 -run 'ConcurrentResolve|ArtifactsBuildOnce|BuildErrorCached' ./internal/engine/
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
