@@ -138,7 +138,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /relations", s.handleRegisterRelation)
 	s.mux.HandleFunc("GET /relations/{name}/status", s.handleRelationStatus)
 	s.mux.HandleFunc("GET /relations/{name}/points", s.handleRelationPoints)
-	s.mux.HandleFunc("GET /techniques", s.handleTechniques)
+	s.mux.HandleFunc("GET /techniques", HandleTechniques)
 	s.mux.HandleFunc("DELETE /relations/{name}", s.handleDropRelation)
 	s.mux.HandleFunc("POST /relations/{name}/points", s.handleAppendPoints)
 	s.mux.HandleFunc("DELETE /relations/{name}/points", s.handleDeletePoints)
@@ -347,7 +347,10 @@ type TechniquesResponse struct {
 	Join   []TechniqueInfo `json:"join"`
 }
 
-func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
+// HandleTechniques answers GET /techniques from the technique registry
+// compiled into the binary, so a router serves it as a node does, with no
+// hop to a shard.
+func HandleTechniques(w http.ResponseWriter, _ *http.Request) {
 	var resp TechniquesResponse
 	for _, t := range engine.SelectTechniques() {
 		resp.Select = append(resp.Select, TechniqueInfo{
@@ -523,24 +526,53 @@ func queryK(r *http.Request) (int, error) {
 	return k, nil
 }
 
-func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
-	rel, ok := s.relationParam(w, r, s.store.View(), "rel")
-	if !ok {
-		return
+// selectArgs resolves the relation of a single-relation request
+// (/estimate/select, /cost/select) and parses its x, y and k, in that
+// order; ok is false after an error response was written.
+func (s *Server) selectArgs(w http.ResponseWriter, r *http.Request) (rel *store.Snapshot, q geom.Point, k int, ok bool) {
+	if rel, ok = s.relationParam(w, r, s.store.View(), "rel"); !ok {
+		return nil, q, 0, false
 	}
-	x, err := queryFloat(r, "x")
+	var err error
+	q.X, err = queryFloat(r, "x")
+	if err == nil {
+		q.Y, err = queryFloat(r, "y")
+	}
+	if err == nil {
+		k, err = queryK(r)
+	}
 	if err != nil {
 		badRequest(w, "%v", err)
-		return
+		return nil, q, 0, false
 	}
-	y, err := queryFloat(r, "y")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+	return rel, q, k, true
+}
+
+// joinArgs resolves the outer and inner relations of a pair request
+// (/estimate/join, /cost/join) in v, requires them to differ and parses
+// its k, in that order; ok is false after an error response was written.
+func (s *Server) joinArgs(w http.ResponseWriter, r *http.Request, v *store.View) (outer, inner *store.Snapshot, k int, ok bool) {
+	if outer, ok = s.relationParam(w, r, v, "outer"); !ok {
+		return nil, nil, 0, false
+	}
+	if inner, ok = s.relationParam(w, r, v, "inner"); !ok {
+		return nil, nil, 0, false
+	}
+	if outer == inner {
+		badRequest(w, "outer and inner must differ")
+		return nil, nil, 0, false
 	}
 	k, err := queryK(r)
 	if err != nil {
 		badRequest(w, "%v", err)
+		return nil, nil, 0, false
+	}
+	return outer, inner, k, true
+}
+
+func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
+	rel, q, k, ok := s.selectArgs(w, r)
+	if !ok {
 		return
 	}
 	est, method, ok := s.selectEstimator(w, rel, r.URL.Query().Get("technique"))
@@ -548,7 +580,7 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	blocks, err := est.EstimateSelect(geom.Point{X: x, Y: y}, k)
+	blocks, err := est.EstimateSelect(q, k)
 	if err != nil {
 		badRequest(w, "estimate failed: %v", err)
 		return
@@ -700,21 +732,8 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 	// snapshots and the merge always belong to the same published schema
 	// even while rebuilds hot-swap underneath.
 	v := s.store.View()
-	outer, ok := s.relationParam(w, r, v, "outer")
+	outer, inner, k, ok := s.joinArgs(w, r, v)
 	if !ok {
-		return
-	}
-	inner, ok := s.relationParam(w, r, v, "inner")
-	if !ok {
-		return
-	}
-	if outer == inner {
-		badRequest(w, "outer and inner must differ")
-		return
-	}
-	k, err := queryK(r)
-	if err != nil {
-		badRequest(w, "%v", err)
 		return
 	}
 	method := r.URL.Query().Get("technique")
@@ -751,23 +770,8 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
-	rel, ok := s.relationParam(w, r, s.store.View(), "rel")
+	rel, q, k, ok := s.selectArgs(w, r)
 	if !ok {
-		return
-	}
-	x, err := queryFloat(r, "x")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	y, err := queryFloat(r, "y")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	k, err := queryK(r)
-	if err != nil {
-		badRequest(w, "%v", err)
 		return
 	}
 	start := time.Now()
@@ -778,7 +782,7 @@ func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	cost, err := costSelect(r.Context(), data, geom.Point{X: x, Y: y}, k)
+	cost, err := costSelect(r.Context(), data, q, k)
 	if err != nil {
 		writeCancelled(w, err)
 		return
@@ -790,22 +794,8 @@ func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCostJoin(w http.ResponseWriter, r *http.Request) {
-	v := s.store.View()
-	outer, ok := s.relationParam(w, r, v, "outer")
+	outer, inner, k, ok := s.joinArgs(w, r, s.store.View())
 	if !ok {
-		return
-	}
-	inner, ok := s.relationParam(w, r, v, "inner")
-	if !ok {
-		return
-	}
-	if outer == inner {
-		badRequest(w, "outer and inner must differ")
-		return
-	}
-	k, err := queryK(r)
-	if err != nil {
-		badRequest(w, "%v", err)
 		return
 	}
 	start := time.Now()

@@ -56,21 +56,23 @@ func (rt *Router) noteFailure(rep *replica) {
 	}
 }
 
+// probeTimeout bounds a health probe when no AttemptTimeout is set.
+const probeTimeout = 2 * time.Second
+
 // probe polls a tripped replica's /healthz until it answers 200, then
 // closes the breaker. Backoff is exponential with full jitter so a fleet
-// of routers does not probe a recovering shard in lockstep. The goroutine
-// exits when the replica leaves the topology.
+// of routers does not probe a recovering shard in lockstep. A probe is one
+// attempt, bounded like one.
 func (rt *Router) probe(rep *replica) {
 	backoff := rt.opt.BreakerBackoff
 	maxBackoff := 16 * rt.opt.BreakerBackoff
+	timeout := rt.opt.AttemptTimeout
+	if timeout <= 0 {
+		timeout = probeTimeout
+	}
 	for {
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
-		select {
-		case <-rep.gone:
-			return
-		case <-time.After(d):
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), rt.opt.BreakerProbeTimeout)
+		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		res := rt.do(ctx, rep, proxyReq{method: http.MethodGet, pathQuery: "/healthz"})
 		cancel()
 		if res.err == nil && res.status == http.StatusOK {

@@ -56,11 +56,10 @@ func TestBreakerBoundsDeadReplicaLatency(t *testing.T) {
 	shards := []*testShard{mkShard("k1"), mkShard("k2")}
 
 	rt, err := New([]Shard{shards[0].shard(), shards[1].shard()}, Options{
-		Replicas:            2,
-		AttemptTimeout:      attemptTimeout,
-		BreakerFailures:     3,
-		BreakerBackoff:      25 * time.Millisecond,
-		BreakerProbeTimeout: 100 * time.Millisecond,
+		Replicas:        2,
+		AttemptTimeout:  attemptTimeout,
+		BreakerFailures: 3,
+		BreakerBackoff:  25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestBreakerBoundsDeadReplicaLatency(t *testing.T) {
 
 	// Seed the trackers so the soon-to-die replica is the preferred one:
 	// the breaker, not lucky ordering, must be what routes around it.
-	_, reps := rt.topology()
+	reps := rt.reps
 	for id, rep := range reps {
 		seed := 2 * time.Millisecond
 		if id == primary {

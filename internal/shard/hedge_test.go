@@ -111,7 +111,7 @@ func TestHedgingBoundsTailLatency(t *testing.T) {
 	// is by observed median, and without this the healthy replica may
 	// already be preferred by baseline jitter — which would dodge the
 	// hedge machinery this test exists to exercise.
-	_, reps := rt.topology()
+	reps := rt.reps
 	for id, rep := range reps {
 		seed := 2 * time.Millisecond
 		if id == primary {

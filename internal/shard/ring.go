@@ -11,7 +11,7 @@
 // With a shared content-addressed catalog cache (internal/store), that
 // handoff is a warm restore — the receiving shard loads catalogs keyed by
 // the point-data fingerprint instead of rebuilding them — which is what
-// makes live rebalancing cheap.
+// makes moving a relation to a new owner cheap.
 //
 // Everything the router serves is bit-exact equal to a single-node answer:
 // shards build catalogs from the same points with the same options, every

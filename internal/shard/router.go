@@ -10,21 +10,21 @@ import (
 	"net/http"
 	"net/url"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"knncost/internal/engine"
 	"knncost/internal/service"
 )
 
 // Shard names one shard daemon of the topology.
 type Shard struct {
 	// ID is the shard's stable identity on the ring. Routing hashes IDs,
-	// so IDs must stay stable across restarts and rebalances for placement
-	// to stay stable.
+	// so IDs must stay stable across restarts and peer-list changes for
+	// placement to stay stable.
 	ID string
 	// BaseURL is where the shard serves the estimation HTTP surface,
 	// e.g. "http://127.0.0.1:8081".
@@ -47,17 +47,11 @@ type Options struct {
 	// requests used as the adaptive hedge delay (floored by HedgeAfter).
 	// Zero means 0.95.
 	HedgePercentile float64
-	// VirtualNodes is the ring's per-shard virtual-node count. Zero means
-	// DefaultVirtualNodes.
-	VirtualNodes int
-	// MirrorTimeout bounds one rebalance warm-restore (fetch points from a
-	// peer, register on the target shard, wait ready). Zero means 30s.
-	MirrorTimeout time.Duration
-	// AttemptTimeout bounds one read attempt against one replica. When a
-	// replica exceeds it the attempt fails over to the next replica (and
-	// counts against the replica's health breaker). Zero disables the
-	// per-attempt bound; the request then only fails over on transport
-	// errors.
+	// AttemptTimeout bounds one read attempt against one replica, a health
+	// probe included. When a replica exceeds it the attempt fails over to
+	// the next replica (and counts against the replica's health breaker).
+	// Zero disables the per-attempt bound; the request then only fails over
+	// on transport errors, and a probe is bounded by 2s.
 	AttemptTimeout time.Duration
 	// BreakerFailures is the consecutive-transport-failure count that trips
 	// a replica's health breaker: a tripped replica sinks to the end of
@@ -68,8 +62,6 @@ type Options struct {
 	// replica; probes back off exponentially (jittered) to 16x this value.
 	// Zero means 250ms.
 	BreakerBackoff time.Duration
-	// BreakerProbeTimeout bounds one health probe. Zero means 2s.
-	BreakerProbeTimeout time.Duration
 	// Client is the HTTP client used for shard requests. Nil means a
 	// client with sane connection pooling defaults.
 	Client *http.Client
@@ -84,17 +76,11 @@ func (o Options) withDefaults() Options {
 	if o.HedgePercentile <= 0 || o.HedgePercentile > 1 {
 		o.HedgePercentile = 0.95
 	}
-	if o.MirrorTimeout <= 0 {
-		o.MirrorTimeout = 30 * time.Second
-	}
 	if o.BreakerFailures == 0 {
 		o.BreakerFailures = 3
 	}
 	if o.BreakerBackoff <= 0 {
 		o.BreakerBackoff = 250 * time.Millisecond
-	}
-	if o.BreakerProbeTimeout <= 0 {
-		o.BreakerProbeTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -106,9 +92,12 @@ func (o Options) logger() *log.Logger {
 	return log.Default()
 }
 
+// mirrorTimeout bounds one mirror: fetch a relation's points from a peer,
+// register them on the target shard, wait until they are ready.
+const mirrorTimeout = 30 * time.Second
+
 // replica is the router's per-shard state: address, latency history, a
-// request counter and breaker health. It survives rebalances that keep the
-// shard.
+// request counter and breaker health.
 type replica struct {
 	id       string
 	base     string
@@ -117,11 +106,9 @@ type replica struct {
 
 	// Breaker state: fails counts consecutive transport failures, down
 	// flags a tripped breaker (reads deprioritize the replica until a
-	// background probe sees it healthy), gone is closed when the replica
-	// leaves the topology so its probe goroutine exits.
+	// background probe sees it healthy).
 	fails atomic.Int32
 	down  atomic.Bool
-	gone  chan struct{}
 }
 
 // Router is a stateless scatter-gather front for a set of shard daemons: it
@@ -130,21 +117,23 @@ type replica struct {
 // cannot tell a routed topology from a single node — including bit-exact
 // estimate values.
 //
-// Reads (estimates, costs, statuses) are routed to the owning replicas
-// fastest-first with optional hedging. Writes (register, drop) fan out to
-// every owner. A shard that should own a relation but does not yet — the
-// moment after a rebalance, or the inner side of a cross-shard join — is
-// healed in-band: the router fetches the relation's points from a peer and
-// re-registers them on the target shard, which warm-restores the catalogs
-// from the shared content-addressed cache when one is configured.
+// Reads (estimates, costs) are routed to the owning replicas fastest-first
+// with optional hedging; a status or points read walks the owners, then
+// every other shard, until one holds the relation. Writes (register, drop)
+// fan out to every owner. A shard that should own a relation but does not yet — under
+// a router started over a changed peer list, or the inner side of a
+// cross-shard join — is healed in-band on first contact: the router fetches
+// the relation's points from a peer and re-registers them on the target
+// shard, which warm-restores the catalogs from the shared content-addressed
+// cache when one is configured. A router's peer list is fixed for its life.
 type Router struct {
 	opt    Options
 	client *http.Client
 	mux    *http.ServeMux
 
-	mu   sync.RWMutex // guards ring + reps (rebalance vs routing)
 	ring *Ring
 	reps map[string]*replica
+	all  []*replica // every replica, sorted by ID
 
 	hedges       atomic.Int64
 	hedgeWins    atomic.Int64
@@ -157,6 +146,21 @@ type Router struct {
 
 // New creates a router over the given shards.
 func New(shards []Shard, opt Options) (*Router, error) {
+	ids := make([]string, len(shards))
+	reps := make(map[string]*replica, len(shards))
+	for i, s := range shards {
+		base := strings.TrimSuffix(s.BaseURL, "/")
+		u, err := url.Parse(base)
+		if err != nil || u.Scheme == "" || u.Host == "" {
+			return nil, fmt.Errorf("shard: %q has unusable base URL %q", s.ID, s.BaseURL)
+		}
+		ids[i] = s.ID
+		reps[s.ID] = &replica{id: s.ID, base: base}
+	}
+	ring, err := NewRing(ids, DefaultVirtualNodes)
+	if err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	client := opt.Client
 	if client == nil {
@@ -169,55 +173,16 @@ func New(shards []Shard, opt Options) (*Router, error) {
 	rt := &Router{
 		opt:     opt,
 		client:  client,
+		ring:    ring,
+		reps:    reps,
 		mirrors: map[string]chan struct{}{},
 	}
-	if err := rt.SetShards(shards); err != nil {
-		return nil, err
+	for _, rep := range reps {
+		rt.all = append(rt.all, rep)
 	}
+	sort.Slice(rt.all, func(i, j int) bool { return rt.all[i].id < rt.all[j].id })
 	rt.routes()
 	return rt, nil
-}
-
-// SetShards replaces the topology: a new ring is computed and routing flips
-// to it atomically, while in-flight requests finish against the old one.
-// Replicas kept across the change keep their latency history and counters.
-// Relations that moved are not copied eagerly — the first request routed to
-// their new owner mirrors them over (see WarmRestores).
-func (rt *Router) SetShards(shards []Shard) error {
-	ids := make([]string, len(shards))
-	byID := make(map[string]string, len(shards))
-	for i, s := range shards {
-		ids[i] = s.ID
-		base := strings.TrimSuffix(s.BaseURL, "/")
-		u, err := url.Parse(base)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return fmt.Errorf("shard: %q has unusable base URL %q", s.ID, s.BaseURL)
-		}
-		byID[s.ID] = base
-	}
-	ring, err := NewRing(ids, rt.opt.VirtualNodes)
-	if err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	reps := make(map[string]*replica, len(byID))
-	for id, base := range byID {
-		if old := rt.reps[id]; old != nil && old.base == base {
-			reps[id] = old
-			continue
-		}
-		reps[id] = &replica{id: id, base: base, gone: make(chan struct{})}
-	}
-	// Replicas that left the topology (or changed address) take their
-	// breaker probes with them.
-	for id, old := range rt.reps {
-		if reps[id] != old {
-			close(old.gone)
-		}
-	}
-	rt.ring, rt.reps = ring, reps
-	return nil
 }
 
 // Hedges returns the number of hedge requests fired.
@@ -228,17 +193,15 @@ func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 func (rt *Router) HedgeWins() int64 { return rt.hedgeWins.Load() }
 
 // WarmRestores returns the number of relations mirrored onto a shard in
-// response to routing (rebalances and cross-shard join colocations).
+// response to routing (relations that changed owners and cross-shard join
+// colocations).
 func (rt *Router) WarmRestores() int64 { return rt.restores.Load() }
 
 // BreakerTrips returns how many times a replica's health breaker tripped.
 func (rt *Router) BreakerTrips() int64 { return rt.breakerTrips.Load() }
 
-// RequestsByShard returns the per-shard request counts of the current
-// topology.
+// RequestsByShard returns the per-shard request counts.
 func (rt *Router) RequestsByShard() map[string]int64 {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
 	out := make(map[string]int64, len(rt.reps))
 	for id, rep := range rt.reps {
 		out[id] = rep.requests.Load()
@@ -254,7 +217,7 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	rt.mux.HandleFunc("GET /techniques", rt.handleTechniques)
+	rt.mux.HandleFunc("GET /techniques", service.HandleTechniques)
 	rt.mux.HandleFunc("GET /relations", rt.handleRelations)
 	rt.mux.HandleFunc("POST /relations", rt.handleRegister)
 	rt.mux.HandleFunc("DELETE /relations/{name}", rt.handleDrop)
@@ -272,22 +235,13 @@ func (rt *Router) routes() {
 
 // --- topology lookups --------------------------------------------------------
 
-// topology returns the current ring and replica map under one read lock, so
-// a request resolves a consistent pair even while SetShards swaps them.
-func (rt *Router) topology() (*Ring, map[string]*replica) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring, rt.reps
-}
-
 // ownersFor returns the relation's owning replicas in ring order (primary
 // first) — the deterministic set writes fan out to.
 func (rt *Router) ownersFor(relation string) []*replica {
-	ring, reps := rt.topology()
-	ids := ring.Owners(relation, rt.opt.Replicas)
+	ids := rt.ring.Owners(relation, rt.opt.Replicas)
 	out := make([]*replica, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, reps[id])
+		out = append(out, rt.reps[id])
 	}
 	return out
 }
@@ -309,15 +263,18 @@ func (rt *Router) replicasFor(relation string) []*replica {
 	return out
 }
 
-// allReplicas returns every replica of the topology, sorted by ID.
-func (rt *Router) allReplicas() []*replica {
-	_, reps := rt.topology()
-	out := make([]*replica, 0, len(reps))
-	for _, rep := range reps {
-		out = append(out, rep)
+// peers lists the replicas that may hold the relation, skip left out, in
+// the order a walk asks them: the owners in read order, then every other
+// replica by ID — a relation may still live on a shard that owned it under
+// an earlier peer list.
+func (rt *Router) peers(relation string, skip *replica) []*replica {
+	out := rt.replicasFor(relation)
+	for _, rep := range rt.all {
+		if !slices.Contains(out, rep) {
+			out = append(out, rep)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return slices.DeleteFunc(out, func(rep *replica) bool { return rep == skip })
 }
 
 // --- low-level shard requests ------------------------------------------------
@@ -331,8 +288,8 @@ type proxyReq struct {
 	contentType string
 }
 
-// clientReq captures the incoming request as a proxyReq (GETs only; bodied
-// requests build their proxyReq explicitly).
+// clientReq captures the incoming request's method, path and query as a
+// proxyReq; a bodied request sets the body itself.
 func clientReq(r *http.Request) proxyReq {
 	pq := r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -467,17 +424,19 @@ func (rt *Router) hedgedDo(ctx context.Context, reps []*replica, req proxyReq) p
 	}
 }
 
-// unknownRelRe matches the service's "unknown relation" 400 body and
-// captures the relation name — the signal that a shard the ring routes to
-// is missing data it should own. The body is JSON, so the quotes around the
-// name arrive backslash-escaped.
-var unknownRelRe = regexp.MustCompile(`unknown relation \\?"([^"\\]+)\\?"`)
+// missingRelRe matches a shard's answer that it does not hold a relation
+// and captures the name: the 400 of a read (`unknown relation "X" (have
+// …)`) and the 404 of a mutation (`store: unknown relation: "X"`). The
+// body is JSON, so the quotes around the name arrive backslash-escaped.
+var missingRelRe = regexp.MustCompile(`unknown relation:? \\?"([^"\\]+)\\?"`)
 
-func unknownRelation(res proxyRes) (string, bool) {
-	if res.err != nil || res.status != http.StatusBadRequest {
+// missingRelation reports the relation a shard answered it does not hold —
+// the signal that a shard the ring routes to is missing data it should own.
+func missingRelation(res proxyRes) (string, bool) {
+	if res.err != nil || (res.status != http.StatusBadRequest && res.status != http.StatusNotFound) {
 		return "", false
 	}
-	m := unknownRelRe.FindSubmatch(res.body)
+	m := missingRelRe.FindSubmatch(res.body)
 	if m == nil {
 		return "", false
 	}
@@ -485,21 +444,15 @@ func unknownRelation(res proxyRes) (string, bool) {
 }
 
 // routedDo is hedgedDo plus in-band healing: when the winning shard answers
-// "unknown relation", the router mirrors the missing relation onto that
-// shard (fetching its points from a peer; a warm restore when shards share
-// a catalog cache) and retries there. Two rounds cover a join missing both
-// sides. A relation no peer has is not healable and the 400 stands.
-func (rt *Router) routedDo(ctx context.Context, reps []*replica, req proxyReq) proxyRes {
-	return rt.routedDoN(ctx, reps, req, 2)
-}
-
-// routedDoN is routedDo with an explicit heal budget: requests referencing
-// n relations need up to n mirror-and-retry rounds, one per relation the
-// winning shard might be missing.
-func (rt *Router) routedDoN(ctx context.Context, reps []*replica, req proxyReq, rounds int) proxyRes {
+// that it does not hold a relation, the router mirrors the relation onto
+// that shard (fetching its points from a peer; a warm restore when shards
+// share a catalog cache) and retries there. rounds is the number of
+// relations the request names: each round heals one the winner is missing.
+// A relation no peer has is not healable and the 400 stands.
+func (rt *Router) routedDo(ctx context.Context, reps []*replica, req proxyReq, rounds int) proxyRes {
 	res := rt.hedgedDo(ctx, reps, req)
-	for tries := 0; tries < rounds; tries++ {
-		name, ok := unknownRelation(res)
+	for ; rounds > 0; rounds-- {
+		name, ok := missingRelation(res)
 		if !ok || res.rep == nil {
 			return res
 		}
@@ -512,17 +465,18 @@ func (rt *Router) routedDoN(ctx context.Context, reps []*replica, req proxyReq, 
 	return res
 }
 
-// mirror copies one relation onto target: fetch its points from a peer that
-// has them, register them on target, and wait for the build to publish.
-// Registration is by the original point data, so the target builds (or
-// warm-restores from a shared cache) catalogs bit-identical to the
+// mirror copies relation name onto target: fetch its points from a peer
+// that has them, register them on target, and wait for the build to
+// publish. Registration is by the original point data, so the target builds
+// (or warm-restores from a shared cache) catalogs bit-identical to the
 // source's. Concurrent mirrors of the same relation to the same shard are
 // collapsed into one.
-// mirror copies relation name onto target. With a nil source the points are
-// fetched from whichever peer has them (read-path healing after a rebalance).
-// A non-nil source pins the fetch to that replica and fails if it cannot
-// serve: mutation-path heals rely on the dump including a write the source
-// just applied, so falling back to an arbitrary peer could silently drop it.
+//
+// With a nil source the points come from the first peer of the walk that
+// has them (read-path healing). A non-nil source pins the fetch to that
+// replica and fails if it cannot serve: mutation-path heals rely on the
+// dump including a write the source just applied, so falling back to an
+// arbitrary peer could silently drop it.
 func (rt *Router) mirror(ctx context.Context, target *replica, name string, source *replica) error {
 	key := target.id + "/" + name
 	var ch chan struct{}
@@ -554,7 +508,7 @@ func (rt *Router) mirror(ctx context.Context, target *replica, name string, sour
 		close(ch)
 	}()
 
-	mctx, cancel := context.WithTimeout(ctx, rt.opt.MirrorTimeout)
+	mctx, cancel := context.WithTimeout(ctx, mirrorTimeout)
 	defer cancel()
 	body, err := rt.fetchPoints(mctx, target, name, source)
 	if err != nil {
@@ -579,42 +533,50 @@ func (rt *Router) mirror(ctx context.Context, target *replica, name string, sour
 	return nil
 }
 
-// fetchPoints finds a peer that has the relation's points and returns the
-// dump. With a nil source, ring owners are probed first (they normally have
-// it), then every other shard — after a rebalance the old owner is usually
-// not an owner anymore. A non-nil source is probed exclusively: the caller
-// needs that specific replica's logical points, and any other peer's dump
-// could be stale.
+// fetchPoints returns the relation's points dump from the first of its
+// peers other than target that has it. A non-nil source is asked
+// exclusively: the caller needs that specific replica's logical points, and
+// any other peer's dump could be stale.
 func (rt *Router) fetchPoints(ctx context.Context, target *replica, name string, source *replica) ([]byte, error) {
-	var order []*replica
-	if source != nil {
-		order = []*replica{source}
-	} else {
-		probed := map[string]bool{target.id: true}
-		for _, rep := range rt.ownersFor(name) {
-			if !probed[rep.id] {
-				probed[rep.id] = true
-				order = append(order, rep)
-			}
-		}
-		for _, rep := range rt.allReplicas() {
-			if !probed[rep.id] {
-				probed[rep.id] = true
-				order = append(order, rep)
-			}
-		}
+	reps := []*replica{source}
+	if source == nil {
+		reps = rt.peers(name, target)
 	}
-	var lastErr error = fmt.Errorf("no peer has relation %q", name)
-	for _, rep := range order {
-		res := rt.do(ctx, rep, proxyReq{method: http.MethodGet, pathQuery: "/relations/" + name + "/points"})
+	res := rt.walk(ctx, reps, proxyReq{method: http.MethodGet, pathQuery: "/relations/" + name + "/points"})
+	switch {
+	case res.err != nil:
+		return nil, fmt.Errorf("points of %q: %w", name, res.err)
+	case res.status != http.StatusOK:
+		return nil, fmt.Errorf("points of %q from %s: status %d: %s", name, res.rep.id, res.status, truncate(res.body))
+	}
+	return res.body, nil
+}
+
+// walk asks reps for req one at a time and returns the first 200. Without
+// one, the answer that says most about the relation stands: a shard that
+// holds it but cannot serve it (a not-ready 503) outranks one that does not
+// know it (a 404), which outranks a transport failure.
+func (rt *Router) walk(ctx context.Context, reps []*replica, req proxyReq) proxyRes {
+	rank := func(res proxyRes) int {
+		switch {
+		case res.err != nil:
+			return 0
+		case res.status == http.StatusNotFound:
+			return 1
+		}
+		return 2
+	}
+	best := proxyRes{err: fmt.Errorf("shard: no peer to ask")}
+	for _, rep := range reps {
+		res := rt.attempt(ctx, rep, req)
 		if res.err == nil && res.status == http.StatusOK {
-			return res.body, nil
+			return res
 		}
-		if res.err != nil {
-			lastErr = fmt.Errorf("points from %s: %w", rep.id, res.err)
+		if rank(res) > rank(best) {
+			best = res
 		}
 	}
-	return nil, lastErr
+	return best
 }
 
 // waitReady polls the target's status endpoint until the relation is ready.
@@ -685,23 +647,6 @@ func truncate(b []byte) string {
 
 // --- handlers ----------------------------------------------------------------
 
-// handleTechniques answers locally: the technique registry is compiled into
-// the router and identical to every shard's, so the listing needs no hop.
-func (rt *Router) handleTechniques(w http.ResponseWriter, _ *http.Request) {
-	var resp service.TechniquesResponse
-	for _, t := range engine.SelectTechniques() {
-		resp.Select = append(resp.Select, service.TechniqueInfo{
-			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
-		})
-	}
-	for _, t := range engine.JoinTechniques() {
-		resp.Join = append(resp.Join, service.TechniqueInfo{
-			Name: t.Name, Summary: t.Summary, Preprocessed: t.Preprocessed,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleSelect routes single-relation reads (/estimate/select,
 // /cost/select) to the relation's replicas, hedged.
 func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -710,7 +655,7 @@ func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "unknown relation %q", rel)
 		return
 	}
-	writeProxied(w, rt.routedDo(r.Context(), rt.replicasFor(rel), clientReq(r)))
+	writeProxied(w, rt.routedDo(r.Context(), rt.replicasFor(rel), clientReq(r), 1))
 }
 
 // handleJoin routes pair reads (/estimate/join, /cost/join). A shard owning
@@ -727,20 +672,14 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "unknown relation %q", name)
 		return
 	}
-	writeProxied(w, rt.routedDo(r.Context(), rt.pairReplicas(outer, inner), clientReq(r)))
+	writeProxied(w, rt.routedDo(r.Context(), rt.groupReplicas([]string{outer, inner}), clientReq(r), 2))
 }
 
-// pairReplicas orders the candidate shards of a join: shards owning both
-// relations first (no mirror needed), then the outer's remaining owners.
-func (rt *Router) pairReplicas(outer, inner string) []*replica {
-	return rt.groupReplicas([]string{outer, inner})
-}
-
-// groupReplicas generalizes pairReplicas to any number of relations: the
-// first relation's replicas ordered fastest-first, with shards that own
-// every listed relation promoted to the front — they can answer without a
-// mirror. Shards missing some relation stay reachable behind them; routedDoN
-// heals them one relation per round when they win.
+// groupReplicas orders the candidate shards of a request naming several
+// relations: the first relation's replicas ordered fastest-first, with
+// shards that own every listed relation promoted to the front — they can
+// answer without a mirror. Shards missing some relation stay reachable
+// behind them; routedDo heals them one relation per round when they win.
 func (rt *Router) groupReplicas(names []string) []*replica {
 	first := rt.replicasFor(names[0])
 	if len(names) == 1 {
@@ -764,76 +703,42 @@ func (rt *Router) groupReplicas(names []string) []*replica {
 	return append(all, rest...)
 }
 
-// handleRelationGet routes /relations/{name}/status and …/points to the
-// relation's owners, falling through to the remaining shards when the
-// owners do not know the name — right after a rebalance the data still
-// lives on the old owner.
+// handleRelationGet answers /relations/{name}/status and …/points from the
+// first peer of the walk that holds the relation: an owner that does not
+// know it yet is passed over, and after a peer-list change the data may
+// still live on a shard that is no owner.
 func (rt *Router) handleRelationGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	req := clientReq(r)
-	res := rt.hedgedDo(r.Context(), rt.replicasFor(name), req)
-	if res.err == nil && res.status == http.StatusOK {
-		writeProxied(w, res)
-		return
+	writeProxied(w, rt.walk(r.Context(), rt.peers(r.PathValue("name"), nil), clientReq(r)))
+}
+
+// scatter sends req to every replica of reps at once and returns their
+// answers in the same order.
+func (rt *Router) scatter(ctx context.Context, reps []*replica, req proxyReq) []proxyRes {
+	out := make([]proxyRes, len(reps))
+	var wg sync.WaitGroup
+	for i, rep := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = rt.do(ctx, rep, req)
+		}()
 	}
-	owned := map[string]bool{}
-	for _, rep := range rt.ownersFor(name) {
-		owned[rep.id] = true
-	}
-	for _, rep := range rt.allReplicas() {
-		if owned[rep.id] {
-			continue
-		}
-		if other := rt.do(r.Context(), rep, req); other.err == nil && other.status == http.StatusOK {
-			writeProxied(w, other)
-			return
-		}
-	}
-	writeProxied(w, res)
+	wg.Wait()
+	return out
 }
 
 // handleRelations scatter-gathers the listing from every shard and merges
 // it: one row per relation name, owners preferred over mirrors, sorted.
 func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
-	reps := rt.allReplicas()
-	req := clientReq(r)
-	type shardList struct {
-		rep  *replica
-		rows []service.RelationInfo
-	}
-	results := make([]shardList, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			res := rt.do(r.Context(), rep, req)
-			if res.err != nil || res.status != http.StatusOK {
-				return
-			}
-			var rows []service.RelationInfo
-			if json.Unmarshal(res.body, &rows) == nil {
-				results[i] = shardList{rep: rep, rows: rows}
-			}
-		}(i, rep)
-	}
-	wg.Wait()
-
-	ring, _ := rt.topology()
 	merged := map[string]service.RelationInfo{}
 	fromOwner := map[string]bool{}
-	for _, sl := range results {
-		if sl.rep == nil {
+	for _, res := range rt.scatter(r.Context(), rt.all, clientReq(r)) {
+		var rows []service.RelationInfo
+		if res.err != nil || res.status != http.StatusOK || json.Unmarshal(res.body, &rows) != nil {
 			continue
 		}
-		for _, row := range sl.rows {
-			isOwner := false
-			for _, id := range ring.Owners(row.Name, rt.opt.Replicas) {
-				if id == sl.rep.id {
-					isOwner = true
-					break
-				}
-			}
+		for _, row := range rows {
+			isOwner := slices.Contains(rt.ring.Owners(row.Name, rt.opt.Replicas), res.rep.id)
 			if _, seen := merged[row.Name]; !seen || (isOwner && !fromOwner[row.Name]) {
 				merged[row.Name] = row
 				fromOwner[row.Name] = isOwner
@@ -869,16 +774,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		body: body, contentType: "application/json",
 	}
 	owners := rt.ownersFor(name)
-	results := make([]proxyRes, len(owners))
-	var wg sync.WaitGroup
-	for i, rep := range owners {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			results[i] = rt.do(r.Context(), rep, preq)
-		}(i, rep)
-	}
-	wg.Wait()
+	results := rt.scatter(r.Context(), owners, preq)
 	// The primary's answer wins; a replica failure is logged, not fatal —
 	// the mirror path heals a missing replica on first contact.
 	for i, res := range results[1:] {
@@ -891,49 +787,23 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDrop fans the drop out to every shard: mirrors created by join
-// colocation or past rebalances can live anywhere.
+// colocation or earlier peer lists can live anywhere.
 func (rt *Router) handleDrop(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	req := clientReq(r)
-	reps := rt.allReplicas()
-	results := make([]proxyRes, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			results[i] = rt.do(r.Context(), rep, req)
-		}(i, rep)
-	}
-	wg.Wait()
-	dropped := false
-	for _, res := range results {
+	for _, res := range rt.scatter(r.Context(), rt.all, clientReq(r)) {
 		if res.err == nil && res.status == http.StatusNoContent {
-			dropped = true
+			w.WriteHeader(http.StatusNoContent)
+			return
 		}
 	}
-	if dropped {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown relation %q", name)})
-}
-
-// mutationUnknownRe matches the mutation endpoints' 404 body ("store:
-// unknown relation: \"name\"") — the signal that an owner is missing a
-// relation it should hold a replica of.
-var mutationUnknownRe = regexp.MustCompile(`unknown relation:? \\?"`)
-
-func mutationUnknown(res proxyRes) bool {
-	return res.err == nil && res.status == http.StatusNotFound && mutationUnknownRe.Match(res.body)
+	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown relation %q", r.PathValue("name"))})
 }
 
 // handleMutatePoints fans a point mutation (append or delete) out to every
 // owner of the relation, primary first: the primary is the authoritative
 // copy — its answer is the client's answer, and a secondary that turns out
-// to be missing the relation (the moment after a rebalance) is healed by
-// mirroring the primary's logical points, which already include this write,
-// so the heal does not replay it. A missing primary is healed from a peer
+// to be missing the relation (it changed owners with the peer list) is
+// healed by mirroring the primary's logical points, which already include
+// this write, so the heal does not replay it. A missing primary is healed from a peer
 // BEFORE the write applies anywhere, then retried — once — so the write
 // lands exactly once there too.
 //
@@ -953,12 +823,8 @@ func (rt *Router) handleMutatePoints(w http.ResponseWriter, r *http.Request) {
 		body: body, contentType: r.Header.Get("Content-Type"),
 	}
 	owners := rt.ownersFor(name)
-	if len(owners) == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown relation %q", name)})
-		return
-	}
 	res := rt.attempt(r.Context(), owners[0], req)
-	if mutationUnknown(res) {
+	if _, missing := missingRelation(res); missing {
 		// The write has not applied anywhere yet, so any peer's dump is a
 		// valid base — the retry below applies the mutation on top of it.
 		if merr := rt.mirror(r.Context(), owners[0], name, nil); merr != nil {
@@ -978,7 +844,7 @@ func (rt *Router) handleMutatePoints(w http.ResponseWriter, r *http.Request) {
 		go func(rep *replica) {
 			defer wg.Done()
 			sres := rt.attempt(r.Context(), rep, req)
-			if mutationUnknown(sres) {
+			if _, missing := missingRelation(sres); missing {
 				// Healing IS the apply here, so the fetch is pinned to the
 				// primary — the one replica whose logical points are known
 				// to include this mutation. A fallback peer's dump might
@@ -1023,7 +889,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeProxied(w, rt.routedDo(r.Context(), reps, proxyReq{
 			method: http.MethodPost, pathQuery: r.URL.Path,
 			body: body, contentType: "application/json",
-		}))
+		}, 1))
 		return
 	}
 
@@ -1054,7 +920,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res := rt.routedDo(r.Context(), rotate(reps, i), proxyReq{
 				method: http.MethodPost, pathQuery: r.URL.Path,
 				body: subBody, contentType: "application/json",
-			})
+			}, 1)
 			results[i].res = res
 			if res.err == nil && res.status == http.StatusOK {
 				results[i].decodeErr = json.Unmarshal(res.body, &results[i].part)
@@ -1108,14 +974,9 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "plan references no relations")
 		return
 	}
-	pq := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pq += "?" + r.URL.RawQuery // preserve ?explain=
-	}
-	writeProxied(w, rt.routedDoN(r.Context(), rt.groupReplicas(names), proxyReq{
-		method: http.MethodPost, pathQuery: pq,
-		body: body, contentType: "application/json",
-	}, len(names)))
+	preq := clientReq(r) // the query carries ?explain=
+	preq.body, preq.contentType = body, "application/json"
+	writeProxied(w, rt.routedDo(r.Context(), rt.groupReplicas(names), preq, len(names)))
 }
 
 // planRelations lists the distinct relations a plan request references, in

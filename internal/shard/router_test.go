@@ -24,8 +24,8 @@ import (
 // The differential suite here is the sharding tier's correctness contract:
 // every answer served through the router — selects, joins, costs, batches —
 // must be bit-exact equal to what one unsharded node serving the same
-// relations answers, including while the topology is being rebalanced under
-// live traffic. Catalog builds are deterministic in (points, options), so
+// relations answers, including through routers started over a changed peer
+// list while they heal under live traffic. Catalog builds are deterministic in (points, options), so
 // any deviation is a routing bug, not noise.
 
 func testStoreOptions(scope string) store.Options {
@@ -246,9 +246,9 @@ func batchSame(t *testing.T, routerURL, oracleURL, rel string, pts []geom.Point)
 
 // TestRouterDifferential is the acceptance test of the tier: a 3-shard
 // routed topology with replica fan-out answers the whole read surface
-// bit-exact equal to a single node — before, during and after a live
-// rebalance that first grows and then shrinks the shard set while traffic
-// keeps flowing.
+// bit-exact equal to a single node — and so do routers started over a grown
+// and then a shrunk peer list against the same shards, while traffic keeps
+// flowing through them as they heal the relations that changed owners.
 func TestRouterDifferential(t *testing.T) {
 	relations := testRelations(t)
 	oracle := newOracle(t, relations)
@@ -258,85 +258,87 @@ func TestRouterDifferential(t *testing.T) {
 		newTestShard(t, "shard-b", nil),
 		newTestShard(t, "shard-c", nil),
 	}
-	toShards := func(ts []*testShard) []Shard {
-		out := make([]Shard, len(ts))
+	// route starts a router over ts and its HTTP front.
+	route := func(ts []*testShard) (*Router, string) {
+		t.Helper()
+		defs := make([]Shard, len(ts))
 		for i, s := range ts {
-			out[i] = s.shard()
+			defs[i] = s.shard()
 		}
-		return out
+		rt, err := New(defs, Options{
+			Replicas:   2,
+			HedgeAfter: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt)
+		t.Cleanup(front.Close)
+		return rt, front.URL
 	}
-	rt, err := New(toShards(shards), Options{
-		Replicas:   2,
-		HedgeAfter: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt)
-	defer front.Close()
+	rt, front := route(shards)
 
-	registerThrough(t, front.URL, rt, shards, relations)
+	registerThrough(t, front, rt, shards, relations)
 	paths := differentialPaths(relations)
 	for _, p := range paths {
-		assertSame(t, front.URL, oracle.URL, p)
+		assertSame(t, front, oracle.URL, p)
 	}
-	batchSame(t, front.URL, oracle.URL, "restaurants", relations["restaurants"])
+	batchSame(t, front, oracle.URL, "restaurants", relations["restaurants"])
 
-	// Live rebalance: background traffic hammers the router while the
-	// topology grows to 4 shards and then shrinks back to 3 (dropping one
-	// of the original owners). Every concurrent answer must stay valid,
-	// and every answer after each flip must still match the oracle.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	// traffic hammers a router in the background until stopped, so the
+	// mirrors of a router healing its relations run concurrently with each
+	// other and with the checks. Every answer must arrive.
+	traffic := func(front string) (stop func()) {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					resp, err := http.Get(front + paths[(i*5+w)%len(paths)])
+					if err != nil {
+						t.Errorf("traffic while healing: %v", err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
 				}
-				p := paths[(i*5+w)%len(paths)]
-				i++
-				resp, err := http.Get(front.URL + p)
-				if err != nil {
-					t.Errorf("traffic during rebalance: %v", err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}(w)
+			}(w)
+		}
+		return func() { close(done); wg.Wait() }
 	}
 
+	// A router over a fourth shard: relations that moved to shard-d are
+	// mirrored there on first contact.
 	grown := append(append([]*testShard(nil), shards...), newTestShard(t, "shard-d", nil))
-	if err := rt.SetShards(toShards(grown)); err != nil {
-		t.Fatal(err)
-	}
+	grownRT, front := route(grown)
+	stop := traffic(front)
 	for _, p := range paths {
-		assertSame(t, front.URL, oracle.URL, p)
+		assertSame(t, front, oracle.URL, p)
 	}
-	batchSame(t, front.URL, oracle.URL, "hotels", relations["hotels"])
+	batchSame(t, front, oracle.URL, "hotels", relations["hotels"])
+	stop()
 
-	shrunk := grown[1:] // drop shard-a: its relations must re-home via mirroring
-	if err := rt.SetShards(toShards(shrunk)); err != nil {
-		t.Fatal(err)
-	}
+	// A router without shard-a: its relations re-home via mirroring.
+	shrunk := grown[1:]
+	shrunkRT, front := route(shrunk)
+	stop = traffic(front)
 	for _, p := range paths {
-		assertSame(t, front.URL, oracle.URL, p)
+		assertSame(t, front, oracle.URL, p)
 	}
-	batchSame(t, front.URL, oracle.URL, "parks", relations["parks"])
+	batchSame(t, front, oracle.URL, "parks", relations["parks"])
+	stop()
 
-	close(stop)
-	wg.Wait()
-
-	if rt.WarmRestores() == 0 {
-		t.Error("rebalancing a 2-replica topology should have warm-restored at least one relation")
+	if grownRT.WarmRestores()+shrunkRT.WarmRestores() == 0 {
+		t.Error("routers over changed peer lists of a 2-replica topology should have warm-restored at least one relation")
 	}
-	reqs := rt.RequestsByShard()
+	reqs := shrunkRT.RequestsByShard()
 	for _, s := range shrunk {
 		if reqs[s.id] == 0 {
 			t.Errorf("shard %s served no requests: %v", s.id, reqs)
@@ -630,5 +632,82 @@ func TestRouterPlanAcrossShards(t *testing.T) {
 	}
 	if cached, _ := rb["cached"].(bool); !cached {
 		t.Error("second routed plan not served from the owner's plan cache")
+	}
+}
+
+// TestRelationGetFindsAnyOwner pins the peer walk of GET
+// /relations/{name}/status and …/points: an owner that does not hold the
+// relation answers 404, and the walk goes on to the owner that does. A
+// fresh router has measured no latency, so its read order is ring order and
+// the owner without the relation is asked first. With no 200 anywhere, a
+// not-ready 503 outranks a 404.
+func TestRelationGetFindsAnyOwner(t *testing.T) {
+	ring, err := NewRing([]string{"g1", "g2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first owner of "pending" answers for it as a node whose build has
+	// not published yet; the second does not know it.
+	pendingFirst := ring.Owners("pending", 2)[0]
+	notReady := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/relations/pending/") {
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				io.WriteString(w, `{"error":"relation \"pending\" is not ready (state building)"}`+"\n")
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	byID := map[string]*testShard{}
+	var defs []Shard
+	for _, id := range []string{"g1", "g2"} {
+		var wrap func(http.Handler) http.Handler
+		if id == pendingFirst {
+			wrap = notReady
+		}
+		byID[id] = newTestShard(t, id, wrap)
+		defs = append(defs, byID[id].shard())
+	}
+
+	// "solo" lives on its second owner only.
+	pts := datagen.OSMLike(150, 23)
+	last := byID[ring.Owners("solo", 2)[1]]
+	if _, err := last.st.Register("solo", pts); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := last.st.WaitReady(ctx, "solo"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/relations/solo/status", http.StatusOK},
+		{"/relations/solo/points", http.StatusOK},
+		{"/relations/pending/status", http.StatusServiceUnavailable},
+		{"/relations/pending/points", http.StatusServiceUnavailable},
+		{"/relations/nosuch/status", http.StatusNotFound},
+	} {
+		rt, err := New(defs, Options{Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt)
+		resp, err := http.Get(front.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		front.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("GET %s through a fresh router: status %d (%s), want %d", c.path, resp.StatusCode, body, c.want)
+		}
 	}
 }

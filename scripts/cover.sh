@@ -46,7 +46,7 @@ check_floor() {
 
 check_floor knncost/internal/engine 85.0
 check_floor knncost/internal/aknn 85.0
-check_floor knncost/internal/shard 78.0
+check_floor knncost/internal/shard 85.0
 check_floor knncost/internal/wal 80.0
 check_floor knncost/internal/optimizer 80.0
 check_floor knncost/internal/store 80.0
