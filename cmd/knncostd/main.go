@@ -202,8 +202,6 @@ func run(args []string, stdout io.Writer) int {
 			"staleness bound: pending deltas older than this are compacted (0 means 2s, negative disables)")
 		walSegmentBytes = fs.Int("wal-segment-bytes", 0,
 			"WAL segment size at which a log that is never folded rotates anyway (0 means the built-in default)")
-		planCache = fs.Int("plan-cache", 0,
-			"plan cache capacity in entries (0 means the built-in default)")
 
 		estimateDeadline = fs.Duration("deadline-estimate", 5*time.Second,
 			"per-request deadline for /estimate/* and metadata routes (0 disables)")
@@ -301,11 +299,10 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	srv := service.NewWithStore(st, service.Options{
-		MaxK:             *maxK,
-		SampleSize:       *sample,
-		GridSize:         *gridSize,
-		DataDir:          *dataDir,
-		PlanCacheEntries: *planCache,
+		MaxK:       *maxK,
+		SampleSize: *sample,
+		GridSize:   *gridSize,
+		DataDir:    *dataDir,
 	})
 	counters := bind(bind(vars{}, st, storeCounters), srv.Planner(), plannerCounters)
 

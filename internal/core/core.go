@@ -28,7 +28,11 @@
 // internal/knnjoin (locality-based join).
 package core
 
-import "knncost/internal/geom"
+import (
+	"math"
+
+	"knncost/internal/geom"
+)
 
 // SelectEstimator predicts the number of blocks a k-NN-Select at q with the
 // given k scans under distance browsing.
@@ -44,4 +48,21 @@ type SelectEstimator interface {
 type JoinEstimator interface {
 	// EstimateJoin returns the predicted total block-scan cost.
 	EstimateJoin(k int) (float64, error)
+}
+
+// BrowseDepth is the expected depth of a distance browse that evaluates a
+// predicate of the given selectivity on the fly: the browse visits about
+// ceil(k/selectivity) neighbors to produce k qualifying ones (§1). A
+// selectivity of zero means no predicate and returns k. A quotient too
+// large for an int saturates at math.MaxInt, which the select estimators
+// of this package price as a browse of the whole index.
+func BrowseDepth(k int, selectivity float64) int {
+	if selectivity == 0 {
+		return k
+	}
+	d := math.Ceil(float64(k) / selectivity)
+	if d >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(d)
 }

@@ -14,7 +14,7 @@
 //
 // Because pricing is a pure function of (snapshot versions, query shape,
 // k values, technique set) — the query's coordinates only parameterize the
-// estimates, not the plan space — decisions are cached by a fingerprint of
+// estimates, not the plan space — decisions are cached under a key of
 // exactly those inputs (see Planner): the steady state resolves a cached
 // plan with zero heap allocations, and a store hot swap, compaction publish
 // or drop invalidates every plan referencing the republished relation
@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/store"
@@ -86,7 +87,7 @@ func (q *Query) validate() error {
 	if q.Join == nil && len(q.Selects) < 2 {
 		return fmt.Errorf("optimizer: without a join the query needs at least two selects, got %d", len(q.Selects))
 	}
-	if q.Selectivity != 0 && (q.Selectivity < 0 || q.Selectivity > 1) {
+	if q.Selectivity != 0 && !(q.Selectivity > 0 && q.Selectivity <= 1) {
 		return fmt.Errorf("optimizer: filter selectivity %g outside (0,1]", q.Selectivity)
 	}
 	for i := range q.Selects {
@@ -139,16 +140,6 @@ func joinTechnique(t string) string {
 		return engine.TechCatalogMerge
 	}
 	return t
-}
-
-// inflatedK is the expected browse depth of a driving select evaluating a
-// filter of the given selectivity on the fly: ceil(k/selectivity), the same
-// rule the single-operator planner applies.
-func inflatedK(k int, selectivity float64) int {
-	if selectivity == 0 {
-		return k
-	}
-	return int(math.Ceil(float64(k) / selectivity))
 }
 
 // TermKind classifies a CostTerm.
@@ -217,8 +208,6 @@ type Decision struct {
 	Alternatives []*Plan // includes Chosen, ascending estimated cost
 	// Cached reports that the decision was served from the plan cache.
 	Cached bool
-	// Fingerprint is the cache key hash (0 for uncacheable queries).
-	Fingerprint uint64
 }
 
 // Explain formats the decision like the single-operator planner's EXPLAIN
@@ -334,7 +323,7 @@ func enumerateSelects(v *store.View, q *Query) ([]*Plan, error) {
 	plans := make([]*Plan, 0, len(q.Selects))
 	for d := range q.Selects {
 		drv := &q.Selects[d]
-		pk := inflatedK(drv.K, q.Selectivity)
+		pk := core.BrowseDepth(drv.K, q.Selectivity)
 		terms := make([]CostTerm, 0, len(q.Selects))
 		t, err := priceSelect(v, TermSelect, drv, drv.Query, pk, 1)
 		if err != nil {
@@ -392,7 +381,7 @@ func enumerateJoin(v *store.View, q *Query) ([]*Plan, error) {
 		if drv.Relation != j.Outer {
 			continue
 		}
-		pk := inflatedK(drv.K, q.Selectivity)
+		pk := core.BrowseDepth(drv.K, q.Selectivity)
 		terms := make([]CostTerm, 0, len(q.Selects)+1)
 		t, err := priceSelect(v, TermSelect, drv, drv.Query, pk, 1)
 		if err != nil {

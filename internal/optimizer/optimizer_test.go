@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +77,11 @@ func TestValidate(t *testing.T) {
 	st := newTestStore(t)
 	v := st.View()
 	pt := geom.Point{X: 50, Y: 50}
+	withSelectivity := func(sel float64) Query {
+		q := twoSelects(4, 4)
+		q.Selectivity = sel
+		return q
+	}
 	cases := []struct {
 		name string
 		q    Query
@@ -106,11 +113,8 @@ func TestValidate(t *testing.T) {
 			Selects: []SelectPredicate{{Relation: "bars", Query: pt, K: 3}},
 			Join:    &JoinPredicate{Outer: "hotels", Inner: "cafes", K: 3},
 		}},
-		{"bad selectivity", func() Query {
-			q := twoSelects(4, 4)
-			q.Selectivity = 1.5
-			return q
-		}()},
+		{"bad selectivity", withSelectivity(1.5)},
+		{"NaN selectivity", withSelectivity(math.NaN())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,6 +122,22 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("PlanOnce(%+v) succeeded, want error", tc.q)
 			}
 		})
+	}
+	if _, err := PlanOnce(v, withSelectivity(math.NaN())); err == nil ||
+		!strings.Contains(err.Error(), "outside (0,1]") {
+		t.Fatalf("NaN selectivity: error %v, want one naming the (0,1] range", err)
+	}
+
+	// A filter so selective that k/selectivity overflows an int prices
+	// the driving browse at the saturated depth instead of failing.
+	for _, sel := range []float64{1e-300, 5e-324} {
+		d, err := NewPlanner(0).Plan(v, withSelectivity(sel))
+		if err != nil {
+			t.Fatalf("selectivity %g: %v", sel, err)
+		}
+		if !strings.Contains(d.Explain(), fmt.Sprintf("k~%d", math.MaxInt)) {
+			t.Fatalf("selectivity %g: no saturated browse depth in\n%s", sel, d.Explain())
+		}
 	}
 
 	t.Run("unknown relation", func(t *testing.T) {
@@ -276,6 +296,62 @@ func TestCachedPlanHotSwapOracle(t *testing.T) {
 	}
 	if d3.Chosen.EstimatedCost == d1.Chosen.EstimatedCost {
 		t.Fatal("hot swap to denser data did not change the plan cost; fixture is not exercising the swap")
+	}
+}
+
+// TestPlanCacheDropReRegister covers the key's one weak spot: a relation
+// dropped and registered again restarts its snapshot versions at 1, so the
+// old (name, version) key repeats. Only the drop's Invalidate keeps the old
+// plan from being served against the new points.
+func TestPlanCacheDropReRegister(t *testing.T) {
+	st := newTestStore(t)
+	p := NewPlanner(0)
+	st.AddPublishHook(p.Invalidate)
+
+	q := twoSelects(8, 4)
+	if _, err := p.Plan(st.View(), q); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := p.Plan(st.View(), q); err != nil || !d.Cached {
+		t.Fatalf("second plan: cached=%v err=%v, want a cache hit", d != nil && d.Cached, err)
+	}
+	if !st.Drop("hotels") {
+		t.Fatal("drop of hotels reported no relation")
+	}
+	clustered := lattice(32)
+	for i := range clustered {
+		clustered[i].X *= 0.25
+		clustered[i].Y *= 0.25
+	}
+	if _, err := st.Register("hotels", clustered); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := st.WaitReady(ctx, "hotels"); err != nil {
+		t.Fatal(err)
+	}
+
+	v := st.View()
+	d, err := p.Plan(v, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Cached {
+		t.Fatal("plan over the re-registered relation served from the cache")
+	}
+	fresh, err := PlanOnce(v, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Alternatives) != len(fresh.Alternatives) {
+		t.Fatalf("alternative counts differ: %d vs %d", len(d.Alternatives), len(fresh.Alternatives))
+	}
+	for i, b := range fresh.Alternatives {
+		a := d.Alternatives[i]
+		if a.Description != b.Description || a.EstimatedCost != b.EstimatedCost {
+			t.Fatalf("alternative %d differs from PlanOnce: %+v vs %+v", i, a, b)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"knncost/internal/core"
@@ -186,13 +185,13 @@ func PlanKNNSelect(rel *Relation, q geom.Point, k int, filter *Filter) (*Decisio
 	if k < 1 {
 		return nil, errors.New("planner: k must be >= 1")
 	}
-	if filter != nil && (filter.Selectivity <= 0 || filter.Selectivity > 1) {
+	if filter != nil && !(filter.Selectivity > 0 && filter.Selectivity <= 1) {
 		return nil, fmt.Errorf("planner: selectivity %g outside (0,1]", filter.Selectivity)
 	}
 
 	browseK := k
 	if filter != nil {
-		browseK = int(math.Ceil(float64(k) / filter.Selectivity))
+		browseK = core.BrowseDepth(k, filter.Selectivity)
 	}
 	browseCost, err := rel.Estimator.EstimateSelect(q, browseK)
 	if err != nil {

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -135,6 +137,22 @@ func TestPlanKNNSelectValidation(t *testing.T) {
 	}
 	if _, err := PlanKNNSelect(rel, pts[0], 5, &Filter{Selectivity: 1.5}); err == nil {
 		t.Error("selectivity > 1 should be rejected")
+	}
+	if _, err := PlanKNNSelect(rel, pts[0], 5, &Filter{Selectivity: math.NaN()}); err == nil ||
+		!strings.Contains(err.Error(), "outside (0,1]") {
+		t.Errorf("NaN selectivity: error %v, want one naming the (0,1] range", err)
+	}
+	// A selectivity so small that k/selectivity overflows an int plans a
+	// browse of saturated depth rather than failing.
+	for _, sel := range []float64{1e-300, 5e-324} {
+		d, err := PlanKNNSelect(rel, pts[0], 5, &Filter{Selectivity: sel})
+		if err != nil {
+			t.Errorf("selectivity %g: %v", sel, err)
+			continue
+		}
+		if want := fmt.Sprintf("~%d candidates", math.MaxInt); !strings.Contains(d.Explain(), want) {
+			t.Errorf("selectivity %g: no %q in\n%s", sel, want, d.Explain())
+		}
 	}
 }
 

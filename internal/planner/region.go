@@ -3,8 +3,8 @@ package planner
 import (
 	"errors"
 	"fmt"
-	"math"
 
+	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/index"
 	"knncost/internal/knn"
@@ -46,7 +46,7 @@ func PlanKNNSelectInRegion(rel *Relation, q geom.Point, k int, region geom.Rect)
 	selectivity := rangeop.Selectivity(rel.Tree, region)
 	plans := []*Plan{rangeFirst}
 	if selectivity > 0 {
-		browseK := int(math.Ceil(float64(k) / selectivity))
+		browseK := core.BrowseDepth(k, selectivity)
 		browseCost, err := rel.Estimator.EstimateSelect(q, browseK)
 		if err != nil {
 			return nil, fmt.Errorf("planner: estimating browse cost: %w", err)

@@ -90,9 +90,6 @@ type Options struct {
 	// POST /relations: file names resolve strictly inside this directory.
 	// Empty (the default) disables file loading entirely.
 	DataDir string
-	// PlanCacheEntries bounds the optimizer's plan cache. Zero means the
-	// optimizer default.
-	PlanCacheEntries int
 }
 
 // Server answers estimation requests for the relations of a store.
@@ -111,7 +108,7 @@ func NewWithStore(st *store.Store, opt Options) *Server {
 	s := &Server{
 		opt:     opt,
 		store:   st,
-		planner: optimizer.NewPlanner(opt.PlanCacheEntries),
+		planner: optimizer.NewPlanner(0),
 		mux:     http.NewServeMux(),
 	}
 	// Every hot swap, compaction publish or drop purges the plans that

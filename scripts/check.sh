@@ -28,8 +28,12 @@ cd "$(dirname "$0")/.."
 # TestClaimDiesWithItsHolder, and the daemon-level
 # TestRoutedRegistrationBuildsOnce) and first-demand
 # pair merges (TestPairMergeSingleFlight, TestNoMergeBuiltUnderStoreLock), the
-# optimizer's single-flight plan cache under concurrent misses and
-# invalidations, the HTTP batch endpoint and the robustness middleware, the
+# optimizer's plan cache (one map under one read-write lock, hits on the
+# read lock, one single-flight build per missed key, and one epoch that
+# keeps a build raced by an invalidation out of the map: the race stage
+# repeats TestSingleFlight, TestInvalidationDuringInFlightBuild,
+# TestCachedPlanHotSwapOracle and TestPlanCacheDropReRegister), the HTTP
+# batch endpoint and the robustness middleware, the
 # fault-injection harness, the oracle differential suite (which runs batches
 # against live hot-swaps), the shard tier's scatter-gather, hedging, breaker
 # and mirror-on-demand machinery (the race stage repeats
@@ -65,6 +69,7 @@ race() {
 	go test -race -count=10 -run 'RoutedRegistrationBuildsOnce' ./cmd/knncostd/
 	go test -race -count=10 -run 'RouterDifferential|RelationGetFindsAnyOwner|MutationHealPinnedToPrimary' ./internal/shard/
 	go test -race -count=10 -run 'ConcurrentResolve|ArtifactsBuildOnce|BuildErrorCached' ./internal/engine/
+	go test -race -count=10 -run 'SingleFlight|InvalidationDuringInFlightBuild|CachedPlanHotSwapOracle|PlanCacheDropReRegister' ./internal/optimizer/
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
