@@ -465,8 +465,9 @@ func TestInvalidationDuringInFlightBuild(t *testing.T) {
 	}
 }
 
-// TestEvictionBound pins the LRU-with-cost bound: the cache never exceeds
-// its capacity and evictions are counted.
+// TestEvictionBound pins the entry bound: a full cache drops an arbitrary
+// entry before it inserts, so it never exceeds its capacity, and each drop
+// is counted.
 func TestEvictionBound(t *testing.T) {
 	st := newTestStore(t)
 	const capEntries = 16

@@ -443,35 +443,56 @@ func (s *bodyScanner) point() (geom.Point, error) {
 }
 
 // number consumes one token of the JSON number grammar and converts it the
-// way encoding/json does; a value float64 cannot hold is an error.
+// way encoding/json does; a value float64 cannot hold is an error. A token
+// without an exponent part is ±man/10^frac exactly, in digits the scan has
+// already run into man, and decimalToFloat converts it from there. Only
+// what that cannot take goes to strconv.ParseFloat: an exponent part, more
+// than 19 significant digits, more than its table's 30 decimals, a halfway
+// case. Both give the correctly rounded float64, so the bits do not depend
+// on which path took the token.
 func (s *bodyScanner) number() (float64, error) {
 	b, i := s.b, s.i
-	digits := func() bool {
-		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	if i < len(b) && b[i] == '0' {
+	// nd counts the digits from the first nonzero one; past 19 man wraps.
+	var man uint64
+	nd, frac := 0, 0
+	if from := i; i < len(b) && b[i] == '0' {
 		i++
-	} else if !digits() {
+	} else if i, man = scanDigits(b, i, 0); i == from {
 		return 0, s.errorf("expected a number")
+	} else {
+		nd = i - from
 	}
 	if i < len(b) && b[i] == '.' {
-		if i++; !digits() {
+		i++
+		from := i
+		for man == 0 && i < len(b) && b[i] == '0' {
+			i++ // a leading zero of 0.0…
+		}
+		sig := i
+		if i, man = scanDigits(b, i, man); i == from {
 			return 0, s.errorf("invalid number")
 		}
+		nd, frac = nd+i-sig, i-from
 	}
+	exact := nd <= 19
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		exact = false
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if !digits() {
+		from := i
+		if i, _ = scanDigits(b, i, 0); i == from {
 			return 0, s.errorf("invalid number")
+		}
+	}
+	if exact {
+		if f, ok := decimalToFloat(man, frac, neg); ok {
+			s.i = i
+			return f, nil
 		}
 	}
 	f, err := strconv.ParseFloat(string(b[s.i:i]), 64)
@@ -480,4 +501,13 @@ func (s *bodyScanner) number() (float64, error) {
 	}
 	s.i = i
 	return f, nil
+}
+
+// scanDigits consumes the digits at b[i:], runs them into man, and returns
+// where they end.
+func scanDigits(b []byte, i int, man uint64) (int, uint64) {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man
 }

@@ -132,6 +132,9 @@ func FuzzDecodePointsBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, tok := range numberEdges {
+		f.Add([]byte(`{"points":[[` + tok + `,-` + tok + `]]}`))
+	}
 	small := `{"name":"a\n","points":[[1,2.5],[-3e2,4]] , "resolution":{"max_k":5},"x":[null,{"y":"}"}]}`
 	for i := range small {
 		f.Add([]byte(small[:i]))

@@ -757,9 +757,8 @@ func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 // replica fan-out holds from the moment of registration. The primary's
 // answer is the client's answer.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := service.ReadBody(w, r, service.MaxRegisterBody)
-	if err != nil {
-		badRequest(w, "reading registration: %v", err)
+	body, ok := service.ReadJSONPost(w, r, service.MaxRegisterBody, "reading registration")
+	if !ok {
 		return
 	}
 	// Placement needs the name and nothing else: the owners decode the body

@@ -413,22 +413,28 @@ func TestRouterSurface(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, resp.Header.Get("Allow"), string(raw)
 	}
+	type preludeCase struct {
+		path, method, ct, body string
+		want                   int
+	}
+	var cases []preludeCase
 	for _, path := range []string{"/estimate/select/batch", "/plan"} {
-		for _, c := range []struct {
-			method, ct, body string
-			want             int
-		}{
-			{http.MethodGet, "", "", http.StatusMethodNotAllowed},
-			{http.MethodDelete, "application/json", "{}", http.StatusMethodNotAllowed},
-			{http.MethodPost, "text/plain", "hi", http.StatusUnsupportedMediaType},
-			{http.MethodPost, "application/json", strings.Repeat(" ", 1<<20+1), http.StatusBadRequest},
-		} {
-			rs, rAllow, rb := prelude(front.URL, path, c.method, c.ct, c.body)
-			os, oAllow, ob := prelude(oracle.URL, path, c.method, c.ct, c.body)
-			if rs != c.want || rs != os || rAllow != oAllow || rb != ob {
-				t.Errorf("%s %s (%q): router %d Allow=%q %q, node %d Allow=%q %q, want status %d",
-					c.method, path, c.ct, rs, rAllow, rb, os, oAllow, ob, c.want)
-			}
+		cases = append(cases,
+			preludeCase{path, http.MethodGet, "", "", http.StatusMethodNotAllowed},
+			preludeCase{path, http.MethodDelete, "application/json", "{}", http.StatusMethodNotAllowed},
+			preludeCase{path, http.MethodPost, "text/plain", "hi", http.StatusUnsupportedMediaType},
+			preludeCase{path, http.MethodPost, "application/json", strings.Repeat(" ", 1<<20+1), http.StatusBadRequest})
+	}
+	// A registration takes the same prelude; GET /relations is the listing.
+	cases = append(cases,
+		preludeCase{"/relations", http.MethodPost, "text/plain", `{"name":"plain","points":[[1,2]]}`, http.StatusUnsupportedMediaType},
+		preludeCase{"/relations", http.MethodPost, "application/json", `[{"name":"plain"}]`, http.StatusBadRequest})
+	for _, c := range cases {
+		rs, rAllow, rb := prelude(front.URL, c.path, c.method, c.ct, c.body)
+		os, oAllow, ob := prelude(oracle.URL, c.path, c.method, c.ct, c.body)
+		if rs != c.want || rs != os || rAllow != oAllow || rb != ob {
+			t.Errorf("%s %s (%q): router %d Allow=%q %q, node %d Allow=%q %q, want status %d",
+				c.method, c.path, c.ct, rs, rAllow, rb, os, oAllow, ob, c.want)
 		}
 	}
 

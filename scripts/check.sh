@@ -61,6 +61,7 @@ internal/store:FuzzLoadBundle
 internal/quadtree:FuzzQuadtreeBuild
 internal/ptloc:FuzzFind
 internal/service:FuzzDecodePointsBody
+internal/service:FuzzNumber
 "
 
 race() {
