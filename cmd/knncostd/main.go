@@ -61,7 +61,7 @@
 //     recovery (JSON 500, process survives), per-route deadlines (stricter
 //     for the expensive ground-truth /cost/* routes, separate budget for
 //     the /relations admin routes), and load shedding with 503 +
-//     Retry-After beyond -max-in-flight plus -queue.
+//     Retry-After beyond 256 requests in flight plus 128 queued.
 //   - SIGINT/SIGTERM trigger a graceful drain: the ready gate flips to
 //     draining, in-flight requests get up to -drain-timeout to finish, the
 //     store's build pool drains (in-flight catalog builds get the same
@@ -189,35 +189,18 @@ func run(args []string, stdout io.Writer) int {
 		maxK     = fs.Int("maxk", 1000, "largest catalog-maintained k")
 		sample   = fs.Int("sample", 200, "catalog-merge sample size")
 		gridSize = fs.Int("grid", 10, "virtual-grid dimension")
-		seed     = fs.Int64("seed", 1, "dataset seed base")
 		cacheDir = fs.String("cache-dir", "",
 			"catalog cache directory for warm restarts (empty disables)")
 		dataDir = fs.String("data-dir", "",
 			"directory for server-side point files usable in POST /relations (empty disables)")
-		buildWorkers = fs.Int("build-workers", 0,
-			"catalog build worker pool size (0 means GOMAXPROCS)")
 		compactThreshold = fs.Int("compact-threshold", 0,
 			"pending delta points that trigger a background compaction (0 means 512)")
 		compactInterval = fs.Duration("compact-interval", 0,
 			"staleness bound: pending deltas older than this are compacted (0 means 2s, negative disables)")
-		walSegmentBytes = fs.Int("wal-segment-bytes", 0,
-			"WAL segment size at which a log that is never folded rotates anyway (0 means the built-in default)")
 
-		estimateDeadline = fs.Duration("deadline-estimate", 5*time.Second,
-			"per-request deadline for /estimate/* and metadata routes (0 disables)")
-		costDeadline = fs.Duration("deadline-cost", 2*time.Second,
-			"per-request deadline for the expensive ground-truth /cost/* routes (0 disables)")
-		adminDeadline = fs.Duration("deadline-admin", 10*time.Second,
-			"per-request deadline for the /relations admin routes (0 falls back to -deadline-estimate)")
-		maxInFlight = fs.Int("max-in-flight", 256, "max concurrently served requests (0 disables shedding)")
-		queueLen    = fs.Int("queue", 128, "admission-queue length beyond max-in-flight")
-		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After on shed 503s")
-		drain       = fs.Duration("drain-timeout", 10*time.Second,
+		drain = fs.Duration("drain-timeout", 10*time.Second,
 			"grace period for in-flight requests and catalog builds on SIGINT/SIGTERM")
-		readTimeout  = fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "http.Server WriteTimeout")
-		idleTimeout  = fs.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout")
-		accessLog    = fs.Bool("access-log", true, "log one structured line per request")
+		accessLog = fs.Bool("access-log", true, "log one structured line per request")
 
 		shardID = fs.String("shard-id", "",
 			"serve as one shard of a topology: scopes the cache registry so shards can share -cache-dir")
@@ -227,10 +210,6 @@ func run(args []string, stdout io.Writer) int {
 			"router peers, comma-separated id=url (or bare url; the host:port becomes the id)")
 		replicas = fs.Int("replicas", 2,
 			"router replica fan-out: every relation is owned by this many shards (clamped to the shard count)")
-		hedgeAfter = fs.Duration("hedge-after", 20*time.Millisecond,
-			"router hedge delay floor; the adaptive delay is the observed -hedge-percentile of the primary (0 disables hedging)")
-		hedgePercentile = fs.Float64("hedge-percentile", 0.95,
-			"latency percentile of the primary replica used as the adaptive hedge delay")
 		attemptTimeout = fs.Duration("attempt-timeout", 0,
 			"router per-replica attempt bound before failing over (0 disables)")
 		breakerFailures = fs.Int("breaker-failures", 0,
@@ -242,18 +221,12 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	cfg := serveConfig{
-		estimateDeadline: *estimateDeadline, costDeadline: *costDeadline,
-		adminDeadline: *adminDeadline, maxInFlight: *maxInFlight,
-		queueLen: *queueLen, retryAfter: *retryAfter, drain: *drain,
-		readTimeout: *readTimeout, writeTimeout: *writeTimeout,
-		idleTimeout: *idleTimeout, accessLog: *accessLog,
-	}
+	cfg := serveConfig{drain: *drain, accessLog: *accessLog}
 	if *routerMode {
 		return runRouter(*addr, *peers, shard.Options{
 			Replicas:        *replicas,
-			HedgeAfter:      *hedgeAfter,
-			HedgePercentile: *hedgePercentile,
+			HedgeAfter:      hedgeAfter,
+			HedgePercentile: hedgePercentile,
 			AttemptTimeout:  *attemptTimeout,
 			BreakerFailures: *breakerFailures,
 			BreakerBackoff:  *breakerBackoff,
@@ -286,12 +259,10 @@ func run(args []string, stdout io.Writer) int {
 		GridSize:         *gridSize,
 		IndexCapacity:    *capacity,
 		Bounds:           datagen.WorldBounds,
-		Workers:          *buildWorkers,
 		CacheDir:         *cacheDir,
 		RegistryScope:    *shardID,
 		CompactThreshold: *compactThreshold,
 		CompactInterval:  *compactInterval,
-		WALSegmentBytes:  *walSegmentBytes,
 	})
 	if err != nil {
 		log.Printf("knncostd: %v", err)
@@ -313,7 +284,7 @@ func run(args []string, stdout io.Writer) int {
 	warm := func(ctx context.Context) error {
 		start := time.Now()
 		for i, spec := range specs {
-			pts := datagen.OSMLike(spec.n, *seed+int64(i))
+			pts := datagen.OSMLike(spec.n, seed+int64(i))
 			if _, err := st.Register(spec.name, pts); err != nil {
 				return fmt.Errorf("registering %s: %w", spec.name, err)
 			}
@@ -337,16 +308,34 @@ func run(args []string, stdout io.Writer) int {
 	return serve(ln, srv, cfg, counters, warm, closeStore)
 }
 
-// serveConfig is the flag subset both modes share: the middleware's
-// deadlines and admission limits, the http.Server timeouts and the drain
-// grace.
+// serveConfig is the flag subset both modes share.
 type serveConfig struct {
-	estimateDeadline, costDeadline, adminDeadline time.Duration
-	maxInFlight, queueLen                         int
-	retryAfter, drain                             time.Duration
-	readTimeout, writeTimeout, idleTimeout        time.Duration
-	accessLog                                     bool
+	drain     time.Duration // grace for in-flight requests and builds
+	accessLog bool
 }
+
+// The daemon's fixed settings.
+const (
+	seed = 1 // dataset seed base of the boot schema
+
+	// The middleware's per-route deadlines and admission limits.
+	estimateDeadline = 5 * time.Second
+	costDeadline     = 2 * time.Second
+	adminDeadline    = 10 * time.Second
+	maxInFlight      = 256
+	queueLen         = 128
+	retryAfter       = time.Second
+
+	// The http.Server timeouts.
+	readTimeout  = 30 * time.Second
+	writeTimeout = 30 * time.Second
+	idleTimeout  = 120 * time.Second
+
+	// The router's hedge delay floor, and the latency percentile of the
+	// primary replica used as the adaptive hedge delay above it.
+	hedgeAfter      = 20 * time.Millisecond
+	hedgePercentile = 0.95
+)
 
 // serve runs one daemon lifecycle on the bound listener: handler behind the
 // middleware stack, the probes and /debug/vars beside it, warm in the
@@ -356,12 +345,12 @@ type serveConfig struct {
 // listener has stopped. It returns the process exit code.
 func serve(ln net.Listener, handler http.Handler, cfg serveConfig, counters vars, warm func(context.Context) error, closer func()) int {
 	wrapped, _ := middleware.Wrap(handler, middleware.Config{
-		EstimateDeadline: cfg.estimateDeadline,
-		CostDeadline:     cfg.costDeadline,
-		AdminDeadline:    cfg.adminDeadline,
-		MaxInFlight:      cfg.maxInFlight,
-		QueueLen:         cfg.queueLen,
-		RetryAfter:       cfg.retryAfter,
+		EstimateDeadline: estimateDeadline,
+		CostDeadline:     costDeadline,
+		AdminDeadline:    adminDeadline,
+		MaxInFlight:      maxInFlight,
+		QueueLen:         queueLen,
+		RetryAfter:       retryAfter,
 		AccessLog:        cfg.accessLog,
 	})
 
@@ -378,9 +367,9 @@ func serve(ln net.Listener, handler http.Handler, cfg serveConfig, counters vars
 	httpSrv := &http.Server{
 		Handler:           rootMux,
 		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       cfg.readTimeout,
-		WriteTimeout:      cfg.writeTimeout,
-		IdleTimeout:       cfg.idleTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	// Handle the signals before anything can report ready: a SIGTERM sent

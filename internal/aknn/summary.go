@@ -204,13 +204,9 @@ func (s *Summary) StorageBytes() int {
 	return n
 }
 
-// Resolution implements core.Artifact. Only the AknnCapacity axis applies
-// to a summary; the others report the defaults.
+// Resolution returns the canonical resolution the summary was built at.
+// Only the AknnCapacity axis applies to a summary; the others report the
+// defaults.
 func (s *Summary) Resolution() core.Resolution {
 	return core.Resolution{AknnCapacity: s.capacity}.Canon()
 }
-
-// SizeBytes implements core.Artifact.
-func (s *Summary) SizeBytes() int { return s.StorageBytes() }
-
-var _ core.Artifact = (*Summary)(nil)

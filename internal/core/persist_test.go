@@ -54,8 +54,8 @@ func TestStaircaseRoundTrip(t *testing.T) {
 		if got, want := loaded.Resolution(), orig.Resolution(); got != want {
 			t.Fatalf("%v: resolution round trip: got %+v, want %+v", mode, got, want)
 		}
-		if loaded.SizeBytes() != orig.SizeBytes() {
-			t.Fatalf("%v: SizeBytes round trip: got %d, want %d", mode, loaded.SizeBytes(), orig.SizeBytes())
+		if loaded.StorageBytes() != orig.StorageBytes() {
+			t.Fatalf("%v: StorageBytes round trip: got %d, want %d", mode, loaded.StorageBytes(), orig.StorageBytes())
 		}
 		for i := 0; i < 300; i++ {
 			q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
@@ -154,8 +154,8 @@ func TestCatalogMergeRoundTrip(t *testing.T) {
 			t.Fatalf("k=%d: estimates diverge: %g,%v vs %g,%v", k, a, errA, b, errB)
 		}
 	}
-	if loaded.MaxK() != 200 || loaded.Resolution().MaxK != orig.Resolution().MaxK {
-		t.Errorf("MaxK = %d, resolution %+v, want %+v", loaded.MaxK(), loaded.Resolution(), orig.Resolution())
+	if loaded.MaxK() != 200 || loaded.StorageBytes() != orig.StorageBytes() {
+		t.Errorf("MaxK = %d, StorageBytes %d; want 200 and %d", loaded.MaxK(), loaded.StorageBytes(), orig.StorageBytes())
 	}
 }
 

@@ -34,9 +34,6 @@ type Resolution struct {
 	AknnCapacity int
 }
 
-// DefaultResolution returns the canonical repository-wide resolution.
-func DefaultResolution() Resolution { return Resolution{}.Canon() }
-
 // Canon maps a user-supplied resolution to its canonical form: zero axes
 // become the defaults and negative Corners becomes -1 (center-only; 0 is
 // reserved for "default", so -1 is the stable canonical spelling). Canon
@@ -89,30 +86,6 @@ func (r Resolution) StaircaseMode() StaircaseMode {
 	}
 }
 
-// Key returns a short stable string identifying the canonical resolution,
-// for cache fingerprints and log lines.
-func (r Resolution) Key() string {
-	r = r.Canon()
-	return fmt.Sprintf("k%d.c%d.g%d.a%d", r.MaxK, r.Corners, r.GridSize, r.AknnCapacity)
-}
-
-// Artifact is implemented by every technique artifact: anything a
-// relation builds, caches, persists and serves estimates from. It reports
-// the resolution the artifact was built at and its size in the paper's
-// storage metric, which relation listings and the figures' storage columns
-// report. Axes a particular artifact does not use (e.g. GridSize for a
-// staircase) report the canonical defaults.
-type Artifact interface {
-	// Resolution returns the canonical resolution the artifact was built at.
-	Resolution() Resolution
-	// SizeBytes returns the artifact's size in the storage metric of the
-	// paper's §5: the varint encoding of its catalogs
-	// (catalog.StorageBytes), not the bytes it retains. A catalog interval
-	// is ~2.4 bytes in the metric and 8 in the heap and in a cache file,
-	// so an artifact holds roughly three times what this reports.
-	SizeBytes() int
-}
-
 // cornersOfMode inverts Resolution.StaircaseMode.
 func cornersOfMode(m StaircaseMode) int {
 	switch m {
@@ -125,47 +98,16 @@ func cornersOfMode(m StaircaseMode) int {
 	}
 }
 
-// Resolution implements Artifact. GridSize and AknnCapacity do not apply
-// to a staircase and report the defaults.
+// Resolution returns the canonical resolution the staircase was built at.
+// GridSize and AknnCapacity do not apply to a staircase and report the
+// defaults.
 func (s *Staircase) Resolution() Resolution {
 	return Resolution{MaxK: s.maxK, Corners: cornersOfMode(s.mode)}.Canon()
 }
 
-// SizeBytes implements Artifact.
-func (s *Staircase) SizeBytes() int { return s.StorageBytes() }
-
-// Resolution implements Artifact. Only MaxK applies to a merged pair
-// catalog; the other axes report the defaults.
-func (c *CatalogMerge) Resolution() Resolution {
-	return Resolution{MaxK: c.maxK}.Canon()
-}
-
-// SizeBytes implements Artifact.
-func (c *CatalogMerge) SizeBytes() int { return c.StorageBytes() }
-
-// Resolution implements Artifact. AknnCapacity does not apply to a
-// virtual grid and reports the default.
+// Resolution returns the canonical resolution the virtual grid was built
+// at. AknnCapacity does not apply to a virtual grid and reports the
+// default.
 func (v *VirtualGrid) Resolution() Resolution {
 	return Resolution{MaxK: v.maxK, GridSize: v.nx}.Canon()
 }
-
-// SizeBytes implements Artifact.
-func (v *VirtualGrid) SizeBytes() int { return v.StorageBytes() }
-
-// Resolution implements Artifact. Density-based estimation keeps no
-// catalogs, so no resolution axis applies; it reports the defaults.
-func (d *DensityBased) Resolution() Resolution { return DefaultResolution() }
-
-// SizeBytes implements Artifact. The density technique's only artifact is
-// the Count-Index it walks: bounds plus a count per block.
-func (d *DensityBased) SizeBytes() int {
-	// 4 float64 bounds + 1 int count per block.
-	return d.count.NumBlocks() * 40
-}
-
-var (
-	_ Artifact = (*Staircase)(nil)
-	_ Artifact = (*CatalogMerge)(nil)
-	_ Artifact = (*VirtualGrid)(nil)
-	_ Artifact = (*DensityBased)(nil)
-)

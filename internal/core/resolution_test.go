@@ -81,30 +81,10 @@ func TestResolutionStaircaseMode(t *testing.T) {
 	}
 }
 
-func TestResolutionKey(t *testing.T) {
-	if got, want := (Resolution{}).Key(), "k1000.c1.g10.a0"; got != want {
-		t.Fatalf("zero-value Key() = %q, want %q", got, want)
-	}
-	if got, want := (Resolution{MaxK: 64, Corners: -1, GridSize: 2, AknnCapacity: 128}).Key(), "k64.c-1.g2.a128"; got != want {
-		t.Fatalf("Key() = %q, want %q", got, want)
-	}
-	// Keys must distinguish canonically distinct resolutions — the disk
-	// cache fingerprints on them.
-	seen := map[string]Resolution{}
-	for _, r := range []Resolution{
-		{}, {MaxK: 500}, {Corners: 4}, {Corners: -1}, {GridSize: 5}, {AknnCapacity: 64},
-	} {
-		k := r.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("Key %q collides: %+v and %+v", k, prev, r)
-		}
-		seen[k] = r
-	}
-}
-
-// TestArtifactSizeBytes: every core artifact must report its resolution
-// and a positive byte footprint — the quantities relation listings report.
-func TestArtifactSizeBytes(t *testing.T) {
+// TestArtifactResolution: the staircase and the virtual grid report the
+// resolution they were built at, which engine.NewCountRelation compares
+// against the relation's own before it adopts them.
+func TestArtifactResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	data := buildIx(clusteredPoints(rng, 1000, bounds), bounds, 32)
@@ -117,28 +97,10 @@ func TestArtifactSizeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := BuildCatalogMerge(data.CountTree(), data.CountTree(), 10, 80)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := stair.Resolution(), (Resolution{MaxK: 80, Corners: 4}.Canon()); got != want {
+		t.Errorf("staircase: Resolution() = %+v, want %+v", got, want)
 	}
-	dens := NewDensityBased(data.CountTree())
-
-	arts := []struct {
-		name string
-		a    Artifact
-		want Resolution
-	}{
-		{"staircase", stair, Resolution{MaxK: 80, Corners: 4}.Canon()},
-		{"virtual-grid", vg, Resolution{MaxK: 80, GridSize: 4}.Canon()},
-		{"catalog-merge", cm, Resolution{MaxK: 80}.Canon()},
-		{"density", dens, DefaultResolution()},
-	}
-	for _, a := range arts {
-		if got := a.a.Resolution(); got != a.want {
-			t.Errorf("%s: Resolution() = %+v, want %+v", a.name, got, a.want)
-		}
-		if got := a.a.SizeBytes(); got <= 0 {
-			t.Errorf("%s: SizeBytes() = %d, want > 0", a.name, got)
-		}
+	if got, want := vg.Resolution(), (Resolution{MaxK: 80, GridSize: 4}.Canon()); got != want {
+		t.Errorf("virtual-grid: Resolution() = %+v, want %+v", got, want)
 	}
 }

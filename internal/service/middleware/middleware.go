@@ -2,26 +2,23 @@
 // The paper motivates cost estimation for "location-based services that
 // serve multiple queries at very high rates"; at those rates a single
 // panicking handler, one slow ground-truth computation, or a burst beyond
-// capacity must degrade the service, not destroy it. This package provides
-// the standard robustness layers as composable http.Handler wrappers:
+// capacity must degrade the service, not destroy it. Wrap puts one handler
+// in front of the service that does, for every request, in this order:
 //
-//   - Recover: converts handler panics into JSON 500s and logs the stack;
-//     the process survives.
-//   - Deadlines: attaches a per-request context deadline chosen by path
-//     prefix (stricter for the expensive ground-truth /cost/* routes than
-//     for the microsecond /estimate/* routes), so cancellation propagates
-//     into the block-scan loops of internal/knn and internal/knnjoin.
-//   - Limiter: bounds concurrent requests with a short admission queue and
-//     sheds excess load with 503 + Retry-After instead of queueing without
-//     bound.
-//   - RequestID + AccessLog: injects a request ID and emits one structured
-//     line per request (method, path, status, bytes, duration, id).
-//   - Ready: a liveness/readiness gate backing a /readyz endpoint that is
-//     503 while catalogs build and during graceful drain.
+//   - request ID: a well-formed client X-Request-ID is honored, any other
+//     request gets a fresh one; it is echoed and put in the context;
+//   - access log: one line per request (method, path, status, bytes,
+//     duration, id);
+//   - panic recovery: a panic becomes a JSON 500 and a logged stack;
+//   - admission (Limiter): a bound on concurrent requests, a short queue,
+//     and 503 + Retry-After for the excess instead of unbounded queueing;
+//   - deadline: a context deadline chosen by route (stricter for the
+//     ground-truth /cost/* routes than for /estimate/*), which the
+//     block-scan loops of internal/knn and internal/knnjoin observe.
 //
-// Wrap composes them in the canonical order. The middlewares are generic
-// over http.Handler and usable by any server; cmd/knncostd and the
-// fault-injection tests share the exact same composition.
+// Ready is the readiness gate behind /readyz: 503 while catalogs build and
+// during graceful drain. cmd/knncostd and the fault-injection tests share
+// the exact same Wrap.
 package middleware
 
 import (
@@ -36,19 +33,7 @@ import (
 	"time"
 )
 
-// Middleware wraps an http.Handler with one robustness concern.
-type Middleware func(http.Handler) http.Handler
-
-// Chain applies mws to h so that the first middleware is the outermost:
-// Chain(h, a, b) serves a(b(h)).
-func Chain(h http.Handler, mws ...Middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
-
-// Config collects the knobs of the canonical middleware stack built by Wrap.
+// Config collects the knobs of the handler built by Wrap.
 type Config struct {
 	// Logger receives panic stacks and access lines. Nil means the
 	// standard logger.
@@ -79,44 +64,97 @@ type Config struct {
 	AccessLog bool
 }
 
-func (c Config) logger() *log.Logger {
-	if c.Logger != nil {
-		return c.Logger
+// deadline returns the budget of a request for path; zero means none.
+func (c Config) deadline(path string) time.Duration {
+	switch {
+	case strings.HasPrefix(path, "/cost/"):
+		return c.CostDeadline
+	case strings.HasPrefix(path, "/relations") && c.AdminDeadline > 0:
+		return c.AdminDeadline
 	}
-	return log.Default()
+	return c.EstimateDeadline
 }
 
-// Wrap composes the canonical production stack around h:
-//
-//	RequestID → AccessLog → Recover → Limiter → Deadlines → h
-//
-// Shedding happens before the deadline clock starts (a queued request
-// should not consume its compute budget while waiting for admission), and
-// Recover sits outside both so a panic anywhere below is converted into a
-// JSON 500. It returns the shared Limiter so callers can observe in-flight
-// and queued counts (nil when MaxInFlight is zero).
+// wrapped is the handler Wrap returns.
+type wrapped struct {
+	next http.Handler
+	cfg  Config   // with a non-nil Logger
+	lim  *Limiter // nil when MaxInFlight is zero
+}
+
+// Wrap returns the production handler around h. It returns the handler's
+// Limiter so callers can observe in-flight, queued and shed counts (nil
+// when MaxInFlight is zero).
 func Wrap(h http.Handler, cfg Config) (http.Handler, *Limiter) {
-	mws := []Middleware{RequestID()}
-	if cfg.AccessLog {
-		mws = append(mws, AccessLog(cfg.logger()))
+	s := &wrapped{next: h, cfg: cfg}
+	if s.cfg.Logger == nil {
+		s.cfg.Logger = log.Default()
 	}
-	mws = append(mws, Recover(cfg.logger()))
-	var lim *Limiter
 	if cfg.MaxInFlight > 0 {
-		lim = NewLimiter(cfg.MaxInFlight, cfg.QueueLen, cfg.RetryAfter)
-		mws = append(mws, lim.Middleware())
+		s.lim = newLimiter(cfg.MaxInFlight, cfg.QueueLen, cfg.RetryAfter)
 	}
-	if cfg.EstimateDeadline > 0 || cfg.CostDeadline > 0 || cfg.AdminDeadline > 0 {
-		rules := map[string]time.Duration{"/cost/": cfg.CostDeadline}
-		if cfg.AdminDeadline > 0 {
-			rules["/relations"] = cfg.AdminDeadline
+	return s, s.lim
+}
+
+// ServeHTTP serves r through the package's layers in their one order.
+// Admission comes before the deadline clock starts (a queued request
+// should not consume its compute budget while waiting for a slot), and the
+// deferred recovery sits outside both, so a panic anywhere below becomes a
+// JSON 500 that the access line records. Handlers below must propagate
+// r.Context() into their work for the deadline to have teeth; see
+// knn.SelectCostContext and friends.
+func (s *wrapped) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get(requestIDHeader)
+	if !validRequestID(id) {
+		id = fmt.Sprintf("req-%06d", idCounter.Add(1))
+	}
+	w.Header().Set(requestIDHeader, id)
+	sw := &statusWriter{ResponseWriter: w}
+	start := time.Now()
+	defer func() {
+		// http.ErrAbortHandler is re-raised as net/http's documented way
+		// to abort a response, and is not logged.
+		if rec := recover(); rec == http.ErrAbortHandler {
+			panic(rec)
+		} else if rec != nil {
+			s.cfg.Logger.Printf("panic serving %s %s (id=%s): %v\n%s",
+				r.Method, r.URL.Path, id, rec, debug.Stack())
+			// A response already started cannot become a 500.
+			if sw.status == 0 {
+				sw.Header().Set("Content-Type", "application/json")
+				sw.WriteHeader(http.StatusInternalServerError)
+				fmt.Fprintf(sw, "{\"error\":%s}\n", strconv.Quote(fmt.Sprintf("internal error: %v", rec)))
+			}
 		}
-		mws = append(mws, Deadlines(cfg.EstimateDeadline, rules))
+		if s.cfg.AccessLog {
+			status := sw.status
+			if status == 0 {
+				status = http.StatusOK
+			}
+			s.cfg.Logger.Printf("access method=%s path=%s status=%d bytes=%d dur=%s id=%s",
+				r.Method, r.URL.Path, status, sw.bytes, time.Since(start).Round(time.Microsecond), id)
+		}
+	}()
+	if s.lim != nil {
+		if !s.lim.admit(sw, r) {
+			return
+		}
+		defer s.lim.release()
 	}
-	return Chain(h, mws...), lim
+	ctx := context.WithValue(r.Context(), requestIDKey, id)
+	if d := s.cfg.deadline(r.URL.Path); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	s.next.ServeHTTP(sw, r.WithContext(ctx))
 }
 
 // --- request IDs -----------------------------------------------------------
+
+// requestIDHeader is X-Request-ID in its canonical form, which the header
+// map looks up without canonicalising it again.
+const requestIDHeader = "X-Request-Id"
 
 type ctxKey int
 
@@ -125,33 +163,35 @@ const requestIDKey ctxKey = 0
 // idCounter makes request IDs unique within a process.
 var idCounter atomic.Uint64
 
-// GetRequestID returns the request ID injected by RequestID, or "" when the
-// middleware is not installed.
+// GetRequestID returns the request ID Wrap put in ctx, or "" when the
+// request did not pass through Wrap.
 func GetRequestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
 }
 
-// RequestID injects a unique request ID into the context and echoes it in
-// the X-Request-ID response header. An ID supplied by the client in
-// X-Request-ID is honored, so IDs can follow a request across services.
-func RequestID() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id := r.Header.Get("X-Request-ID")
-			if id == "" || len(id) > 64 {
-				id = fmt.Sprintf("req-%06d", idCounter.Add(1))
-			}
-			w.Header().Set("X-Request-ID", id)
-			next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
-		})
+// validRequestID reports whether a client-supplied ID may be honored, so
+// that IDs can follow a request across services: 1–64 bytes of
+// [A-Za-z0-9._:-]. Anything else — spaces, tabs and "=" above all — could
+// forge fields of the access and panic lines the ID is written into.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
 	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
-// --- access logging --------------------------------------------------------
-
-// statusWriter records the status code and byte count written through it so
-// AccessLog and Recover can observe the response.
+// statusWriter records the status code and byte count written through it,
+// for the access line and for the recovery, which must not write a 500
+// over a response that has started.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -182,84 +222,6 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// AccessLog emits one structured line per request: method, path, status,
-// response bytes, duration and request ID.
-func AccessLog(logger *log.Logger) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			logger.Printf("access method=%s path=%s status=%d bytes=%d dur=%s id=%s",
-				r.Method, r.URL.Path, status, sw.bytes,
-				time.Since(start).Round(time.Microsecond), GetRequestID(r.Context()))
-		})
-	}
-}
-
-// --- panic recovery --------------------------------------------------------
-
-// Recover converts a panic below it into a JSON 500 (when the response has
-// not started) and logs the panic value with a stack trace; the connection's
-// goroutine — and therefore the process — keeps serving. http.ErrAbortHandler
-// is re-raised as net/http's documented way to abort a response.
-func Recover(logger *log.Logger) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
-				}
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				logger.Printf("panic serving %s %s (id=%s): %v\n%s",
-					r.Method, r.URL.Path, GetRequestID(r.Context()), rec, debug.Stack())
-				if sw.status == 0 {
-					w.Header().Set("Content-Type", "application/json")
-					w.WriteHeader(http.StatusInternalServerError)
-					fmt.Fprintf(w, "{\"error\":%s}\n", strconv.Quote(fmt.Sprintf("internal error: %v", rec)))
-				}
-			}()
-			next.ServeHTTP(sw, r)
-		})
-	}
-}
-
-// --- per-route deadlines ---------------------------------------------------
-
-// Deadlines attaches a context deadline to every request: the duration of
-// the longest matching path prefix in rules, or def when none matches. A
-// zero duration (in either position) leaves the request without a deadline.
-// Handlers below must propagate r.Context() into their work for the
-// deadline to have teeth; see knn.SelectCostContext and friends.
-func Deadlines(def time.Duration, rules map[string]time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			d := def
-			matched := -1
-			for prefix, pd := range rules {
-				if strings.HasPrefix(r.URL.Path, prefix) && len(prefix) > matched {
-					d, matched = pd, len(prefix)
-				}
-			}
-			if d <= 0 {
-				next.ServeHTTP(w, r)
-				return
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			next.ServeHTTP(w, r.WithContext(ctx))
-		})
-	}
-}
-
 // --- load shedding ---------------------------------------------------------
 
 // Limiter bounds concurrent requests at maxInFlight, admits up to queueLen
@@ -276,25 +238,13 @@ type Limiter struct {
 	retryAfter string
 }
 
-// NewLimiter creates a Limiter. retryAfter <= 0 defaults to one second
-// (Retry-After is expressed in whole seconds and rounded up).
-func NewLimiter(maxInFlight, queueLen int, retryAfter time.Duration) *Limiter {
-	if maxInFlight < 1 {
-		maxInFlight = 1
-	}
-	if queueLen < 0 {
-		queueLen = 0
-	}
-	secs := int(retryAfter.Round(time.Second) / time.Second)
-	if retryAfter > 0 && secs < 1 {
-		secs = 1
-	}
-	if retryAfter <= 0 {
-		secs = 1
-	}
+// newLimiter creates a Limiter. retryAfter <= 0 defaults to one second
+// (Retry-After is expressed in whole seconds and rounded, at least 1).
+func newLimiter(maxInFlight, queueLen int, retryAfter time.Duration) *Limiter {
+	secs := max(int(retryAfter.Round(time.Second)/time.Second), 1)
 	return &Limiter{
-		sem:        make(chan struct{}, maxInFlight),
-		queueLen:   int64(queueLen),
+		sem:        make(chan struct{}, max(maxInFlight, 1)),
+		queueLen:   int64(max(queueLen, 0)),
 		retryAfter: strconv.Itoa(secs),
 	}
 }
@@ -308,36 +258,36 @@ func (l *Limiter) Queued() int { return int(l.queued.Load()) }
 // Shed returns the total number of requests rejected with 503 so far.
 func (l *Limiter) Shed() int { return int(l.shed.Load()) }
 
-// Middleware returns the wrapping function applying l.
-func (l *Limiter) Middleware() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			select {
-			case l.sem <- struct{}{}: // fast path: a slot is free
-			default:
-				// Queue, unless the queue is already full.
-				if l.queued.Add(1) > l.queueLen {
-					l.queued.Add(-1)
-					l.reject(w)
-					return
-				}
-				select {
-				case l.sem <- struct{}{}:
-					l.queued.Add(-1)
-				case <-r.Context().Done():
-					l.queued.Add(-1)
-					l.reject(w)
-					return
-				}
-			}
-			l.inFlight.Add(1)
-			defer func() {
-				l.inFlight.Add(-1)
-				<-l.sem
-			}()
-			next.ServeHTTP(w, r)
-		})
+// admit takes a slot for r, waiting in the queue while every slot is busy.
+// It reports false, having written the 503, when the queue is full or r's
+// context ends first; a true admit must be followed by one release.
+func (l *Limiter) admit(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case l.sem <- struct{}{}: // fast path: a slot is free
+	default:
+		// Queue, unless the queue is already full.
+		if l.queued.Add(1) > l.queueLen {
+			l.queued.Add(-1)
+			l.reject(w)
+			return false
+		}
+		select {
+		case l.sem <- struct{}{}:
+			l.queued.Add(-1)
+		case <-r.Context().Done():
+			l.queued.Add(-1)
+			l.reject(w)
+			return false
+		}
 	}
+	l.inFlight.Add(1)
+	return true
+}
+
+// release frees the slot of an admitted request.
+func (l *Limiter) release() {
+	l.inFlight.Add(-1)
+	<-l.sem
 }
 
 func (l *Limiter) reject(w http.ResponseWriter) {

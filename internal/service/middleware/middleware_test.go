@@ -9,40 +9,29 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func okHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-}
-
-func TestChainOrder(t *testing.T) {
-	var order []string
-	mk := func(name string) Middleware {
-		return func(next http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				order = append(order, name)
-				next.ServeHTTP(w, r)
-			})
-		}
-	}
-	h := Chain(okHandler(), mk("outer"), mk("inner"))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
-	if len(order) != 2 || order[0] != "outer" || order[1] != "inner" {
-		t.Fatalf("order = %v, want [outer inner]", order)
+// daemonConfig is knncostd's middleware configuration, logging to w.
+func daemonConfig(w io.Writer) Config {
+	return Config{
+		Logger:           log.New(w, "", log.LstdFlags),
+		EstimateDeadline: 5 * time.Second,
+		CostDeadline:     2 * time.Second,
+		AdminDeadline:    10 * time.Second,
+		MaxInFlight:      256,
+		QueueLen:         128,
+		RetryAfter:       time.Second,
+		AccessLog:        true,
 	}
 }
 
 func TestRecoverConvertsPanicToJSON500(t *testing.T) {
 	var buf strings.Builder
-	logger := log.New(&buf, "", 0)
-	h := Recover(logger)(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h, _ := Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
-	}))
+	}), Config{Logger: log.New(&buf, "", 0)})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/estimate/select", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -63,15 +52,15 @@ func TestRecoverConvertsPanicToJSON500(t *testing.T) {
 	}
 }
 
-// A panic after the response started cannot be turned into a 500; Recover
-// must still swallow it (and log) rather than kill the serve goroutine
-// un-notified.
+// A panic after the response started cannot be turned into a 500; the
+// recovery must still swallow it (and log) rather than kill the serve
+// goroutine un-notified.
 func TestRecoverAfterHeadersWritten(t *testing.T) {
 	var buf strings.Builder
-	h := Recover(log.New(&buf, "", 0))(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h, _ := Wrap(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		panic("late boom")
-	}))
+	}), Config{Logger: log.New(&buf, "", 0)})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusOK {
@@ -82,13 +71,19 @@ func TestRecoverAfterHeadersWritten(t *testing.T) {
 	}
 }
 
+// http.ErrAbortHandler is re-raised, and neither a panic line nor an
+// access line is written for it.
 func TestRecoverPassesAbortHandler(t *testing.T) {
-	h := Recover(log.New(io.Discard, "", 0))(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	var buf strings.Builder
+	h, _ := Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
-	}))
+	}), Config{Logger: log.New(&buf, "", 0), AccessLog: true})
 	defer func() {
 		if recover() != http.ErrAbortHandler {
 			t.Fatal("ErrAbortHandler was not re-raised")
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("aborted request logged %q", buf.String())
 		}
 	}()
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
@@ -96,13 +91,13 @@ func TestRecoverPassesAbortHandler(t *testing.T) {
 
 func TestRequestIDInjectsAndEchoes(t *testing.T) {
 	var got string
-	h := RequestID()(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h, _ := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = GetRequestID(r.Context())
-	}))
+	}), Config{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if got == "" {
-		t.Fatal("no request ID in context")
+	if !strings.HasPrefix(got, "req-") || len(got) < len("req-000000") {
+		t.Fatalf("request ID in context %q, want req-%%06d", got)
 	}
 	if hdr := rec.Header().Get("X-Request-ID"); hdr != got {
 		t.Fatalf("header %q != context %q", hdr, got)
@@ -110,52 +105,123 @@ func TestRequestIDInjectsAndEchoes(t *testing.T) {
 	// Client-supplied IDs are honored.
 	req := httptest.NewRequest("GET", "/", nil)
 	req.Header.Set("X-Request-ID", "client-7")
-	h.ServeHTTP(httptest.NewRecorder(), req)
-	if got != "client-7" {
-		t.Fatalf("client ID not honored: %q", got)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if got != "client-7" || rec.Header().Get("X-Request-ID") != "client-7" {
+		t.Fatalf("client ID not honored: context %q, header %q", got, rec.Header().Get("X-Request-ID"))
+	}
+	if GetRequestID(context.Background()) != "" {
+		t.Fatal("a context Wrap never saw carries a request ID")
+	}
+}
+
+// A client ID that could forge fields of the access or panic line is
+// replaced, in the echo and in both lines; a well-formed one is kept.
+func TestRequestIDRefusesForgedFields(t *testing.T) {
+	var buf strings.Builder
+	h, _ := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/panic" {
+			panic("boom")
+		}
+	}), Config{Logger: log.New(&buf, "", 0), AccessLog: true})
+	serve := func(path, id string) (echo, logged string) {
+		t.Helper()
+		buf.Reset()
+		req := httptest.NewRequest("GET", path, nil)
+		req.Header.Set("X-Request-ID", id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Header().Get("X-Request-ID"), buf.String()
+	}
+	for _, forged := range []string{
+		"abc status=500 bytes=9\tpath=/x",
+		"a b",
+		"id=x",
+		"new\nline",
+		strings.Repeat("x", 65),
+	} {
+		for _, path := range []string{"/estimate/select", "/panic"} {
+			echo, logged := serve(path, forged)
+			if echo == forged || !strings.HasPrefix(echo, "req-") {
+				t.Errorf("%s: ID %q echoed as %q, want a fresh req- ID", path, forged, echo)
+			}
+			if strings.Contains(logged, forged) || strings.Count(logged, "id="+echo) != strings.Count(logged, "id=") {
+				t.Errorf("%s: ID %q reached the log: %q", path, forged, logged)
+			}
+			if strings.Count(logged, "status=") != 1 {
+				t.Errorf("%s: log %q does not hold exactly one status field", path, logged)
+			}
+		}
+	}
+	for _, ok := range []string{"client-7", "a.b_c:D-9", strings.Repeat("x", 64)} {
+		echo, logged := serve("/panic", ok)
+		if echo != ok || !strings.Contains(logged, "(id="+ok+")") || !strings.Contains(logged, " id="+ok+"\n") {
+			t.Errorf("ID %q not honored: echo %q, log %q", ok, echo, logged)
+		}
 	}
 }
 
 func TestAccessLogLine(t *testing.T) {
 	var buf strings.Builder
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h, _ := Wrap(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 		fmt.Fprint(w, "short")
-	}), RequestID(), AccessLog(log.New(&buf, "", 0)))
+	}), Config{Logger: log.New(&buf, "", 0), AccessLog: true})
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/estimate/select?k=5", nil))
 	line := buf.String()
-	for _, want := range []string{"method=GET", "path=/estimate/select", "status=418", "bytes=5", "id=req-"} {
+	for _, want := range []string{"access method=GET ", "path=/estimate/select ", "status=418 ", "bytes=5 ", "dur=", "id=req-"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("access line %q missing %q", line, want)
 		}
 	}
+	// Without AccessLog nothing is written for a clean request.
+	buf.Reset()
+	h, _ = Wrap(okHandler(), Config{Logger: log.New(&buf, "", 0)})
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/estimate/select", nil))
+	if buf.Len() != 0 {
+		t.Fatalf("access log off, yet logged %q", buf.String())
+	}
 }
 
+// Each route gets its own budget: /cost/ the strict one, /relations the
+// admin one (or the estimate one when the admin one is zero), everything
+// else the estimate one; a zero budget means no deadline.
 func TestDeadlinesByPrefix(t *testing.T) {
-	var deadlines sync.Map
-	h := Deadlines(time.Hour, map[string]time.Duration{
-		"/cost/":      time.Millisecond,
-		"/cost/never": 0,
-	})(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d, ok := r.Context().Deadline()
-		if !ok {
-			deadlines.Store(r.URL.Path, time.Duration(0))
-			return
-		}
-		deadlines.Store(r.URL.Path, time.Until(d))
-	}))
-	for _, path := range []string{"/estimate/select", "/cost/join", "/cost/never/mind"} {
+	deadlineOf := func(cfg Config, path string) time.Duration {
+		t.Helper()
+		var got time.Duration
+		h, _ := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if d, ok := r.Context().Deadline(); ok {
+				got = time.Until(d)
+			}
+		}), cfg)
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+		return got
 	}
-	if v, _ := deadlines.Load("/estimate/select"); v.(time.Duration) <= time.Millisecond {
-		t.Errorf("/estimate/select got the strict deadline: %v", v)
+	near := func(got, want time.Duration) bool { return got <= want && got > want-time.Second }
+	cfg := Config{EstimateDeadline: time.Hour, CostDeadline: time.Minute, AdminDeadline: 10 * time.Hour}
+	for path, want := range map[string]time.Duration{
+		"/estimate/select":     time.Hour,
+		"/techniques":          time.Hour,
+		"/cost/join":           time.Minute,
+		"/relations":           10 * time.Hour,
+		"/relations/a/points":  10 * time.Hour,
+		"/costly/not-the-cost": time.Hour,
+	} {
+		if got := deadlineOf(cfg, path); !near(got, want) {
+			t.Errorf("%s: deadline in %v, want %v", path, got, want)
+		}
 	}
-	if v, _ := deadlines.Load("/cost/join"); v.(time.Duration) > time.Millisecond {
-		t.Errorf("/cost/join deadline too lax: %v", v)
+	cfg.AdminDeadline = 0
+	if got := deadlineOf(cfg, "/relations"); !near(got, time.Hour) {
+		t.Errorf("/relations without an admin budget: deadline in %v, want the estimate one", got)
 	}
-	// The longest matching prefix wins; zero disables the deadline.
-	if v, _ := deadlines.Load("/cost/never/mind"); v.(time.Duration) != 0 {
-		t.Errorf("/cost/never/mind should have no deadline, got %v", v)
+	cfg.CostDeadline = 0
+	if got := deadlineOf(cfg, "/cost/select"); got != 0 {
+		t.Errorf("/cost/select with a zero budget: deadline in %v, want none", got)
+	}
+	if got := deadlineOf(Config{}, "/estimate/select"); got != 0 {
+		t.Errorf("zero config: deadline in %v, want none", got)
 	}
 }
 
@@ -166,12 +232,16 @@ func TestLimiterShedsExactly(t *testing.T) {
 	const maxInFlight, queueLen, extra = 2, 2, 3
 	release := make(chan struct{})
 	entered := make(chan struct{}, maxInFlight+queueLen)
-	lim := NewLimiter(maxInFlight, queueLen, 2*time.Second)
-	h := lim.Middleware()(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h, lim := Wrap(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		entered <- struct{}{}
 		<-release
 		fmt.Fprintln(w, "ok")
-	}))
+	}), Config{
+		Logger:      log.New(io.Discard, "", 0),
+		MaxInFlight: maxInFlight,
+		QueueLen:    queueLen,
+		RetryAfter:  2 * time.Second,
+	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -208,7 +278,6 @@ func TestLimiterShedsExactly(t *testing.T) {
 	for i := 0; i < extra; i++ {
 		go get()
 	}
-	var shed int
 	for i := 0; i < extra; i++ {
 		r := <-results
 		if r.status != http.StatusServiceUnavailable {
@@ -217,7 +286,6 @@ func TestLimiterShedsExactly(t *testing.T) {
 		if r.retryAfter != "2" {
 			t.Fatalf("Retry-After = %q, want \"2\"", r.retryAfter)
 		}
-		shed++
 	}
 	if got := lim.Shed(); got != extra {
 		t.Fatalf("Shed() = %d, want %d", got, extra)
@@ -240,14 +308,13 @@ func TestLimiterQueueRespectsContext(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	entered := make(chan struct{}, 1)
-	lim := NewLimiter(1, 1, time.Second)
-	h := lim.Middleware()(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h, lim := Wrap(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-release
-	}))
+	}), Config{Logger: log.New(io.Discard, "", 0), MaxInFlight: 1, QueueLen: 1})
 	// Occupy the single slot.
 	rec1 := make(chan struct{})
 	go func() {
@@ -263,8 +330,95 @@ func TestLimiterQueueRespectsContext(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queued+cancelled request got %d, want 503", rec.Code)
 	}
+	if rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("Retry-After = %q, want the default \"1\"", rec.Header().Get("Retry-After"))
+	}
+	if lim.Queued() != 0 || lim.Shed() != 1 {
+		t.Fatalf("queued=%d shed=%d after the cancelled wait, want 0 and 1", lim.Queued(), lim.Shed())
+	}
 	release <- struct{}{}
 	<-rec1
+}
+
+// TestWrapOrder pins the order of the layers inside Wrap: the access line
+// and the recovery are outside the limiter, and the deadline inside it.
+func TestWrapOrder(t *testing.T) {
+	t.Run("a shed request is logged as 503", func(t *testing.T) {
+		var buf strings.Builder // read once both requests are done
+		release, entered := make(chan struct{}), make(chan struct{})
+		h, _ := Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+			close(entered)
+			<-release
+		}), Config{Logger: log.New(&buf, "", 0), MaxInFlight: 1, AccessLog: true})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/held", nil))
+		}()
+		<-entered
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/shed", nil))
+		close(release)
+		<-done
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503", rec.Code)
+		}
+		want := fmt.Sprintf("path=/shed status=503 bytes=%d ", rec.Body.Len())
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("log %q missing %q", buf.String(), want)
+		}
+	})
+	t.Run("a panic below the limiter releases its slot", func(t *testing.T) {
+		h, lim := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/panic" {
+				panic("boom")
+			}
+		}), Config{Logger: log.New(io.Discard, "", 0), MaxInFlight: 1})
+		for i := 0; i < 3; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("panic %d: status %d, want 500", i, rec.Code)
+			}
+		}
+		if lim.InFlight() != 0 {
+			t.Fatalf("InFlight() = %d after the panics, want 0", lim.InFlight())
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		if rec.Code != http.StatusOK || lim.Shed() != 0 {
+			t.Fatalf("after the panics: status %d, shed %d; want 200 and 0", rec.Code, lim.Shed())
+		}
+	})
+	t.Run("a queued request's deadline has not started", func(t *testing.T) {
+		const deadline, wait = time.Second, 300 * time.Millisecond
+		release, entered := make(chan struct{}), make(chan struct{}, 2)
+		var left time.Duration
+		h, lim := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/held" {
+				entered <- struct{}{}
+				<-release
+				return
+			}
+			d, _ := r.Context().Deadline()
+			left = time.Until(d)
+		}), Config{Logger: log.New(io.Discard, "", 0), EstimateDeadline: deadline, MaxInFlight: 1, QueueLen: 1})
+		go h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/held", nil))
+		<-entered
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/queued", nil))
+		}()
+		waitFor(t, func() bool { return lim.Queued() == 1 })
+		time.Sleep(wait)
+		close(release)
+		<-done
+		// Had the clock started on arrival, at most deadline-wait would be left.
+		if left <= deadline-wait/2 {
+			t.Fatalf("the queued request had %v of its %v left once admitted", left, deadline)
+		}
+	})
 }
 
 func TestReadyGateStates(t *testing.T) {
@@ -320,10 +474,44 @@ func TestWrapComposesStack(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
-	// The access line records the 500 produced by Recover.
-	if !strings.Contains(buf.String(), "status=500") {
-		t.Fatalf("access log %q missing status=500", buf.String())
+	// The access line records the 500 produced by the recovery, after the
+	// panic line.
+	log := buf.String()
+	if p, a := strings.Index(log, "panic serving GET /estimate/select"), strings.Index(log, "status=500"); p < 0 || a < p {
+		t.Fatalf("log %q: want the panic line, then an access line with status=500", log)
 	}
+	if _, lim := Wrap(okHandler(), Config{}); lim != nil {
+		t.Fatal("Wrap returned a limiter with MaxInFlight zero")
+	}
+}
+
+// TestWrapAllocs pins the heap allocations of one request through Wrap at
+// knncostd's configuration, access log on, around a handler that does
+// nothing: it is the middleware's share of every served request.
+func TestWrapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations count as the handler's")
+	}
+	// Past 255, boxing the ID counter for its Sprintf allocates too, as it
+	// does in a daemon that has served a few hundred requests.
+	idCounter.Add(256)
+	// A writer that is not io.Discard, so the logger formats every line.
+	h, _ := Wrap(okHandler(), daemonConfig(struct{ io.Writer }{io.Discard}))
+	for path, limit := range map[string]float64{
+		"/estimate/select": 20,
+		"/cost/select":     20,
+		"/relations":       20,
+	} {
+		req := httptest.NewRequest("GET", path, nil)
+		got := testing.AllocsPerRun(200, func() { h.ServeHTTP(httptest.NewRecorder(), req) })
+		if got > limit {
+			t.Errorf("%s: %v allocations per request, want at most %v", path, got, limit)
+		}
+	}
+}
+
+func okHandler() http.Handler {
+	return http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -807,7 +807,9 @@ func (rt *Router) handleDrop(w http.ResponseWriter, r *http.Request) {
 // lands exactly once there too.
 //
 // Secondaries apply the same mutation concurrently; a secondary failure is
-// logged, not fatal (the next heal re-converges it from the primary).
+// logged, not fatal. A heal fires only when a replica lacks the relation,
+// so a secondary that holds it and failed the write stays behind until
+// ROADMAP item 2 lands.
 // Writes deliberately ignore breaker state: durability needs the
 // deterministic ring owners, not the fastest healthy subset.
 func (rt *Router) handleMutatePoints(w http.ResponseWriter, r *http.Request) {

@@ -81,7 +81,7 @@ func TestCatalogScale(t *testing.T) {
 		fps[i] = b.fp
 		built[i] = loaded{b.staircase, b.vgrid, b.aknn}
 		want[i] = probeAll(t, pts, b.staircase, b.vgrid, b.aknn, b.tree)
-		artifactBytes += int64(b.staircase.SizeBytes() + b.vgrid.SizeBytes() + b.aknn.SizeBytes())
+		artifactBytes += int64(b.staircase.StorageBytes() + b.vgrid.StorageBytes() + b.aknn.StorageBytes())
 		pointBytes += int64(16 * len(pts))
 	}
 	buildTook := time.Since(buildStart)

@@ -120,7 +120,8 @@ type Options struct {
 	// QueueLen bounds pending build signals; registrations beyond it fail
 	// with ErrQueueFull. Zero means 256.
 	QueueLen int
-	// CacheDir enables the warm-restart disk cache. Empty disables it.
+	// CacheDir enables the warm-restart disk cache and, with it, the
+	// write-ahead log. Empty disables both.
 	CacheDir string
 	// RegistryScope names this store's slice of a shared cache directory.
 	// Catalog artifacts are content-addressed and safely shared between
@@ -138,11 +139,6 @@ type Options struct {
 	// negative disables the timer (compaction then happens only via the
 	// threshold, Flush, or WaitSettled — useful in deterministic tests).
 	CompactInterval time.Duration
-	// WALSegmentBytes is the size at which a write-ahead-log segment
-	// rotates even if no fold retires it: the backstop for a log that is
-	// never folded. Zero means 4 MiB. The WAL is enabled whenever CacheDir
-	// is set.
-	WALSegmentBytes int
 	// Logger receives cache warnings and build logs. Nil means the standard
 	// logger.
 	Logger *log.Logger
@@ -344,7 +340,7 @@ type pairSlot struct {
 	once  sync.Once
 	est   core.JoinEstimator // the *core.CatalogMerge
 	err   error
-	bytes atomic.Int64 // the merge's SizeBytes() once resolved; what PairMerges reads
+	bytes atomic.Int64 // the merge's StorageBytes() once resolved; what PairMerges reads
 }
 
 var emptyView = &View{relations: map[string]*Snapshot{}, pairs: new(sync.Map)}
@@ -395,7 +391,7 @@ func (v *View) JoinEstimator(jt engine.JoinTechnique, outer, inner *Snapshot) (c
 		}
 		s.catalogBuilds.Add(1)
 		p.est = m
-		p.bytes.Store(int64(m.SizeBytes()))
+		p.bytes.Store(int64(m.StorageBytes()))
 	})
 	return p.est, p.err
 }
@@ -566,10 +562,9 @@ func New(opt Options) (*Store, error) {
 			walDir = "wal-" + opt.RegistryScope
 		}
 		w, rep, err := wal.Open(wal.Options{
-			Dir:          filepath.Join(opt.CacheDir, walDir),
-			SegmentBytes: opt.WALSegmentBytes,
-			Logger:       opt.Logger,
-			OpHook:       opt.crashHook,
+			Dir:    filepath.Join(opt.CacheDir, walDir),
+			Logger: opt.Logger,
+			OpHook: opt.crashHook,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("store: opening wal: %w", err)
@@ -1423,9 +1418,9 @@ func (s *Store) installSnapshot(e *entry, b *builtRelation) {
 		Aknn:           b.aknn,
 		Engine:         eng,
 		Resolution:     b.res,
-		StaircaseBytes: b.staircase.SizeBytes(),
-		VGridBytes:     b.vgrid.SizeBytes(),
-		AknnBytes:      b.aknn.SizeBytes(),
+		StaircaseBytes: b.staircase.StorageBytes(),
+		VGridBytes:     b.vgrid.StorageBytes(),
+		AknnBytes:      b.aknn.StorageBytes(),
 		src:            src,
 	}
 }

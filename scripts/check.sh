@@ -33,7 +33,10 @@ cd "$(dirname "$0")/.."
 # keeps a build raced by an invalidation out of the map: the race stage
 # repeats TestSingleFlight, TestInvalidationDuringInFlightBuild,
 # TestCachedPlanHotSwapOracle and TestPlanCacheDropReRegister), the HTTP
-# batch endpoint and the robustness middleware, the
+# batch endpoint and the robustness middleware (one handler whose limiter
+# admits, queues, sheds and releases under concurrent requests: the race
+# stage repeats the middleware's Limiter tests, the service's
+# TestOverloadShedsExactCount and TestWrapComposesStack), the
 # fault-injection harness, the oracle differential suite (which runs batches
 # against live hot-swaps), the shard tier's scatter-gather, hedging, breaker
 # and mirror-on-demand machinery (the race stage repeats
@@ -71,6 +74,7 @@ race() {
 	go test -race -count=10 -run 'RouterDifferential|RelationGetFindsAnyOwner|MutationHealPinnedToPrimary' ./internal/shard/
 	go test -race -count=10 -run 'ConcurrentResolve|ArtifactsBuildOnce|BuildErrorCached' ./internal/engine/
 	go test -race -count=10 -run 'SingleFlight|InvalidationDuringInFlightBuild|CachedPlanHotSwapOracle|PlanCacheDropReRegister' ./internal/optimizer/
+	go test -race -count=10 -run 'Limiter|OverloadSheds|WrapComposes' ./internal/service/...
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
@@ -130,7 +134,8 @@ bench
 
 # Coverage floors: per-package statement coverage, internal/engine >= 85%,
 # internal/aknn >= 85%, internal/shard >= 85%, internal/wal >= 80%,
-# internal/optimizer >= 80%.
+# internal/optimizer >= 80%, internal/store >= 80%,
+# internal/service/middleware >= 85%.
 sh scripts/cover.sh
 
 # Catalog-cache scale: warm-load a 2000-relation fleet from its bundles and

@@ -5,8 +5,10 @@
 # bounds-only AkNN join and its estimator), internal/shard (the
 # scatter-gather routing tier), internal/wal (the crash-safety foundation
 # of streaming ingest), internal/optimizer (the multi-predicate plan
-# enumerator and its invalidation-correct plan cache), and internal/store
-# (the relation store and its disk catalog cache).
+# enumerator and its invalidation-correct plan cache), internal/store
+# (the relation store and its disk catalog cache), and
+# internal/service/middleware (the one handler every served request
+# crosses).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,3 +52,4 @@ check_floor knncost/internal/shard 85.0
 check_floor knncost/internal/wal 80.0
 check_floor knncost/internal/optimizer 80.0
 check_floor knncost/internal/store 80.0
+check_floor knncost/internal/service/middleware 85.0
