@@ -119,7 +119,7 @@ func getInternalTree() (*index.Tree, *index.Tree, []geom.Point) {
 		pts := datagen.OSMLike(50_000, 5)
 		internalIx = quadtree.Build(pts, quadtree.Options{
 			Capacity: 256, Bounds: datagen.WorldBounds,
-		}).Index()
+		})
 		internalCount = internalIx.CountTree()
 		rng := rand.New(rand.NewSource(6))
 		for i := 0; i < 64; i++ {

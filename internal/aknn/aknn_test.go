@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/index"
 	"knncost/internal/quadtree"
@@ -25,7 +26,7 @@ func randPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {
 
 func buildTree(tb testing.TB, pts []geom.Point, capacity int) *index.Tree {
 	tb.Helper()
-	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity}).Index()
+	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity})
 	if err := t.Validate(); err != nil {
 		tb.Fatalf("invalid tree: %v", err)
 	}
@@ -217,12 +218,12 @@ func TestEstimateJoinReusesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bounds := sampleBounds(outer, sample)
+			blocks := core.SampleBlocks(outer, sample)
 			want := 0
-			for _, from := range bounds {
-				want += sum.Candidates(from, k)
+			for _, from := range blocks {
+				want += sum.Candidates(from.Bounds, k)
 			}
-			if scaled := float64(want) * (float64(numJoinBlocks(outer)) / float64(len(bounds))); got != scaled {
+			if scaled := float64(want) * (float64(core.NumJoinBlocks(outer)) / float64(len(blocks))); got != scaled {
 				t.Fatalf("sample %d, k %d: EstimateJoin = %v, per-block Candidates sum to %v", sample, k, got, scaled)
 			}
 		}

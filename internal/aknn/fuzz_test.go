@@ -36,7 +36,7 @@ func fuzzPoints(seed int64, nRaw uint8) []geom.Point {
 
 func fuzzTree(tb testing.TB, pts []geom.Point) *index.Tree {
 	tb.Helper()
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 8}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 8})
 	if err := tree.Validate(); err != nil {
 		tb.Fatalf("invalid tree: %v", err)
 	}

@@ -142,50 +142,18 @@ func (e *Estimator) EstimateJoin(k int) (float64, error) {
 	if k < 1 {
 		return 0, errors.New("aknn: k must be >= 1")
 	}
-	sample := sampleBounds(e.outer, e.sampleSize)
+	// The same sample as the Block-Sample estimator's: both sampling join
+	// estimators see the same outer blocks.
+	sample := core.SampleBlocks(e.outer, e.sampleSize)
 	if len(sample) == 0 {
 		return 0, errors.New("aknn: outer relation has no blocks")
 	}
 	agg, bs := 0, make([]bound, len(e.sum.parts))
 	for _, from := range sample {
-		agg += e.sum.candidates(bs, from, k)
+		agg += e.sum.candidates(bs, from.Bounds, k)
 	}
-	scale := float64(numJoinBlocks(e.outer)) / float64(len(sample))
+	scale := float64(core.NumJoinBlocks(e.outer)) / float64(len(sample))
 	return float64(agg) * scale, nil
-}
-
-// sampleBounds returns the bounds of (at most) s spatially distributed
-// non-empty blocks of t — the same fixed-point stride walk over the
-// depth-first block enumeration that core.SampleBlocks uses, so the two
-// sampling join estimators see the same outer blocks.
-func sampleBounds(t *index.Tree, s int) []geom.Rect {
-	all := make([]geom.Rect, 0, t.NumBlocks())
-	for _, b := range t.Blocks() {
-		if b.Count > 0 {
-			all = append(all, b.Bounds)
-		}
-	}
-	n := len(all)
-	if s >= n || s <= 0 {
-		return all
-	}
-	out := make([]geom.Rect, 0, s)
-	for i := 0; i < s; i++ {
-		out = append(out, all[i*n/s])
-	}
-	return out
-}
-
-// numJoinBlocks is the number of non-empty outer blocks — the n_o the
-// sampled aggregate scales by.
-func numJoinBlocks(t *index.Tree) int {
-	n := 0
-	for _, b := range t.Blocks() {
-		if b.Count > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // StorageBytes returns the summary's size in the paper's storage metric: a

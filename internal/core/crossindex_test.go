@@ -27,10 +27,10 @@ func TestEstimatorsAcrossIndexFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	families := map[string]*index.Tree{
-		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}).Index(),
-		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: 64, Bounds: bounds}).Index(),
-		"grid":     grid.Build(pts, bounds, 12, 12).Index(),
-		"rtree":    rt.Index(),
+		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}),
+		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: 64, Bounds: bounds}),
+		"grid":     grid.Build(pts, bounds, 12, 12),
+		"rtree":    rt,
 	}
 	for name, tree := range families {
 		t.Run(name, func(t *testing.T) {
@@ -85,11 +85,10 @@ func TestJoinOverRTreeInner(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 60, 60)
 	innerPts := randPoints(rng, 800, bounds)
 	outerPts := randPoints(rng, 150, bounds)
-	rt, err := rtree.Build(innerPts, rtree.Options{LeafCapacity: 32, Fanout: 6})
+	inner, err := rtree.Build(innerPts, rtree.Options{LeafCapacity: 32, Fanout: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := rt.Index()
 	outer := buildIx(outerPts, bounds, 16)
 	k := 6
 	collect := func(run func(emit func(knnjoin.Pair)) knnjoin.Stats) map[geom.Point][]float64 {
@@ -132,8 +131,8 @@ func TestCatalogMergeCrossFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	bounds := geom.NewRect(0, 0, 80, 80)
 	outer := kdtree.Build(clusteredPoints(rng, 1500, bounds),
-		kdtree.Options{Capacity: 32, Bounds: bounds}).Index().CountTree()
-	inner := grid.Build(clusteredPoints(rng, 2500, bounds), bounds, 10, 10).Index().CountTree()
+		kdtree.Options{Capacity: 32, Bounds: bounds}).CountTree()
+	inner := grid.Build(clusteredPoints(rng, 2500, bounds), bounds, 10, 10).CountTree()
 	cm, err := BuildCatalogMerge(outer, inner, 0, 200)
 	if err != nil {
 		t.Fatal(err)

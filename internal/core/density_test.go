@@ -67,7 +67,7 @@ func TestDensityEstimateSelectZeroAlloc(t *testing.T) {
 	}
 	tree := quadtree.Build(datagen.OSMLike(5_000, 1), quadtree.Options{
 		Capacity: 64, Bounds: datagen.WorldBounds,
-	}).Index()
+	})
 	d := NewDensityBased(tree.CountTree())
 	q := geom.Point{X: 12.5, Y: 41.9}
 	if _, err := d.EstimateSelect(q, 300); err != nil {

@@ -162,11 +162,10 @@ func TestStaircaseOnRTreeBuildsAuxIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := clusteredPoints(rng, 2000, bounds)
-	rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: 64, Fanout: 8})
+	data, err := rtree.Build(pts, rtree.Options{LeafCapacity: 64, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := rt.Index()
 	s, err := BuildStaircase(data, StaircaseOptions{MaxK: 100, AuxCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +277,7 @@ func TestSampleBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	tr := buildIx(randPoints(rng, 5000, bounds), bounds, 32)
-	n := numJoinBlocks(tr) // sampling draws from non-empty blocks only
+	n := NumJoinBlocks(tr) // sampling draws from non-empty blocks only
 	if n == 0 || n > tr.NumBlocks() {
 		t.Fatalf("unexpected non-empty block count %d of %d", n, tr.NumBlocks())
 	}

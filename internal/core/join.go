@@ -37,9 +37,9 @@ func SampleBlocks(t *index.Tree, s int) []*index.Block {
 	return out
 }
 
-// numJoinBlocks returns the number of outer blocks that contribute join
+// NumJoinBlocks returns the number of outer blocks that contribute join
 // cost — the n_o the sampling estimators scale by.
-func numJoinBlocks(t *index.Tree) int {
+func NumJoinBlocks(t *index.Tree) int {
 	n := 0
 	for _, b := range t.Blocks() {
 		if b.Count > 0 {
@@ -78,7 +78,7 @@ func (b *BlockSample) EstimateJoin(k int) (float64, error) {
 	for _, blk := range sample {
 		agg += knnjoin.LocalitySize(b.inner, blk.Bounds, k)
 	}
-	scale := float64(numJoinBlocks(b.outer)) / float64(len(sample))
+	scale := float64(NumJoinBlocks(b.outer)) / float64(len(sample))
 	return float64(agg) * scale, nil
 }
 
@@ -124,7 +124,7 @@ func BuildCatalogMerge(outer, inner *index.Tree, sampleSize, maxK int) (*Catalog
 	}
 	return &CatalogMerge{
 		merged: merged,
-		scale:  float64(numJoinBlocks(outer)) / float64(len(sample)),
+		scale:  float64(NumJoinBlocks(outer)) / float64(len(sample)),
 		maxK:   maxK,
 	}, nil
 }
@@ -208,7 +208,7 @@ func BuildVirtualGrid(inner *index.Tree, nx, ny, maxK int) (*VirtualGrid, error)
 	return v, nil
 }
 
-// cell returns the bounds of cell i (row-major), derived the way grid.Grid
+// cell returns the bounds of cell i (row-major), derived the way grid.Build
 // derives its cells, bit for bit.
 func (v *VirtualGrid) cell(i int) geom.Rect {
 	return grid.CellRect(v.bounds, v.nx, v.ny, i%v.nx, i/v.nx)

@@ -143,7 +143,7 @@ func TestFigure6Locality(t *testing.T) {
 func TestFigure5Flow(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rand.New(rand.NewSource(61)), 3000, bounds)
-	data := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}).Index()
+	data := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds})
 	probe := &probeEstimator{}
 	s, err := BuildStaircase(data, StaircaseOptions{MaxK: 100, Fallback: probe})
 	if err != nil {

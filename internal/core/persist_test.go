@@ -97,11 +97,10 @@ func TestStaircaseRoundTripOnRTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := clusteredPoints(rng, 2000, bounds)
-	rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: 64, Fanout: 8})
+	data, err := rtree.Build(pts, rtree.Options{LeafCapacity: 64, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := rt.Index()
 	orig, err := BuildStaircase(data, StaircaseOptions{MaxK: 80, AuxCapacity: 64})
 	if err != nil {
 		t.Fatal(err)

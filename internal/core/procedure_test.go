@@ -62,7 +62,7 @@ func clusteredPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {
 }
 
 func buildIx(pts []geom.Point, bounds geom.Rect, capacity int) *index.Tree {
-	return quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds}).Index()
+	return quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds})
 }
 
 // The defining invariant of Procedure 1: the catalog replays distance

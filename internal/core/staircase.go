@@ -278,7 +278,7 @@ func auxiliaryIndex(data *index.Tree, capacity int) *index.Tree {
 	for _, b := range data.Blocks() {
 		pts = append(pts, b.Points...)
 	}
-	return quadtree.Build(pts, quadtree.Options{Capacity: capacity}).Index()
+	return quadtree.Build(pts, quadtree.Options{Capacity: capacity})
 }
 
 // EstimateSelect implements SelectEstimator. Queries with k in [1, MaxK]

@@ -134,10 +134,10 @@ func indexFamilies(tb testing.TB, pts []geom.Point, bounds geom.Rect, capacity i
 		tb.Fatal(err)
 	}
 	return map[string]*index.Tree{
-		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds}).Index(),
-		"grid":     grid.Build(pts, bounds, 4, 4).Index(),
-		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: capacity, Bounds: bounds}).Index(),
-		"rtree":    rt.Index(),
+		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds}),
+		"grid":     grid.Build(pts, bounds, 4, 4),
+		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: capacity, Bounds: bounds}),
+		"rtree":    rt,
 	}
 }
 
@@ -285,7 +285,7 @@ func TestBuildStaircaseAllocCeiling(t *testing.T) {
 	const recorded = 4430
 	tree := quadtree.Build(datagen.OSMLike(20_000, 1), quadtree.Options{
 		Capacity: 256, Bounds: datagen.WorldBounds,
-	}).Index()
+	})
 	opt := StaircaseOptions{MaxK: 200, Mode: ModeCenterCorners}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := BuildStaircase(tree, opt); err != nil {
@@ -305,7 +305,7 @@ func TestBuildStaircaseAllocCeiling(t *testing.T) {
 // no reference to it; a Data of other blocks is refused.
 func TestStaircaseRefusesACountIndex(t *testing.T) {
 	pts := datagen.OSMLike(3000, 5)
-	data := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+	data := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 	count := data.CountTree()
 	for _, mode := range []StaircaseMode{ModeCenterCorners, ModeCenterOnly, ModeCenterQuadrant} {
 		opt := StaircaseOptions{MaxK: 200, Mode: mode}
@@ -327,7 +327,7 @@ func TestStaircaseRefusesACountIndex(t *testing.T) {
 		if got.aux != count {
 			t.Errorf("%v: the staircase attached to another tree than the Count-Index", mode)
 		}
-		opt.Data = quadtree.Build(pts[:2000], quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+		opt.Data = quadtree.Build(pts[:2000], quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 		if _, err := BuildStaircase(count, opt); err == nil {
 			t.Errorf("%v: built over a data index of other blocks", mode)
 		}

@@ -18,20 +18,20 @@ import (
 // over the R-tree (§3.3) — the sweep proves both paths.
 var backendBuilders = map[string]func(t *testing.T, pts []geom.Point) *index.Tree{
 	"quadtree": func(t *testing.T, pts []geom.Point) *index.Tree {
-		return quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: testBounds}).Index()
+		return quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: testBounds})
 	},
 	"kdtree": func(t *testing.T, pts []geom.Point) *index.Tree {
-		return kdtree.Build(pts, kdtree.Options{Capacity: 32, Bounds: testBounds}).Index()
+		return kdtree.Build(pts, kdtree.Options{Capacity: 32, Bounds: testBounds})
 	},
 	"grid": func(t *testing.T, pts []geom.Point) *index.Tree {
-		return grid.Build(pts, testBounds, 8, 8).Index()
+		return grid.Build(pts, testBounds, 8, 8)
 	},
 	"rtree": func(t *testing.T, pts []geom.Point) *index.Tree {
 		tr, err := rtree.Build(pts, rtree.Options{LeafCapacity: 32, Fanout: 8})
 		if err != nil {
 			t.Fatalf("rtree: %v", err)
 		}
-		return tr.Index()
+		return tr
 	},
 }
 

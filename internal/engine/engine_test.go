@@ -25,7 +25,7 @@ var testBounds = geom.NewRect(0, 0, 100, 100)
 
 func testTree(t *testing.T, n int, seed int64) *index.Tree {
 	t.Helper()
-	return quadtree.Build(testPoints(n, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}).Index()
+	return quadtree.Build(testPoints(n, seed), quadtree.Options{Capacity: 32, Bounds: testBounds})
 }
 
 func TestArtifactsBuildOnce(t *testing.T) {
@@ -342,7 +342,7 @@ func TestCachedResolveAllocatesNothing(t *testing.T) {
 var benchSink any
 
 func BenchmarkResolveSelect(b *testing.B) {
-	rel := NewRelation("r", quadtree.Build(testPoints(1000, 16), quadtree.Options{Capacity: 32, Bounds: testBounds}).Index(), BuildOptions{MaxK: 50})
+	rel := NewRelation("r", quadtree.Build(testPoints(1000, 16), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{MaxK: 50})
 	if _, err := rel.SelectEstimator(TechStaircaseCC); err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func BenchmarkResolveSelect(b *testing.B) {
 
 func BenchmarkCatalogMergeHit(b *testing.B) {
 	build := func(seed int64) *Relation {
-		return NewRelation("r", quadtree.Build(testPoints(1000, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}).Index(), BuildOptions{MaxK: 50})
+		return NewRelation("r", quadtree.Build(testPoints(1000, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{MaxK: 50})
 	}
 	rel, inner := build(17), build(18)
 	if _, err := rel.CatalogMerge(inner); err != nil {

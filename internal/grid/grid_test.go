@@ -16,11 +16,10 @@ func TestBuildAndCounts(t *testing.T) {
 		{X: 0.5, Y: 9.5}, // cell (0,1)
 		{X: 10, Y: 10},   // far boundary -> last cell
 	}
-	g := Build(pts, bounds, 2, 2)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", g.Len())
+	ix := Build(pts, bounds, 2, 2)
+	if ix.NumPoints() != 4 {
+		t.Fatalf("NumPoints = %d, want 4", ix.NumPoints())
 	}
-	ix := g.Index()
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -36,22 +35,17 @@ func TestBuildAndCounts(t *testing.T) {
 	}
 }
 
-func TestInsertOutside(t *testing.T) {
-	g := New(geom.NewRect(0, 0, 1, 1), 2, 2)
-	if err := g.Insert(geom.Point{X: 2, Y: 2}); err == nil {
-		t.Error("Insert outside bounds should fail")
-	}
-}
-
-func TestNewPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { New(geom.NewRect(0, 0, 1, 1), 0, 2) },
-		func() { New(geom.Rect{}, 2, 2) },
+func TestBuildPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"no columns":      func() { Build(nil, geom.NewRect(0, 0, 1, 1), 0, 2) },
+		"degenerate":      func() { Build(nil, geom.Rect{}, 2, 2) },
+		"outside bounds":  func() { Build([]geom.Point{{X: 2, Y: 2}}, geom.NewRect(0, 0, 1, 1), 2, 2) },
+		"one-point input": func() { Build([]geom.Point{{X: 2, Y: 2}}, geom.Rect{}, 2, 2) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: expected panic", name)
 				}
 			}()
 			f()
@@ -61,13 +55,13 @@ func TestNewPanics(t *testing.T) {
 
 func TestCellBoundsTileExactly(t *testing.T) {
 	bounds := geom.NewRect(-3, 2, 7, 12)
-	g := New(bounds, 4, 5)
+	blocks := Build(nil, bounds, 4, 5).Blocks()
 	var cells []geom.Rect
 	for row := 0; row < 5; row++ {
 		for col := 0; col < 4; col++ {
 			c := CellRect(bounds, 4, 5, col, row)
-			if c != g.CellBounds(col, row) {
-				t.Errorf("cell (%d,%d): CellRect %v, CellBounds %v", col, row, c, g.CellBounds(col, row))
+			if b := blocks[row*4+col].Bounds; c != b {
+				t.Errorf("cell (%d,%d): CellRect %v, built block %v", col, row, c, b)
 			}
 			cells = append(cells, c)
 		}
@@ -96,8 +90,7 @@ func TestIndexFindMatchesCell(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pts = append(pts, geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
 	}
-	g := Build(pts, bounds, 10, 10)
-	ix := g.Index()
+	ix := Build(pts, bounds, 10, 10)
 	for _, p := range pts[:100] {
 		b := ix.Find(p)
 		if b == nil || !b.Bounds.Contains(p) {
@@ -106,8 +99,8 @@ func TestIndexFindMatchesCell(t *testing.T) {
 	}
 }
 
-// Property: every inserted point lands in exactly one cell whose bounds
-// contain it, and cell counts sum to the total.
+// Property: every point lands in exactly one cell whose bounds contain it,
+// and cell counts sum to the total.
 func TestCellAssignmentProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
@@ -115,17 +108,14 @@ func TestCellAssignmentProperty(t *testing.T) {
 		nx, ny := 1+local.Intn(12), 1+local.Intn(12)
 		bounds := geom.NewRect(0, 0, 1+local.Float64()*100, 1+local.Float64()*100)
 		n := local.Intn(500)
-		g := New(bounds, nx, ny)
-		for i := 0; i < n; i++ {
-			p := geom.Point{
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{
 				X: bounds.Min.X + local.Float64()*bounds.Width(),
 				Y: bounds.Min.Y + local.Float64()*bounds.Height(),
 			}
-			if g.Insert(p) != nil {
-				return false
-			}
 		}
-		ix := g.Index()
+		ix := Build(pts, bounds, nx, ny)
 		if ix.NumPoints() != n || ix.NumBlocks() != nx*ny {
 			return false
 		}

@@ -234,7 +234,7 @@ func RunAccuracy(seed int64) (AccuracyReport, error) {
 	ws := oracle.Corpus(seed, accuracyPoints, accuracyQueries)
 	trees := make([]*index.Tree, len(ws))
 	for i, w := range ws {
-		trees[i] = quadtree.Build(w.Points, quadtree.Options{Capacity: accuracyCapacity}).Index()
+		trees[i] = quadtree.Build(w.Points, quadtree.Options{Capacity: accuracyCapacity})
 	}
 	for i, w := range ws {
 		tree := trees[i]

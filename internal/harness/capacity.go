@@ -29,7 +29,7 @@ func CapacitySweep(e *Env) (*Table, error) {
 		tree := quadtree.Build(pts, quadtree.Options{
 			Capacity: capacity,
 			Bounds:   datagen.WorldBounds,
-		}).Index()
+		})
 		cc, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: cfg.MaxK, Mode: core.ModeCenterCorners})
 		if err != nil {
 			return nil, err

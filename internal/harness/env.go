@@ -167,7 +167,7 @@ func (e *Env) Tree(scale int) *index.Tree {
 	t := quadtree.Build(e.Dataset(scale), quadtree.Options{
 		Capacity: e.cfg.Capacity,
 		Bounds:   datagen.WorldBounds,
-	}).Index()
+	})
 	e.trees[scale] = t
 	return t
 }
@@ -183,7 +183,7 @@ func (e *Env) ensureJoinInner() *index.Tree {
 	t := quadtree.Build(pts, quadtree.Options{
 		Capacity: e.cfg.Capacity,
 		Bounds:   datagen.WorldBounds,
-	}).Index()
+	})
 	e.joins[0] = []*index.Tree{t}
 	return t
 }
@@ -200,7 +200,7 @@ func (e *Env) JoinSchema(scale int) []*index.Tree {
 		ts[i] = quadtree.Build(pts, quadtree.Options{
 			Capacity: e.cfg.Capacity,
 			Bounds:   datagen.WorldBounds,
-		}).Index()
+		})
 	}
 	e.joins[scale] = ts
 	return ts

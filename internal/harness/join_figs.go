@@ -43,7 +43,7 @@ func Fig15(e *Env) (*Table, error) {
 		Title:   fmt.Sprintf("k-NN-Join estimation accuracy vs sample size (avg over k=%v)", truth.ks),
 		Columns: []string{"sample_size", "err_catalog_merge", "err_block_sample"},
 	}
-	maxSample := numNonEmpty(outer)
+	maxSample := core.NumJoinBlocks(outer)
 	for _, s := range sampleSweep(maxSample) {
 		cm, err := core.BuildCatalogMerge(outer, inner, s, cfg.MaxK)
 		if err != nil {
@@ -132,7 +132,7 @@ func Fig18(e *Env) (*Table, error) {
 		Title:   fmt.Sprintf("k-NN-Join estimation time vs sample size (ns/op, k=%d)", k),
 		Columns: []string{"sample_size", "block_sample_ns", "catalog_merge_ns"},
 	}
-	maxSample := numNonEmpty(outer)
+	maxSample := core.NumJoinBlocks(outer)
 	for _, s := range sampleSweep(maxSample) {
 		bs := core.NewBlockSample(outer, inner, s)
 		cm, err := core.BuildCatalogMerge(outer, inner, s, cfg.MaxK)
@@ -269,7 +269,7 @@ func Fig22(e *Env) (*Table, *Table, error) {
 		Title:   "Catalog-Merge storage vs sample size (bytes, one pair)",
 		Columns: []string{"sample_size", "catalog_merge_B"},
 	}
-	maxSample := numNonEmpty(outer)
+	maxSample := core.NumJoinBlocks(outer)
 	for _, s := range sampleSweep(maxSample) {
 		cm, err := core.BuildCatalogMerge(outer, inner, s, cfg.MaxK)
 		if err != nil {
@@ -303,7 +303,7 @@ func Fig23(e *Env) (*Table, *Table, error) {
 		Title:   "Catalog-Merge preprocessing time vs sample size (seconds, one pair)",
 		Columns: []string{"sample_size", "catalog_merge_s"},
 	}
-	maxSample := numNonEmpty(outer)
+	maxSample := core.NumJoinBlocks(outer)
 	for _, s := range sampleSweep(maxSample) {
 		start := time.Now()
 		if _, err := core.BuildCatalogMerge(outer, inner, s, cfg.MaxK); err != nil {
@@ -340,17 +340,6 @@ func sampleSweep(maxSample int) []int {
 		out = []int{maxSample}
 	}
 	return out
-}
-
-// numNonEmpty counts the outer blocks that contribute join cost.
-func numNonEmpty(t *index.Tree) int {
-	n := 0
-	for _, b := range t.Blocks() {
-		if b.Count > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // mustJoinEstimate panics on estimator errors inside timing loops, where

@@ -34,6 +34,12 @@ type PerfResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	// The machine the row was measured on, which WritePerfJSON stamps: a
+	// row's ns/op compares only with rows from a like machine. Files
+	// written before these fields existed load with them zero.
+	NProc      int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
 }
 
 // perfCase names one measured operation.
@@ -51,7 +57,7 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 	pts := datagen.OSMLike(20_000, seed)
 	tree := quadtree.Build(pts, quadtree.Options{
 		Capacity: 256, Bounds: datagen.WorldBounds,
-	}).Index()
+	})
 	count := tree.CountTree()
 	const maxK = 200
 
@@ -348,11 +354,17 @@ func registerFleet(seed int64, n, size int) error {
 }
 
 // WritePerfJSON writes results as BENCH_<date>.json in dir ("" means the
-// working directory) and returns the path.
+// working directory), each row stamped with this machine's core count,
+// GOMAXPROCS and Go version, and returns the path.
 func WritePerfJSON(dir string, results []PerfResult) (string, error) {
 	name := fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
 	path := filepath.Join(dir, name)
-	data, err := json.MarshalIndent(results, "", "  ")
+	stamped := make([]PerfResult, len(results))
+	for i, r := range results {
+		r.NProc, r.GOMAXPROCS, r.GoVersion = runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()
+		stamped[i] = r
+	}
+	data, err := json.MarshalIndent(stamped, "", "  ")
 	if err != nil {
 		return "", err
 	}

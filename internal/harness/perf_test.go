@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,5 +25,46 @@ func TestComparePerfGate(t *testing.T) {
 	}
 	if failures := ComparePerf(cur[:1], base[:1], 1.20); len(failures) != 0 {
 		t.Errorf("within tolerance: %q", failures)
+	}
+}
+
+// TestPerfJSONCarriesItsMachine: a written BENCH file names the machine each
+// row was measured on, and reads back through the one loader.
+func TestPerfJSONCarriesItsMachine(t *testing.T) {
+	path, err := WritePerfJSON(t.TempDir(), []PerfResult{{Op: "a", NsPerOp: 1}, {Op: "b", NsPerOp: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadPerfJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("read %d rows back, wrote 2", len(got))
+	}
+	for _, r := range got {
+		if r.NProc != runtime.NumCPU() || r.GOMAXPROCS != runtime.GOMAXPROCS(0) || r.GoVersion != runtime.Version() {
+			t.Errorf("row %s: machine nproc %d, GOMAXPROCS %d, %q; want %d, %d, %q",
+				r.Op, r.NProc, r.GOMAXPROCS, r.GoVersion, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+		}
+	}
+}
+
+// TestCommittedPerfFilesLoad: every committed BENCH file, written before the
+// machine fields existed or after, reads through LoadPerfJSON.
+func TestCommittedPerfFilesLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../results/BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH files found (%v)", err)
+	}
+	for _, path := range paths {
+		rows, err := LoadPerfJSON(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if len(rows) == 0 || rows[0].Op == "" || rows[0].NsPerOp <= 0 {
+			t.Errorf("%s: read %d rows, the first %+v", path, len(rows), rows)
+		}
 	}
 }

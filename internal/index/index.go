@@ -1,9 +1,10 @@
 // Package index defines the index-structure abstraction shared by every
 // algorithm in knncost. The paper (§2) deliberately avoids committing to one
 // index: "our proposed techniques can be applied to a quadtree, an R-tree,
-// or any of their variants". Accordingly, the quadtree, R-tree and grid
-// packages all export their block hierarchy as an index.Tree, and every
-// query-evaluation algorithm and cost estimator consumes only this package.
+// or any of their variants". Accordingly, the quadtree, kd-tree, R-tree and
+// grid builders all build their block hierarchy directly as an index.Tree,
+// and every query-evaluation algorithm and cost estimator consumes only
+// this package.
 //
 // A Tree is a hierarchy of Nodes whose leaves carry Blocks. A Block is the
 // unit of I/O the paper counts: the cost of an operator is the number of

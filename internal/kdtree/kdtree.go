@@ -52,44 +52,27 @@ func (o Options) withDefaults(pts []geom.Point) Options {
 	return o
 }
 
-type node struct {
-	bounds geom.Rect
-	// children[0] holds the low half, children[1] the high half; nil for
-	// a leaf.
-	children *[2]*node
-	points   []geom.Point
-}
-
-func (n *node) isLeaf() bool { return n.children == nil }
-
-// Tree is a region kd-tree over a fixed bounded region.
-type Tree struct {
-	root *node
-	opt  Options
-	size int
-}
-
-// Build constructs a kd-tree over pts. It panics if a point lies outside
-// the configured bounds (caller bug: the decomposed region is fixed).
-func Build(pts []geom.Point, opt Options) *Tree {
+// Build constructs a kd-tree over pts and returns it as an index.Tree. Its
+// leaves tile the indexed region, so the tree reports Partitioning() ==
+// true. It panics if a point lies outside the configured bounds (caller
+// bug: the decomposed region is fixed).
+func Build(pts []geom.Point, opt Options) *index.Tree {
 	opt = opt.withDefaults(pts)
 	for _, p := range pts {
 		if !opt.Bounds.Contains(p) {
 			panic(fmt.Sprintf("kdtree: point %v outside bounds %v", p, opt.Bounds))
 		}
 	}
-	t := &Tree{opt: opt, size: len(pts)}
 	owned := make([]geom.Point, len(pts))
 	copy(owned, pts)
-	t.root = build(opt.Bounds, owned, 0, opt)
-	return t
+	return index.New(build(opt.Bounds, owned, 0, opt), true)
 }
 
 // build recursively bisects the region, splitting on x at even depths and
-// y at odd depths.
-func build(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *node {
+// y at odd depths. Children are ordered low half, high half.
+func build(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *index.Node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
-		return &node{bounds: bounds, points: pts}
+		return &index.Node{Bounds: bounds, Block: &index.Block{Bounds: bounds, Points: pts, Count: len(pts)}}
 	}
 	lowBounds, highBounds := halves(bounds, depth)
 	var low, high []geom.Point
@@ -100,11 +83,10 @@ func build(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *node {
 			high = append(high, p)
 		}
 	}
-	children := &[2]*node{
+	return &index.Node{Bounds: bounds, Children: []*index.Node{
 		build(lowBounds, low, depth+1, opt),
 		build(highBounds, high, depth+1, opt),
-	}
-	return &node{bounds: bounds, children: children}
+	}}
 }
 
 // halves returns the two halves of bounds for the split axis at depth.
@@ -127,56 +109,4 @@ func inLow(bounds geom.Rect, p geom.Point, depth int) bool {
 		return p.X < c.X
 	}
 	return p.Y < c.Y
-}
-
-// Insert adds p, splitting leaves that exceed capacity. It returns an
-// error when p lies outside the tree bounds.
-func (t *Tree) Insert(p geom.Point) error {
-	if !t.opt.Bounds.Contains(p) {
-		return fmt.Errorf("kdtree: point %v outside bounds %v", p, t.opt.Bounds)
-	}
-	n, depth := t.root, 0
-	for !n.isLeaf() {
-		if inLow(n.bounds, p, depth) {
-			n = n.children[0]
-		} else {
-			n = n.children[1]
-		}
-		depth++
-	}
-	n.points = append(n.points, p)
-	t.size++
-	if len(n.points) > t.opt.Capacity && depth < t.opt.MaxDepth {
-		pts := n.points
-		n.points = nil
-		sub := build(n.bounds, pts, depth, t.opt)
-		n.children = sub.children
-	}
-	return nil
-}
-
-// Len returns the number of points stored.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the fixed indexed region.
-func (t *Tree) Bounds() geom.Rect { return t.opt.Bounds }
-
-// Index exports a snapshot as an index.Tree. kd-tree leaves tile the root
-// region, so the snapshot reports Partitioning() == true.
-func (t *Tree) Index() *index.Tree {
-	var conv func(n *node) *index.Node
-	conv = func(n *node) *index.Node {
-		out := &index.Node{Bounds: n.bounds}
-		if n.isLeaf() {
-			out.Block = &index.Block{
-				Bounds: n.bounds,
-				Points: n.points,
-				Count:  len(n.points),
-			}
-			return out
-		}
-		out.Children = []*index.Node{conv(n.children[0]), conv(n.children[1])}
-		return out
-	}
-	return index.New(conv(t.root), true)
 }

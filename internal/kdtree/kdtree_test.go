@@ -25,11 +25,7 @@ func randPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {
 func TestBuildInvariants(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rand.New(rand.NewSource(1)), 3000, bounds)
-	tr := Build(pts, Options{Capacity: 64, Bounds: bounds})
-	if tr.Len() != 3000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	ix := tr.Index()
+	ix := Build(pts, Options{Capacity: 64, Bounds: bounds})
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -49,7 +45,7 @@ func TestBuildInvariants(t *testing.T) {
 func TestLeavesTileRegion(t *testing.T) {
 	bounds := geom.NewRect(-10, -5, 30, 25)
 	pts := randPoints(rand.New(rand.NewSource(2)), 2000, bounds)
-	ix := Build(pts, Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := Build(pts, Options{Capacity: 32, Bounds: bounds})
 	var area float64
 	for _, b := range ix.Blocks() {
 		area += b.Bounds.Area()
@@ -75,46 +71,27 @@ func TestBuildPanicsOutsideBounds(t *testing.T) {
 	Build([]geom.Point{{X: 5, Y: 5}}, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
 }
 
-func TestInsert(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 50, 50)
-	tr := Build(nil, Options{Capacity: 16, Bounds: bounds})
-	pts := randPoints(rand.New(rand.NewSource(3)), 1000, bounds)
-	for _, p := range pts {
-		if err := tr.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := tr.Index()
-	if err := ix.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if ix.NumPoints() != 1000 {
-		t.Fatalf("NumPoints = %d", ix.NumPoints())
-	}
-	for _, b := range ix.Blocks() {
-		if b.Count > 16 {
-			t.Errorf("block exceeds capacity: %d", b.Count)
-		}
-	}
-	if err := tr.Insert(geom.Point{X: 99, Y: 99}); err == nil {
-		t.Error("Insert outside bounds should fail")
-	}
-}
-
 func TestDuplicatesRespectMaxDepth(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1, 1)
-	tr := Build(nil, Options{Capacity: 2, MaxDepth: 8, Bounds: bounds})
-	for i := 0; i < 50; i++ {
-		if err := tr.Insert(geom.Point{X: 0.7, Y: 0.7}); err != nil {
-			t.Fatal(err)
-		}
+	pts := make([]geom.Point, 50)
+	for i := range pts {
+		pts[i] = geom.Point{X: 0.7, Y: 0.7}
 	}
-	ix := tr.Index()
+	ix := Build(pts, Options{Capacity: 2, MaxDepth: 8, Bounds: bounds})
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if ix.NumPoints() != 50 {
 		t.Fatalf("NumPoints = %d", ix.NumPoints())
+	}
+	// The duplicates pile into one leaf at MaxDepth instead of splitting
+	// forever.
+	maxCount := 0
+	for _, b := range ix.Blocks() {
+		maxCount = max(maxCount, b.Count)
+	}
+	if maxCount != 50 {
+		t.Errorf("expected one overfull max-depth leaf, max block count = %d", maxCount)
 	}
 }
 
@@ -123,8 +100,8 @@ func TestDuplicatesRespectMaxDepth(t *testing.T) {
 func TestKNNAgreesWithQuadtree(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rand.New(rand.NewSource(4)), 2000, bounds)
-	kd := Build(pts, Options{Capacity: 32, Bounds: bounds}).Index()
-	qt := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+	kd := Build(pts, Options{Capacity: 32, Bounds: bounds})
+	qt := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds})
 	q := geom.Point{X: 37, Y: 59}
 	a, _ := knn.Select(kd, q, 25)
 	b, _ := knn.Select(qt, q, 25)
@@ -136,7 +113,7 @@ func TestKNNAgreesWithQuadtree(t *testing.T) {
 }
 
 // Property: each point lands in exactly one leaf; totals always add up;
-// structure valid after random build/insert mixes.
+// structure valid at random sizes and capacities.
 func TestKdTreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func(seed int64) bool {
@@ -144,14 +121,7 @@ func TestKdTreeProperty(t *testing.T) {
 		bounds := geom.NewRect(0, 0, 64, 64)
 		n := 50 + local.Intn(600)
 		pts := randPoints(local, n, bounds)
-		cut := local.Intn(n)
-		tr := Build(pts[:cut], Options{Capacity: 8 + local.Intn(24), Bounds: bounds})
-		for _, p := range pts[cut:] {
-			if tr.Insert(p) != nil {
-				return false
-			}
-		}
-		ix := tr.Index()
+		ix := Build(pts, Options{Capacity: 8 + local.Intn(24), Bounds: bounds})
 		if ix.Validate() != nil || ix.NumPoints() != n {
 			return false
 		}

@@ -13,7 +13,7 @@ import (
 func TestSelectCostContextMatchesSelectCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	bounds := geom.NewRect(0, 0, 100, 100)
-	ix := quadtree.Build(randPoints(rng, 4000, bounds), quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := quadtree.Build(randPoints(rng, 4000, bounds), quadtree.Options{Capacity: 32, Bounds: bounds})
 	for i := 0; i < 50; i++ {
 		q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		k := 1 + rng.Intn(200)
@@ -31,7 +31,7 @@ func TestSelectCostContextMatchesSelectCost(t *testing.T) {
 func TestSelectCostContextCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	bounds := geom.NewRect(0, 0, 100, 100)
-	ix := quadtree.Build(randPoints(rng, 4000, bounds), quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := quadtree.Build(randPoints(rng, 4000, bounds), quadtree.Options{Capacity: 32, Bounds: bounds})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead: the very first block check must bail out
 	cost, err := SelectCostContext(ctx, ix, geom.Point{X: 50, Y: 50}, 100)
@@ -46,7 +46,7 @@ func TestSelectCostContextCancelled(t *testing.T) {
 func TestNextContextStopsMidTraversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	bounds := geom.NewRect(0, 0, 100, 100)
-	ix := quadtree.Build(randPoints(rng, 2000, bounds), quadtree.Options{Capacity: 8, Bounds: bounds}).Index()
+	ix := quadtree.Build(randPoints(rng, 2000, bounds), quadtree.Options{Capacity: 8, Bounds: bounds})
 	ctx, cancel := context.WithCancel(context.Background())
 	b := NewBrowser(ix, geom.Point{X: 10, Y: 10})
 	// A few neighbors succeed, then cancellation stops the traversal

@@ -19,7 +19,7 @@ func TestSelectGuardsKBelowOne(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 	}
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds})
 	q := geom.Point{X: 5, Y: 5}
 
 	for _, k := range []int{0, -1, -7, -1 << 30} {

@@ -36,7 +36,7 @@ func TestBrowserMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rng, 2000, bounds)
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds})
 	want := bruteDists(pts, geom.Point{X: 37, Y: 61})
 
 	b := NewBrowser(ix, geom.Point{X: 37, Y: 61})
@@ -58,7 +58,7 @@ func TestBrowserMonotoneDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	bounds := geom.NewRect(0, 0, 10, 10)
 	pts := randPoints(rng, 500, bounds)
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds})
 	b := NewBrowser(ix, geom.Point{X: 100, Y: 100}) // query outside bounds is fine
 	last := -1.0
 	count := 0
@@ -81,7 +81,7 @@ func TestBrowserMonotoneDistances(t *testing.T) {
 func TestSelectBasics(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 4, 4)
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 3, Y: 3}, {X: 1, Y: 3}, {X: 3, Y: 1}}
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 1, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 1, Bounds: bounds})
 	res, stats := Select(ix, geom.Point{X: 0.9, Y: 0.9}, 2)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
@@ -103,7 +103,7 @@ func TestSelectCostAgreesWithSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bounds := geom.NewRect(0, 0, 50, 50)
 	pts := randPoints(rng, 3000, bounds)
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds})
 	for _, k := range []int{1, 5, 50, 500} {
 		q := geom.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
 		_, s := Select(ix, q, k)
@@ -117,7 +117,7 @@ func TestSelectDFMatchesBrowser(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rng, 1500, bounds)
-	ix := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds})
 	for _, k := range []int{1, 3, 17, 200} {
 		q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		want, bStats := Select(ix, q, k)
@@ -140,7 +140,7 @@ func TestSelectDFMatchesBrowser(t *testing.T) {
 
 func TestSelectDFZeroK(t *testing.T) {
 	ix := quadtree.Build([]geom.Point{{X: 1, Y: 1}},
-		quadtree.Options{Bounds: geom.NewRect(0, 0, 2, 2)}).Index()
+		quadtree.Options{Bounds: geom.NewRect(0, 0, 2, 2)})
 	if res, _ := SelectDF(ix, geom.Point{}, 0); len(res) != 0 {
 		t.Error("k=0 should return nothing")
 	}
@@ -150,11 +150,10 @@ func TestBrowserOnRTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rng, 1000, bounds)
-	tr, err := rtree.Build(pts, rtree.Options{LeafCapacity: 40, Fanout: 8})
+	ix, err := rtree.Build(pts, rtree.Options{LeafCapacity: 40, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := tr.Index()
 	q := geom.Point{X: 50, Y: 50}
 	want := bruteDists(pts, q)
 	b := NewBrowser(ix, q)
@@ -178,7 +177,7 @@ func TestSelectProperty(t *testing.T) {
 		bounds := geom.NewRect(0, 0, 64, 64)
 		n := 200 + local.Intn(800)
 		pts := randPoints(local, n, bounds)
-		qt := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds}).Index()
+		qt := quadtree.Build(pts, quadtree.Options{Capacity: 16, Bounds: bounds})
 		rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: 16, Fanout: 4})
 		if err != nil {
 			return false
@@ -189,7 +188,7 @@ func TestSelectProperty(t *testing.T) {
 		for _, k := range []int{1, 7, 40} {
 			for _, res := range [][]Neighbor{
 				first(Select(qt, q, k)),
-				first(Select(rt.Index(), q, k)),
+				first(Select(rt, q, k)),
 			} {
 				if len(res) != k {
 					return false

@@ -23,7 +23,7 @@ func randPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {
 }
 
 func buildIx(pts []geom.Point, bounds geom.Rect, capacity int) *index.Tree {
-	return quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds}).Index()
+	return quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: bounds})
 }
 
 func TestLocalityCoversK(t *testing.T) {

@@ -29,7 +29,7 @@ func testCorpus(tb testing.TB) []oracle.Workload {
 
 func buildTree(tb testing.TB, pts []geom.Point, capacity int) *index.Tree {
 	tb.Helper()
-	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity}).Index()
+	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity})
 	if err := t.Validate(); err != nil {
 		tb.Fatalf("invalid tree: %v", err)
 	}

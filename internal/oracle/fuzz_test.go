@@ -46,7 +46,7 @@ func sanitizeCoord(v float64) float64 {
 
 func fuzzTree(tb testing.TB, pts []geom.Point) *index.Tree {
 	tb.Helper()
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 8}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 8})
 	if err := tree.Validate(); err != nil {
 		tb.Fatalf("invalid tree: %v", err)
 	}

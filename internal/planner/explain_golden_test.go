@@ -22,7 +22,7 @@ func goldenRelation(t *testing.T) *Relation {
 	}
 	tree := quadtree.Build(pts, quadtree.Options{
 		Capacity: 16, Bounds: geom.NewRect(0, 0, 100, 100),
-	}).Index()
+	})
 	return NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), nil)
 }
 

@@ -351,7 +351,7 @@ func PlanKNNSelectBatch(rel *Relation, queries []geom.Point, k int, opt BatchOpt
 	queryTree := quadtree.Build(unique, quadtree.Options{
 		Capacity: opt.Capacity,
 		Bounds:   bounds,
-	}).Index()
+	})
 	jt, err := engine.LookupJoin(cmp.Or(opt.JoinTechnique, engine.TechCatalogMerge))
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)

@@ -21,7 +21,7 @@ func buildRelation(t *testing.T, n int, seed int64, capacity int) (*Relation, []
 	pts := datagen.OSMLike(n, seed)
 	tree := quadtree.Build(pts, quadtree.Options{
 		Capacity: capacity, Bounds: datagen.WorldBounds,
-	}).Index()
+	})
 	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestBatchValidation(t *testing.T) {
 
 func TestNewRelationDefaultsToDensity(t *testing.T) {
 	pts := datagen.OSMLike(2000, 10)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 	rel := NewRelation("r", engine.NewRelation("r", tree, engine.BuildOptions{}), nil)
 	if rel.Estimator == nil {
 		t.Fatal("nil estimator should default to density-based")

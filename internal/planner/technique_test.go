@@ -12,7 +12,7 @@ import (
 
 func TestNewRelationTechnique(t *testing.T) {
 	pts := datagen.OSMLike(5000, 11)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 
 	for _, name := range engine.SelectNames() {
 		rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{MaxK: 100}), name)
@@ -53,7 +53,7 @@ func TestNewRelationTechnique(t *testing.T) {
 // per-call-site wiring.
 func TestSelectTechniqueEstimates(t *testing.T) {
 	pts := datagen.OSMLike(5000, 12)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 	rel := NewRelation("places", engine.NewRelation("places", tree, engine.BuildOptions{}), nil)
 	q, k := pts[42], 9
 
@@ -83,7 +83,7 @@ func TestSelectTechniqueEstimates(t *testing.T) {
 
 func TestBatchJoinTechnique(t *testing.T) {
 	pts := datagen.OSMLike(20000, 13)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 128, Bounds: datagen.WorldBounds}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 128, Bounds: datagen.WorldBounds})
 	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -21,9 +21,9 @@ func trees(t *testing.T) map[string]*index.Tree {
 	pts := datagen.OSMLike(20_000, 7)
 	bounds := datagen.WorldBounds
 	return map[string]*index.Tree{
-		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}).Index(),
-		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: 64, Bounds: bounds}).Index(),
-		"grid":     grid.Build(pts, bounds, 17, 13).Index(),
+		"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}),
+		"kdtree":   kdtree.Build(pts, kdtree.Options{Capacity: 64, Bounds: bounds}),
+		"grid":     grid.Build(pts, bounds, 17, 13),
 	}
 }
 
@@ -114,7 +114,7 @@ func FuzzFind(f *testing.F) {
 		}
 		leaf := int(capacity%8) + 1
 		trees := map[string]*index.Tree{
-			"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: leaf, MaxDepth: 8, Bounds: geom.NewRect(0, 0, 16, 16)}).Index(),
+			"quadtree": quadtree.Build(pts, quadtree.Options{Capacity: leaf, MaxDepth: 8, Bounds: geom.NewRect(0, 0, 16, 16)}),
 		}
 		if len(pts) > 0 {
 			rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: leaf + 1})
@@ -122,10 +122,10 @@ func FuzzFind(f *testing.F) {
 				t.Fatal(err)
 			}
 			var aux []geom.Point
-			for _, b := range rt.Index().Blocks() {
+			for _, b := range rt.Blocks() {
 				aux = append(aux, b.Points...)
 			}
-			trees["rtree-aux"] = quadtree.Build(aux, quadtree.Options{Capacity: leaf}).Index()
+			trees["rtree-aux"] = quadtree.Build(aux, quadtree.Options{Capacity: leaf})
 		}
 		for name, tree := range trees {
 			g := Build(tree)

@@ -1,7 +1,6 @@
 package quadtree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 	"unsafe"
 
 	"knncost/internal/geom"
+	"knncost/internal/index"
 	"knncost/internal/oracle"
 )
 
@@ -18,9 +18,9 @@ import (
 // builder it replaced, kept here and nowhere else: four append-grown slices
 // per internal node.
 
-func appendBuild(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *node {
+func appendBuild(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *index.Node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
-		return &node{bounds: bounds, points: pts}
+		return &index.Node{Bounds: bounds, Block: &index.Block{Bounds: bounds, Points: pts, Count: len(pts)}}
 	}
 	center := bounds.Center()
 	var parts [4][]geom.Point
@@ -29,34 +29,39 @@ func appendBuild(bounds geom.Rect, pts []geom.Point, depth int, opt Options) *no
 		parts[q] = append(parts[q], p)
 	}
 	quads := bounds.Quadrants()
-	children := new([4]*node)
+	children := make([]*index.Node, 4)
 	for i := range children {
 		children[i] = appendBuild(quads[i], parts[i], depth+1, opt)
 	}
-	return &node{bounds: bounds, children: children}
+	return &index.Node{Bounds: bounds, Children: children}
 }
 
 // diffNodes returns the first difference between two subtrees: shape, bounds
-// or the points of a leaf, in order.
-func diffNodes(got, want *node, path string) error {
-	if got.bounds != want.bounds {
-		return fmt.Errorf("node %s: bounds %v, want %v", path, got.bounds, want.bounds)
+// or the block of a leaf, its points in order.
+func diffNodes(got, want *index.Node, path string) error {
+	if got.Bounds != want.Bounds {
+		return fmt.Errorf("node %s: bounds %v, want %v", path, got.Bounds, want.Bounds)
 	}
-	if got.isLeaf() != want.isLeaf() {
-		return fmt.Errorf("node %s: leaf %v, want %v", path, got.isLeaf(), want.isLeaf())
+	if got.IsLeaf() != want.IsLeaf() || len(got.Children) != len(want.Children) {
+		return fmt.Errorf("node %s: leaf %v with %d children, want leaf %v with %d",
+			path, got.IsLeaf(), len(got.Children), want.IsLeaf(), len(want.Children))
 	}
-	if got.isLeaf() {
-		if !slices.Equal(got.points, want.points) {
-			return fmt.Errorf("leaf %s: points %v, want %v", path, got.points, want.points)
+	if got.IsLeaf() {
+		g, w := got.Block, want.Block
+		if g.Bounds != w.Bounds || g.Count != w.Count {
+			return fmt.Errorf("leaf %s: block %v of %d points, want %v of %d", path, g.Bounds, g.Count, w.Bounds, w.Count)
 		}
-		if cap(got.points) != len(got.points) {
+		if !slices.Equal(g.Points, w.Points) {
+			return fmt.Errorf("leaf %s: points %v, want %v", path, g.Points, w.Points)
+		}
+		if cap(g.Points) != len(g.Points) {
 			return fmt.Errorf("leaf %s: %d points in a window of capacity %d: an append would write past it",
-				path, len(got.points), cap(got.points))
+				path, len(g.Points), cap(g.Points))
 		}
 		return nil
 	}
-	for i := range got.children {
-		if err := diffNodes(got.children[i], want.children[i], fmt.Sprintf("%s%d", path, i)); err != nil {
+	for i := range got.Children {
+		if err := diffNodes(got.Children[i], want.Children[i], fmt.Sprintf("%s%d", path, i)); err != nil {
 			return err
 		}
 	}
@@ -71,10 +76,10 @@ func checkAgainstAppendBuild(pts []geom.Point, opt Options) error {
 		return fmt.Errorf("Build reordered its input")
 	}
 	opt = opt.withDefaults(pts)
-	if err := diffNodes(got.root, appendBuild(opt.Bounds, input, 0, opt), "r"); err != nil {
+	if err := diffNodes(got.Root(), appendBuild(opt.Bounds, input, 0, opt), "r"); err != nil {
 		return err
 	}
-	return got.Index().Validate()
+	return got.Validate()
 }
 
 func TestBuildMatchesAppendBuilder(t *testing.T) {
@@ -121,80 +126,21 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 	}
 }
 
-// leaves lists the leaves under n in quadrant order.
-func leaves(n *node, out []*node) []*node {
-	if n.isLeaf() {
-		return append(out, n)
-	}
-	for _, c := range n.children {
-		out = leaves(c, out)
-	}
-	return out
-}
-
-// TestInsertAfterBuildKeepsOtherLeaves: the leaves of a built tree are
-// windows of one array, so an Insert that appended in place would overwrite
-// the first point of the next leaf. Fill each leaf in turn until it splits;
-// every other leaf must keep its points.
-func TestInsertAfterBuildKeepsOtherLeaves(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 100, 100)
-	pts := randPoints(rand.New(rand.NewSource(11)), 600, bounds)
-	opt := Options{Capacity: 16, Bounds: bounds}
-	for target := range leaves(Build(pts, opt).root, nil) {
-		tr := Build(pts, opt)
-		all := leaves(tr.root, nil)
-		before := make([][]geom.Point, len(all))
-		for i, l := range all {
-			before[i] = slices.Clone(l.points)
-		}
-		leaf := all[target]
-		inserted := 0
-		for leaf.isLeaf() {
-			// Distinct points inside the leaf, so that it can split.
-			p := geom.Point{
-				X: leaf.bounds.Min.X + leaf.bounds.Width()*float64(inserted+1)/float64(opt.Capacity+3),
-				Y: leaf.bounds.Min.Y + leaf.bounds.Height()*float64(inserted%5+1)/7,
-			}
-			if err := tr.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-			if inserted++; inserted > opt.Capacity+1 {
-				t.Fatalf("leaf %d holds %d points and has not split", target, len(leaf.points))
-			}
-			for i, l := range all {
-				if i != target && !slices.Equal(l.points, before[i]) {
-					t.Fatalf("insert %d into leaf %d changed leaf %d: %v, was %v", inserted, target, i, l.points, before[i])
-				}
-			}
-		}
-		if got, want := tr.Len(), len(pts)+inserted; got != want {
-			t.Fatalf("Len = %d, want %d", got, want)
-		}
-		ix := tr.Index()
-		if err := ix.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if ix.NumPoints() != len(pts)+inserted {
-			t.Fatalf("index holds %d points, want %d", ix.NumPoints(), len(pts)+inserted)
-		}
-	}
-}
-
 // countNodes returns the number of nodes under n.
-func countNodes(n *node) int {
-	if n.isLeaf() {
+func countNodes(n *index.Node) int {
+	if n.IsLeaf() {
 		return 1
 	}
 	total := 1
-	for _, c := range n.children {
+	for _, c := range n.Children {
 		total += countNodes(c)
 	}
 	return total
 }
 
 // TestBuildAllocatesTwoBuffers: a build allocates its copy of the points, a
-// scratch of the same size, and the nodes — not a slice per quadrant per
-// level, which was seven times that.
+// scratch of the same size, and the index nodes — not a slice per quadrant
+// per level, which was seven times that, nor a second tree to copy them from.
 func TestBuildAllocatesTwoBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted as the build's")
@@ -206,12 +152,18 @@ func TestBuildAllocatesTwoBuffers(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	tr := Build(pts, opt)
 	runtime.ReadMemStats(&after)
-	nodes := countNodes(tr.root)
-	// A node and, for an internal one, its array of children.
-	perNode := uint64(unsafe.Sizeof(node{}) + unsafe.Sizeof([4]*node{}))
-	ceiling := 2*uint64(n)*uint64(unsafe.Sizeof(geom.Point{})) + uint64(nodes)*perNode + uint64(unsafe.Sizeof(Tree{}))
+	nodes, leaves := uint64(countNodes(tr.Root())), uint64(tr.NumBlocks())
+	const ptr = uint64(unsafe.Sizeof(uintptr(0)))
+	// Every node; an internal one's four children; a leaf's block, whose 72
+	// bytes the allocator rounds up to 80, and its slot in the tree's block
+	// list, which index.New grows by doubling to under four slots a block in
+	// all. The Tree itself.
+	nodeSize := uint64(unsafe.Sizeof(index.Node{}))
+	blockSize := (uint64(unsafe.Sizeof(index.Block{})) + 15) &^ 15
+	ceiling := 2*uint64(n)*uint64(unsafe.Sizeof(geom.Point{})) +
+		nodes*nodeSize + (nodes-leaves)*4*ptr + leaves*(blockSize+4*ptr) + uint64(unsafe.Sizeof(index.Tree{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Errorf("Build of %d points allocated %d bytes, ceiling %d (two point buffers and %d nodes)", n, got, ceiling, nodes)
+		t.Errorf("Build of %d points allocated %d bytes, ceiling %d (two point buffers, %d nodes, %d blocks)", n, got, ceiling, nodes, leaves)
 	}
 }
 
@@ -234,31 +186,6 @@ func FuzzQuadtreeBuild(f *testing.F) {
 		opt := Options{Capacity: int(capacity), MaxDepth: int(maxDepth), Bounds: geom.NewRect(0, 0, 16, 16)}
 		if err := checkAgainstAppendBuild(pts, opt); err != nil {
 			t.Fatal(err)
-		}
-		// The same points one at a time: every split partitions a leaf in
-		// place, and none may lose or duplicate a point.
-		tr := Build(nil, opt)
-		for _, p := range pts {
-			if err := tr.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ix := tr.Index()
-		if err := ix.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var got []geom.Point
-		for _, b := range ix.Blocks() {
-			got = append(got, b.Points...)
-		}
-		want := slices.Clone(pts)
-		byXY := func(a, b geom.Point) int {
-			return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
-		}
-		slices.SortFunc(got, byXY)
-		slices.SortFunc(want, byXY)
-		if !slices.Equal(got, want) {
-			t.Fatalf("inserting %d points one at a time left %d in the tree, or other ones", len(want), len(got))
 		}
 	})
 }

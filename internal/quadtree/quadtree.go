@@ -34,9 +34,8 @@ type Options struct {
 	// MaxDepth bounds the decomposition depth. Zero means DefaultMaxDepth.
 	MaxDepth int
 	// Bounds fixes the root region. A zero rectangle means "use the
-	// bounding box of the input points". Points outside Bounds are
-	// rejected by Insert and cause Build to panic, because a region
-	// quadtree decomposes a fixed space.
+	// bounding box of the input points". Points outside Bounds cause
+	// Build to panic, because a region quadtree decomposes a fixed space.
 	Bounds geom.Rect
 }
 
@@ -53,25 +52,11 @@ func (o Options) withDefaults(pts []geom.Point) Options {
 	return o
 }
 
-type node struct {
-	bounds   geom.Rect
-	children *[4]*node    // non-nil for internal nodes
-	points   []geom.Point // leaf payload
-}
-
-func (n *node) isLeaf() bool { return n.children == nil }
-
-// Tree is a region quadtree over a fixed bounded region.
-type Tree struct {
-	root *node
-	opt  Options
-	size int
-}
-
-// Build constructs a quadtree over pts. It panics if a point lies outside
-// the configured bounds, because that indicates a caller bug: the region to
+// Build constructs a quadtree over pts and returns it as the index.Tree
+// every knncost algorithm consumes. It panics if a point lies outside the
+// configured bounds, because that indicates a caller bug: the region to
 // decompose must be fixed up front.
-func Build(pts []geom.Point, opt Options) *Tree {
+func Build(pts []geom.Point, opt Options) *index.Tree {
 	opt = opt.withDefaults(pts)
 	if i := FirstOutside(pts, opt.Bounds); i >= 0 {
 		panic(fmt.Sprintf("quadtree: point %v outside bounds %v", pts[i], opt.Bounds))
@@ -79,7 +64,7 @@ func Build(pts []geom.Point, opt Options) *Tree {
 	// Build's copy of its input: the one array every built leaf is a window of.
 	flat := make([]geom.Point, len(pts))
 	copy(flat, pts)
-	return &Tree{opt: opt, size: len(pts), root: build(opt.Bounds, flat, make([]geom.Point, len(pts)), 0, opt)}
+	return index.New(build(opt.Bounds, flat, make([]geom.Point, len(pts)), 0, opt), true)
 }
 
 // FirstOutside returns the index of the first point of pts that bounds does
@@ -98,14 +83,15 @@ func FirstOutside(pts []geom.Point, bounds geom.Rect) int {
 // groups each node's points by quadrant (through scratch, which is as long
 // as pts), so the children are consecutive windows of the one array and the
 // points of a leaf keep their input order. A leaf's window is clipped to
-// its length: Insert's append then copies the leaf out instead of writing
-// into the next leaf's points.
-func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) *node {
+// its length: Block.Points is exported, and an append to one block must
+// copy it out instead of writing into the next block's points.
+func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) *index.Node {
 	if len(pts) <= opt.Capacity || depth >= opt.MaxDepth {
 		if len(pts) == 0 {
 			pts = nil
 		}
-		return &node{bounds: bounds, points: pts[:len(pts):len(pts)]}
+		pts = pts[:len(pts):len(pts)]
+		return &index.Node{Bounds: bounds, Block: &index.Block{Bounds: bounds, Points: pts, Count: len(pts)}}
 	}
 	center := bounds.Center()
 	var count [4]int
@@ -123,13 +109,13 @@ func build(bounds geom.Rect, pts, scratch []geom.Point, depth int, opt Options) 
 	}
 	copy(pts, scratch)
 	quads := bounds.Quadrants()
-	children := new([4]*node)
+	children := make([]*index.Node, 4)
 	lo := 0
 	for i := range children {
 		children[i] = build(quads[i], pts[lo:next[i]], scratch[lo:next[i]], depth+1, opt)
 		lo = next[i]
 	}
-	return &node{bounds: bounds, children: children}
+	return &index.Node{Bounds: bounds, Children: children}
 }
 
 // quadIndex assigns p to one of the four quadrants of a region with the
@@ -145,65 +131,4 @@ func quadIndex(center, p geom.Point) int {
 		i |= 2
 	}
 	return i
-}
-
-// Insert adds p to the tree, splitting leaves that exceed the capacity. It
-// returns an error when p lies outside the tree bounds.
-func (t *Tree) Insert(p geom.Point) error {
-	if !t.opt.Bounds.Contains(p) {
-		return fmt.Errorf("quadtree: point %v outside bounds %v", p, t.opt.Bounds)
-	}
-	n, depth := t.root, 0
-	for !n.isLeaf() {
-		n = n.children[quadIndex(n.bounds.Center(), p)]
-		depth++
-	}
-	n.points = append(n.points, p)
-	t.size++
-	if len(n.points) > t.opt.Capacity && depth < t.opt.MaxDepth {
-		t.split(n, depth)
-	}
-	return nil
-}
-
-func (t *Tree) split(n *node, depth int) {
-	pts := n.points
-	n.points = nil
-	sub := build(n.bounds, pts, make([]geom.Point, len(pts)), depth, t.opt)
-	// build may return a leaf only when it cannot split further, which
-	// cannot happen here because len(pts) > capacity and depth < MaxDepth.
-	n.children = sub.children
-}
-
-// Len returns the number of points stored.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the fixed root region.
-func (t *Tree) Bounds() geom.Rect { return t.opt.Bounds }
-
-// Capacity returns the configured maximum block capacity.
-func (t *Tree) Capacity() int { return t.opt.Capacity }
-
-// Index exports a snapshot of the tree as an index.Tree, the representation
-// every knncost algorithm consumes. The snapshot shares point slices with
-// the quadtree; it is invalidated by subsequent Inserts.
-func (t *Tree) Index() *index.Tree {
-	var conv func(n *node) *index.Node
-	conv = func(n *node) *index.Node {
-		out := &index.Node{Bounds: n.bounds}
-		if n.isLeaf() {
-			out.Block = &index.Block{
-				Bounds: n.bounds,
-				Points: n.points,
-				Count:  len(n.points),
-			}
-			return out
-		}
-		out.Children = make([]*index.Node, 4)
-		for i, c := range n.children {
-			out.Children[i] = conv(c)
-		}
-		return out
-	}
-	return index.New(conv(t.root), true)
 }

@@ -22,11 +22,7 @@ func randPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {
 func TestBuildSmall(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rand.New(rand.NewSource(1)), 1000, bounds)
-	tr := Build(pts, Options{Capacity: 50, Bounds: bounds})
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", tr.Len())
-	}
-	ix := tr.Index()
+	ix := Build(pts, Options{Capacity: 50, Bounds: bounds})
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -44,16 +40,15 @@ func TestBuildSmall(t *testing.T) {
 }
 
 func TestBuildEmptyAndTiny(t *testing.T) {
-	tr := Build(nil, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
-	if tr.Len() != 0 {
-		t.Fatalf("empty Len = %d", tr.Len())
+	ix := Build(nil, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
+	if ix.NumPoints() != 0 {
+		t.Fatalf("empty tree holds %d points", ix.NumPoints())
 	}
-	ix := tr.Index()
 	if ix.NumBlocks() != 1 {
 		t.Fatalf("empty tree should be a single leaf, got %d blocks", ix.NumBlocks())
 	}
 	one := Build([]geom.Point{{X: 0.5, Y: 0.5}}, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
-	if one.Index().NumPoints() != 1 {
+	if one.NumPoints() != 1 {
 		t.Fatal("single-point tree lost its point")
 	}
 }
@@ -67,50 +62,13 @@ func TestBuildPanicsOutsideBounds(t *testing.T) {
 	Build([]geom.Point{{X: 2, Y: 2}}, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
 }
 
-func TestInsertMatchesBuild(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 100, 100)
-	pts := randPoints(rand.New(rand.NewSource(2)), 2000, bounds)
-	opt := Options{Capacity: 64, Bounds: bounds}
-	built := Build(pts, opt)
-
-	incr := Build(nil, opt)
-	for _, p := range pts {
-		if err := incr.Insert(p); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if incr.Len() != built.Len() {
-		t.Fatalf("incremental Len = %d, bulk = %d", incr.Len(), built.Len())
-	}
-	ix := incr.Index()
-	if err := ix.Validate(); err != nil {
-		t.Fatalf("incremental Validate: %v", err)
-	}
-	for _, b := range ix.Blocks() {
-		if b.Count > opt.Capacity {
-			t.Errorf("incremental block exceeds capacity: %d", b.Count)
-		}
-	}
-	if ix.NumPoints() != 2000 {
-		t.Fatalf("incremental index NumPoints = %d", ix.NumPoints())
-	}
-}
-
-func TestInsertOutsideBounds(t *testing.T) {
-	tr := Build(nil, Options{Bounds: geom.NewRect(0, 0, 1, 1)})
-	if err := tr.Insert(geom.Point{X: 5, Y: 5}); err == nil {
-		t.Error("Insert outside bounds should fail")
-	}
-}
-
 func TestDuplicatePointsRespectMaxDepth(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1, 1)
 	pts := make([]geom.Point, 100)
 	for i := range pts {
 		pts[i] = geom.Point{X: 0.3, Y: 0.3}
 	}
-	tr := Build(pts, Options{Capacity: 4, MaxDepth: 6, Bounds: bounds})
-	ix := tr.Index()
+	ix := Build(pts, Options{Capacity: 4, MaxDepth: 6, Bounds: bounds})
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -133,7 +91,7 @@ func TestDuplicatePointsRespectMaxDepth(t *testing.T) {
 func TestFindLocatesEveryPoint(t *testing.T) {
 	bounds := geom.NewRect(-50, -50, 50, 50)
 	pts := randPoints(rand.New(rand.NewSource(3)), 3000, bounds)
-	ix := Build(pts, Options{Capacity: 32, Bounds: bounds}).Index()
+	ix := Build(pts, Options{Capacity: 32, Bounds: bounds})
 	for _, p := range pts[:200] {
 		b := ix.Find(p)
 		if b == nil {
@@ -154,7 +112,7 @@ func TestLeavesPartitionProperty(t *testing.T) {
 		bounds := geom.NewRect(0, 0, 64, 64)
 		n := 100 + local.Intn(900)
 		pts := randPoints(local, n, bounds)
-		ix := Build(pts, Options{Capacity: 16, Bounds: bounds}).Index()
+		ix := Build(pts, Options{Capacity: 16, Bounds: bounds})
 		var area float64
 		total := 0
 		for _, b := range ix.Blocks() {
@@ -192,7 +150,7 @@ func TestClusteredBuildProperty(t *testing.T) {
 				}
 			}
 		}
-		ix := Build(pts, Options{Capacity: 32, Bounds: bounds}).Index()
+		ix := Build(pts, Options{Capacity: 32, Bounds: bounds})
 		if err := ix.Validate(); err != nil {
 			return false
 		}

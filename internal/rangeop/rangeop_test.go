@@ -24,7 +24,7 @@ func TestSelectMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rng, 3000, bounds)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: bounds})
 	r := geom.NewRect(20, 30, 55, 70)
 	got, blocks := Select(tree, r)
 	want := 0
@@ -54,7 +54,7 @@ func TestSelectivityUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	pts := randPoints(rng, 20000, bounds)
-	count := quadtree.Build(pts, quadtree.Options{Capacity: 256, Bounds: bounds}).Index().CountTree()
+	count := quadtree.Build(pts, quadtree.Options{Capacity: 256, Bounds: bounds}).CountTree()
 	// A quarter-area window over uniform data -> selectivity ~0.25.
 	r := geom.NewRect(0, 0, 50, 50)
 	sel := Selectivity(count, r)
@@ -71,7 +71,7 @@ func TestSelectivityUniform(t *testing.T) {
 }
 
 func TestSelectivityEmptyRelation(t *testing.T) {
-	count := quadtree.Build(nil, quadtree.Options{Bounds: geom.NewRect(0, 0, 1, 1)}).Index().CountTree()
+	count := quadtree.Build(nil, quadtree.Options{Bounds: geom.NewRect(0, 0, 1, 1)}).CountTree()
 	if sel := Selectivity(count, geom.NewRect(0, 0, 1, 1)); sel != 0 {
 		t.Errorf("empty relation selectivity = %g", sel)
 	}
@@ -86,7 +86,7 @@ func TestRangeProperty(t *testing.T) {
 		bounds := geom.NewRect(0, 0, 64, 64)
 		n := 500 + local.Intn(3000)
 		pts := randPoints(local, n, bounds)
-		tree := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds}).Index()
+		tree := quadtree.Build(pts, quadtree.Options{Capacity: 32, Bounds: bounds})
 		r := geom.NewRect(
 			local.Float64()*50, local.Float64()*50,
 			local.Float64()*64, local.Float64()*64)

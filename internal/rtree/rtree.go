@@ -1,14 +1,14 @@
 // Package rtree implements an R-tree over points, the data-partitioning
 // index family the paper names as an admissible data index (§2, §3.3).
 // Construction uses Sort-Tile-Recursive (STR) bulk loading, which yields
-// well-shaped leaf pages; dynamic insertion with quadratic node splitting is
-// also provided.
+// well-shaped leaf pages. A relation's index is rebuilt whole, never grown
+// point by point, so there is no dynamic insertion.
 //
 // Because R-tree leaves are minimum bounding rectangles rather than a tiling
 // of space, a query point can fall outside every block. The staircase
 // estimator therefore pairs an R-tree data index with a space-partitioning
 // auxiliary index, exactly as §3.3 prescribes; this package only needs to
-// export its leaf hierarchy as an index.Tree.
+// build its leaf hierarchy as an index.Tree.
 package rtree
 
 import (
@@ -51,43 +51,28 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-type node struct {
-	bounds   geom.Rect
-	children []*node      // internal
-	points   []geom.Point // leaf
-	leaf     bool
-}
-
-// Tree is an R-tree over points.
-type Tree struct {
-	root *node
-	opt  Options
-	size int
-}
-
-// Build bulk-loads an R-tree over pts using the STR algorithm: points are
-// sorted by x, cut into vertical slices, each slice sorted by y and cut into
-// runs of LeafCapacity points; the resulting leaves are packed bottom-up
-// into internal levels of at most Fanout children.
-func Build(pts []geom.Point, opt Options) (*Tree, error) {
+// Build bulk-loads an R-tree over pts using the STR algorithm and returns
+// it as an index.Tree: points are sorted by x, cut into vertical slices,
+// each slice sorted by y and cut into runs of LeafCapacity points; the
+// resulting leaves are packed bottom-up into internal levels of at most
+// Fanout children. R-tree leaves do not tile space, so the tree reports
+// Partitioning() == false.
+func Build(pts []geom.Point, opt Options) (*index.Tree, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{opt: opt, size: len(pts)}
 	if len(pts) == 0 {
-		t.root = &node{leaf: true}
-		return t, nil
+		return index.New(&index.Node{Block: &index.Block{}}, false), nil
 	}
 	owned := make([]geom.Point, len(pts))
 	copy(owned, pts)
 	leaves := strLeaves(owned, opt.LeafCapacity)
-	t.root = packLevels(leaves, opt.Fanout)
-	return t, nil
+	return index.New(packLevels(leaves, opt.Fanout), false), nil
 }
 
 // strLeaves tiles pts into leaf nodes of at most capacity points each.
-func strLeaves(pts []geom.Point, capacity int) []*node {
+func strLeaves(pts []geom.Point, capacity int) []*index.Node {
 	n := len(pts)
 	numLeaves := (n + capacity - 1) / capacity
 	// Number of vertical slices: ceil(sqrt(numLeaves)).
@@ -102,7 +87,7 @@ func strLeaves(pts []geom.Point, capacity int) []*node {
 		return pts[i].Y < pts[j].Y
 	})
 	perSlice := (n + slices - 1) / slices
-	var leaves []*node
+	var leaves []*index.Node
 	for start := 0; start < n; start += perSlice {
 		end := start + perSlice
 		if end > n {
@@ -120,13 +105,13 @@ func strLeaves(pts []geom.Point, capacity int) []*node {
 			if le > len(slice) {
 				le = len(slice)
 			}
-			// Clip capacity so later appends to one leaf cannot
+			// Clip capacity so an append to one block's points cannot
 			// overwrite a neighbor sharing the backing array.
 			leafPts := slice[ls:le:le]
-			leaves = append(leaves, &node{
-				bounds: geom.BoundsOf(leafPts),
-				points: leafPts,
-				leaf:   true,
+			bounds := geom.BoundsOf(leafPts)
+			leaves = append(leaves, &index.Node{
+				Bounds: bounds,
+				Block:  &index.Block{Bounds: bounds, Points: leafPts, Count: len(leafPts)},
 			})
 		}
 	}
@@ -135,178 +120,22 @@ func strLeaves(pts []geom.Point, capacity int) []*node {
 
 // packLevels groups nodes into parents of at most fanout children until a
 // single root remains.
-func packLevels(level []*node, fanout int) *node {
+func packLevels(level []*index.Node, fanout int) *index.Node {
 	for len(level) > 1 {
-		var next []*node
+		var next []*index.Node
 		for start := 0; start < len(level); start += fanout {
 			end := start + fanout
 			if end > len(level) {
 				end = len(level)
 			}
 			children := level[start:end:end]
-			parent := &node{children: children, bounds: children[0].bounds}
+			parent := &index.Node{Children: children, Bounds: children[0].Bounds}
 			for _, c := range children[1:] {
-				parent.bounds = parent.bounds.Union(c.bounds)
+				parent.Bounds = parent.Bounds.Union(c.Bounds)
 			}
 			next = append(next, parent)
 		}
 		level = next
 	}
 	return level[0]
-}
-
-// Insert adds p to the tree, choosing at each level the child whose bounds
-// require the least enlargement and splitting overfull leaves with the
-// quadratic split heuristic of Guttman's original R-tree.
-func (t *Tree) Insert(p geom.Point) {
-	t.size++
-	if t.size == 1 && len(t.root.points) == 0 && len(t.root.children) == 0 {
-		t.root.points = append(t.root.points, p)
-		t.root.bounds = geom.Rect{Min: p, Max: p}
-		return
-	}
-	if split := t.insert(t.root, p); split != nil {
-		old := t.root
-		t.root = &node{
-			children: []*node{old, split},
-			bounds:   old.bounds.Union(split.bounds),
-		}
-	}
-}
-
-// insert descends to a leaf, then splits on the way back up. It returns the
-// new sibling when n was split, else nil.
-func (t *Tree) insert(n *node, p geom.Point) *node {
-	n.bounds = n.bounds.Expand(p)
-	if n.leaf {
-		n.points = append(n.points, p)
-		if len(n.points) > t.opt.LeafCapacity {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseChild(n.children, p)
-	if split := t.insert(best, p); split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.opt.Fanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-// chooseChild picks the child needing least area enlargement to include p,
-// breaking ties by smaller area.
-func chooseChild(children []*node, p geom.Point) *node {
-	best := children[0]
-	bestEnl, bestArea := enlargement(best.bounds, p), best.bounds.Area()
-	for _, c := range children[1:] {
-		enl, area := enlargement(c.bounds, p), c.bounds.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
-		}
-	}
-	return best
-}
-
-func enlargement(r geom.Rect, p geom.Point) float64 {
-	return r.Expand(p).Area() - r.Area()
-}
-
-// splitLeaf performs a quadratic split of an overfull leaf and returns the
-// new sibling.
-func (t *Tree) splitLeaf(n *node) *node {
-	pts := n.points
-	// Seeds: the pair wasting the most area if grouped together.
-	var s1, s2 int
-	worst := -1.0
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			r := geom.Rect{Min: pts[i], Max: pts[i]}.Expand(pts[j])
-			if w := r.Area(); w > worst {
-				worst, s1, s2 = w, i, j
-			}
-		}
-	}
-	g1 := []geom.Point{pts[s1]}
-	g2 := []geom.Point{pts[s2]}
-	b1 := geom.Rect{Min: pts[s1], Max: pts[s1]}
-	b2 := geom.Rect{Min: pts[s2], Max: pts[s2]}
-	for i, p := range pts {
-		if i == s1 || i == s2 {
-			continue
-		}
-		d1 := enlargement(b1, p)
-		d2 := enlargement(b2, p)
-		if d1 < d2 || (d1 == d2 && len(g1) <= len(g2)) {
-			g1 = append(g1, p)
-			b1 = b1.Expand(p)
-		} else {
-			g2 = append(g2, p)
-			b2 = b2.Expand(p)
-		}
-	}
-	n.points, n.bounds = g1, b1
-	return &node{points: g2, bounds: b2, leaf: true}
-}
-
-// splitInternal splits an overfull internal node in half along the axis with
-// the larger spread of child centers and returns the new sibling.
-func (t *Tree) splitInternal(n *node) *node {
-	children := n.children
-	b := children[0].bounds
-	for _, c := range children[1:] {
-		b = b.Union(c.bounds)
-	}
-	byX := b.Width() >= b.Height()
-	sort.Slice(children, func(i, j int) bool {
-		ci, cj := children[i].bounds.Center(), children[j].bounds.Center()
-		if byX {
-			return ci.X < cj.X
-		}
-		return ci.Y < cj.Y
-	})
-	half := len(children) / 2
-	left := children[:half:half]
-	right := make([]*node, len(children)-half)
-	copy(right, children[half:])
-	n.children = left
-	n.bounds = left[0].bounds
-	for _, c := range left[1:] {
-		n.bounds = n.bounds.Union(c.bounds)
-	}
-	sib := &node{children: right, bounds: right[0].bounds}
-	for _, c := range right[1:] {
-		sib.bounds = sib.bounds.Union(c.bounds)
-	}
-	return sib
-}
-
-// Len returns the number of points stored.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the minimum bounding rectangle of all points.
-func (t *Tree) Bounds() geom.Rect { return t.root.bounds }
-
-// Index exports a snapshot of the tree as an index.Tree. R-tree leaves do
-// not tile space, so the snapshot reports Partitioning() == false.
-func (t *Tree) Index() *index.Tree {
-	var conv func(n *node) *index.Node
-	conv = func(n *node) *index.Node {
-		out := &index.Node{Bounds: n.bounds}
-		if n.leaf {
-			out.Block = &index.Block{
-				Bounds: n.bounds,
-				Points: n.points,
-				Count:  len(n.points),
-			}
-			return out
-		}
-		out.Children = make([]*index.Node, len(n.children))
-		for i, c := range n.children {
-			out.Children[i] = conv(c)
-		}
-		return out
-	}
-	return index.New(conv(t.root), false)
 }

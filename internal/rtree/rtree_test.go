@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"knncost/internal/geom"
+	"knncost/internal/index"
 )
 
 func randPoints(rng *rand.Rand, n int) []geom.Point {
@@ -18,9 +19,9 @@ func randPoints(rng *rand.Rand, n int) []geom.Point {
 }
 
 // collectPoints gathers all points stored in the tree's blocks, sorted.
-func collectPoints(t *Tree) []geom.Point {
+func collectPoints(t *index.Tree) []geom.Point {
 	var out []geom.Point
-	for _, b := range t.Index().Blocks() {
+	for _, b := range t.Blocks() {
 		out = append(out, b.Points...)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -47,14 +48,13 @@ func samePoints(a, b []geom.Point) bool {
 func TestSTRBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randPoints(rng, 5000)
-	tr, err := Build(pts, Options{LeafCapacity: 100, Fanout: 8})
+	ix, err := Build(pts, Options{LeafCapacity: 100, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 5000 {
-		t.Fatalf("Len = %d, want 5000", tr.Len())
+	if ix.NumPoints() != 5000 {
+		t.Fatalf("NumPoints = %d, want 5000", ix.NumPoints())
 	}
-	ix := tr.Index()
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSTRBuild(t *testing.T) {
 		}
 		return sorted[i].Y < sorted[j].Y
 	})
-	if !samePoints(collectPoints(tr), sorted) {
+	if !samePoints(collectPoints(ix), sorted) {
 		t.Error("tree does not store exactly the input points")
 	}
 }
@@ -88,8 +88,8 @@ func TestBuildEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.Index().NumBlocks() != 1 {
-		t.Fatalf("empty tree: Len=%d blocks=%d", tr.Len(), tr.Index().NumBlocks())
+	if tr.NumPoints() != 0 || tr.NumBlocks() != 1 {
+		t.Fatalf("empty tree: %d points in %d blocks", tr.NumPoints(), tr.NumBlocks())
 	}
 }
 
@@ -102,77 +102,18 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
-func TestDynamicInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randPoints(rng, 2000)
-	tr, err := Build(nil, Options{LeafCapacity: 32, Fanout: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		tr.Insert(p)
-	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d, want 2000", tr.Len())
-	}
-	ix := tr.Index()
-	if err := ix.Validate(); err != nil {
-		t.Fatalf("Validate after inserts: %v", err)
-	}
-	for _, b := range ix.Blocks() {
-		if b.Count > 32 {
-			t.Errorf("leaf exceeds capacity after split: %d", b.Count)
-		}
-	}
-	sorted := make([]geom.Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	if !samePoints(collectPoints(tr), sorted) {
-		t.Error("dynamic tree does not store exactly the inserted points")
-	}
-}
-
-func TestInsertIntoBulkLoaded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 1000)
-	tr, err := Build(pts[:500], Options{LeafCapacity: 32, Fanout: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts[500:] {
-		tr.Insert(p)
-	}
-	ix := tr.Index()
-	if err := ix.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if ix.NumPoints() != 1000 {
-		t.Fatalf("NumPoints = %d, want 1000", ix.NumPoints())
-	}
-}
-
 // Property: leaf MBRs contain exactly their points and internal bounds
-// contain all descendants (Validate), for any mix of bulk load and inserts.
+// contain all descendants (Validate), at any size.
 func TestInvariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func(seed int64) bool {
 		local := rand.New(rand.NewSource(seed))
 		n := 10 + local.Intn(800)
 		pts := randPoints(local, n)
-		cut := local.Intn(n)
-		tr, err := Build(pts[:cut], Options{LeafCapacity: 16, Fanout: 4})
+		ix, err := Build(pts, Options{LeafCapacity: 16, Fanout: 4})
 		if err != nil {
 			return false
 		}
-		for _, p := range pts[cut:] {
-			tr.Insert(p)
-		}
-		ix := tr.Index()
 		if ix.Validate() != nil || ix.NumPoints() != n {
 			return false
 		}
@@ -196,11 +137,10 @@ func TestScanOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		local := rand.New(rand.NewSource(seed))
 		pts := randPoints(local, 500)
-		tr, err := Build(pts, Options{LeafCapacity: 25, Fanout: 5})
+		ix, err := Build(pts, Options{LeafCapacity: 25, Fanout: 5})
 		if err != nil {
 			return false
 		}
-		ix := tr.Index()
 		q := geom.Point{X: local.Float64() * 1000, Y: local.Float64() * 1000}
 		scan := ix.ScanMinDist(q)
 		last, count := -1.0, 0

@@ -52,7 +52,7 @@ func TestAknnBoundsEstimateOverHTTP(t *testing.T) {
 	build := func(n int, seed int64) *index.Tree {
 		return quadtree.Build(datagen.OSMLike(n, seed), quadtree.Options{
 			Capacity: 128, Bounds: datagen.WorldBounds,
-		}).Index().CountTree()
+		}).CountTree()
 	}
 	hotels := build(8000, 1)
 	restaurants := build(15000, 2)

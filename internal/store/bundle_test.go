@@ -23,7 +23,7 @@ import (
 func testBuild(t testing.TB) ([]geom.Point, *index.Tree, *core.Staircase, *core.VirtualGrid, manifest) {
 	t.Helper()
 	pts := gridPoints(300, 71)
-	tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
+	tree := quadtree.Build(pts, quadtree.Options{Capacity: 16})
 	stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestBundleHoldsWhatThePaperCounts(t *testing.T) {
 	const stairHeader, vgHeader = 8 + 4*8, 8 + 7*8 // magic and fixed-width fields
 	for _, n := range []int{40, 300, 5000} {
 		pts := gridPoints(n, 71)
-		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16}).Index()
+		tree := quadtree.Build(pts, quadtree.Options{Capacity: 16})
 		stair, err := core.BuildStaircase(tree, core.StaircaseOptions{MaxK: 64})
 		if err != nil {
 			t.Fatal(err)

@@ -586,7 +586,7 @@ func (src *pointsSource) hydrate() (*index.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return quadtree.Build(pts, quadtree.Options{Capacity: src.s.opt.IndexCapacity, Bounds: src.bounds}).Index(), nil
+	return quadtree.Build(pts, quadtree.Options{Capacity: src.s.opt.IndexCapacity, Bounds: src.bounds}), nil
 }
 
 // --- registry ----------------------------------------------------------------

@@ -33,7 +33,8 @@ import (
 // cost proportional to live bytes, not to file count (a page per mapped
 // file, as format 4 cost, is 8 KB a relation and fails this from a few
 // thousand relations up). It logs the numbers DESIGN.md records: the
-// restore's wall time per relation, RSS and heap growth.
+// restore's wall time per relation, RSS and heap growth, and the open
+// descriptors the restored store holds.
 //
 // KNNCOST_SCALE_RELATIONS overrides the relation count; scripts/check.sh
 // drives it at 2000, DESIGN.md §15 records 100k.
@@ -151,6 +152,9 @@ func TestCatalogScale(t *testing.T) {
 		float64(rssBuilt)/(1<<20), float64(rss1)/(1<<20),
 		float64(rss1-rss0)/(1<<20), float64(heap1-heap0)/(1<<20),
 		float64(artifactBytes)/(1<<20), float64(pointBytes)/(1<<20))
+	if fds := openFDs(); fds >= 0 {
+		t.Logf("open descriptors after the restore: %d", fds)
+	}
 	// Both sets hold the same indexes (tree, point-location grid), which at
 	// these relation sizes outweigh the catalogs; 4 MB is allocator slack.
 	if limit := (rssBuilt - rssStart) + 2*(artifactBytes+pointBytes) + 4<<20; rss0 > 0 && rss1-rss0 > limit {
@@ -178,6 +182,16 @@ func probeAll(t *testing.T, pts []geom.Point, stair *core.Staircase, vg *core.Vi
 		t.Fatalf("aknn EstimateJoin: %v", err)
 	}
 	return [3]float64{sel, vj, aj}
+}
+
+// openFDs counts this process's open descriptors, the entries of
+// /proc/self/fd, or returns -1 where procfs is unavailable.
+func openFDs() int {
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(entries)
 }
 
 // vmRSS reads the resident set size from /proc/self/status, in bytes.

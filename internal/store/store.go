@@ -1106,7 +1106,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	data := quadtree.Build(pts, quadtree.Options{
 		Capacity: s.opt.IndexCapacity,
 		Bounds:   bounds,
-	}).Index()
+	})
 	b.tree = data.CountTree()
 	if b.tree.NumBlocks() == 0 {
 		return nil, fmt.Errorf("relation %q indexed to zero blocks", name)

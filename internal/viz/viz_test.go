@@ -14,7 +14,7 @@ func TestRenderSVG(t *testing.T) {
 	pts := datagen.OSMLike(2000, 1)
 	ix := quadtree.Build(pts, quadtree.Options{
 		Capacity: 128, Bounds: datagen.WorldBounds,
-	}).Index()
+	})
 	var buf bytes.Buffer
 	err := RenderSVG(&buf, pts, ix, Options{WidthPx: 400, DrawBlocks: true})
 	if err != nil {

@@ -56,11 +56,10 @@ const (
 )
 
 var (
-	errShortFrame   = errors.New("wal: short frame")
-	errBadChecksum  = errors.New("wal: checksum mismatch")
-	errBadPayload   = errors.New("wal: malformed payload")
-	errHugePayload  = errors.New("wal: payload length out of range")
-	errLSNRegressed = errors.New("wal: log sequence number regressed")
+	errShortFrame  = errors.New("wal: short frame")
+	errBadChecksum = errors.New("wal: checksum mismatch")
+	errBadPayload  = errors.New("wal: malformed payload")
+	errHugePayload = errors.New("wal: payload length out of range")
 )
 
 // appendFrame serializes r (including the frame header) onto buf.

@@ -88,7 +88,7 @@ func BuildQuadtreeIndex(pts []Point, opt IndexOptions) *Index {
 	if capacity == 0 {
 		capacity = quadtree.DefaultCapacity
 	}
-	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: opt.Bounds}).Index()
+	t := quadtree.Build(pts, quadtree.Options{Capacity: capacity, Bounds: opt.Bounds})
 	return wrapIndex(t)
 }
 
@@ -98,13 +98,13 @@ func BuildRTreeIndex(pts []Point, opt IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapIndex(t.Index()), nil
+	return wrapIndex(t), nil
 }
 
 // BuildGridIndex builds a uniform nx × ny grid index over pts. A zero
 // bounds Rect means "bounding box of the input points".
 func BuildGridIndex(pts []Point, nx, ny int, bounds Rect) *Index {
-	return wrapIndex(grid.Build(pts, bounds, nx, ny).Index())
+	return wrapIndex(grid.Build(pts, bounds, nx, ny))
 }
 
 // BuildKDTreeIndex builds a region kd-tree index — a space-partitioning
@@ -115,7 +115,7 @@ func BuildKDTreeIndex(pts []Point, opt IndexOptions) *Index {
 	if capacity == 0 {
 		capacity = kdtree.DefaultCapacity
 	}
-	t := kdtree.Build(pts, kdtree.Options{Capacity: capacity, Bounds: opt.Bounds}).Index()
+	t := kdtree.Build(pts, kdtree.Options{Capacity: capacity, Bounds: opt.Bounds})
 	return wrapIndex(t)
 }
 

@@ -6,9 +6,10 @@
 # scatter-gather routing tier), internal/wal (the crash-safety foundation
 # of streaming ingest), internal/optimizer (the multi-predicate plan
 # enumerator and its invalidation-correct plan cache), internal/store
-# (the relation store and its disk catalog cache), and
+# (the relation store and its disk catalog cache),
 # internal/service/middleware (the one handler every served request
-# crosses).
+# crosses), and internal/quadtree, internal/kdtree, internal/rtree and
+# internal/grid (the four builders every index.Tree comes from).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -53,3 +54,7 @@ check_floor knncost/internal/wal 80.0
 check_floor knncost/internal/optimizer 80.0
 check_floor knncost/internal/store 80.0
 check_floor knncost/internal/service/middleware 85.0
+check_floor knncost/internal/quadtree 90.0
+check_floor knncost/internal/kdtree 90.0
+check_floor knncost/internal/rtree 90.0
+check_floor knncost/internal/grid 90.0
