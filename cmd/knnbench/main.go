@@ -106,11 +106,20 @@ func main() {
 	}
 }
 
+// measurePerf is harness.RunPerf: about 25 s of measurement, which a test
+// stands in for.
+var measurePerf = harness.RunPerf
+
 // runPerf measures the hot-path microbenchmarks, writes BENCH_<date>.json,
 // and — with -against — gates the fresh numbers against a committed BENCH
-// file so a perf regression fails loudly instead of landing silently.
+// file so a perf regression fails loudly instead of landing silently. The
+// output directory is created, or the run refused, before anything is
+// measured.
 func runPerf(seed int64, outDir, against string, tol float64) error {
-	results, err := harness.RunPerf(seed)
+	if err := makeOutDir(outDir); err != nil {
+		return err
+	}
+	results, err := measurePerf(seed)
 	if err != nil {
 		return err
 	}
@@ -146,6 +155,9 @@ func runPerf(seed int64, outDir, against string, tol float64) error {
 // count or any q-error quantile beyond baseline*tol fails the run. With
 // -update-baseline the report replaces the golden file instead.
 func runAccuracyGate(seed int64, outDir, baselinePath string, tol float64, update bool) error {
+	if err := makeOutDir(outDir); err != nil {
+		return err
+	}
 	rep, err := harness.RunAccuracy(seed)
 	if err != nil {
 		return err
@@ -180,5 +192,17 @@ func runAccuracyGate(seed int64, outDir, baselinePath string, tol float64, updat
 		return fmt.Errorf("accuracy gate: %d failures vs %s", len(failures), baselinePath)
 	}
 	fmt.Println("accuracy gate: PASS")
+	return nil
+}
+
+// makeOutDir creates the -out directory, when one is given, the way the
+// figure runs do.
+func makeOutDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("output directory: %w", err)
+	}
 	return nil
 }

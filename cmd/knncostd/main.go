@@ -61,7 +61,9 @@
 //     recovery (JSON 500, process survives), per-route deadlines (stricter
 //     for the expensive ground-truth /cost/* routes, separate budget for
 //     the /relations admin routes), and load shedding with 503 +
-//     Retry-After beyond 256 requests in flight plus 128 queued.
+//     Retry-After beyond 256 requests in flight plus 128 queued
+//     (knncost_requests_in_flight in /debug/vars is the count admitted and
+//     not yet answered).
 //   - SIGINT/SIGTERM trigger a graceful drain: the ready gate flips to
 //     draining, in-flight requests get up to -drain-timeout to finish, the
 //     store's build pool drains (in-flight catalog builds get the same
@@ -344,7 +346,7 @@ const (
 // signal-triggered graceful drain. closer runs on every path, after the
 // listener has stopped. It returns the process exit code.
 func serve(ln net.Listener, handler http.Handler, cfg serveConfig, counters vars, warm func(context.Context) error, closer func()) int {
-	wrapped, _ := middleware.Wrap(handler, middleware.Config{
+	wrapped, lim := middleware.Wrap(handler, middleware.Config{
 		EstimateDeadline: estimateDeadline,
 		CostDeadline:     costDeadline,
 		AdminDeadline:    adminDeadline,
@@ -353,6 +355,7 @@ func serve(ln net.Listener, handler http.Handler, cfg serveConfig, counters vars
 		RetryAfter:       retryAfter,
 		AccessLog:        cfg.accessLog,
 	})
+	counters["knncost_requests_in_flight"] = func() any { return lim.InFlight() }
 
 	var gate middleware.Ready
 	rootMux := http.NewServeMux()

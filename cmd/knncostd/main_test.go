@@ -95,30 +95,40 @@ func TestStartupReadiness(t *testing.T) {
 }
 
 // stallReader serves its payload normally until stallAfter bytes, then
-// sleeps once before delivering the rest — pinning the HTTP request
-// in flight for a deterministic window.
+// blocks until release is closed before delivering the rest — pinning the
+// HTTP request in flight for as long as the test needs.
 type stallReader struct {
 	r          io.Reader
 	read       int
 	stallAfter int
-	delay      time.Duration
-	stalled    bool
-	inFlight   chan<- struct{}
+	release    <-chan struct{}
 }
 
 func (s *stallReader) Read(p []byte) (int, error) {
-	if !s.stalled && s.read >= s.stallAfter {
-		s.stalled = true
-		s.inFlight <- struct{}{}
-		time.Sleep(s.delay)
+	if s.read >= s.stallAfter {
+		<-s.release
 	}
-	n, err := s.r.Read(p)
+	n, err := s.r.Read(p[:min(len(p), max(s.stallAfter-s.read, 1))])
 	s.read += n
 	return n, err
 }
 
+// counter reads one numeric counter from the daemon's /debug/vars.
+func counter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	_, vars := getStatus(t, base+"/debug/vars")
+	v, ok := vars[name].(float64)
+	if !ok {
+		t.Fatalf("/debug/vars has no numeric %s: %v", name, vars[name])
+	}
+	return v
+}
+
 // SIGTERM with requests in flight drains them — every in-flight request
 // completes with 200 — and the daemon exits 0 within the drain timeout.
+// The requests are in flight by the server's own count, the limiter's
+// (knncost_requests_in_flight): a request whose connection still waits in
+// the accept backlog is not.
 func TestGracefulDrainUnderLoad(t *testing.T) {
 	base, exit := startDaemon(t, "-drain-timeout", "15s")
 	waitReady(t, base)
@@ -133,12 +143,12 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 	queries.WriteString(`]}`)
 
-	// Each client stalls mid-body for 600 ms, so when the signal lands
-	// ~all clients are provably in flight on the server.
+	// Each client stalls mid-body until the drain has begun, so when the
+	// signal lands every client is in flight on the server.
 	const clients = 8
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
-	inFlight := make(chan struct{}, clients)
+	release := make(chan struct{})
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -146,8 +156,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 			body := &stallReader{
 				r:          bytes.NewReader(queries.Bytes()),
 				stallAfter: queries.Len() / 2,
-				delay:      600 * time.Millisecond,
-				inFlight:   inFlight,
+				release:    release,
 			}
 			resp, err := http.Post(base+"/estimate/select/batch", "application/json", body)
 			if err != nil {
@@ -159,12 +168,31 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 			codes[c] = resp.StatusCode
 		}(c)
 	}
-	// Every client is mid-request-body — in flight on the server — when
-	// the plug is pulled.
-	for c := 0; c < clients; c++ {
-		<-inFlight
+	// Every client is mid-request-body — admitted by the server, its
+	// handler reading the body — when the plug is pulled.
+	deadline := time.Now().Add(30 * time.Second)
+	for counter(t, base, "knncost_requests_in_flight") != clients {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v requests in flight after 30s, want %d", counter(t, base, "knncost_requests_in_flight"), clients)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	syscall.Kill(os.Getpid(), syscall.SIGTERM)
+	// The bodies resume once the shutdown has closed the listener: a fresh
+	// connection is refused from then on.
+	probe := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for {
+		resp, err := probe.Get(base + "/healthz")
+		if err != nil {
+			break
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("the listener still accepts 30s after SIGTERM")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
 
 	awaitExit(t, "daemon", exit)
 	wg.Wait()

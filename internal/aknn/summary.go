@@ -49,6 +49,9 @@ func BuildSummaryCapacity(inner *index.Tree, capacity int) *Summary {
 		capacity = 0
 	}
 	s := &Summary{capacity: capacity}
+	if capacity == 0 { // a partition per non-empty block
+		s.parts = make([]Partition, 0, core.NumJoinBlocks(inner))
+	}
 	var cur Partition
 	open := false
 	for _, b := range inner.Blocks() {

@@ -127,6 +127,73 @@ func (c *Catalog) MaxK() int {
 	return int(c.entries[len(c.entries)-1].end)
 }
 
+// Set is n catalogs held as one interval array and n+1 offsets into it:
+// catalog i is the intervals from offs[i] to offs[i+1]. It is how an
+// artifact keeps its many catalogs in memory — two allocations, 4 bytes of
+// offset a catalog — rather than a 24-byte slice header a catalog, and it
+// reads them through Catalog's own Lookup. Pack builds one; a Decoder fills
+// one from the persisted encoding. A Set is immutable, and the zero Set
+// holds no catalog.
+type Set struct {
+	entries []interval
+	offs    []uint32
+}
+
+// Pack copies cats, in order, into a Set: one exact-size allocation of
+// intervals and one of offsets, sharing nothing with cats.
+func Pack(cats []*Catalog) Set {
+	total := 0
+	for _, c := range cats {
+		total += len(c.entries)
+	}
+	if total > math.MaxUint32 {
+		panic("catalog: a Set holds at most 2^32-1 intervals")
+	}
+	s := Set{entries: make([]interval, 0, total), offs: make([]uint32, 1, len(cats)+1)}
+	for _, c := range cats {
+		s.entries = append(s.entries, c.entries...)
+		s.offs = append(s.offs, uint32(len(s.entries)))
+	}
+	return s
+}
+
+// Len returns the number of catalogs in the set.
+func (s *Set) Len() int { return max(len(s.offs)-1, 0) }
+
+// At returns catalog i as a view into the set: it allocates nothing, and an
+// Append to it copies rather than overwriting catalog i+1.
+func (s *Set) At(i int) Catalog {
+	lo, hi := s.offs[i], s.offs[i+1]
+	return Catalog{entries: s.entries[lo:hi:hi]}
+}
+
+// Lookup is At(i).Lookup(k): the cost of k in catalog i.
+func (s *Set) Lookup(i, k int) (int, bool) {
+	c := s.At(i)
+	return c.Lookup(k)
+}
+
+// StorageBytes returns the sum of the catalogs' StorageBytes: the length of
+// AppendBinary's output.
+func (s *Set) StorageBytes() int {
+	n := 0
+	for i := range s.Len() {
+		c := s.At(i)
+		n += c.StorageBytes()
+	}
+	return n
+}
+
+// AppendBinary appends every catalog's MarshalBinary encoding to buf, in
+// order and back to back: the bytes a Decoder reads back into a Set.
+func (s *Set) AppendBinary(buf []byte) []byte {
+	for i := range s.Len() {
+		c := s.At(i)
+		buf = c.AppendBinary(buf)
+	}
+	return buf
+}
+
 // sweepSource tracks one catalog's cursor during a plane-sweep merge.
 type sweepSource struct {
 	entries []interval
@@ -256,8 +323,8 @@ func (c *Catalog) UnmarshalBinary(data []byte) error {
 
 // Decoder reads catalogs encoded by MarshalBinary and laid end to end, the
 // way artifacts persist them. NewDecoder validates every one of them before
-// anything is decoded, so Next cannot fail, and gives all their intervals
-// one exact-size allocation.
+// anything is decoded, so Next and NextSet cannot fail, and gives all their
+// intervals one exact-size allocation.
 type Decoder struct {
 	data []byte     // the encodings not yet decoded
 	all  []interval // every validated interval; Next appends into it
@@ -278,6 +345,9 @@ func NewDecoder(data []byte, n int) (Decoder, int, error) {
 		total += count
 		size += sz
 	}
+	if total > math.MaxUint32 {
+		return Decoder{}, 0, errors.New("catalog: more intervals than a Set holds")
+	}
 	return Decoder{data: data[:size], all: make([]interval, 0, total)}, size, nil
 }
 
@@ -292,6 +362,24 @@ func (d *Decoder) Next(c *Catalog) {
 	}
 	c.entries = d.all[start:len(d.all):len(d.all)]
 	d.data = d.data[size:]
+}
+
+// NextSet decodes the next n catalogs into a Set, in one pass over their
+// encodings: the set's intervals are the decoder's allocation, and its
+// offsets one more. Asking for more catalogs than NewDecoder validated
+// panics.
+func (d *Decoder) NextSet(n int) Set {
+	start := len(d.all)
+	offs := make([]uint32, 1, n+1)
+	for range n {
+		_, size, err := decode(d.data, &d.all)
+		if err != nil {
+			panic("catalog: Decoder.NextSet past the validated encodings")
+		}
+		offs = append(offs, uint32(len(d.all)-start))
+		d.data = d.data[size:]
+	}
+	return Set{entries: d.all[start:len(d.all):len(d.all)], offs: offs}
 }
 
 // decode parses the encoding at the start of data and returns its entry

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -146,5 +147,72 @@ func TestAppendRefusesOutOfRange(t *testing.T) {
 				t.Errorf("%s: coalescing Append accepted (MaxK %d)", tc.name, c.MaxK())
 			}
 		}
+	}
+}
+
+// TestSetHoldsItsCatalogs: a Set packed from catalogs, and one a Decoder
+// fills from their encodings, answer every k as the catalogs do through
+// At and Lookup, encode to the bytes the catalogs encode to one after
+// another, and take two allocations: the intervals and the offsets. A view
+// and a lookup allocate nothing, and an Append to a view copies instead of
+// overwriting the next catalog.
+func TestSetHoldsItsCatalogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	orig := []*Catalog{randomCatalog(rng, 7), {}, randomCatalog(rng, 1)}
+	for i := 0; i < 40; i++ {
+		orig = append(orig, randomCatalog(rng, 1+rng.Intn(300)))
+	}
+	var enc []byte
+	for _, c := range orig {
+		enc = c.AppendBinary(enc)
+	}
+	d, n, err := NewDecoder(enc, len(orig))
+	if err != nil || n != len(enc) {
+		t.Fatalf("NewDecoder = %d, %v; want %d bytes", n, err, len(enc))
+	}
+	packed := Pack(orig)
+	for name, s := range map[string]Set{"Pack": packed, "NextSet": d.NextSet(len(orig))} {
+		if s.Len() != len(orig) || s.StorageBytes() != len(enc) || !bytes.Equal(s.AppendBinary(nil), enc) {
+			t.Fatalf("%s: %d catalogs, %d storage bytes, re-encoding equal %v; want %d, %d, true",
+				name, s.Len(), s.StorageBytes(), bytes.Equal(s.AppendBinary(nil), enc), len(orig), len(enc))
+		}
+		for i, c := range orig {
+			view := s.At(i)
+			if !reflect.DeepEqual(view.Entries(), c.Entries()) {
+				t.Fatalf("%s: catalog %d is %v, want %v", name, i, view.Entries(), c.Entries())
+			}
+			for k := 0; k <= c.MaxK()+1; k++ {
+				got, ok := s.Lookup(i, k)
+				want, wantOK := c.Lookup(k)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s: Lookup(%d, %d) = (%d, %v), want (%d, %v)", name, i, k, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Pack(orig) }); allocs != 2 {
+		t.Errorf("Pack allocates %.1f times, want 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		d, _, _ := NewDecoder(enc, len(orig))
+		d.NextSet(len(orig))
+	}); allocs != 2 {
+		t.Errorf("decoding a set allocates %.1f times, want 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range packed.Len() {
+			c := packed.At(i)
+			packed.Lookup(i, c.MaxK())
+		}
+	}); allocs != 0 {
+		t.Errorf("views and lookups allocate %.1f times, want 0", allocs)
+	}
+	next := orig[4].Entries()
+	view := packed.At(3)
+	if err := view.Append(view.MaxK()+1, view.MaxK()+1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if v := packed.At(4); !reflect.DeepEqual(v.Entries(), next) {
+		t.Fatal("Append to a view overwrote the next catalog")
 	}
 }

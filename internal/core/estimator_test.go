@@ -87,8 +87,8 @@ func TestStaircaseInterpolationBounds(t *testing.T) {
 			continue
 		}
 		center := blk.Bounds.Center()
-		cCenter, _ := s.center[blk.ID].Lookup(k)
-		cCorner, _ := s.corners[blk.ID].Lookup(k)
+		cCenter, _ := s.cats.Lookup(2*blk.ID, k)
+		cCorner, _ := s.cats.Lookup(2*blk.ID+1, k)
 		est, err := s.EstimateSelect(q, k)
 		if err != nil {
 			t.Fatal(err)
@@ -148,6 +148,9 @@ func TestStaircaseRejectsBadInput(t *testing.T) {
 	data := buildIx(randPoints(rng, 100, bounds), bounds, 16)
 	if _, err := BuildStaircase(data, StaircaseOptions{MaxK: -3}); err == nil {
 		t.Error("negative MaxK should be rejected")
+	}
+	if _, err := BuildStaircase(data, StaircaseOptions{MaxK: 10, Mode: ModeCenterQuadrant + 1}); err == nil {
+		t.Error("an unknown mode should be rejected")
 	}
 	s, err := BuildStaircase(data, StaircaseOptions{MaxK: 10})
 	if err != nil {
@@ -450,7 +453,7 @@ func TestVirtualGridAttributionPartition(t *testing.T) {
 		}
 		attributed := 0
 		counts := map[int]int{}
-		for i := range vg.catalogs {
+		for i := range vg.cells.Len() {
 			outer.VisitRange(vg.cell(i), func(o *index.Block) {
 				if vg.attributedTo(o, i) {
 					counts[o.ID]++

@@ -169,10 +169,10 @@ func (c *CatalogMerge) Catalog() *catalog.Catalog { return c.merged }
 // grid size — the behaviour Figures 16 and 19 report. DESIGN.md §3 records
 // this interpretation of the paper's prose.
 type VirtualGrid struct {
-	catalogs []catalog.Catalog // row-major, one per cell
-	bounds   geom.Rect
-	nx, ny   int
-	maxK     int
+	cells  catalog.Set // a locality catalog per cell, row-major
+	bounds geom.Rect
+	nx, ny int
+	maxK   int
 }
 
 // BuildVirtualGrid precomputes the per-cell catalogs for an inner relation.
@@ -193,18 +193,14 @@ func BuildVirtualGrid(inner *index.Tree, nx, ny, maxK int) (*VirtualGrid, error)
 	if bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, errors.New("core: inner index has degenerate bounds")
 	}
-	v := &VirtualGrid{
-		catalogs: make([]catalog.Catalog, nx*ny),
-		bounds:   bounds,
-		nx:       nx,
-		ny:       ny,
-		maxK:     maxK,
-	}
+	v := &VirtualGrid{bounds: bounds, nx: nx, ny: ny, maxK: maxK}
 	// Per-cell catalogs are independent; build them on all cores.
-	_ = forEachIndexed(len(v.catalogs), 0, func(i int) error {
-		v.catalogs[i] = *BuildLocalityCatalog(inner, v.cell(i), maxK)
+	cats := make([]*catalog.Catalog, nx*ny)
+	_ = forEachIndexed(len(cats), 0, func(i int) error {
+		cats[i] = BuildLocalityCatalog(inner, v.cell(i), maxK)
 		return nil
 	})
+	v.cells = catalog.Pack(cats)
 	return v, nil
 }
 
@@ -224,9 +220,9 @@ func (v *VirtualGrid) EstimateJoin(outer *index.Tree, k int) (float64, error) {
 		k = v.maxK
 	}
 	total := 0.0
-	for i := range v.catalogs {
+	for i := range v.cells.Len() {
 		cell := v.cell(i)
-		loc, ok := v.catalogs[i].Lookup(k)
+		loc, ok := v.cells.Lookup(i, k)
 		if !ok {
 			return 0, fmt.Errorf("core: virtual grid cell %d missing k=%d", i, k)
 		}
@@ -278,13 +274,7 @@ func (v *VirtualGrid) GridSize() (nx, ny int) { return v.nx, v.ny }
 
 // StorageBytes returns the total serialized size of the per-cell catalogs —
 // the linear storage of Figures 20 and 22(b).
-func (v *VirtualGrid) StorageBytes() int {
-	total := 0
-	for _, c := range v.catalogs {
-		total += c.StorageBytes()
-	}
-	return total
-}
+func (v *VirtualGrid) StorageBytes() int { return v.cells.StorageBytes() }
 
 // Bind fixes an outer relation, yielding a JoinEstimator for the pair.
 func (v *VirtualGrid) Bind(outer *index.Tree) JoinEstimator {

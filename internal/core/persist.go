@@ -29,8 +29,8 @@ import (
 // mismatches); CatalogMerge and VirtualGrid load standalone. Every header
 // field is validated before anything is sized by it, every catalog by
 // catalog.NewDecoder, and trailing bytes are an error. A loaded artifact
-// shares nothing with its input: the decoder gives all of its intervals one
-// allocation.
+// shares nothing with its input: its catalogs decode into one catalog.Set,
+// all of its intervals in one allocation and their offsets in another.
 
 const (
 	magicStaircase   = "KNCSMAP\x03"
@@ -119,28 +119,11 @@ func writeTo(w io.Writer, enc []byte) (int64, error) {
 func (s *Staircase) AppendBinary(buf []byte) []byte {
 	buf = appendHeader(buf, magicStaircase, uint64(s.mode), uint64(s.maxK),
 		uint64(s.aux.NumBlocks()), uint64(s.aux.NumPoints()))
-	s.eachCatalog(func(c *catalog.Catalog) { buf = c.AppendBinary(buf) })
-	return buf
+	return s.cats.AppendBinary(buf)
 }
 
 // EncodedSize returns len(AppendBinary(nil)): the header and StorageBytes.
 func (s *Staircase) EncodedSize() int { return headerStaircase + s.StorageBytes() }
-
-// eachCatalog calls f with every catalog of s in encoding order: per block
-// the center catalog, then its corners-catalog or its four quadrant ones.
-func (s *Staircase) eachCatalog(f func(*catalog.Catalog)) {
-	for i := range s.center {
-		f(&s.center[i])
-		switch s.mode {
-		case ModeCenterCorners:
-			f(&s.corners[i])
-		case ModeCenterQuadrant:
-			for j := range s.quads[i] {
-				f(&s.quads[i][j])
-			}
-		}
-	}
-}
 
 // WriteTo writes the AppendBinary encoding to w.
 func (s *Staircase) WriteTo(w io.Writer) (int64, error) { return writeTo(w, s.AppendBinary(nil)) }
@@ -171,17 +154,10 @@ func UnmarshalStaircase(data *index.Tree, raw []byte, opt StaircaseOptions) (*St
 		return nil, r.err
 	}
 	// Validate the header fields before they size anything: an unknown mode
-	// would leave the corners/quads slices nil and panic at estimation time,
-	// and a hostile maxK or block count must not drive allocations.
-	perBlock := 0
-	switch mode {
-	case ModeCenterOnly:
-		perBlock = 1
-	case ModeCenterCorners:
-		perBlock = 2
-	case ModeCenterQuadrant:
-		perBlock = 5
-	default:
+	// has no catalog layout, and a hostile maxK or block count must not
+	// drive allocations.
+	perBlock := catalogsPerBlock(mode)
+	if perBlock == 0 {
 		return nil, fmt.Errorf("core: unknown staircase mode %d", mode)
 	}
 	if maxK < 1 || maxK > maxSaneK {
@@ -205,21 +181,14 @@ func UnmarshalStaircase(data *index.Tree, raw []byte, opt StaircaseOptions) (*St
 	s := &Staircase{
 		aux:      aux,
 		loc:      ptloc.Build(aux),
+		cats:     d.NextSet(perBlock * numBlocks),
 		mode:     mode,
 		maxK:     maxK,
 		fallback: opt.Fallback,
-		center:   make([]catalog.Catalog, numBlocks),
 	}
 	if s.fallback == nil {
 		s.fallback = NewDensityBased(data)
 	}
-	switch mode {
-	case ModeCenterCorners:
-		s.corners = make([]catalog.Catalog, numBlocks)
-	case ModeCenterQuadrant:
-		s.quads = make([][4]catalog.Catalog, numBlocks)
-	}
-	s.eachCatalog(func(c *catalog.Catalog) { d.Next(c) })
 	return s, nil
 }
 
@@ -269,10 +238,7 @@ func (v *VirtualGrid) AppendBinary(buf []byte) []byte {
 	buf = appendHeader(buf, magicVirtualGrid, uint64(v.nx), uint64(v.ny), uint64(v.maxK),
 		math.Float64bits(v.bounds.Min.X), math.Float64bits(v.bounds.Min.Y),
 		math.Float64bits(v.bounds.Max.X), math.Float64bits(v.bounds.Max.Y))
-	for i := range v.catalogs {
-		buf = v.catalogs[i].AppendBinary(buf)
-	}
-	return buf
+	return v.cells.AppendBinary(buf)
 }
 
 // EncodedSize returns len(AppendBinary(nil)): the header and StorageBytes.
@@ -319,15 +285,5 @@ func UnmarshalVirtualGrid(raw []byte) (*VirtualGrid, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	v := &VirtualGrid{
-		catalogs: make([]catalog.Catalog, nx*ny),
-		bounds:   bounds,
-		nx:       nx,
-		ny:       ny,
-		maxK:     maxK,
-	}
-	for i := range v.catalogs {
-		d.Next(&v.catalogs[i])
-	}
-	return v, nil
+	return &VirtualGrid{cells: d.NextSet(nx * ny), bounds: bounds, nx: nx, ny: ny, maxK: maxK}, nil
 }

@@ -109,11 +109,7 @@ func FuzzLoadStaircase(f *testing.F) {
 		if err != nil {
 			return // rejection is always acceptable
 		}
-		cats := append(append([]catalog.Catalog(nil), s.center...), s.corners...)
-		for i := range s.quads {
-			cats = append(cats, s.quads[i][:]...)
-		}
-		checkLoaded(t, data, s.AppendBinary(nil), cats...)
+		checkLoaded(t, data, s.AppendBinary(nil), setCatalogs(&s.cats)...)
 		// Accepted input must yield a usable estimator: estimates may fail
 		// with an error (catalogs shorter than MaxK) but must never panic.
 		for _, q := range []geom.Point{{X: 1, Y: 1}, {X: 32, Y: 32}, {X: 63, Y: 63}} {
@@ -148,7 +144,7 @@ func FuzzLoadVirtualGrid(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkLoaded(t, data, vg.AppendBinary(nil), vg.catalogs...)
+		checkLoaded(t, data, vg.AppendBinary(nil), setCatalogs(&vg.cells)...)
 		for _, k := range []int{1, 7, 40} {
 			_, _ = vg.EstimateJoin(fuzzFixture.data, k)
 		}

@@ -248,11 +248,12 @@ func TestLoadersRejectCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stairCats []*catalog.Catalog
-	stair.eachCatalog(func(c *catalog.Catalog) { stairCats = append(stairCats, c) })
-	var vgCats []*catalog.Catalog
-	for i := range vg.catalogs {
-		vgCats = append(vgCats, &vg.catalogs[i])
+	var stairCats, vgCats []*catalog.Catalog
+	for _, c := range setCatalogs(&stair.cats) {
+		stairCats = append(stairCats, &c)
+	}
+	for _, c := range setCatalogs(&vg.cells) {
+		vgCats = append(vgCats, &c)
 	}
 
 	loaders := []struct {
@@ -374,4 +375,13 @@ func TestLoadAllocationsDoNotGrowWithCatalogs(t *testing.T) {
 	if stairAllocs[0] != stairAllocs[1] || vgAllocs[0] != vgAllocs[1] {
 		t.Fatalf("allocations grow with the catalogs: staircase %v, virtual grid %v", stairAllocs, vgAllocs)
 	}
+}
+
+// setCatalogs returns every catalog of s, in order, as views into it.
+func setCatalogs(s *catalog.Set) []catalog.Catalog {
+	cats := make([]catalog.Catalog, s.Len())
+	for i := range cats {
+		cats[i] = s.At(i)
+	}
+	return cats
 }

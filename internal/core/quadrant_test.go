@@ -103,9 +103,9 @@ func TestQuadrantEstimateBelowMaxMerge(t *testing.T) {
 		if blk == nil {
 			continue
 		}
-		cCenter, _ := cq.center[blk.ID].Lookup(k)
-		cQuad, _ := cq.quads[blk.ID][quadrantCorner(blk.Bounds, q)].Lookup(k)
-		cMax, _ := cc.corners[blk.ID].Lookup(k)
+		cCenter, _ := cq.cats.Lookup(5*blk.ID, k)
+		cQuad, _ := cq.cats.Lookup(5*blk.ID+1+quadrantCorner(blk.Bounds, q), k)
+		cMax, _ := cc.cats.Lookup(2*blk.ID+1, k)
 		if cQuad >= cCenter && cMax >= cCenter && a > b+1e-9 {
 			t.Fatalf("quadrant estimate %g above max-merge %g (center %d, quad %d, max %d)",
 				a, b, cCenter, cQuad, cMax)

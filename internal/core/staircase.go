@@ -90,14 +90,30 @@ type StaircaseOptions struct {
 // (assuming its fallback estimator is too, which the default DensityBased
 // is); EstimateSelectBatch fans queries out over it freely.
 type Staircase struct {
-	aux      *index.Tree
-	loc      *ptloc.Grid          // O(1) point location over aux leaf blocks
-	center   []catalog.Catalog    // indexed by aux block ID
-	corners  []catalog.Catalog    // merged max; nil unless ModeCenterCorners
-	quads    [][4]catalog.Catalog // per-corner; nil unless ModeCenterQuadrant
+	aux *index.Tree
+	loc *ptloc.Grid // O(1) point location over aux leaf blocks
+	// cats holds catalogsPerBlock(mode) catalogs per aux block, by block ID,
+	// in encoding order: the center-catalog, then the merged
+	// corners-catalog (ModeCenterCorners) or the four per-corner catalogs in
+	// Rect.Corners() order (ModeCenterQuadrant).
+	cats     catalog.Set
 	mode     StaircaseMode
 	maxK     int
 	fallback SelectEstimator
+}
+
+// catalogsPerBlock is the number of catalogs a staircase keeps per block in
+// mode, or 0 for a mode that does not exist.
+func catalogsPerBlock(mode StaircaseMode) int {
+	switch mode {
+	case ModeCenterOnly:
+		return 1
+	case ModeCenterCorners:
+		return 2
+	case ModeCenterQuadrant:
+		return 5
+	}
+	return 0
 }
 
 // BuildStaircase precomputes the staircase catalogs for the given data
@@ -122,6 +138,9 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	}
 	if opt.MaxK < 1 || opt.MaxK > maxSaneK {
 		return nil, fmt.Errorf("core: invalid MaxK %d", opt.MaxK)
+	}
+	if catalogsPerBlock(opt.Mode) == 0 {
+		return nil, fmt.Errorf("core: unknown staircase mode %d", opt.Mode)
 	}
 	browse := data
 	if opt.Data != nil {
@@ -158,13 +177,9 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 		cats[i] = BuildSelectCatalog(browse, anchors[i], opt.MaxK)
 		return nil
 	})
-	s.center = make([]catalog.Catalog, len(blocks))
-	for i := range s.center {
-		s.center[i] = *cats[i]
-	}
-	switch opt.Mode {
-	case ModeCenterCorners:
-		s.corners = make([]catalog.Catalog, len(blocks))
+	var corners []*catalog.Catalog
+	if opt.Mode == ModeCenterCorners {
+		corners = make([]*catalog.Catalog, len(blocks))
 		err := forEachIndexed(len(blocks), opt.Parallelism, func(b int) error {
 			var four [4]*catalog.Catalog
 			for i, a := range cornerOf[b] {
@@ -174,20 +189,26 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 			if err != nil {
 				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b, err)
 			}
-			s.corners[b] = *merged
+			corners[b] = merged
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-	case ModeCenterQuadrant:
-		s.quads = make([][4]catalog.Catalog, len(blocks))
-		for b := range blocks {
-			for i, a := range cornerOf[b] {
-				s.quads[b][i] = *cats[a]
+	}
+	ordered := make([]*catalog.Catalog, 0, catalogsPerBlock(opt.Mode)*len(blocks))
+	for b := range blocks {
+		ordered = append(ordered, cats[b])
+		switch opt.Mode {
+		case ModeCenterCorners:
+			ordered = append(ordered, corners[b])
+		case ModeCenterQuadrant:
+			for _, a := range cornerOf[b] {
+				ordered = append(ordered, cats[a])
 			}
 		}
 	}
+	s.cats = catalog.Pack(ordered)
 	return s, nil
 }
 
@@ -300,20 +321,19 @@ func (s *Staircase) EstimateSelect(q geom.Point, k int) (float64, error) {
 	if blk == nil {
 		return s.fallback.EstimateSelect(q, k)
 	}
-	cCenter, ok := s.center[blk.ID].Lookup(k)
+	center := blk.ID * catalogsPerBlock(s.mode)
+	cCenter, ok := s.cats.Lookup(center, k)
 	if !ok {
 		return 0, fmt.Errorf("core: center catalog of block %d missing k=%d", blk.ID, k)
 	}
 	if s.mode == ModeCenterOnly {
 		return float64(cCenter), nil
 	}
-	var cornerCat *catalog.Catalog
+	corner := center + 1
 	if s.mode == ModeCenterQuadrant {
-		cornerCat = &s.quads[blk.ID][quadrantCorner(blk.Bounds, q)]
-	} else {
-		cornerCat = &s.corners[blk.ID]
+		corner += quadrantCorner(blk.Bounds, q)
 	}
-	cCorner, ok := cornerCat.Lookup(k)
+	cCorner, ok := s.cats.Lookup(corner, k)
 	if !ok {
 		return 0, fmt.Errorf("core: corners catalog of block %d missing k=%d", blk.ID, k)
 	}
@@ -356,21 +376,7 @@ func (s *Staircase) NumBlocks() int { return s.aux.NumBlocks() }
 
 // StorageBytes returns the total serialized size of all catalogs — the
 // storage-overhead metric of Figure 14.
-func (s *Staircase) StorageBytes() int {
-	total := 0
-	for _, c := range s.center {
-		total += c.StorageBytes()
-	}
-	for _, c := range s.corners {
-		total += c.StorageBytes()
-	}
-	for _, q := range s.quads {
-		for _, c := range q {
-			total += c.StorageBytes()
-		}
-	}
-	return total
-}
+func (s *Staircase) StorageBytes() int { return s.cats.StorageBytes() }
 
 // CenterCatalog exposes the center-catalog of the block containing p, for
 // inspection and the Figure 4 experiment. It returns nil when p is outside
@@ -380,7 +386,8 @@ func (s *Staircase) CenterCatalog(p geom.Point) *catalog.Catalog {
 	if blk == nil {
 		return nil
 	}
-	return &s.center[blk.ID]
+	c := s.cats.At(blk.ID * catalogsPerBlock(s.mode))
+	return &c
 }
 
 // EstimateSelectBatch answers many k-NN-Select cost queries with a worker

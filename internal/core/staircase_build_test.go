@@ -53,17 +53,9 @@ func perBlockStaircase(tb testing.TB, data *index.Tree, opt StaircaseOptions) *S
 	if !data.Partitioning() {
 		aux = auxiliaryIndex(data, opt.AuxCapacity)
 	}
-	n := aux.NumBlocks()
-	s := &Staircase{aux: aux, loc: ptloc.Build(aux), mode: opt.Mode, maxK: opt.MaxK,
-		center: make([]catalog.Catalog, n)}
-	switch opt.Mode {
-	case ModeCenterCorners:
-		s.corners = make([]catalog.Catalog, n)
-	case ModeCenterQuadrant:
-		s.quads = make([][4]catalog.Catalog, n)
-	}
+	var cats []*catalog.Catalog
 	for _, b := range aux.Blocks() {
-		s.center[b.ID] = *browserSelectCatalog(data, b.Bounds.Center(), opt.MaxK)
+		cats = append(cats, browserSelectCatalog(data, b.Bounds.Center(), opt.MaxK))
 		var four [4]*catalog.Catalog
 		for i, c := range b.Bounds.Corners() {
 			four[i] = browserSelectCatalog(data, c, opt.MaxK)
@@ -74,14 +66,12 @@ func perBlockStaircase(tb testing.TB, data *index.Tree, opt StaircaseOptions) *S
 			if err != nil {
 				tb.Fatal(err)
 			}
-			s.corners[b.ID] = *merged
+			cats = append(cats, merged)
 		case ModeCenterQuadrant:
-			for i, c := range four {
-				s.quads[b.ID][i] = *c
-			}
+			cats = append(cats, four[:]...)
 		}
 	}
-	return s
+	return &Staircase{aux: aux, loc: ptloc.Build(aux), cats: catalog.Pack(cats), mode: opt.Mode, maxK: opt.MaxK}
 }
 
 // latticeBounds is the region of the tie-heavy layouts: integer coordinates

@@ -68,6 +68,17 @@ type Tree struct {
 // partitioning declares whether the leaves tile space (see Tree).
 func New(root *Node, partitioning bool) *Tree {
 	t := &Tree{root: root, partitioning: partitioning}
+	var leaves func(n *Node) int
+	leaves = func(n *Node) int {
+		if n.IsLeaf() {
+			return 1
+		}
+		c := 0
+		for _, m := range n.Children {
+			c += leaves(m)
+		}
+		return c
+	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.IsLeaf() {
@@ -81,6 +92,7 @@ func New(root *Node, partitioning bool) *Tree {
 		}
 	}
 	if root != nil {
+		t.blocks = make([]*Block, 0, leaves(root))
 		walk(root)
 	}
 	return t

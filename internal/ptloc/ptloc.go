@@ -15,7 +15,6 @@ package ptloc
 
 import (
 	"math"
-	"slices"
 
 	"knncost/internal/geom"
 	"knncost/internal/index"
@@ -54,20 +53,25 @@ func Build(t *index.Tree) *Grid {
 	}
 	// A degenerate index keeps the single cell, with every block a candidate
 	// of it (invW and invH are zero): it still answers correctly, just
-	// without the O(1) fan-out. Two passes over the blocks, counting then
-	// placing, fill the candidate array; Blocks() is in ascending ID order,
+	// without the O(1) fan-out. Both arrays are one allocation, sized by a
+	// first pass over the blocks; a second counts each cell's candidates
+	// and a third places them, each cell's offset serving as its cursor
+	// and shifted back into place after. Blocks() is in ascending ID order,
 	// so each cell's candidates come out sorted.
-	g.start = make([]uint32, g.nx*g.ny+1)
+	cells, total := g.nx*g.ny, 0
+	g.visit(func(int, uint32) { total++ })
+	buf := make([]uint32, cells+1+total)
+	g.start, g.cand = buf[:cells+1:cells+1], buf[cells+1:]
 	g.visit(func(cell int, _ uint32) { g.start[cell+1]++ })
-	for i := 1; i < len(g.start); i++ {
+	for i := 1; i <= cells; i++ {
 		g.start[i] += g.start[i-1]
 	}
-	g.cand = make([]uint32, g.start[len(g.start)-1])
-	next := slices.Clone(g.start[:len(g.start)-1])
 	g.visit(func(cell int, id uint32) {
-		g.cand[next[cell]] = id
-		next[cell]++
+		g.cand[g.start[cell]] = id
+		g.start[cell]++
 	})
+	copy(g.start[1:], g.start[:cells])
+	g.start[0] = 0
 	return g
 }
 

@@ -61,6 +61,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -494,12 +495,9 @@ func (s *Server) resolveRelation(w http.ResponseWriter, v *store.View, name stri
 	return nil, false
 }
 
-func (s *Server) relationParam(w http.ResponseWriter, r *http.Request, v *store.View, param string) (*store.Snapshot, bool) {
-	return s.resolveRelation(w, v, r.URL.Query().Get(param))
-}
-
-func queryFloat(r *http.Request, name string) (float64, error) {
-	v, err := strconv.ParseFloat(r.URL.Query().Get(name), 64)
+// queryFloat parses the finite number parameter name of query.
+func queryFloat(query url.Values, name string) (float64, error) {
+	v, err := strconv.ParseFloat(query.Get(name), 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %w", name, err)
 	}
@@ -512,8 +510,9 @@ func queryFloat(r *http.Request, name string) (float64, error) {
 	return v, nil
 }
 
-func queryK(r *http.Request) (int, error) {
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+// queryK parses the k parameter of query, at least 1.
+func queryK(query url.Values) (int, error) {
+	k, err := strconv.Atoi(query.Get("k"))
 	if err != nil {
 		return 0, fmt.Errorf("parameter \"k\": %w", err)
 	}
@@ -524,19 +523,20 @@ func queryK(r *http.Request) (int, error) {
 }
 
 // selectArgs resolves the relation of a single-relation request
-// (/estimate/select, /cost/select) and parses its x, y and k, in that
-// order; ok is false after an error response was written.
-func (s *Server) selectArgs(w http.ResponseWriter, r *http.Request) (rel *store.Snapshot, q geom.Point, k int, ok bool) {
-	if rel, ok = s.relationParam(w, r, s.store.View(), "rel"); !ok {
+// (/estimate/select, /cost/select) and parses its x, y and k from its
+// query, in that order; ok is false after an error response was written.
+// A handler parses its query string once and hands the values down.
+func (s *Server) selectArgs(w http.ResponseWriter, query url.Values) (rel *store.Snapshot, q geom.Point, k int, ok bool) {
+	if rel, ok = s.resolveRelation(w, s.store.View(), query.Get("rel")); !ok {
 		return nil, q, 0, false
 	}
 	var err error
-	q.X, err = queryFloat(r, "x")
+	q.X, err = queryFloat(query, "x")
 	if err == nil {
-		q.Y, err = queryFloat(r, "y")
+		q.Y, err = queryFloat(query, "y")
 	}
 	if err == nil {
-		k, err = queryK(r)
+		k, err = queryK(query)
 	}
 	if err != nil {
 		badRequest(w, "%v", err)
@@ -547,19 +547,20 @@ func (s *Server) selectArgs(w http.ResponseWriter, r *http.Request) (rel *store.
 
 // joinArgs resolves the outer and inner relations of a pair request
 // (/estimate/join, /cost/join) in v, requires them to differ and parses
-// its k, in that order; ok is false after an error response was written.
-func (s *Server) joinArgs(w http.ResponseWriter, r *http.Request, v *store.View) (outer, inner *store.Snapshot, k int, ok bool) {
-	if outer, ok = s.relationParam(w, r, v, "outer"); !ok {
+// its k from query, in that order; ok is false after an error response
+// was written.
+func (s *Server) joinArgs(w http.ResponseWriter, query url.Values, v *store.View) (outer, inner *store.Snapshot, k int, ok bool) {
+	if outer, ok = s.resolveRelation(w, v, query.Get("outer")); !ok {
 		return nil, nil, 0, false
 	}
-	if inner, ok = s.relationParam(w, r, v, "inner"); !ok {
+	if inner, ok = s.resolveRelation(w, v, query.Get("inner")); !ok {
 		return nil, nil, 0, false
 	}
 	if outer == inner {
 		badRequest(w, "outer and inner must differ")
 		return nil, nil, 0, false
 	}
-	k, err := queryK(r)
+	k, err := queryK(query)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return nil, nil, 0, false
@@ -568,11 +569,12 @@ func (s *Server) joinArgs(w http.ResponseWriter, r *http.Request, v *store.View)
 }
 
 func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
-	rel, q, k, ok := s.selectArgs(w, r)
+	query := r.URL.Query()
+	rel, q, k, ok := s.selectArgs(w, query)
 	if !ok {
 		return
 	}
-	est, method, ok := s.selectEstimator(w, rel, r.URL.Query().Get("technique"))
+	est, method, ok := s.selectEstimator(w, rel, query.Get("technique"))
 	if !ok {
 		return
 	}
@@ -729,11 +731,12 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 	// snapshots and the merge always belong to the same published schema
 	// even while rebuilds hot-swap underneath.
 	v := s.store.View()
-	outer, inner, k, ok := s.joinArgs(w, r, v)
+	query := r.URL.Query()
+	outer, inner, k, ok := s.joinArgs(w, query, v)
 	if !ok {
 		return
 	}
-	method := r.URL.Query().Get("technique")
+	method := query.Get("technique")
 	if method == "" {
 		method = engine.TechCatalogMerge
 	}
@@ -767,7 +770,7 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
-	rel, q, k, ok := s.selectArgs(w, r)
+	rel, q, k, ok := s.selectArgs(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -791,7 +794,7 @@ func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCostJoin(w http.ResponseWriter, r *http.Request) {
-	outer, inner, k, ok := s.joinArgs(w, r, s.store.View())
+	outer, inner, k, ok := s.joinArgs(w, r.URL.Query(), s.store.View())
 	if !ok {
 		return
 	}

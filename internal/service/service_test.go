@@ -186,3 +186,39 @@ func TestNewRejectsEmptyRelation(t *testing.T) {
 		t.Error("relation without points should be rejected")
 	}
 }
+
+// TestRequestAllocs pins the heap allocations of one select and one join
+// served by Server.ServeHTTP, net of the httptest request and recorder every
+// run builds: the service's share of every estimate it answers. A handler
+// parses the query string once and hands the values down: a select takes 17
+// allocations and a join 16, 45 and 34 when every parameter re-parsed it.
+func TestRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations count as the handler's")
+	}
+	s := storeServer(t, store.Options{IndexCapacity: 128, Bounds: datagen.WorldBounds, MaxK: 200, SampleSize: 50, GridSize: 8},
+		map[string][]geom.Point{"hotels": datagen.OSMLike(2000, 1), "restaurants": datagen.OSMLike(3000, 2)})
+	bare := testing.AllocsPerRun(200, func() {
+		httptest.NewRecorder()
+		httptest.NewRequest(http.MethodGet, "/estimate/select?rel=hotels&x=10&y=45&k=25", nil)
+	})
+	for _, c := range []struct {
+		path  string
+		limit float64
+	}{
+		{"/estimate/select?rel=restaurants&x=10.5&y=45.25&k=25&technique=staircase-cc", 18},
+		{"/estimate/join?outer=hotels&inner=restaurants&k=5&technique=catalog-merge", 17},
+	} {
+		rec := httptest.NewRecorder()
+		if s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.path, nil)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.path, rec.Code, rec.Body)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, c.path, nil))
+		}) - bare
+		t.Logf("%s: %v allocations", c.path, got)
+		if got > c.limit {
+			t.Errorf("%s: %v allocations per request, want at most %v", c.path, got, c.limit)
+		}
+	}
+}

@@ -662,8 +662,8 @@ func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
 // both sides answers directly; otherwise the outer's owners answer after
 // the router mirrors the missing side onto the winner.
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	outer := r.URL.Query().Get("outer")
-	inner := r.URL.Query().Get("inner")
+	query := r.URL.Query()
+	outer, inner := query.Get("outer"), query.Get("inner")
 	if outer == "" || inner == "" {
 		name := outer
 		if outer != "" {

@@ -249,18 +249,20 @@ func (c *diskCache) writeFile(op, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		if c.hook != nil {
+			c.hook(op)
+		}
+		err = os.Rename(tmp.Name(), path)
 	}
-	if c.hook != nil {
-		c.hook(op)
+	if err != nil { // a renamed file is gone from its temp name
+		os.Remove(tmp.Name())
 	}
-	return os.Rename(tmp.Name(), path)
+	return err
 }
 
 // --- bundle ------------------------------------------------------------------
@@ -445,30 +447,40 @@ func decodeCountIndex(data []byte, numBlocks, numPoints int64) (*index.Tree, err
 		return nil, fmt.Errorf("count index: invalid bounds %v", root)
 	}
 	shape, counts := data[32:32+shapeBytes(numBlocks)], data[32+shapeBytes(numBlocks):]
-	next, nodes, left := 0, int(4*numBlocks-1)/3, uint64(numPoints) // left: what the leaves to come must count
+	nodes, left := int(4*numBlocks-1)/3, uint64(numPoints) // left: what the leaves to come must count
+	// The tree's nodes, blocks and child lists come from three slabs, one
+	// allocation each, filled in preorder and never grown (an input that
+	// would overfill one is refused): a restored tree is a handful of
+	// objects, not one or two a node.
+	nodeSlab := make([]index.Node, 0, nodes)
+	blockSlab := make([]index.Block, 0, numBlocks)
+	childSlab := make([]*index.Node, 0, nodes-1)
 	// node decodes the subtree of the next shape bit at bounds and depth (no
 	// split at quadtree's default MaxDepth), or returns nil.
 	var node func(bounds geom.Rect, depth int) *index.Node
 	node = func(bounds geom.Rect, depth int) *index.Node {
-		if next == nodes {
+		i := len(nodeSlab)
+		if i == nodes {
 			return nil
 		}
-		i := next
-		next++
-		n := &index.Node{Bounds: bounds}
+		nodeSlab = append(nodeSlab, index.Node{Bounds: bounds})
+		n := &nodeSlab[i]
 		if shape[i/8]>>(i%8)&1 == 0 {
 			c, sz := binary.Uvarint(counts)
-			if sz <= 0 || c > left {
+			if sz <= 0 || c > left || len(blockSlab) == cap(blockSlab) {
 				return nil
 			}
 			counts, left = counts[sz:], left-c
-			n.Block = &index.Block{Bounds: bounds, Count: int(c)}
+			blockSlab = append(blockSlab, index.Block{Bounds: bounds, Count: int(c)})
+			n.Block = &blockSlab[len(blockSlab)-1]
 			return n
 		}
-		if depth >= quadtree.DefaultMaxDepth {
+		at := len(childSlab)
+		if depth >= quadtree.DefaultMaxDepth || cap(childSlab)-at < 4 {
 			return nil
 		}
-		n.Children = make([]*index.Node, 4)
+		childSlab = childSlab[:at+4]
+		n.Children = childSlab[at : at+4 : at+4]
 		for q, r := range bounds.Quadrants() {
 			if n.Children[q] = node(r, depth+1); n.Children[q] == nil {
 				return nil
@@ -477,7 +489,7 @@ func decodeCountIndex(data []byte, numBlocks, numPoints int64) (*index.Tree, err
 		return n
 	}
 	n := node(root, 0)
-	if n == nil || next != nodes || len(counts) != 0 || left != 0 || shape[len(shape)-1]>>(1+(nodes-1)%8) != 0 {
+	if n == nil || len(nodeSlab) != nodes || len(counts) != 0 || left != 0 || shape[len(shape)-1]>>(1+(nodes-1)%8) != 0 {
 		return nil, fmt.Errorf("count index: the section is not a quadtree of %d leaves counting %d points", numBlocks, numPoints)
 	}
 	return index.New(n, true), nil

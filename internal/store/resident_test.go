@@ -32,8 +32,9 @@ func (sn *Snapshot) Points() []geom.Point {
 // points section, 16 bytes a point. Point location is an offset and a
 // candidate array, and the virtual grid derives its cells. What the heap grows
 // by when four relations of 20,000 points are registered, in units of those
-// points' 16 bytes: 0.40 with a cache directory, every tree, grid and
-// catalog there is, and 1.42 without one, the kept section adding 1.0 (1.49
+// points' 16 bytes: 0.34 with a cache directory, every tree, grid and
+// catalog there is, and 1.36 without one, the kept section adding 1.0 (0.40
+// and 1.42 with a slice header a catalog and a tree object a node; 1.49
 // measured when the tree held the points and a leaf id a point kept their
 // order; 1.90 with a 4-byte order, a cloned Count-Index, a slice per
 // point-location cell and stored grid cells; 2.64 when the registration
@@ -123,8 +124,9 @@ func checkCountIndex(t *testing.T, snap *Snapshot, n int) {
 // twin: 100 relations of 1,000 points, restarted from the cache directory as
 // a killed daemon is, so each relation's points stay in its bundle and what
 // it keeps is its tree, point location, grid catalogs and engine. The restart
-// builds nothing; it holds 0.69 x 16 B a point measured, 1.72 when the
-// points and a leaf id a point stayed on the heap, and 2.46 with a 4-byte
+// builds nothing; it holds 0.48 x 16 B a point measured, 0.69 with a slice
+// header a catalog and a tree object a node, 1.72 when the points and a
+// leaf id a point stayed on the heap, and 2.46 with a 4-byte
 // order, a cloned Count-Index, a slice per point-location cell and stored
 // grid cells.
 func TestFleetResidentAfterRestart(t *testing.T) {
