@@ -29,31 +29,35 @@ import (
 	"knncost/internal/harness"
 )
 
+// The flags, pinned by TestBenchFlags.
+var (
+	figs     = flag.String("fig", "all", "comma-separated experiment ids ("+strings.Join(harness.FigureIDs(), ", ")+") or 'all'")
+	outDir   = flag.String("out", "", "directory for CSV/SVG outputs (optional)")
+	quick    = flag.Bool("quick", false, "use small smoke-test sizes")
+	seed     = flag.Int64("seed", 1, "random seed")
+	points   = flag.Int("points", 0, "points per scale factor (0 = default)")
+	scales   = flag.Int("scales", 0, "number of scale factors (0 = default)")
+	capacity = flag.Int("capacity", 0, "quadtree block capacity (0 = default)")
+	maxK     = flag.Int("maxk", 0, "largest catalog-maintained k (0 = default)")
+	perf     = flag.Bool("perf", false, "run hot-path microbenchmarks and write BENCH_<date>.json (op, ns/op, allocs/op, bytes/op)")
+	against  = flag.String("against", "", "with -perf: gate this run against a committed BENCH_<date>.json (exit 1 on an op more than 20% slower)")
+	accuracy = flag.Bool("accuracy", false, "measure every estimator's q-error against the true costs and write ACCURACY_<date>.json")
+	baseline = flag.String("baseline", "", "golden AccuracyReport to gate against (with -accuracy)")
+	update   = flag.Bool("update-baseline", false, "rewrite -baseline with this run's report instead of gating")
+)
+
+// The gates' multiplicative tolerances: a q-error quantile may grow 10%
+// over the accuracy baseline, an op's ns/op 20% over the perf baseline.
+const (
+	accuracyTol = 1.10
+	perfTol     = 1.20
+)
+
 func main() {
-	var (
-		figs     = flag.String("fig", "all", "comma-separated experiment ids ("+strings.Join(harness.FigureIDs(), ", ")+") or 'all'")
-		outDir   = flag.String("out", "", "directory for CSV/SVG outputs (optional)")
-		quick    = flag.Bool("quick", false, "use small smoke-test sizes")
-		seed     = flag.Int64("seed", 1, "random seed")
-		points   = flag.Int("points", 0, "points per scale factor (0 = default)")
-		scales   = flag.Int("scales", 0, "number of scale factors (0 = default)")
-		capacity = flag.Int("capacity", 0, "quadtree block capacity (0 = default)")
-		maxK     = flag.Int("maxk", 0, "largest catalog-maintained k (0 = default)")
-		queries  = flag.Int("queries", 0, "queries per accuracy experiment (0 = default)")
-		sample   = flag.Int("sample", 0, "fixed sample size for join catalogs (0 = default)")
-		gridSize = flag.Int("grid", 0, "fixed virtual-grid dimension (0 = default)")
-		perf     = flag.Bool("perf", false, "run hot-path microbenchmarks and write BENCH_<date>.json (op, ns/op, allocs/op, bytes/op)")
-		against  = flag.String("against", "", "with -perf: gate this run against a committed BENCH_<date>.json (exit 1 beyond -perf-tol)")
-		perfTol  = flag.Float64("perf-tol", 1.20, "multiplicative ns/op tolerance vs -against")
-		accuracy = flag.Bool("accuracy", false, "measure every estimator's q-error against the true costs and write ACCURACY_<date>.json")
-		baseline = flag.String("baseline", "", "golden AccuracyReport to gate against (with -accuracy)")
-		tol      = flag.Float64("tol", 1.10, "multiplicative q-error tolerance vs the baseline (with -accuracy)")
-		update   = flag.Bool("update-baseline", false, "rewrite -baseline with this run's report instead of gating")
-	)
 	flag.Parse()
 
 	if *accuracy {
-		if err := runAccuracyGate(*seed, *outDir, *baseline, *tol, *update); err != nil {
+		if err := runAccuracyGate(*seed, *outDir, *baseline, *update); err != nil {
 			fmt.Fprintln(os.Stderr, "knnbench:", err)
 			os.Exit(1)
 		}
@@ -61,7 +65,7 @@ func main() {
 	}
 
 	if *perf {
-		if err := runPerf(*seed, *outDir, *against, *perfTol); err != nil {
+		if err := runPerf(*seed, *outDir, *against); err != nil {
 			fmt.Fprintln(os.Stderr, "knnbench:", err)
 			os.Exit(1)
 		}
@@ -85,15 +89,6 @@ func main() {
 	if *maxK > 0 {
 		cfg.MaxK = *maxK
 	}
-	if *queries > 0 {
-		cfg.SelectQueries = *queries
-	}
-	if *sample > 0 {
-		cfg.SampleSize = *sample
-	}
-	if *gridSize > 0 {
-		cfg.GridSize = *gridSize
-	}
 
 	env := harness.NewEnv(cfg)
 	ids := strings.Split(*figs, ",")
@@ -115,7 +110,7 @@ var measurePerf = harness.RunPerf
 // file so a perf regression fails loudly instead of landing silently. The
 // output directory is created, or the run refused, before anything is
 // measured.
-func runPerf(seed int64, outDir, against string, tol float64) error {
+func runPerf(seed int64, outDir, against string) error {
 	if err := makeOutDir(outDir); err != nil {
 		return err
 	}
@@ -139,22 +134,22 @@ func runPerf(seed int64, outDir, against string, tol float64) error {
 	if err != nil {
 		return fmt.Errorf("loading perf baseline: %w", err)
 	}
-	failures := harness.ComparePerf(results, base, tol)
+	failures := harness.ComparePerf(results, base, perfTol)
 	for _, f := range failures {
 		fmt.Fprintln(os.Stderr, "FAIL:", f)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("perf gate: %d regressions vs %s (tol %.2f)", len(failures), against, tol)
+		return fmt.Errorf("perf gate: %d regressions vs %s (tol %.2f)", len(failures), against, perfTol)
 	}
-	fmt.Printf("perf gate: PASS vs %s (tol %.2f)\n", against, tol)
+	fmt.Printf("perf gate: PASS vs %s (tol %.2f)\n", against, perfTol)
 	return nil
 }
 
 // runAccuracyGate runs the estimator-accuracy audit and, when a baseline is
 // given, gates the report against it: a missing technique, a shrunk sample
-// count or any q-error quantile beyond baseline*tol fails the run. With
-// -update-baseline the report replaces the golden file instead.
-func runAccuracyGate(seed int64, outDir, baselinePath string, tol float64, update bool) error {
+// count or any q-error quantile beyond baseline*accuracyTol fails the run.
+// With -update-baseline the report replaces the golden file instead.
+func runAccuracyGate(seed int64, outDir, baselinePath string, update bool) error {
 	if err := makeOutDir(outDir); err != nil {
 		return err
 	}
@@ -176,15 +171,15 @@ func runAccuracyGate(seed int64, outDir, baselinePath string, tol float64, updat
 			}
 			fmt.Println("updated baseline", baselinePath)
 		}
-		fmt.Print(harness.FormatAccuracyTable(rep, rep, tol))
+		fmt.Print(harness.FormatAccuracyTable(rep, rep, accuracyTol))
 		return nil
 	}
 	base, err := harness.LoadAccuracyBaseline(baselinePath)
 	if err != nil {
 		return fmt.Errorf("accuracy gate needs a baseline (run with -update-baseline to create one): %w", err)
 	}
-	fmt.Print(harness.FormatAccuracyTable(rep, base, tol))
-	failures := harness.CompareAccuracy(rep, base, tol)
+	fmt.Print(harness.FormatAccuracyTable(rep, base, accuracyTol))
+	failures := harness.CompareAccuracy(rep, base, accuracyTol)
 	for _, f := range failures {
 		fmt.Fprintln(os.Stderr, "FAIL:", f)
 	}

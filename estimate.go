@@ -120,15 +120,6 @@ func JoinAkNNCost(outer, inner *Index, k int) int {
 	return aknn.Cost(outer.tree, inner.tree, k)
 }
 
-// AknnSummary is the per-inner-relation artifact of the aknn-bounds join
-// technique: partition bounds and counts, everything its estimator needs.
-type AknnSummary = aknn.Summary
-
-// NewAknnSummary summarizes inner for the bounds-only AkNN cost model.
-func NewAknnSummary(inner *Index) *AknnSummary {
-	return aknn.BuildSummary(inner.tree)
-}
-
 // NewAknnBoundsEstimator creates the aknn-bounds join estimator for
 // (outer ⋉_aknn inner); sampleSize <= 0 uses every outer block (exact:
 // the estimate equals JoinAkNNCost).

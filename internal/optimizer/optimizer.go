@@ -424,7 +424,7 @@ func decide(plans []*Plan) *Decision {
 
 // PlanOnce enumerates, prices and decides q against v without any caching —
 // the planning core a Planner wraps. Exposed for tests and one-shot
-// callers (the knnquery CLI).
+// callers (the benchmark's probes and oracle, harness.RunPerf).
 func PlanOnce(v *store.View, q Query) (*Decision, error) {
 	if err := q.validate(); err != nil {
 		return nil, err

@@ -99,7 +99,7 @@ type TechniqueEstimate struct {
 
 // SelectTechniqueEstimates estimates σ_{k,q}(rel) under every registered
 // select technique, in canonical-name order — the technique-space sweep an
-// optimizer (or the knnquery CLI) runs to compare estimators side by side.
+// optimizer runs to compare estimators side by side.
 func SelectTechniqueEstimates(rel *Relation, q geom.Point, k int) []TechniqueEstimate {
 	techs := engine.SelectTechniques()
 	out := make([]TechniqueEstimate, 0, len(techs))

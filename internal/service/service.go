@@ -83,7 +83,7 @@ import (
 type Options struct {
 	// MaxK, SampleSize and GridSize are read by nothing: the frozen benchmark
 	// sets them (benchmark/oracle.go), so they stay until it is unfrozen
-	// (ROADMAP item 4).
+	// (ROADMAP item 11(c)).
 	MaxK       int
 	SampleSize int
 	GridSize   int

@@ -48,9 +48,6 @@ type Rect = geom.Rect
 // in any order.
 func NewRect(x0, y0, x1, y1 float64) Rect { return geom.NewRect(x0, y0, x1, y1) }
 
-// BoundsOf returns the smallest rectangle containing all pts.
-func BoundsOf(pts []Point) Rect { return geom.BoundsOf(pts) }
-
 // IndexOptions configure index construction.
 type IndexOptions struct {
 	// Capacity is the maximum number of points per leaf block. Zero means

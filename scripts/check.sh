@@ -128,6 +128,21 @@ go vet ./...
 # which nothing is ever swept; nothing else builds it.
 GOOS=windows go build ./... && GOOS=windows go vet ./internal/store/
 sh scripts/lint.sh
+
+# Every `go run ./cmd/<x>` and `go run ./examples/<x>` in the documents that
+# tell a reader what to run must name a main package, so a deleted or
+# renamed command fails here rather than in a reader's shell. The change log
+# and the roadmap narrate commands that are gone and are not scanned.
+bad=$(grep -rnoE 'go run \./(cmd|examples)/[A-Za-z0-9_-]+' \
+	README.md DESIGN.md EXPERIMENTS.md benchmark/README.md .claude/skills |
+	while IFS= read -r hit; do
+		[ "$(go list -f '{{.Name}}' "${hit##*go run }" 2>/dev/null)" = main ] || echo "$hit"
+	done)
+if [ -n "$bad" ]; then
+	printf 'check.sh: not a main package:\n%s\n' "$bad" >&2
+	exit 1
+fi
+
 go test ./...
 race
 bench
