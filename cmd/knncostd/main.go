@@ -228,7 +228,6 @@ func run(args []string, stdout io.Writer) int {
 		return runRouter(*addr, *peers, shard.Options{
 			Replicas:        *replicas,
 			HedgeAfter:      hedgeAfter,
-			HedgePercentile: hedgePercentile,
 			AttemptTimeout:  *attemptTimeout,
 			BreakerFailures: *breakerFailures,
 			BreakerBackoff:  *breakerBackoff,
@@ -333,10 +332,8 @@ const (
 	writeTimeout = 30 * time.Second
 	idleTimeout  = 120 * time.Second
 
-	// The router's hedge delay floor, and the latency percentile of the
-	// primary replica used as the adaptive hedge delay above it.
-	hedgeAfter      = 20 * time.Millisecond
-	hedgePercentile = 0.95
+	// The router's hedge delay floor.
+	hedgeAfter = 20 * time.Millisecond
 )
 
 // serve runs one daemon lifecycle on the bound listener: handler behind the

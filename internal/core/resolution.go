@@ -14,9 +14,9 @@ const DefaultGridSize = 10
 // registration declares: coarser resolutions cost fewer bytes and
 // (boundedly) more q-error, a choice made once, when the artifacts are built.
 //
-// The zero value means the repository-wide defaults at every axis,
-// matching the zero-value conventions of engine.BuildOptions and
-// store.Options.
+// The zero value means the repository-wide defaults at every axis, the
+// zero-value convention store.Options follows too; engine.BuildOptions
+// carries one.
 type Resolution struct {
 	// MaxK is the largest catalog-maintained k. Zero means DefaultMaxK.
 	MaxK int

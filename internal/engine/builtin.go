@@ -30,6 +30,13 @@ const (
 	TechAknnBounds = "aknn-bounds"
 )
 
+// The techniques an empty name selects: the paper's headline k-NN-Select
+// estimator, and the k-NN-Join estimator whose estimate is one lookup.
+const (
+	DefaultSelect = TechStaircaseCC
+	DefaultJoin   = TechCatalogMerge
+)
+
 // selects and joins are the techniques, sorted by name: the order every
 // listing reports.
 var (

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"knncost/internal/core"
 	"knncost/internal/geom"
 	"knncost/internal/grid"
 	"knncost/internal/index"
@@ -45,7 +46,7 @@ func TestEveryTechniqueOnEveryBackend(t *testing.T) {
 
 	for backend, build := range backendBuilders {
 		t.Run(backend, func(t *testing.T) {
-			opt := BuildOptions{MaxK: 64, SampleSize: 100, GridSize: 6}
+			opt := BuildOptions{Resolution: core.Resolution{MaxK: 64, GridSize: 6}, SampleSize: 100}
 			rel := NewRelation("outer", build(t, outerPts), opt)
 			inner := NewRelation("inner", build(t, innerPts), opt)
 

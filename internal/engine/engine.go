@@ -33,48 +33,19 @@ import (
 // The zero value means the repository-wide defaults, matching
 // store.Options and the facade constructors.
 type BuildOptions struct {
-	// MaxK is the largest catalog-maintained k. Zero means core.DefaultMaxK.
-	MaxK int
-	// Corners is the staircase corner budget of core.Resolution: 0 means
-	// the default merged corners-catalog, negative means center-only, 4
-	// keeps the per-quadrant set.
-	Corners int
+	// Resolution holds the artifacts' space/accuracy axes; NewRelation
+	// canonicalises it, so zero axes mean the defaults.
+	Resolution core.Resolution
 	// SampleSize is the sample size of the join techniques (Block-Sample,
 	// Catalog-Merge). Zero means 200.
 	SampleSize int
-	// GridSize is the Virtual-Grid dimension. Zero means
-	// core.DefaultGridSize.
-	GridSize int
-	// AknnCapacity is the minimum points per AkNN summary partition. Zero
-	// means one partition per block.
-	AknnCapacity int
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
-	o = o.WithResolution(o.Resolution())
+	o.Resolution = o.Resolution.Canon()
 	if o.SampleSize == 0 {
 		o.SampleSize = 200
 	}
-	return o
-}
-
-// Resolution returns the canonical artifact resolution the options carry:
-// the four space/accuracy axes of core.Resolution, with zero fields
-// mapped to the repository defaults.
-func (o BuildOptions) Resolution() core.Resolution {
-	return core.Resolution{
-		MaxK:         o.MaxK,
-		Corners:      o.Corners,
-		GridSize:     o.GridSize,
-		AknnCapacity: o.AknnCapacity,
-	}.Canon()
-}
-
-// WithResolution returns o with the resolution axes replaced by r.
-func (o BuildOptions) WithResolution(r core.Resolution) BuildOptions {
-	r = r.Canon()
-	// Canonical Corners (-1, 1, 4) is already the BuildOptions spelling.
-	o.MaxK, o.Corners, o.GridSize, o.AknnCapacity = r.MaxK, r.Corners, r.GridSize, r.AknnCapacity
 	return o
 }
 
@@ -95,9 +66,6 @@ func (c *cell[T]) get(build func() (T, error)) (T, error) {
 // set fills c with v, unless c is already filled.
 func (c *cell[T]) set(v T) { c.once.Do(func() { c.val = v }) }
 
-// cornersOfMode is the core.Resolution corner budget of each staircase mode.
-var cornersOfMode = [...]int{core.ModeCenterCorners: 1, core.ModeCenterOnly: -1, core.ModeCenterQuadrant: 4}
-
 // Relation is an indexed dataset with cached per-technique preprocessing
 // artifacts, one cell each. Artifacts are built at most once, on first
 // use; concurrent requests for the same artifact share one build, and a
@@ -112,7 +80,7 @@ type Relation struct {
 	opt     BuildOptions
 
 	density   cell[*core.DensityBased]
-	staircase [len(cornersOfMode)]cell[*core.Staircase] // by core.StaircaseMode
+	staircase [core.ModeCenterQuadrant + 1]cell[*core.Staircase] // by core.StaircaseMode
 	vgrid     cell[*core.VirtualGrid]
 	aknn      cell[*aknn.Summary]
 	merges    sync.Map // inner *Relation → *cell[*core.CatalogMerge]
@@ -125,8 +93,9 @@ func NewRelation(name string, tree *index.Tree, opt BuildOptions) *Relation {
 	return &Relation{name: name, tree: tree, opt: opt.withDefaults()}
 }
 
-// Artifacts are the per-relation artifacts a caller built before the
-// relation, any of them nil.
+// Artifacts are the four per-relation artifacts, as a caller that built
+// them before the relation hands them over (the store keeps its snapshots'
+// in the same value), any of them nil.
 type Artifacts struct {
 	Density   *core.DensityBased
 	Staircase *core.Staircase
@@ -146,16 +115,17 @@ type Artifacts struct {
 func NewCountRelation(name string, count *index.Tree, hydrate func() (*index.Tree, error), opt BuildOptions, a Artifacts) *Relation {
 	r := NewRelation(name, count, opt)
 	r.hydrate = hydrate
+	res := r.opt.Resolution
 	if a.Density != nil {
 		r.density.set(a.Density)
 	}
-	if s := a.Staircase; s != nil && s.Resolution() == (core.Resolution{MaxK: r.opt.MaxK, Corners: cornersOfMode[s.Mode()]}.Canon()) {
+	if s := a.Staircase; s != nil && s.Resolution().MaxK == res.MaxK {
 		r.staircase[s.Mode()].set(s)
 	}
-	if a.VGrid != nil && a.VGrid.Resolution() == (core.Resolution{MaxK: r.opt.MaxK, GridSize: r.opt.GridSize}.Canon()) {
-		r.vgrid.set(a.VGrid)
+	if v := a.VGrid; v != nil && v.Resolution().MaxK == res.MaxK && v.Resolution().GridSize == res.GridSize {
+		r.vgrid.set(v)
 	}
-	if a.Aknn != nil && a.Aknn.Resolution() == (core.Resolution{AknnCapacity: r.opt.AknnCapacity}.Canon()) {
+	if a.Aknn != nil && a.Aknn.Resolution().AknnCapacity == res.AknnCapacity {
 		r.aknn.set(a.Aknn)
 	}
 	return r
@@ -179,7 +149,7 @@ func (r *Relation) Density() *core.DensityBased {
 // for k > MaxK, exactly as the store and facade always configured it.
 func (r *Relation) Staircase(mode core.StaircaseMode) (*core.Staircase, error) {
 	return r.staircase[mode].get(func() (*core.Staircase, error) {
-		opt := core.StaircaseOptions{MaxK: r.opt.MaxK, Mode: mode, Fallback: r.Density()}
+		opt := core.StaircaseOptions{MaxK: r.opt.Resolution.MaxK, Mode: mode, Fallback: r.Density()}
 		if r.hydrate != nil {
 			data, err := r.hydrate()
 			if err != nil {
@@ -197,7 +167,7 @@ func (r *Relation) Staircase(mode core.StaircaseMode) (*core.Staircase, error) {
 // Count-Index to obtain a JoinEstimator.
 func (r *Relation) VirtualGrid() (*core.VirtualGrid, error) {
 	return r.vgrid.get(func() (*core.VirtualGrid, error) {
-		return core.BuildVirtualGrid(r.tree, r.opt.GridSize, r.opt.GridSize, r.opt.MaxK)
+		return core.BuildVirtualGrid(r.tree, r.opt.Resolution.GridSize, r.opt.Resolution.GridSize, r.opt.Resolution.MaxK)
 	})
 }
 
@@ -207,7 +177,7 @@ func (r *Relation) VirtualGrid() (*core.VirtualGrid, error) {
 // fail. Bind it to an outer Count-Index to obtain a JoinEstimator.
 func (r *Relation) AknnSummary() *aknn.Summary {
 	s, _ := r.aknn.get(func() (*aknn.Summary, error) {
-		return aknn.BuildSummaryCapacity(r.tree, r.opt.AknnCapacity), nil
+		return aknn.BuildSummaryCapacity(r.tree, r.opt.Resolution.AknnCapacity), nil
 	})
 	return s
 }
@@ -228,7 +198,7 @@ func (r *Relation) CatalogMerge(inner *Relation) (*core.CatalogMerge, error) {
 		c, _ = r.merges.LoadOrStore(inner, &cell[*core.CatalogMerge]{})
 	}
 	return c.(*cell[*core.CatalogMerge]).get(func() (*core.CatalogMerge, error) {
-		return core.BuildCatalogMerge(r.tree, inner.tree, r.opt.SampleSize, r.opt.MaxK)
+		return core.BuildCatalogMerge(r.tree, inner.tree, r.opt.SampleSize, r.opt.Resolution.MaxK)
 	})
 }
 

@@ -29,9 +29,9 @@ func testTree(t *testing.T, n int, seed int64) *index.Tree {
 }
 
 func TestArtifactsBuildOnce(t *testing.T) {
-	rel := NewRelation("r", testTree(t, 2000, 1), BuildOptions{MaxK: 100})
-	inner := NewRelation("s", testTree(t, 1500, 2), BuildOptions{MaxK: 100})
-	other := NewRelation("t", testTree(t, 1000, 3), BuildOptions{MaxK: 100})
+	rel := NewRelation("r", testTree(t, 2000, 1), BuildOptions{Resolution: core.Resolution{MaxK: 100}})
+	inner := NewRelation("s", testTree(t, 1500, 2), BuildOptions{Resolution: core.Resolution{MaxK: 100}})
+	other := NewRelation("t", testTree(t, 1000, 3), BuildOptions{Resolution: core.Resolution{MaxK: 100}})
 
 	d1, d2 := rel.Density(), rel.Density()
 	if d1 != d2 {
@@ -86,7 +86,7 @@ func TestSeedWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := NewCountRelation("r", tree, nil, BuildOptions{MaxK: 100}, Artifacts{Density: den, Staircase: stair})
+	rel := NewCountRelation("r", tree, nil, BuildOptions{Resolution: core.Resolution{MaxK: 100}}, Artifacts{Density: den, Staircase: stair})
 	got, err := rel.Staircase(core.ModeCenterCorners)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestSeedAtAnotherResolutionIsRebuilt(t *testing.T) {
 	}
 	sum := aknn.BuildSummaryCapacity(count, 64)
 
-	opt := BuildOptions{MaxK: 100, GridSize: 8, AknnCapacity: 16}
+	opt := BuildOptions{Resolution: core.Resolution{MaxK: 100, GridSize: 8, AknnCapacity: 16}}
 	rel := NewCountRelation("r", tree, nil, opt, Artifacts{Staircase: stair, VGrid: vg, Aknn: sum})
 	gotStair, err := rel.Staircase(core.ModeCenterCorners)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSeedAtAnotherResolutionIsRebuilt(t *testing.T) {
 func TestBitExactWithDirectCore(t *testing.T) {
 	outerTree := testTree(t, 3000, 6)
 	innerTree := testTree(t, 2500, 7)
-	opt := BuildOptions{MaxK: 200, SampleSize: 150, GridSize: 8}
+	opt := BuildOptions{Resolution: core.Resolution{MaxK: 200, GridSize: 8}, SampleSize: 150}
 	rel := NewRelation("r", outerTree, opt)
 	inner := NewRelation("s", innerTree, opt)
 
@@ -168,12 +168,12 @@ func TestBitExactWithDirectCore(t *testing.T) {
 
 	count := outerTree.CountTree()
 	den := core.NewDensityBased(count)
-	directCC, err := core.BuildStaircase(outerTree, core.StaircaseOptions{MaxK: opt.MaxK, Fallback: den})
+	directCC, err := core.BuildStaircase(outerTree, core.StaircaseOptions{MaxK: opt.Resolution.MaxK, Fallback: den})
 	if err != nil {
 		t.Fatal(err)
 	}
 	directC, err := core.BuildStaircase(outerTree, core.StaircaseOptions{
-		MaxK: opt.MaxK, Mode: core.ModeCenterOnly, Fallback: den,
+		MaxK: opt.Resolution.MaxK, Mode: core.ModeCenterOnly, Fallback: den,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +203,11 @@ func TestBitExactWithDirectCore(t *testing.T) {
 	}
 
 	innerCount := innerTree.CountTree()
-	directCM, err := core.BuildCatalogMerge(count, innerCount, opt.SampleSize, opt.MaxK)
+	directCM, err := core.BuildCatalogMerge(count, innerCount, opt.SampleSize, opt.Resolution.MaxK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directVG, err := core.BuildVirtualGrid(innerCount, opt.GridSize, opt.GridSize, opt.MaxK)
+	directVG, err := core.BuildVirtualGrid(innerCount, opt.Resolution.GridSize, opt.Resolution.GridSize, opt.Resolution.MaxK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBitExactWithDirectCore(t *testing.T) {
 }
 
 func TestSelectEstimatorRejectsKBelowOne(t *testing.T) {
-	rel := NewRelation("r", testTree(t, 500, 9), BuildOptions{MaxK: 50})
+	rel := NewRelation("r", testTree(t, 500, 9), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
 	q := geom.Point{X: 50, Y: 50}
 	for _, name := range SelectNames() {
 		est, err := rel.SelectEstimator(name)
@@ -253,7 +253,7 @@ func TestSelectEstimatorRejectsKBelowOne(t *testing.T) {
 func TestBuildErrorCached(t *testing.T) {
 	// GridSize -1 survives withDefaults (only zero is defaulted) and makes
 	// BuildVirtualGrid fail deterministically.
-	rel := NewRelation("r", testTree(t, 200, 10), BuildOptions{MaxK: 10, GridSize: -1})
+	rel := NewRelation("r", testTree(t, 200, 10), BuildOptions{Resolution: core.Resolution{MaxK: 10, GridSize: -1}})
 	_, err1 := rel.VirtualGrid()
 	if err1 == nil {
 		t.Fatal("VirtualGrid with GridSize -1 succeeded")
@@ -272,8 +272,8 @@ func TestBuildErrorCached(t *testing.T) {
 // race detector checks the locking and every goroutine must observe the
 // same artifact identity (single build).
 func TestConcurrentResolve(t *testing.T) {
-	rel := NewRelation("r", testTree(t, 2000, 11), BuildOptions{MaxK: 50})
-	inner := NewRelation("s", testTree(t, 1500, 12), BuildOptions{MaxK: 50})
+	rel := NewRelation("r", testTree(t, 2000, 11), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
+	inner := NewRelation("s", testTree(t, 1500, 12), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
 	q := geom.Point{X: 42, Y: 58}
 
 	const workers = 16
@@ -321,8 +321,8 @@ func TestConcurrentResolve(t *testing.T) {
 // built artifacts, and a Catalog-Merge hit, allocate nothing — the plan
 // cache and the service resolve on every request.
 func TestCachedResolveAllocatesNothing(t *testing.T) {
-	rel := NewRelation("r", testTree(t, 1000, 14), BuildOptions{MaxK: 50})
-	inner := NewRelation("s", testTree(t, 800, 15), BuildOptions{MaxK: 50})
+	rel := NewRelation("r", testTree(t, 1000, 14), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
+	inner := NewRelation("s", testTree(t, 800, 15), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
 	if _, err := rel.SelectEstimator(TechStaircaseCC); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestCachedResolveAllocatesNothing(t *testing.T) {
 var benchSink any
 
 func BenchmarkResolveSelect(b *testing.B) {
-	rel := NewRelation("r", quadtree.Build(testPoints(1000, 16), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{MaxK: 50})
+	rel := NewRelation("r", quadtree.Build(testPoints(1000, 16), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
 	if _, err := rel.SelectEstimator(TechStaircaseCC); err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func BenchmarkResolveSelect(b *testing.B) {
 
 func BenchmarkCatalogMergeHit(b *testing.B) {
 	build := func(seed int64) *Relation {
-		return NewRelation("r", quadtree.Build(testPoints(1000, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{MaxK: 50})
+		return NewRelation("r", quadtree.Build(testPoints(1000, seed), quadtree.Options{Capacity: 32, Bounds: testBounds}), BuildOptions{Resolution: core.Resolution{MaxK: 50}})
 	}
 	rel, inner := build(17), build(18)
 	if _, err := rel.CatalogMerge(inner); err != nil {

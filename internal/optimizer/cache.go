@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -142,7 +143,7 @@ func buildKey(v *store.View, q *Query, key *planKey) (cacheable bool, err error)
 		if snap == nil {
 			return false, fmt.Errorf("optimizer: unknown relation %q", s.Relation)
 		}
-		tech, err := engine.LookupSelect(selectTechnique(s.Technique))
+		tech, err := engine.LookupSelect(cmp.Or(s.Technique, engine.DefaultSelect))
 		if err != nil {
 			return false, fmt.Errorf("optimizer: %w", err)
 		}
@@ -157,7 +158,7 @@ func buildKey(v *store.View, q *Query, key *planKey) (cacheable bool, err error)
 		if inner == nil {
 			return false, fmt.Errorf("optimizer: unknown relation %q", j.Inner)
 		}
-		tech, err := engine.LookupJoin(joinTechnique(j.Technique))
+		tech, err := engine.LookupJoin(cmp.Or(j.Technique, engine.DefaultJoin))
 		if err != nil {
 			return false, fmt.Errorf("optimizer: %w", err)
 		}

@@ -22,6 +22,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -43,7 +44,7 @@ type SelectPredicate struct {
 	// K is the number of neighbors wanted.
 	K int
 	// Technique names the registered select technique pricing this
-	// predicate. Empty means staircase-cc.
+	// predicate. Empty means engine.DefaultSelect.
 	Technique string
 }
 
@@ -55,7 +56,7 @@ type JoinPredicate struct {
 	// K is the per-outer-point neighbor count.
 	K int
 	// Technique names the registered join technique. Empty means
-	// catalog-merge.
+	// engine.DefaultJoin.
 	Technique string
 }
 
@@ -123,24 +124,6 @@ func (q *Query) validate() error {
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// selectTechnique returns the technique to price a select with; empty
-// defaults to staircase-cc (the paper's primary estimator).
-func selectTechnique(t string) string {
-	if t == "" {
-		return engine.TechStaircaseCC
-	}
-	return t
-}
-
-// joinTechnique returns the technique to price the join with; empty
-// defaults to catalog-merge.
-func joinTechnique(t string) string {
-	if t == "" {
-		return engine.TechCatalogMerge
-	}
-	return t
-}
 
 // TermKind classifies a CostTerm.
 type TermKind string
@@ -243,7 +226,7 @@ func priceSelect(v *store.View, kind TermKind, s *SelectPredicate, at geom.Point
 	if snap == nil {
 		return CostTerm{}, fmt.Errorf("optimizer: unknown relation %q", s.Relation)
 	}
-	tech, err := engine.LookupSelect(selectTechnique(s.Technique))
+	tech, err := engine.LookupSelect(cmp.Or(s.Technique, engine.DefaultSelect))
 	if err != nil {
 		return CostTerm{}, fmt.Errorf("optimizer: %w", err)
 	}
@@ -270,7 +253,7 @@ func priceJoin(v *store.View, j *JoinPredicate) (CostTerm, error) {
 	if inner == nil {
 		return CostTerm{}, fmt.Errorf("optimizer: unknown relation %q", j.Inner)
 	}
-	tech, err := engine.LookupJoin(joinTechnique(j.Technique))
+	tech, err := engine.LookupJoin(cmp.Or(j.Technique, engine.DefaultJoin))
 	if err != nil {
 		return CostTerm{}, fmt.Errorf("optimizer: %w", err)
 	}

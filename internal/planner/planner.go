@@ -299,7 +299,7 @@ type BatchOptions struct {
 	// shared-join cost. Zero means 200.
 	SampleSize int
 	// JoinTechnique names the registered join technique estimating the
-	// shared-join strategy. Empty means "catalog-merge".
+	// shared-join strategy. Empty means engine.DefaultJoin.
 	JoinTechnique string
 }
 
@@ -352,7 +352,7 @@ func PlanKNNSelectBatch(rel *Relation, queries []geom.Point, k int, opt BatchOpt
 		Capacity: opt.Capacity,
 		Bounds:   bounds,
 	})
-	jt, err := engine.LookupJoin(cmp.Or(opt.JoinTechnique, engine.TechCatalogMerge))
+	jt, err := engine.LookupJoin(cmp.Or(opt.JoinTechnique, engine.DefaultJoin))
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
@@ -360,7 +360,7 @@ func PlanKNNSelectBatch(rel *Relation, queries []geom.Point, k int, opt BatchOpt
 	// options: catalogs only need to cover this batch's k, and the sample
 	// size is the planner's, not a stored relation's.
 	queryRel := engine.NewRelation("batch-queries", queryTree, engine.BuildOptions{
-		MaxK:       k,
+		Resolution: core.Resolution{MaxK: k},
 		SampleSize: opt.SampleSize,
 	})
 	est, err := jt.Estimator(queryRel, rel.eng)
@@ -372,7 +372,7 @@ func PlanKNNSelectBatch(rel *Relation, queries []geom.Point, k int, opt BatchOpt
 		return nil, err
 	}
 	desc := fmt.Sprintf("shared k-NN-Join (queries ⋉ %s)", rel.Name)
-	if jt.Name != engine.TechCatalogMerge {
+	if jt.Name != engine.DefaultJoin {
 		desc = fmt.Sprintf("shared k-NN-Join (queries ⋉ %s, %s)", rel.Name, jt.Name)
 	}
 	shared := &Plan{

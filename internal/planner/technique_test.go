@@ -15,7 +15,7 @@ func TestNewRelationTechnique(t *testing.T) {
 	tree := quadtree.Build(pts, quadtree.Options{Capacity: 64, Bounds: datagen.WorldBounds})
 
 	for _, name := range engine.SelectNames() {
-		rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{MaxK: 100}), name)
+		rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{Resolution: core.Resolution{MaxK: 100}}), name)
 		if err != nil {
 			t.Fatalf("NewRelationTechnique(%s): %v", name, err)
 		}
@@ -32,7 +32,7 @@ func TestNewRelationTechnique(t *testing.T) {
 
 	// Any casing resolves to the registered name; the pre-registry
 	// spelling is as unknown as any other.
-	rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{MaxK: 100}), "Staircase-CC")
+	rel, err := NewRelationTechnique("places", engine.NewRelation("places", tree, engine.BuildOptions{Resolution: core.Resolution{MaxK: 100}}), "Staircase-CC")
 	if err != nil {
 		t.Fatal(err)
 	}

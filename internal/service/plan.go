@@ -18,7 +18,7 @@ type PlanSelect struct {
 	Y        float64 `json:"y"`
 	K        int     `json:"k"`
 	// Technique names a registered select technique; empty means
-	// staircase-cc.
+	// engine.DefaultSelect.
 	Technique string `json:"technique,omitempty"`
 }
 
@@ -28,7 +28,7 @@ type PlanJoin struct {
 	Inner string `json:"inner"`
 	K     int    `json:"k"`
 	// Technique names a registered join technique; empty means
-	// catalog-merge.
+	// engine.DefaultJoin.
 	Technique string `json:"technique,omitempty"`
 }
 

@@ -54,6 +54,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -249,11 +250,7 @@ func specOf(res core.Resolution) *ResolutionSpec {
 		return nil
 	}
 	res = res.Canon()
-	spec := &ResolutionSpec{MaxK: res.MaxK, Corners: res.Corners, GridSize: res.GridSize, AknnCapacity: res.AknnCapacity}
-	if spec.Corners == 0 {
-		spec.Corners = -1 // wire convention: explicit center-only, never "default"
-	}
-	return spec
+	return &ResolutionSpec{MaxK: res.MaxK, Corners: res.Corners, GridSize: res.GridSize, AknnCapacity: res.AknnCapacity}
 }
 
 func infoFromStatus(st store.RelationStatus) RelationInfo {
@@ -596,9 +593,7 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 // when it asked for nothing), not the resolved canonical name — clients
 // correlate responses by the string they sent.
 func (s *Server) selectEstimator(w http.ResponseWriter, rel *store.Snapshot, technique string) (core.SelectEstimator, string, bool) {
-	if technique == "" {
-		technique = engine.TechStaircaseCC
-	}
+	technique = cmp.Or(technique, engine.DefaultSelect)
 	t, err := engine.LookupSelect(technique)
 	if err != nil {
 		badRequest(w, "unknown select method %q (registered techniques: %s)",
@@ -621,7 +616,7 @@ type BatchSelectRequest struct {
 	// Relation names the target relation (required).
 	Relation string `json:"relation"`
 	// Technique names a registered select technique (see GET /techniques).
-	// Empty means staircase-cc.
+	// Empty means engine.DefaultSelect.
 	Technique string `json:"technique,omitempty"`
 	// Parallelism is the server-side worker count; 0 means GOMAXPROCS,
 	// 1 forces a serial loop. The results are identical either way.
@@ -736,10 +731,7 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	method := query.Get("technique")
-	if method == "" {
-		method = engine.TechCatalogMerge
-	}
+	method := cmp.Or(query.Get("technique"), engine.DefaultJoin)
 	jt, err := engine.LookupJoin(method)
 	if err != nil {
 		badRequest(w, "unknown join method %q (registered techniques: %s)",

@@ -88,9 +88,8 @@ func TestHedgingBoundsTailLatency(t *testing.T) {
 	shards := []*testShard{mkShard("h1"), mkShard("h2")}
 
 	rt, err := New([]Shard{shards[0].shard(), shards[1].shard()}, Options{
-		Replicas:        2,
-		HedgeAfter:      5 * time.Millisecond,
-		HedgePercentile: 0.95,
+		Replicas:   2,
+		HedgeAfter: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

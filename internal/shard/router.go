@@ -38,15 +38,11 @@ type Options struct {
 	// replication — and therefore nothing to hedge against.
 	Replicas int
 	// HedgeAfter enables hedged requests: when the fastest replica has not
-	// answered after this delay (or after the observed HedgePercentile of
-	// its recent latencies, whichever is larger), the same request is sent
+	// answered after this delay (or after the 95th percentile of its
+	// recent latencies, whichever is larger), the same request is sent
 	// to the next replica and the first decisive answer wins; the loser's
 	// context is cancelled. Zero disables hedging.
 	HedgeAfter time.Duration
-	// HedgePercentile is the latency percentile of the primary's recent
-	// requests used as the adaptive hedge delay (floored by HedgeAfter).
-	// Zero means 0.95.
-	HedgePercentile float64
 	// AttemptTimeout bounds one read attempt against one replica, a health
 	// probe included. When a replica exceeds it the attempt fails over to
 	// the next replica (and counts against the replica's health breaker).
@@ -72,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Replicas < 1 {
 		o.Replicas = 1
-	}
-	if o.HedgePercentile <= 0 || o.HedgePercentile > 1 {
-		o.HedgePercentile = 0.95
 	}
 	if o.BreakerFailures == 0 {
 		o.BreakerFailures = 3
@@ -349,14 +342,18 @@ func decisive(res proxyRes) bool {
 	return res.err == nil && res.status < 500
 }
 
+// hedgeQuantile is the latency quantile of the primary's recent requests
+// used as the adaptive hedge delay (floored by Options.HedgeAfter).
+const hedgeQuantile = 0.95
+
 // hedgeDelay computes the delay before hedging away from the primary: the
-// observed HedgePercentile of its recent latencies, floored by the
+// observed hedgeQuantile of its recent latencies, floored by the
 // configured HedgeAfter. Zero means hedging is off.
 func (rt *Router) hedgeDelay(primary *replica) time.Duration {
 	if rt.opt.HedgeAfter <= 0 {
 		return 0
 	}
-	d := primary.lat.percentile(rt.opt.HedgePercentile)
+	d := primary.lat.percentile(hedgeQuantile)
 	if d < rt.opt.HedgeAfter {
 		d = rt.opt.HedgeAfter
 	}

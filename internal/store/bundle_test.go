@@ -79,7 +79,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	want := bytes.Clone(data)
 	clear(data)
-	if got := encodeBundle(man, pts, b.tree, b.staircase, b.vgrid); !bytes.Equal(got, want) {
+	if got := encodeBundle(man, pts, b.tree, b.Staircase, b.VGrid); !bytes.Equal(got, want) {
 		t.Fatal("the decoded bundle does not encode to the bytes it was read from")
 	}
 }
@@ -420,7 +420,7 @@ func TestFailedBundleWriteKeepsDurableBase(t *testing.T) {
 	}
 	// Served, dumped and hydrated from the points section kept in memory.
 	snap := s.View().Relation("live")
-	if snap.src.file != nil {
+	if snap.file != nil {
 		t.Fatal("the uncached compaction reads its points from a file")
 	}
 	if got, err := s.LogicalPoints("live"); err != nil || !samePoints(got, want) {

@@ -56,8 +56,9 @@ import (
 // A bundle is written once, off the store lock, and is immutable: one that
 // exists is complete. Pair merges are not cached: a restart rebuilds each at
 // its first demand, which costs less than writing it did. A load reads a
-// bundle once and decodes all but the points (readBundle); the snapshot
-// keeps the file open and reads KNPT when its points are asked for.
+// bundle once and decodes all but the points (readBundle); the Snapshot
+// keeps the file open itself and reads KNPT when its points are asked for
+// (Snapshot.ReadPoints).
 // Everything is written atomically (temp file + rename) and every load
 // failure is a cache miss, never an error: the worst a corrupt cache can do
 // is force a rebuild.
@@ -268,7 +269,8 @@ func (c *diskCache) writeFile(op, path string, data []byte) error {
 // --- bundle ------------------------------------------------------------------
 
 // The sections in file order, which is each one's kind in the table: the
-// points first, where salvage and pointsSource find them without the table.
+// points first, where salvage and Snapshot.ReadPoints find them without the
+// table.
 const (
 	secPoints = iota // KNPT: the registration-order points
 	secCount         // KNCI: the Count-Index
@@ -356,11 +358,11 @@ func readBundle(r io.ReaderAt, size int64, h hash.Hash) (b *builtRelation, man m
 	if b.tree, err = decodeCountIndex(part(secCount), man.NumBlocks, man.NumPoints); err != nil {
 		return nil, man, err
 	}
-	b.density = core.NewDensityBased(b.tree)
-	if b.staircase, err = core.UnmarshalStaircase(b.tree, part(secStair), core.StaircaseOptions{Fallback: b.density}); err != nil {
+	b.Density = core.NewDensityBased(b.tree)
+	if b.Staircase, err = core.UnmarshalStaircase(b.tree, part(secStair), core.StaircaseOptions{Fallback: b.Density}); err != nil {
 		return nil, man, fmt.Errorf("staircase: %w", err)
 	}
-	if b.vgrid, err = core.UnmarshalVirtualGrid(part(secGrid)); err != nil {
+	if b.VGrid, err = core.UnmarshalVirtualGrid(part(secGrid)); err != nil {
 		return nil, man, fmt.Errorf("virtual grid: %w", err)
 	}
 	return b, man, nil
@@ -555,50 +557,6 @@ func decodePoints(data []byte) ([]geom.Point, error) {
 		pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
 	}
 	return pts, nil
-}
-
-// pointsSource is where a published generation's points are, its tree
-// keeping only bounds and counts: the KNPT section of the bundle the publish
-// persisted, through the file it opened — a sweep's unlink leaves an open
-// file readable — or, when no bundle was persisted, the section's bytes in
-// memory. Both decode through decodePoints; points read from the file must
-// hash to the generation's fingerprint, or the read is an error. Nothing
-// closes the file but os.File's finalizer, once the last snapshot holding the
-// source is garbage.
-type pointsSource struct {
-	file   *os.File // nil: mem holds the section
-	mem    []byte
-	n      int // points in the section
-	fp     string
-	res    core.Resolution
-	bounds geom.Rect // the root of the tree the points build
-	s      *Store
-}
-
-func (src *pointsSource) points() ([]geom.Point, error) {
-	if src.file == nil {
-		return decodePoints(src.mem)
-	}
-	// The section starts every bundle, right after the fixed-size header.
-	sec := make([]byte, pointsSize(src.n))
-	if _, err := src.file.ReadAt(sec, bundleHeader); err != nil {
-		return nil, fmt.Errorf("reading the points of %s: %w", shortFP(src.fp), err)
-	}
-	pts, err := decodePoints(sec)
-	if err == nil && src.s.fingerprint(pts, src.res) != src.fp {
-		return nil, fmt.Errorf("the points read from %s do not hash to its fingerprint", shortFP(src.fp))
-	}
-	return pts, err
-}
-
-// hydrate rebuilds the data index: quadtree.Build is deterministic, so the
-// points at the bounds and capacity of the published tree make its blocks.
-func (src *pointsSource) hydrate() (*index.Tree, error) {
-	pts, err := src.points()
-	if err != nil {
-		return nil, err
-	}
-	return quadtree.Build(pts, quadtree.Options{Capacity: src.s.opt.IndexCapacity, Bounds: src.bounds}), nil
 }
 
 // --- registry ----------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"knncost/internal/core"
 	"knncost/internal/engine"
 	"knncost/internal/geom"
+	"knncost/internal/index"
 )
 
 // TestPublishedGenerationsAreCollected: the heap a store holds is that of
@@ -42,7 +43,11 @@ func TestPublishedGenerationsAreCollected(t *testing.T) {
 			if snap.Version > tracked[name] {
 				tracked[name] = snap.Version
 				published.Add(1)
-				runtime.SetFinalizer(snap.Engine, func(*engine.Relation) { finalized.Add(1) })
+				// The snapshot and its engine point at each other (the engine
+				// hydrates through the snapshot), and a finalizer never runs on
+				// an object in a cycle: the generation's Count-Index, which both
+				// reach and which reaches neither, stands for it.
+				runtime.SetFinalizer(snap.Tree, func(*index.Tree) { finalized.Add(1) })
 			}
 		}
 	}

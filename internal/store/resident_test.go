@@ -204,8 +204,8 @@ func TestRegistrationOrderAtEveryWidth(t *testing.T) {
 			if got := snap.Tree.NumBlocks(); got != c.leaves {
 				t.Fatalf("the lattice indexed to %d leaves, want %d", got, c.leaves)
 			}
-			if (snap.src.file != nil) != cached {
-				t.Fatalf("%d leaves, cache directory %v: the snapshot reads its points from the file: %v", c.leaves, cached, snap.src.file != nil)
+			if (snap.file != nil) != cached {
+				t.Fatalf("%d leaves, cache directory %v: the snapshot reads its points from the file: %v", c.leaves, cached, snap.file != nil)
 			}
 			got, err := snap.ReadPoints()
 			if err != nil || !samePoints(got, pts) {

@@ -80,9 +80,9 @@ func TestCatalogScale(t *testing.T) {
 			t.Fatalf("build %d: %v", i, err)
 		}
 		fps[i] = b.fp
-		built[i] = loaded{b.staircase, b.vgrid, b.aknn}
-		want[i] = probeAll(t, pts, b.staircase, b.vgrid, b.aknn, b.tree)
-		artifactBytes += int64(b.staircase.StorageBytes() + b.vgrid.StorageBytes() + b.aknn.StorageBytes())
+		built[i] = loaded{b.Staircase, b.VGrid, b.Aknn}
+		want[i] = probeAll(t, pts, b.Staircase, b.VGrid, b.Aknn, b.tree)
+		artifactBytes += int64(b.Staircase.StorageBytes() + b.VGrid.StorageBytes() + b.Aknn.StorageBytes())
 		pointBytes += int64(16 * len(pts))
 	}
 	buildTook := time.Since(buildStart)

@@ -240,21 +240,17 @@ type Snapshot struct {
 	Tree *index.Tree
 	// Count is Tree, named for callers that ask for the Count-Index.
 	Count *index.Tree
-	// Staircase is the paper's k-NN-Select estimator (§3).
-	Staircase *core.Staircase
-	// Density is the density-based baseline estimator.
-	Density *core.DensityBased
-	// VGrid is the Virtual-Grid join estimator built over Tree (§4.3).
-	VGrid *core.VirtualGrid
-	// Aknn is the bounds-only AkNN join summary built over Tree
-	// (internal/aknn) — the inner-relation artifact of the aknn-bounds
-	// technique.
-	Aknn *aknn.Summary
+	// Artifacts are the per-relation estimators, built over Tree: the
+	// paper's k-NN-Select staircase (§3), the density-based baseline, the
+	// Virtual-Grid join catalogs (§4.3) and the bounds-only AkNN summary
+	// (internal/aknn) of the aknn-bounds technique.
+	engine.Artifacts
 	// Engine is the relation's engine.Relation, seeded at publication with
 	// the artifacts above so that technique resolution by name serves the
 	// exact same estimator objects. Techniques the store does not precompute
 	// (e.g. staircase-c) build lazily inside Engine, once per snapshot, over
-	// the data index Hydrate returns.
+	// the data index Hydrate returns, so the engine and the snapshot point
+	// at each other.
 	// Pair artifacts are the exception: the View owns them
 	// (View.JoinEstimator), so that no snapshot holds a reference to another
 	// relation's generation.
@@ -268,7 +264,14 @@ type Snapshot struct {
 	VGridBytes     int
 	AknnBytes      int
 
-	src *pointsSource
+	// The points are the KNPT section of the bundle the publish persisted,
+	// read through the file it opened — a sweep's unlink leaves an open file
+	// readable — or, when no bundle was persisted, the section's bytes in
+	// mem. Nothing closes the file but os.File's finalizer, once the last
+	// snapshot holding it is garbage.
+	file *os.File // nil: mem holds the section
+	mem  []byte
+	s    *Store
 }
 
 // ReadPoints returns the relation's points in registration order — the exact
@@ -278,14 +281,34 @@ type Snapshot struct {
 // caller's, from the generation's bundle or, without one, from the encoded
 // section the snapshot keeps; it fails rather than return points that do not
 // hash to Fingerprint.
-func (sn *Snapshot) ReadPoints() ([]geom.Point, error) { return sn.src.points() }
+func (sn *Snapshot) ReadPoints() ([]geom.Point, error) {
+	if sn.file == nil {
+		return decodePoints(sn.mem)
+	}
+	// The section starts every bundle, right after the fixed-size header.
+	sec := make([]byte, pointsSize(sn.Tree.NumPoints()))
+	if _, err := sn.file.ReadAt(sec, bundleHeader); err != nil {
+		return nil, fmt.Errorf("reading the points of %s: %w", shortFP(sn.Fingerprint), err)
+	}
+	pts, err := decodePoints(sec)
+	if err == nil && sn.s.fingerprint(pts, sn.Resolution) != sn.Fingerprint {
+		return nil, fmt.Errorf("the points read from %s do not hash to its fingerprint", shortFP(sn.Fingerprint))
+	}
+	return pts, err
+}
 
 // Hydrate rebuilds the data index Tree counts: ReadPoints built at Tree's
 // bounds and the store's leaf capacity, which yields Tree's blocks with their
-// points. It serves the readers that need points — the ground-truth
-// endpoint and a staircase built after publish — and the result is the
-// caller's.
-func (sn *Snapshot) Hydrate() (*index.Tree, error) { return sn.src.hydrate() }
+// points (quadtree.Build is deterministic). It serves the readers that need
+// points — the ground-truth endpoint and a staircase built after publish —
+// and the result is the caller's.
+func (sn *Snapshot) Hydrate() (*index.Tree, error) {
+	pts, err := sn.ReadPoints()
+	if err != nil {
+		return nil, err
+	}
+	return quadtree.Build(pts, quadtree.Options{Capacity: sn.s.opt.IndexCapacity, Bounds: sn.Tree.Bounds()}), nil
+}
 
 // logicalPoints reads the points and folds muts into them.
 func (sn *Snapshot) logicalPoints(muts []mutation) ([]geom.Point, error) {
@@ -1052,15 +1075,12 @@ var errEmptyFold = errors.New("the fold would delete every point")
 // builtRelation carries a finished per-relation build, or a bundle's load,
 // from the worker into the publish step.
 type builtRelation struct {
-	tree      *index.Tree // the Count-Index
-	staircase *core.Staircase
-	density   *core.DensityBased
-	vgrid     *core.VirtualGrid
-	aknn      *aknn.Summary
-	pts       []geom.Point    // registration-order source points; nil for a restore, garbage once published
-	fp        string          // fingerprint of pts at res
-	res       core.Resolution // the resolution the artifacts were built at
-	file      *os.File        // the bundle a load opened, which the snapshot keeps; nil for a build
+	tree *index.Tree // the Count-Index
+	engine.Artifacts
+	pts  []geom.Point    // registration-order source points; nil for a restore, garbage once published
+	fp   string          // fingerprint of pts at res
+	res  core.Resolution // the resolution the artifacts were built at
+	file *os.File        // the bundle a load opened, which the snapshot keeps; nil for a build
 }
 
 // buildCatalogs constructs (or cache-loads) every per-relation estimator
@@ -1116,19 +1136,19 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 	}
 	// The density estimator and the AkNN summary read only the index's
 	// bounds and counts: neither is cached nor counted as a catalog build.
-	b.density = core.NewDensityBased(b.tree)
-	b.aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
+	b.Density = core.NewDensityBased(b.tree)
+	b.Aknn = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity)
 	stair, err := core.BuildStaircase(b.tree, core.StaircaseOptions{
 		MaxK:     res.MaxK,
 		Mode:     res.StaircaseMode(),
-		Fallback: b.density,
+		Fallback: b.Density,
 		Data:     data,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("staircase: %w", err)
 	}
 	s.catalogBuilds.Add(1)
-	b.staircase = stair
+	b.Staircase = stair
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1137,7 +1157,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		return nil, fmt.Errorf("virtual grid: %w", err)
 	}
 	s.catalogBuilds.Add(1)
-	b.vgrid = vg
+	b.VGrid = vg
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1177,14 +1197,14 @@ func (s *Store) loadBundle(fp string, res core.Resolution) (*builtRelation, erro
 		return nil, err
 	}
 	s.cacheHits.Add(2) // staircase + virtual grid
-	b.aknn, b.fp, b.res, b.file = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity), fp, res, f
+	b.Aknn, b.fp, b.res, b.file = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity), fp, res, f
 	return b, nil
 }
 
 // storeBundle writes b's bundle: points and artifacts, built or cache-loaded,
 // encode to the same bytes.
 func (s *Store) storeBundle(b *builtRelation) error {
-	data := encodeBundle(s.manifestFor(b.tree, b.res), b.pts, b.tree, b.staircase, b.vgrid)
+	data := encodeBundle(s.manifestFor(b.tree, b.res), b.pts, b.tree, b.Staircase, b.VGrid)
 	return s.cache.writeFile("bundle", s.cache.bundlePath(b.fp), data)
 }
 
@@ -1396,33 +1416,29 @@ func (s *Store) installSnapshot(e *entry, b *builtRelation) {
 	if e.snap != nil {
 		version = e.snap.Version + 1
 	}
-	src := &pointsSource{file: b.file, n: b.tree.NumPoints(), fp: b.fp, res: b.res, bounds: b.tree.Bounds(), s: s}
-	if src.file == nil {
-		src.mem = appendPoints(make([]byte, 0, pointsSize(len(b.pts))), b.pts)
-	}
-	// The engine serves the artifacts this build already produced (or
-	// cache-loaded), so technique resolution never rebuilds what the store
-	// has: these exact objects, bit for bit.
-	eng := engine.NewCountRelation(e.name, b.tree, src.hydrate,
-		engine.BuildOptions{SampleSize: s.opt.SampleSize}.WithResolution(b.res),
-		engine.Artifacts{Density: b.density, Staircase: b.staircase, VGrid: b.vgrid, Aknn: b.aknn})
-	e.snap = &Snapshot{
+	sn := &Snapshot{
 		Name:           e.name,
 		Version:        version,
 		Fingerprint:    b.fp,
 		Tree:           b.tree,
 		Count:          b.tree,
-		Staircase:      b.staircase,
-		Density:        b.density,
-		VGrid:          b.vgrid,
-		Aknn:           b.aknn,
-		Engine:         eng,
+		Artifacts:      b.Artifacts,
 		Resolution:     b.res,
-		StaircaseBytes: b.staircase.StorageBytes(),
-		VGridBytes:     b.vgrid.StorageBytes(),
-		AknnBytes:      b.aknn.StorageBytes(),
-		src:            src,
+		StaircaseBytes: b.Staircase.StorageBytes(),
+		VGridBytes:     b.VGrid.StorageBytes(),
+		AknnBytes:      b.Aknn.StorageBytes(),
+		file:           b.file,
+		s:              s,
 	}
+	if sn.file == nil {
+		sn.mem = appendPoints(make([]byte, 0, pointsSize(len(b.pts))), b.pts)
+	}
+	// The engine serves the artifacts this build already produced (or
+	// cache-loaded), so technique resolution never rebuilds what the store
+	// has: these exact objects, bit for bit.
+	sn.Engine = engine.NewCountRelation(e.name, b.tree, sn.Hydrate,
+		engine.BuildOptions{Resolution: b.res, SampleSize: s.opt.SampleSize}, b.Artifacts)
+	e.snap = sn
 }
 
 // wakeLocked wakes every WaitReady and WaitSettled.

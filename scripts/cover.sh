@@ -8,8 +8,10 @@
 # enumerator and its invalidation-correct plan cache), internal/store
 # (the relation store and its disk catalog cache),
 # internal/service/middleware (the one handler every served request
-# crosses), and internal/quadtree, internal/kdtree, internal/rtree and
-# internal/grid (the four builders every index.Tree comes from).
+# crosses), internal/quadtree, internal/kdtree, internal/rtree and
+# internal/grid (the four builders every index.Tree comes from), and
+# internal/catalog and internal/core (the artifacts themselves: the
+# interval catalogs and the estimators built over them).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,3 +60,5 @@ check_floor knncost/internal/quadtree 90.0
 check_floor knncost/internal/kdtree 90.0
 check_floor knncost/internal/rtree 90.0
 check_floor knncost/internal/grid 90.0
+check_floor knncost/internal/catalog 90.0
+check_floor knncost/internal/core 85.0
