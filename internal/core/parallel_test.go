@@ -2,10 +2,18 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"knncost/internal/geom"
 )
+
+// atProcs runs fn at GOMAXPROCS n, the number of goroutines a staircase
+// build fans out to, and restores the old value.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 // Parallel catalog building must produce exactly the same estimator as a
 // serial build: every block's catalogs are independent.
@@ -13,13 +21,12 @@ func TestStaircaseParallelBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	bounds := geom.NewRect(0, 0, 100, 100)
 	data := buildIx(clusteredPoints(rng, 5000, bounds), bounds, 64)
-	serial, err := BuildStaircase(data, StaircaseOptions{MaxK: 200, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := BuildStaircase(data, StaircaseOptions{MaxK: 200, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
+	var serial, parallel *Staircase
+	var serr, perr error
+	atProcs(1, func() { serial, serr = BuildStaircase(data, StaircaseOptions{MaxK: 200}) })
+	atProcs(8, func() { parallel, perr = BuildStaircase(data, StaircaseOptions{MaxK: 200}) })
+	if serr != nil || perr != nil {
+		t.Fatal(serr, perr)
 	}
 	if serial.StorageBytes() != parallel.StorageBytes() {
 		t.Fatalf("storage differs: serial %d, parallel %d",

@@ -70,10 +70,6 @@ type StaircaseOptions struct {
 	// index bounds. Nil means a DensityBased estimator over the data
 	// index's Count-Index, matching Figure 5.
 	Fallback SelectEstimator
-	// Parallelism is the number of goroutines building per-block catalogs
-	// concurrently. Zero means GOMAXPROCS; 1 forces a serial build.
-	// Catalogs are independent, so the result is identical regardless.
-	Parallelism int
 	// Data is the data index Procedure 1 browses when the index given to
 	// BuildStaircase is its Count-Index: the same blocks, with their points.
 	// The catalogs attach to the given index, so the built Staircase keeps
@@ -173,14 +169,14 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	blocks := aux.Blocks()
 	anchors, cornerOf := staircaseAnchors(blocks, opt.Mode)
 	cats := make([]*catalog.Catalog, len(anchors))
-	_ = forEachIndexed(len(anchors), opt.Parallelism, func(i int) error {
+	_ = forEachIndexed(len(anchors), 0, func(i int) error {
 		cats[i] = BuildSelectCatalog(browse, anchors[i], opt.MaxK)
 		return nil
 	})
 	var corners []*catalog.Catalog
 	if opt.Mode == ModeCenterCorners {
 		corners = make([]*catalog.Catalog, len(blocks))
-		err := forEachIndexed(len(blocks), opt.Parallelism, func(b int) error {
+		err := forEachIndexed(len(blocks), 0, func(b int) error {
 			var four [4]*catalog.Catalog
 			for i, a := range cornerOf[b] {
 				four[i] = cats[a]

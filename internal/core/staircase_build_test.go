@@ -231,8 +231,9 @@ func TestStaircaseSharedCornersByteIdentical(t *testing.T) {
 			want := ref.AppendBinary(nil)
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%v/p=%d", family, mode, par), func(t *testing.T) {
-					opt.Parallelism = par
-					s, err := BuildStaircase(data, opt)
+					var s *Staircase
+					var err error
+					atProcs(par, func() { s, err = BuildStaircase(data, opt) })
 					if err != nil {
 						t.Fatal(err)
 					}

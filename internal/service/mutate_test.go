@@ -136,6 +136,39 @@ func TestMutatePointsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestListingIsLive: GET /relations reads the store's rows when it is
+// asked, so an acknowledged append shows in the listing at once, with the
+// delta depth the relation's status reports — compaction off, no publish
+// in between.
+func TestListingIsLive(t *testing.T) {
+	srv, _ := mutateServer(t)
+	for _, name := range []string{"a", "live"} {
+		if code, _ := adminPost(t, srv.URL+"/relations", RegisterRequest{Name: name, Points: inlinePoints(300, 1)}, nil); code != http.StatusAccepted {
+			t.Fatalf("register %s: status %d", name, code)
+		}
+		waitReadyHTTP(t, srv.URL, name)
+	}
+	add := [][2]float64{{1.5, 2.5}, {3.5, 4.5}}
+	if code := mutate(t, http.MethodPost, srv.URL+"/relations/live/points", MutateRequest{Points: add}, nil); code != http.StatusOK {
+		t.Fatalf("append: status %d", code)
+	}
+	var status RelationInfo
+	if code := getJSON(t, srv.URL+"/relations/live/status", &status); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	var list []RelationInfo
+	if code := getJSON(t, srv.URL+"/relations", &list); code != http.StatusOK || len(list) != 2 || list[1].Name != "live" {
+		t.Fatalf("listing: status %d, %+v", code, list)
+	}
+	if status.DeltaOps != 1 || status.DeltaPoints != 2 {
+		t.Fatalf("status after the append = %+v", status)
+	}
+	if got := list[1]; got.DeltaOps != status.DeltaOps || got.DeltaPoints != status.DeltaPoints {
+		t.Fatalf("the listing reads %d ops / %d points pending, the status %d / %d",
+			got.DeltaOps, got.DeltaPoints, status.DeltaOps, status.DeltaPoints)
+	}
+}
+
 func TestMutatePointsErrors(t *testing.T) {
 	srv, _ := mutateServer(t)
 	if code, _ := adminPost(t, srv.URL+"/relations", RegisterRequest{Name: "live", Points: inlinePoints(100, 2)}, nil); code != http.StatusAccepted {

@@ -202,8 +202,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // RelationInfo describes one relation in the /relations listing: identity and
 // catalog sizes of the published snapshot plus the live build status. The
-// whole listing comes from a single store View, so rows are mutually
-// consistent no matter how the schema churns.
+// whole listing is read under the store's lock in one call, so rows are
+// mutually consistent no matter how the schema churns, and each shows every
+// change acknowledged before the request.
 type RelationInfo struct {
 	Name             string `json:"name"`
 	State            string `json:"state"`
@@ -272,10 +273,10 @@ func infoFromStatus(st store.RelationStatus) RelationInfo {
 }
 
 func (s *Server) handleRelations(w http.ResponseWriter, _ *http.Request) {
-	list := s.store.View().List()
+	list := s.store.List()
 	out := make([]RelationInfo, len(list))
 	for i, st := range list {
-		out[i] = infoFromStatus(*st)
+		out[i] = infoFromStatus(st)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

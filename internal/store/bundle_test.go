@@ -485,11 +485,11 @@ func TestFailedRegistryWriteIsCounted(t *testing.T) {
 	}
 }
 
-// TestStatusRepublishSharesTheView: a republish in which no snapshot
-// changed (a queued/building transition, a delta-depth update) shares the
-// previous View's relation map and pair table, so a pair demanded through
-// either View is resolved once for both.
-func TestStatusRepublishSharesTheView(t *testing.T) {
+// TestStatusChangePublishesNoView: a change in which no snapshot changes
+// — a registration, an append — leaves the View as it was; and the
+// listing, which is not in the View, shows the append as soon as it is
+// acknowledged. pubMu is held meanwhile, so that no build publishes.
+func TestStatusChangePublishesNoView(t *testing.T) {
 	opt := testOptions(t)
 	opt.CompactInterval = -1
 	opt.CompactThreshold = 1 << 20
@@ -500,29 +500,33 @@ func TestStatusRepublishSharesTheView(t *testing.T) {
 		}
 	}
 	waitReady(t, s)
-	v1 := s.View()
-	if v1.Merge("s1", "s2") == nil {
+	v := s.View()
+	m := v.Merge("s1", "s2")
+	if m == nil {
 		t.Fatal("no merge for s1⋉s2")
 	}
-	builds := s.CatalogBuilds()
-	if _, err := s.Append("s2", []geom.Point{{X: 1, Y: 2}}); err != nil {
-		t.Fatal(err)
+	s.pubMu.Lock()
+	_, rerr := s.Register("s4", gridPoints(400, 8))
+	afterRegister := s.View()
+	_, aerr := s.Append("s2", []geom.Point{{X: 1, Y: 2}})
+	afterAppend := s.View()
+	list := s.List()
+	s.pubMu.Unlock()
+	if rerr != nil || aerr != nil {
+		t.Fatal(rerr, aerr)
 	}
-	s.mu.Lock()
-	s.republishLocked()
-	s.mu.Unlock()
-	v2 := s.View()
-	if v1 == v2 || v2.List()[1].DeltaOps != 1 {
-		t.Fatalf("append did not republish the listing: %+v", v2.List())
+	if afterRegister != v || afterAppend != v {
+		t.Fatal("a status-only change published a View")
 	}
-	if v1.pairs != v2.pairs || reflect.ValueOf(v1.relations).Pointer() != reflect.ValueOf(v2.relations).Pointer() {
-		t.Fatal("a status-only republish copied the View's maps")
+	if len(list) != 4 || list[1].Name != "s2" || list[1].DeltaOps != 1 || list[1].DeltaPoints != 1 {
+		t.Fatalf("the listing does not show the acknowledged append: %+v", list)
 	}
-	if v2.Merge("s1", "s2") != v1.Merge("s1", "s2") || v1.Merge("s3", "s1") != v2.Merge("s3", "s1") {
-		t.Fatal("the two Views resolved one pair twice")
+	if list[3].Name != "s4" || list[3].State == StateReady.String() {
+		t.Fatalf("the listing shows s4 ready before it published: %+v", list[3])
 	}
-	if got := s.CatalogBuilds(); got != builds+1 {
-		t.Fatalf("a status-only republish and one new pair built %d catalogs, want 1", got-builds)
+	waitReady(t, s, "s4")
+	if s.View() == v || s.View().Merge("s1", "s2") != m {
+		t.Fatal("s4's publish did not carry the resolved pair into its View")
 	}
 }
 

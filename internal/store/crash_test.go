@@ -9,11 +9,11 @@ package store
 // dead generation's bundle about to be unlinked). At each firing the harness
 // copies the whole cache directory
 // — WAL, artifact store, registry — exactly as it exists at that instant,
-// and notes whether the store's View lists the relation as ready. Each copy
+// and notes which relations the store's View serves. Each copy
 // is then recovered into a fresh store, which must come up serving SOME
 // mutation prefix of the applied history, bit-for-bit equal to a
 // from-scratch build of that prefix — and must come up serving every
-// relation a reader had been told was ready. File copies over-approximate
+// relation a reader had been served. File copies over-approximate
 // what survives a real crash (they read through the page cache), but the
 // torn-write case is covered by the mid-frame hook and lost-fsync
 // reordering by FuzzReplayWAL.
@@ -38,7 +38,7 @@ import (
 type crashCapture struct {
 	dir   string
 	op    string
-	ready []string // relations the View listed as ready at the capture
+	ready []string // relations the View served at the capture
 }
 
 // copyTree snapshots src into dst, skipping in-flight temp files and
@@ -95,11 +95,7 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		}
 		c := crashCapture{dir: dst, op: op}
 		if st := live.Load(); st != nil {
-			for _, rs := range st.View().List() { // lock-free: the hook may run under pubMu or s.mu
-				if rs.State == StateReady.String() {
-					c.ready = append(c.ready, rs.Name)
-				}
-			}
+			c.ready = st.View().Names() // lock-free: the hook may run under pubMu or s.mu
 		}
 		caps = append(caps, c)
 	}
@@ -195,10 +191,10 @@ func TestCrashInjectionRecoversAndConverges(t *testing.T) {
 		}
 		// Coming up without a relation is a valid (if maximally
 		// conservative) recovery of a crash before its first publish reached
-		// the registry — but not once a reader was told it was ready.
+		// the registry — but not once a reader was served it.
 		for _, name := range cap.ready {
 			if _, known := s2.Status(name); !known {
-				t.Fatalf("capture %d (%s): the View listed %q ready, the restart lost it", i, cap.op, name)
+				t.Fatalf("capture %d (%s): the View served %q, the restart lost it", i, cap.op, name)
 			}
 		}
 		if _, known := s2.Status("peer"); known {

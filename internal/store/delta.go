@@ -45,7 +45,7 @@ import (
 )
 
 // Typed errors returned by the mutation API; the service layer maps them to
-// HTTP statuses.
+// HTTP status codes.
 var (
 	// ErrUnknownRelation means the relation is not registered.
 	ErrUnknownRelation = errors.New("store: unknown relation")
@@ -174,7 +174,6 @@ func (s *Store) mutate(kind wal.Kind, name string, pts []geom.Point) (RelationSt
 		lsn = s.seq
 	}
 	e.pending = append(e.pending, mutation{lsn: lsn, kind: kind, pts: pts, at: time.Now()})
-	s.relist[name] = true // the next View lists the delta
 	if pendingPoints(e) >= s.opt.CompactThreshold {
 		s.compactLocked(e)
 	}
@@ -216,7 +215,7 @@ func (s *Store) rollbackMutation(name string, lsn uint64) bool {
 	for i, m := range e.pending {
 		if m.lsn == lsn {
 			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			s.republishLocked(name)
+			s.wakeLocked()
 			return true
 		}
 	}
@@ -294,7 +293,7 @@ func (s *Store) compactLocked(e *entry) {
 		return // queue saturated; the interval compactor retries
 	}
 	stageFold(e)
-	s.republishLocked(e.name)
+	s.wakeLocked()
 }
 
 // stageFold makes the generation stageLocked staged fold e's pending deltas.

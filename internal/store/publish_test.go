@@ -117,12 +117,12 @@ func TestWritersDoNotWaitForPublishIO(t *testing.T) {
 	p.wait(t)
 	var errs [3]error
 	var st RelationStatus
-	var listed []*RelationStatus
+	var listed []RelationStatus
 	within(t, "Register", func() { _, errs[0] = s.Register("next", gridPoints(300, 3)) })
 	within(t, "Append", func() { _, errs[1] = s.Append("other", gridPoints(5, 4)) })
 	within(t, "Status", func() { st, _ = s.Status("parked") })
 	within(t, "Flush", func() { errs[2] = s.Flush("other") })
-	within(t, "View().List()", func() { listed = s.View().List() })
+	within(t, "List", func() { listed = s.List() })
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestWritersDoNotWaitForPublishIO(t *testing.T) {
 	if st.State == StateReady.String() || s.View().Relation("parked") != nil {
 		t.Fatalf("the parked relation is served before its registry names it: %+v", st)
 	}
-	if i := slices.IndexFunc(listed, func(st *RelationStatus) bool { return st.Name == "parked" }); i < 0 || listed[i].State == StateReady.String() {
+	if i := slices.IndexFunc(listed, func(st RelationStatus) bool { return st.Name == "parked" }); i < 0 || listed[i].State == StateReady.String() {
 		t.Fatalf("the listing shows the parked relation ready, or not at all (row %d of %d)", i, len(listed))
 	}
 	p.unpark()

@@ -55,7 +55,7 @@ func TestRestartRestoresEveryRelation(t *testing.T) {
 			re := newTestStore(t, opt)
 			waitReady(t, re)
 			if got := re.View().NumRelations(); got != relations {
-				t.Fatalf("the restart serves %d of %d relations: %v", got, relations, re.View().List())
+				t.Fatalf("the restart serves %d of %d relations: %v", got, relations, re.List())
 			}
 			// A restore loads two catalogs, a salvage builds them; the folds
 			// of the appends build theirs either way.
@@ -126,9 +126,10 @@ func TestSkippedRelationPinsTheLog(t *testing.T) {
 				t.Errorf("the restart serves %d relations, want %d", got, want)
 			}
 			if damaged {
-				i := slices.IndexFunc(re.View().List(), func(st *RelationStatus) bool { return st.Name == last })
-				if i < 0 || re.View().List()[i].State != StateFailed.String() || re.View().List()[i].Error == "" {
-					t.Errorf("the relation whose points do not verify is not listed as failed: %+v", re.View().List())
+				list := re.List()
+				i := slices.IndexFunc(list, func(st RelationStatus) bool { return st.Name == last })
+				if i < 0 || list[i].State != StateFailed.String() || list[i].Error == "" {
+					t.Errorf("the relation whose points do not verify is not listed as failed: %+v", list)
 				}
 			}
 
@@ -181,7 +182,7 @@ func TestLostRelationIsReplacedOrDropped(t *testing.T) {
 	if got := re.View().Names(); !slices.Equal(got, []string{"keep"}) {
 		t.Fatalf("the restart serves %v, want [keep]", got)
 	}
-	if got := len(re.View().List()); got != 3 {
+	if got := len(re.List()); got != 3 {
 		t.Fatalf("the listing holds %d relations, want the 2 lost ones too", got)
 	}
 	if _, known := re.Status("again"); known {
@@ -192,7 +193,7 @@ func TestLostRelationIsReplacedOrDropped(t *testing.T) {
 	if !re.Drop("gone") {
 		t.Fatal("Drop of a lost relation returned false")
 	}
-	if got := re.View().List(); len(got) != 2 || got[0].Name != "again" || got[0].State != StateReady.String() {
+	if got := re.List(); len(got) != 2 || got[0].Name != "again" || got[0].State != StateReady.String() {
 		t.Fatalf("after the registration and the drop the listing is %+v", got)
 	}
 	if reg := re.cache.registry(); len(reg) != 2 || reg[0].Fingerprint != re.View().Relation("again").Fingerprint {
@@ -202,8 +203,8 @@ func TestLostRelationIsReplacedOrDropped(t *testing.T) {
 
 	warm := newTestStore(t, opt)
 	waitReady(t, warm)
-	if got := warm.View().Names(); !slices.Equal(got, []string{"again", "keep"}) || warm.CatalogBuilds() != 0 || len(warm.View().List()) != 2 {
-		t.Fatalf("the next restart serves %v after %d builds, listing %d", got, warm.CatalogBuilds(), len(warm.View().List()))
+	if got := warm.View().Names(); !slices.Equal(got, []string{"again", "keep"}) || warm.CatalogBuilds() != 0 || len(warm.List()) != 2 {
+		t.Fatalf("the next restart serves %v after %d builds, listing %d", got, warm.CatalogBuilds(), len(warm.List()))
 	}
 	if got := warm.View().Relation("again").Points(); !samePoints(got, pts) {
 		t.Fatal("the re-registered relation did not restore its points")
@@ -309,7 +310,8 @@ func TestRestoredCountIndexIsTheBuilds(t *testing.T) {
 // catalog sets (one interval array and one offset array each): 9.7 KB in
 // 46.7 heap objects a relation when every catalog was its own slice header
 // and every tree node its own allocation, 26.6 while the snapshot's points
-// source was an object of its own. What the restore allocates
+// source was an object of its own, and 7.5 KB in 25.6 while the View kept a
+// listing row for it. What the restore allocates
 // besides is logged: a daemon that never reaches its first collection keeps
 // that too.
 func TestRestoredRelationHeap(t *testing.T) {
@@ -345,8 +347,8 @@ func TestRestoredRelationHeap(t *testing.T) {
 	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / relations
 	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / relations
 	t.Logf("a restored relation keeps %.0f B in %.1f objects; the restore allocated %.0f B a relation", live, objects, allocated)
-	if live > 7.5*1024 || objects > 26 {
-		t.Errorf("a restored relation keeps %.0f B in %.1f objects, want <= 7680 B in <= 26", live, objects)
+	if live > 7.25*1024 || objects > 25 {
+		t.Errorf("a restored relation keeps %.0f B in %.1f objects, want <= 7424 B in <= 25", live, objects)
 	}
 	runtime.KeepAlive(re)
 }

@@ -12,13 +12,15 @@
 //     (Count-Index, staircase, density, Virtual-Grid, AkNN summary; the
 //     points stay in the bundle the build wrote). Snapshots never change
 //     after publication.
-//   - All published snapshots and the listing metadata live in a single
-//     immutable View swapped in with one atomic pointer store (RCU, the same
-//     model an inference server uses for hot model swaps). An in-flight
-//     estimate that loaded a View keeps a fully consistent schema for its
-//     whole lifetime; a rebuild, drop or registration never mutates anything
-//     a reader can see. View resolution is one atomic load plus a map lookup
-//     and performs zero heap allocations (a test pins this).
+//   - All published snapshots live in a single immutable View swapped in
+//     with one atomic pointer store (RCU, the same model an inference server
+//     uses for hot model swaps). An in-flight estimate that loaded a View
+//     keeps a fully consistent schema for its whole lifetime; a rebuild, drop
+//     or registration never mutates anything a reader can see. View
+//     resolution is one atomic load plus a map lookup and performs zero heap
+//     allocations (a test pins this). The listing is not in the View: List
+//     reads it from the store's bookkeeping, under the store lock, which a
+//     publish never holds across its file I/O.
 //   - Catalog-Merge needs a catalog per ordered pair (the paper's O(n²)
 //     term, §4.3): the View resolves one when a join or plan first asks.
 //   - Catalog construction runs on a bounded background worker pool. Builds
@@ -323,35 +325,35 @@ func (sn *Snapshot) logicalPoints(muts []mutation) ([]geom.Point, error) {
 // by listings and status endpoints. It is a value type copied out of the
 // store, never a live reference.
 type RelationStatus struct {
-	Name    string `json:"name"`
-	State   string `json:"state"`
-	Version uint64 `json:"version"`
-	Error   string `json:"error,omitempty"`
+	Name    string
+	State   string
+	Version uint64
+	Error   string
 	// The remaining fields describe the published snapshot and are zero
 	// until the first publication.
-	NumPoints        int `json:"num_points"`
-	NumBlocks        int `json:"num_blocks"`
-	StaircaseBytes   int `json:"staircase_bytes"`
-	VirtualGridBytes int `json:"virtual_grid_bytes"`
-	AknnBytes        int `json:"aknn_bytes"`
+	NumPoints        int
+	NumBlocks        int
+	StaircaseBytes   int
+	VirtualGridBytes int
+	AknnBytes        int
 	// Resolution is the resolution the published snapshot was built at.
-	Resolution core.Resolution `json:"resolution"`
+	Resolution core.Resolution
 	// Delta overlay depth: mutations acknowledged but not yet compacted
 	// into the published snapshot. All zero when the relation is settled.
-	DeltaOps    int   `json:"delta_ops,omitempty"`
-	DeltaPoints int   `json:"delta_points,omitempty"`
-	DeltaAgeMs  int64 `json:"delta_age_ms,omitempty"`
+	DeltaOps    int
+	DeltaPoints int
+	DeltaAgeMs  int64
 }
 
-// View is an immutable snapshot of the whole store: every published
-// relation and the listing. A View loaded once stays internally consistent
-// forever; later registrations, rebuilds and drops produce new Views without
-// touching old ones; all a View gains once published is memoised pair merges.
+// View is an immutable snapshot of what an estimate resolves: every
+// published relation and the pair merges asked for over them. A View loaded
+// once stays internally consistent forever; later publishes and drops
+// produce new Views without touching old ones; all a View gains once
+// published is memoised pair merges.
 type View struct {
 	relations map[string]*Snapshot
-	statuses  []*RelationStatus // sorted listing incl. unpublished relations
-	pairs     *sync.Map         // pairKey → *pairSlot, for every pair a join or plan asked for
-	store     *Store            // resolves the merges; nil only in emptyView, which has no pair
+	pairs     *sync.Map // pairKey → *pairSlot, for every pair a join or plan asked for
+	store     *Store    // resolves the merges; nil only in emptyView, which has no pair
 }
 
 // pairKey is {outer, inner} by identity: no slot serves another generation.
@@ -429,12 +431,6 @@ func (v *View) Names() []string {
 	slices.Sort(names)
 	return names
 }
-
-// List returns the status of every relation known when the View was
-// published (including queued, building and failed ones), sorted by name.
-// The slice and the statuses are shared, one per row a publish recomputed:
-// callers must not modify them.
-func (v *View) List() []*RelationStatus { return v.statuses }
 
 // NumRelations returns the number of published relations.
 func (v *View) NumRelations() int { return len(v.relations) }
@@ -519,10 +515,10 @@ type Store struct {
 	// a worker forms groups until none is left.
 	finished []*member
 	leading  bool
-	// relist names the relations whose listing row the next View recomputes:
-	// those whose status changed, and those with deltas, whose age moves.
-	relist    map[string]bool
-	published chan struct{} // closed and replaced at every View swap and at Close
+	// published is closed and replaced at every state change a wait may
+	// end on — a View swap, a status change, a delta folded or rolled
+	// back — and at Close.
+	published chan struct{}
 	// publishHooks run under s.mu whenever a relation's published snapshot
 	// changes (hot swap, compaction publish, drop); see AddPublishHook.
 	publishHooks []func(relation string)
@@ -566,7 +562,6 @@ func New(opt Options) (*Store, error) {
 		opt:       opt,
 		entries:   map[string]*entry{},
 		lost:      map[string]*entry{},
-		relist:    map[string]bool{},
 		published: make(chan struct{}),
 		jobs:      make(chan string, opt.QueueLen),
 	}
@@ -772,7 +767,7 @@ func (s *Store) RegisterResolution(name string, pts []geom.Point, res core.Resol
 	e.ckptLSN = s.lastLSNLocked()
 	e.isCompact = false
 	e.res = res
-	s.republishLocked(name)
+	s.wakeLocked()
 	return e.statusLocked(), nil
 }
 
@@ -877,6 +872,29 @@ func (s *Store) Status(name string) (RelationStatus, bool) {
 		return RelationStatus{}, false
 	}
 	return e.statusLocked(), true
+}
+
+// List returns the current status of every relation, sorted by name:
+// queued, building, ready and failed ones, and the ones a restart could not
+// restore, listed as failed. The rows are read under s.mu, which a publish
+// never holds across its file I/O, so a listing waits for no fsync and shows
+// every change acknowledged before it.
+func (s *Store) List() []RelationStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rows := make([]*entry, 0, len(s.entries)+len(s.lost))
+	for _, e := range s.entries {
+		rows = append(rows, e)
+	}
+	for _, e := range s.lost {
+		rows = append(rows, e)
+	}
+	slices.SortFunc(rows, func(a, b *entry) int { return strings.Compare(a.name, b.name) })
+	list := make([]RelationStatus, len(rows))
+	for i, e := range rows {
+		list[i] = e.statusLocked()
+	}
+	return list
 }
 
 // WaitReady blocks until every named relation is ready, any of them fails
@@ -1016,7 +1034,7 @@ func (s *Store) runJob(name string) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	e.cancel = cancel
 	e.state = StateBuilding
-	s.republishLocked(name)
+	s.wakeLocked()
 	s.mu.Unlock()
 
 	var built *builtRelation
@@ -1045,7 +1063,7 @@ func (s *Store) runJob(name string) {
 	switch {
 	case current && errors.Is(err, errEmptyFold):
 		cur.state = StateReady // the deltas stay pending, the snapshot serves
-		s.republishLocked(name)
+		s.wakeLocked()
 		s.opt.logger().Printf("store: compaction of %q would delete every point; deltas stay pending", name)
 	case current && err != nil:
 		if cancelled {
@@ -1054,7 +1072,7 @@ func (s *Store) runJob(name string) {
 		cur.state = StateFailed
 		cur.err = err.Error()
 		cur.pendingPts = nil // nothing builds from them again: a retry is a new registration or a compaction
-		s.republishLocked(name)
+		s.wakeLocked()
 		s.opt.logger().Printf("store: building %q: %v", name, err)
 	case built != nil: // one dropped or superseded meanwhile is discarded when its group forms
 		s.finished = append(s.finished, &member{name: name, gen: gen, b: built})
@@ -1377,7 +1395,6 @@ func (s *Store) persist(group []*member) (replaced []string) {
 func (s *Store) installLocked(group []*member) (trim uint64) {
 	for _, m := range group {
 		e, current := m.e, m.e.gen == m.gen
-		s.relist[m.name] = true
 		if s.cache != nil {
 			if m.durable {
 				e.durableFP, e.durableCovered = m.b.fp, m.covered
@@ -1396,7 +1413,11 @@ func (s *Store) installLocked(group []*member) (trim uint64) {
 			s.compactions.Add(1)
 		}
 	}
-	s.republishLocked()
+	names := make([]string, len(group))
+	for i, m := range group {
+		names[i] = m.name
+	}
+	s.republishLocked(names...)
 	for _, m := range group {
 		s.notifyPublishLocked(m.name)
 		// Deltas that arrived while the build ran (or were replayed at
@@ -1447,69 +1468,39 @@ func (s *Store) wakeLocked() {
 	s.published = make(chan struct{})
 }
 
-// republishLocked swaps in the next View, for every change but a new
-// snapshot, which only installLocked and a restore make. It patches the
-// current View: the rows of names and the other relisted relations are
-// recomputed and merged into the listing in name order, so a publish that
-// replaces one snapshot changes one row and sorts nothing but the relisted
-// names. A View is immutable, so what did not change is shared with the
-// current one: all but the listing when no snapshot changed (a status or
-// delta-depth update); otherwise the relations map is cloned and patched,
-// and the pair table starts over with the slots — resolved, failed or in
-// flight — whose two snapshots are both still published.
+// republishLocked swaps in the next View if the published snapshot of one
+// of names changed, and wakes the waits either way. A View is immutable, so
+// the next one clones and patches the relations map, and its pair table
+// starts over with the slots — resolved, failed or in flight — whose two
+// snapshots are both still published.
 func (s *Store) republishLocked(names ...string) {
-	for _, name := range names {
-		s.relist[name] = true
-	}
-	if len(s.relist) == 0 {
-		return
-	}
-	relisted := make([]string, 0, len(s.relist))
-	for name := range s.relist {
-		relisted = append(relisted, name)
-	}
-	slices.Sort(relisted)
 	old := s.view.Load()
-	v := &View{relations: old.relations, pairs: old.pairs, store: s,
-		statuses: make([]*RelationStatus, 0, len(old.statuses)+len(relisted))}
-	rest, swapped := old.statuses, false
-	for _, name := range relisted {
-		i, found := slices.BinarySearchFunc(rest, name, func(st *RelationStatus, n string) int { return strings.Compare(st.Name, n) })
-		v.statuses = append(v.statuses, rest[:i]...)
-		if found {
-			i++
-		}
-		rest = rest[i:]
-		e := s.entries[name]
+	var relations map[string]*Snapshot
+	for _, name := range names {
 		var snap *Snapshot
-		if row := cmp.Or(e, s.lost[name]); row != nil {
-			st := row.statusLocked()
-			v.statuses = append(v.statuses, &st)
-			snap = row.snap // a lost entry has none
+		if e := s.entries[name]; e != nil {
+			snap = e.snap
 		}
-		if e == nil || len(e.pending) == 0 {
-			delete(s.relist, name)
+		if snap == old.relations[name] {
+			continue
 		}
-		if snap != old.relations[name] {
-			if !swapped {
-				v.relations, swapped = maps.Clone(old.relations), true
-			}
-			if v.relations[name] = snap; snap == nil {
-				delete(v.relations, name)
-			}
+		if relations == nil {
+			relations = maps.Clone(old.relations)
+		}
+		if relations[name] = snap; snap == nil {
+			delete(relations, name)
 		}
 	}
-	v.statuses = append(v.statuses, rest...)
-	if swapped {
-		v.pairs = new(sync.Map)
+	if relations != nil {
+		v := &View{relations: relations, pairs: new(sync.Map), store: s}
 		old.pairs.Range(func(key, slot any) bool {
-			if p := key.(pairKey); v.relations[p[0].Name] == p[0] && v.relations[p[1].Name] == p[1] {
+			if p := key.(pairKey); relations[p[0].Name] == p[0] && relations[p[1].Name] == p[1] {
 				v.pairs.Store(key, slot)
 			}
 			return true
 		})
+		s.view.Store(v)
 	}
-	s.view.Store(v)
 	s.wakeLocked()
 }
 
@@ -1543,28 +1534,8 @@ func (e *entry) statusLocked() RelationStatus {
 // boundsOf returns the bounding rectangle of pts, slightly inflated so
 // every point is strictly inside (a quadtree needs open upper edges).
 func boundsOf(pts []geom.Point) geom.Rect {
-	r := geom.NewRect(pts[0].X, pts[0].Y, pts[0].X, pts[0].Y)
-	for _, p := range pts[1:] {
-		if p.X < r.Min.X {
-			r.Min.X = p.X
-		}
-		if p.Y < r.Min.Y {
-			r.Min.Y = p.Y
-		}
-		if p.X > r.Max.X {
-			r.Max.X = p.X
-		}
-		if p.Y > r.Max.Y {
-			r.Max.Y = p.Y
-		}
-	}
-	w, h := r.Width(), r.Height()
-	if w == 0 {
-		w = 1
-	}
-	if h == 0 {
-		h = 1
-	}
+	r := geom.BoundsOf(pts)
+	w, h := cmp.Or(r.Width(), 1), cmp.Or(r.Height(), 1)
 	r.Min.X -= w * 0.001
 	r.Min.Y -= h * 0.001
 	r.Max.X += w * 0.001

@@ -13,6 +13,9 @@ import (
 	"knncost/internal/index"
 )
 
+// pointRadiusPx is the radius of a drawn point, in pixels.
+const pointRadiusPx = 1.0
+
 // Options configure rendering.
 type Options struct {
 	// WidthPx is the image width in pixels; height follows the aspect
@@ -24,8 +27,6 @@ type Options struct {
 	// Seed drives point sampling. The zero seed is valid and
 	// deterministic.
 	Seed int64
-	// PointRadius is the dot radius in pixels. Zero means 1.
-	PointRadius float64
 	// DrawBlocks draws the leaf-block outlines of the index.
 	DrawBlocks bool
 }
@@ -36,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPoints == 0 {
 		o.MaxPoints = 20000
-	}
-	if o.PointRadius == 0 {
-		o.PointRadius = 1
 	}
 	return o
 }
@@ -108,7 +106,7 @@ func RenderSVG(w io.Writer, pts []geom.Point, ix *index.Tree, opt Options) error
 		for _, p := range sample {
 			x, y := tx(p)
 			if _, err := fmt.Fprintf(w, `<circle cx="%.2f" cy="%.2f" r="%.2f"/>`+"\n",
-				x, y, opt.PointRadius); err != nil {
+				x, y, pointRadiusPx); err != nil {
 				return err
 			}
 		}

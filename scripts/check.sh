@@ -17,9 +17,12 @@ cd "$(dirname "$0")/.."
 # repeats TestConcurrentResolve, TestArtifactsBuildOnce and
 # TestBuildErrorCached), the bounds-only AkNN join (whose summaries are shared across snapshot
 # readers), the WAL's group-commit fsync batching, the relation store's
-# build pool, delta overlays, hot-swap publication, group publication (a
-# publish's file I/O runs off the store lock, so the race stage also
-# repeats the tests that park one there: TestWritersDoNotWaitForPublishIO,
+# build pool, delta overlays, hot-swap publication, the listing (read
+# under the store lock, not kept in the View: the race stage repeats
+# TestListingConsistentUnderChurn and TestStatusChangePublishesNoView),
+# group publication (a publish's file I/O runs off the store lock, so the
+# race stage also repeats the tests that park one there:
+# TestWritersDoNotWaitForPublishIO,
 # the *DuringPersist tests, TestPublishGroupCommitsOnce, and with them
 # TestFoldWaitsForItsLogFsync, which parks a mutation's fsync under a fold,
 # and TestLostLogKeepsNewWrites), build claims (two stores, or two workers,
@@ -69,7 +72,7 @@ internal/service:FuzzNumber
 
 race() {
 	go test -race $RACE_PKGS
-	go test -race -count=10 -run 'DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites|ConcurrentScopesBuildOnce|ClaimWaitEndsWithItsBuild|ClaimDiesWithItsHolder' ./internal/store/
+	go test -race -count=10 -run 'ListingConsistentUnderChurn|StatusChangePublishesNoView|DuringPersist|PublishIO|GroupCommitsOnce|FoldWaitsForItsLogFsync|LostLogKeepsNewWrites|ConcurrentScopesBuildOnce|ClaimWaitEndsWithItsBuild|ClaimDiesWithItsHolder' ./internal/store/
 	go test -race -count=10 -run 'RoutedRegistrationBuildsOnce' ./cmd/knncostd/
 	go test -race -count=10 -run 'RouterDifferential|RelationGetFindsAnyOwner|MutationHealPinnedToPrimary' ./internal/shard/
 	go test -race -count=10 -run 'ConcurrentResolve|ArtifactsBuildOnce|BuildErrorCached' ./internal/engine/
