@@ -55,9 +55,13 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Machine-readable hot-path numbers: writes BENCH_<date>.json to results/.
+# Machine-readable hot-path numbers: writes BENCH_<date>.json to results/,
+# or BENCH_<date>_pr<N>.json with `make perf PR=<N>`: the file is
+# written to a temp dir and renamed into results/ with the PR's suffix.
 perf:
-	$(GO) run ./cmd/knnbench -perf -out results
+	tmp="$$(mktemp -d)" && $(GO) run ./cmd/knnbench -perf -out "$$tmp" && \
+	for f in "$$tmp"/BENCH_*.json; do mv "$$f" "results/$$(basename "$$f" .json)$(if $(PR),_pr$(PR)).json"; done && \
+	rmdir "$$tmp"
 
 # Perf-trajectory gate: re-measure every hot path and fail when any op in
 # the newest committed BENCH_<date>.json regresses by more than 20% ns/op.

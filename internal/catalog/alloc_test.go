@@ -60,3 +60,48 @@ func TestResetReuse(t *testing.T) {
 		t.Errorf("Reset+Append reuse allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestSlabKeepsEachCatalog: catalogs built one after another on a slab keep
+// their own intervals whatever is built after them, one that outgrows the
+// slab is kept where its appends moved it, an Append to a closed catalog
+// copies rather than writing over the next, and once the slab has room a
+// catalog allocates nothing.
+func TestSlabKeepsEachCatalog(t *testing.T) {
+	var s Slab
+	build := func(n int) Catalog {
+		c := s.Open()
+		for i := 1; i <= n; i++ {
+			if err := c.Append(i, i, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Close(c)
+	}
+	var kept []Catalog
+	for n := 1; n <= 40; n++ {
+		kept = append(kept, build(n%7+1))
+	}
+	grown := kept[3]
+	if err := grown.Append(grown.MaxK()+1, grown.MaxK()+1, 99); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range kept {
+		n := (i+1)%7 + 1
+		if c.Len() != n {
+			t.Fatalf("catalog %d holds %d intervals, want %d", i, c.Len(), n)
+		}
+		for k := 1; k <= n; k++ {
+			if cost, ok := c.Lookup(k); !ok || cost != k {
+				t.Fatalf("catalog %d: Lookup(%d) = (%d, %v), want %d", i, k, cost, ok, k)
+			}
+		}
+	}
+	s.Reset()
+	build(7) // room for the next ones now
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		build(7)
+	}); allocs != 0 {
+		t.Errorf("a catalog built on a slab with room allocates %.1f times, want 0", allocs)
+	}
+}

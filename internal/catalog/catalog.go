@@ -103,6 +103,42 @@ func (c *Catalog) Clone() *Catalog {
 	return &Catalog{entries: slices.Clone(c.entries)}
 }
 
+// Slab is storage for catalogs built one after another: a builder opens a
+// catalog at the slab's end, appends to it and closes it, and the closed
+// catalog is a view of the slab. So building many catalogs allocates per
+// slab, not per catalog, and Pack copies each from its slab into a Set
+// once. A slab is reused after Reset, once none of its views is read.
+type Slab struct {
+	entries []interval
+}
+
+// Open returns an empty catalog whose appends fill s's spare capacity.
+// Close it before the next Open.
+func (s *Slab) Open() Catalog {
+	n := len(s.entries)
+	return Catalog{entries: s.entries[n:n]}
+}
+
+// Close keeps c, the catalog last opened on s and since appended to, and
+// returns it, full to capacity so that an Append to it copies. A c that
+// outgrew s's spare capacity lives in the array its Append moved it to;
+// s then starts an array with room for more, and views of the old one stay
+// valid.
+func (s *Slab) Close(c Catalog) Catalog {
+	n, m := len(s.entries), len(c.entries)
+	switch {
+	case m == 0:
+	case m <= cap(s.entries)-n && &c.entries[0] == &s.entries[:n+1][n]:
+		s.entries = s.entries[:n+m]
+	default:
+		s.entries = make([]interval, 0, 2*cap(s.entries)+4*m)
+	}
+	return Catalog{entries: c.entries[:m:m]}
+}
+
+// Reset empties s for reuse, keeping its current array.
+func (s *Slab) Reset() { s.entries = s.entries[:0] }
+
 // Entries returns the intervals as a freshly built slice with their starts
 // filled in. It allocates: it serves figures and tests, nothing on a
 // request path.
@@ -203,18 +239,18 @@ type sweepSource struct {
 // merge sweeps the interval boundaries of cats (all covering [1, maxK]) in
 // ascending order — a min-heap yields the next boundary, as §4.2.1
 // prescribes — and combines the per-catalog costs of each elementary
-// interval with combine.
-func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
+// interval with combine, appending the result to out, an empty catalog.
+func merge(out *Catalog, cats []*Catalog, combine func(costs []int) int) error {
 	if len(cats) == 0 {
-		return nil, errors.New("catalog: merge of zero catalogs")
+		return errors.New("catalog: merge of zero catalogs")
 	}
 	maxK := cats[0].MaxK()
 	for i, c := range cats {
 		if c.Len() == 0 {
-			return nil, fmt.Errorf("catalog: merge input %d is empty", i)
+			return fmt.Errorf("catalog: merge input %d is empty", i)
 		}
 		if c.MaxK() != maxK {
-			return nil, fmt.Errorf("catalog: merge input %d covers up to %d, want %d", i, c.MaxK(), maxK)
+			return fmt.Errorf("catalog: merge input %d covers up to %d, want %d", i, c.MaxK(), maxK)
 		}
 	}
 	sources := make([]sweepSource, len(cats))
@@ -226,13 +262,12 @@ func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
 		costs[i] = int(c.entries[0].cost)
 		boundaries.Push(i, float64(c.entries[0].end))
 	}
-	out := &Catalog{}
 	start := 1
 	for start <= maxK {
 		endF, _ := boundaries.PeekPriority()
 		end := int(endF)
 		if err := out.Append(start, end, combine(costs)); err != nil {
-			return nil, err
+			return err
 		}
 		// Advance every catalog whose current interval ends here.
 		for {
@@ -250,34 +285,44 @@ func merge(cats []*Catalog, combine func(costs []int) int) (*Catalog, error) {
 		}
 		start = end + 1
 	}
-	return out, nil
+	return nil
 }
 
 // MergeSum produces the aggregate catalog of Figure 8: for every k the cost
 // is the sum of the input catalogs' costs at k. All inputs must cover the
 // same [1, maxK] domain.
 func MergeSum(cats []*Catalog) (*Catalog, error) {
-	return merge(cats, func(costs []int) int {
-		total := 0
-		for _, c := range costs {
-			total += c
-		}
-		return total
-	})
+	out := &Catalog{}
+	if err := merge(out, cats, sum); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // MergeMax produces the corners-catalog of §3.2: for every k the maximum
 // cost across the inputs. All inputs must cover the same [1, maxK] domain.
-func MergeMax(cats []*Catalog) (*Catalog, error) {
-	return merge(cats, func(costs []int) int {
-		m := costs[0]
-		for _, c := range costs[1:] {
-			if c > m {
-				m = c
-			}
+// It appends the result to out, an empty catalog (one opened on a Slab,
+// for the staircase's builds).
+func MergeMax(out *Catalog, cats []*Catalog) error {
+	return merge(out, cats, maxOf)
+}
+
+func sum(costs []int) int {
+	total := 0
+	for _, c := range costs {
+		total += c
+	}
+	return total
+}
+
+func maxOf(costs []int) int {
+	m := costs[0]
+	for _, c := range costs[1:] {
+		if c > m {
+			m = c
 		}
-		return m
-	})
+	}
+	return m
 }
 
 // The binary encoding: a version byte, the uvarint entry count, then per

@@ -144,7 +144,10 @@ func TestMergeErrors(t *testing.T) {
 		merge func([]*Catalog) (*Catalog, error)
 	}{
 		{"MergeSum", MergeSum},
-		{"MergeMax", MergeMax},
+		{"MergeMax", func(cats []*Catalog) (*Catalog, error) {
+			out := &Catalog{}
+			return out, MergeMax(out, cats)
+		}},
 	}
 	for _, m := range merges {
 		if _, err := m.merge(nil); err == nil || err.Error() != "catalog: merge of zero catalogs" {
@@ -171,8 +174,8 @@ func TestMergeMax(t *testing.T) {
 	b := &Catalog{}
 	mustAppend(t, b, 1, 15, 5)
 	mustAppend(t, b, 16, 20, 6)
-	m, err := MergeMax([]*Catalog{a, b})
-	if err != nil {
+	m := &Catalog{}
+	if err := MergeMax(m, []*Catalog{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct{ k, want int }{{1, 5}, {10, 5}, {11, 9}, {15, 9}, {16, 9}, {20, 9}}
@@ -215,8 +218,8 @@ func TestMergeMatchesNaiveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mx, err := MergeMax(cats)
-		if err != nil {
+		mx := &Catalog{}
+		if err := MergeMax(mx, cats); err != nil {
 			return false
 		}
 		for k := 1; k <= maxK; k++ {

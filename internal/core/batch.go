@@ -32,7 +32,7 @@ func EstimateSelectBatch(est SelectEstimator, queries []SelectQuery, parallelism
 	results := make([]SelectResult, len(queries))
 	// fn only writes slot i and never returns an error, so the fan-out
 	// cannot short-circuit and every query is answered.
-	_ = forEachIndexed(len(queries), parallelism, func(i int) error {
+	_ = forEachIndexed(len(queries), parallelism, func(_, i int) error {
 		blocks, err := est.EstimateSelect(queries[i].Point, queries[i].K)
 		results[i] = SelectResult{Blocks: blocks, Err: err}
 		return nil
@@ -48,7 +48,7 @@ func EstimateSelectBatch(est SelectEstimator, queries []SelectQuery, parallelism
 // be served. Per-query estimator failures still do not fail the batch.
 func EstimateSelectBatchContext(ctx context.Context, est SelectEstimator, queries []SelectQuery, parallelism int) ([]SelectResult, error) {
 	results := make([]SelectResult, len(queries))
-	err := forEachIndexed(len(queries), parallelism, func(i int) error {
+	err := forEachIndexed(len(queries), parallelism, func(_, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

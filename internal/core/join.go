@@ -114,7 +114,7 @@ func BuildCatalogMerge(outer, inner *index.Tree, sampleSize, maxK int) (*Catalog
 	// Temporary catalogs are independent, so build them on all cores; the
 	// result is deterministic because each worker writes only its slot.
 	temps := make([]*catalog.Catalog, len(sample))
-	_ = forEachIndexed(len(sample), 0, func(i int) error {
+	_ = forEachIndexed(len(sample), 0, func(_, i int) error {
 		temps[i] = BuildLocalityCatalog(inner, sample[i].Bounds, maxK)
 		return nil
 	})
@@ -194,13 +194,18 @@ func BuildVirtualGrid(inner *index.Tree, nx, ny, maxK int) (*VirtualGrid, error)
 		return nil, errors.New("core: inner index has degenerate bounds")
 	}
 	v := &VirtualGrid{bounds: bounds, nx: nx, ny: ny, maxK: maxK}
-	// Per-cell catalogs are independent; build them on all cores.
-	cats := make([]*catalog.Catalog, nx*ny)
-	_ = forEachIndexed(len(cats), 0, func(i int) error {
-		cats[i] = BuildLocalityCatalog(inner, v.cell(i), maxK)
+	// Per-cell catalogs are independent; build them on all cores, each in a
+	// slab, and copy each from there into the Set once.
+	cats, release, _ := buildInSlabs(nx*ny, func(i int, c *catalog.Catalog) error {
+		localityCatalogInto(inner, v.cell(i), maxK, c)
 		return nil
 	})
-	v.cells = catalog.Pack(cats)
+	defer release()
+	cells := make([]*catalog.Catalog, len(cats))
+	for i := range cats {
+		cells[i] = &cats[i]
+	}
+	v.cells = catalog.Pack(cells)
 	return v, nil
 }
 

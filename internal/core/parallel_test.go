@@ -55,7 +55,10 @@ func TestForEachIndexedPropagatesError(t *testing.T) {
 	data := buildIx(randPoints(rng, 500, bounds), bounds, 16)
 	wantErr := errSentinel("boom")
 	for _, par := range []int{1, 4} {
-		err := forEachIndexed(data.NumBlocks(), par, func(i int) error {
+		err := forEachIndexed(data.NumBlocks(), par, func(w, i int) error {
+			if w < 0 || w >= par {
+				t.Errorf("parallelism %d: worker %d", par, w)
+			}
 			if i == 3 {
 				return wantErr
 			}

@@ -11,9 +11,9 @@ import (
 
 // procedure1Scratch is the working set of one Procedure 1 run: the MINDIST
 // scan, the distances of the points read but not yet returned, and the
-// catalog under construction. It is pooled, so a run allocates only the
-// exact-size catalog it returns. A pooled scratch must not escape the
-// goroutine that took it.
+// catalog BuildSelectCatalog builds before it hands out an exact-size copy.
+// It is pooled, so a run allocates only the catalog it returns. A pooled
+// scratch must not escape the goroutine that took it.
 type procedure1Scratch struct {
 	scan    index.Scan
 	pending []float64
@@ -46,8 +46,26 @@ func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catal
 	}
 	s := procedure1Pool.Get().(*procedure1Scratch)
 	defer procedure1Pool.Put(s)
-	s.scan.Reset(data, q)
 	s.cat.Reset()
+	s.run(data, q, maxK, &s.cat)
+	return s.cat.Clone()
+}
+
+// selectCatalogInto is BuildSelectCatalog appending to cat, an empty
+// catalog, instead of returning a copy: the staircase builds each of its
+// catalogs straight into a slab.
+func selectCatalogInto(data *index.Tree, q geom.Point, maxK int, cat *catalog.Catalog) {
+	if maxK < 1 {
+		return
+	}
+	s := procedure1Pool.Get().(*procedure1Scratch)
+	defer procedure1Pool.Put(s)
+	s.run(data, q, maxK, cat)
+}
+
+// run is Procedure 1 from q over data, appending to cat.
+func (s *procedure1Scratch) run(data *index.Tree, q geom.Point, maxK int, cat *catalog.Catalog) {
+	s.scan.Reset(data, q)
 	pending := s.pending[:0]
 	emitted, cost := 0, 0
 	for emitted < maxK {
@@ -67,7 +85,7 @@ func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catal
 			}
 		}
 		if c := len(pending) - kept; c > 0 {
-			mustAppend(&s.cat, emitted+1, min(emitted+c, maxK), cost)
+			mustAppend(cat, emitted+1, min(emitted+c, maxK), cost)
 			emitted += c
 		}
 		pending = pending[:kept]
@@ -87,10 +105,9 @@ func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catal
 	}
 	if emitted < maxK {
 		// Fewer than maxK points: every block has been scanned.
-		mustAppend(&s.cat, emitted+1, maxK, data.NumBlocks())
+		mustAppend(cat, emitted+1, maxK, data.NumBlocks())
 	}
 	s.pending = pending[:0]
-	return s.cat.Clone()
 }
 
 // mustAppend appends an interval that is contiguous by construction and in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"knncost/internal/catalog"
@@ -38,8 +39,15 @@ var localityScanPool = sync.Pool{New: func() any { return new(localityScans) }}
 // which the tests verify directly.
 func BuildLocalityCatalog(inner *index.Tree, from geom.Origin, maxK int) *catalog.Catalog {
 	cat := &catalog.Catalog{}
+	localityCatalogInto(inner, from, maxK, cat)
+	return cat
+}
+
+// localityCatalogInto is BuildLocalityCatalog appending to cat, an empty
+// catalog: the virtual grid builds each cell's catalog straight into a slab.
+func localityCatalogInto(inner *index.Tree, from geom.Origin, maxK int, cat *catalog.Catalog) {
 	if maxK < 1 {
-		return cat
+		return
 	}
 	scans := localityScanPool.Get().(*localityScans)
 	defer localityScanPool.Put(scans)
@@ -58,7 +66,7 @@ func BuildLocalityCatalog(inner *index.Tree, from geom.Origin, maxK int) *catalo
 			if cumulative < maxK {
 				mustAppend(cat, cumulative+1, maxK, inner.NumBlocks())
 			}
-			return cat
+			return
 		}
 		startK := cumulative + 1
 		cumulative += blk.Count
@@ -86,5 +94,33 @@ func BuildLocalityCatalog(inner *index.Tree, from geom.Origin, maxK int) *catalo
 		}
 		mustAppend(cat, startK, endK, aggCost)
 	}
-	return cat
+}
+
+// slabs hold the catalogs a staircase or virtual-grid build runs until Pack
+// copies them into the artifact's Set; a build takes its slabs for its
+// whole length and resets them when it is done.
+var slabs = sync.Pool{New: func() any { return new(catalog.Slab) }}
+
+// buildInSlabs runs build(i, c) for every i in [0, n) on all cores, each
+// into an empty catalog opened on the running worker's slab, and returns
+// the catalogs as views of the slabs, or the first error. release gives the
+// slabs back: call it, error or not, once the catalogs have been copied out.
+func buildInSlabs(n int, build func(i int, c *catalog.Catalog) error) (cats []catalog.Catalog, release func(), err error) {
+	taken := make([]*catalog.Slab, max(min(runtime.GOMAXPROCS(0), n), 1))
+	for w := range taken {
+		taken[w] = slabs.Get().(*catalog.Slab)
+	}
+	cats = make([]catalog.Catalog, n)
+	err = forEachIndexed(n, len(taken), func(w, i int) error {
+		cats[i] = taken[w].Open()
+		err := build(i, &cats[i])
+		cats[i] = taken[w].Close(cats[i])
+		return err
+	})
+	return cats, func() {
+		for _, slab := range taken {
+			slab.Reset()
+			slabs.Put(slab)
+		}
+	}, err
 }

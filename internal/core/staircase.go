@@ -168,39 +168,41 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	}
 	blocks := aux.Blocks()
 	anchors, cornerOf := staircaseAnchors(blocks, opt.Mode)
-	cats := make([]*catalog.Catalog, len(anchors))
-	_ = forEachIndexed(len(anchors), 0, func(i int) error {
-		cats[i] = BuildSelectCatalog(browse, anchors[i], opt.MaxK)
+	// Each anchor's catalog is built in a slab and copied from there once,
+	// by the Pack below.
+	cats, release, _ := buildInSlabs(len(anchors), func(i int, c *catalog.Catalog) error {
+		selectCatalogInto(browse, anchors[i], opt.MaxK, c)
 		return nil
 	})
-	var corners []*catalog.Catalog
+	defer release()
+	var corners []catalog.Catalog
 	if opt.Mode == ModeCenterCorners {
-		corners = make([]*catalog.Catalog, len(blocks))
-		err := forEachIndexed(len(blocks), 0, func(b int) error {
+		var releaseCorners func()
+		var err error
+		corners, releaseCorners, err = buildInSlabs(len(blocks), func(b int, merged *catalog.Catalog) error {
 			var four [4]*catalog.Catalog
 			for i, a := range cornerOf[b] {
-				four[i] = cats[a]
+				four[i] = &cats[a]
 			}
-			merged, err := catalog.MergeMax(four[:])
-			if err != nil {
+			if err := catalog.MergeMax(merged, four[:]); err != nil {
 				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b, err)
 			}
-			corners[b] = merged
 			return nil
 		})
+		defer releaseCorners()
 		if err != nil {
 			return nil, err
 		}
 	}
 	ordered := make([]*catalog.Catalog, 0, catalogsPerBlock(opt.Mode)*len(blocks))
 	for b := range blocks {
-		ordered = append(ordered, cats[b])
+		ordered = append(ordered, &cats[b])
 		switch opt.Mode {
 		case ModeCenterCorners:
-			ordered = append(ordered, corners[b])
+			ordered = append(ordered, &corners[b])
 		case ModeCenterQuadrant:
 			for _, a := range cornerOf[b] {
-				ordered = append(ordered, cats[a])
+				ordered = append(ordered, &cats[a])
 			}
 		}
 	}
@@ -239,13 +241,15 @@ func staircaseAnchors(blocks []*index.Block, mode StaircaseMode) (anchors []geom
 	return anchors, cornerOf
 }
 
-// forEachIndexed runs fn(0..n-1) with the given parallelism (0 or negative
-// means GOMAXPROCS; 1 forces a serial loop). It is the worker fan-out shared
-// by the catalog builders and the batch estimation APIs: callers guarantee
-// that fn(i) touches only slot i of any shared output, so no synchronization
+// forEachIndexed runs fn(worker, i) for i in 0..n-1 with the given
+// parallelism (0 or negative means GOMAXPROCS; 1 forces a serial loop),
+// worker being the index, below the parallelism, of the goroutine running
+// it. It is the worker fan-out shared by the catalog builders and the batch
+// estimation APIs: callers guarantee that fn touches only slot i of any
+// shared output, or slot worker of per-worker state, so no synchronization
 // beyond the WaitGroup is needed. The first error cancels remaining work and
 // is returned.
-func forEachIndexed(n, parallelism int, fn func(int) error) error {
+func forEachIndexed(n, parallelism int, fn func(worker, i int) error) error {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -254,7 +258,7 @@ func forEachIndexed(n, parallelism int, fn func(int) error) error {
 	}
 	if parallelism <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -274,7 +278,7 @@ func forEachIndexed(n, parallelism int, fn func(int) error) error {
 				if i >= n || firstErr.Load() != nil {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}

@@ -62,8 +62,8 @@ func perBlockStaircase(tb testing.TB, data *index.Tree, opt StaircaseOptions) *S
 		}
 		switch opt.Mode {
 		case ModeCenterCorners:
-			merged, err := catalog.MergeMax(four[:])
-			if err != nil {
+			merged := &catalog.Catalog{}
+			if err := catalog.MergeMax(merged, four[:]); err != nil {
 				tb.Fatal(err)
 			}
 			cats = append(cats, merged)

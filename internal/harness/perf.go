@@ -7,6 +7,8 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +23,8 @@ import (
 	"knncost/internal/optimizer"
 	"knncost/internal/quadtree"
 	"knncost/internal/service"
+	"knncost/internal/service/middleware"
+	"knncost/internal/service/servetest"
 	"knncost/internal/store"
 )
 
@@ -268,6 +272,12 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 				}
 			}
 		}},
+		// What a node spends on one served estimate besides the estimate:
+		// a GET /estimate/select through knncostd's middleware (access log
+		// formatted, a deadline on the route) and the service, into a
+		// writer that allocates nothing, so its B/op and allocs/op are the
+		// two layers' alone.
+		perfCase{"serve_select", serveSelect(st, queries[1])},
 	)
 
 	results := make([]PerfResult, 0, len(cases)+1)
@@ -285,7 +295,73 @@ func RunPerf(seed int64) ([]PerfResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: perf first demand: %w", err)
 	}
-	return append(results, first), nil
+	restore, err := restoreFleet(seed, 100, 1000)
+	if err != nil {
+		return nil, fmt.Errorf("harness: perf restore: %w", err)
+	}
+	return append(results, first, restore), nil
+}
+
+// serveSelect times one GET /estimate/select of q through middleware.Wrap at
+// knncostd's configuration and a Server over st.
+func serveSelect(st *store.Store, q core.SelectQuery) func(b *testing.B) {
+	h, _ := middleware.Wrap(service.NewWithStore(st, service.Options{}), servetest.DaemonConfig())
+	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/estimate/select?rel=perf_inner&x=%v&y=%v&k=%d&technique=%s",
+		q.Point.X, q.Point.Y, q.K, engine.TechStaircaseCC), nil)
+	return func(b *testing.B) {
+		w := servetest.NewWriter()
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			if h.ServeHTTP(w, req); w.Status != http.StatusOK {
+				b.Fatalf("serve_select: status %d", w.Status)
+			}
+		}
+	}
+}
+
+// restoreFleet measures what a restart pays per relation: n relations of
+// size points each are registered into a cache directory once, and each
+// round restores them all (store.New until every one is ready) and closes
+// the store. The row's op is one restored relation: its time, allocations
+// and bytes are a round's over n.
+func restoreFleet(seed int64, n, size int) (PerfResult, error) {
+	r := PerfResult{Op: fmt.Sprintf("store_restore_%dx%dk", n, size/1000)}
+	dir, err := os.MkdirTemp("", "knncost-perf-")
+	if err != nil {
+		return r, err
+	}
+	defer os.RemoveAll(dir)
+	opt := store.Options{
+		MaxK: 200, IndexCapacity: 256, Bounds: datagen.WorldBounds, CompactInterval: -1,
+		CacheDir: dir, QueueLen: n, Logger: log.New(io.Discard, "", 0),
+	}
+	if err := registerFleetIn(opt, seed, n, size); err != nil {
+		return r, err
+	}
+	var failed error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N && failed == nil; i++ {
+			st, err := store.New(opt)
+			if err != nil {
+				failed = err
+				return
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			if failed = st.WaitReady(ctx); failed == nil && st.CatalogBuilds() != 0 {
+				failed = fmt.Errorf("the restore built %d catalogs", st.CatalogBuilds())
+			}
+			st.Close(ctx)
+			cancel()
+		}
+	})
+	if failed != nil {
+		return r, failed
+	}
+	r.NsPerOp = float64(res.T.Nanoseconds()) / float64(res.N) / float64(n)
+	r.AllocsPerOp = res.AllocsPerOp() / int64(n)
+	r.BytesPerOp = res.AllocedBytesPerOp() / int64(n)
+	r.Iterations = res.N
+	return r, nil
 }
 
 // firstDemand measures what the first catalog-merge join over a pair pays
@@ -335,10 +411,15 @@ func registerFleet(seed int64, n, size int) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.New(store.Options{
+	return registerFleetIn(store.Options{
 		MaxK: 200, IndexCapacity: 256, Bounds: datagen.WorldBounds, CompactInterval: -1,
 		CacheDir: dir, QueueLen: n, Logger: log.New(io.Discard, "", 0),
-	})
+	}, seed, n, size)
+}
+
+// registerFleetIn is registerFleet into a store with options opt.
+func registerFleetIn(opt store.Options, seed int64, n, size int) error {
+	st, err := store.New(opt)
 	if err != nil {
 		return err
 	}

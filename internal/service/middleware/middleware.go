@@ -29,6 +29,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -104,13 +105,17 @@ func Wrap(h http.Handler, cfg Config) (http.Handler, *Limiter) {
 // r.Context() into their work for the deadline to have teeth; see
 // knn.SelectCostContext and friends.
 func (s *wrapped) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Everything the layers keep for the request is this one allocation.
+	rq := &request{sw: statusWriter{ResponseWriter: w}}
+	sw := &rq.sw
 	id := r.Header.Get(requestIDHeader)
 	if !validRequestID(id) {
 		var buf [24]byte
 		id = string(appendRequestID(buf[:0], idCounter.Add(1)))
 	}
-	w.Header().Set(requestIDHeader, id)
-	sw := &statusWriter{ResponseWriter: w}
+	// Set, without the slice it would allocate for the value.
+	rq.idHeader[0] = id
+	w.Header()[requestIDHeader] = rq.idHeader[:]
 	start := time.Now()
 	defer func() {
 		// http.ErrAbortHandler is re-raised as net/http's documented way
@@ -137,13 +142,108 @@ func (s *wrapped) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.lim.release()
 	}
-	ctx := context.WithValue(r.Context(), requestIDKey, id)
+	rq.ctx.parent, rq.ctx.id = r.Context(), id
 	if d := s.cfg.deadline(r.URL.Path); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+		rq.ctx.deadline = time.Now().Add(d)
+		defer rq.ctx.finish()
 	}
-	s.next.ServeHTTP(sw, r.WithContext(ctx))
+	s.next.ServeHTTP(sw, r.WithContext(&rq.ctx))
+}
+
+// request is what Wrap keeps for one request, allocated once: the status
+// writer, the X-Request-Id value slice the response header holds, and the
+// request's context.
+type request struct {
+	sw       statusWriter
+	idHeader [1]string
+	ctx      requestContext
+}
+
+// requestContext is a request's context: its parent (the server's, which a
+// client disconnect cancels) with the request ID and the route's deadline.
+// It reports the deadline at once but arms a timer only when something asks
+// whether it is done: the first Done or Err derives
+// context.WithDeadline(parent, deadline), and both answer from that from
+// then on. An estimate that never asks pays for no timer; a scan that polls
+// Err, a batch and an outgoing call get the standard library's semantics.
+// finish cancels it as the cancel of context.WithTimeout did when the
+// request returned.
+type requestContext struct {
+	parent   context.Context
+	id       string
+	deadline time.Time // zero: the route has none, and Done and Err are the parent's
+
+	armed    atomic.Bool // timed is set
+	mu       sync.Mutex  // guards the fields below, and arming
+	timed    context.Context
+	cancel   context.CancelFunc
+	finished bool
+}
+
+// Deadline is the earlier of the route's deadline and the parent's, as
+// context.WithDeadline reports it.
+func (c *requestContext) Deadline() (time.Time, bool) {
+	d, ok := c.parent.Deadline()
+	if c.deadline.IsZero() || ok && d.Before(c.deadline) {
+		return d, ok
+	}
+	return c.deadline, true
+}
+
+func (c *requestContext) Done() <-chan struct{} {
+	if c.deadline.IsZero() {
+		return c.parent.Done()
+	}
+	return c.arm().Done()
+}
+
+func (c *requestContext) Err() error {
+	if c.deadline.IsZero() {
+		return c.parent.Err()
+	}
+	return c.arm().Err()
+}
+
+// Value answers the request ID's key with c itself, which GetRequestID
+// reads, and every other key as the context Done and Err answer from: once
+// armed, that is the timer context, which a context derived from c then
+// finds by its cancel key and joins, with no goroutine to watch c.
+func (c *requestContext) Value(key any) any {
+	if key == requestIDKey {
+		return c
+	}
+	if c.armed.Load() {
+		return c.timed.Value(key)
+	}
+	return c.parent.Value(key)
+}
+
+// arm returns the parent with the deadline, deriving it the first time.
+func (c *requestContext) arm() context.Context {
+	if c.armed.Load() {
+		return c.timed
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.armed.Load() {
+		c.timed, c.cancel = context.WithDeadline(c.parent, c.deadline)
+		if c.finished {
+			c.cancel()
+		}
+		c.armed.Store(true)
+	}
+	return c.timed
+}
+
+// finish ends the request: an armed context is cancelled, and one armed
+// later is born cancelled.
+func (c *requestContext) finish() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.finished = true
+	if c.armed.Load() {
+		c.cancel()
+	}
 }
 
 // logAccess writes the access line of a request served in dur:
@@ -194,8 +294,10 @@ func appendRequestID(buf []byte, n uint64) []byte {
 // GetRequestID returns the request ID Wrap put in ctx, or "" when the
 // request did not pass through Wrap.
 func GetRequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if c, ok := ctx.Value(requestIDKey).(*requestContext); ok {
+		return c.id
+	}
+	return ""
 }
 
 // validRequestID reports whether a client-supplied ID may be honored, so

@@ -10,23 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
-
-// daemonConfig is knncostd's middleware configuration, logging to w.
-func daemonConfig(w io.Writer) Config {
-	return Config{
-		Logger:           log.New(w, "", log.LstdFlags),
-		EstimateDeadline: 5 * time.Second,
-		CostDeadline:     2 * time.Second,
-		AdminDeadline:    10 * time.Second,
-		MaxInFlight:      256,
-		QueueLen:         128,
-		RetryAfter:       time.Second,
-		AccessLog:        true,
-	}
-}
 
 func TestRecoverConvertsPanicToJSON500(t *testing.T) {
 	var buf strings.Builder
@@ -224,6 +211,106 @@ func TestDeadlinesByPrefix(t *testing.T) {
 	if got := deadlineOf(Config{}, "/estimate/select"); got != 0 {
 		t.Errorf("zero config: deadline in %v, want none", got)
 	}
+}
+
+// TestDeadlineContextArmsOnDemand: a request's context reports its deadline
+// without a timer, and behaves as context.WithTimeout's did once something
+// asks Done or Err: the deadline fires, a client disconnect cancels, the
+// end of the request cancels (also a context armed after it), values pass
+// through, and concurrent first askers share one channel.
+func TestDeadlineContextArmsOnDemand(t *testing.T) {
+	type key struct{}
+	serve := func(d time.Duration, parent context.Context, handle func(ctx context.Context)) {
+		t.Helper()
+		h, _ := Wrap(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) { handle(r.Context()) }),
+			Config{Logger: log.New(io.Discard, "", 0), EstimateDeadline: d})
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/estimate/select", nil).WithContext(parent))
+	}
+	parent := context.WithValue(context.Background(), key{}, "v")
+
+	t.Run("the deadline fires", func(t *testing.T) {
+		serve(20*time.Millisecond, parent, func(ctx context.Context) {
+			if time.Sleep(30 * time.Millisecond); ctx.Err() != context.DeadlineExceeded {
+				t.Errorf("Err after the deadline, never armed: %v", ctx.Err())
+			}
+		})
+		serve(20*time.Millisecond, parent, func(ctx context.Context) {
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("Done never closed")
+			}
+			if ctx.Err() != context.DeadlineExceeded {
+				t.Errorf("Err once Done closed: %v", ctx.Err())
+			}
+		})
+	})
+	t.Run("a client disconnect cancels", func(t *testing.T) {
+		client, hangUp := context.WithCancel(parent)
+		serve(time.Hour, client, func(ctx context.Context) {
+			done := ctx.Done()
+			hangUp()
+			<-done
+			if ctx.Err() != context.Canceled {
+				t.Errorf("Err after the disconnect: %v", ctx.Err())
+			}
+		})
+	})
+	t.Run("the end of the request cancels", func(t *testing.T) {
+		var armed, unarmed, derived context.Context
+		serve(time.Hour, parent, func(ctx context.Context) {
+			if _, ok := ctx.Deadline(); !ok || ctx.Value(key{}) != "v" {
+				t.Errorf("before arming: deadline %v, value %v", ok, ctx.Value(key{}))
+			}
+			armed, unarmed = ctx, ctx
+			var cancel context.CancelFunc
+			derived, cancel = context.WithCancel(ctx) // arms it
+			t.Cleanup(cancel)
+			if ctx.Err() != nil || derived.Err() != nil || ctx.Value(key{}) != "v" || GetRequestID(derived) == "" {
+				t.Errorf("armed, before the end: %v, %v, value %v, id %q", ctx.Err(), derived.Err(), ctx.Value(key{}), GetRequestID(derived))
+			}
+		})
+		serve(time.Hour, parent, func(ctx context.Context) { unarmed = ctx })
+		<-derived.Done()
+		for name, ctx := range map[string]context.Context{"armed": armed, "armed after the end": unarmed} {
+			select {
+			case <-ctx.Done():
+			default:
+				t.Errorf("%s: Done open after the request", name)
+			}
+			if ctx.Err() != context.Canceled {
+				t.Errorf("%s: Err after the request: %v", name, ctx.Err())
+			}
+		}
+	})
+	t.Run("concurrent first askers share one channel", func(t *testing.T) {
+		serve(time.Hour, parent, func(ctx context.Context) {
+			chans := make([]<-chan struct{}, 8)
+			var wg sync.WaitGroup
+			for i := range chans {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = ctx.Err()
+					_ = ctx.Value(key{})
+					chans[i] = ctx.Done()
+				}()
+			}
+			wg.Wait()
+			for _, c := range chans {
+				if c != chans[0] {
+					t.Fatal("two Done channels for one request")
+				}
+			}
+		})
+	})
+	t.Run("a route without a deadline is its parent's", func(t *testing.T) {
+		serve(0, parent, func(ctx context.Context) {
+			if _, ok := ctx.Deadline(); ok || ctx.Done() != nil || ctx.Err() != nil || ctx.Value(key{}) != "v" || GetRequestID(ctx) == "" {
+				t.Errorf("deadline %v, done %v, err %v, value %v, id %q", ok, ctx.Done(), ctx.Err(), ctx.Value(key{}), GetRequestID(ctx))
+			}
+		})
+	})
 }
 
 // Exact shed accounting: with maxInFlight=2 and queueLen=2, four concurrent
@@ -483,30 +570,6 @@ func TestWrapComposesStack(t *testing.T) {
 	}
 	if _, lim := Wrap(okHandler(), Config{}); lim != nil {
 		t.Fatal("Wrap returned a limiter with MaxInFlight zero")
-	}
-}
-
-// TestWrapAllocs pins the heap allocations of one request through Wrap at
-// knncostd's configuration, access log on, around a handler that does
-// nothing: it is the middleware's share of every served request. It was 20
-// when the access line and the request ID were formatted by Printf and
-// Sprintf, and 21 once the ID counter passed 255.
-func TestWrapAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's allocations count as the handler's")
-	}
-	// A writer that is not io.Discard, so the logger formats every line.
-	h, _ := Wrap(okHandler(), daemonConfig(struct{ io.Writer }{io.Discard}))
-	for path, limit := range map[string]float64{
-		"/estimate/select": 15,
-		"/cost/select":     15,
-		"/relations":       15,
-	} {
-		req := httptest.NewRequest("GET", path, nil)
-		got := testing.AllocsPerRun(200, func() { h.ServeHTTP(httptest.NewRecorder(), req) })
-		if got > limit {
-			t.Errorf("%s: %v allocations per request, want at most %v", path, got, limit)
-		}
 	}
 }
 

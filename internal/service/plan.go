@@ -142,7 +142,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	for i, p := range dec.Alternatives {
 		resp.Alternatives[i] = planAlternative(p, false)
 	}
-	if r.URL.Query().Get("explain") != "" {
+	if queryValue(r.URL.RawQuery, "explain") != "" {
 		resp.Explain = dec.Explain()
 	}
 	writeJSON(w, http.StatusOK, resp)

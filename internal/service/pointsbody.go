@@ -267,21 +267,31 @@ func (s *bodyScanner) key() ([]byte, error) {
 	return []byte(k), nil
 }
 
-// skipString consumes a string token. Control characters are rejected here;
-// the escapes are only stepped over, so a token with a backslash still has
-// to pass encoding/json.
+// stringStops are the bytes a string's scan stops at: its closing quote,
+// an escape's backslash and the control characters JSON forbids in it.
+const stringStops = "\"\\\x00\x01\x02\x03\x04\x05\x06\x07\x08\t\n\x0b\x0c\r\x0e\x0f" +
+	"\x10\x11\x12\x13\x14\x15\x16\x17\x18\x19\x1a\x1b\x1c\x1d\x1e\x1f"
+
+// skipString consumes a string token, jumping from stop to stop. Control
+// characters are rejected here; the escapes are only stepped over, so a
+// token with a backslash still has to pass encoding/json.
 func (s *bodyScanner) skipString() error {
 	if !s.eat('"') {
 		return s.errorf("expected a string")
 	}
-	for ; s.i < len(s.b); s.i++ {
+	for s.i < len(s.b) {
+		j := bytes.IndexAny(s.b[s.i:], stringStops)
+		if j < 0 {
+			break
+		}
+		s.i += j
 		switch c := s.b[s.i]; {
 		case c == '"':
 			s.i++
 			return nil
 		case c == '\\':
-			s.i++
-		case c < ' ':
+			s.i += 2
+		default:
 			return s.errorf("control character in string")
 		}
 	}
@@ -293,9 +303,28 @@ func (s *bodyScanner) skipString() error {
 // object, so a body encoding/json would reject for depth is rejected here.
 const maxValueDepth = 9999
 
+// fenceStops are the bytes besides brackets that a container's scan stops
+// at: braces, the quote that opens a string, and NUL, which peek reads at
+// the end of the body and which ends the scan wherever it is.
+var fenceStops = [...]byte{'{', '}', '"', 0}
+
+// next returns where the next c at or after s.i and before end lies, end
+// when there is none.
+func (s *bodyScanner) next(c byte, end int) int {
+	if j := bytes.IndexByte(s.b[s.i:end], c); j >= 0 {
+		return s.i + j
+	}
+	return end
+}
+
 // skipValue consumes one value and returns its bytes. Only their extent is
 // established (strings closed, brackets balanced by count): a caller that
 // keeps the value hands it to encoding/json, which validates it in full.
+// A container is crossed from stop to stop, each found by a vectorised
+// bytes.IndexByte and looked for again only once the cursor has passed it:
+// the fence is the nearest brace, quote or NUL, and between two fences
+// only the next '[' and the next ']' are looked for. So the numbers between
+// a point's brackets are never looked at one by one.
 func (s *bodyScanner) skipValue() ([]byte, error) {
 	start := s.i
 	switch s.peek() {
@@ -304,7 +333,25 @@ func (s *bodyScanner) skipValue() ([]byte, error) {
 			return nil, err
 		}
 	case '{', '[':
+		fences := [len(fenceStops)]int{-1, -1, -1, -1}
+		fence, open, close := -1, -1, -1
 		for depth := 0; ; {
+			if fence < s.i {
+				fence = len(s.b)
+				for k, c := range fenceStops {
+					if fences[k] < s.i {
+						fences[k] = s.next(c, len(s.b))
+					}
+					fence = min(fence, fences[k])
+				}
+			}
+			if open < s.i {
+				open = s.next('[', fence)
+			}
+			if close < s.i {
+				close = s.next(']', fence)
+			}
+			s.i = min(open, close)
 			switch s.peek() {
 			case 0:
 				return nil, s.errorf("unexpected end of body")

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -156,5 +157,97 @@ func FuzzDecodePointsBody(f *testing.F) {
 		checkAgainstEncodingJSON(t, body, err, json.Unmarshal(body, &mref), []string{"points"}, func() bool {
 			return samePoints(pts, mref.Points)
 		})
+	})
+}
+
+// skipValueByteByByte is skipValue as it was before it skipped in bulk:
+// one peek and one switch per byte. FuzzRegistrationName holds skipValue to
+// it.
+func (s *bodyScanner) skipValueByteByByte() ([]byte, error) {
+	start := s.i
+	switch s.peek() {
+	case '"':
+		if err := s.skipStringByteByByte(); err != nil {
+			return nil, err
+		}
+	case '{', '[':
+		for depth := 0; ; {
+			switch s.peek() {
+			case 0:
+				return nil, s.errorf("unexpected end of body")
+			case '"':
+				if err := s.skipStringByteByByte(); err != nil {
+					return nil, err
+				}
+				continue
+			case '{', '[':
+				if depth++; depth > maxValueDepth {
+					return nil, s.errorf("exceeded max nesting depth")
+				}
+			case '}', ']':
+				depth--
+			}
+			if s.i++; depth == 0 {
+				return s.b[start:s.i], nil
+			}
+		}
+	default:
+		for !delimiter(s.peek()) {
+			s.i++
+		}
+		if s.i == start {
+			return nil, s.errorf("expected a value")
+		}
+	}
+	return s.b[start:s.i], nil
+}
+
+func (s *bodyScanner) skipStringByteByByte() error {
+	if !s.eat('"') {
+		return s.errorf("expected a string")
+	}
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return nil
+		case c == '\\':
+			s.i++
+		case c < ' ':
+			return s.errorf("control character in string")
+		}
+	}
+	s.i = len(s.b)
+	return s.errorf("unterminated string")
+}
+
+// FuzzRegistrationName: the router's name scan never panics, names every
+// body DecodeRegistration accepts as DecodeRegistration does, and its bulk
+// skip steps over any value, valid or not, from any offset, exactly as far
+// as a byte-by-byte walk does and with the same error.
+func FuzzRegistrationName(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"a","points":[[1,2],[3.5,-4e2]],"file":"f","resolution":{"max_k":5,"corners":-1}}`,
+		`{"points":[[1,2],[3,4]],"name":"b"}`, `{"points":[[1],[1,2,3],nonsense],"name":"a"}`,
+		`{"name":"a","x":{"name":"inner"},"name":"b"}`, `{"name":"a","points":[[1,2]`, `{"name":"a"} trailing`,
+		`{"x":[1,"]\"[",{"b":"\\\"}"}],"name":"c"}`, "{\"x\":[1,\x00],\"name\":\"a\"}", "{\"x\":\"a\x01\",\"name\":\"a\"}",
+		`{"x":[[[[]]]],"name":"a"}`, `{"x":[1][2],"name":"a"}`, `{"x":"\\`, `[]`, `null`, `{"name":5}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		name, err := RegistrationName(body)
+		if reg, regErr := DecodeRegistration(body); regErr == nil && (err != nil || name != reg.Name) {
+			t.Fatalf("RegistrationName = %q, %v; DecodeRegistration names %q: %q", name, err, reg.Name, body)
+		}
+		for i := range min(len(body), 64) {
+			bulk, walk := bodyScanner{b: body, i: i}, bodyScanner{b: body, i: i}
+			got, gotErr := bulk.skipValue()
+			want, wantErr := walk.skipValueByteByByte()
+			if !bytes.Equal(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || bulk.i != walk.i {
+				t.Fatalf("skipValue from %d of %q: %q, %v, at %d; byte by byte %q, %v, at %d",
+					i, body, got, gotErr, bulk.i, want, wantErr, walk.i)
+			}
+		}
 	})
 }

@@ -68,6 +68,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"knncost/internal/core"
@@ -156,14 +157,68 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// jsonContentType is the Content-Type value of every JSON response, shared
+// so that setting it allocates nothing; no one writes into a header's values.
+var jsonContentType = []string{"application/json"}
+
+// encoder is a pooled json.Encoder writing to the response it is lent to,
+// with a slot for an estimate, so that encoding one boxes nothing.
+type encoder struct {
+	w   http.ResponseWriter
+	enc *json.Encoder
+	est EstimateResponse
+}
+
+func (e *encoder) Write(p []byte) (int, error) { return e.w.Write(p) }
+
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = json.NewEncoder(e)
+	return e
+}}
+
+// startJSON writes the status line and headers of a JSON response and lends
+// an encoder to its body; end the loan with release.
+func startJSON(w http.ResponseWriter, status int) *encoder {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	e := encoders.Get().(*encoder)
+	e.w = w
+	return e
+}
+
+// release ends e's loan after an Encode that returned err, and puts e back
+// in the pool only if that Encode succeeded: a json.Encoder keeps its first
+// write error and writes nothing after it, so an encoder whose client hung
+// up would send every later response it is lent to with an empty body.
+func (e *encoder) release(err error) {
+	e.w, e.est = nil, EstimateResponse{}
+	if err == nil {
+		encoders.Put(e)
+	}
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	e := startJSON(w, status)
+	err := e.enc.Encode(v)
+	e.release(err)
+	if err != nil {
 		// The response structs themselves always encode; a failure here
 		// is the client hanging up mid-write. One line per request, so a
 		// flood of disconnects is visible without drowning the log.
 		log.Printf("service: encoding %T response: %v", v, err)
+	}
+}
+
+// writeEstimate is writeJSON of a 200 EstimateResponse, encoded from the
+// encoder's slot.
+func writeEstimate(w http.ResponseWriter, resp EstimateResponse) {
+	e := startJSON(w, http.StatusOK)
+	e.est = resp
+	err := e.enc.Encode(&e.est)
+	e.release(err)
+	if err != nil {
+		log.Printf("service: encoding %T response: %v", resp, err)
 	}
 }
 
@@ -493,9 +548,31 @@ func (s *Server) resolveRelation(w http.ResponseWriter, v *store.View, name stri
 	return nil, false
 }
 
+// queryValue returns url.ParseQuery(query).Get(key) without building the
+// map: the value of the first pair whose key is key, where pairs holding a
+// ';' or a malformed escape are skipped and both halves are unescaped ('+'
+// is a space). Only a pair that holds an escape allocates.
+func queryValue(query, key string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // queryFloat parses the finite number parameter name of query.
-func queryFloat(query url.Values, name string) (float64, error) {
-	v, err := strconv.ParseFloat(query.Get(name), 64)
+func queryFloat(query, name string) (float64, error) {
+	v, err := strconv.ParseFloat(queryValue(query, name), 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %w", name, err)
 	}
@@ -509,8 +586,8 @@ func queryFloat(query url.Values, name string) (float64, error) {
 }
 
 // queryK parses the k parameter of query, at least 1.
-func queryK(query url.Values) (int, error) {
-	k, err := strconv.Atoi(query.Get("k"))
+func queryK(query string) (int, error) {
+	k, err := strconv.Atoi(queryValue(query, "k"))
 	if err != nil {
 		return 0, fmt.Errorf("parameter \"k\": %w", err)
 	}
@@ -523,9 +600,9 @@ func queryK(query url.Values) (int, error) {
 // selectArgs resolves the relation of a single-relation request
 // (/estimate/select, /cost/select) and parses its x, y and k from its
 // query, in that order; ok is false after an error response was written.
-// A handler parses its query string once and hands the values down.
-func (s *Server) selectArgs(w http.ResponseWriter, query url.Values) (rel *store.Snapshot, q geom.Point, k int, ok bool) {
-	if rel, ok = s.resolveRelation(w, s.store.View(), query.Get("rel")); !ok {
+// query is the request's raw query string, which each parameter scans.
+func (s *Server) selectArgs(w http.ResponseWriter, query string) (rel *store.Snapshot, q geom.Point, k int, ok bool) {
+	if rel, ok = s.resolveRelation(w, s.store.View(), queryValue(query, "rel")); !ok {
 		return nil, q, 0, false
 	}
 	var err error
@@ -547,11 +624,11 @@ func (s *Server) selectArgs(w http.ResponseWriter, query url.Values) (rel *store
 // (/estimate/join, /cost/join) in v, requires them to differ and parses
 // its k from query, in that order; ok is false after an error response
 // was written.
-func (s *Server) joinArgs(w http.ResponseWriter, query url.Values, v *store.View) (outer, inner *store.Snapshot, k int, ok bool) {
-	if outer, ok = s.resolveRelation(w, v, query.Get("outer")); !ok {
+func (s *Server) joinArgs(w http.ResponseWriter, query string, v *store.View) (outer, inner *store.Snapshot, k int, ok bool) {
+	if outer, ok = s.resolveRelation(w, v, queryValue(query, "outer")); !ok {
 		return nil, nil, 0, false
 	}
-	if inner, ok = s.resolveRelation(w, v, query.Get("inner")); !ok {
+	if inner, ok = s.resolveRelation(w, v, queryValue(query, "inner")); !ok {
 		return nil, nil, 0, false
 	}
 	if outer == inner {
@@ -567,12 +644,12 @@ func (s *Server) joinArgs(w http.ResponseWriter, query url.Values, v *store.View
 }
 
 func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
-	query := r.URL.Query()
+	query := r.URL.RawQuery
 	rel, q, k, ok := s.selectArgs(w, query)
 	if !ok {
 		return
 	}
-	est, method, ok := s.selectEstimator(w, rel, query.Get("technique"))
+	est, method, ok := s.selectEstimator(w, rel, queryValue(query, "technique"))
 	if !ok {
 		return
 	}
@@ -582,7 +659,7 @@ func (s *Server) handleEstimateSelect(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "estimate failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	writeEstimate(w, EstimateResponse{
 		Relation: rel.Name, K: k, Method: method,
 		Blocks: blocks, TookNs: time.Since(start).Nanoseconds(),
 	})
@@ -727,12 +804,12 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 	// snapshots and the merge always belong to the same published schema
 	// even while rebuilds hot-swap underneath.
 	v := s.store.View()
-	query := r.URL.Query()
+	query := r.URL.RawQuery
 	outer, inner, k, ok := s.joinArgs(w, query, v)
 	if !ok {
 		return
 	}
-	method := cmp.Or(query.Get("technique"), engine.DefaultJoin)
+	method := cmp.Or(queryValue(query, "technique"), engine.DefaultJoin)
 	jt, err := engine.LookupJoin(method)
 	if err != nil {
 		badRequest(w, "unknown join method %q (registered techniques: %s)",
@@ -756,14 +833,14 @@ func (s *Server) handleEstimateJoin(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "estimate failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	writeEstimate(w, EstimateResponse{
 		Outer: outer.Name, Inner: inner.Name, K: k, Method: method,
 		Blocks: blocks, TookNs: time.Since(start).Nanoseconds(),
 	})
 }
 
 func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
-	rel, q, k, ok := s.selectArgs(w, r.URL.Query())
+	rel, q, k, ok := s.selectArgs(w, r.URL.RawQuery)
 	if !ok {
 		return
 	}
@@ -780,14 +857,14 @@ func (s *Server) handleCostSelect(w http.ResponseWriter, r *http.Request) {
 		writeCancelled(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	writeEstimate(w, EstimateResponse{
 		Relation: rel.Name, K: k, Method: "actual",
 		Blocks: float64(cost), TookNs: time.Since(start).Nanoseconds(),
 	})
 }
 
 func (s *Server) handleCostJoin(w http.ResponseWriter, r *http.Request) {
-	outer, inner, k, ok := s.joinArgs(w, r.URL.Query(), s.store.View())
+	outer, inner, k, ok := s.joinArgs(w, r.URL.RawQuery, s.store.View())
 	if !ok {
 		return
 	}
@@ -797,7 +874,7 @@ func (s *Server) handleCostJoin(w http.ResponseWriter, r *http.Request) {
 		writeCancelled(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	writeEstimate(w, EstimateResponse{
 		Outer: outer.Name, Inner: inner.Name, K: k, Method: "actual",
 		Blocks: float64(cost), TookNs: time.Since(start).Nanoseconds(),
 	})

@@ -45,7 +45,7 @@ func testBundle(t testing.TB) []byte {
 }
 
 // decodeBundle is readBundle over bytes in memory.
-func decodeBundle(data []byte) (*builtRelation, error) {
+func decodeBundle(data []byte) (builtRelation, error) {
 	b, _, err := readBundle(bytes.NewReader(data), int64(len(data)), sha256.New())
 	return b, err
 }

@@ -124,7 +124,7 @@ type registryFile struct {
 // files are content-addressed, so concurrent writers of one fingerprint
 // converge on equivalent files.
 type diskCache struct {
-	dir          string
+	dir          string // clean
 	registryName string
 	// tmpPrefix starts the name of every temp file this scope creates; the
 	// rest is the digits os.CreateTemp picks.
@@ -162,6 +162,7 @@ func openDiskCache(dir, scope string, logger *log.Logger) (*diskCache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cat"), 0o755); err != nil {
 		return nil, err
 	}
+	dir = filepath.Clean(dir)
 	c := &diskCache{dir: dir, registryName: "registry.json", tmpPrefix: ".tmp-" + scope + "-", logger: logger, unsynced: map[string]bool{}}
 	if scope != "" {
 		if r, bad := badRune(scope); bad {
@@ -176,7 +177,8 @@ func openDiskCache(dir, scope string, logger *log.Logger) (*diskCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r registryFile
+	// Sized up front, the entries decode without growing the slice.
+	r := registryFile{Relations: make([]registryEntry, 0, bytes.Count(data, []byte(`"fingerprint"`)))}
 	if json.Unmarshal(data, &r) != nil || r.Format != cacheFormat {
 		bad := c.registryPath() + ".bad"
 		for i := 1; ; i++ {
@@ -240,7 +242,10 @@ func shortFP(fp string) string {
 	return fp
 }
 
-func (c *diskCache) bundlePath(fp string) string { return filepath.Join(c.dir, "cat", fp+".knc") }
+// bundlePath is filepath.Join(c.dir, "cat", fp+".knc") in one allocation.
+func (c *diskCache) bundlePath(fp string) string {
+	return c.dir + string(filepath.Separator) + "cat" + string(filepath.Separator) + fp + ".knc"
+}
 
 // writeFile writes data to path via a temp file + rename, so readers never
 // observe a partial file and a crash never corrupts an entry. A kill before
@@ -310,62 +315,76 @@ var chunks = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 // readBundle verifies and decodes the size bytes of a bundle r holds, in
 // one pass: the checksum covers every byte but its own, the points stream
 // through a fixed buffer into h, the fingerprint's hash, undecoded, and the
-// Count-Index and the two catalogs after them decode into b.
-func readBundle(r io.ReaderAt, size int64, h hash.Hash) (b *builtRelation, man manifest, err error) {
-	var hdr [bundleHeader]byte
-	if n, err := r.ReadAt(hdr[:], 0); n < len(hdr) { // err is not nil
-		return nil, man, err
+// Count-Index and the two catalogs after them decode into b. Everything it
+// reads passes through that one pooled buffer, so what it allocates is what
+// b keeps.
+func readBundle(r io.ReaderAt, size int64, h hash.Hash) (b builtRelation, man manifest, err error) {
+	buf := chunks.Get().(*[32 << 10]byte)
+	defer chunks.Put(buf)
+	hdr := buf[:bundleHeader]
+	if n, err := r.ReadAt(hdr, 0); n < len(hdr) { // err is not nil
+		return b, man, err
 	}
 	if size < bundleHeader+4 || string(hdr[:8]) != bundleMagic {
-		return nil, man, errors.New("bundle: truncated or bad magic")
+		return b, man, errors.New("bundle: truncated or bad magic")
 	}
-	if err := binary.Read(bytes.NewReader(hdr[8:bundleTable]), binary.LittleEndian, &man); err != nil {
-		return nil, man, err
+	for i, f := range [...]*int64{&man.NumPoints, &man.NumBlocks, &man.MaxK, &man.Corners, &man.SampleSize, &man.GridSize, &man.AknnCapacity, &man.Capacity} {
+		*f = int64(binary.LittleEndian.Uint64(hdr[8+8*i:]))
 	}
 	sec := [bundleSections + 1]uint64{bundleHeader} // where each section starts, and the checksum
 	for i := 0; i < bundleSections; i++ {
 		entry := hdr[bundleTable+24*i:]
 		kind, off, n := binary.LittleEndian.Uint64(entry), binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:])
 		if kind != uint64(i) || off != sec[i] || n > uint64(size-4)-off {
-			return nil, man, fmt.Errorf("bundle: section %d does not tile the file", i)
+			return b, man, fmt.Errorf("bundle: section %d does not tile the file", i)
 		}
 		sec[i+1] = off + n
 	}
 	if sec[bundleSections] != uint64(size-4) {
-		return nil, man, errors.New("bundle: trailing bytes")
+		return b, man, errors.New("bundle: trailing bytes")
 	}
 	if m := man.NumPoints; m < 0 || m > maxCachedPoints || sec[secCount]-sec[secPoints] != uint64(pointsSize(int(m))) {
-		return nil, man, errors.New("bundle: the points section does not hold the manifest's points")
+		return b, man, errors.New("bundle: the points section does not hold the manifest's points")
 	}
-	buf := chunks.Get().(*[32 << 10]byte)
-	defer chunks.Put(buf)
-	crc := crc32.New(crcTable)
-	crc.Write(hdr[:])
-	pts := io.NewSectionReader(r, int64(sec[secPoints]), int64(sec[secCount]-sec[secPoints]))
-	if n, err := io.CopyBuffer(io.MultiWriter(crc, h), pts, buf[:]); n != pts.Size() {
-		return nil, man, fmt.Errorf("bundle: %d of %d point bytes read: %v", n, pts.Size(), err)
+	crc := crc32.Update(0, crcTable, hdr)
+	for off := sec[secPoints]; off < sec[secCount]; {
+		chunk := buf[:min(uint64(len(buf)), sec[secCount]-off)]
+		if n, err := r.ReadAt(chunk, int64(off)); n < len(chunk) {
+			return b, man, fmt.Errorf("bundle: %d of %d point bytes read: %v", off+uint64(n)-sec[secPoints], sec[secCount]-sec[secPoints], err)
+		}
+		crc = crc32.Update(crc, crcTable, chunk)
+		h.Write(chunk)
+		off += uint64(len(chunk))
 	}
 	tail := append(buf[:0], make([]byte, uint64(size)-sec[secCount])...) // buf, when it fits
 	if n, err := r.ReadAt(tail, int64(sec[secCount])); n < len(tail) {
-		return nil, man, err
+		return b, man, err
 	}
 	body := tail[:len(tail)-4]
-	if crc.Write(body); crc.Sum32() != binary.LittleEndian.Uint32(tail[len(body):]) {
-		return nil, man, errors.New("bundle: checksum mismatch")
+	if crc32.Update(crc, crcTable, body) != binary.LittleEndian.Uint32(tail[len(body):]) {
+		return b, man, errors.New("bundle: checksum mismatch")
 	}
 	part := func(kind int) []byte { return body[sec[kind]-sec[secCount] : sec[kind+1]-sec[secCount]] }
-	b = &builtRelation{}
 	if b.tree, err = decodeCountIndex(part(secCount), man.NumBlocks, man.NumPoints); err != nil {
-		return nil, man, err
+		return b, man, err
 	}
 	b.Density = core.NewDensityBased(b.tree)
 	if b.Staircase, err = core.UnmarshalStaircase(b.tree, part(secStair), core.StaircaseOptions{Fallback: b.Density}); err != nil {
-		return nil, man, fmt.Errorf("staircase: %w", err)
+		return b, man, fmt.Errorf("staircase: %w", err)
 	}
 	if b.VGrid, err = core.UnmarshalVirtualGrid(part(secGrid)); err != nil {
-		return nil, man, fmt.Errorf("virtual grid: %w", err)
+		return b, man, fmt.Errorf("virtual grid: %w", err)
 	}
 	return b, man, nil
+}
+
+// sumsTo reports whether h sums to the fingerprint fp. The sum and its hex
+// digits land in a pooled buffer, so neither is allocated.
+func sumsTo(h hash.Hash, fp string) bool {
+	buf := chunks.Get().(*[32 << 10]byte)
+	defer chunks.Put(buf)
+	sum := h.Sum(buf[:0])
+	return string(hex.AppendEncode(sum[len(sum):], sum)) == fp
 }
 
 // salvagePoints decodes the points section of a bundle that fails to load.
@@ -567,7 +586,7 @@ func (c *diskCache) registryPath() string { return filepath.Join(c.dir, c.regist
 func (c *diskCache) registry() []registryEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return slices.Clone(c.entries)
+	return c.entries // remember replaces it, never writes into it
 }
 
 // forget removes name from the registry and returns the fingerprint it held,
@@ -751,9 +770,7 @@ func (c *diskCache) sweepAll() {
 	defer release()
 	cat := filepath.Join(c.dir, "cat")
 	for _, dir := range []string{c.dir, cat} {
-		ents, _ := os.ReadDir(dir) // unreadable: nothing is removed
-		for _, ent := range ents {
-			name := ent.Name()
+		for _, name := range dirNames(dir) {
 			ext := filepath.Ext(name)
 			switch {
 			case c.ownTemp(name):
@@ -763,6 +780,19 @@ func (c *diskCache) sweepAll() {
 			}
 		}
 	}
+}
+
+// dirNames lists the names in dir, unsorted and without os.ReadDir's
+// DirEntry per file: cat/ holds a bundle per relation. An unreadable dir
+// lists what was read before the error.
+func dirNames(dir string) []string {
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	names, _ := f.Readdirnames(-1)
+	return names
 }
 
 // ownTemp reports whether name is a temp file of this scope: the prefix and

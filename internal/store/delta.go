@@ -343,7 +343,10 @@ func lowerCovered(c *diskCache, end uint64, logger *log.Logger) error {
 			lowered = append(lowered, reg)
 		}
 	}
-	if _, err := c.remember(lowered, ""); err != nil || len(lowered) == 0 {
+	if len(lowered) == 0 {
+		return nil
+	}
+	if _, err := c.remember(lowered, ""); err != nil {
 		return err
 	}
 	logger.Printf("store: the wal ends at LSN %d, below what %d registry entries cover: its records were lost; lowered them to it", end, len(lowered))
@@ -359,15 +362,16 @@ func lowerCovered(c *diskCache, end uint64, logger *log.Logger) error {
 // once and returns the staged relations, for New to queue, and the log's
 // watermark.
 func (s *Store) recoverLocked(records []wal.Record) (queued []string, trim uint64) {
-	var names []string
-	for _, reg := range s.cache.registry() {
+	registry := s.cache.registry()
+	names := make([]string, 0, len(registry))
+	for _, reg := range registry {
 		res := s.opt.resolveResolution(reg.Resolution)
 		e := &entry{name: reg.Name, res: res, durableFP: reg.Fingerprint, ckptLSN: reg.Covered, durableCovered: reg.Covered}
 		s.entries[reg.Name] = e
 		names = append(names, reg.Name)
 		b, err := s.loadBundle(reg.Fingerprint, res)
 		if err == nil {
-			s.installSnapshot(e, b)
+			s.installSnapshot(e, &b)
 			e.state = StateReady
 			continue
 		}

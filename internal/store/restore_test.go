@@ -311,9 +311,11 @@ func TestRestoredCountIndexIsTheBuilds(t *testing.T) {
 // 46.7 heap objects a relation when every catalog was its own slice header
 // and every tree node its own allocation, 26.6 while the snapshot's points
 // source was an object of its own, and 7.5 KB in 25.6 while the View kept a
-// listing row for it. What the restore allocates
-// besides is logged: a daemon that never reaches its first collection keeps
-// that too.
+// listing row for it. What the restore allocates besides is bounded too, at
+// 1.5 KB a relation: a daemon that never reaches its first collection keeps
+// that as well. It was 2.7 KB while the restore cloned the registry, built
+// each bundle path twice, stat'ed each bundle, hex-encoded each sum and
+// heap-allocated each load's result.
 func TestRestoredRelationHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations count as the restore's")
@@ -349,6 +351,9 @@ func TestRestoredRelationHeap(t *testing.T) {
 	t.Logf("a restored relation keeps %.0f B in %.1f objects; the restore allocated %.0f B a relation", live, objects, allocated)
 	if live > 7.25*1024 || objects > 25 {
 		t.Errorf("a restored relation keeps %.0f B in %.1f objects, want <= 7424 B in <= 25", live, objects)
+	}
+	if allocated > live+1536 {
+		t.Errorf("the restore allocated %.0f B a relation to keep %.0f, want at most 1536 B besides", allocated, live)
 	}
 	runtime.KeepAlive(re)
 }

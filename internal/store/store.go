@@ -44,9 +44,9 @@ package store
 import (
 	"cmp"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"maps"
@@ -55,7 +55,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -881,21 +881,25 @@ func (s *Store) Status(name string) (RelationStatus, bool) {
 // every change acknowledged before it.
 func (s *Store) List() []RelationStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rows := make([]*entry, 0, len(s.entries)+len(s.lost))
+	rows := make([]RelationStatus, 0, len(s.entries)+len(s.lost))
 	for _, e := range s.entries {
-		rows = append(rows, e)
+		rows = append(rows, e.statusLocked())
 	}
 	for _, e := range s.lost {
-		rows = append(rows, e)
+		rows = append(rows, e.statusLocked())
 	}
-	slices.SortFunc(rows, func(a, b *entry) int { return strings.Compare(a.name, b.name) })
-	list := make([]RelationStatus, len(rows))
-	for i, e := range rows {
-		list[i] = e.statusLocked()
-	}
-	return list
+	s.mu.Unlock()
+	// The rows are copies, so they sort without holding up the writers.
+	sort.Sort(statusesByName(rows))
+	return rows
 }
+
+// statusesByName orders listing rows by name, comparing them where they lie.
+type statusesByName []RelationStatus
+
+func (r statusesByName) Len() int           { return len(r) }
+func (r statusesByName) Less(i, j int) bool { return r[i].Name < r[j].Name }
+func (r statusesByName) Swap(i, j int)      { r[i], r[j] = r[j], r[i] }
 
 // WaitReady blocks until every named relation is ready, any of them fails
 // (the first failure is returned as an error), or ctx expires. With no
@@ -1128,7 +1132,7 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 		}
 		if err == nil {
 			b.pts = pts
-			return b, nil
+			return &b, nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.opt.logger().Printf("store: cache load %s: %v (rebuilding)", shortFP(fp), err)
@@ -1191,28 +1195,27 @@ func (s *Store) buildCatalogs(ctx context.Context, name string, pts []geom.Point
 // whose points the cache has seen: it builds nothing, decodes no point and
 // refuses a bundle whose points do not hash to fp or whose options differ.
 // The file it opens is the one the snapshot keeps.
-func (s *Store) loadBundle(fp string, res core.Resolution) (*builtRelation, error) {
+func (s *Store) loadBundle(fp string, res core.Resolution) (b builtRelation, err error) {
 	f, err := os.Open(s.cache.bundlePath(fp))
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	h := s.fingerprintHash(res)
-	info, err := f.Stat()
-	var b *builtRelation
+	size, err := f.Seek(0, io.SeekEnd) // the size, without the FileInfo a Stat allocates
 	var man manifest
 	if err == nil {
-		b, man, err = readBundle(f, info.Size(), h)
+		b, man, err = readBundle(f, size, h)
 	}
 	switch {
 	case err != nil:
-	case hex.EncodeToString(h.Sum(nil)) != fp:
+	case !sumsTo(h, fp):
 		err = errors.New("bundle: its points do not hash to its fingerprint")
 	case man != s.manifestFor(b.tree, res):
 		err = errors.New("bundle: built with other options")
 	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return builtRelation{}, err
 	}
 	s.cacheHits.Add(2) // staircase + virtual grid
 	b.Aknn, b.fp, b.res, b.file = aknn.BuildSummaryCapacity(b.tree, res.AknnCapacity), fp, res, f

@@ -68,6 +68,8 @@ internal/quadtree:FuzzQuadtreeBuild
 internal/ptloc:FuzzFind
 internal/service:FuzzDecodePointsBody
 internal/service:FuzzNumber
+internal/service:FuzzRegistrationName
+internal/service:FuzzQueryValue
 "
 
 race() {
@@ -77,7 +79,7 @@ race() {
 	go test -race -count=10 -run 'RouterDifferential|RelationGetFindsAnyOwner|MutationHealPinnedToPrimary' ./internal/shard/
 	go test -race -count=10 -run 'ConcurrentResolve|ArtifactsBuildOnce|BuildErrorCached' ./internal/engine/
 	go test -race -count=10 -run 'SingleFlight|InvalidationDuringInFlightBuild|CachedPlanHotSwapOracle|PlanCacheDropReRegister' ./internal/optimizer/
-	go test -race -count=10 -run 'Limiter|OverloadSheds|WrapComposes' ./internal/service/...
+	go test -race -count=10 -run 'Limiter|OverloadSheds|WrapComposes|Deadline|RequestID' ./internal/service/...
 }
 
 # One iteration of every benchmark in the module: catches benchmarks that
